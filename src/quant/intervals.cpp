@@ -6,17 +6,7 @@
 #include <cstdio>
 #include <limits>
 
-#include "deploy/fold_bn.hpp"
-#include "nn/activations.hpp"
-#include "nn/batchnorm.hpp"
-#include "nn/conv.hpp"
-#include "nn/dwconv.hpp"
-#include "nn/linear.hpp"
-#include "nn/pooling.hpp"
-#include "nn/pwconv.hpp"
-#include "nn/sequential.hpp"
-#include "nn/shuffle.hpp"
-#include "nn/space_to_depth.hpp"
+#include "quant/lower.hpp"
 
 namespace sky::quant {
 namespace {
@@ -28,17 +18,18 @@ constexpr double kFloatMax = 3.4028234663852886e38;
 
 /// Union over output channels of the exact per-channel extreme sums
 ///   lo_oc = sum_k (w > 0 ? w * in.lo : w * in.hi) + b_oc   (and mirrored)
-/// — the tightest interval any single dot product of length `k_per_oc`
-/// against values in `in` can reach.  Zero padding makes 0 a reachable
-/// input value, so padded convs widen `in` to include it.
-Interval conv_interval(const Tensor& w, const Tensor* bias, int out_ch,
-                       std::int64_t k_per_oc, bool include_zero, Interval in) {
-    if (!in.known || out_ch <= 0 || k_per_oc <= 0) return {};
-    const double ilo = include_zero ? std::min(in.lo, 0.0) : in.lo;
-    const double ihi = include_zero ? std::max(in.hi, 0.0) : in.hi;
+/// — the tightest interval any single dot product of one output channel's
+/// taps against values in `in` can reach.  Zero padding makes 0 a
+/// reachable input value, so padded convs widen `in` to include it.
+Interval conv_interval(const Op& op, Interval in) {
+    const std::int64_t k_per_oc = static_cast<std::int64_t>(op.in_ch / op.groups) * op.k * op.k;
+    if (!in.known || op.out_ch <= 0 || k_per_oc <= 0) return {};
+    const double ilo = op.pad > 0 ? std::min(in.lo, 0.0) : in.lo;
+    const double ihi = op.pad > 0 ? std::max(in.hi, 0.0) : in.hi;
+    const Tensor& w = *op.weight;
     Interval out{std::numeric_limits<double>::infinity(),
                  -std::numeric_limits<double>::infinity(), true};
-    for (int oc = 0; oc < out_ch; ++oc) {
+    for (int oc = 0; oc < op.out_ch; ++oc) {
         double lo = 0.0, hi = 0.0;
         const std::int64_t base = static_cast<std::int64_t>(oc) * k_per_oc;
         for (std::int64_t k = 0; k < k_per_oc; ++k) {
@@ -46,8 +37,8 @@ Interval conv_interval(const Tensor& w, const Tensor* bias, int out_ch,
             lo += wv > 0 ? wv * ilo : wv * ihi;
             hi += wv > 0 ? wv * ihi : wv * ilo;
         }
-        if (bias != nullptr && bias->size() > oc) {
-            const double b = (*bias)[oc];
+        if (op.bias != nullptr && op.bias->size() > oc) {
+            const double b = (*op.bias)[oc];
             lo += b;
             hi += b;
         }
@@ -84,20 +75,19 @@ Interval affine_interval(const std::vector<float>& scale,
 
 double sig(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 
-void event(std::vector<ActEvent>* events, ActEvent::Kind kind, int node,
+void event(std::vector<ActEvent>& events, ActEvent::Kind kind, int node,
            std::string message, std::string hint) {
-    if (events == nullptr) return;
-    events->push_back({kind, node, std::move(message), std::move(hint)});
+    events.push_back({kind, node, std::move(message), std::move(hint)});
 }
 
 /// Activation transfer + the dead-clamp / always-saturating findings.  The
 /// findings need a *bounded* known input (a blown interval already carries
 /// an Inf/NaN report; an unknown one proves nothing).
-Interval act_interval(const nn::Activation& act, Interval in, int node,
-                      const std::string& where, std::vector<ActEvent>* events) {
+Interval act_interval(const Op& op, Interval in, int node, std::vector<ActEvent>& events) {
+    const std::string& where = op.name;
     const bool checkable = in.known && !interval_blown(in);
-    switch (act.act_kind()) {
-        case nn::Act::kReLU:
+    switch (op.kind) {
+        case OpKind::kRelu:
             if (checkable && in.hi <= 0.0)
                 event(events, ActEvent::Kind::kSaturating, node,
                       where + " always saturates: input " + interval_str(in) +
@@ -111,7 +101,7 @@ Interval act_interval(const nn::Activation& act, Interval in, int node,
                       "dead activation; remove it (it costs a full tensor pass)");
             if (!in.known) return {};
             return {std::max(in.lo, 0.0), std::max(in.hi, 0.0), true};
-        case nn::Act::kReLU6:
+        case OpKind::kRelu6:
             if (checkable && in.lo >= 6.0)
                 event(events, ActEvent::Kind::kSaturating, node,
                       where + " always saturates: input " + interval_str(in) +
@@ -125,9 +115,9 @@ Interval act_interval(const nn::Activation& act, Interval in, int node,
                       "dead activation; remove it (it costs a full tensor pass)");
             if (!in.known) return {};
             return {std::clamp(in.lo, 0.0, 6.0), std::clamp(in.hi, 0.0, 6.0), true};
-        case nn::Act::kLeaky: {
+        case OpKind::kLeaky: {
             if (!in.known) return {};
-            const double s = act.leaky_slope();
+            const double s = op.slope;
             const auto f = [s](double x) { return x > 0 ? x : s * x; };
             // Monotone for s >= 0; a negative slope needs the 0 crossing too.
             double lo = std::min(f(in.lo), f(in.hi));
@@ -138,75 +128,69 @@ Interval act_interval(const nn::Activation& act, Interval in, int node,
             }
             return {lo, hi, true};
         }
-        case nn::Act::kSigmoid:
+        default:  // kSigmoid
             // Bounded even for an unknown or blown input: sigmoid maps the
             // whole extended real line into [0, 1].
             if (!in.known || interval_blown(in)) return {0.0, 1.0, true};
             return {sig(in.lo), sig(in.hi), true};
     }
-    return {};
 }
 
-/// Fold a Sequential: each stage feeds the next; events anchor to the
-/// enclosing graph node with the inner layer named in the message.
-Interval sequential_interval(const nn::Sequential& seq, Interval in, int node,
-                             std::vector<ActEvent>* events) {
-    Interval v = in;
-    for (std::size_t i = 0; i < seq.size(); ++i)
-        v = module_value_interval(seq.at(i), v, node, events);
-    return v;
-}
-
-/// Propagate through a graph used *as a module* (residual / fire / shuffle
-/// blocks in the backbone zoo): same dataflow as the top-level loop, but the
-/// input node takes the enclosing interval and events anchor to the
-/// enclosing node.
-Interval graph_interval(const nn::Graph& g, Interval in, int node,
-                        std::vector<ActEvent>* events) {
-    const std::size_t n = g.node_count();
-    std::vector<Interval> vals(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::vector<int>& ins = g.node_inputs(i);
-        switch (g.node_kind(i)) {
-            case nn::Graph::NodeKind::kInput:
-                vals[i] = in;
-                break;
-            case nn::Graph::NodeKind::kConcat: {
-                Interval v{std::numeric_limits<double>::infinity(),
-                           -std::numeric_limits<double>::infinity(), !ins.empty()};
-                for (const int src : ins) {
-                    const Interval& u = vals[static_cast<std::size_t>(src)];
-                    v.known = v.known && u.known;
-                    v.lo = std::min(v.lo, u.lo);
-                    v.hi = std::max(v.hi, u.hi);
-                }
-                vals[i] = v.known ? v : Interval{};
-                break;
-            }
-            case nn::Graph::NodeKind::kAdd: {
-                Interval v{0.0, 0.0, !ins.empty()};
-                for (const int src : ins) {
-                    const Interval& u = vals[static_cast<std::size_t>(src)];
-                    v.known = v.known && u.known;
-                    v.lo += u.lo;
-                    v.hi += u.hi;
-                }
-                vals[i] = v.known ? v : Interval{};
-                break;
-            }
-            case nn::Graph::NodeKind::kModule: {
-                const nn::Module* m = g.node_module(i);
-                if (m == nullptr || ins.empty()) break;
-                vals[i] = module_value_interval(
-                    *m, vals[static_cast<std::size_t>(ins[0])], node, events);
-                break;
-            }
-        }
+/// Concat unions its inputs' intervals, add sums them.
+Interval join_interval(const Op& op, const std::vector<Interval>& v) {
+    const bool add = op.kind == OpKind::kAdd;
+    const double inf = std::numeric_limits<double>::infinity();
+    Interval r{add ? 0.0 : inf, add ? 0.0 : -inf, !op.inputs.empty()};
+    for (const int in : op.inputs) {
+        const Interval& u = v[static_cast<std::size_t>(in)];
+        r.known = r.known && u.known;
+        r.lo = add ? r.lo + u.lo : std::min(r.lo, u.lo);
+        r.hi = add ? r.hi + u.hi : std::max(r.hi, u.hi);
     }
-    const int out = g.output_node();
-    return out >= 0 && static_cast<std::size_t>(out) < n
-               ? vals[static_cast<std::size_t>(out)]
-               : Interval{};
+    return r.known ? r : Interval{};
+}
+
+/// Transfer of one op; `node` anchors activation events (ops in a block
+/// body report at the block's node).
+Interval op_interval(const Op& op, const std::vector<Interval>& v, int node,
+                     std::vector<ActEvent>& events) {
+    const Interval in =
+        op.inputs.empty() ? Interval{} : v[static_cast<std::size_t>(op.inputs[0])];
+    switch (op.kind) {
+        case OpKind::kConcat:
+        case OpKind::kAdd:
+            return join_interval(op, v);
+        case OpKind::kConv:
+        case OpKind::kDwConv:
+            return conv_interval(op, in);
+        case OpKind::kAffine:
+            return affine_interval(op.scale, op.shift, in);
+        case OpKind::kBias: {
+            if (!in.known || op.shift.empty()) return {};
+            const auto [mn, mx] = std::minmax_element(op.shift.begin(), op.shift.end());
+            return {in.lo + *mn, in.hi + *mx, true};
+        }
+        case OpKind::kRelu:
+        case OpKind::kRelu6:
+        case OpKind::kLeaky:
+        case OpKind::kSigmoid:
+            return act_interval(op, in, node, events);
+        case OpKind::kBlock:
+            return propagate(op.body, in,
+                             [&](const Op& o, std::size_t, const std::vector<Interval>& bv) {
+                                 return op_interval(o, bv, node, events);
+                             })[static_cast<std::size_t>(op.body_output)];
+        case OpKind::kMaxPool:  // data movement / selection / averaging
+        case OpKind::kAvgPool:  // preserves the value set's bounds
+        case OpKind::kReorder:
+        case OpKind::kShuffle:
+        case OpKind::kIdentity:
+            return in;
+        case OpKind::kInput:
+        case OpKind::kOpaque:
+            break;
+    }
+    return {};  // no transfer function: the analysis loses track, soundly
 }
 
 }  // namespace
@@ -222,99 +206,14 @@ std::string interval_str(const Interval& v) {
     return buf;
 }
 
-Interval module_value_interval(const nn::Module& m, Interval in, int node,
-                               std::vector<ActEvent>* events) {
-    if (const auto* conv = dynamic_cast<const nn::Conv2d*>(&m))
-        return conv_interval(conv->weight(), conv->has_bias() ? &conv->bias() : nullptr,
-                             conv->out_channels(),
-                             static_cast<std::int64_t>(conv->in_channels()) *
-                                 conv->kernel() * conv->kernel(),
-                             conv->padding() > 0, in);
-    if (const auto* pw = dynamic_cast<const nn::PWConv1*>(&m))
-        return conv_interval(pw->weight(), pw->has_bias() ? &pw->bias() : nullptr,
-                             pw->out_channels(),
-                             static_cast<std::int64_t>(pw->in_channels()) / pw->groups(),
-                             false, in);
-    if (const auto* dw = dynamic_cast<const nn::DWConv3*>(&m))
-        return conv_interval(dw->weight(), nullptr, dw->channels(), 9, true, in);
-    if (const auto* fc = dynamic_cast<const nn::Linear*>(&m)) {
-        const std::int64_t k = fc->weight().shape().count() /
-                               std::max<std::int64_t>(fc->weight().shape().n, 1);
-        return conv_interval(fc->weight(), &fc->bias(),
-                             static_cast<int>(fc->weight().shape().n), k, false, in);
-    }
-    if (const auto* bn = dynamic_cast<const nn::BatchNorm2d*>(&m)) {
-        std::vector<float> scale, shift;
-        bn->fused_affine(scale, shift);
-        return affine_interval(scale, shift, in);
-    }
-    if (const auto* cb = dynamic_cast<const deploy::ChannelBias*>(&m)) {
-        if (!in.known || cb->values().empty()) return {};
-        const auto [mn, mx] =
-            std::minmax_element(cb->values().begin(), cb->values().end());
-        return {in.lo + *mn, in.hi + *mx, true};
-    }
-    if (const auto* act = dynamic_cast<const nn::Activation*>(&m))
-        return act_interval(*act, in, node, m.name(), events);
-    if (const auto* seq = dynamic_cast<const nn::Sequential*>(&m))
-        return sequential_interval(*seq, in, node, events);
-    if (const auto* sub = dynamic_cast<const nn::Graph*>(&m))
-        return graph_interval(*sub, in, node, events);
-    // Pure data movement / selection / averaging preserves the value set's
-    // bounds.
-    if (dynamic_cast<const nn::MaxPool2*>(&m) != nullptr ||
-        dynamic_cast<const nn::GlobalAvgPool*>(&m) != nullptr ||
-        dynamic_cast<const nn::SpaceToDepth*>(&m) != nullptr ||
-        dynamic_cast<const nn::ChannelShuffle*>(&m) != nullptr ||
-        dynamic_cast<const deploy::Identity*>(&m) != nullptr)
-        return in;
-    return {};  // no transfer function: the analysis loses track, soundly
-}
-
-IntervalAnalysis propagate_value_intervals(const nn::Graph& g, const QuantConfig& cfg) {
+IntervalAnalysis propagate_value_intervals(const Program& p) {
     IntervalAnalysis a;
-    const std::size_t n = g.node_count();
-    a.values.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::vector<int>& ins = g.node_inputs(i);
-        switch (g.node_kind(i)) {
-            case nn::Graph::NodeKind::kInput:
-                a.values[i] = {static_cast<double>(cfg.input_lo),
-                               static_cast<double>(cfg.input_hi), true};
-                break;
-            case nn::Graph::NodeKind::kConcat: {
-                Interval v{std::numeric_limits<double>::infinity(),
-                           -std::numeric_limits<double>::infinity(), !ins.empty()};
-                for (const int in : ins) {
-                    const Interval& u = a.values[static_cast<std::size_t>(in)];
-                    v.known = v.known && u.known;
-                    v.lo = std::min(v.lo, u.lo);
-                    v.hi = std::max(v.hi, u.hi);
-                }
-                a.values[i] = v.known ? v : Interval{};
-                break;
-            }
-            case nn::Graph::NodeKind::kAdd: {
-                Interval v{0.0, 0.0, !ins.empty()};
-                for (const int in : ins) {
-                    const Interval& u = a.values[static_cast<std::size_t>(in)];
-                    v.known = v.known && u.known;
-                    v.lo += u.lo;
-                    v.hi += u.hi;
-                }
-                a.values[i] = v.known ? v : Interval{};
-                break;
-            }
-            case nn::Graph::NodeKind::kModule: {
-                const nn::Module* m = g.node_module(i);
-                if (m == nullptr || ins.empty()) break;
-                a.values[i] = module_value_interval(
-                    *m, a.values[static_cast<std::size_t>(ins[0])],
-                    static_cast<int>(i), &a.events);
-                break;
-            }
-        }
-    }
+    const Interval entry{static_cast<double>(p.cfg.input_lo),
+                         static_cast<double>(p.cfg.input_hi), true};
+    a.values = propagate(p.ops, entry,
+                         [&](const Op& op, std::size_t i, const std::vector<Interval>& v) {
+                             return op_interval(op, v, static_cast<int>(i), a.events);
+                         });
     return a;
 }
 

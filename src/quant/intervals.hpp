@@ -1,11 +1,11 @@
-// Shared fp32 interval value-range domain over graph nodes.
+// Shared fp32 interval value-range domain over the lowered program.
 //
-// PR 9 introduced this domain inside verify::analyze; the certified
-// quantization-error domain (quant/qerror.hpp) needs the same per-node fp32
-// enclosures for its Lipschitz / saturation terms, so the transfer functions
-// live here in quant — one implementation consumed by both the checker and
-// the error certifier, mirroring how quant/ranges.hpp shares the grid
-// domain (they can never disagree).
+// The certified quantization-error domain (quant/qerror.hpp) needs the same
+// per-node fp32 enclosures verify::analyze reports on (A001-A003) for its
+// Lipschitz / saturation terms, so the transfer function lives here in
+// quant — one per-op-kind switch over the Program (quant/lower.hpp)
+// consumed by both the checker and the error certifier, mirroring how
+// quant/ranges.hpp shares the grid domain (they can never disagree).
 //
 // Soundness contract: for every graph node i, the true fp32 activation
 // values at i (over any input inside [cfg.input_lo, cfg.input_hi]) lie in
@@ -21,9 +21,6 @@
 
 #include <string>
 #include <vector>
-
-#include "nn/graph.hpp"
-#include "quant/qconfig.hpp"
 
 namespace sky::quant {
 
@@ -58,18 +55,15 @@ struct IntervalAnalysis {
     std::vector<ActEvent> events;
 };
 
-/// Forward dataflow pass over the graph: input nodes start at
-/// [cfg.input_lo, cfg.input_hi], concat takes the union, add the sum, and
-/// modules apply the per-kind transfer functions (per-out-channel sign-split
-/// sums for convs, per-channel affine for BN, exact clamp images for
-/// activations; kinds without a transfer widen to unknown).
-[[nodiscard]] IntervalAnalysis propagate_value_intervals(const nn::Graph& g,
-                                                         const QuantConfig& cfg);
+struct Program;
 
-/// Transfer function of a single module (Sequential folds stage by stage).
-/// `node` labels any ActEvents appended to `events`; pass nullptr to skip
-/// event collection (the error domain only needs the enclosure).
-[[nodiscard]] Interval module_value_interval(const nn::Module& m, Interval in, int node,
-                                             std::vector<ActEvent>* events);
+/// Forward dataflow pass over the program: the input starts at
+/// [cfg.input_lo, cfg.input_hi], concat takes the union, add the sum, and
+/// each op kind applies its transfer function (per-out-channel sign-split
+/// sums for convs, per-channel affine for BN, exact clamp images for
+/// activations, the body's dataflow for blocks; kinds without a transfer
+/// widen to unknown).  Activation events inside a block anchor to the
+/// block's node.
+[[nodiscard]] IntervalAnalysis propagate_value_intervals(const Program& p);
 
 }  // namespace sky::quant

@@ -1,0 +1,205 @@
+#include "quant/lower.hpp"
+
+#include <algorithm>
+#include <cmath>
+#include <cstdlib>
+
+#include "deploy/fold_bn.hpp"
+#include "nn/activations.hpp"
+#include "nn/batchnorm.hpp"
+#include "nn/conv.hpp"
+#include "nn/dwconv.hpp"
+#include "nn/linear.hpp"
+#include "nn/pooling.hpp"
+#include "nn/pwconv.hpp"
+#include "nn/sequential.hpp"
+#include "nn/shuffle.hpp"
+#include "nn/space_to_depth.hpp"
+
+namespace sky::quant {
+namespace {
+
+std::vector<Op> lower_graph(const nn::Graph& g, const QuantConfig& cfg);
+
+void set_conv(Op& op, OpKind kind, const Tensor& w, const Tensor* bias, int in_ch,
+              int k, int stride, int pad, int groups) {
+    op.kind = kind;
+    op.weight = &w;
+    op.bias = bias;
+    op.in_ch = in_ch;
+    op.out_ch = w.shape().n;
+    op.k = k;
+    op.stride = stride;
+    op.pad = pad;
+    op.groups = groups;
+}
+
+/// The module-kind dispatch: kind, parameters and verdict of one module.
+Op lower_module(nn::Module& m, const QuantConfig& cfg) {
+    Op op;
+    op.module = &m;
+    op.name = m.name();
+    bool integer = false;  // the integer engine has a lowering for it
+    std::string why = " (kind '" + m.kind() + "') has no integer-engine lowering";
+    std::string hint = "replace the layer or extend quant::QEngine";
+    if (auto* c = dynamic_cast<nn::Conv2d*>(&m)) {
+        set_conv(op, OpKind::kConv, c->weight(), c->has_bias() ? &c->bias() : nullptr,
+                 c->in_channels(), c->kernel(), c->stride(), c->padding(), 1);
+        integer = true;
+    } else if (auto* pw = dynamic_cast<nn::PWConv1*>(&m)) {
+        set_conv(op, OpKind::kConv, pw->weight(), pw->has_bias() ? &pw->bias() : nullptr,
+                 pw->in_channels(), 1, 1, 0, pw->groups());
+        integer = pw->groups() == 1;
+        why = ": grouped 1x1 conv is unsupported";
+        hint = "ungroup the conv or extend the integer engine";
+    } else if (auto* dw = dynamic_cast<nn::DWConv3*>(&m)) {
+        set_conv(op, OpKind::kDwConv, dw->weight(), nullptr, dw->channels(), 3, 1, 1,
+                 dw->channels());
+        integer = true;
+    } else if (auto* fc = dynamic_cast<nn::Linear*>(&m)) {
+        set_conv(op, OpKind::kConv, fc->weight(), &fc->bias(), fc->weight().shape().c, 1,
+                 1, 0, 1);
+    } else if (auto* bn = dynamic_cast<nn::BatchNorm2d*>(&m)) {
+        op.kind = OpKind::kAffine;
+        bn->fused_affine(op.scale, op.shift);
+    } else if (auto* cb = dynamic_cast<deploy::ChannelBias*>(&m)) {
+        op.kind = OpKind::kBias;
+        op.shift = cb->values();
+        integer = true;
+    } else if (auto* act = dynamic_cast<nn::Activation*>(&m)) {
+        switch (act->act_kind()) {
+            case nn::Act::kReLU: op.kind = OpKind::kRelu; break;
+            case nn::Act::kReLU6: op.kind = OpKind::kRelu6; break;
+            case nn::Act::kLeaky: op.kind = OpKind::kLeaky; break;
+            case nn::Act::kSigmoid: op.kind = OpKind::kSigmoid; break;
+        }
+        op.slope = act->leaky_slope();
+        integer = op.kind == OpKind::kRelu || op.kind == OpKind::kRelu6;
+        why = ": only ReLU / ReLU6 exist on the integer datapath";
+        hint = "retrain with a supported activation or extend the engine";
+    } else if (dynamic_cast<nn::MaxPool2*>(&m) != nullptr) {
+        op.kind = OpKind::kMaxPool;
+        integer = true;
+    } else if (dynamic_cast<nn::GlobalAvgPool*>(&m) != nullptr) {
+        op.kind = OpKind::kAvgPool;
+    } else if (auto* s2d = dynamic_cast<nn::SpaceToDepth*>(&m)) {
+        op.kind = OpKind::kReorder;
+        op.block = s2d->block();
+        integer = true;
+    } else if (dynamic_cast<nn::ChannelShuffle*>(&m) != nullptr) {
+        op.kind = OpKind::kShuffle;
+    } else if (dynamic_cast<deploy::Identity*>(&m) != nullptr) {
+        op.kind = OpKind::kIdentity;
+        integer = true;
+    } else if (auto* seq = dynamic_cast<nn::Sequential*>(&m)) {
+        op.kind = OpKind::kBlock;
+        op.body.resize(1);
+        op.body[0].kind = OpKind::kInput;
+        for (std::size_t j = 0; j < seq->size(); ++j) {
+            op.body.push_back(lower_module(seq->at(j), cfg));
+            op.body.back().inputs = {static_cast<int>(j)};
+        }
+        op.body_output = static_cast<int>(seq->size());
+    } else if (auto* sub = dynamic_cast<nn::Graph*>(&m)) {
+        op.body_output = sub->output_node();
+        // A nested graph without a valid output has no dataflow to follow.
+        if (op.body_output >= 0 &&
+            static_cast<std::size_t>(op.body_output) < sub->node_count()) {
+            op.kind = OpKind::kBlock;
+            op.body = lower_graph(*sub, cfg);
+        }
+    }
+    if (m.kind() == "bn") {
+        op.verdict = Verdict::kRejected;
+        op.code = "Q001";
+        op.reason = op.name + " is still a BatchNorm — the integer engine has no BN op";
+        op.hint = "run deploy::fold_graph_bn (or Detector::fold_bn) before quantizing";
+    } else if (!integer) {
+        op.verdict = cfg.fp32_fallback ? Verdict::kFp32 : Verdict::kRejected;
+        op.code = "Q002";
+        op.reason = op.name + why;
+        op.hint = hint;
+    }
+    return op;
+}
+
+/// Ops of a graph, one per node in node order.
+std::vector<Op> lower_graph(const nn::Graph& g, const QuantConfig& cfg) {
+    std::vector<Op> ops(g.node_count());
+    for (std::size_t i = 0; i < g.node_count(); ++i) {
+        Op& op = ops[i];
+        switch (g.node_kind(i)) {
+            case nn::Graph::NodeKind::kInput:
+                op.kind = OpKind::kInput;
+                op.name = "input";
+                break;
+            case nn::Graph::NodeKind::kConcat:
+                op.kind = OpKind::kConcat;
+                op.name = "concat";
+                break;
+            case nn::Graph::NodeKind::kAdd:
+                op.kind = OpKind::kAdd;
+                op.name = "add";
+                break;
+            case nn::Graph::NodeKind::kModule:
+                // Lowering reads modules; the engine runs fp32 islands through
+                // this pointer on the graph it was handed.
+                if (nn::Module* m = const_cast<nn::Module*>(g.node_module(i))) {
+                    op = lower_module(*m, cfg);
+                } else {
+                    op.name = "node";
+                    op.verdict = Verdict::kRejected;
+                    op.code = "Q002";
+                    op.reason = "module node without a module";
+                }
+                break;
+        }
+        op.inputs = g.node_inputs(i);
+    }
+    return ops;
+}
+
+/// Quantize an integer conv's weights and bias onto the scheme: the
+/// per-layer weight format covering max|w|, round-to-nearest with
+/// saturation, and the bias at accumulator scale (weight + FM fraction).
+void quantize_conv(Op& op, int weight_bits, const FixedPointFormat& fm) {
+    const Tensor& w = *op.weight;
+    op.wfmt = choose_format(weight_bits, w.abs_max());
+    const double inv_step = 1.0 / op.wfmt.step();
+    op.qweights.resize(static_cast<std::size_t>(w.size()));
+    for (std::int64_t i = 0; i < w.size(); ++i) {
+        const std::int32_t q = saturate(
+            static_cast<std::int64_t>(std::llround(w[i] * inv_step)), op.wfmt.total_bits);
+        op.qweights[static_cast<std::size_t>(i)] = q;
+        op.wmax = std::max<std::int64_t>(op.wmax, std::abs(static_cast<std::int64_t>(q)));
+    }
+    if (op.bias == nullptr) return;
+    const double scale = std::ldexp(1.0, op.wfmt.frac_bits + fm.frac_bits);
+    for (int oc = 0; oc < op.out_ch; ++oc)
+        op.qbias.push_back(
+            static_cast<std::int64_t>(std::llround((*op.bias)[oc] * scale)));
+}
+
+}  // namespace
+
+Program lower(const nn::Graph& g, const QuantConfig& cfg) {
+    Program p;
+    p.cfg = cfg;
+    p.scheme_errors = scheme_violations(cfg);
+    p.ops = lower_graph(g, cfg);
+    p.output = g.output_node();
+    if (!p.valid_scheme()) return p;
+    p.spec = make_grid_spec(cfg);
+    const double inv_step = 1.0 / p.spec.fm.step();
+    for (Op& op : p.ops) {
+        if (op.verdict != Verdict::kInt) continue;
+        if (op.kind == OpKind::kConv || op.kind == OpKind::kDwConv)
+            quantize_conv(op, cfg.weight_bits, p.spec.fm);
+        else if (op.kind == OpKind::kBias)  // the folded BN shift, on the FM grid
+            for (const float b : op.shift)
+                op.qbias.push_back(static_cast<std::int64_t>(std::llround(b * inv_step)));
+    }
+    return p;
+}
+
+}  // namespace sky::quant

@@ -8,228 +8,116 @@
 #include <utility>
 
 #include "core/thread_pool.hpp"
-#include "deploy/fold_bn.hpp"
-#include "nn/activations.hpp"
-#include "nn/conv.hpp"
-#include "nn/dwconv.hpp"
-#include "nn/pooling.hpp"
-#include "nn/pwconv.hpp"
-#include "nn/space_to_depth.hpp"
+#include "quant/intervals.hpp"
 #include "quant/qerror.hpp"
 #include "quant/ranges.hpp"
 
 namespace sky::quant {
-namespace {
 
-std::vector<std::int32_t> quantize_weights_to_int(const Tensor& w,
-                                                  const FixedPointFormat& fmt) {
-    std::vector<std::int32_t> out(static_cast<std::size_t>(w.size()));
-    const double inv_step = 1.0 / fmt.step();
-    for (std::int64_t i = 0; i < w.size(); ++i)
-        out[static_cast<std::size_t>(i)] = saturate(
-            static_cast<std::int64_t>(std::llround(w[i] * inv_step)), fmt.total_bits);
-    return out;
-}
+QEngine::QEngine(nn::Graph& graph, const QuantConfig& cfg) : QEngine(lower(graph, cfg)) {}
 
-}  // namespace
-
-QEngine::QEngine(nn::Graph& graph, const QuantConfig& cfg)
-    : cfg_(cfg), exec_(resolved_execution(cfg)) {
-    // make_grid_spec validates the scheme (same throws the ctor used to
-    // issue) and resolves the shared FM grid — the single source of truth
-    // verify::analyze reads too (quant/ranges.hpp).
-    const GridSpec spec = make_grid_spec(cfg);
+QEngine::QEngine(Program program)
+    : cfg_(program.cfg), exec_(resolved_execution(program.cfg)) {
+    // The lowering carries the one scheme validation and the per-op
+    // verdicts verify::check_qmodel reports (Q005, Q001/Q002): the engine
+    // refuses exactly the programs that report one of them as an error.
+    if (!program.valid_scheme())
+        throw std::invalid_argument("QEngine: degenerate quantization scheme: " +
+                                    program.scheme_errors.front());
+    for (const Op& op : program.ops)
+        if (op.verdict == Verdict::kRejected)
+            throw std::invalid_argument("QEngine: " + op.reason);
+    const GridSpec& spec = program.spec;
     fm_fmt_ = spec.fm;
     grid_lo_ = spec.grid_lo;
     grid_hi_ = spec.grid_hi;
     six_ = spec.six;
     in_lo_ = spec.in_lo;
     in_hi_ = spec.in_hi;
-    const double inv_step = 1.0 / fm_fmt_.step();
 
-    // ---- Parse the graph into integer layers (weights at full scheme
-    // precision — the reference path and the s16 packing both read them) --
-    output_node_ = graph.output_node();
-    layers_.resize(graph.node_count());
-    std::vector<FixedPointFormat> wfmt(graph.node_count());
-    std::vector<std::string> names(graph.node_count());
-    for (std::size_t i = 0; i < graph.node_count(); ++i) {
-        QLayer& l = layers_[i];
-        l.inputs = graph.node_inputs(i);
-        l.clamp_lo = grid_lo_;
-        l.clamp_hi = grid_hi_;
-        switch (graph.node_kind(i)) {
-            case nn::Graph::NodeKind::kInput:
-                l.op = QLayer::Op::kInput;
-                names[i] = "input";
-                continue;
-            case nn::Graph::NodeKind::kConcat:
-                l.op = QLayer::Op::kConcat;
-                names[i] = "concat";
-                continue;
-            case nn::Graph::NodeKind::kAdd:
-                l.op = QLayer::Op::kAdd;
-                l.impl = QImpl::kRefInt;
-                names[i] = "add";
-                continue;
-            case nn::Graph::NodeKind::kModule:
-                break;
-        }
-        nn::Module* m = graph.node_module(i);
-        names[i] = m->name();
-        if (auto* conv = dynamic_cast<const nn::Conv2d*>(m)) {
-            l.op = QLayer::Op::kConv;
-            l.impl = QImpl::kRefInt;
-            l.in_ch = conv->in_channels();
-            l.out_ch = conv->out_channels();
-            l.k = conv->kernel();
-            l.stride = conv->stride();
-            l.pad = conv->padding();
-            const FixedPointFormat wf =
-                choose_format(cfg.weight_bits, conv->weight().abs_max());
-            wfmt[i] = wf;
-            l.shift = wf.frac_bits;
-            l.weights = quantize_weights_to_int(conv->weight(), wf);
-            l.bias.assign(static_cast<std::size_t>(l.out_ch), 0);
-            if (conv->has_bias()) {
-                const double scale = std::ldexp(1.0, wf.frac_bits + fm_fmt_.frac_bits);
-                for (int oc = 0; oc < l.out_ch; ++oc)
-                    l.bias[static_cast<std::size_t>(oc)] = static_cast<std::int64_t>(
-                        std::llround(conv->bias()[oc] * scale));
-            }
-        } else if (auto* pw = dynamic_cast<const nn::PWConv1*>(m)) {
-            if (pw->groups() != 1) {
-                if (!cfg.fp32_fallback)
-                    throw std::invalid_argument(
-                        "QEngine: grouped 1x1 conv unsupported");
-                l.op = QLayer::Op::kFp32;
-                l.impl = QImpl::kFp32;
-                l.fallback = m;
-                continue;
-            }
-            l.op = QLayer::Op::kConv;
-            l.impl = QImpl::kRefInt;
-            l.in_ch = pw->in_channels();
-            l.out_ch = pw->out_channels();
-            l.k = 1;
-            l.stride = 1;
-            l.pad = 0;
-            const FixedPointFormat wf =
-                choose_format(cfg.weight_bits, pw->weight().abs_max());
-            wfmt[i] = wf;
-            l.shift = wf.frac_bits;
-            l.weights = quantize_weights_to_int(pw->weight(), wf);
-            l.bias.assign(static_cast<std::size_t>(l.out_ch), 0);
-            if (pw->has_bias()) {
-                const double scale = std::ldexp(1.0, wf.frac_bits + fm_fmt_.frac_bits);
-                for (int oc = 0; oc < l.out_ch; ++oc)
-                    l.bias[static_cast<std::size_t>(oc)] = static_cast<std::int64_t>(
-                        std::llround(pw->bias()[oc] * scale));
-            }
-        } else if (auto* dw = dynamic_cast<const nn::DWConv3*>(m)) {
-            l.op = QLayer::Op::kDwConv3;
-            l.impl = QImpl::kRefInt;
-            l.in_ch = l.out_ch = dw->channels();
-            l.k = 3;
-            const FixedPointFormat wf =
-                choose_format(cfg.weight_bits, dw->weight().abs_max());
-            wfmt[i] = wf;
-            l.shift = wf.frac_bits;
-            l.weights = quantize_weights_to_int(dw->weight(), wf);
-        } else if (dynamic_cast<const nn::MaxPool2*>(m)) {
-            l.op = QLayer::Op::kPool;
-        } else if (auto* act = dynamic_cast<const nn::Activation*>(m)) {
-            if (act->act_kind() == nn::Act::kReLU) {
-                l.op = QLayer::Op::kRelu;
-            } else if (act->act_kind() == nn::Act::kReLU6) {
-                l.op = QLayer::Op::kRelu6;
-            } else if (cfg.fp32_fallback) {
-                l.op = QLayer::Op::kFp32;
-                l.impl = QImpl::kFp32;
-                l.fallback = m;
-            } else {
-                throw std::invalid_argument("QEngine: unsupported activation");
-            }
-        } else if (auto* s2d = dynamic_cast<const nn::SpaceToDepth*>(m)) {
-            l.op = QLayer::Op::kReorder;
-            l.reorder_block = s2d->block();
-        } else if (auto* cb = dynamic_cast<const deploy::ChannelBias*>(m)) {
-            // The folded BN shift, expressed on the FM grid.
-            l.op = QLayer::Op::kBias;
-            l.impl = QImpl::kRefInt;
-            l.bias.reserve(cb->values().size());
-            for (float b : cb->values())
-                l.bias.push_back(static_cast<std::int64_t>(std::llround(b * inv_step)));
-        } else if (dynamic_cast<const deploy::Identity*>(m)) {
-            l.op = QLayer::Op::kIdentity;
-        } else if (m->kind() == "bn") {
-            throw std::invalid_argument(
-                "QEngine: fold batch norms before compiling (deploy::fold_graph_bn)");
-        } else if (cfg.fp32_fallback) {
-            l.op = QLayer::Op::kFp32;
-            l.impl = QImpl::kFp32;
-            l.fallback = m;
-        } else {
-            throw std::invalid_argument("QEngine: unsupported layer " + m->name());
-        }
-    }
+    // ---- Output value ranges on the FM grid and the certified error
+    // bounds: the domains verify::analyze runs over the same program, so
+    // the analysis and this plan can never disagree.  Sound for every input
+    // inside the declared [input_lo, input_hi].  Both read the lowered
+    // weights before they move into the layers below --------------------
+    const std::vector<GridRange> range = propagate_grid_ranges(program);
+    const ErrorAnalysis ea = certify_error(program, propagate_value_intervals(program), range);
 
-    // ---- Propagate output value ranges on the FM grid.  The transfer
-    // functions live in quant/ranges.hpp, SHARED with verify::analyze, so
-    // the static analysis and this plan can never disagree.  Runs on the
-    // graph (layers_ mirror it 1:1 before elision).  Sound for every input
-    // inside the declared [input_lo, input_hi] ----------------------------
-    const std::vector<GridRange> range = propagate_grid_ranges(graph, spec);
-
-    // ---- Elide Identity nodes (folded BN leaves one behind every conv):
-    // rewire every consumer straight to the identity's source, so identity
-    // layers never execute and activation fusion can see through them.
-    // Pure graph plumbing — bit-identical in every execution mode ---------
-    const auto resolve_identity = [this](int j) {
-        while (layers_[static_cast<std::size_t>(j)].op == QLayer::Op::kIdentity)
-            j = layers_[static_cast<std::size_t>(j)].inputs[0];
-        return j;
-    };
-    for (QLayer& l : layers_)
-        for (int& in : l.inputs) in = resolve_identity(in);
-    output_node_ = resolve_identity(output_node_);
-
-    // ---- Plan the int8 GEMM path: a conv is eligible when its inputs
-    // provably span <= 256 grid values (u8 after the zero-point offset),
-    // its weights fit the native s16 operand, and the int32 accumulation is
-    // provably exact for THIS layer's values: K * max|w| * span < 2^31.
-    // Weights are prepacked once, here ------------------------------------
+    // ---- One integer layer per op.  A conv takes the packed int8 GEMM path
+    // when its inputs provably span <= 256 grid values (u8 after the
+    // zero-point offset), its weights fit the native s16 operand, and the
+    // int32 accumulation is provably exact for THIS layer's values:
+    // K * max|w| * span < 2^31 — the shared prove_qgemm A004 reports.
+    // Weights are prepacked once, here -----------------------------------
+    output_node_ = program.output;
+    layers_.resize(program.ops.size());
     std::vector<std::string> notes(layers_.size());
     for (std::size_t i = 0; i < layers_.size(); ++i) {
+        Op& op = program.ops[i];
         QLayer& l = layers_[i];
+        l.inputs = op.inputs;
+        l.clamp_lo = grid_lo_;
+        l.clamp_hi = grid_hi_;
+        if (op.verdict == Verdict::kFp32) {
+            l.op = QLayer::Op::kFp32;
+            l.impl = QImpl::kFp32;
+            l.fallback = op.module;
+            continue;
+        }
+        switch (op.kind) {
+            case OpKind::kInput: l.op = QLayer::Op::kInput; break;
+            case OpKind::kConcat: l.op = QLayer::Op::kConcat; break;
+            case OpKind::kAdd:
+                l.op = QLayer::Op::kAdd;
+                l.impl = QImpl::kRefInt;
+                break;
+            case OpKind::kMaxPool: l.op = QLayer::Op::kPool; break;
+            case OpKind::kRelu: l.op = QLayer::Op::kRelu; break;
+            case OpKind::kRelu6: l.op = QLayer::Op::kRelu6; break;
+            case OpKind::kIdentity: l.op = QLayer::Op::kIdentity; break;
+            case OpKind::kReorder:
+                l.op = QLayer::Op::kReorder;
+                l.reorder_block = op.block;
+                break;
+            case OpKind::kBias:  // the folded BN shift, on the FM grid
+                l.op = QLayer::Op::kBias;
+                l.impl = QImpl::kRefInt;
+                l.bias = std::move(op.qbias);
+                break;
+            case OpKind::kConv: l.op = QLayer::Op::kConv; break;
+            case OpKind::kDwConv: l.op = QLayer::Op::kDwConv3; break;
+            default:
+                throw std::logic_error("QEngine: no integer layer for " + op.name);
+        }
+        if (l.op != QLayer::Op::kConv && l.op != QLayer::Op::kDwConv3) continue;
+        l.impl = QImpl::kRefInt;
+        l.in_ch = op.in_ch;
+        l.out_ch = op.out_ch;
+        l.k = op.k;
+        l.stride = op.stride;
+        l.pad = op.pad;
+        l.shift = op.wfmt.frac_bits;
+        l.weights = std::move(op.qweights);
+        l.bias = std::move(op.qbias);
         if (l.op == QLayer::Op::kDwConv3) {
             // The dwconv gets a branch-free int32 fast path whenever the
             // 9-tap accumulation plus the rounding offset provably fits —
             // bit-equal to the int64 reference (exact integer sums).
-            std::int64_t wmax = 0;
-            for (const std::int32_t w : l.weights)
-                wmax = std::max<std::int64_t>(wmax, std::abs(static_cast<std::int64_t>(w)));
             const std::int64_t xmax =
                 std::max<std::int64_t>(-static_cast<std::int64_t>(grid_lo_), grid_hi_);
             l.dw32 = l.shift >= 1 && l.shift <= 30 &&
-                     9 * wmax * xmax + (std::int64_t{1} << (l.shift - 1)) <
+                     9 * op.wmax * xmax + (std::int64_t{1} << (l.shift - 1)) <
                          (std::int64_t{1} << 31);
             continue;
         }
-        if (l.op != QLayer::Op::kConv || exec_ == QExecution::kReference) continue;
+        if (exec_ == QExecution::kReference) continue;
         const int K = l.in_ch * l.k * l.k;
-        std::int64_t wmax = 0;
-        for (const std::int32_t w : l.weights)
-            wmax = std::max<std::int64_t>(wmax, std::abs(static_cast<std::int64_t>(w)));
-        // The eligibility proof is shared arithmetic (quant/ranges.hpp):
-        // verify::analyze runs the same prove_qgemm over the same ranges.
-        const ConvProof proof = prove_qgemm(
-            K, l.pad, cfg.weight_bits, wmax,
-            range[static_cast<std::size_t>(l.inputs[0])]);
+        const ConvProof proof = prove_qgemm(K, l.pad, cfg_.weight_bits, op.wmax,
+                                            range[static_cast<std::size_t>(op.inputs[0])]);
         if (!proof.eligible) {
             if (exec_ == QExecution::kInt8)
-                throw std::invalid_argument("QEngine: strict int8: " + names[i] +
-                                            ": " + proof.reason);
+                throw std::invalid_argument("QEngine: strict int8: " + op.name + ": " +
+                                            proof.reason);
             notes[i] = proof.reason;
             continue;
         }
@@ -245,8 +133,7 @@ QEngine::QEngine(nn::Graph& graph, const QuantConfig& cfg)
         // Branchless int32 requantization is exact when the biased
         // accumulator plus the rounding offset provably fits int32.
         std::int64_t bmax = 0;
-        for (const std::int64_t b : l.bias_corr)
-            bmax = std::max(bmax, std::abs(b));
+        for (const std::int64_t b : l.bias_corr) bmax = std::max(bmax, std::abs(b));
         l.rq32 = l.shift >= 1 && l.shift <= 30 &&
                  proof.acc_bound + bmax + (std::int64_t{1} << (l.shift - 1)) <
                      (std::int64_t{1} << 31);
@@ -254,12 +141,18 @@ QEngine::QEngine(nn::Graph& graph, const QuantConfig& cfg)
         any_qgemm_ = true;
     }
 
-    // Snapshot the ranges the plan was proven against before fusion rewires
-    // inputs — the report should show what justified each plan.
-    std::vector<GridRange> plan_in(layers_.size(), GridRange{0, 0});
-    for (std::size_t i = 0; i < layers_.size(); ++i)
-        if (!layers_[i].weights.empty())
-            plan_in[i] = range[static_cast<std::size_t>(layers_[i].inputs[0])];
+    // ---- Elide Identity nodes (folded BN leaves one behind every conv):
+    // rewire every consumer straight to the identity's source, so identity
+    // layers never execute and activation fusion can see through them.
+    // Pure graph plumbing — bit-identical in every execution mode ---------
+    const auto resolve_identity = [this](int j) {
+        while (layers_[static_cast<std::size_t>(j)].op == QLayer::Op::kIdentity)
+            j = layers_[static_cast<std::size_t>(j)].inputs[0];
+        return j;
+    };
+    for (QLayer& l : layers_)
+        for (int& in : l.inputs) in = resolve_identity(in);
+    output_node_ = resolve_identity(output_node_);
 
     // ---- Fuse a ReLU/ReLU6 whose only consumer role is post-activating a
     // conv into that conv's requantization clamp.  Bit-equal to the unfused
@@ -285,7 +178,7 @@ QEngine::QEngine(nn::Graph& graph, const QuantConfig& cfg)
             prod.clamp_lo = 0;
             prod.clamp_hi = act.op == QLayer::Op::kRelu6 ? six_ : grid_hi_;
             act.op = QLayer::Op::kIdentity;
-            notes[j] = "fused into " + names[src];
+            notes[j] = "fused into " + program.ops[src].name;
         }
         // Fold a dwconv's trailing single-consumer ChannelBias (which now
         // carries any fused activation clamp) into the dwconv executor: one
@@ -312,7 +205,7 @@ QEngine::QEngine(nn::Graph& graph, const QuantConfig& cfg)
             prod.post_lo = bias.clamp_lo;
             prod.post_hi = bias.clamp_hi;
             bias.op = QLayer::Op::kIdentity;
-            notes[j] = "fused into " + names[src];
+            notes[j] = "fused into " + program.ops[src].name;
         }
         // Fused activations became identities; rewire their consumers to the
         // producer so run() can skip every identity without executing it.
@@ -331,14 +224,15 @@ QEngine::QEngine(nn::Graph& graph, const QuantConfig& cfg)
         const QLayer& l = layers_[i];
         QLayerReport lr;
         lr.node = static_cast<int>(i);
-        lr.name = names[i];
+        lr.name = program.ops[i].name;
         lr.impl = l.impl;
         lr.note = notes[i];
         if (!l.weights.empty()) {
-            lr.weight_format = wfmt[i];
+            const GridRange& in = range[static_cast<std::size_t>(program.ops[i].inputs[0])];
+            lr.weight_format = program.ops[i].wfmt;
             lr.has_weights = true;
-            lr.in_lo = plan_in[i].lo;
-            lr.in_hi = plan_in[i].hi;
+            lr.in_lo = in.lo;
+            lr.in_hi = in.hi;
         }
         if (l.op == QLayer::Op::kConv || l.op == QLayer::Op::kDwConv3) {
             if (l.impl == QImpl::kQGemm)
@@ -350,10 +244,7 @@ QEngine::QEngine(nn::Graph& graph, const QuantConfig& cfg)
         report_.layers.push_back(std::move(lr));
     }
 
-    // Certified |int8 - fp32| bounds from the shared error domain
-    // (quant/qerror.hpp) — the same propagation verify::analyze judges the
-    // E-series diagnostics on, so report and checker can never disagree.
-    const ErrorAnalysis ea = certify_error(graph, cfg_);
+    // Certified |int8 - fp32| bounds (quant/qerror.hpp), computed above.
     for (QLayerReport& lr : report_.layers) {
         const NodeError& ne = ea.nodes[static_cast<std::size_t>(lr.node)];
         lr.error_bound = ne.out.bound;

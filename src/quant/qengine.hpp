@@ -1,7 +1,8 @@
 // Bit-true integer inference engine — the FPGA datapath of §6.4 executed in
 // software with genuine integer arithmetic, not float emulation.
 //
-// A BN-folded Graph (see deploy::fold_graph_bn) is compiled into integer
+// A BN-folded Graph (see deploy::fold_graph_bn), lowered once into a typed
+// op program (quant/lower.hpp), is compiled into integer
 // form: every feature map lives in ONE shared fixed-point format (fm_bits
 // total, fm_frac fractional — the single-buffer constraint of the IP-shared
 // accelerator), every layer's weights are quantised per-layer to
@@ -32,6 +33,7 @@
 #include "deploy/memory_plan.hpp"
 #include "nn/graph.hpp"
 #include "quant/fixed_point.hpp"
+#include "quant/lower.hpp"
 #include "quant/qconfig.hpp"
 #include "quant/qreport.hpp"
 
@@ -47,11 +49,15 @@ class QEngine {
 public:
     /// Compile `graph` (BN layers must already be folded; the graph should
     /// be in eval mode — Detector::quantize guarantees both).  Throws
-    /// std::invalid_argument if an unsupported/unfolded layer remains and
-    /// cfg.fp32_fallback is off, or — under QExecution::kInt8 — if any conv
-    /// cannot run on the packed int8 path.  The graph reference is retained
-    /// for fp32-fallback layers and must outlive the engine.
+    /// std::invalid_argument on a degenerate scheme (Q005) or a layer the
+    /// lowering rejects (Q001, or Q002 with cfg.fp32_fallback off) — exactly
+    /// the errors verify::check_qmodel reports — or, under QExecution::kInt8,
+    /// if any conv cannot run on the packed int8 path.  The graph is
+    /// retained for fp32-fallback layers and must outlive the engine.
     QEngine(nn::Graph& graph, const QuantConfig& cfg);
+    /// Compile an already-lowered program (quant::lower of a graph the
+    /// caller holds mutably); its integer weights move into the layers.
+    explicit QEngine(Program program);
 
     /// Quantise `input` to the FM grid, run the integer pass, return the
     /// output dequantised to float (every value lies on the FM grid).

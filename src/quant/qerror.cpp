@@ -4,20 +4,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <stdexcept>
 
-#include "deploy/fold_bn.hpp"
-#include "nn/activations.hpp"
-#include "nn/batchnorm.hpp"
-#include "nn/conv.hpp"
-#include "nn/dwconv.hpp"
-#include "nn/linear.hpp"
-#include "nn/pooling.hpp"
-#include "nn/pwconv.hpp"
-#include "nn/sequential.hpp"
-#include "nn/shuffle.hpp"
-#include "nn/space_to_depth.hpp"
-#include "quant/fixed_point.hpp"
+#include "quant/lower.hpp"
 
 namespace sky::quant {
 namespace {
@@ -26,7 +14,8 @@ namespace {
 struct Transfer {
     ErrBound e;               ///< known => bound holds pre-cap
     double introduced = 0.0;  ///< fresh error added at this node (sup over ch)
-    double lip = 1.0;         ///< scalar input->output gain (the E003 ranking)
+    double lip = 1.0;         ///< input->output gain (the E003 ranking); in a
+                              ///< block body, the path gain from the block input
     std::string lost;         ///< why tracking was lost when !e.known
 };
 
@@ -66,62 +55,64 @@ double sat_term(Interval v, std::int32_t clamp_lo, std::int32_t clamp_hi, double
     return std::max({0.0, v.hi - hi, lo - v.lo});
 }
 
-/// Quantized conv/dwconv/pwconv transfer: the engine computes
+/// Conv transfer (conv / pwconv / dwconv / linear).  The engine computes
 ///   clamp(round_shift(sum_t w_hat_t * x_hat_t + b_hat))
-/// exactly in integers, so versus the fp32 conv the error decomposes into
+/// exactly in integers, so versus the fp32 conv the error of an integer
+/// conv decomposes per output channel into
 ///   sum_t |w_hat| * e_in(ic)      incoming error through quantized weights
 /// + sum_t |w_hat - w| * |x|_max   exact per-weight rounding, fp32 magnitude
 /// + |b_hat - b|                   bias rounding at accumulator scale
 /// + s/2                           requantization round-to-nearest
 /// + sat                           grid clamp versus the fp32 interval
-/// per output channel (the zero-point rowsum correction is exact).
-Transfer qconv_err(const Tensor& w, const Tensor* bias, int out_ch, int in_ch,
-                   int taps_per_ic, bool depthwise, const ErrBound& ein_raw,
-                   Interval vin, Interval vout, const GridSpec& spec,
-                   const QuantConfig& cfg) {
+/// (the zero-point rowsum correction is exact).  Inside an fp32 island
+/// (`spec` null) the original weights run: w_hat = w and only the first
+/// term remains.
+Transfer conv_err(const Op& op, const ErrBound& ein_raw, Interval vin, Interval vout,
+                  const GridSpec* spec) {
     if (!ein_raw.known) return lost("input error bound unknown");
-    if (!vin.known || !vout.known) return lost("fp32 value interval unknown");
-    const double xmax = std::max(std::abs(vin.lo), std::abs(vin.hi));
-    if (!std::isfinite(xmax)) return lost("fp32 input interval unbounded");
-    const float wmax = w.abs_max();
-    if (!std::isfinite(wmax)) return lost("non-finite weights");
-    const ErrBound ein = align(ein_raw, static_cast<std::size_t>(in_ch));
-    const FixedPointFormat wf = choose_format(cfg.weight_bits, wmax);
-    const double wstep = wf.step();
-    const double winv = 1.0 / wstep;
-    const double s = spec.fm.step();
-    const double acc_scale = std::ldexp(1.0, wf.frac_bits + spec.fm.frac_bits);
-    const double sat = sat_term(vout, spec.grid_lo, spec.grid_hi, s);
-    const std::int64_t k_per_oc =
-        static_cast<std::int64_t>(depthwise ? 1 : in_ch) * taps_per_ic;
+    double xmax = 0.0, s = 0.0, sat = 0.0, acc_scale = 0.0;
+    if (spec != nullptr) {
+        if (!vin.known || !vout.known) return lost("fp32 value interval unknown");
+        xmax = std::max(std::abs(vin.lo), std::abs(vin.hi));
+        if (!std::isfinite(xmax)) return lost("fp32 input interval unbounded");
+        s = spec->fm.step();
+        sat = sat_term(vout, spec->grid_lo, spec->grid_hi, s);
+        acc_scale = std::ldexp(1.0, op.wfmt.frac_bits + spec->fm.frac_bits);
+    }
+    const ErrBound ein = align(ein_raw, static_cast<std::size_t>(op.in_ch));
+    const int in_per_group = op.in_ch / op.groups, out_per_group = op.out_ch / op.groups;
+    const int taps = op.k * op.k;
+    const std::int64_t k_per_oc = static_cast<std::int64_t>(in_per_group) * taps;
+    const double wstep = op.wfmt.step();
 
     Transfer t;
     t.e.known = true;
-    t.e.per_ch.resize(static_cast<std::size_t>(out_ch));
+    t.e.per_ch.resize(static_cast<std::size_t>(op.out_ch));
     t.lip = 0.0;
     double worst_fresh = 0.0;
-    for (int oc = 0; oc < out_ch; ++oc) {
+    for (int oc = 0; oc < op.out_ch; ++oc) {
         const std::int64_t base = static_cast<std::int64_t>(oc) * k_per_oc;
+        const std::int64_t ic0 = static_cast<std::int64_t>(oc / out_per_group) * in_per_group;
         double carried = 0.0, rounding = 0.0, lip_oc = 0.0;
         for (std::int64_t k = 0; k < k_per_oc; ++k) {
-            const double wv = w[base + k];
+            const double wv = (*op.weight)[base + k];
             if (!std::isfinite(wv)) return lost("non-finite weights");
             const double wq =
-                saturate(std::llround(wv * winv), wf.total_bits) * wstep;
-            const std::size_t ic = depthwise
-                                       ? static_cast<std::size_t>(oc)
-                                       : static_cast<std::size_t>(k / taps_per_ic);
-            carried += std::abs(wq) * ein.channel(ic);
+                spec != nullptr ? op.qweights[static_cast<std::size_t>(base + k)] * wstep : wv;
+            carried += std::abs(wq) * ein.channel(static_cast<std::size_t>(ic0 + k / taps));
             rounding += std::abs(wq - wv);
             lip_oc += std::abs(wq);
         }
-        double berr = 0.0;
-        if (bias != nullptr && bias->size() > oc) {
-            const double b = (*bias)[oc];
-            if (!std::isfinite(b)) return lost("non-finite bias");
-            berr = std::abs(std::llround(b * acc_scale) / acc_scale - b);
+        double fresh = 0.0;
+        if (spec != nullptr) {
+            double berr = 0.0;
+            if (op.bias != nullptr) {
+                const double b = (*op.bias)[oc];
+                if (!std::isfinite(b)) return lost("non-finite bias");
+                berr = std::abs(op.qbias[static_cast<std::size_t>(oc)] / acc_scale - b);
+            }
+            fresh = rounding * xmax + berr + 0.5 * s + sat;
         }
-        const double fresh = rounding * xmax + berr + 0.5 * s + sat;
         t.e.per_ch[static_cast<std::size_t>(oc)] = carried + fresh;
         worst_fresh = std::max(worst_fresh, fresh);
         t.lip = std::max(t.lip, lip_oc);
@@ -132,364 +123,197 @@ Transfer qconv_err(const Tensor& w, const Tensor* bias, int out_ch, int in_ch,
     return t;
 }
 
-/// Error gain of a module executed on the fp32 fallback path: the engine
-/// dequantizes (exact — grid values are exactly representable), runs the
-/// *original* float module, and requantizes.  Between dequantize and
-/// requantize the module's own real Lipschitz behaviour is the whole story:
-/// no weight rounding enters.  `vin` is threaded so Sequential stages keep
-/// sound enclosures for their stage inputs.
-Transfer fallback_err(const nn::Module& m, const ErrBound& ein, Interval vin);
-
-Transfer fallback_conv(const Tensor& w, int out_ch, int in_ch, int taps_per_ic,
-                       bool depthwise, const ErrBound& ein_raw) {
-    if (!ein_raw.known) return lost("input error bound unknown");
-    const ErrBound ein = align(ein_raw, static_cast<std::size_t>(in_ch));
-    const std::int64_t k_per_oc =
-        static_cast<std::int64_t>(depthwise ? 1 : in_ch) * taps_per_ic;
+/// Concat stacks its inputs' per-channel vectors; add sums them channel by
+/// channel plus `sat`, the integer side's grid clamp (0 inside an fp32
+/// island).  A uniform or misaligned input widens the result to its sup.
+Transfer join_err(const Op& op, const std::vector<Transfer>& v, double sat) {
+    const bool add = op.kind == OpKind::kAdd;
+    if (op.inputs.empty()) return lost("join without inputs");
+    bool per_ch = true;
+    std::size_t ch = 0;
+    for (const int in : op.inputs) {
+        const ErrBound& u = v[static_cast<std::size_t>(in)].e;
+        if (!u.known) return lost("input error bound unknown");
+        if (u.per_ch.empty() || (add && ch != 0 && u.per_ch.size() != ch)) per_ch = false;
+        ch = add ? std::max(ch, u.per_ch.size()) : ch + u.per_ch.size();
+    }
     Transfer t;
     t.e.known = true;
-    t.e.per_ch.resize(static_cast<std::size_t>(out_ch));
-    t.lip = 0.0;
-    for (int oc = 0; oc < out_ch; ++oc) {
-        const std::int64_t base = static_cast<std::int64_t>(oc) * k_per_oc;
-        double carried = 0.0, lip_oc = 0.0;
-        for (std::int64_t k = 0; k < k_per_oc; ++k) {
-            const double wv = w[base + k];
-            if (!std::isfinite(wv)) return lost("non-finite weights");
-            const std::size_t ic = depthwise
-                                       ? static_cast<std::size_t>(oc)
-                                       : static_cast<std::size_t>(k / taps_per_ic);
-            carried += std::abs(wv) * ein.channel(ic);
-            lip_oc += std::abs(wv);
+    if (per_ch) {
+        if (add) t.e.per_ch.assign(ch, sat);
+        for (const int in : op.inputs) {
+            const std::vector<double>& u = v[static_cast<std::size_t>(in)].e.per_ch;
+            if (!add) t.e.per_ch.insert(t.e.per_ch.end(), u.begin(), u.end());
+            for (std::size_t c = 0; add && c < ch; ++c) t.e.per_ch[c] += u[c];
         }
-        t.e.per_ch[static_cast<std::size_t>(oc)] = carried;
-        t.lip = std::max(t.lip, lip_oc);
+        set_bound_from_channels(t.e);
+    } else {
+        t.e.bound = add ? sat : 0.0;
+        for (const int in : op.inputs) {
+            const double b = v[static_cast<std::size_t>(in)].e.bound;
+            t.e.bound = add ? t.e.bound + b : std::max(t.e.bound, b);
+        }
     }
-    set_bound_from_channels(t.e);
+    t.introduced = sat;
     if (!finite(t.e)) return lost("error bound overflowed");
     return t;
 }
 
-Transfer fallback_err(const nn::Module& m, const ErrBound& ein, Interval vin) {
-    if (const auto* conv = dynamic_cast<const nn::Conv2d*>(&m))
-        return fallback_conv(conv->weight(), conv->out_channels(), conv->in_channels(),
-                             conv->kernel() * conv->kernel(), false, ein);
-    if (const auto* pw = dynamic_cast<const nn::PWConv1*>(&m)) {
-        if (pw->groups() == 1)
-            return fallback_conv(pw->weight(), pw->out_channels(), pw->in_channels(),
-                                 1, false, ein);
-        // Grouped 1x1: per output channel sum|w| over its group's inputs;
-        // the group's input channels see at most the sup of the incoming
-        // per-channel errors, so the uniform bound is sound.
-        const int per_group = pw->in_channels() / std::max(pw->groups(), 1);
-        if (!ein.known) return lost("input error bound unknown");
+Transfer island_err(const Op& op, std::size_t, const std::vector<Transfer>& v);
+
+/// Error gain of an op on the fp32 datapath — a top-level fp32 island or
+/// an op inside a block body.  Grid values dequantize exactly and the
+/// *original* float module runs, so the op's own Lipschitz behaviour is the
+/// whole story: no rounding enters.
+Transfer fp32_err(const Op& op, const ErrBound& ein) {
+    if (op.kind == OpKind::kSigmoid) {
+        // 1/4-Lipschitz, and both sides land in [0, 1] — bounded even when
+        // the incoming error is unknown.
         Transfer t;
-        t.e.known = true;
-        t.e.per_ch.resize(static_cast<std::size_t>(pw->out_channels()));
-        t.lip = 0.0;
-        for (int oc = 0; oc < pw->out_channels(); ++oc) {
-            double lip_oc = 0.0;
-            const std::int64_t base = static_cast<std::int64_t>(oc) * per_group;
-            for (int k = 0; k < per_group; ++k) {
-                const double wv = pw->weight()[base + k];
-                if (!std::isfinite(wv)) return lost("non-finite weights");
-                lip_oc += std::abs(wv);
+        t.e = uniform(ein.known ? std::min(0.25 * ein.bound, 1.0) : 1.0);
+        t.lip = 0.25;
+        return t;
+    }
+    if (!ein.known) return lost("input error bound unknown");
+    Transfer t;
+    t.e = ein;  // 1-Lipschitz: clamps, selection, averaging, exact shifts
+    switch (op.kind) {
+        case OpKind::kConv:
+        case OpKind::kDwConv:
+            return conv_err(op, ein, {}, {}, nullptr);
+        case OpKind::kAffine: {
+            const ErrBound in = align(ein, op.scale.size());
+            t.e.per_ch.resize(op.scale.size());
+            t.lip = 0.0;
+            for (std::size_t c = 0; c < op.scale.size(); ++c) {
+                const double sc = std::abs(op.scale[c]);
+                if (!std::isfinite(sc)) return lost("non-finite BN scale");
+                t.e.per_ch[c] = sc * in.channel(c);
+                t.lip = std::max(t.lip, sc);
             }
-            t.e.per_ch[static_cast<std::size_t>(oc)] = lip_oc * ein.bound;
-            t.lip = std::max(t.lip, lip_oc);
+            set_bound_from_channels(t.e);
+            break;
         }
-        set_bound_from_channels(t.e);
-        if (!finite(t.e)) return lost("error bound overflowed");
-        return t;
-    }
-    if (const auto* dw = dynamic_cast<const nn::DWConv3*>(&m))
-        return fallback_conv(dw->weight(), dw->channels(), dw->channels(), 9, true,
-                             ein);
-    if (const auto* fc = dynamic_cast<const nn::Linear*>(&m)) {
-        if (!ein.known) return lost("input error bound unknown");
-        const auto rows = static_cast<int>(fc->weight().shape().n);
-        const std::int64_t k = fc->weight().shape().count() /
-                               std::max<std::int64_t>(rows, 1);
-        double lip = 0.0;
-        for (int r = 0; r < rows; ++r) {
-            double row = 0.0;
-            for (std::int64_t j = 0; j < k; ++j) {
-                const double wv = fc->weight()[r * k + j];
-                if (!std::isfinite(wv)) return lost("non-finite weights");
-                row += std::abs(wv);
-            }
-            lip = std::max(lip, row);
+        case OpKind::kLeaky:
+            t.lip = std::max(1.0, static_cast<double>(std::abs(op.slope)));
+            for (double& x : t.e.per_ch) x *= t.lip;
+            t.e.bound *= t.lip;
+            break;
+        case OpKind::kReorder:  // channel permutations: values move, keep the sup
+        case OpKind::kShuffle:
+            t.e = uniform(ein.bound);
+            break;
+        case OpKind::kBlock: {
+            // The body's own dataflow; `lip` carries the path gain from the
+            // block input (only the E003 ranking consumes it).
+            Transfer in;
+            in.e = ein;
+            t = propagate(op.body, in, island_err)[static_cast<std::size_t>(op.body_output)];
+            if (!std::isfinite(t.lip)) t.lip = 1.0;
+            return t;
         }
-        Transfer t;
-        t.e = uniform(lip * ein.bound);
-        t.lip = lip;
-        if (!finite(t.e)) return lost("error bound overflowed");
-        return t;
+        case OpKind::kOpaque:
+            return lost("no error transfer function for module '" + op.name + "'");
+        default:
+            break;
     }
-    if (const auto* bn = dynamic_cast<const nn::BatchNorm2d*>(&m)) {
-        if (!ein.known) return lost("input error bound unknown");
-        std::vector<float> scale, shift;
-        bn->fused_affine(scale, shift);
-        const ErrBound in = align(ein, scale.size());
-        Transfer t;
-        t.e.known = true;
-        t.e.per_ch.resize(scale.size());
-        t.lip = 0.0;
-        for (std::size_t c = 0; c < scale.size(); ++c) {
-            const double sc = std::abs(scale[c]);
-            if (!std::isfinite(sc)) return lost("non-finite BN scale");
-            t.e.per_ch[c] = sc * in.channel(c);
-            t.lip = std::max(t.lip, sc);
-        }
-        set_bound_from_channels(t.e);
-        if (!finite(t.e)) return lost("error bound overflowed");
-        return t;
-    }
-    if (const auto* act = dynamic_cast<const nn::Activation*>(&m)) {
-        switch (act->act_kind()) {
-            case nn::Act::kReLU:
-            case nn::Act::kReLU6: {  // 1-Lipschitz clamps on both sides
-                if (!ein.known) return lost("input error bound unknown");
-                Transfer t;
-                t.e = ein;
-                return t;
-            }
-            case nn::Act::kLeaky: {
-                if (!ein.known) return lost("input error bound unknown");
-                const double g =
-                    std::max(1.0, static_cast<double>(std::abs(act->leaky_slope())));
-                Transfer t;
-                t.e = ein;
-                for (double& v : t.e.per_ch) v *= g;
-                t.e.bound *= g;
-                t.lip = g;
-                return t;
-            }
-            case nn::Act::kSigmoid: {
-                // 1/4-Lipschitz, and both sides land in [0, 1] — bounded
-                // even when the incoming error is unknown.
-                Transfer t;
-                t.e = uniform(ein.known ? std::min(0.25 * ein.bound, 1.0) : 1.0);
-                t.lip = 0.25;
-                return t;
-            }
-        }
-        return lost("unknown activation kind");
-    }
-    if (const auto* seq = dynamic_cast<const nn::Sequential*>(&m)) {
-        Transfer t;
-        t.e = ein;
-        t.lip = 1.0;
-        Interval v = vin;
-        for (std::size_t i = 0; i < seq->size(); ++i) {
-            const Transfer stage = fallback_err(seq->at(i), t.e, v);
-            if (!stage.e.known)
-                return lost(seq->at(i).name() + ": " + stage.lost);
-            t.lip *= stage.lip;
-            t.e = stage.e;
-            v = module_value_interval(seq->at(i), v, 0, nullptr);
-        }
-        return t;
-    }
-    if (dynamic_cast<const deploy::ChannelBias*>(&m) != nullptr ||
-        dynamic_cast<const nn::MaxPool2*>(&m) != nullptr ||
-        dynamic_cast<const nn::GlobalAvgPool*>(&m) != nullptr ||
-        dynamic_cast<const deploy::Identity*>(&m) != nullptr) {
-        // Same exact shift / 1-Lipschitz selection / averaging on both sides.
-        if (!ein.known) return lost("input error bound unknown");
-        Transfer t;
-        t.e = ein;
-        return t;
-    }
-    if (dynamic_cast<const nn::SpaceToDepth*>(&m) != nullptr ||
-        dynamic_cast<const nn::ChannelShuffle*>(&m) != nullptr) {
-        // Channel permutation: values move but never change — keep the sup.
-        if (!ein.known) return lost("input error bound unknown");
-        Transfer t;
-        t.e = uniform(ein.bound);
-        return t;
-    }
-    if (const auto* sub = dynamic_cast<const nn::Graph*>(&m)) {
-        // A graph used as a module (residual / fire / shuffle blocks) runs
-        // wholly inside the fp32 fallback island: no rounding happens inside,
-        // the incoming error just flows through the block's dataflow.  The
-        // path gain is tracked per node so the composed lip stays the sup
-        // over paths (only the E003 ranking consumes it).
-        if (!ein.known) return lost("input error bound unknown");
-        const std::size_t n = sub->node_count();
-        std::vector<ErrBound> e(n);
-        std::vector<Interval> v(n);
-        std::vector<double> gain(n, 0.0);
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::vector<int>& ins = sub->node_inputs(i);
-            switch (sub->node_kind(i)) {
-                case nn::Graph::NodeKind::kInput:
-                    e[i] = ein;
-                    v[i] = vin;
-                    gain[i] = 1.0;
-                    break;
-                case nn::Graph::NodeKind::kConcat: {
-                    if (ins.empty()) return lost("inner concat without inputs");
-                    double b = 0.0;
-                    Interval u{std::numeric_limits<double>::infinity(),
-                               -std::numeric_limits<double>::infinity(), true};
-                    for (const int src : ins) {
-                        const auto si = static_cast<std::size_t>(src);
-                        if (!e[si].known) return lost("inner concat input unknown");
-                        b = std::max(b, e[si].bound);
-                        u.known = u.known && v[si].known;
-                        u.lo = std::min(u.lo, v[si].lo);
-                        u.hi = std::max(u.hi, v[si].hi);
-                        gain[i] = std::max(gain[i], gain[si]);
-                    }
-                    e[i] = uniform(b);
-                    v[i] = u.known ? u : Interval{};
-                    break;
-                }
-                case nn::Graph::NodeKind::kAdd: {
-                    if (ins.empty()) return lost("inner add without inputs");
-                    double b = 0.0;
-                    Interval u{0.0, 0.0, true};
-                    for (const int src : ins) {
-                        const auto si = static_cast<std::size_t>(src);
-                        if (!e[si].known) return lost("inner add input unknown");
-                        b += e[si].bound;
-                        u.known = u.known && v[si].known;
-                        u.lo += v[si].lo;
-                        u.hi += v[si].hi;
-                        gain[i] += gain[si];
-                    }
-                    e[i] = uniform(b);
-                    v[i] = u.known ? u : Interval{};
-                    break;
-                }
-                case nn::Graph::NodeKind::kModule: {
-                    const nn::Module* mm = sub->node_module(i);
-                    if (mm == nullptr || ins.empty())
-                        return lost("inner graph node without a module");
-                    const auto src = static_cast<std::size_t>(ins[0]);
-                    const Transfer stage = fallback_err(*mm, e[src], v[src]);
-                    if (!stage.e.known) return lost(mm->name() + ": " + stage.lost);
-                    e[i] = stage.e;
-                    gain[i] = gain[src] * stage.lip;
-                    v[i] = module_value_interval(*mm, v[src], 0, nullptr);
-                    break;
-                }
-            }
-        }
-        const int out = sub->output_node();
-        if (out < 0 || static_cast<std::size_t>(out) >= n)
-            return lost("inner graph has no output node");
-        Transfer t;
-        t.e = e[static_cast<std::size_t>(out)];
-        const double go = gain[static_cast<std::size_t>(out)];
-        t.lip = std::isfinite(go) ? go : 1.0;
-        if (!finite(t.e)) return lost("error bound overflowed");
-        return t;
-    }
-    return lost("no error transfer function for module '" + m.name() + "'");
+    if (!finite(t.e)) return lost("error bound overflowed");
+    return t;
 }
 
-/// The per-module transfer on the *engine* datapath (quantized kinds get
-/// the exact rounding model; everything else is modelled as the fp32
-/// fallback sandwich dequantize -> module -> requantize + grid clamp).
-Transfer module_err(const nn::Module& m, const ErrBound& ein, Interval vin,
-                    Interval vout, const GridSpec& spec, const QuantConfig& cfg) {
-    const double s = spec.fm.step();
-    if (const auto* conv = dynamic_cast<const nn::Conv2d*>(&m))
-        return qconv_err(conv->weight(), conv->has_bias() ? &conv->bias() : nullptr,
-                         conv->out_channels(), conv->in_channels(),
-                         conv->kernel() * conv->kernel(), false, ein, vin, vout,
-                         spec, cfg);
-    if (const auto* pw = dynamic_cast<const nn::PWConv1*>(&m)) {
-        if (pw->groups() == 1)
-            return qconv_err(pw->weight(), pw->has_bias() ? &pw->bias() : nullptr,
-                             pw->out_channels(), pw->in_channels(), 1, false, ein,
-                             vin, vout, spec, cfg);
-        // grouped 1x1 runs the fp32 fallback path (see below)
-    } else if (const auto* dw = dynamic_cast<const nn::DWConv3*>(&m)) {
-        return qconv_err(dw->weight(), nullptr, dw->channels(), dw->channels(), 9,
-                         true, ein, vin, vout, spec, cfg);
-    } else if (dynamic_cast<const nn::MaxPool2*>(&m) != nullptr) {
-        // Integer max of grid values versus float max: 1-Lipschitz in the
-        // sup norm per channel, stays on the grid — nothing fresh.
-        if (!ein.known) return lost("input error bound unknown");
-        Transfer t;
-        t.e = ein;
-        return t;
-    } else if (const auto* act = dynamic_cast<const nn::Activation*>(&m)) {
-        if (act->act_kind() == nn::Act::kReLU) {
-            if (!ein.known) return lost("input error bound unknown");
-            if (!vout.known) return lost("fp32 value interval unknown");
-            // clamp(x, 0, grid_hi) vs max(x, 0): 1-Lipschitz plus the top
-            // clamp the float side does not have.
-            const double top = std::max(0.0, vout.hi - spec.grid_hi * s);
-            Transfer t;
-            t.e = ein;
-            for (double& v : t.e.per_ch) v += top;
-            t.e.bound += top;
-            t.introduced = top;
-            if (!finite(t.e)) return lost("error bound overflowed");
-            return t;
+/// One op of a block body.  Unknown bounds carry the first failing op's
+/// reason out of the block; `lip` becomes the path gain from the block
+/// input — multiplied through an op, the sup over a concat's inputs, the
+/// sum over an add's.
+Transfer island_err(const Op& op, std::size_t, const std::vector<Transfer>& v) {
+    const bool join = op.kind == OpKind::kConcat || op.kind == OpKind::kAdd;
+    Transfer t =
+        join ? join_err(op, v, 0.0) : fp32_err(op, v[static_cast<std::size_t>(op.inputs[0])].e);
+    if (!t.e.known) {
+        for (const int in : op.inputs) {
+            const Transfer& u = v[static_cast<std::size_t>(in)];
+            if (!u.e.known) return u;
         }
-        if (act->act_kind() == nn::Act::kReLU6) {
-            if (!ein.known) return lost("input error bound unknown");
-            // clamp(x, 0, six) vs clamp(x, 0, 6): the exact grid offset of
-            // the quantized clip point.
-            const double off = std::abs(spec.six * s - 6.0);
-            Transfer t;
-            t.e = ein;
-            for (double& v : t.e.per_ch) v += off;
-            t.e.bound += off;
-            t.introduced = off;
-            return t;
-        }
-        // leaky / sigmoid: fp32 fallback sandwich (below)
-    } else if (const auto* s2d = dynamic_cast<const nn::SpaceToDepth*>(&m)) {
-        (void)s2d;  // exact integer reorder — values move, errors move with them
-        if (!ein.known) return lost("input error bound unknown");
-        Transfer t;
-        t.e = uniform(ein.bound);
-        return t;
-    } else if (const auto* cb = dynamic_cast<const deploy::ChannelBias*>(&m)) {
-        // Integer add of the grid-rounded bias, then clamp: the incoming
-        // error plus each channel's exact bias rounding plus saturation.
-        if (!ein.known) return lost("input error bound unknown");
-        if (!vout.known) return lost("fp32 value interval unknown");
-        const std::vector<float>& b = cb->values();
-        const double sat = sat_term(vout, spec.grid_lo, spec.grid_hi, s);
-        const ErrBound in = align(ein, b.size());
-        Transfer t;
-        t.e.known = true;
-        t.e.per_ch.resize(b.size());
-        double worst = 0.0;
-        for (std::size_t c = 0; c < b.size(); ++c) {
-            if (!std::isfinite(b[c])) return lost("non-finite bias");
-            const double rnd = std::abs(std::llround(b[c] / s) * s - b[c]);
-            t.e.per_ch[c] = in.channel(c) + rnd + sat;
-            worst = std::max(worst, rnd + sat);
-        }
-        set_bound_from_channels(t.e);
-        t.introduced = worst;
-        if (!finite(t.e)) return lost("error bound overflowed");
-        return t;
-    } else if (dynamic_cast<const deploy::Identity*>(&m) != nullptr) {
-        if (!ein.known) return lost("input error bound unknown");
-        Transfer t;
-        t.e = ein;
+        t.lost = op.name + ": " + t.lost;
         return t;
     }
-    // Everything else executes the fp32 fallback sandwich: the module's own
-    // gain, then one requantization rounding plus the grid clamp.
-    Transfer t = fallback_err(m, ein, vin);
-    if (!t.e.known) return t;
-    if (!vout.known) return lost("fp32 value interval unknown");
-    const double fresh = 0.5 * s + sat_term(vout, spec.grid_lo, spec.grid_hi, s);
+    if (join) t.lip = 0.0;
+    for (const int in : op.inputs) {
+        const double g = v[static_cast<std::size_t>(in)].lip;
+        t.lip = op.kind == OpKind::kAdd ? t.lip + g : join ? std::max(t.lip, g) : t.lip * g;
+    }
+    return t;
+}
+
+/// Adds a fresh per-node error term to every channel.
+Transfer add_fresh(Transfer t, double fresh) {
     for (double& v : t.e.per_ch) v += fresh;
     t.e.bound += fresh;
     t.introduced = fresh;
     if (!finite(t.e)) return lost("error bound overflowed");
     return t;
+}
+
+/// One top-level op on the engine datapath: integer ops get the exact
+/// rounding model; fp32 islands (and ops the engine rejects, modelled as if
+/// fp32_fallback were on) the sandwich dequantize -> module -> requantize.
+Transfer engine_err(const Op& op, const std::vector<Transfer>& v, Interval vin,
+                    Interval vout, const GridSpec& spec) {
+    const double s = spec.fm.step();
+    const auto sat = [&] { return sat_term(vout, spec.grid_lo, spec.grid_hi, s); };
+    const auto no_vout = [] { return lost("fp32 value interval unknown"); };
+    if (op.kind == OpKind::kConcat) return join_err(op, v, 0.0);
+    if (op.kind == OpKind::kAdd)  // exact integer add, then the grid clamp
+        return vout.known ? join_err(op, v, sat()) : no_vout();
+    const ErrBound& ein = v[static_cast<std::size_t>(op.inputs[0])].e;
+    if (op.verdict != Verdict::kInt) {
+        // The module's own gain, then one requantization rounding plus the
+        // grid clamp.
+        Transfer t = fp32_err(op, ein);
+        if (!t.e.known) return t;
+        return vout.known ? add_fresh(std::move(t), 0.5 * s + sat()) : no_vout();
+    }
+    if (!ein.known) return lost("input error bound unknown");
+    Transfer t;
+    t.e = ein;
+    switch (op.kind) {
+        case OpKind::kConv:
+        case OpKind::kDwConv:
+            return conv_err(op, ein, vin, vout, &spec);
+        case OpKind::kRelu:
+            // clamp(x, 0, grid_hi) vs max(x, 0): 1-Lipschitz plus the top
+            // clamp the float side does not have.
+            if (!vout.known) return no_vout();
+            return add_fresh(std::move(t), std::max(0.0, vout.hi - spec.grid_hi * s));
+        case OpKind::kRelu6:
+            // clamp(x, 0, six) vs clamp(x, 0, 6): the exact grid offset of
+            // the quantized clip point.
+            return add_fresh(std::move(t), std::abs(spec.six * s - 6.0));
+        case OpKind::kReorder:  // exact integer reorder: errors move with values
+            t.e = uniform(ein.bound);
+            return t;
+        case OpKind::kBias: {
+            // Integer add of the grid-rounded bias, then clamp: the incoming
+            // error plus each channel's exact bias rounding plus saturation.
+            if (!vout.known) return no_vout();
+            const double clamp = sat();
+            const ErrBound in = align(ein, op.shift.size());
+            t.e.per_ch.resize(op.shift.size());
+            double worst = 0.0;
+            for (std::size_t c = 0; c < op.shift.size(); ++c) {
+                if (!std::isfinite(op.shift[c])) return lost("non-finite bias");
+                const double fresh = std::abs(op.qbias[c] * s - op.shift[c]) + clamp;
+                t.e.per_ch[c] = in.channel(c) + fresh;
+                worst = std::max(worst, fresh);
+            }
+            set_bound_from_channels(t.e);
+            t.introduced = worst;
+            if (!finite(t.e)) return lost("error bound overflowed");
+            return t;
+        }
+        default:  // integer max pool / identity: 1-Lipschitz, stays on the grid
+            return t;
+    }
 }
 
 }  // namespace
@@ -510,155 +334,62 @@ int min_frac_bits_for_budget(double bound, double budget, int frac_bits) {
     return frac_bits + static_cast<int>(std::ceil(std::log2(bound / budget)));
 }
 
-ErrorAnalysis certify_error(const nn::Graph& g, const QuantConfig& cfg,
-                            const IntervalAnalysis& vals,
+ErrorAnalysis certify_error(const Program& p, const IntervalAnalysis& vals,
                             const std::vector<GridRange>& grid) {
     ErrorAnalysis ea;
-    const std::size_t n = g.node_count();
+    const std::size_t n = p.ops.size();
     ea.nodes.resize(n);
-    ea.output_node = g.output_node();
-
-    GridSpec spec;
-    try {
-        spec = make_grid_spec(cfg);
-    } catch (const std::invalid_argument&) {
+    ea.output_node = p.output;
+    if (!p.valid_scheme()) {
         ea.first_unknown_node = 0;
-        ea.unknown_reason = "degenerate quantization scheme (see Q005)";
+        ea.unknown_reason = "degenerate quantization scheme (Q005): " + p.scheme_errors.front();
         return ea;
     }
-    if (vals.values.size() != n || grid.size() != n) {
+    if (n == 0 || vals.values.size() != n || grid.size() != n) {
         ea.first_unknown_node = 0;
         ea.unknown_reason = "value/grid domains unavailable";
         return ea;
     }
+    const GridSpec& spec = p.spec;
     const double s = spec.fm.step();
+    const std::vector<Interval>& val = vals.values;
 
-    std::vector<double> lip(n, 1.0);
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::vector<int>& ins = g.node_inputs(i);
-        Transfer t;
-        switch (g.node_kind(i)) {
-            case nn::Graph::NodeKind::kInput: {
-                // llround to the grid (half a step) plus saturation where
-                // the declared range spills past the representable grid.
-                const double sat =
-                    std::max({0.0, cfg.input_hi - spec.grid_hi * s,
-                              spec.grid_lo * s - cfg.input_lo});
-                t.e = uniform(0.5 * s + sat);
-                t.introduced = t.e.bound;
-                break;
-            }
-            case nn::Graph::NodeKind::kConcat: {
-                // Channel concatenation: per-channel vectors concatenate;
-                // any uniform input widens the result to the sup (its
-                // channel count is not tracked).
-                bool all_known = !ins.empty(), per_ch = true;
-                for (const int in : ins) {
-                    const ErrBound& u = ea.nodes[static_cast<std::size_t>(in)].out;
-                    all_known = all_known && u.known;
-                    per_ch = per_ch && !u.per_ch.empty();
-                }
-                if (!all_known) {
-                    t = lost("input error bound unknown");
-                    break;
-                }
-                t.e.known = true;
-                if (per_ch) {
-                    for (const int in : ins) {
-                        const ErrBound& u = ea.nodes[static_cast<std::size_t>(in)].out;
-                        t.e.per_ch.insert(t.e.per_ch.end(), u.per_ch.begin(),
-                                          u.per_ch.end());
-                    }
-                    set_bound_from_channels(t.e);
-                } else {
-                    double b = 0.0;
-                    for (const int in : ins)
-                        b = std::max(b, ea.nodes[static_cast<std::size_t>(in)].out.bound);
-                    t.e = uniform(b);
-                }
-                break;
-            }
-            case nn::Graph::NodeKind::kAdd: {
-                // Integer add of grid values is exact; errors add, then the
-                // grid clamp saturates versus the fp32 sum.
-                bool all_known = !ins.empty(), aligned = true;
-                std::size_t ch = 0;
-                for (const int in : ins) {
-                    const ErrBound& u = ea.nodes[static_cast<std::size_t>(in)].out;
-                    all_known = all_known && u.known;
-                    if (u.per_ch.empty() || (ch != 0 && u.per_ch.size() != ch))
-                        aligned = false;
-                    ch = std::max(ch, u.per_ch.size());
-                }
-                if (!all_known) {
-                    t = lost("input error bound unknown");
-                    break;
-                }
-                const Interval vout = vals.values[i];
-                if (!vout.known) {
-                    t = lost("fp32 value interval unknown");
-                    break;
-                }
-                const double sat = sat_term(vout, spec.grid_lo, spec.grid_hi, s);
-                t.e.known = true;
-                if (aligned && ch > 0) {
-                    t.e.per_ch.assign(ch, sat);
-                    for (const int in : ins) {
-                        const ErrBound& u = ea.nodes[static_cast<std::size_t>(in)].out;
-                        for (std::size_t c = 0; c < ch; ++c)
-                            t.e.per_ch[c] += u.per_ch[c];
-                    }
-                    set_bound_from_channels(t.e);
-                } else {
-                    double b = sat;
-                    for (const int in : ins)
-                        b += ea.nodes[static_cast<std::size_t>(in)].out.bound;
-                    t.e = uniform(b);
-                }
-                t.introduced = sat;
-                if (!finite(t.e)) t = lost("error bound overflowed");
-                break;
-            }
-            case nn::Graph::NodeKind::kModule: {
-                const nn::Module* m = g.node_module(i);
-                if (m == nullptr || ins.empty()) {
-                    t = lost("module node without a module/input");
-                    break;
-                }
-                const auto src = static_cast<std::size_t>(ins[0]);
-                t = module_err(*m, ea.nodes[src].out, vals.values[src],
-                               vals.values[i], spec, cfg);
-                break;
-            }
-        }
-
-        // The trivial two-sided enclosure: the engine value provably lies in
-        // the grid range, the fp32 value in its interval — their worst-case
-        // distance caps any propagated bound and stops exponential growth.
-        NodeError& ne = ea.nodes[i];
-        const Interval v = vals.values[i];
+    // The trivial two-sided enclosure: the engine value provably lies in the
+    // grid range, the fp32 value in its interval — their worst-case distance
+    // caps any propagated bound and stops exponential growth.
+    const auto capped = [&](std::size_t i, Transfer t) {
         double cap = std::numeric_limits<double>::infinity();
-        if (v.known) {
-            const double c = std::max(0.0, std::max(grid[i].hi * s - v.lo,
-                                                    v.hi - grid[i].lo * s));
+        if (val[i].known) {
+            const double c = std::max(0.0, std::max(grid[i].hi * s - val[i].lo,
+                                                    val[i].hi - grid[i].lo * s));
             if (std::isfinite(c)) cap = c;
         }
-        if (t.e.known) {
-            ne.out = std::move(t.e);
-            if (ne.out.bound > cap) {
-                for (double& x : ne.out.per_ch) x = std::min(x, cap);
-                ne.out.bound = std::min(ne.out.bound, cap);
-            }
-            ne.introduced = t.introduced;
-        } else if (std::isfinite(cap)) {
-            ne.out = uniform(cap);  // tracking lost, but both sides enclosed
-            ne.introduced = cap;
-        } else if (ea.first_unknown_node < 0) {
+        if (t.e.known && t.e.bound > cap) {
+            for (double& x : t.e.per_ch) x = std::min(x, cap);
+            t.e.bound = cap;
+        } else if (!t.e.known && std::isfinite(cap)) {
+            t.e = uniform(cap);  // tracking lost, but both sides enclosed
+            t.introduced = cap;
+        } else if (!t.e.known && ea.first_unknown_node < 0) {
             ea.first_unknown_node = static_cast<int>(i);
             ea.unknown_reason = t.lost;
         }
-        lip[i] = std::isfinite(t.lip) ? t.lip : 1.0;
-    }
+        if (!std::isfinite(t.lip)) t.lip = 1.0;
+        return t;
+    };
+    // The input: llround to the grid (half a step) plus saturation where the
+    // declared range spills past the representable grid.
+    Transfer in;
+    in.e = uniform(0.5 * s + std::max({0.0, p.cfg.input_hi - spec.grid_hi * s,
+                                       spec.grid_lo * s - p.cfg.input_lo}));
+    in.introduced = in.e.bound;
+    const std::vector<Transfer> t = propagate(
+        p.ops, capped(0, in), [&](const Op& op, std::size_t i, const std::vector<Transfer>& v) {
+            const Interval vin = op.inputs.empty()
+                                     ? Interval{}
+                                     : val[static_cast<std::size_t>(op.inputs[0])];
+            return capped(i, engine_err(op, v, vin, val[i], spec));
+        });
 
     // Backward gain pass: how much of each node's freshly-introduced error
     // survives to the output (the E003 "dominant contributor" ranking).
@@ -668,32 +399,27 @@ ErrorAnalysis certify_error(const nn::Graph& g, const QuantConfig& cfg,
         gain[out] = 1.0;
         for (std::size_t r = n; r-- > 0;) {
             if (gain[r] <= 0.0) continue;
-            for (const int in : g.node_inputs(r))
-                gain[static_cast<std::size_t>(in)] += gain[r] * lip[r];
+            for (const int in : p.ops[r].inputs)
+                gain[static_cast<std::size_t>(in)] += gain[r] * t[r].lip;
         }
-        ea.output_known = ea.nodes[out].out.known;
-        ea.output_bound = ea.nodes[out].out.bound;
     }
     for (std::size_t i = 0; i < n; ++i) {
-        ea.nodes[i].gain = gain[i];
-        ea.nodes[i].contribution = ea.nodes[i].introduced * gain[i];
+        NodeError& ne = ea.nodes[i];
+        ne.out = t[i].e;
+        ne.introduced = t[i].introduced;
+        ne.gain = gain[i];
+        ne.contribution = ne.introduced * gain[i];
+    }
+    if (out < n) {
+        ea.output_known = ea.nodes[out].out.known;
+        ea.output_bound = ea.nodes[out].out.bound;
     }
     return ea;
 }
 
 ErrorAnalysis certify_error(const nn::Graph& g, const QuantConfig& cfg) {
-    std::vector<GridRange> grid;
-    try {
-        grid = propagate_grid_ranges(g, make_grid_spec(cfg));
-    } catch (const std::invalid_argument&) {
-        ErrorAnalysis ea;
-        ea.nodes.resize(g.node_count());
-        ea.output_node = g.output_node();
-        ea.first_unknown_node = 0;
-        ea.unknown_reason = "degenerate quantization scheme (see Q005)";
-        return ea;
-    }
-    return certify_error(g, cfg, propagate_value_intervals(g, cfg), grid);
+    const Program p = lower(g, cfg);
+    return certify_error(p, propagate_value_intervals(p), propagate_grid_ranges(p));
 }
 
 }  // namespace sky::quant

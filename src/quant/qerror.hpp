@@ -23,7 +23,9 @@
 //   fallbacks    dequantize -> float module -> requantize contributes the
 //                module's real Lipschitz gain plus one half-step rounding
 //                (the fallback runs the *original* weights, so no weight
-//                rounding term)
+//                rounding term); a block (nested Graph / Sequential) is
+//                one island whose body the same fp32 transfers walk, with
+//                per-channel concat / add and no rounding inside
 //
 // Every per-node bound is finally capped by the trivial two-sided enclosure
 // max(E.hi - V.lo, V.hi - E.lo) — the engine value provably lives in the
@@ -42,10 +44,12 @@
 // would run with fallback enabled*; configs that instead throw at
 // construction are a stricter failure the Q-codes already report.
 //
-// Shared by verify::analyze (E-series diagnostics), QEngine (QuantReport
+// One per-op-kind transfer over the lowered Program (quant/lower.hpp),
+// shared by verify::analyze (E-series diagnostics), QEngine (QuantReport
 // certified bound) and Detector::quantize (budget enforcement), mirroring
 // the quant/ranges.hpp design: one propagation, three consumers, zero
-// disagreement.
+// disagreement.  The w_hat / b_hat terms read the integer weights and
+// biases the lowering produced, the very values the engine executes.
 #pragma once
 
 #include <cstddef>
@@ -55,6 +59,7 @@
 
 #include "nn/graph.hpp"
 #include "quant/intervals.hpp"
+#include "quant/lower.hpp"
 #include "quant/qconfig.hpp"
 #include "quant/ranges.hpp"
 
@@ -96,15 +101,14 @@ struct ErrorAnalysis {
 };
 
 /// Propagate the error domain over `g` under scheme `cfg`.  Never throws: a
-/// degenerate scheme (make_grid_spec would reject it) yields an all-unknown
-/// analysis with the reason recorded.
+/// degenerate scheme (Q005) yields an all-unknown analysis with the reason
+/// recorded.
 [[nodiscard]] ErrorAnalysis certify_error(const nn::Graph& g, const QuantConfig& cfg);
 
-/// Same, reusing already-computed value intervals and grid ranges (the
-/// verify::analyze composition — `vals` from propagate_value_intervals,
-/// `grid` from propagate_grid_ranges, both under the same `cfg`).
-[[nodiscard]] ErrorAnalysis certify_error(const nn::Graph& g, const QuantConfig& cfg,
-                                          const IntervalAnalysis& vals,
+/// Same over an already-lowered program, reusing its value intervals and
+/// grid ranges (`vals` from propagate_value_intervals, `grid` from
+/// propagate_grid_ranges over the same `p`).
+[[nodiscard]] ErrorAnalysis certify_error(const Program& p, const IntervalAnalysis& vals,
                                           const std::vector<GridRange>& grid);
 
 /// E004 helper: the minimum feature-map fractional bits for which the

@@ -6,21 +6,28 @@
 #include <stdexcept>
 
 #include "core/qgemm.hpp"
-#include "deploy/fold_bn.hpp"
-#include "nn/activations.hpp"
-#include "nn/pooling.hpp"
-#include "nn/space_to_depth.hpp"
+#include "quant/lower.hpp"
 
 namespace sky::quant {
 
+std::vector<std::string> scheme_violations(const QuantConfig& cfg) {
+    std::vector<std::string> v;
+    if (cfg.fm_bits < 2 || cfg.fm_bits > 32)
+        v.push_back("fm_bits=" + std::to_string(cfg.fm_bits) +
+                    " is outside the representable window [2, 32]");
+    if (cfg.weight_bits < 2 || cfg.weight_bits > 32)
+        v.push_back("weight_bits=" + std::to_string(cfg.weight_bits) +
+                    " is outside the representable window [2, 32]");
+    if (!(cfg.fm_abs_max > 0.0f) || !std::isfinite(cfg.fm_abs_max))
+        v.push_back("fm_abs_max=" + std::to_string(cfg.fm_abs_max) +
+                    " must be positive and finite to define the shared FM grid");
+    if (!(cfg.input_lo <= cfg.input_hi)) v.push_back("input_lo must be <= input_hi");
+    return v;
+}
+
 GridSpec make_grid_spec(const QuantConfig& cfg) {
-    if (cfg.fm_bits < 2 || cfg.fm_bits > 32 || cfg.weight_bits < 2 ||
-        cfg.weight_bits > 32)
-        throw std::invalid_argument(
-            "QEngine: fm_bits/weight_bits must be in [2, 32] (see verify::check_qmodel "
-            "Q005)");
-    if (!(cfg.input_lo <= cfg.input_hi))
-        throw std::invalid_argument("QEngine: input_lo must be <= input_hi");
+    if (const std::vector<std::string> v = scheme_violations(cfg); !v.empty())
+        throw std::invalid_argument("degenerate quantization scheme: " + v.front());
     GridSpec spec;
     spec.fm = choose_format(cfg.fm_bits, cfg.fm_abs_max);
     const int fm_bits = spec.fm.total_bits;
@@ -38,65 +45,32 @@ GridSpec make_grid_spec(const QuantConfig& cfg) {
     return spec;
 }
 
-std::vector<GridRange> propagate_grid_ranges(const nn::Graph& g,
-                                             const GridSpec& spec) {
+std::vector<GridRange> propagate_grid_ranges(const Program& p) {
+    const GridSpec& spec = p.spec;
     const GridRange full{spec.grid_lo, spec.grid_hi};
-    std::vector<GridRange> range(g.node_count(), full);
-    for (std::size_t i = 0; i < g.node_count(); ++i) {
-        const std::vector<int>& ins = g.node_inputs(i);
-        const auto in_range = [&](std::size_t slot) {
-            return range[static_cast<std::size_t>(ins[slot])];
-        };
-        switch (g.node_kind(i)) {
-            case nn::Graph::NodeKind::kInput:
-                range[i] = {spec.in_lo, spec.in_hi};
-                continue;
-            case nn::Graph::NodeKind::kConcat: {
-                GridRange r = in_range(0);
-                for (const int in : ins) {
+    const auto transfer = [&](const Op& op, std::size_t,
+                              const std::vector<GridRange>& range) {
+        GridRange r = range[static_cast<std::size_t>(op.inputs[0])];
+        switch (op.kind) {
+            case OpKind::kConcat:
+                for (const int in : op.inputs) {
                     r.lo = std::min(r.lo, range[static_cast<std::size_t>(in)].lo);
                     r.hi = std::max(r.hi, range[static_cast<std::size_t>(in)].hi);
                 }
-                range[i] = r;
-                continue;
-            }
-            case nn::Graph::NodeKind::kAdd:
-                range[i] = full;
-                continue;
-            case nn::Graph::NodeKind::kModule:
-                break;
+                return r;
+            case OpKind::kRelu:
+                return GridRange{std::max(r.lo, 0), std::max(r.hi, 0)};
+            case OpKind::kRelu6:
+                return GridRange{std::clamp(r.lo, 0, spec.six), std::clamp(r.hi, 0, spec.six)};
+            case OpKind::kMaxPool:
+            case OpKind::kReorder:
+            case OpKind::kIdentity:
+                return r;
+            default:  // arithmetic ops and fp32 islands requantize onto the grid
+                return full;
         }
-        const nn::Module* m = g.node_module(i);
-        if (m == nullptr || ins.empty()) continue;
-        if (const auto* act = dynamic_cast<const nn::Activation*>(m)) {
-            const GridRange r = in_range(0);
-            if (act->act_kind() == nn::Act::kReLU)
-                range[i] = {std::max(r.lo, 0), std::max(r.hi, 0)};
-            else if (act->act_kind() == nn::Act::kReLU6)
-                range[i] = {std::clamp(r.lo, 0, spec.six),
-                            std::clamp(r.hi, 0, spec.six)};
-            // Exotic activations run as fp32 islands and requantize onto
-            // the grid — the full-grid default already covers them.
-        } else if (dynamic_cast<const nn::MaxPool2*>(m) != nullptr ||
-                   dynamic_cast<const nn::SpaceToDepth*>(m) != nullptr ||
-                   dynamic_cast<const deploy::Identity*>(m) != nullptr) {
-            range[i] = in_range(0);
-        }
-        // Everything else (conv / dwconv / bias / bn / unknown) keeps the
-        // full-grid default: its output requantizes onto the grid.
-    }
-    return range;
-}
-
-std::int64_t quantized_abs_max(const Tensor& w, const FixedPointFormat& fmt) {
-    const double inv_step = 1.0 / fmt.step();
-    std::int64_t wmax = 0;
-    for (std::int64_t i = 0; i < w.size(); ++i)
-        wmax = std::max<std::int64_t>(
-            wmax, std::abs(static_cast<std::int64_t>(saturate(
-                      static_cast<std::int64_t>(std::llround(w[i] * inv_step)),
-                      fmt.total_bits))));
-    return wmax;
+    };
+    return propagate(p.ops, GridRange{spec.in_lo, spec.in_hi}, transfer);
 }
 
 ConvProof prove_qgemm(int K, int pad, int weight_bits, std::int64_t wmax,

@@ -1,25 +1,24 @@
 // Shared value-range analysis on the fixed-point feature-map grid.
 //
 // This is the single source of truth for the range reasoning the integer
-// engine's execution plan rests on.  quant::QEngine used to carry a private
-// copy of this propagation; now both the engine and the static analysis
-// layer (verify::analyze) call the same transfer functions, so the verifier
-// and the engine can never disagree about which layers are provably
-// int8-eligible (docs/STATIC_ANALYSIS.md "Abstract interpretation").
+// engine's execution plan rests on: QEngine and verify::analyze run the
+// same propagation over the same lowered Program (quant/lower.hpp), so the
+// verifier and the engine can never disagree about which layers are
+// provably int8-eligible (docs/STATIC_ANALYSIS.md "Abstract
+// interpretation").
 //
 // The domain is an inclusive interval [lo, hi] of values on the shared FM
-// grid (two's-complement integers of fm_bits).  The propagation is a single
-// forward pass over the topologically-ordered graph:
+// grid (two's-complement integers of fm_bits).  Per op kind:
 //
 //   input              -> the declared [input_lo, input_hi] on the grid
 //   ReLU               -> [max(lo, 0), max(hi, 0)]
 //   ReLU6              -> [clamp(lo, 0, six), clamp(hi, 0, six)]
-//   pool / reorder /
+//   max pool / reorder /
 //     identity         -> preserved (data movement / max selection)
 //   concat             -> union of the input intervals
 //   conv / dwconv /
-//     bias / add / any
-//     other module     -> the full grid (every executed value requantizes
+//     bias / add / fp32
+//     islands          -> the full grid (every executed value requantizes
 //                         onto the grid, so this is always sound)
 //
 // prove_qgemm() is the engine's per-conv eligibility proof over that
@@ -31,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "nn/graph.hpp"
 #include "quant/fixed_point.hpp"
 #include "quant/qconfig.hpp"
 
@@ -53,22 +51,20 @@ struct GridSpec {
     std::int32_t in_lo = 0, in_hi = 0;
 };
 
-/// Resolve a scheme into its grid.  Throws std::invalid_argument on a
-/// degenerate scheme (bits outside [2, 32], input_lo > input_hi) — the same
-/// contract QEngine's constructor enforces; verify::check_qmodel reports
-/// the violation as Q005 without throwing.
+/// Every rule `cfg` breaks, one message each (empty: a valid scheme): bit
+/// widths in [2, 32], fm_abs_max positive and finite, input_lo <= input_hi.
+/// The one scheme validation — verify::check_qmodel reports each as Q005.
+[[nodiscard]] std::vector<std::string> scheme_violations(const QuantConfig& cfg);
+
+/// Resolve a scheme into its grid.  Throws std::invalid_argument with the
+/// first scheme_violations() message on a degenerate scheme.
 [[nodiscard]] GridSpec make_grid_spec(const QuantConfig& cfg);
 
-/// Forward interval propagation over `g` on the grid of `spec`.  Returns
-/// one range per graph node, in node order.  Never throws on unsupported
-/// modules — unknown kinds conservatively widen to the full grid.
-[[nodiscard]] std::vector<GridRange> propagate_grid_ranges(const nn::Graph& g,
-                                                           const GridSpec& spec);
+struct Program;
 
-/// Largest |w| after quantising `w` to `fmt` — the max|w| term of the
-/// accumulator bound, computed exactly the way the engine quantises.
-[[nodiscard]] std::int64_t quantized_abs_max(const Tensor& w,
-                                             const FixedPointFormat& fmt);
+/// Forward interval propagation over a lowered program with a valid scheme,
+/// on its grid.  Returns one range per op, in node order.
+[[nodiscard]] std::vector<GridRange> propagate_grid_ranges(const Program& p);
 
 /// Outcome of the int8 GEMM eligibility proof for one convolution.
 struct ConvProof {

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "deploy/fold_bn.hpp"
+#include "quant/lower.hpp"
 #include "skynet/check_model.hpp"
 #include "verify/check_qmodel.hpp"
 
@@ -63,8 +64,11 @@ quant::QuantReport Detector::quantize(const quant::QuantConfig& qcfg) {
         throw std::logic_error("Detector: already quantized");
     fold_bn();  // QEngine requires a BN-free graph
     model_.net->set_training(false);
-    verify::enforce(verify::check_qmodel(*model_.net, qcfg));
-    qengine_ = std::make_unique<quant::QEngine>(*model_.net, qcfg);
+    // Lower once: the checker reads the program's verdicts, the engine
+    // compiles the same program (and takes its integer weights).
+    quant::Program program = quant::lower(*model_.net, qcfg);
+    verify::enforce(verify::check_qmodel(program));
+    qengine_ = std::make_unique<quant::QEngine>(std::move(program));
     // Certified error budget, strict mode: reject the scheme before it can
     // serve a single image (the report carries the same verdict either way).
     if (qcfg.strict_error_budget && qcfg.error_budget > 0.0f &&

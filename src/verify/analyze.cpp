@@ -1,15 +1,12 @@
 #include "verify/analyze.hpp"
 
-#include <cstdint>
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
-#include "nn/conv.hpp"
-#include "nn/pwconv.hpp"
-#include "quant/fixed_point.hpp"
-#include "quant/intervals.hpp"
+#include "quant/lower.hpp"
 
 namespace sky::verify {
 namespace {
@@ -20,57 +17,23 @@ std::string num_str(double v) {
     return buf;
 }
 
-std::string node_name(const nn::Graph& g, int node) {
-    const auto i = static_cast<std::size_t>(node);
-    switch (g.node_kind(i)) {
-        case nn::Graph::NodeKind::kInput: return "input";
-        case nn::Graph::NodeKind::kConcat: return "concat";
-        case nn::Graph::NodeKind::kAdd: return "add";
-        case nn::Graph::NodeKind::kModule: {
-            const nn::Module* m = g.node_module(i);
-            return m != nullptr ? m->name() : "node";
-        }
-    }
-    return "node";
-}
-
-bool blown(const Interval& v) {
-    return quant::interval_blown({v.lo, v.hi, v.known});
-}
-
-/// A004: the int32 accumulator proof for graph-level conv nodes, on the
-/// shared grid domain the engine itself plans with.
-void prove_accumulators(const nn::Graph& g, const quant::QuantConfig& cfg,
-                        const std::vector<quant::GridRange>& gr, Report& rep) {
-    for (std::size_t i = 0; i < g.node_count(); ++i) {
-        if (g.node_kind(i) != nn::Graph::NodeKind::kModule) continue;
-        const nn::Module* m = g.node_module(i);
-        const std::vector<int>& ins = g.node_inputs(i);
-        if (m == nullptr || ins.empty()) continue;
-        int K = 0, pad = 0;
-        const Tensor* w = nullptr;
-        if (const auto* conv = dynamic_cast<const nn::Conv2d*>(m)) {
-            K = conv->in_channels() * conv->kernel() * conv->kernel();
-            pad = conv->padding();
-            w = &conv->weight();
-        } else if (const auto* pw = dynamic_cast<const nn::PWConv1*>(m)) {
-            if (pw->groups() != 1) continue;  // grouped conv never takes qgemm
-            K = pw->in_channels();
-            w = &pw->weight();
-        } else {
-            continue;
-        }
-        const quant::FixedPointFormat wf =
-            quant::choose_format(cfg.weight_bits, w->abs_max());
-        const std::int64_t wmax = quant::quantized_abs_max(*w, wf);
-        const quant::ConvProof p = quant::prove_qgemm(
-            K, pad, cfg.weight_bits, wmax, gr[static_cast<std::size_t>(ins[0])]);
-        if (p.eligible || p.reason.find("accumulator") == std::string::npos) continue;
+/// A004: the int32 accumulator proof for the integer convs, on the shared
+/// grid domain the engine itself plans with.
+void prove_accumulators(const quant::Program& p, const std::vector<quant::GridRange>& gr,
+                        Report& rep) {
+    for (std::size_t i = 0; i < p.ops.size(); ++i) {
+        const quant::Op& op = p.ops[i];
+        // Grouped and fp32 convs never take qgemm; dwconvs have their own path.
+        if (op.kind != quant::OpKind::kConv || op.verdict != quant::Verdict::kInt) continue;
+        const int K = op.in_ch * op.k * op.k;
+        const quant::ConvProof pr = quant::prove_qgemm(
+            K, op.pad, p.cfg.weight_bits, op.wmax, gr[static_cast<std::size_t>(op.inputs[0])]);
+        if (pr.eligible || pr.reason.find("accumulator") == std::string::npos) continue;
         rep.warn("A004", static_cast<int>(i),
-                 m->name() + ": int32 accumulator bound reached: K=" +
-                     std::to_string(K) + " * max|w|=" + std::to_string(wmax) +
-                     " * span=" + std::to_string(p.span) + " = " +
-                     std::to_string(p.acc_bound) + " >= 2^31",
+                 op.name + ": int32 accumulator bound reached: K=" + std::to_string(K) +
+                     " * max|w|=" + std::to_string(op.wmax) +
+                     " * span=" + std::to_string(pr.span) + " = " +
+                     std::to_string(pr.acc_bound) + " >= 2^31",
                  "the packed int8 GEMM path is unavailable here; narrow "
                  "weight_bits / fm_abs_max or accept the reference path");
     }
@@ -80,32 +43,33 @@ void prove_accumulators(const nn::Graph& g, const quant::QuantConfig& cfg,
 /// per-layer budget.  E001 fires only where the budget is first crossed
 /// (transition), E002 only where tracking is first lost, E003/E004 once at
 /// the output node.
-void report_error_bounds(const nn::Graph& g, const quant::QuantConfig& cfg,
-                         const quant::ErrorAnalysis& ea, Report& rep) {
+void report_error_bounds(const quant::Program& p, const quant::ErrorAnalysis& ea,
+                         Report& rep) {
+    const auto name = [&p](int node) { return p.ops[static_cast<std::size_t>(node)].name; };
     if (ea.first_unknown_node >= 0)
         rep.warn("E002", ea.first_unknown_node,
-                 node_name(g, ea.first_unknown_node) +
+                 name(ea.first_unknown_node) +
                      ": certified error bound lost: " + ea.unknown_reason,
                  "the |int8 - fp32| deviation is no longer certified past this "
                  "node; give the module an error transfer function or restructure "
                  "the graph");
 
-    const double budget = cfg.error_budget;
+    const double budget = p.cfg.error_budget;
     if (budget <= 0.0) return;
 
     for (std::size_t i = 0; i < ea.nodes.size(); ++i) {
         const quant::ErrBound& e = ea.nodes[i].out;
         if (!e.known || e.bound <= budget) continue;
         bool inputs_ok = true;  // transition: every input still inside budget
-        for (const int in : g.node_inputs(i)) {
+        for (const int in : p.ops[i].inputs) {
             const quant::ErrBound& u = ea.nodes[static_cast<std::size_t>(in)].out;
             inputs_ok = inputs_ok && u.known && u.bound <= budget;
         }
         if (!inputs_ok) continue;
         rep.warn("E001", static_cast<int>(i),
-                 node_name(g, static_cast<int>(i)) +
-                     ": certified |int8 - fp32| bound " + num_str(e.bound) +
-                     " exceeds the per-layer error budget " + num_str(budget),
+                 name(static_cast<int>(i)) + ": certified |int8 - fp32| bound " +
+                     num_str(e.bound) + " exceeds the per-layer error budget " +
+                     num_str(budget),
                  "add fractional bits (fm_bits), shrink fm_abs_max, or raise "
                  "the budget");
     }
@@ -115,7 +79,7 @@ void report_error_bounds(const nn::Graph& g, const quant::QuantConfig& cfg,
     std::string top;
     for (const auto& [node, contribution] : ea.dominant(3)) {
         if (!top.empty()) top += ", ";
-        top += node_name(g, node) + "@" + std::to_string(node) + " (" +
+        top += name(node) + "@" + std::to_string(node) + " (" +
                num_str(contribution) + ")";
     }
     rep.warn("E003", ea.output_node,
@@ -124,96 +88,61 @@ void report_error_bounds(const nn::Graph& g, const quant::QuantConfig& cfg,
              "error introduced per layer weighted by its downstream gain; "
              "fix the top contributors first");
 
-    try {
-        const quant::GridSpec spec = quant::make_grid_spec(cfg);
-        const int frac = spec.fm.frac_bits;
-        const int need = quant::min_frac_bits_for_budget(ea.output_bound, budget, frac);
-        if (need > frac)
-            rep.warn("E004", ea.output_node,
-                     "error budget " + num_str(budget) + " is infeasible at fm_bits=" +
-                         std::to_string(cfg.fm_bits) + " (" + std::to_string(frac) +
-                         " fractional bits): certified bound " +
-                         num_str(ea.output_bound) + " needs >= " +
-                         std::to_string(need) + " fractional bits (fm_bits >= " +
-                         std::to_string(cfg.fm_bits + (need - frac)) +
-                         " at this fm_abs_max)",
-                     "the bound's rounding terms scale with the FM step; widen "
-                     "the feature-map word or relax the budget");
-    } catch (const std::invalid_argument&) {
-        // Degenerate scheme: the error domain already reported E002.
-    }
+    const int frac = p.spec.fm.frac_bits;
+    const int need = quant::min_frac_bits_for_budget(ea.output_bound, budget, frac);
+    if (need > frac)
+        rep.warn("E004", ea.output_node,
+                 "error budget " + num_str(budget) + " is infeasible at fm_bits=" +
+                     std::to_string(p.cfg.fm_bits) + " (" + std::to_string(frac) +
+                     " fractional bits): certified bound " + num_str(ea.output_bound) +
+                     " needs >= " + std::to_string(need) + " fractional bits (fm_bits >= " +
+                     std::to_string(p.cfg.fm_bits + (need - frac)) + " at this fm_abs_max)",
+                 "the bound's rounding terms scale with the FM step; widen "
+                 "the feature-map word or relax the budget");
 }
 
 }  // namespace
 
 Analysis analyze(const nn::Graph& g, const Shape& input, const AnalyzeOptions& opts) {
     Analysis a;
-    const std::size_t n = g.node_count();
+    const quant::Program p = quant::lower(g, opts.qconfig);
 
-    quant::IntervalAnalysis vals;
-    bool has_vals = false;
-    if (opts.value_ranges || opts.error_bounds) {
-        vals = quant::propagate_value_intervals(g, opts.qconfig);
-        has_vals = true;
+    quant::IntervalAnalysis vals = quant::propagate_value_intervals(p);
+    for (const quant::ActEvent& e : vals.events)
+        a.report.warn(e.kind == quant::ActEvent::Kind::kDeadClamp ? "A002" : "A003", e.node,
+                      e.message, e.hint);
+    // A001 fires only where boundedness is LOST — downstream nodes of a
+    // blown interval would all re-report otherwise.
+    for (std::size_t i = 0; i < p.ops.size(); ++i) {
+        if (!quant::interval_blown(vals.values[i])) continue;
+        const std::vector<int>& ins = p.ops[i].inputs;
+        if (std::any_of(ins.begin(), ins.end(), [&](int in) {
+                return quant::interval_blown(vals.values[static_cast<std::size_t>(in)]);
+            }))
+            continue;
+        a.report.warn("A001", static_cast<int>(i),
+                      p.ops[i].name + ": value interval " +
+                          quant::interval_str(vals.values[i]) +
+                          " exceeds fp32 range: Inf/NaN statically reachable",
+                      "rescale the weights or normalise the input (intervals are "
+                      "conservative; calibrate to confirm)");
     }
 
-    if (opts.value_ranges) {
-        a.value_ranges.resize(n);
-        for (std::size_t i = 0; i < n; ++i)
-            a.value_ranges[i] = {vals.values[i].lo, vals.values[i].hi,
-                                 vals.values[i].known};
-        for (const quant::ActEvent& e : vals.events)
-            a.report.warn(e.kind == quant::ActEvent::Kind::kDeadClamp ? "A002" : "A003",
-                          e.node, e.message, e.hint);
-        // A001 fires only where boundedness is LOST — downstream nodes of a
-        // blown interval would all re-report otherwise.
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!blown(a.value_ranges[i])) continue;
-            bool input_blown = false;
-            for (const int in : g.node_inputs(i))
-                input_blown =
-                    input_blown || blown(a.value_ranges[static_cast<std::size_t>(in)]);
-            if (input_blown) continue;
-            a.report.warn(
-                "A001", static_cast<int>(i),
-                node_name(g, static_cast<int>(i)) + ": value interval " +
-                    quant::interval_str(vals.values[i]) +
-                    " exceeds fp32 range: Inf/NaN statically reachable",
-                "rescale the weights or normalise the input (intervals are "
-                "conservative; calibrate to confirm)");
-        }
+    // A degenerate scheme (check_qmodel's Q005) leaves the grid domain
+    // nothing sound to say; the error domain reports it as unknown.
+    if (p.valid_scheme()) {
+        a.grid_ranges = quant::propagate_grid_ranges(p);
+        prove_accumulators(p, a.grid_ranges, a.report);
     }
+    a.errors = quant::certify_error(p, vals, a.grid_ranges);
+    report_error_bounds(p, a.errors, a.report);
+    a.value_ranges = std::move(vals.values);
 
-    bool has_grid = false;
-    if (opts.grid_ranges || opts.error_bounds) {
-        try {
-            const quant::GridSpec spec = quant::make_grid_spec(opts.qconfig);
-            std::vector<quant::GridRange> gr = quant::propagate_grid_ranges(g, spec);
-            if (opts.grid_ranges) prove_accumulators(g, opts.qconfig, gr, a.report);
-            a.grid_ranges = std::move(gr);
-            has_grid = true;
-        } catch (const std::invalid_argument&) {
-            // Degenerate scheme: check_qmodel reports it as Q005; the grid
-            // domain has nothing sound to say.
-        }
-    }
-
-    if (opts.error_bounds) {
-        a.errors = has_vals && has_grid
-                       ? quant::certify_error(g, opts.qconfig, vals, a.grid_ranges)
-                       : quant::certify_error(g, opts.qconfig);
-        a.has_errors = true;
-        report_error_bounds(g, opts.qconfig, a.errors, a.report);
-        if (!opts.grid_ranges) a.grid_ranges.clear();
-    }
-
-    if (opts.memory_plan) {
-        try {
-            a.plan = deploy::plan_activations(g, input);
-            a.has_plan = true;
-        } catch (const std::invalid_argument&) {
-            // Shape inference failed — check_graph carries the diagnostics.
-        }
+    try {
+        a.plan = deploy::plan_activations(g, input);
+        a.has_plan = true;
+    } catch (const std::invalid_argument&) {
+        // Shape inference failed — check_graph carries the diagnostics.
     }
     return a;
 }

@@ -1,7 +1,8 @@
 // Forward-dataflow abstract interpretation over nn::Graph (A- and E-codes).
 //
-// analyze() runs one topological pass per abstract domain and reports what
-// the ordinary shape checks (check_graph) cannot see — properties of the
+// analyze() lowers the graph once (quant::lower) and runs each abstract
+// domain as one forward pass over that program, reporting what the
+// ordinary shape checks (check_graph) cannot see — properties of the
 // VALUES a graph computes, provable without executing a single kernel:
 //
 //   * fp32 interval domain — every node gets an inclusive [lo, hi] bound on
@@ -12,10 +13,10 @@
 //     never clamps (A002, dead code); one whose input is never positive
 //     emits a constant (A003, the layer erases its features).
 //   * fixed-point grid domain — quant::propagate_grid_ranges on the scheme
-//     in AnalyzeOptions::qconfig, the SAME transfer functions the integer
-//     engine plans with, feeding the int32 accumulator proof
-//     quant::prove_qgemm.  A conv whose K * max|w| * span reaches 2^31
-//     cannot use the packed int8 path (A004).
+//     in AnalyzeOptions::qconfig, the SAME propagation the integer engine
+//     plans with, feeding the int32 accumulator proof quant::prove_qgemm
+//     with the lowered convs' max|w_hat|.  A conv whose K * max|w| * span
+//     reaches 2^31 cannot use the packed int8 path (A004).
 //   * quantization error domain — quant::certify_error propagates a sound
 //     per-out-channel bound on |int8 - fp32| through every node, composing
 //     the exact engine rounding model with the fp32 intervals (Lipschitz
@@ -46,6 +47,7 @@
 
 #include "deploy/memory_plan.hpp"
 #include "nn/graph.hpp"
+#include "quant/intervals.hpp"
 #include "quant/qconfig.hpp"
 #include "quant/qerror.hpp"
 #include "quant/ranges.hpp"
@@ -53,37 +55,25 @@
 
 namespace sky::verify {
 
-/// Inclusive bound on a node's fp32 output values.  known == false means
-/// the analysis lost track (a module kind without a transfer function) and
-/// every downstream check involving this node is skipped — soundness over
-/// false alarms.
-struct Interval {
-    double lo = 0.0;
-    double hi = 0.0;
-    bool known = false;
-};
-
 struct AnalyzeOptions {
     /// Scheme for the fixed-point grid / error domains and the A004
     /// accumulator proof; the fp32 domain also anchors the graph input at
     /// [input_lo, input_hi].  qconfig.error_budget > 0 arms E001/E003/E004.
     quant::QuantConfig qconfig{};
-    bool value_ranges = true;  ///< run the fp32 interval domain (A001-A003)
-    bool grid_ranges = true;   ///< run the grid domain + A004 proofs
-    bool error_bounds = true;  ///< run the certified error domain (E-codes)
-    bool memory_plan = true;   ///< run the liveness / arena planner
 };
 
 /// Everything one analyze() pass derives.  Vectors are indexed by graph
-/// node id; disabled domains leave their vector empty.
+/// node id.
 struct Analysis {
     Report report;
-    std::vector<Interval> value_ranges;
-    std::vector<quant::GridRange> grid_ranges;
+    /// fp32 output bounds; known == false means the analysis lost track (a
+    /// module kind without a transfer function) and every downstream check
+    /// involving the node is skipped — soundness over false alarms.
+    std::vector<quant::Interval> value_ranges;
+    std::vector<quant::GridRange> grid_ranges;  ///< empty for a degenerate scheme
     quant::ErrorAnalysis errors;  ///< certified |int8 - fp32| bounds
-    bool has_errors = false;      ///< false when the error domain was disabled
     deploy::MemoryPlan plan;
-    bool has_plan = false;  ///< false when planning failed or was disabled
+    bool has_plan = false;  ///< false when planning failed
 };
 
 /// Abstractly interpret `g` for inputs of shape `input` (batch and spatial

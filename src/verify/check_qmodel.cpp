@@ -1,89 +1,26 @@
 #include "verify/check_qmodel.hpp"
 
+#include <algorithm>
 #include <string>
 
-#include "deploy/fold_bn.hpp"
-#include "nn/activations.hpp"
-#include "nn/conv.hpp"
-#include "nn/dwconv.hpp"
-#include "nn/pooling.hpp"
-#include "nn/pwconv.hpp"
-#include "nn/space_to_depth.hpp"
-#include "quant/fixed_point.hpp"
-
 namespace sky::verify {
-namespace {
-
-/// Mirrors the QLayer dispatch of quant::QEngine::QEngine — every module
-/// kind the integer engine compiles.  Kept as a predicate (not a shared
-/// table) because the engine's dispatch also extracts weights; this check
-/// only needs the accept/reject decision plus the reason.
-void check_layer(const nn::Module& m, int node, bool fp32_fallback, Report& rep) {
-    // With fp32_fallback the engine dequantizes around an unsupported layer
-    // instead of refusing to compile, so Q002 is a warning, not an error.
-    // Q001 stays an error either way: an unfolded BN is a missing deployment
-    // pass, not a layer the engine should route around.
-    const auto q002 = [&](const std::string& what, const std::string& hint) {
-        if (fp32_fallback)
-            rep.warn("Q002", node, what + " — will run as an fp32 island", hint);
-        else
-            rep.error("Q002", node, what, hint);
-    };
-    if (m.kind() == "bn") {
-        rep.error("Q001", node,
-                  m.name() + " is still a BatchNorm — the integer engine has no BN op",
-                  "run deploy::fold_graph_bn (or Detector::fold_bn) before quantizing");
-        return;
-    }
-    if (const auto* pw = dynamic_cast<const nn::PWConv1*>(&m)) {
-        if (pw->groups() != 1)
-            q002(m.name() + ": grouped 1x1 conv is unsupported",
-                 "ungroup the conv or extend the integer engine");
-        return;
-    }
-    if (const auto* act = dynamic_cast<const nn::Activation*>(&m)) {
-        if (act->act_kind() != nn::Act::kReLU && act->act_kind() != nn::Act::kReLU6)
-            q002(m.name() + ": only ReLU / ReLU6 exist on the integer datapath",
-                 "retrain with a supported activation or extend the engine");
-        return;
-    }
-    if (dynamic_cast<const nn::Conv2d*>(&m) != nullptr ||
-        dynamic_cast<const nn::DWConv3*>(&m) != nullptr ||
-        dynamic_cast<const nn::MaxPool2*>(&m) != nullptr ||
-        dynamic_cast<const nn::SpaceToDepth*>(&m) != nullptr ||
-        dynamic_cast<const deploy::ChannelBias*>(&m) != nullptr ||
-        dynamic_cast<const deploy::Identity*>(&m) != nullptr)
-        return;
-    q002(m.name() + " (kind '" + m.kind() + "') has no integer-engine lowering",
-         "replace the layer or extend quant::QEngine");
-}
-
-}  // namespace
 
 Report check_qmodel(const nn::Graph& g, const quant::QuantConfig& cfg,
                     const QuantCheckOptions& opts) {
+    return check_qmodel(quant::lower(g, cfg), opts);
+}
+
+Report check_qmodel(const quant::Program& p, const QuantCheckOptions& opts) {
     Report rep;
 
     // --- Scheme sanity (Table 7 schemes live in [2, 32] bits). ---------
-    if (cfg.fm_bits < 2 || cfg.fm_bits > 32)
-        rep.error("Q005", -1,
-                  "fm_bits=" + std::to_string(cfg.fm_bits) +
-                      " is outside the representable window [2, 32]",
-                  "pick a feature-map width the shared buffer can hold");
-    if (cfg.weight_bits < 2 || cfg.weight_bits > 32)
-        rep.error("Q005", -1,
-                  "weight_bits=" + std::to_string(cfg.weight_bits) +
-                      " is outside the representable window [2, 32]",
-                  "pick a weight width the DSP datapath can hold");
-    if (!(cfg.fm_abs_max > 0.0f))
-        rep.error("Q005", -1, "fm_abs_max must be positive to define the shared FM grid",
-                  "calibrate the range (quant::calibrate_fm_abs_max) and pass it in");
-    if (!(cfg.input_lo <= cfg.input_hi))
-        rep.error("Q005", -1, "input_lo must be <= input_hi",
-                  "declare the input range with QuantConfig::with_input_range");
-    if (!rep.ok()) return rep;  // the format below would be meaningless
+    for (const std::string& why : p.scheme_errors)
+        rep.error("Q005", -1, why,
+                  "pick bit widths in [2, 32], a positive finite fm_abs_max "
+                  "(quant::calibrate_fm_abs_max) and input_lo <= input_hi");
+    if (!p.valid_scheme()) return rep;  // the format below would be meaningless
 
-    const quant::FixedPointFormat fm = quant::choose_format(cfg.fm_bits, cfg.fm_abs_max);
+    const quant::FixedPointFormat& fm = p.spec.fm;
 
     // --- Range checks against the shared FM format. --------------------
     if (opts.calibrated_fm_abs_max > 0.0f &&
@@ -100,25 +37,26 @@ Report check_qmodel(const nn::Graph& g, const quant::QuantConfig& cfg,
 
     // The ReLU6 clip must sit on the representable grid or every bundle
     // output saturates below the clip (a Table 7 scheme-5 style collapse).
-    bool has_relu6 = false;
-    for (std::size_t i = 0; i < g.node_count(); ++i) {
-        const nn::Module* m = g.node_module(i);
-        if (m == nullptr) continue;
-        if (const auto* act = dynamic_cast<const nn::Activation*>(m);
-            act != nullptr && act->act_kind() == nn::Act::kReLU6)
-            has_relu6 = true;
-    }
+    const bool has_relu6 = std::any_of(p.ops.begin(), p.ops.end(), [](const quant::Op& op) {
+        return op.kind == quant::OpKind::kRelu6;
+    });
     if (has_relu6 && fm.max_val() < 6.0)
         rep.warn("Q004", -1,
                  "ReLU6 clip (6.0) exceeds the FM format maximum " +
                      std::to_string(fm.max_val()) + " — activations clip early",
                  "use fm_abs_max >= 6 so the clip constant is exact on the grid");
 
-    // --- Per-layer lowering checks. ------------------------------------
-    for (std::size_t i = 0; i < g.node_count(); ++i)
-        if (const nn::Module* m = g.node_module(i); m != nullptr)
-            check_layer(*m, static_cast<int>(i), cfg.fp32_fallback, rep);
-
+    // --- Per-op verdicts of the lowering. -------------------------------
+    // Q001 stays an error even with fp32_fallback: an unfolded BN is a
+    // missing deployment pass, not a layer the engine should route around.
+    for (std::size_t i = 0; i < p.ops.size(); ++i) {
+        const quant::Op& op = p.ops[i];
+        if (op.verdict == quant::Verdict::kRejected)
+            rep.error(op.code, static_cast<int>(i), op.reason, op.hint);
+        else if (op.verdict == quant::Verdict::kFp32)
+            rep.warn(op.code, static_cast<int>(i),
+                     op.reason + " — will run as an fp32 island", op.hint);
+    }
     return rep;
 }
 

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "io/dataset_export.hpp"
 
@@ -11,6 +13,14 @@ namespace sky::io {
 namespace {
 
 std::string tmpdir() { return ::testing::TempDir(); }
+
+/// A directory of the test's own: ctest runs tests as parallel processes,
+/// and every export writes the same labels.csv and image names.
+std::string export_dir(const std::string& name) {
+    const std::string dir = tmpdir() + name;
+    std::filesystem::create_directories(dir);
+    return dir;
+}
 
 TEST(Ppm, RoundTripWithin8BitPrecision) {
     Rng rng(1);
@@ -49,7 +59,7 @@ TEST(Ppm, ReadRejectsGarbage) {
 
 TEST(Export, WritesImagesAndLabels) {
     data::DetectionDataset ds({24, 48, 1, false, 5});
-    const std::string dir = tmpdir();
+    const std::string dir = export_dir("export_writes");
     const ExportStats stats = export_detection_dataset(ds, 5, dir);
     EXPECT_EQ(stats.images, 5);
     EXPECT_EQ(stats.boxes, 5);  // one target per image
@@ -69,7 +79,7 @@ TEST(Export, WritesImagesAndLabels) {
 TEST(Export, LabelsMatchGeneratedBoxes) {
     // Exporting with a fixed seed then regenerating with the same seed must
     // produce the same boxes (the dataset stream is deterministic).
-    const std::string dir = tmpdir();
+    const std::string dir = export_dir("export_labels_match");
     data::DetectionDataset ds1({24, 48, 0, false, 9});
     (void)export_detection_dataset(ds1, 3, dir);
     const auto labels = read_labels(dir);

@@ -10,7 +10,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -313,6 +315,21 @@ TEST(QError, TrackingLostOnUnknownModuleReportsReason) {
     EXPECT_FALSE(ea.output_known);
     EXPECT_EQ(ea.first_unknown_node, n);
     EXPECT_FALSE(ea.unknown_reason.empty());
+}
+
+TEST(QError, DegenerateFmRangeIsRefusedNotCertified) {
+    // fm_abs_max <= 0 or NaN defines no feature-map grid.  The engine must
+    // refuse the scheme (check_qmodel reports it as Q005) rather than run a
+    // grid whose step underflows to ~1e-14, and the error domain must not
+    // certify a bound for it.
+    SkyNetModel m = folded_model(SkyNetVariant::kC, 51);
+    for (const float amax : {0.0f, -1.0f, std::numeric_limits<float>::quiet_NaN()}) {
+        const quant::QuantConfig cfg = scheme(9, 11).with_fm_abs_max(amax);
+        EXPECT_THROW((quant::QEngine(*m.net, cfg)), std::invalid_argument) << amax;
+        const quant::ErrorAnalysis ea = quant::certify_error(*m.net, cfg);
+        EXPECT_FALSE(ea.output_known) << amax;
+        EXPECT_NE(ea.unknown_reason.find("Q005"), std::string::npos) << ea.unknown_reason;
+    }
 }
 
 TEST(QError, ReportCarriesPerLayerBoundsAndDominants) {

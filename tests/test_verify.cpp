@@ -12,16 +12,21 @@
 #include <utility>
 
 #include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 
+#include "backbones/registry.hpp"
+#include "deploy/fold_bn.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv.hpp"
 #include "nn/dwconv.hpp"
 #include "nn/pooling.hpp"
 #include "nn/pwconv.hpp"
+#include "nn/sequential.hpp"
 #include "nn/shuffle.hpp"
+#include "quant/qengine.hpp"
 #include "skynet/check_model.hpp"
 #include "skynet/detector.hpp"
 #include "skynet/skynet_model.hpp"
@@ -303,6 +308,72 @@ TEST(Verify, DetectorQuantizeRejectsDegenerateScheme) {
                  verify::VerifyError);
 }
 
+// ------------------------------------------- checker / engine agreement --
+
+/// A backbone as a top-level graph, BN folded: flat Sequentials unwrap into
+/// a chain (skyanalyze's view), graphs are taken as they are.
+std::unique_ptr<nn::Graph> folded_backbone(const std::string& name) {
+    Rng rng(7);
+    backbones::Backbone b = backbones::build_by_name(name, 0.25f, rng);
+    std::unique_ptr<nn::Graph> g;
+    if (dynamic_cast<nn::Graph*>(b.net.get()) != nullptr) {
+        g.reset(static_cast<nn::Graph*>(b.net.release()));
+    } else {
+        g = std::make_unique<nn::Graph>();
+        int last = g->input();
+        if (auto* seq = dynamic_cast<nn::Sequential*>(b.net.get()))
+            for (nn::ModulePtr& m : seq->take_modules()) last = g->add(std::move(m), last);
+        else
+            last = g->add(std::move(b.net), last);
+        g->set_output(last);
+    }
+    g->set_training(false);
+    deploy::fold_graph_bn(*g);
+    return g;
+}
+
+/// Under the default kAuto execution, the QEngine constructor throws exactly
+/// when check_qmodel reports an error, and with fp32_fallback on the nodes
+/// the engine runs as fp32 islands are exactly the Q002 nodes.  Returns the
+/// number of schemes (fallback off / on) that compiled.
+int expect_checker_agrees_with_engine(nn::Graph& g, const std::string& what) {
+    int compiled = 0;
+    for (const bool fallback : {false, true}) {
+        const quant::QuantConfig cfg = quant::QuantConfig{}.with_fp32_fallback(fallback);
+        const verify::Report rep = verify::check_qmodel(g, cfg);
+        std::set<int> q002;
+        for (const verify::Diagnostic& d : rep.diagnostics)
+            if (d.code == "Q002") q002.insert(d.node);
+        try {
+            const quant::QEngine engine(g, cfg);
+            ++compiled;
+            EXPECT_TRUE(rep.ok()) << what << ": the engine compiled what check_qmodel "
+                                  << "rejects\n" << rep.str();
+            std::set<int> fp32;
+            for (const quant::QLayerReport& lr : engine.report().layers)
+                if (lr.impl == quant::QImpl::kFp32) fp32.insert(lr.node);
+            EXPECT_EQ(fp32, q002) << what << " (fp32_fallback " << fallback << ")";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_FALSE(rep.ok()) << what << ": the engine threw '" << e.what()
+                                   << "' but check_qmodel reports no error";
+        }
+    }
+    return compiled;
+}
+
+TEST(Verify, CheckQmodelAgreesWithTheEngineOnEveryShippedModel) {
+    for (const std::string& name : backbones::backbone_names())
+        (void)expect_checker_agrees_with_engine(*folded_backbone(name), name);
+    for (SkyNetVariant v : {SkyNetVariant::kA, SkyNetVariant::kB, SkyNetVariant::kC}) {
+        Rng rng(7);
+        SkyNetModel m = build_skynet({v, nn::Act::kReLU6, 2, 0.25f}, rng);
+        m.net->set_training(false);
+        deploy::fold_graph_bn(*m.net);
+        EXPECT_EQ(expect_checker_agrees_with_engine(*m.net, variant_name(v)), 2)
+            << "a folded SkyNet must compile with and without fp32_fallback";
+    }
+}
+
 // -------------------------------------------- abstract interpretation (A) --
 
 TEST(Analyze, IntervalBlowupWarnsA001OnlyAtTheTransition) {
@@ -469,7 +540,7 @@ TEST(Analyze, ValueIntervalsSoundOnRandomGraphs) {
             x.rand_uniform(xr, -1.0f, 1.0f);
             (void)g.forward(x);
             for (std::size_t i = 0; i < g.node_count(); ++i) {
-                const verify::Interval& v = a.value_ranges[i];
+                const quant::Interval& v = a.value_ranges[i];
                 if (!v.known) continue;
                 // fp64 interval arithmetic vs fp32 kernel accumulation order.
                 const double tol =
@@ -495,7 +566,7 @@ TEST(Analyze, NonFiniteWeightsAreReportedNotPropagatedAsFacts) {
     ASSERT_EQ(a.value_ranges.size(), g.node_count());
     // Whatever the domain does with NaN (drop to unknown), it must never
     // claim a *finite known* interval for the poisoned conv.
-    const verify::Interval& v = a.value_ranges[1];
+    const quant::Interval& v = a.value_ranges[1];
     EXPECT_FALSE(v.known && std::isfinite(v.lo) && std::isfinite(v.hi));
 }
 
@@ -509,7 +580,7 @@ TEST(Analyze, AllZeroWeightConvHasExactPointInterval) {
     opts.qconfig = quant::QuantConfig{}.with_input_range(-1.0f, 1.0f);
     const verify::Analysis a = verify::analyze(g, {1, 3, 8, 8}, opts);
     ASSERT_EQ(a.value_ranges.size(), g.node_count());
-    const verify::Interval& v = a.value_ranges[static_cast<std::size_t>(c)];
+    const quant::Interval& v = a.value_ranges[static_cast<std::size_t>(c)];
     ASSERT_TRUE(v.known);
     EXPECT_DOUBLE_EQ(v.lo, 0.0);  // a dead channel's interval is exactly {0}
     EXPECT_DOUBLE_EQ(v.hi, 0.0);

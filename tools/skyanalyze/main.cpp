@@ -22,9 +22,10 @@
 //
 // SkyNet variants additionally run the deployment pipeline the Detector
 // uses: deploy::fold_graph_bn then verify::check_qmodel under the default
-// quantization scheme, so the integer-eligibility proofs (Q-codes, A004)
-// and the certified error bounds run on the same folded graph the QEngine
-// would compile.
+// quantization scheme.  check_qmodel and analyze each lower the folded
+// graph (quant::lower) into the op program QEngine compiles, so the
+// Q-codes, the A004 proofs and the certified error bounds judge exactly
+// what the engine would run.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -59,7 +60,7 @@ struct ModelResult {
     deploy::MemoryPlan plan;
     bool has_plan = false;
     Shape input{};
-    bool has_bound = false;          // the error domain ran
+    bool has_bound = false;          // the error domain ran (the graph was well-formed)
     bool bound_known = false;        // certified bound exists (no E002)
     double bound = 0.0;              // certified |int8 - fp32| at the output
 };
@@ -98,7 +99,7 @@ ModelResult analyze_graph(std::string name, const nn::Graph& g, const Shape& inp
         merge(r.report, a.report);
         r.plan = a.plan;
         r.has_plan = a.has_plan;
-        r.has_bound = a.has_errors;
+        r.has_bound = true;
         r.bound_known = a.errors.output_known;
         r.bound = a.errors.output_bound;
     }

@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "deploy/fold_bn.hpp"
-
 namespace sky::deploy {
 namespace {
 
@@ -110,63 +108,6 @@ MemoryPlan plan_tensors(const std::vector<PlanTensor>& program, int output_node)
     }
     for (const PlanSlot& s : plan.slots) plan.arena_bytes += s.bytes;
     return plan;
-}
-
-MemoryPlan plan_activations(const nn::Graph& g, const Shape& input,
-                            std::int64_t elem_bytes) {
-    const std::size_t n = g.node_count();
-    std::vector<Shape> shapes(n);
-    std::vector<int> resolved(n);  // node id with identity chains collapsed
-    std::vector<PlanTensor> program(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        resolved[i] = static_cast<int>(i);
-        std::vector<int> ins;
-        for (const int in : g.node_inputs(i)) {
-            if (in < 0 || static_cast<std::size_t>(in) >= i)
-                throw std::invalid_argument(
-                    "plan_activations: malformed edge (run verify::check_graph)");
-            ins.push_back(resolved[static_cast<std::size_t>(in)]);
-        }
-        switch (g.node_kind(i)) {
-            case nn::Graph::NodeKind::kInput:
-                shapes[i] = input;
-                break;
-            case nn::Graph::NodeKind::kConcat: {
-                Shape s = shapes[static_cast<std::size_t>(ins.at(0))];
-                s.c = 0;
-                for (const int in : ins) s.c += shapes[static_cast<std::size_t>(in)].c;
-                shapes[i] = s;
-                break;
-            }
-            case nn::Graph::NodeKind::kAdd:
-                shapes[i] = shapes[static_cast<std::size_t>(ins.at(0))];
-                break;
-            case nn::Graph::NodeKind::kModule: {
-                const nn::Module* m = g.node_module(i);
-                if (m == nullptr || ins.empty())
-                    throw std::invalid_argument(
-                        "plan_activations: module node without a module/input");
-                const Shape in_shape = shapes[static_cast<std::size_t>(ins[0])];
-                if (dynamic_cast<const deploy::Identity*>(m) != nullptr) {
-                    // Elided on every execution path: no buffer, consumers
-                    // rewire straight to the producer.
-                    shapes[i] = in_shape;
-                    resolved[i] = ins[0];
-                    program[i].bytes = 0;
-                    continue;
-                }
-                shapes[i] = m->out_shape(in_shape);
-                break;
-            }
-        }
-        if (shapes[i].count() <= 0)
-            throw std::invalid_argument(
-                "plan_activations: node " + std::to_string(i) +
-                " has a degenerate shape (run verify::check_graph)");
-        program[i].inputs = std::move(ins);
-        program[i].bytes = shapes[i].count() * elem_bytes;
-    }
-    return plan_tensors(program, resolved[static_cast<std::size_t>(g.output_node())]);
 }
 
 }  // namespace sky::deploy

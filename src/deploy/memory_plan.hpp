@@ -15,25 +15,24 @@
 //                    executor actually reserves (>= peak_bytes, typically
 //                    far below the no-reuse total_bytes).
 //
-// quant::QEngine executes its integer pass out of exactly this plan
-// (allocation-free at steady state — bench_serve gauges it), the figures
-// surface in quant::QuantReport / tools/skyanalyze, and serve::Engine
-// exports the peak as the `serve.activation_plan_bytes` capacity-planning
-// gauge (ROADMAP's multi-replica serving items need per-replica numbers).
+// quant::plan_activations hands this pass the lowered program's executing
+// ops; quant::QEngine executes its integer pass out of exactly that plan
+// (allocation-free at steady state — bench_serve gauges it), verify::analyze
+// and tools/skyanalyze report the same plan, quant::QuantReport carries it,
+// and serve::Engine exports its arena as the `serve.activation_plan_bytes`
+// capacity-planning gauge.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "nn/graph.hpp"
-
 namespace sky::deploy {
 
 /// One tensor of the abstract program handed to plan_tensors(): who it
 /// reads, and how many bytes its output occupies.  bytes == 0 marks an
-/// elided node (identity rewired past, fused activation): it allocates
-/// nothing and must have no consumers.
+/// elided node (a skipped identity or a fused op, whose value another
+/// node's buffer holds): it allocates nothing and must have no consumers.
 struct PlanTensor {
     std::vector<int> inputs;
     std::int64_t bytes = 0;
@@ -73,13 +72,5 @@ struct MemoryPlan {
 /// std::invalid_argument on malformed edges or a consumed elided node.
 [[nodiscard]] MemoryPlan plan_tensors(const std::vector<PlanTensor>& program,
                                       int output_node);
-
-/// Plan the activations of `g` at `input`, `elem_bytes` per element
-/// (4 for both fp32 and the engine's int32 grid values).  deploy::Identity
-/// nodes are elided exactly as every execution path elides them.  Throws
-/// std::invalid_argument when shape inference fails — run
-/// verify::check_graph first for diagnostics instead of an exception.
-[[nodiscard]] MemoryPlan plan_activations(const nn::Graph& g, const Shape& input,
-                                          std::int64_t elem_bytes = 4);
 
 }  // namespace sky::deploy

@@ -1,7 +1,5 @@
 #include "deploy/report.hpp"
 
-#include <stdexcept>
-
 namespace sky::deploy {
 
 ModelSummary summarize(const nn::Module& net, const Shape& input,
@@ -27,19 +25,6 @@ ModelSummary summarize(const nn::Module& net, const Shape& input,
     return s;
 }
 
-ModelSummary summarize(const nn::Graph& net, const Shape& input,
-                       const hwsim::DeviceProfile& device) {
-    ModelSummary s = summarize(static_cast<const nn::Module&>(net), input, device);
-    try {
-        s.activation_plan = plan_activations(net, input);
-        s.has_activation_plan = true;
-    } catch (const std::invalid_argument&) {
-        // Malformed graph: verify::check_graph carries the diagnostics; the
-        // summary simply omits the plan.
-    }
-    return s;
-}
-
 void print_summary(const ModelSummary& summary, const char* title, std::FILE* out) {
     std::fprintf(out, "=== %s ===\n", title);
     std::fprintf(out, "%-28s %-8s %-16s %10s %10s %8s %5s\n", "layer", "kind", "output",
@@ -54,9 +39,6 @@ void print_summary(const ModelSummary& summary, const char* title, std::FILE* ou
     std::fprintf(out, "total: %.3f GMACs, %.2f MB params (%lld layers)\n",
                  summary.gmacs(), summary.param_mb(),
                  static_cast<long long>(summary.rows.size()));
-    if (summary.has_activation_plan)
-        std::fprintf(out, "activations: %s\n",
-                     summary.activation_plan.summary().c_str());
 }
 
 }  // namespace sky::deploy

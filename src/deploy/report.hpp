@@ -5,12 +5,14 @@
 // print_summary() renders the familiar model-summary table.  The roofline
 // columns tell a deployment engineer which layers are compute- vs
 // memory-bound on a given device — the same reasoning the paper's Bundle
-// evaluation performs.
+// evaluation performs.  A Graph summarizes through the Module overload; the
+// activation memory plan is the integer engine's (quant::plan_activations,
+// carried by quant::QuantReport and reported by skyanalyze).
 #pragma once
 
 #include <cstdio>
+#include <vector>
 
-#include "deploy/memory_plan.hpp"
 #include "hwsim/device.hpp"
 #include "nn/module.hpp"
 
@@ -26,10 +28,6 @@ struct ModelSummary {
     std::vector<LayerRow> rows;
     std::int64_t total_macs = 0;
     std::int64_t total_params = 0;
-    /// Static activation memory plan (deploy::plan_activations) — filled by
-    /// the Graph overload of summarize(), where liveness is known.
-    MemoryPlan activation_plan{};
-    bool has_activation_plan = false;
 
     [[nodiscard]] double gmacs() const { return static_cast<double>(total_macs) / 1e9; }
     [[nodiscard]] double param_mb() const {
@@ -38,11 +36,6 @@ struct ModelSummary {
 };
 
 [[nodiscard]] ModelSummary summarize(const nn::Module& net, const Shape& input,
-                                     const hwsim::DeviceProfile& device);
-
-/// Graph-aware summary: the module walk above plus the static activation
-/// memory plan (peak / arena / no-reuse bytes from tensor liveness).
-[[nodiscard]] ModelSummary summarize(const nn::Graph& net, const Shape& input,
                                      const hwsim::DeviceProfile& device);
 
 /// Print the summary table to `out` (defaults to stdout).

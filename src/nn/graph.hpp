@@ -67,6 +67,11 @@ public:
     [[nodiscard]] const std::vector<int>& node_inputs(std::size_t i) const {
         return nodes_[i].inputs;
     }
+    /// Output shape of every node for input shape `in`: the one per-node
+    /// shape inference (out_shape, macs, quant::plan_activations,
+    /// verify::check_model).  Trusts the edges — verify::check_graph
+    /// diagnoses a malformed graph.
+    [[nodiscard]] std::vector<Shape> infer_shapes(const Shape& in) const;
     /// Swap a module node's implementation (shapes must stay compatible);
     /// returns the displaced module so wrappers (obs::GraphProfiler) can
     /// reinstall it later.
@@ -83,9 +88,6 @@ private:
         std::vector<int> inputs;
         std::vector<int> concat_channels;  // filled during forward for kConcat
     };
-
-    /// Shapes of every node for a given input shape (for macs/out_shape).
-    [[nodiscard]] std::vector<Shape> infer_shapes(const Shape& in) const;
 
     std::vector<Node> nodes_;
     int output_ = 0;

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <initializer_list>
+#include <limits>
+#include <stdexcept>
 
 #include "deploy/fold_bn.hpp"
 #include "nn/activations.hpp"
@@ -180,26 +183,140 @@ void quantize_conv(Op& op, int weight_bits, const FixedPointFormat& fm) {
             static_cast<std::int64_t>(std::llround((*op.bias)[oc] * scale)));
 }
 
+/// Every op but the input reads earlier ops only, a module op has its
+/// module, and the output exists: what shape inference and the execution
+/// decisions index by.
+bool well_formed(const Program& p) {
+    for (std::size_t i = 1; i < p.ops.size(); ++i) {
+        const Op& op = p.ops[i];
+        const bool join = op.kind == OpKind::kConcat || op.kind == OpKind::kAdd;
+        if (op.inputs.empty() || (!join && op.module == nullptr)) return false;
+        for (const int in : op.inputs)
+            if (in < 0 || static_cast<std::size_t>(in) >= i) return false;
+    }
+    return p.output >= 0 && static_cast<std::size_t>(p.output) < p.ops.size();
+}
+
+/// The execution decisions (Op::alias, fused_act, fused_bias), each
+/// bit-identical to executing the graph verbatim.  Identities (folded BN
+/// leaves one behind every conv) are pure plumbing.  A fused ReLU/ReLU6
+/// becomes its producer's requantization clamp: clamp(round_shift(acc))
+/// equals act(saturate(round_shift(acc))) because the activation bounds lie
+/// inside the grid.  kReference keeps every other op so the oracle executes
+/// the graph as written.
+void schedule(Program& p) {
+    std::vector<Op>& ops = p.ops;
+    if (!well_formed(p)) return;  // plan_activations refuses the program
+    for (Op& op : ops)
+        if (op.kind == OpKind::kIdentity) op.alias = p.carrier(op.inputs[0]);
+    if (p.execution == QExecution::kReference || !p.valid_scheme()) return;
+
+    std::vector<int> consumers(ops.size(), 0);
+    for (const Op& op : ops)
+        if (op.executes())
+            for (const int in : op.inputs) ++consumers[static_cast<std::size_t>(p.carrier(in))];
+    ++consumers[static_cast<std::size_t>(p.carrier(p.output))];
+    // The producer `op` folds into: its input past the identities, when that
+    // is an integer op of one of `kinds` with no other consumer.
+    const auto producer = [&](const Op& op, std::initializer_list<OpKind> kinds) {
+        int src = op.inputs[0];
+        if (ops[static_cast<std::size_t>(src)].kind == OpKind::kIdentity)
+            src = ops[static_cast<std::size_t>(src)].alias;
+        const Op& prod = ops[static_cast<std::size_t>(src)];
+        const bool ok = consumers[static_cast<std::size_t>(src)] == 1 &&
+                        prod.verdict == Verdict::kInt &&
+                        std::find(kinds.begin(), kinds.end(), prod.kind) != kinds.end();
+        return ok ? src : -1;
+    };
+    for (std::size_t j = 0; j < ops.size(); ++j) {
+        Op& act = ops[j];
+        if (act.kind != OpKind::kRelu && act.kind != OpKind::kRelu6) continue;
+        const int src = producer(act, {OpKind::kConv, OpKind::kDwConv, OpKind::kBias});
+        if (src < 0) continue;
+        ops[static_cast<std::size_t>(src)].fused_act = static_cast<int>(j);
+        act.alias = src;
+    }
+    // A dwconv's ChannelBias (carrying any fused clamp) folds into the
+    // dwconv: one tensor pass instead of two, composed elementwise.  Only
+    // when the add provably fits int32 next to a grid value.
+    const auto fits = [&p](std::int64_t b) {
+        return b >= std::numeric_limits<std::int32_t>::min() -
+                        static_cast<std::int64_t>(p.spec.grid_lo) &&
+               b <= std::numeric_limits<std::int32_t>::max() -
+                        static_cast<std::int64_t>(p.spec.grid_hi);
+    };
+    for (std::size_t j = 0; j < ops.size(); ++j) {
+        Op& bias = ops[j];
+        if (bias.kind != OpKind::kBias) continue;
+        const int src = producer(bias, {OpKind::kDwConv});
+        if (src < 0 || !std::all_of(bias.qbias.begin(), bias.qbias.end(), fits)) continue;
+        ops[static_cast<std::size_t>(src)].fused_bias = static_cast<int>(j);
+        bias.alias = src;
+    }
+    // A value folded into a bias that folded into a dwconv lives in the
+    // dwconv's buffer.
+    for (Op& op : ops)
+        if (!op.executes()) op.alias = p.carrier(op.alias);
+}
+
 }  // namespace
 
 Program lower(const nn::Graph& g, const QuantConfig& cfg) {
     Program p;
     p.cfg = cfg;
+    p.execution = resolved_execution(cfg);
+    p.graph = &g;
     p.scheme_errors = scheme_violations(cfg);
     p.ops = lower_graph(g, cfg);
     p.output = g.output_node();
-    if (!p.valid_scheme()) return p;
-    p.spec = make_grid_spec(cfg);
-    const double inv_step = 1.0 / p.spec.fm.step();
-    for (Op& op : p.ops) {
-        if (op.verdict != Verdict::kInt) continue;
-        if (op.kind == OpKind::kConv || op.kind == OpKind::kDwConv)
-            quantize_conv(op, cfg.weight_bits, p.spec.fm);
-        else if (op.kind == OpKind::kBias)  // the folded BN shift, on the FM grid
-            for (const float b : op.shift)
-                op.qbias.push_back(static_cast<std::int64_t>(std::llround(b * inv_step)));
+    if (p.valid_scheme()) {
+        p.spec = make_grid_spec(cfg);
+        const double inv_step = 1.0 / p.spec.fm.step();
+        for (Op& op : p.ops) {
+            if (op.verdict != Verdict::kInt) continue;
+            if (op.kind == OpKind::kConv || op.kind == OpKind::kDwConv)
+                quantize_conv(op, cfg.weight_bits, p.spec.fm);
+            else if (op.kind == OpKind::kBias)  // the folded BN shift, on the FM grid
+                for (const float b : op.shift)
+                    op.qbias.push_back(static_cast<std::int64_t>(std::llround(b * inv_step)));
+        }
     }
+    schedule(p);
     return p;
+}
+
+deploy::MemoryPlan plan_activations(const Program& p, const Shape& input) {
+    if (!well_formed(p))
+        throw std::invalid_argument(
+            "plan_activations: malformed edge, node or output (run verify::check_graph)");
+    const std::vector<Shape> shapes = p.graph->infer_shapes(input);
+    const auto refuse = [](std::size_t i, const std::string& why) {
+        throw std::invalid_argument("plan_activations: node " + std::to_string(i) + why);
+    };
+    std::vector<deploy::PlanTensor> tensors(p.ops.size());
+    for (std::size_t i = 0; i < p.ops.size(); ++i) {
+        const Op& op = p.ops[i];
+        const Shape& s = shapes[i];
+        const Shape& x = op.inputs.empty() ? s : shapes[static_cast<std::size_t>(op.inputs[0])];
+        if (s.n <= 0 || s.c <= 0 || s.h <= 0 || s.w <= 0)
+            refuse(i, " has a degenerate shape (run verify::check_graph)");
+        if (op.verdict == Verdict::kInt &&
+            (op.kind == OpKind::kConv || op.kind == OpKind::kDwConv) && x.c != op.in_ch)
+            refuse(i, " (" + op.name + ") expects " + std::to_string(op.in_ch) +
+                          " input channels, got " + x.str());
+        for (const int in : op.inputs) {
+            Shape y = shapes[static_cast<std::size_t>(in)];
+            if (op.kind == OpKind::kConcat) y.c = x.c;  // concat stacks channels
+            if ((op.kind == OpKind::kConcat || op.kind == OpKind::kAdd) && !(y == x))
+                refuse(i, " (" + op.name + ") joins " + x.str() + " and " +
+                              shapes[static_cast<std::size_t>(in)].str() +
+                              " (run verify::check_graph)");
+        }
+        if (!op.executes()) continue;  // no buffer: its carrier holds the value
+        for (const int in : op.inputs) tensors[i].inputs.push_back(p.carrier(in));
+        tensors[i].bytes = s.count() * static_cast<std::int64_t>(sizeof(std::int32_t));
+    }
+    return deploy::plan_tensors(tensors, p.carrier(p.output));
 }
 
 }  // namespace sky::quant

@@ -17,6 +17,14 @@
 // Sequential becomes a kBlock op whose body is lowered recursively; a block
 // always runs as one fp32 island.
 //
+// Lowering also decides, once, which top-level ops execute (Op::alias): an
+// identity never does, and outside QExecution::kReference a ReLU/ReLU6
+// folds into the requantization clamp of its single-consumer conv, dwconv
+// or bias producer, and a dwconv's single-consumer ChannelBias folds into
+// the dwconv.  QEngine runs exactly the executing ops, and
+// plan_activations() sizes exactly their buffers — for the engine and for
+// verify::analyze alike.
+//
 // propagate() is the one forward-dataflow pass the abstract domains run on:
 // the grid ranges (quant/ranges.hpp), the fp32 intervals
 // (quant/intervals.hpp) and the certified error bounds (quant/qerror.hpp)
@@ -29,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "deploy/memory_plan.hpp"
 #include "nn/graph.hpp"
 #include "quant/fixed_point.hpp"
 #include "quant/qconfig.hpp"
@@ -84,13 +93,24 @@ struct Op {
     int block = 2;                    ///< kReorder
 
     /// kBlock: op 0 is the block input.  The whole body runs in fp32, so
-    /// only top-level verdicts and quantized weights mean anything.
+    /// only top-level verdicts, quantized weights and execution decisions
+    /// mean anything.
     std::vector<Op> body;
     int body_output = 0;
+
+    /// -1: the op executes.  Otherwise it is skipped and op `alias` (an
+    /// executing op) holds its value in its own buffer.
+    int alias = -1;
+    int fused_act = -1;   ///< kConv/kDwConv/kBias: the ReLU/ReLU6 op in its clamp
+    int fused_bias = -1;  ///< kDwConv: the ChannelBias op folded into it
+
+    [[nodiscard]] bool executes() const { return alias < 0; }
 };
 
 struct Program {
     QuantConfig cfg;
+    QExecution execution = QExecution::kAuto;  ///< resolved_execution(cfg)
+    const nn::Graph* graph = nullptr;  ///< the lowered graph (shape inference)
     /// Q005: every rule the scheme breaks.  Empty means `spec` is valid and
     /// the integer ops are quantized.
     std::vector<std::string> scheme_errors;
@@ -99,12 +119,25 @@ struct Program {
     int output = 0;
 
     [[nodiscard]] bool valid_scheme() const { return scheme_errors.empty(); }
+    /// The op whose buffer holds op `i`'s value.
+    [[nodiscard]] int carrier(int i) const {
+        const Op& op = ops[static_cast<std::size_t>(i)];
+        return op.executes() ? i : op.alias;
+    }
 };
 
 /// Lower `g` under `cfg`.  Never throws: a degenerate scheme is recorded in
 /// scheme_errors and leaves the ops unquantized; unsupported modules get
 /// their verdict.
 [[nodiscard]] Program lower(const nn::Graph& g, const QuantConfig& cfg);
+
+/// The activation memory plan of `p`'s executing ops for inputs of `input`
+/// shape, in int32 grid words (deploy::plan_tensors over the shapes
+/// nn::Graph::infer_shapes gives).  QEngine runs out of exactly this plan.
+/// Throws std::invalid_argument, before anything runs, on a malformed edge
+/// or output, a degenerate shape, a concat / add of mismatched shapes, or
+/// an integer conv / dwconv whose input channel count is not its in_ch.
+[[nodiscard]] deploy::MemoryPlan plan_activations(const Program& p, const Shape& input);
 
 /// The forward dataflow pass: visits `ops` in order and sets
 /// vals[i] = transfer(ops[i], i, vals), reading inputs from vals[ops[i].inputs];

@@ -16,117 +16,81 @@ namespace sky::quant {
 
 QEngine::QEngine(nn::Graph& graph, const QuantConfig& cfg) : QEngine(lower(graph, cfg)) {}
 
-QEngine::QEngine(Program program)
-    : cfg_(program.cfg), exec_(resolved_execution(program.cfg)) {
+QEngine::QEngine(Program program) : program_(std::move(program)) {
+    const Program& p = program_;
     // The lowering carries the one scheme validation and the per-op
     // verdicts verify::check_qmodel reports (Q005, Q001/Q002): the engine
     // refuses exactly the programs that report one of them as an error.
-    if (!program.valid_scheme())
+    if (!p.valid_scheme())
         throw std::invalid_argument("QEngine: degenerate quantization scheme: " +
-                                    program.scheme_errors.front());
-    for (const Op& op : program.ops)
+                                    p.scheme_errors.front());
+    for (const Op& op : p.ops)
         if (op.verdict == Verdict::kRejected)
             throw std::invalid_argument("QEngine: " + op.reason);
-    const GridSpec& spec = program.spec;
-    fm_fmt_ = spec.fm;
-    grid_lo_ = spec.grid_lo;
-    grid_hi_ = spec.grid_hi;
-    six_ = spec.six;
-    in_lo_ = spec.in_lo;
-    in_hi_ = spec.in_hi;
+    const GridSpec& spec = p.spec;
 
     // ---- Output value ranges on the FM grid and the certified error
     // bounds: the domains verify::analyze runs over the same program, so
     // the analysis and this plan can never disagree.  Sound for every input
-    // inside the declared [input_lo, input_hi].  Both read the lowered
-    // weights before they move into the layers below --------------------
-    const std::vector<GridRange> range = propagate_grid_ranges(program);
-    const ErrorAnalysis ea = certify_error(program, propagate_value_intervals(program), range);
+    // inside the declared [input_lo, input_hi] ------------------------------
+    const std::vector<GridRange> range = propagate_grid_ranges(p);
+    const ErrorAnalysis ea = certify_error(p, propagate_value_intervals(p), range);
 
-    // ---- One integer layer per op.  A conv takes the packed int8 GEMM path
+    // ---- Engine state per op.  A conv takes the packed int8 GEMM path
     // when its inputs provably span <= 256 grid values (u8 after the
     // zero-point offset), its weights fit the native s16 operand, and the
     // int32 accumulation is provably exact for THIS layer's values:
     // K * max|w| * span < 2^31 — the shared prove_qgemm A004 reports.
-    // Weights are prepacked once, here -----------------------------------
-    output_node_ = program.output;
-    layers_.resize(program.ops.size());
+    // Weights are prepacked once, here.  The fusions the lowering decided
+    // tighten a producer's clamp to its fused ReLU/ReLU6's bounds ---------
+    layers_.resize(p.ops.size());
     std::vector<std::string> notes(layers_.size());
     for (std::size_t i = 0; i < layers_.size(); ++i) {
-        Op& op = program.ops[i];
+        const Op& op = p.ops[i];
         QLayer& l = layers_[i];
-        l.inputs = op.inputs;
-        l.clamp_lo = grid_lo_;
-        l.clamp_hi = grid_hi_;
+        const bool fused = op.fused_act >= 0;
+        l.clamp_lo = fused ? 0 : spec.grid_lo;
+        l.clamp_hi = fused && p.ops[static_cast<std::size_t>(op.fused_act)].kind == OpKind::kRelu6
+                         ? spec.six
+                         : spec.grid_hi;
+        for (const int j : {op.fused_act, op.fused_bias})
+            if (j >= 0) notes[static_cast<std::size_t>(j)] = "fused into " + op.name;
         if (op.verdict == Verdict::kFp32) {
-            l.op = QLayer::Op::kFp32;
             l.impl = QImpl::kFp32;
-            l.fallback = op.module;
             continue;
         }
-        switch (op.kind) {
-            case OpKind::kInput: l.op = QLayer::Op::kInput; break;
-            case OpKind::kConcat: l.op = QLayer::Op::kConcat; break;
-            case OpKind::kAdd:
-                l.op = QLayer::Op::kAdd;
-                l.impl = QImpl::kRefInt;
-                break;
-            case OpKind::kMaxPool: l.op = QLayer::Op::kPool; break;
-            case OpKind::kRelu: l.op = QLayer::Op::kRelu; break;
-            case OpKind::kRelu6: l.op = QLayer::Op::kRelu6; break;
-            case OpKind::kIdentity: l.op = QLayer::Op::kIdentity; break;
-            case OpKind::kReorder:
-                l.op = QLayer::Op::kReorder;
-                l.reorder_block = op.block;
-                break;
-            case OpKind::kBias:  // the folded BN shift, on the FM grid
-                l.op = QLayer::Op::kBias;
-                l.impl = QImpl::kRefInt;
-                l.bias = std::move(op.qbias);
-                break;
-            case OpKind::kConv: l.op = QLayer::Op::kConv; break;
-            case OpKind::kDwConv: l.op = QLayer::Op::kDwConv3; break;
-            default:
-                throw std::logic_error("QEngine: no integer layer for " + op.name);
-        }
-        if (l.op != QLayer::Op::kConv && l.op != QLayer::Op::kDwConv3) continue;
-        l.impl = QImpl::kRefInt;
-        l.in_ch = op.in_ch;
-        l.out_ch = op.out_ch;
-        l.k = op.k;
-        l.stride = op.stride;
-        l.pad = op.pad;
-        l.shift = op.wfmt.frac_bits;
-        l.weights = std::move(op.qweights);
-        l.bias = std::move(op.qbias);
-        if (l.op == QLayer::Op::kDwConv3) {
+        const bool conv = op.kind == OpKind::kConv || op.kind == OpKind::kDwConv;
+        if (conv || op.kind == OpKind::kAdd || op.kind == OpKind::kBias) l.impl = QImpl::kRefInt;
+        if (!conv) continue;
+        const int shift = op.wfmt.frac_bits;
+        if (op.kind == OpKind::kDwConv) {
             // The dwconv gets a branch-free int32 fast path whenever the
             // 9-tap accumulation plus the rounding offset provably fits —
             // bit-equal to the int64 reference (exact integer sums).
             const std::int64_t xmax =
-                std::max<std::int64_t>(-static_cast<std::int64_t>(grid_lo_), grid_hi_);
-            l.dw32 = l.shift >= 1 && l.shift <= 30 &&
-                     9 * op.wmax * xmax + (std::int64_t{1} << (l.shift - 1)) <
+                std::max<std::int64_t>(-static_cast<std::int64_t>(spec.grid_lo), spec.grid_hi);
+            l.dw32 = shift >= 1 && shift <= 30 &&
+                     9 * op.wmax * xmax + (std::int64_t{1} << (shift - 1)) <
                          (std::int64_t{1} << 31);
             continue;
         }
-        if (exec_ == QExecution::kReference) continue;
-        const int K = l.in_ch * l.k * l.k;
-        const ConvProof proof = prove_qgemm(K, l.pad, cfg_.weight_bits, op.wmax,
+        if (p.execution == QExecution::kReference) continue;
+        const int K = op.in_ch * op.k * op.k;
+        const ConvProof proof = prove_qgemm(K, op.pad, p.cfg.weight_bits, op.wmax,
                                             range[static_cast<std::size_t>(op.inputs[0])]);
         if (!proof.eligible) {
-            if (exec_ == QExecution::kInt8)
+            if (p.execution == QExecution::kInt8)
                 throw std::invalid_argument("QEngine: strict int8: " + op.name + ": " +
                                             proof.reason);
             notes[i] = proof.reason;
             continue;
         }
-        core::qpack_a_wide(l.out_ch, K, l.weights.data(), l.apack);
+        core::qpack_a_wide(op.out_ch, K, op.qweights.data(), l.apack);
         l.zero_point = proof.zero_point;
-        l.bias_corr.resize(static_cast<std::size_t>(l.out_ch));
-        for (int oc = 0; oc < l.out_ch; ++oc) {
+        l.bias_corr.resize(static_cast<std::size_t>(op.out_ch));
+        for (int oc = 0; oc < op.out_ch; ++oc) {
             const auto uoc = static_cast<std::size_t>(oc);
-            l.bias_corr[uoc] = (l.bias.empty() ? 0 : l.bias[uoc]) +
+            l.bias_corr[uoc] = (op.qbias.empty() ? 0 : op.qbias[uoc]) +
                                static_cast<std::int64_t>(proof.zero_point) *
                                    l.apack.rowsum[uoc];
         }
@@ -134,146 +98,94 @@ QEngine::QEngine(Program program)
         // accumulator plus the rounding offset provably fits int32.
         std::int64_t bmax = 0;
         for (const std::int64_t b : l.bias_corr) bmax = std::max(bmax, std::abs(b));
-        l.rq32 = l.shift >= 1 && l.shift <= 30 &&
-                 proof.acc_bound + bmax + (std::int64_t{1} << (l.shift - 1)) <
+        l.rq32 = shift >= 1 && shift <= 30 &&
+                 proof.acc_bound + bmax + (std::int64_t{1} << (shift - 1)) <
                      (std::int64_t{1} << 31);
         l.impl = QImpl::kQGemm;
         any_qgemm_ = true;
     }
 
-    // ---- Elide Identity nodes (folded BN leaves one behind every conv):
-    // rewire every consumer straight to the identity's source, so identity
-    // layers never execute and activation fusion can see through them.
-    // Pure graph plumbing — bit-identical in every execution mode ---------
-    const auto resolve_identity = [this](int j) {
-        while (layers_[static_cast<std::size_t>(j)].op == QLayer::Op::kIdentity)
-            j = layers_[static_cast<std::size_t>(j)].inputs[0];
-        return j;
-    };
-    for (QLayer& l : layers_)
-        for (int& in : l.inputs) in = resolve_identity(in);
-    output_node_ = resolve_identity(output_node_);
-
-    // ---- Fuse a ReLU/ReLU6 whose only consumer role is post-activating a
-    // conv into that conv's requantization clamp.  Bit-equal to the unfused
-    // program: clamp(round_shift(acc)) == act(saturate(round_shift(acc)))
-    // because the act bounds lie inside the grid.  Skipped in reference
-    // mode so the oracle executes the graph verbatim ----------------------
-    if (exec_ != QExecution::kReference) {
-        std::vector<int> consumers(layers_.size(), 0);
-        for (const QLayer& l : layers_) {
-            if (l.op == QLayer::Op::kIdentity) continue;  // elided, never reads
-            for (int in : l.inputs) ++consumers[static_cast<std::size_t>(in)];
-        }
-        ++consumers[static_cast<std::size_t>(output_node_)];
-        for (std::size_t j = 0; j < layers_.size(); ++j) {
-            QLayer& act = layers_[j];
-            if (act.op != QLayer::Op::kRelu && act.op != QLayer::Op::kRelu6) continue;
-            const auto src = static_cast<std::size_t>(act.inputs[0]);
-            QLayer& prod = layers_[src];
-            if (consumers[src] != 1) continue;
-            if (prod.op != QLayer::Op::kConv && prod.op != QLayer::Op::kDwConv3 &&
-                prod.op != QLayer::Op::kBias)
-                continue;
-            prod.clamp_lo = 0;
-            prod.clamp_hi = act.op == QLayer::Op::kRelu6 ? six_ : grid_hi_;
-            act.op = QLayer::Op::kIdentity;
-            notes[j] = "fused into " + program.ops[src].name;
-        }
-        // Fold a dwconv's trailing single-consumer ChannelBias (which now
-        // carries any fused activation clamp) into the dwconv executor: one
-        // tensor pass instead of two.  Elementwise composition of the two
-        // executors, so bit-identical; only taken when the post-add provably
-        // fits int32 next to a grid value (the fast path's arithmetic).
-        for (std::size_t j = 0; j < layers_.size(); ++j) {
-            QLayer& bias = layers_[j];
-            if (bias.op != QLayer::Op::kBias) continue;
-            const auto src = static_cast<std::size_t>(bias.inputs[0]);
-            QLayer& prod = layers_[src];
-            if (consumers[src] != 1) continue;
-            if (prod.op != QLayer::Op::kDwConv3 || prod.impl == QImpl::kFp32)
-                continue;
-            const bool fits = std::all_of(
-                bias.bias.begin(), bias.bias.end(), [&](std::int64_t b) {
-                    return b >= std::numeric_limits<std::int32_t>::min() -
-                                    static_cast<std::int64_t>(grid_lo_) &&
-                           b <= std::numeric_limits<std::int32_t>::max() -
-                                    static_cast<std::int64_t>(grid_hi_);
-                });
-            if (!fits) continue;
-            prod.post_bias = std::move(bias.bias);
-            prod.post_lo = bias.clamp_lo;
-            prod.post_hi = bias.clamp_hi;
-            bias.op = QLayer::Op::kIdentity;
-            notes[j] = "fused into " + program.ops[src].name;
-        }
-        // Fused activations became identities; rewire their consumers to the
-        // producer so run() can skip every identity without executing it.
-        for (QLayer& l : layers_)
-            for (int& in : l.inputs) in = resolve_identity(in);
-        output_node_ = resolve_identity(output_node_);
-    }
-
     // ---- Compilation report --------------------------------------------
-    report_.config = cfg_;
-    report_.execution = exec_;
-    report_.fm_format = fm_fmt_;
+    report_.config = p.cfg;
+    report_.execution = p.execution;
+    report_.fm_format = spec.fm;
     report_.weight_bytes = weight_bytes();
     report_.layers.reserve(layers_.size());
     for (std::size_t i = 0; i < layers_.size(); ++i) {
-        const QLayer& l = layers_[i];
+        const Op& op = p.ops[i];
         QLayerReport lr;
         lr.node = static_cast<int>(i);
-        lr.name = program.ops[i].name;
-        lr.impl = l.impl;
+        lr.name = op.name;
+        lr.impl = layers_[i].impl;
         lr.note = notes[i];
-        if (!l.weights.empty()) {
-            const GridRange& in = range[static_cast<std::size_t>(program.ops[i].inputs[0])];
-            lr.weight_format = program.ops[i].wfmt;
+        if (!op.qweights.empty()) {
+            const GridRange& in = range[static_cast<std::size_t>(op.inputs[0])];
+            lr.weight_format = op.wfmt;
             lr.has_weights = true;
             lr.in_lo = in.lo;
             lr.in_hi = in.hi;
         }
-        if (l.op == QLayer::Op::kConv || l.op == QLayer::Op::kDwConv3) {
-            if (l.impl == QImpl::kQGemm)
+        if (op.verdict == Verdict::kInt &&
+            (op.kind == OpKind::kConv || op.kind == OpKind::kDwConv)) {
+            if (lr.impl == QImpl::kQGemm)
                 ++report_.qgemm_layers;
             else
                 ++report_.ref_layers;
         }
-        if (l.impl == QImpl::kFp32) ++report_.fp32_layers;
+        if (lr.impl == QImpl::kFp32) ++report_.fp32_layers;
+        // Certified |int8 - fp32| bounds (quant/qerror.hpp), computed above.
+        lr.error_bound = ea.nodes[i].out.bound;
+        lr.error_known = ea.nodes[i].out.known;
         report_.layers.push_back(std::move(lr));
-    }
-
-    // Certified |int8 - fp32| bounds (quant/qerror.hpp), computed above.
-    for (QLayerReport& lr : report_.layers) {
-        const NodeError& ne = ea.nodes[static_cast<std::size_t>(lr.node)];
-        lr.error_bound = ne.out.bound;
-        lr.error_known = ne.out.known;
     }
     report_.certified_error_bound = ea.output_bound;
     report_.error_bound_known = ea.output_known;
     report_.dominant_errors = ea.dominant(3);
     report_.error_budget_exceeded =
-        cfg_.error_budget > 0.0f &&
+        p.cfg.error_budget > 0.0f &&
         (!ea.output_known ||
-         ea.output_bound > static_cast<double>(cfg_.error_budget));
+         ea.output_bound > static_cast<double>(p.cfg.error_budget));
 }
 
-void QEngine::execute(const QLayer& l, QTensor& y) {
-    const int fm_bits = fm_fmt_.total_bits;
-    switch (l.op) {
-        case QLayer::Op::kInput:
-            throw std::logic_error("QEngine: input node executed");
-        case QLayer::Op::kIdentity:
-            // Identities are elided at compile time; nothing executes them.
-            throw std::logic_error("QEngine: identity node executed");
-        case QLayer::Op::kRelu:
-        case QLayer::Op::kRelu6: {
-            const QTensor& x = outputs_[static_cast<std::size_t>(l.inputs[0])];
+void QEngine::execute(std::size_t i, bool allow_qgemm) {
+    const Op& op = program_.ops[i];
+    const QLayer& l = layers_[i];
+    QTensor& y = outputs_[i];
+    // An input is read from the buffer of the op that carries its value.
+    const auto input = [this, &op](std::size_t k) -> const QTensor& {
+        return outputs_[static_cast<std::size_t>(program_.carrier(op.inputs[k]))];
+    };
+    const QTensor& x = input(0);
+    const GridSpec& spec = program_.spec;
+    const int fm_bits = spec.fm.total_bits;
+    if (op.verdict == Verdict::kFp32) {
+        // Dequantize -> float module -> requantize onto the FM grid, so
+        // downstream integer layers see grid values as usual.
+        Tensor xf(x.shape);
+        const float step = static_cast<float>(spec.fm.step());
+        for (std::size_t k = 0; k < x.data.size(); ++k)
+            xf[static_cast<std::int64_t>(k)] = static_cast<float>(x.data[k]) * step;
+        const Tensor yf = op.module->forward(xf);
+        y.shape = yf.shape();
+        y.data.resize(static_cast<std::size_t>(yf.size()));
+        const double inv_step = 1.0 / spec.fm.step();
+        for (std::int64_t k = 0; k < yf.size(); ++k)
+            y.data[static_cast<std::size_t>(k)] = saturate(
+                static_cast<std::int64_t>(std::llround(yf[k] * inv_step)), fm_bits);
+        return;
+    }
+    switch (op.kind) {
+        case OpKind::kConv:
+            execute_conv(op, l, x, y, allow_qgemm);
+            return;
+        case OpKind::kDwConv:
+            execute_dwconv(op, l, x, y);
+            return;
+        case OpKind::kRelu:
+        case OpKind::kRelu6: {
             y.shape = x.shape;
             y.data.resize(x.data.size());
-            const std::int32_t hi =
-                l.op == QLayer::Op::kRelu6 ? six_ : grid_hi_;
+            const std::int32_t hi = op.kind == OpKind::kRelu6 ? spec.six : spec.grid_hi;
             const std::int32_t* src = x.data.data();
             std::int32_t* dst = y.data.data();
             core::parallel_for(0, static_cast<std::int64_t>(x.data.size()), 4096,
@@ -283,8 +195,7 @@ void QEngine::execute(const QLayer& l, QTensor& y) {
                                });
             return;
         }
-        case QLayer::Op::kPool: {
-            const QTensor& x = outputs_[static_cast<std::size_t>(l.inputs[0])];
+        case OpKind::kMaxPool: {
             y.shape = {x.shape.n, x.shape.c, x.shape.h / 2, x.shape.w / 2};
             y.data.resize(static_cast<std::size_t>(y.shape.count()));
             const int W = x.shape.w, OH = y.shape.h, OW = y.shape.w;
@@ -310,9 +221,8 @@ void QEngine::execute(const QLayer& l, QTensor& y) {
                 });
             return;
         }
-        case QLayer::Op::kReorder: {
-            const QTensor& x = outputs_[static_cast<std::size_t>(l.inputs[0])];
-            const int b = l.reorder_block;
+        case OpKind::kReorder: {
+            const int b = op.block;
             y.shape = {x.shape.n, x.shape.c * b * b, x.shape.h / b, x.shape.w / b};
             y.data.resize(static_cast<std::size_t>(y.shape.count()));
             const int OH = y.shape.h, OW = y.shape.w, W = x.shape.w;
@@ -342,19 +252,17 @@ void QEngine::execute(const QLayer& l, QTensor& y) {
                 });
             return;
         }
-        case QLayer::Op::kConcat: {
-            const QTensor& first = outputs_[static_cast<std::size_t>(l.inputs[0])];
-            y.shape = first.shape;
+        case OpKind::kConcat: {
+            y.shape = x.shape;
             y.shape.c = 0;
-            for (int in : l.inputs) y.shape.c += outputs_[static_cast<std::size_t>(in)].shape.c;
+            for (std::size_t k = 0; k < op.inputs.size(); ++k) y.shape.c += input(k).shape.c;
             y.data.resize(static_cast<std::size_t>(y.shape.count()));
-            const std::int64_t plane =
-                static_cast<std::int64_t>(first.shape.h) * first.shape.w;
+            const std::int64_t plane = static_cast<std::int64_t>(x.shape.h) * x.shape.w;
             for (int n = 0; n < y.shape.n; ++n) {
                 std::int64_t off =
                     static_cast<std::int64_t>(n) * y.shape.c * plane;
-                for (int in : l.inputs) {
-                    const QTensor& part = outputs_[static_cast<std::size_t>(in)];
+                for (std::size_t k = 0; k < op.inputs.size(); ++k) {
+                    const QTensor& part = input(k);
                     const std::int64_t bytes =
                         static_cast<std::int64_t>(part.shape.c) * plane;
                     std::copy_n(part.data.begin() +
@@ -365,9 +273,9 @@ void QEngine::execute(const QLayer& l, QTensor& y) {
             }
             return;
         }
-        case QLayer::Op::kAdd: {
-            const QTensor& a = outputs_[static_cast<std::size_t>(l.inputs[0])];
-            const QTensor& b = outputs_[static_cast<std::size_t>(l.inputs[1])];
+        case OpKind::kAdd: {
+            const QTensor& a = x;
+            const QTensor& b = input(1);
             y.shape = a.shape;
             y.data.resize(a.data.size());
             const std::int32_t* ad = a.data.data();
@@ -382,21 +290,20 @@ void QEngine::execute(const QLayer& l, QTensor& y) {
                                });
             return;
         }
-        case QLayer::Op::kBias: {
+        case OpKind::kBias: {
             // Per-channel add with the layer's requantization clamp — the
             // grid bounds when unfused (== the old saturate), or [0, six]
             // when a downstream ReLU/ReLU6 was folded in.
-            const QTensor& x = outputs_[static_cast<std::size_t>(l.inputs[0])];
             y.shape = x.shape;
             y.data.resize(x.data.size());
             const std::int64_t plane =
                 static_cast<std::int64_t>(x.shape.h) * x.shape.w;
             const int C = x.shape.c;
             const std::int32_t lo = l.clamp_lo, hi = l.clamp_hi;
-            const std::int32_t glo = grid_lo_, ghi = grid_hi_;
+            const std::int32_t glo = spec.grid_lo, ghi = spec.grid_hi;
             const std::int32_t* xd = x.data.data();
             std::int32_t* yd = y.data.data();
-            const std::int64_t* bias = l.bias.data();
+            const std::int64_t* bias = op.qbias.data();
             core::parallel_for(
                 0, static_cast<std::int64_t>(x.shape.n) * C, 1,
                 [=](std::int64_t p0, std::int64_t p1) {
@@ -424,40 +331,32 @@ void QEngine::execute(const QLayer& l, QTensor& y) {
                 });
             return;
         }
-        case QLayer::Op::kFp32: {
-            // Dequantize -> float module -> requantize onto the FM grid, so
-            // downstream integer layers see grid values as usual.
-            const QTensor& x = outputs_[static_cast<std::size_t>(l.inputs[0])];
-            Tensor xf(x.shape);
-            const float step = static_cast<float>(fm_fmt_.step());
-            for (std::size_t i = 0; i < x.data.size(); ++i)
-                xf[static_cast<std::int64_t>(i)] =
-                    static_cast<float>(x.data[i]) * step;
-            const Tensor yf = l.fallback->forward(xf);
-            y.shape = yf.shape();
-            y.data.resize(static_cast<std::size_t>(yf.size()));
-            const double inv_step = 1.0 / fm_fmt_.step();
-            for (std::int64_t i = 0; i < yf.size(); ++i)
-                y.data[static_cast<std::size_t>(i)] = saturate(
-                    static_cast<std::int64_t>(std::llround(yf[i] * inv_step)), fm_bits);
-            return;
-        }
-        case QLayer::Op::kDwConv3:
-        case QLayer::Op::kConv:
-            throw std::logic_error("QEngine: conv ops are handled in run()");
+        default:
+            // Inputs are quantized by run(), identities and fused ops never
+            // execute, and every other kind runs only as an fp32 island.
+            throw std::logic_error("QEngine: no integer executor for " + op.name);
     }
-    throw std::logic_error("QEngine: unreachable");
 }
 
-void QEngine::execute_dwconv(const QLayer& l, const QTensor& x, QTensor& y) const {
+void QEngine::execute_dwconv(const Op& op, const QLayer& l, const QTensor& x,
+                             QTensor& y) const {
     y.shape = x.shape;
     y.data.resize(static_cast<std::size_t>(y.shape.count()));
     const int H = x.shape.h, W = x.shape.w, C = x.shape.c;
-    const int shift = l.shift;
+    const int shift = op.wfmt.frac_bits;
     const std::int32_t clamp_lo = l.clamp_lo, clamp_hi = l.clamp_hi;
     const std::int32_t* xd = x.data.data();
-    const std::int32_t* wd = l.weights.data();
+    const std::int32_t* wd = op.qweights.data();
     std::int32_t* yd = y.data.data();
+    // A folded ChannelBias adds after the clamp, then applies its own clamp.
+    const std::int64_t* pbias = nullptr;
+    std::int32_t plo = 0, phi = 0;
+    if (op.fused_bias >= 0) {
+        const auto j = static_cast<std::size_t>(op.fused_bias);
+        pbias = program_.ops[j].qbias.data();
+        plo = layers_[j].clamp_lo;
+        phi = layers_[j].clamp_hi;
+    }
     // One (n, c) plane per iteration in both paths: writes are disjoint,
     // accumulation is exact integer — bitwise thread-count invariant.
     if (l.dw32) {
@@ -466,9 +365,6 @@ void QEngine::execute_dwconv(const QLayer& l, const QTensor& x, QTensor& y) cons
         // phantom taps contribute w * 0, exactly like skipping them — and
         // the rounding matches round_shift tie-away-from-zero bit for bit.
         const std::int32_t half = std::int32_t{1} << (shift - 1);
-        const std::int64_t* pbias =
-            l.post_bias.empty() ? nullptr : l.post_bias.data();
-        const std::int32_t plo = l.post_lo, phi = l.post_hi;
         core::parallel_for(
             0, static_cast<std::int64_t>(x.shape.n) * C, 1,
             [=](std::int64_t i0, std::int64_t i1) {
@@ -517,8 +413,6 @@ void QEngine::execute_dwconv(const QLayer& l, const QTensor& x, QTensor& y) cons
             });
         return;
     }
-    const std::int64_t* pbias = l.post_bias.empty() ? nullptr : l.post_bias.data();
-    const std::int32_t plo = l.post_lo, phi = l.post_hi;
     core::parallel_for(
         0, static_cast<std::int64_t>(x.shape.n) * C, 1,
         [=](std::int64_t i0, std::int64_t i1) {
@@ -552,22 +446,24 @@ void QEngine::execute_dwconv(const QLayer& l, const QTensor& x, QTensor& y) cons
         });
 }
 
-void QEngine::execute_conv(const QLayer& l, const QTensor& x, QTensor& y,
+void QEngine::execute_conv(const Op& op, const QLayer& l, const QTensor& x, QTensor& y,
                            bool allow_qgemm) {
     const int H = x.shape.h, W = x.shape.w;
-    const int OH = (H + 2 * l.pad - l.k) / l.stride + 1;
-    const int OW = (W + 2 * l.pad - l.k) / l.stride + 1;
-    y.shape = {x.shape.n, l.out_ch, OH, OW};
+    const int in_ch = op.in_ch, out_ch = op.out_ch, k = op.k, stride = op.stride,
+              pad = op.pad;
+    const int OH = (H + 2 * pad - k) / stride + 1;
+    const int OW = (W + 2 * pad - k) / stride + 1;
+    y.shape = {x.shape.n, out_ch, OH, OW};
     y.data.resize(static_cast<std::size_t>(y.shape.count()));
-    const int shift = l.shift;
+    const int shift = op.wfmt.frac_bits;
     const std::int32_t clamp_lo = l.clamp_lo, clamp_hi = l.clamp_hi;
     if (l.impl == QImpl::kQGemm && allow_qgemm) {
-        const int M = l.out_ch;
+        const int M = out_ch;
         const std::int64_t N = static_cast<std::int64_t>(OH) * OW;
         for (int n = 0; n < x.shape.n; ++n) {
             const std::int32_t* img =
-                x.data.data() + static_cast<std::int64_t>(n) * l.in_ch * H * W;
-            core::qim2col_packed(img, l.in_ch, H, W, l.k, l.stride, l.pad, OH, OW,
+                x.data.data() + static_cast<std::int64_t>(n) * in_ch * H * W;
+            core::qim2col_packed(img, in_ch, H, W, k, stride, pad, OH, OW,
                                  l.zero_point, bpanel_);
             acc_.assign(static_cast<std::size_t>(M * N), 0);
             core::qgemm_packed(l.apack, bpanel_, acc_.data());
@@ -619,11 +515,9 @@ void QEngine::execute_conv(const QLayer& l, const QTensor& x, QTensor& y,
     // Reference path: direct integer convolution, one (n, oc) output plane
     // per iteration.  Bit-true for any input (no range assumptions).
     const std::int32_t* xd = x.data.data();
-    const std::int32_t* wd = l.weights.data();
-    const std::int64_t* bd = l.bias.empty() ? nullptr : l.bias.data();
+    const std::int32_t* wd = op.qweights.data();
+    const std::int64_t* bd = op.qbias.empty() ? nullptr : op.qbias.data();
     std::int32_t* yd = y.data.data();
-    const int in_ch = l.in_ch, out_ch = l.out_ch, k = l.k, stride = l.stride,
-              pad = l.pad;
     const int xc = x.shape.c;
     core::parallel_for(
         0, static_cast<std::int64_t>(x.shape.n) * out_ch, 1,
@@ -662,65 +556,9 @@ void QEngine::execute_conv(const QLayer& l, const QTensor& x, QTensor& y,
         });
 }
 
-std::vector<Shape> QEngine::layer_shapes(const Shape& input) const {
-    std::vector<Shape> s(layers_.size());
-    for (std::size_t i = 0; i < layers_.size(); ++i) {
-        const QLayer& l = layers_[i];
-        const Shape in =
-            l.inputs.empty() ? input : s[static_cast<std::size_t>(l.inputs[0])];
-        switch (l.op) {
-            case QLayer::Op::kInput:
-                s[i] = input;
-                break;
-            case QLayer::Op::kConv:
-                s[i] = {in.n, l.out_ch, (in.h + 2 * l.pad - l.k) / l.stride + 1,
-                        (in.w + 2 * l.pad - l.k) / l.stride + 1};
-                break;
-            case QLayer::Op::kPool:
-                s[i] = {in.n, in.c, in.h / 2, in.w / 2};
-                break;
-            case QLayer::Op::kReorder: {
-                const int b = l.reorder_block;
-                s[i] = {in.n, in.c * b * b, in.h / b, in.w / b};
-                break;
-            }
-            case QLayer::Op::kConcat: {
-                Shape c = in;
-                c.c = 0;
-                for (const int j : l.inputs)
-                    c.c += s[static_cast<std::size_t>(j)].c;
-                s[i] = c;
-                break;
-            }
-            case QLayer::Op::kFp32:
-                s[i] = l.fallback->out_shape(in);
-                break;
-            case QLayer::Op::kDwConv3:
-            case QLayer::Op::kRelu:
-            case QLayer::Op::kRelu6:
-            case QLayer::Op::kBias:
-            case QLayer::Op::kIdentity:
-            case QLayer::Op::kAdd:
-                s[i] = in;
-                break;
-        }
-    }
-    return s;
-}
-
 void QEngine::ensure_plan(const Shape& input) {
     if (has_plan_ && plan_shape_ == input) return;
-    const std::vector<Shape> shapes = layer_shapes(input);
-    std::vector<deploy::PlanTensor> program(layers_.size());
-    for (std::size_t i = 0; i < layers_.size(); ++i) {
-        const QLayer& l = layers_[i];
-        // Elided identities allocate nothing and consume nothing (their
-        // consumers were rewired straight to the producer).
-        if (l.op == QLayer::Op::kIdentity) continue;
-        program[i].inputs = l.inputs;
-        program[i].bytes = shapes[i].count() * static_cast<std::int64_t>(sizeof(std::int32_t));
-    }
-    plan_ = deploy::plan_tensors(program, output_node_);
+    plan_ = quant::plan_activations(program_, input);
     releases_.assign(layers_.size() + 1, {});
     for (std::size_t i = 0; i < layers_.size(); ++i) {
         const deploy::TensorPlan& t = plan_.tensors[i];
@@ -786,8 +624,8 @@ Tensor QEngine::run(const Tensor& input) {
     QTensor& in = outputs_[0];
     in.shape = input.shape();
     in.data.resize(static_cast<std::size_t>(input.size()));
-    const double inv_step = 1.0 / fm_fmt_.step();
-    const int fm_bits = fm_fmt_.total_bits;
+    const double inv_step = 1.0 / program_.spec.fm.step();
+    const int fm_bits = program_.spec.fm.total_bits;
     {
         const float* src = input.data();
         std::int32_t* dst = in.data.data();
@@ -806,13 +644,14 @@ Tensor QEngine::run(const Tensor& input) {
     // violated — the answer stays bit-true either way.
     bool allow_qgemm = any_qgemm_;
     if (any_qgemm_) {
-        std::int32_t mn = in_hi_, mx = in_lo_;
+        const GridSpec& spec = program_.spec;
+        std::int32_t mn = spec.in_hi, mx = spec.in_lo;
         for (const std::int32_t v : in.data) {
             mn = std::min(mn, v);
             mx = std::max(mx, v);
         }
-        if (mn < in_lo_ || mx > in_hi_) {
-            if (exec_ == QExecution::kInt8)
+        if (mn < spec.in_lo || mx > spec.in_hi) {
+            if (program_.execution == QExecution::kInt8)
                 throw std::invalid_argument(
                     "QEngine: strict int8: input outside the declared "
                     "[input_lo, input_hi] range (widen QuantConfig::with_input_range)");
@@ -822,27 +661,17 @@ Tensor QEngine::run(const Tensor& input) {
     release_after(0);
 
     for (std::size_t i = 1; i < layers_.size(); ++i) {
-        const QLayer& l = layers_[i];
-        // Identities were elided at compile time (consumers rewired past
-        // them) — nothing reads their slot, so skip the copy entirely.
-        if (l.op == QLayer::Op::kIdentity) continue;
+        // A skipped op has no buffer: its carrier's holds the value.
+        if (!program_.ops[i].executes()) continue;
         const std::size_t cap = claim(i);
-        if (l.op == QLayer::Op::kConv) {
-            execute_conv(l, outputs_[static_cast<std::size_t>(l.inputs[0])],
-                         outputs_[i], allow_qgemm);
-        } else if (l.op == QLayer::Op::kDwConv3) {
-            execute_dwconv(l, outputs_[static_cast<std::size_t>(l.inputs[0])],
-                           outputs_[i]);
-        } else {
-            execute(l, outputs_[i]);
-        }
+        execute(i, allow_qgemm);
         defined(i, cap);
         release_after(i);
     }
 
-    const QTensor& out = outputs_[static_cast<std::size_t>(output_node_)];
+    const QTensor& out = outputs_[static_cast<std::size_t>(program_.carrier(program_.output))];
     Tensor result(out.shape);
-    const float step = static_cast<float>(fm_fmt_.step());
+    const float step = static_cast<float>(program_.spec.fm.step());
     {
         const std::int32_t* src = out.data.data();
         float* dst = result.data();
@@ -859,8 +688,8 @@ Tensor QEngine::run(const Tensor& input) {
 
 std::int64_t QEngine::weight_bytes() const {
     std::int64_t bits = 0;
-    for (const QLayer& l : layers_)
-        bits += static_cast<std::int64_t>(l.weights.size()) * cfg_.weight_bits;
+    for (const Op& op : program_.ops)
+        bits += static_cast<std::int64_t>(op.qweights.size()) * program_.cfg.weight_bits;
     return bits / 8;
 }
 

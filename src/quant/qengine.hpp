@@ -20,9 +20,10 @@
 // SAME integers (the int8 path is an exact refactoring of the reference
 // accumulation, pinned by tests/test_qgemm.cpp), and a run whose input
 // leaves the declared range falls back to the reference path wholesale, so
-// run() is bit-true for every input.  ReLU/ReLU6 nodes that directly follow
-// a convolution fuse into its requantization clamp (provably equal to
-// clamp-after-saturate on the grid).
+// run() is bit-true for every input.  run() executes the ops the lowering
+// marks as executing: ReLU/ReLU6 nodes that directly follow a convolution
+// fuse into its requantization clamp (provably equal to
+// clamp-after-saturate on the grid), identities are never executed.
 //
 // Determinism: integer arithmetic end to end — results are bitwise
 // invariant to thread count, SIMD level, and batch composition, which is
@@ -53,30 +54,34 @@ public:
     /// lowering rejects (Q001, or Q002 with cfg.fp32_fallback off) — exactly
     /// the errors verify::check_qmodel reports — or, under QExecution::kInt8,
     /// if any conv cannot run on the packed int8 path.  The graph is
-    /// retained for fp32-fallback layers and must outlive the engine.
+    /// retained for fp32-fallback layers and shape inference and must
+    /// outlive the engine.
     QEngine(nn::Graph& graph, const QuantConfig& cfg);
     /// Compile an already-lowered program (quant::lower of a graph the
-    /// caller holds mutably); its integer weights move into the layers.
+    /// caller holds mutably).  The engine keeps the program and runs its
+    /// executing ops on the program's own integer weights.
     explicit QEngine(Program program);
 
     /// Quantise `input` to the FM grid, run the integer pass, return the
     /// output dequantised to float (every value lies on the FM grid).
     [[nodiscard]] Tensor run(const Tensor& input);
 
-    [[nodiscard]] const FixedPointFormat& fm_format() const { return fm_fmt_; }
-    [[nodiscard]] const QuantConfig& config() const { return cfg_; }
+    [[nodiscard]] const FixedPointFormat& fm_format() const { return program_.spec.fm; }
+    [[nodiscard]] const QuantConfig& config() const { return program_.cfg; }
     /// Resolved execution mode (SKYNET_QENGINE env applied).
-    [[nodiscard]] QExecution execution() const { return exec_; }
+    [[nodiscard]] QExecution execution() const { return program_.execution; }
     /// Per-layer compilation plan — what Detector::quantize returns.
     [[nodiscard]] const QuantReport& report() const { return report_; }
     /// Total integer-weight bytes (the deployed model size).
     [[nodiscard]] std::int64_t weight_bytes() const;
 
-    /// Static activation memory plan (deploy::plan_tensors over the compiled
-    /// layer program) for inputs of `input` shape.  Computed lazily and
-    /// cached — run() replans only when the input shape changes — and
-    /// mirrored into report().activation_plan.  run() executes out of
-    /// exactly this plan's arena slots.
+    /// Static activation memory plan (quant::plan_activations over the
+    /// program — the plan verify::analyze reports) for inputs of `input`
+    /// shape.  Computed lazily and cached — run() replans only when the
+    /// input shape changes — and mirrored into report().activation_plan.
+    /// run() executes out of exactly this plan's arena slots; an input the
+    /// program cannot run (wrong channel count, a map that collapses)
+    /// throws std::invalid_argument here, before any kernel runs.
     const deploy::MemoryPlan& plan_activations(const Shape& input);
     /// Arena slot buffers that had to grow (capacity allocations) across all
     /// run() calls so far.  Zero growth between runs at a fixed input shape
@@ -91,30 +96,10 @@ public:
     }
 
 private:
+    /// Engine state of one program op; its parameters and integer weights
+    /// stay in the op.
     struct QLayer {
-        enum class Op {
-            kInput,
-            kConv,     // generic kxk (covers PW as k=1)
-            kDwConv3,
-            kPool,
-            kRelu,
-            kRelu6,
-            kReorder,
-            kBias,     // ChannelBias from depthwise folding
-            kIdentity,
-            kConcat,
-            kAdd,
-            kFp32,     // dequantize -> float module -> requantize fallback
-        };
-        Op op = Op::kIdentity;
         QImpl impl = QImpl::kMemory;
-        std::vector<int> inputs;
-        // Conv parameters.
-        int in_ch = 0, out_ch = 0, k = 0, stride = 1, pad = 0;
-        std::vector<std::int32_t> weights;  // full-precision integer weights
-        std::vector<std::int64_t> bias;     // in accumulator scale (fm+w frac)
-        int reorder_block = 2;
-        int shift = 0;  // requantization shift (= weight frac bits)
         // Requantization clamp: [grid_lo, grid_hi] by default, tightened by a
         // fused ReLU/ReLU6 (equal to activation-after-saturate on the grid).
         std::int32_t clamp_lo = 0, clamp_hi = 0;
@@ -124,34 +109,22 @@ private:
         std::int32_t zero_point = 0;          // u8 operand stores x - zero_point
         bool dw32 = false;  // dwconv can accumulate in int32 (vector fast path)
         bool rq32 = false;  // biased accumulator + rounding offset fit int32
-        // A trailing single-consumer ChannelBias folded into this conv's
-        // executor (carries the bias node's clamp, itself possibly fused).
-        std::vector<std::int64_t> post_bias;
-        std::int32_t post_lo = 0, post_hi = 0;
-        nn::Module* fallback = nullptr;       // op == kFp32
     };
 
-    /// Execute a non-conv layer into `y` (one of the arena-backed outputs_
-    /// entries); inputs are read from outputs_.
-    void execute(const QLayer& l, QTensor& y);
-    void execute_conv(const QLayer& l, const QTensor& x, QTensor& y, bool allow_qgemm);
-    void execute_dwconv(const QLayer& l, const QTensor& x, QTensor& y) const;
+    /// Run op `i` (an executing op) into its arena-backed outputs_ entry;
+    /// inputs are read from their carriers' entries.
+    void execute(std::size_t i, bool allow_qgemm);
+    void execute_conv(const Op& op, const QLayer& l, const QTensor& x, QTensor& y,
+                      bool allow_qgemm);
+    void execute_dwconv(const Op& op, const QLayer& l, const QTensor& x, QTensor& y) const;
 
-    /// Statically inferred output shape of every layer for `input`.
-    [[nodiscard]] std::vector<Shape> layer_shapes(const Shape& input) const;
     /// (Re)compute the liveness plan + release schedule when the input
     /// shape changed since the last run.
     void ensure_plan(const Shape& input);
 
-    QuantConfig cfg_;
-    QExecution exec_ = QExecution::kAuto;  // resolved (env applied)
-    FixedPointFormat fm_fmt_;
-    std::int32_t grid_lo_ = 0, grid_hi_ = 0;  // FM grid bounds
-    std::int32_t six_ = 0;                    // ReLU6 clip on the grid
-    std::int32_t in_lo_ = 0, in_hi_ = 0;      // declared input range on the grid
+    Program program_;  // the ops run() executes, with their integer weights
     bool any_qgemm_ = false;
-    std::vector<QLayer> layers_;
-    int output_node_ = 0;
+    std::vector<QLayer> layers_;  // one per op
     QuantReport report_;
     // Per-run scratch, reused across layers and batch items.
     core::QPackedB bpanel_;

@@ -1,7 +1,6 @@
 #include "skynet/check_model.hpp"
 
 #include <string>
-#include <vector>
 
 namespace sky::verify {
 
@@ -22,49 +21,14 @@ Report check_model(const SkyNetModel& model, const Shape& input) {
     }
     // Cheap metadata cross-check: the tap's channel count (as the graph
     // infers it) must match what the trackers will size their embeddings by.
+    // check_graph was clean, so shape inference is safe.
     if (rep.ok()) {
-        try {
-            // Re-infer just the tap shape through the public walk: out_shape
-            // of a truncated view is not available, so lean on enumerate()'s
-            // invariant instead — the tap is a module node whose out_shape we
-            // can query directly from its producer chain.  check_graph already
-            // validated every edge, so Graph::out_shape-style inference is
-            // safe here via a temporary output swap-free approach: walk again.
-            std::vector<Shape> shapes(static_cast<std::size_t>(count));
-            shapes[0] = input;
-            for (int i = 1; i <= tap; ++i) {
-                const std::size_t idx = static_cast<std::size_t>(i);
-                const auto& ins = model.net->node_inputs(idx);
-                switch (model.net->node_kind(idx)) {
-                    case nn::Graph::NodeKind::kInput:
-                        break;
-                    case nn::Graph::NodeKind::kModule:
-                        shapes[idx] = model.net->node_module(idx)->out_shape(
-                            shapes[static_cast<std::size_t>(ins[0])]);
-                        break;
-                    case nn::Graph::NodeKind::kConcat: {
-                        Shape s = shapes[static_cast<std::size_t>(ins[0])];
-                        s.c = 0;
-                        for (const int in : ins) s.c += shapes[static_cast<std::size_t>(in)].c;
-                        shapes[idx] = s;
-                        break;
-                    }
-                    case nn::Graph::NodeKind::kAdd:
-                        shapes[idx] = shapes[static_cast<std::size_t>(ins[0])];
-                        break;
-                }
-            }
-            const int got = shapes[static_cast<std::size_t>(tap)].c;
-            if (model.feature_channels() != got)
-                rep.warn("M002", tap,
-                         "feature tap metadata says " +
-                             std::to_string(model.feature_channels()) +
-                             " channels but the graph emits " + std::to_string(got),
-                         "keep the feature_channels() metadata in sync with the tap node");
-        } catch (const std::exception&) {
-            // check_graph was clean, so this should be unreachable; stay silent
-            // rather than double-report.
-        }
+        const int got = model.net->infer_shapes(input)[static_cast<std::size_t>(tap)].c;
+        if (model.feature_channels() != got)
+            rep.warn("M002", tap,
+                     "feature tap metadata says " + std::to_string(model.feature_channels()) +
+                         " channels but the graph emits " + std::to_string(got),
+                     "keep the feature_channels() metadata in sync with the tap node");
     }
     return rep;
 }

@@ -139,10 +139,11 @@ Analysis analyze(const nn::Graph& g, const Shape& input, const AnalyzeOptions& o
     a.value_ranges = std::move(vals.values);
 
     try {
-        a.plan = deploy::plan_activations(g, input);
+        a.plan = quant::plan_activations(p, input);  // the plan QEngine runs
         a.has_plan = true;
     } catch (const std::invalid_argument&) {
-        // Shape inference failed — check_graph carries the diagnostics.
+        // The planner refused the graph at this input — check_graph carries
+        // the diagnostics.
     }
     return a;
 }

@@ -25,9 +25,10 @@
 //     crosses the budget), E002 (the bound became unbounded — tracking
 //     lost), E003 (dominant-error layers, top-k contributors) and E004
 //     (budget-infeasible bit-width: minimum fractional bits needed).
-//   * tensor liveness — deploy::plan_activations' static activation memory
-//     plan (exact peak bytes + arena slots), the numbers QEngine's arena
-//     executor and serve's capacity gauge run on.
+//   * tensor liveness — quant::plan_activations over the same program: the
+//     static activation memory plan (exact peak bytes + arena slots) of the
+//     ops QEngine executes under the scheme's execution mode — the plan its
+//     arena executor runs and serve's capacity gauge reads.
 //
 // Diagnostic catalog (full table in docs/STATIC_ANALYSIS.md):
 //   A001 warn   value interval exceeds FLT_MAX: Inf/NaN statically reachable
@@ -78,8 +79,9 @@ struct Analysis {
 
 /// Abstractly interpret `g` for inputs of shape `input` (batch and spatial
 /// dims only matter to the memory plan).  Never throws on analyzable
-/// graphs; a graph malformed enough to break shape inference simply loses
-/// its memory plan (run check_graph first for the structural diagnostics).
+/// graphs; a graph the planner refuses (malformed, or a shape the integer
+/// engine cannot run) simply loses its memory plan (run check_graph first
+/// for the structural diagnostics).
 [[nodiscard]] Analysis analyze(const nn::Graph& g, const Shape& input,
                                const AnalyzeOptions& opts = {});
 

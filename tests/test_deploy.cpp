@@ -5,8 +5,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
+#include <vector>
 
 #include "deploy/fold_bn.hpp"
+#include "deploy/memory_plan.hpp"
 
 #include "nn/activations.hpp"
 #include "deploy/report.hpp"
@@ -118,6 +121,51 @@ TEST(FoldBn, ChannelBiasAddsPerChannel) {
     EXPECT_FLOAT_EQ(y.at(0, 1, 1, 1), -1.5f);
     Tensor bad({1, 3, 2, 2});
     EXPECT_THROW((void)cb.forward(bad), std::invalid_argument);
+}
+
+// ------------------------------------------------------------ plan_tensors --
+
+TEST(PlanTensors, RejectsMalformedEdgesAndOutputs) {
+    // Node 1 reads node 2: a forward edge.
+    EXPECT_THROW((void)plan_tensors({{{}, 4}, {{2}, 4}, {{0}, 4}}, 2), std::invalid_argument);
+    EXPECT_THROW((void)plan_tensors({{{}, 4}, {{1}, 4}}, 1), std::invalid_argument);  // self
+    EXPECT_THROW((void)plan_tensors({{{}, 4}, {{-1}, 4}}, 1), std::invalid_argument);
+    // The output node must exist.
+    EXPECT_THROW((void)plan_tensors({{{}, 4}, {{0}, 4}}, 2), std::invalid_argument);
+    EXPECT_THROW((void)plan_tensors({{{}, 4}, {{0}, 4}}, -1), std::invalid_argument);
+    // Node 2 reads node 1, which is elided (0 bytes); reading past it is fine.
+    EXPECT_THROW((void)plan_tensors({{{}, 4}, {{0}, 0}, {{1}, 4}}, 2), std::invalid_argument);
+    const MemoryPlan ok = plan_tensors({{{}, 4}, {{0}, 0}, {{0}, 4}}, 2);
+    EXPECT_EQ(ok.tensors[1].slot, -1);
+    EXPECT_EQ(ok.total_bytes, 8);
+}
+
+TEST(PlanTensors, DiamondPeakArenaAndSlotsAreExact) {
+    // input -> a, input -> b, concat(a, b).  The input dies after b runs, so
+    // the concat takes its slot and grows it; a and b keep theirs.
+    const MemoryPlan p =
+        plan_tensors({{{}, 100}, {{0}, 200}, {{0}, 300}, {{1, 2}, 500}}, 3);
+    EXPECT_EQ(p.peak_bytes, 1000);  // a + b + concat live while the concat runs
+    EXPECT_EQ(p.total_bytes, 1100);
+    EXPECT_EQ(p.arena_bytes, 500 + 200 + 300);
+    ASSERT_EQ(p.slots.size(), 3u);
+    EXPECT_EQ(p.slots[0].tenants, (std::vector<int>{0, 3}));
+    EXPECT_EQ(p.slots[1].tenants, (std::vector<int>{1}));
+    EXPECT_EQ(p.slots[2].tenants, (std::vector<int>{2}));
+    EXPECT_EQ(p.slots[0].bytes, 500);
+    const std::vector<int> last = {2, 3, 3, 4};
+    for (std::size_t i = 0; i < last.size(); ++i) EXPECT_EQ(p.tensors[i].last, last[i]) << i;
+}
+
+TEST(PlanTensors, OutputStaysLiveToTheEndOfThePass) {
+    // A chain whose output is node 1: node 2 reads it at step 2, but it must
+    // survive to the end of the pass, so node 3 cannot reuse its slot.
+    const MemoryPlan p =
+        plan_tensors({{{}, 100}, {{0}, 100}, {{1}, 100}, {{2}, 100}}, 1);
+    EXPECT_EQ(p.tensors[1].last, 4);
+    EXPECT_EQ(p.peak_bytes, 300);
+    EXPECT_EQ(p.slots[static_cast<std::size_t>(p.tensors[1].slot)].tenants,
+              (std::vector<int>{1}));
 }
 
 TEST(Report, SummaryTotalsMatchModule) {

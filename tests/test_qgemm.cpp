@@ -9,6 +9,8 @@
 #include <cstdlib>
 #include <limits>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/qgemm.hpp"
@@ -18,9 +20,11 @@
 #include "detect/bbox.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv.hpp"
+#include "nn/dwconv.hpp"
 #include "nn/graph.hpp"
 #include "nn/pooling.hpp"
 #include "nn/shuffle.hpp"
+#include "quant/lower.hpp"
 #include "quant/qengine.hpp"
 #include "skynet/detector.hpp"
 #include "skynet/skynet_model.hpp"
@@ -420,6 +424,88 @@ TEST(QEngine, EnvVarPinsReferenceExecution) {
     unsetenv("SKYNET_QENGINE");
     EXPECT_EQ(engine.execution(), quant::QExecution::kReference);
     EXPECT_EQ(engine.report().qgemm_layers, 0);
+}
+
+TEST(QEngine, RunRefusesInputsTheProgramCannotRun) {
+    // A wrong channel count used to read past the input (kAuto) or into its
+    // arena slot's spare capacity (kReference); now the plan refuses it
+    // before any kernel runs, and the engine still serves good inputs.
+    Rng rng(9);
+    nn::Graph g;
+    const int c = g.add(std::make_unique<nn::Conv2d>(3, 8, 3, 1, 1, true, rng), 0);
+    g.set_output(g.add(std::make_unique<nn::Activation>(nn::Act::kReLU), c));
+    // Branches that agree at 8x8 but not at 7x7, where the add would read
+    // past the smaller one.
+    nn::Graph j;
+    const int s2 = j.add(std::make_unique<nn::Conv2d>(3, 4, 3, 2, 1, true, rng), 0);
+    const int mp = j.add(std::make_unique<nn::MaxPool2>(), 0);
+    const int pw = j.add(std::make_unique<nn::Conv2d>(3, 4, 1, 1, 0, true, rng), mp);
+    j.set_output(j.add_add(s2, pw));
+    SkyNetModel m = folded_model(SkyNetVariant::kA, 91);
+    for (const quant::QExecution e : {quant::QExecution::kAuto, quant::QExecution::kReference}) {
+        SCOPED_TRACE(quant::qexecution_name(e));
+        quant::QEngine engine(g, scheme(9, 11, e));
+        EXPECT_THROW((void)engine.run(Tensor({1, 1, 16, 16}, 0.5f)), std::invalid_argument);
+        EXPECT_EQ(engine.run(Tensor({1, 3, 16, 16}, 0.5f)).shape(), (Shape{1, 8, 16, 16}));
+        quant::QEngine joins(j, scheme(9, 11, e));
+        EXPECT_EQ(joins.run(Tensor({1, 3, 8, 8}, 0.5f)).shape(), (Shape{1, 4, 4, 4}));
+        EXPECT_THROW((void)joins.run(Tensor({1, 3, 7, 7}, 0.5f)), std::invalid_argument);
+        // A map that collapses on the way down is refused by name.
+        quant::QEngine skynet(*m.net, scheme(9, 11, e));
+        try {
+            (void)skynet.run(Tensor({1, 3, 4, 4}, 0.5f));
+            ADD_FAILURE() << "a 4x4 image ran";
+        } catch (const std::invalid_argument& ex) {
+            EXPECT_NE(std::string(ex.what()).find("has a degenerate shape"), std::string::npos)
+                << ex.what();
+        }
+    }
+}
+
+TEST(Lower, ExecutionDecisionsFollowTheMode) {
+    // conv -> identity -> relu -> dwconv -> bias -> relu6 -> conv -> relu,
+    // with the last conv also feeding the closing add.
+    Rng rng(10);
+    nn::Graph g;
+    const int c1 = g.add(std::make_unique<nn::Conv2d>(3, 8, 3, 1, 1, true, rng), 0);
+    const int id = g.add(std::make_unique<deploy::Identity>(), c1);
+    const int r1 = g.add(std::make_unique<nn::Activation>(nn::Act::kReLU), id);
+    const int dw = g.add(std::make_unique<nn::DWConv3>(8, rng), r1);
+    const int b = g.add(std::make_unique<deploy::ChannelBias>(std::vector<float>(8, 0.25f)), dw);
+    const int r6 = g.add(std::make_unique<nn::Activation>(nn::Act::kReLU6), b);
+    const int c2 = g.add(std::make_unique<nn::Conv2d>(8, 8, 1, 1, 0, true, rng), r6);
+    const int r2 = g.add(std::make_unique<nn::Activation>(nn::Act::kReLU), c2);
+    g.set_output(g.add_add(c2, r2));
+
+    const quant::Program ref = quant::lower(g, scheme(9, 11, quant::QExecution::kReference));
+    EXPECT_EQ(ref.carrier(id), c1);  // identities never execute
+    for (std::size_t i = 0; i < ref.ops.size(); ++i)
+        EXPECT_EQ(ref.ops[i].executes(), static_cast<int>(i) != id) << i;
+
+    const quant::Program p = quant::lower(g, scheme(9, 11, quant::QExecution::kAuto));
+    EXPECT_EQ(p.carrier(id), c1);
+    EXPECT_EQ(p.carrier(r1), c1);  // fused into the conv's clamp
+    EXPECT_EQ(p.ops[static_cast<std::size_t>(c1)].fused_act, r1);
+    EXPECT_EQ(p.carrier(b), dw);   // folded into the dwconv ...
+    EXPECT_EQ(p.ops[static_cast<std::size_t>(dw)].fused_bias, b);
+    EXPECT_EQ(p.carrier(r6), dw);  // ... with the ReLU6 fused into the bias
+    EXPECT_EQ(p.ops[static_cast<std::size_t>(b)].fused_act, r6);
+    EXPECT_TRUE(p.ops[static_cast<std::size_t>(r2)].executes());  // c2 has two consumers
+    EXPECT_EQ(p.ops[static_cast<std::size_t>(c2)].fused_act, -1);
+
+    // Both plans hold exactly the executing ops, and the fusions are
+    // bit-equal to running the graph verbatim.
+    const Shape in{2, 3, 12, 12};
+    const deploy::MemoryPlan plan = quant::plan_activations(p, in);
+    for (std::size_t i = 0; i < p.ops.size(); ++i)
+        EXPECT_EQ(plan.tensors[i].slot < 0, !p.ops[i].executes()) << i;
+    quant::QEngine fast(g, scheme(9, 11, quant::QExecution::kAuto));
+    quant::QEngine oracle(g, scheme(9, 11, quant::QExecution::kReference));
+    Tensor x(in);
+    Rng xr(11);
+    x.rand_uniform(xr, 0.0f, 1.0f);
+    expect_bitwise_equal(fast.run(x), oracle.run(x), "fused chain");
+    EXPECT_EQ(fast.measured_peak_bytes(), plan.peak_bytes);
 }
 
 // ------------------------------------------------------------ detector path --

@@ -452,28 +452,46 @@ TEST(Analyze, PristineSkyNetAnalyzesClean) {
 // ------------------------------------------- static plan vs real execution --
 
 TEST(Analyze, PlanPeakBytesMatchInstrumentedExecution) {
-    Rng rng(7);
-    Detector det(small_cfg(), rng);
-    const quant::QuantReport rep = det.quantize(quant::QuantConfig{});
-    ASSERT_TRUE(rep.has_activation_plan);
-    const deploy::MemoryPlan& plan = rep.activation_plan;
-    EXPECT_GT(plan.peak_bytes, 0);
-    EXPECT_GT(det.activation_plan_bytes(), 0);
+    for (const SkyNetVariant v : {SkyNetVariant::kA, SkyNetVariant::kB, SkyNetVariant::kC})
+        for (const quant::QExecution e :
+             {quant::QExecution::kAuto, quant::QExecution::kReference}) {
+            SCOPED_TRACE(std::string(variant_name(v)) + " " + quant::qexecution_name(e));
+            Rng rng(7);
+            SkyNetConfig cfg = small_cfg();
+            cfg.variant = v;
+            Detector det(cfg, rng);
+            const quant::QuantConfig qcfg = quant::QuantConfig{}.with_execution(e);
+            const quant::QuantReport rep = det.quantize(qcfg);
+            ASSERT_TRUE(rep.has_activation_plan);
+            const deploy::MemoryPlan& plan = rep.activation_plan;
+            EXPECT_GT(plan.peak_bytes, 0);
+            EXPECT_EQ(det.activation_plan_bytes(), plan.arena_bytes);
 
-    Rng drng(3);
-    Tensor x(kIn);
-    for (std::int64_t i = 0; i < x.size(); ++i)
-        x.data()[i] = static_cast<float>(drng.uniform(0.0, 1.0));
-    (void)det.forward(x);
-    ASSERT_NE(det.qengine(), nullptr);
-    // The plan is exact, not an estimate: the arena executor's instrumented
-    // peak must equal the liveness walk's number, and the pre-sized slots
-    // make the whole pass allocation-free from the first run.
-    EXPECT_EQ(det.qengine()->measured_peak_bytes(), plan.peak_bytes);
-    EXPECT_EQ(det.qengine()->alloc_events(), 0);
-    (void)det.forward(x);  // steady state stays allocation-free
-    EXPECT_EQ(det.qengine()->measured_peak_bytes(), plan.peak_bytes);
-    EXPECT_EQ(det.qengine()->alloc_events(), 0);
+            // The analysis plans the program the engine runs: same fusions,
+            // same skipped identities, same arena.
+            verify::AnalyzeOptions opts;
+            opts.qconfig = qcfg;
+            const verify::Analysis a = verify::analyze(det.net(), kIn, opts);
+            ASSERT_TRUE(a.has_plan);
+            EXPECT_EQ(a.plan.peak_bytes, plan.peak_bytes);
+            EXPECT_EQ(a.plan.arena_bytes, plan.arena_bytes);
+            EXPECT_EQ(a.plan.slots.size(), plan.slots.size());
+
+            Rng drng(3);
+            Tensor x(kIn);
+            for (std::int64_t i = 0; i < x.size(); ++i)
+                x.data()[i] = static_cast<float>(drng.uniform(0.0, 1.0));
+            ASSERT_NE(det.qengine(), nullptr);
+            // The plan is exact, not an estimate: the arena executor's
+            // instrumented peak must equal the liveness walk's number, and
+            // the pre-sized slots make every pass allocation-free from the
+            // first run.
+            for (int run = 0; run < 2; ++run) {
+                (void)det.forward(x);
+                EXPECT_EQ(det.qengine()->measured_peak_bytes(), plan.peak_bytes);
+                EXPECT_EQ(det.qengine()->alloc_events(), 0);
+            }
+        }
 }
 
 // ------------------------- fp32 interval domain: soundness by execution --

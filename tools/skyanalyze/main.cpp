@@ -24,8 +24,8 @@
 // uses: deploy::fold_graph_bn then verify::check_qmodel under the default
 // quantization scheme.  check_qmodel and analyze each lower the folded
 // graph (quant::lower) into the op program QEngine compiles, so the
-// Q-codes, the A004 proofs and the certified error bounds judge exactly
-// what the engine would run.
+// Q-codes, the A004 proofs, the certified error bounds and the activation
+// plan (quant::plan_activations) judge exactly what the engine would run.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -157,7 +157,7 @@ void write_plan_report(const std::vector<ModelResult>& results, const char* path
         std::fprintf(stderr, "skyanalyze: cannot write %s\n", path);
         return;
     }
-    std::fprintf(f, "# skyanalyze activation memory plans (elem = fp32)\n");
+    std::fprintf(f, "# skyanalyze activation memory plans (elem = int32 grid word, 4 B)\n");
     for (const ModelResult& r : results) {
         if (!r.has_plan) {
             std::fprintf(f, "%-24s @%s: no plan (graph has errors or is degenerate)\n",

@@ -104,10 +104,14 @@ void pack_b(int K, int N, const float* B, bool trans, PackedB& out) {
     }
 }
 
-void sgemm_packed(const PackedA& A, const PackedB& B, float* C) {
+namespace {
+
+/// The tile walk shared by both sgemm_packed modes; `ep` null accumulates.
+void run_tiles(const PackedA& A, const PackedB& B, float* C, const Epilogue* ep) {
     const detail::GemmKernel kern = active_kernel();
     const int M = A.M, N = B.N, K = A.K;
-    if (M <= 0 || N <= 0 || K <= 0) return;
+    // K = 0 still stores act(bias); only the accumulate has nothing to add.
+    if (M <= 0 || N <= 0 || K < 0 || (K == 0 && ep == nullptr)) return;
     if (A.mr != kern.mr || B.nr != kern.nr)
         throw std::logic_error(
             "sgemm_packed: operands were packed for a different micro-kernel tile "
@@ -119,39 +123,43 @@ void sgemm_packed(const PackedA& A, const PackedB& B, float* C) {
     const float* bp = B.data.data();
     const std::int64_t apanel = static_cast<std::int64_t>(mr) * K;
     const std::int64_t bpanel = static_cast<std::int64_t>(nr) * K;
+    const auto tile = [=](std::int64_t p, std::int64_t q) {
+        const int mv = static_cast<int>(std::min<std::int64_t>(mr, M - p * mr));
+        const int nv = static_cast<int>(std::min<std::int64_t>(nr, N - q * nr));
+        Epilogue tile_ep;
+        if (ep != nullptr) {
+            tile_ep = *ep;
+            if (tile_ep.bias != nullptr) tile_ep.bias += p * mr;
+        }
+        kern.fn(K, ap + p * apanel, bp + q * bpanel,
+                C + p * mr * static_cast<std::int64_t>(N) + q * nr, N, mv, nv,
+                ep != nullptr ? &tile_ep : nullptr);
+    };
     // Every register tile of C is produced by exactly one micro-kernel call
     // inside one chunk, so either split is bitwise thread-count invariant;
     // parallelise the longer panel axis.  Column-panel major order keeps one
     // B panel hot while all of A (usually L2-resident) streams past it.
     if (np >= mp) {
         parallel_for(0, np, 1, [=](std::int64_t q0, std::int64_t q1) {
-            for (std::int64_t q = q0; q < q1; ++q) {
-                const int nv =
-                    static_cast<int>(std::min<std::int64_t>(nr, N - q * nr));
-                for (std::int64_t p = 0; p < mp; ++p) {
-                    const int mv =
-                        static_cast<int>(std::min<std::int64_t>(mr, M - p * mr));
-                    kern.fn(K, ap + p * apanel, bp + q * bpanel,
-                            C + p * mr * static_cast<std::int64_t>(N) + q * nr, N, mv,
-                            nv);
-                }
-            }
+            for (std::int64_t q = q0; q < q1; ++q)
+                for (std::int64_t p = 0; p < mp; ++p) tile(p, q);
         });
     } else {
         parallel_for(0, mp, 1, [=](std::int64_t p0, std::int64_t p1) {
-            for (std::int64_t p = p0; p < p1; ++p) {
-                const int mv =
-                    static_cast<int>(std::min<std::int64_t>(mr, M - p * mr));
-                for (std::int64_t q = 0; q < np; ++q) {
-                    const int nv =
-                        static_cast<int>(std::min<std::int64_t>(nr, N - q * nr));
-                    kern.fn(K, ap + p * apanel, bp + q * bpanel,
-                            C + p * mr * static_cast<std::int64_t>(N) + q * nr, N, mv,
-                            nv);
-                }
-            }
+            for (std::int64_t p = p0; p < p1; ++p)
+                for (std::int64_t q = 0; q < np; ++q) tile(p, q);
         });
     }
+}
+
+}  // namespace
+
+void sgemm_packed(const PackedA& A, const PackedB& B, float* C) {
+    run_tiles(A, B, C, nullptr);
+}
+
+void sgemm_packed(const PackedA& A, const PackedB& B, float* C, const Epilogue& ep) {
+    run_tiles(A, B, C, &ep);
 }
 
 namespace {

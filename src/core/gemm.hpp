@@ -12,7 +12,9 @@
 //                     for the active micro-kernel (core/simd.hpp),
 //   sgemm_packed      walks the C tile grid, one mr x nr register tile per
 //                     micro-kernel call, parallelised over whole tiles
-//                     through the global ThreadPool.
+//                     through the global ThreadPool.  It either accumulates
+//                     into C or, in store mode, writes act(bias + acc)
+//                     straight from the register tile (an Epilogue).
 //
 // Weights can be packed once ("prepacked") at model build / BN-fold time via
 // pack_a and reused across forwards — the nn layers thread a PackedA handle
@@ -38,6 +40,23 @@ namespace sky::core {
 [[nodiscard]] int gemm_nr();
 /// Name of the active micro-kernel ("scalar" / "generic" / "avx2").
 [[nodiscard]] const char* gemm_kernel_name();
+
+/// Activation an Epilogue applies.  The formulas are nn::Activation's
+/// (nn/epilogue.hpp); the micro-kernel carries their vector twin.
+enum class EpilogueAct : std::uint8_t { kNone, kReLU, kReLU6, kLeaky, kSigmoid };
+
+/// Elementwise per-row epilogue y = act(bias[row] + x).  A store-mode
+/// sgemm_packed applies it to each C row as it leaves the register tile;
+/// the nn layers use the same struct per output channel (nn/epilogue.hpp).
+/// `bias` is borrowed: one value per row, or nullptr for none.
+struct Epilogue {
+    const float* bias = nullptr;
+    EpilogueAct act = EpilogueAct::kNone;
+    float slope = 0.0f;  ///< kLeaky's negative-side slope
+    [[nodiscard]] bool empty() const {
+        return bias == nullptr && act == EpilogueAct::kNone;
+    }
+};
 
 /// op(A) packed into MR-row panels: panel p holds rows [p*mr, p*mr + mr) as
 /// data[p*mr*K + k*mr + m], zero-padded past M.  `mr` records the tile
@@ -75,6 +94,13 @@ void pack_b(int K, int N, const float* B, bool trans, PackedB& out);
 /// both packs must match the active tile geometry (std::logic_error
 /// otherwise); C is row-major with leading dimension N.
 void sgemm_packed(const PackedA& A, const PackedB& B, float* C);
+
+/// Store mode: C(M x N) = act(b + op(A) * op(B)) with b = ep.bias[m], or
+/// +0.0 when ep.bias is null.  C is written once from the register tile and
+/// never read.  This is bitwise what filling C with b (or zeros), the
+/// accumulating sgemm_packed and a separate activation pass give, at every
+/// level and thread count; K = 0 writes act(b).
+void sgemm_packed(const PackedA& A, const PackedB& B, float* C, const Epilogue& ep);
 
 /// C(M x N) += A(M x K) * B(K x N).
 void sgemm_nn(int M, int N, int K, const float* A, const float* B, float* C);

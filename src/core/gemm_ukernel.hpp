@@ -1,7 +1,8 @@
 // The register-tile GEMM micro-kernel, written once against compiler vector
 // extensions and instantiated per SIMD level (core/simd.hpp):
 //
-//   ukernel<VF, MR, NV>  —  C_tile(mr x nr) += Apanel * Bpanel
+//   ukernel<VF, MR, NV>  —  C_tile(mr x nr) += Apanel * Bpanel, or in store
+//                           mode C_tile = act(bias + Apanel * Bpanel)
 //
 // VF is a GNU vector-extension float type (or plain `float` for the scalar
 // reference instantiation), MR the register-tile row count and NV the number
@@ -15,25 +16,35 @@
 // invariant and scalar-vs-vector differences come only from FMA contraction
 // (see docs/KERNELS.md for the determinism contract).
 //
+// Store mode applies the Epilogue to the accumulator registers and writes C
+// without reading it.  `bias + acc` is what the bias- or zero-filled C plus
+// the accumulate computed, and epilogue_act() is the vector twin of
+// nn/epilogue.hpp's formulas, so both modes agree bitwise with the unfused
+// layers at the same level.
+//
 // Each translation unit instantiates only the widths its build flags can
 // execute: core/gemm.cpp the scalar + baseline-ISA widths, core/gemm_avx2.cpp
 // the 8-wide AVX2+FMA width (compiled with -mavx2 -mfma).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
 
+#include "core/gemm.hpp"
+
 namespace sky::core::detail {
 
 /// One selectable micro-kernel: tile geometry plus the tile function.
-/// `fn(K, a_panel, b_panel, c, ldc, mr, nr)` accumulates the mr x nr valid
-/// corner of the tile into C (row stride ldc).
+/// `fn(K, a_panel, b_panel, c, ldc, mr, nr, ep)` accumulates the mr x nr
+/// valid corner of the tile into C (row stride ldc), or with a non-null `ep`
+/// stores act(bias + acc) there; ep->bias then points at the tile's row 0.
 struct GemmKernel {
     int mr = 0;
     int nr = 0;
     void (*fn)(int K, const float* a, const float* b, float* c, std::int64_t ldc,
-               int mr, int nr) = nullptr;
+               int mr, int nr, const Epilogue* ep) = nullptr;
     const char* name = "?";
 };
 
@@ -63,9 +74,37 @@ inline VF vsplat(float x) {
     }
 }
 
+/// The activation formulas of nn/epilogue.hpp on every lane of `v`: the
+/// same comparisons and operand order, so each lane is bitwise the scalar
+/// result (NaN and -0.0 included).
+template <class VF>
+inline VF epilogue_act(VF v, EpilogueAct act, float slope) {
+    const VF zero = vsplat<VF>(0.0f);
+    switch (act) {
+        case EpilogueAct::kNone:
+            return v;
+        case EpilogueAct::kReLU:
+            return v > zero ? v : zero;
+        case EpilogueAct::kReLU6: {
+            const VF six = vsplat<VF>(6.0f);
+            return v <= zero ? zero : (v >= six ? six : v);
+        }
+        case EpilogueAct::kLeaky:
+            return v > zero ? v : vsplat<VF>(slope) * v;
+        case EpilogueAct::kSigmoid:
+            if constexpr (std::is_same_v<VF, float>) {
+                return 1.0f / (1.0f + std::exp(-v));
+            } else {
+                for (int i = 0; i < kLanes<VF>; ++i) v[i] = 1.0f / (1.0f + std::exp(-v[i]));
+                return v;
+            }
+    }
+    return v;
+}
+
 template <class VF, int MR, int NV>
 void ukernel(int K, const float* a, const float* b, float* c, std::int64_t ldc,
-             int mr, int nr) {
+             int mr, int nr, const Epilogue* ep) {
     constexpr int NR = kLanes<VF> * NV;
     VF acc[MR][NV] = {};
     for (int k = 0; k < K; ++k, a += MR, b += NR) {
@@ -76,23 +115,35 @@ void ukernel(int K, const float* a, const float* b, float* c, std::int64_t ldc,
             for (int v = 0; v < NV; ++v) acc[m][v] += av * bv[v];
         }
     }
+    if (ep != nullptr) {
+        // Store mode: the tile's final values, still in registers.  Padding
+        // rows (m >= mr) take bias 0 so the bias is never read past row mr.
+        for (int m = 0; m < MR; ++m) {
+            const VF bias = vsplat<VF>(ep->bias != nullptr && m < mr ? ep->bias[m] : 0.0f);
+            for (int v = 0; v < NV; ++v)
+                acc[m][v] = epilogue_act<VF>(K > 0 ? bias + acc[m][v] : bias, ep->act,
+                                             ep->slope);
+        }
+    }
     if (mr == MR && nr == NR) {
         for (int m = 0; m < MR; ++m) {
             float* row = c + m * ldc;
             for (int v = 0; v < NV; ++v) {
                 float* p = row + v * kLanes<VF>;
-                vstore<VF>(p, vload<VF>(p) + acc[m][v]);
+                vstore<VF>(p, ep != nullptr ? acc[m][v] : vload<VF>(p) + acc[m][v]);
             }
         }
     } else {
-        // Partial tile: spill the (zero-padded) accumulators and add only the
-        // valid corner, so edge tiles never read or write beyond C.
+        // Partial tile: spill the (zero-padded) accumulators and write only
+        // the valid corner, so edge tiles never read or write beyond C.
         float tmp[MR * NR];
         for (int m = 0; m < MR; ++m)
             for (int v = 0; v < NV; ++v)
                 vstore<VF>(tmp + m * NR + v * kLanes<VF>, acc[m][v]);
         for (int m = 0; m < mr; ++m)
-            for (int n = 0; n < nr; ++n) c[m * ldc + n] += tmp[m * NR + n];
+            for (int n = 0; n < nr; ++n)
+                c[m * ldc + n] =
+                    ep != nullptr ? tmp[m * NR + n] : c[m * ldc + n] + tmp[m * NR + n];
     }
 }
 

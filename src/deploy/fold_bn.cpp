@@ -116,17 +116,10 @@ int fold_graph_bn(nn::Graph& g) {
 ChannelBias::ChannelBias(std::vector<float> bias) : bias_(std::move(bias)) {}
 
 Tensor ChannelBias::forward(const Tensor& x) {
-    const Shape s = x.shape();
-    if (s.c != static_cast<int>(bias_.size()))
+    if (x.shape().c != static_cast<int>(bias_.size()))
         throw std::invalid_argument("ChannelBias: channel mismatch");
     Tensor y = x;
-    const std::int64_t plane = static_cast<std::int64_t>(s.h) * s.w;
-    for (int n = 0; n < s.n; ++n)
-        for (int c = 0; c < s.c; ++c) {
-            float* p = y.plane(n, c);
-            const float b = bias_[static_cast<std::size_t>(c)];
-            for (std::int64_t i = 0; i < plane; ++i) p[i] += b;
-        }
+    nn::apply_epilogue(nn::Epilogue{bias_.data()}, y);
     return y;
 }
 

@@ -40,24 +40,32 @@ void fold_into_conv(Tensor& weight, Tensor& bias, const nn::BatchNorm2d& bn);
 /// convs).  Returns the number of BN layers folded.
 int fold_graph_bn(nn::Graph& g);
 
-/// Pass-through module left behind where a folded layer used to be.
+/// Pass-through module left behind where a folded layer used to be.  As an
+/// empty epilogue it aliases its input in an eval nn::Graph forward.
 class Identity : public nn::Module {
 public:
     Tensor forward(const Tensor& x) override { return x; }
     Tensor backward(const Tensor& grad_out) override { return grad_out; }
+    [[nodiscard]] std::optional<nn::Epilogue> as_epilogue() const override {
+        return nn::Epilogue{};
+    }
     [[nodiscard]] std::string name() const override { return "Identity"; }
     [[nodiscard]] std::string kind() const override { return "identity"; }
     [[nodiscard]] Shape out_shape(const Shape& in) const override { return in; }
 };
 
 /// Per-channel constant bias — what remains of a BN folded into a bias-less
-/// depthwise convolution.
+/// depthwise convolution.  An eval nn::Graph forward folds it into the
+/// depthwise conv's per-plane epilogue.
 class ChannelBias : public nn::Module {
 public:
     explicit ChannelBias(std::vector<float> bias);
 
     Tensor forward(const Tensor& x) override;
     Tensor backward(const Tensor& grad_out) override;
+    [[nodiscard]] std::optional<nn::Epilogue> as_epilogue() const override {
+        return nn::Epilogue{bias_.data()};
+    }
 
     [[nodiscard]] std::string name() const override { return "ChannelBias"; }
     [[nodiscard]] std::string kind() const override { return "bias"; }

@@ -1,7 +1,5 @@
 #include "nn/activations.hpp"
 
-#include <cmath>
-
 #include "nn/fm_hook.hpp"
 
 namespace sky::nn {
@@ -20,30 +18,21 @@ Activation::Activation(Act kind, float leaky_slope) : kind_(kind), slope_(leaky_
 
 std::string Activation::name() const { return act_name(kind_); }
 
+Epilogue Activation::epilogue() const {
+    switch (kind_) {
+        case Act::kReLU: return {nullptr, EpilogueAct::kReLU, slope_};
+        case Act::kReLU6: return {nullptr, EpilogueAct::kReLU6, slope_};
+        case Act::kLeaky: return {nullptr, EpilogueAct::kLeaky, slope_};
+        case Act::kSigmoid: return {nullptr, EpilogueAct::kSigmoid, slope_};
+    }
+    return {};
+}
+
 Tensor Activation::forward(const Tensor& x) {
     if (training_) input_ = x;
-    Tensor y(x.shape());
-    const float* xp = x.data();
-    float* yp = y.data();
-    const std::int64_t n = x.size();
-    switch (kind_) {
-        case Act::kReLU:
-            for (std::int64_t i = 0; i < n; ++i) yp[i] = xp[i] > 0.0f ? xp[i] : 0.0f;
-            break;
-        case Act::kReLU6:
-            for (std::int64_t i = 0; i < n; ++i) {
-                const float v = xp[i];
-                yp[i] = v <= 0.0f ? 0.0f : (v >= 6.0f ? 6.0f : v);
-            }
-            break;
-        case Act::kLeaky:
-            for (std::int64_t i = 0; i < n; ++i) yp[i] = xp[i] > 0.0f ? xp[i] : slope_ * xp[i];
-            break;
-        case Act::kSigmoid:
-            for (std::int64_t i = 0; i < n; ++i) yp[i] = 1.0f / (1.0f + std::exp(-xp[i]));
-            if (training_) input_ = y;  // sigmoid backward uses the output
-            break;
-    }
+    Tensor y = x;
+    apply_epilogue(epilogue(), y);
+    if (training_ && kind_ == Act::kSigmoid) input_ = y;  // sigmoid backward uses the output
     if (!training_ && fm_hook()) fm_hook()(y);
     return y;
 }

@@ -20,6 +20,9 @@ public:
 
     Tensor forward(const Tensor& x) override;
     Tensor backward(const Tensor& grad_out) override;
+    [[nodiscard]] std::optional<Epilogue> as_epilogue() const override {
+        return epilogue();
+    }
 
     [[nodiscard]] std::string name() const override;
     [[nodiscard]] Shape out_shape(const Shape& in) const override { return in; }
@@ -28,6 +31,8 @@ public:
     [[nodiscard]] std::string kind() const override { return "act"; }
 
 private:
+    [[nodiscard]] Epilogue epilogue() const;
+
     Act kind_;
     float slope_;
     Tensor input_;

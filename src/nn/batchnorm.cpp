@@ -22,7 +22,9 @@ BatchNorm2d::BatchNorm2d(int channels, float momentum, float eps)
 
 std::string BatchNorm2d::name() const { return "BN(" + std::to_string(channels_) + ")"; }
 
-Tensor BatchNorm2d::forward(const Tensor& x) {
+Tensor BatchNorm2d::forward(const Tensor& x) { return forward_fused(x, Epilogue{}); }
+
+Tensor BatchNorm2d::forward_fused(const Tensor& x, const Epilogue& ep) {
     if (x.shape().c != channels_)
         throw std::invalid_argument(name() + ": got input " + x.shape().str());
     const Shape s = x.shape();
@@ -62,6 +64,7 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
                     hp[i] = h;
                     yp[i] = g * h + b;
                 }
+                apply_epilogue(ep, c, yp, plane);
             }
         }
         });
@@ -75,6 +78,7 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
                 const float* xp = x.plane(n, c);
                 float* yp = y.plane(n, c);
                 for (std::int64_t i = 0; i < plane; ++i) yp[i] = g * xp[i] + b;
+                apply_epilogue(ep, c, yp, plane);
             }
         }
         });

@@ -15,6 +15,8 @@ public:
     explicit BatchNorm2d(int channels, float momentum = 0.1f, float eps = 1e-5f);
 
     Tensor forward(const Tensor& x) override;
+    /// Eval applies `ep` to each plane inside the normalisation loop.
+    Tensor forward_fused(const Tensor& x, const Epilogue& ep) override;
     Tensor backward(const Tensor& grad_out) override;
     void collect_params(std::vector<ParamRef>& out) override;
     void collect_state(std::vector<Tensor*>& out) override;

@@ -68,7 +68,9 @@ void Conv2d::prepack() {
     core::pack_a(out_ch_, K, weight_.data(), /*trans=*/false, wpack_);
 }
 
-Tensor Conv2d::forward(const Tensor& x) {
+Tensor Conv2d::forward(const Tensor& x) { return forward_fused(x, Epilogue{}); }
+
+Tensor Conv2d::forward_fused(const Tensor& x, const Epilogue& ep) {
     if (x.shape().c != in_ch_)
         throw std::invalid_argument(name() + ": got input " + x.shape().str());
     if (training_) input_ = x;
@@ -76,7 +78,6 @@ Tensor Conv2d::forward(const Tensor& x) {
     const Shape os = out_shape(in);
     Tensor y(os);
     const int K = in_ch_ * k_ * k_;
-    const std::int64_t ocols = static_cast<std::int64_t>(os.h) * os.w;
     // Use the prepacked weight panels when valid for the active kernel;
     // otherwise pack into thread-local scratch (never into the shared member —
     // concurrent forwards on one module must not mutate shared state).
@@ -85,19 +86,14 @@ Tensor Conv2d::forward(const Tensor& x) {
         core::pack_a(out_ch_, K, weight_.data(), /*trans=*/false, tls_weights);
         wp = &tls_weights;
     }
+    core::Epilogue store = ep.bias != nullptr ? core::Epilogue{} : ep;
+    store.bias = has_bias_ ? bias_.data() : nullptr;
     for (int n = 0; n < in.n; ++n) {
         core::im2col_packed(x.plane(n, 0), in.c, in.h, in.w, k_, stride_, pad_, os.h,
                             os.w, tls_cols);
-        float* yp = y.plane(n, 0);
-        if (has_bias_) {
-            for (int oc = 0; oc < out_ch_; ++oc) {
-                const float b = bias_[oc];
-                float* row = yp + oc * ocols;
-                for (std::int64_t i = 0; i < ocols; ++i) row[i] = b;
-            }
-        }
-        core::sgemm_packed(*wp, tls_cols, yp);
+        core::sgemm_packed(*wp, tls_cols, y.plane(n, 0), store);
     }
+    if (ep.bias != nullptr) apply_epilogue(ep, y);
     return y;
 }
 

@@ -22,6 +22,10 @@ public:
     Conv2d(int in_ch, int out_ch, int k, int stride, int pad, bool bias, Rng& rng);
 
     Tensor forward(const Tensor& x) override;
+    /// The GEMM store writes act(bias + acc) per output channel.  An
+    /// epilogue that brings its own bias is applied in place afterwards,
+    /// since it cannot share the store's add with the layer's bias.
+    Tensor forward_fused(const Tensor& x, const Epilogue& ep) override;
     Tensor backward(const Tensor& grad_out) override;
     void collect_params(std::vector<ParamRef>& out) override;
     /// Entering training drops the weight pack (the optimizer is about to

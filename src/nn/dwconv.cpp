@@ -19,7 +19,9 @@ std::int64_t DWConv3::param_count() const { return static_cast<std::int64_t>(cha
 
 std::string DWConv3::name() const { return "DW-Conv3(" + std::to_string(channels_) + ")"; }
 
-Tensor DWConv3::forward(const Tensor& x) {
+Tensor DWConv3::forward(const Tensor& x) { return forward_fused(x, Epilogue{}); }
+
+Tensor DWConv3::forward_fused(const Tensor& x, const Epilogue& ep) {
     if (x.shape().c != channels_)
         throw std::invalid_argument(name() + ": got input " + x.shape().str());
     if (training_) input_ = x;
@@ -60,6 +62,7 @@ Tensor DWConv3::forward(const Tensor& x) {
                     }
                 }
             }
+            apply_epilogue(ep, c, yp, static_cast<std::int64_t>(s.h) * s.w);
         }
         });
     return y;

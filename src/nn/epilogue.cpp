@@ -1,0 +1,55 @@
+#include "nn/epilogue.hpp"
+
+#include "core/thread_pool.hpp"
+#include "nn/module.hpp"
+
+namespace sky::nn {
+namespace {
+
+template <EpilogueAct A>
+void apply_plane(const float* bias, float slope, float* p, std::int64_t n) {
+    if (bias != nullptr) {
+        const float b = *bias;
+        for (std::int64_t i = 0; i < n; ++i) p[i] = activate<A>(p[i] + b, slope);
+    } else {
+        for (std::int64_t i = 0; i < n; ++i) p[i] = activate<A>(p[i], slope);
+    }
+}
+
+}  // namespace
+
+void apply_epilogue(const Epilogue& ep, int channel, float* p, std::int64_t n) {
+    const float* b = ep.bias != nullptr ? ep.bias + channel : nullptr;
+    switch (ep.act) {
+        case EpilogueAct::kNone:
+            if (b != nullptr) apply_plane<EpilogueAct::kNone>(b, ep.slope, p, n);
+            break;
+        case EpilogueAct::kReLU: apply_plane<EpilogueAct::kReLU>(b, ep.slope, p, n); break;
+        case EpilogueAct::kReLU6: apply_plane<EpilogueAct::kReLU6>(b, ep.slope, p, n); break;
+        case EpilogueAct::kLeaky: apply_plane<EpilogueAct::kLeaky>(b, ep.slope, p, n); break;
+        case EpilogueAct::kSigmoid:
+            apply_plane<EpilogueAct::kSigmoid>(b, ep.slope, p, n);
+            break;
+    }
+}
+
+void apply_epilogue(const Epilogue& ep, Tensor& y) {
+    if (ep.empty()) return;
+    const Shape s = y.shape();
+    const std::int64_t plane = static_cast<std::int64_t>(s.h) * s.w;
+    // Planes are disjoint, so the result is thread-count invariant.
+    core::parallel_for(0, static_cast<std::int64_t>(s.n) * s.c, 1,
+                       [&](std::int64_t p0, std::int64_t p1) {
+                           for (std::int64_t p = p0; p < p1; ++p)
+                               apply_epilogue(ep, static_cast<int>(p % s.c),
+                                              y.data() + p * plane, plane);
+                       });
+}
+
+Tensor Module::forward_fused(const Tensor& x, const Epilogue& ep) {
+    Tensor y = forward(x);
+    apply_epilogue(ep, y);
+    return y;
+}
+
+}  // namespace sky::nn

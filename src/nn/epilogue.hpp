@@ -1,0 +1,51 @@
+// Fused eval epilogues: the elementwise per-channel tail y = act(x + b[c])
+// that an Activation, a ChannelBias or a folded-BN Identity applies to its
+// producer's output.
+//
+// In eval mode nn::Graph folds such nodes into the module that produces
+// their input, and that module applies the Epilogue where it writes its
+// output (Module::forward_fused): PWConv1 and Conv2d in the GEMM store,
+// DWConv3 per plane inside its parallel chunk, eval BatchNorm2d in its own
+// loop, and any other module in place afterwards.  The formulas below are
+// the only scalar copy; core/gemm_ukernel.hpp carries their vector twin.
+// Every fused value is the same expression, in the same operand order, as
+// the unfused layers computed, so fusion is bitwise invisible.
+#pragma once
+
+#include <cmath>
+#include <cstdint>
+
+#include "core/gemm.hpp"
+#include "tensor/tensor.hpp"
+
+namespace sky::nn {
+
+/// y = act(x + bias[c]); the add is skipped when bias is null, and an empty
+/// Epilogue (an Identity) changes nothing.
+using Epilogue = core::Epilogue;
+using core::EpilogueAct;
+
+/// The activation formulas (ReLU, ReLU6, LeakyReLU, Sigmoid) — written once.
+template <EpilogueAct A>
+[[nodiscard]] inline float activate(float v, float slope) {
+    if constexpr (A == EpilogueAct::kReLU) {
+        return v > 0.0f ? v : 0.0f;
+    } else if constexpr (A == EpilogueAct::kReLU6) {
+        return v <= 0.0f ? 0.0f : (v >= 6.0f ? 6.0f : v);
+    } else if constexpr (A == EpilogueAct::kLeaky) {
+        return v > 0.0f ? v : slope * v;
+    } else if constexpr (A == EpilogueAct::kSigmoid) {
+        return 1.0f / (1.0f + std::exp(-v));
+    } else {
+        (void)slope;
+        return v;
+    }
+}
+
+/// Apply `ep` in place to one plane of `n` values of channel `channel`.
+void apply_epilogue(const Epilogue& ep, int channel, float* p, std::int64_t n);
+
+/// Apply `ep` in place to every (image, channel) plane of `y`, in parallel.
+void apply_epilogue(const Epilogue& ep, Tensor& y);
+
+}  // namespace sky::nn

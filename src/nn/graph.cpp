@@ -1,6 +1,11 @@
 #include "nn/graph.hpp"
 
+#include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <string>
+
+#include "nn/fm_hook.hpp"
 
 namespace sky::nn {
 
@@ -28,37 +33,98 @@ int Graph::add_add(int a, int b) {
 
 void Graph::set_output(int node) { output_ = node; }
 
+void Graph::plan_forward(const Shape& in) {
+    const std::vector<Shape> shapes = infer_shapes(in);
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+        const Shape& s = shapes[i];
+        if (s.n <= 0 || s.c <= 0 || s.h <= 0 || s.w <= 0)
+            throw std::invalid_argument("Graph::forward: node " + std::to_string(i) +
+                                        " has a degenerate shape (run verify::check_graph)");
+    }
+    const std::size_t n = nodes_.size();
+    carrier_.resize(n);
+    std::iota(carrier_.begin(), carrier_.end(), 0);
+    overwritten_.assign(n, -1);
+    epilogue_.assign(n, Epilogue{});
+    if (training_ || fm_hook()) return;
+
+    std::vector<int> readers(n, 0);
+    for (const Node& node : nodes_)
+        for (int i : node.inputs) ++readers[static_cast<std::size_t>(i)];
+    const auto sole_reader = [&](std::size_t i) {
+        return readers[i] == 1 && static_cast<int>(i) != output_;
+    };
+    // producer[c]: a module that is not itself an epilogue, so it can carry
+    // one.  open[c]: every node whose value c's tensor holds is read only by
+    // the next node of its chain and is not the output, so an epilogue may
+    // still overwrite that value.
+    std::vector<char> producer(n, 0), open(n, 0);
+    for (std::size_t i = 1; i < n; ++i) {
+        const Node& node = nodes_[i];
+        if (node.kind != Kind::kModule) continue;
+        const std::optional<Epilogue> e = node.module->as_epilogue();
+        if (!e) {
+            producer[i] = 1;
+            open[i] = sole_reader(i);
+            continue;
+        }
+        const auto c = static_cast<std::size_t>(carrier_[static_cast<std::size_t>(node.inputs[0])]);
+        if (e->empty()) {  // an identity aliases whatever holds its input
+            carrier_[i] = static_cast<int>(c);
+            open[c] = open[c] && sole_reader(i);
+            continue;
+        }
+        Epilogue& fused = epilogue_[c];
+        const bool fits = fused.act == EpilogueAct::kNone &&
+                          (e->bias == nullptr || fused.bias == nullptr);
+        if (!producer[c] || !open[c] || !fits) continue;
+        for (std::size_t k = c; k < i; ++k)
+            if (carrier_[k] == static_cast<int>(c) && overwritten_[k] < 0)
+                overwritten_[k] = static_cast<int>(i);
+        if (e->bias != nullptr) fused.bias = e->bias;
+        if (e->act != EpilogueAct::kNone) {
+            fused.act = e->act;
+            fused.slope = e->slope;
+        }
+        carrier_[i] = static_cast<int>(c);
+        open[c] = sole_reader(i);
+    }
+}
+
 Tensor Graph::forward(const Tensor& x) {
+    plan_forward(x.shape());
     outputs_.assign(nodes_.size(), Tensor{});
     outputs_[0] = x;
+    const auto value = [&](int node) -> const Tensor& {
+        return outputs_[static_cast<std::size_t>(carrier_[static_cast<std::size_t>(node)])];
+    };
     for (std::size_t i = 1; i < nodes_.size(); ++i) {
+        if (carrier_[i] != static_cast<int>(i)) continue;  // its carrier holds the value
         Node& node = nodes_[i];
         switch (node.kind) {
             case Kind::kInput:
                 break;
             case Kind::kModule:
-                outputs_[i] = node.module->forward(outputs_[static_cast<std::size_t>(
-                    node.inputs[0])]);
+                outputs_[i] = node.module->forward_fused(value(node.inputs[0]), epilogue_[i]);
                 break;
             case Kind::kConcat: {
                 std::vector<const Tensor*> parts;
                 node.concat_channels.clear();
                 for (int in : node.inputs) {
-                    parts.push_back(&outputs_[static_cast<std::size_t>(in)]);
-                    node.concat_channels.push_back(
-                        outputs_[static_cast<std::size_t>(in)].shape().c);
+                    parts.push_back(&value(in));
+                    node.concat_channels.push_back(value(in).shape().c);
                 }
                 outputs_[i] = Tensor::concat_channels(parts);
                 break;
             }
             case Kind::kAdd: {
-                outputs_[i] = outputs_[static_cast<std::size_t>(node.inputs[0])];
-                outputs_[i].axpy(1.0f, outputs_[static_cast<std::size_t>(node.inputs[1])]);
+                outputs_[i] = value(node.inputs[0]);
+                outputs_[i].axpy(1.0f, value(node.inputs[1]));
                 break;
             }
         }
     }
-    return outputs_[static_cast<std::size_t>(output_)];
+    return value(output_);
 }
 
 Tensor Graph::backward(const Tensor& grad_out) {
@@ -180,7 +246,20 @@ std::int64_t Graph::param_count() const {
 const Tensor& Graph::node_output(int node) const {
     if (node < 0 || node >= static_cast<int>(outputs_.size()))
         throw std::out_of_range("Graph::node_output: bad node id");
-    return outputs_[static_cast<std::size_t>(node)];
+    const int over = overwritten_[static_cast<std::size_t>(node)];
+    if (over >= 0)
+        throw std::logic_error("Graph::node_output: node " + std::to_string(node) +
+                               " was not kept: epilogue node " + std::to_string(over) +
+                               " fused into it");
+    return outputs_[static_cast<std::size_t>(carrier_[static_cast<std::size_t>(node)])];
+}
+
+int Graph::node_carrier(int node) const {
+    if (node < 0 || node >= static_cast<int>(nodes_.size()))
+        throw std::out_of_range("Graph::node_carrier: bad node id");
+    // A node no forward has planned yet carries itself.
+    return node < static_cast<int>(carrier_.size()) ? carrier_[static_cast<std::size_t>(node)]
+                                                    : node;
 }
 
 }  // namespace sky::nn

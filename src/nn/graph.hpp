@@ -3,9 +3,17 @@
 // Supports exactly the topologies this reproduction needs: single-input
 // chains with channel-concatenation joins (SkyNet's bypass, Fig. 4) and
 // elementwise-add joins (ResNet residuals).  Nodes are added in topological
-// order by construction; forward caches every node output, backward
-// accumulates gradients in reverse order.  Graph is itself a Module so a
-// residual block can live inside a Sequential and vice versa.
+// order by construction; forward caches every node output it computes,
+// backward accumulates gradients in reverse order.  Graph is itself a
+// Module so a residual block can live inside a Sequential and vice versa.
+//
+// Eval forwards fuse epilogues (nn/epilogue.hpp).  An Identity node aliases
+// its input; an Activation or ChannelBias node whose input is a producer
+// module's value read by that node alone folds into the producer, which
+// applies it as it writes its output.  At most one bias and then one
+// activation fold into a producer, and a producer that is the graph output
+// keeps its value.  Training forwards, and eval forwards under an FmHook
+// (which must see every activation and BN output), run every node.
 #pragma once
 
 #include "nn/module.hpp"
@@ -29,6 +37,11 @@ public:
     /// Designate the node whose output forward() returns.
     void set_output(int node);
 
+    /// Runs the graph.  Shapes are inferred first: a node with a degenerate
+    /// shape throws std::invalid_argument before any layer runs.  In eval
+    /// mode with no FmHook installed, aliased and fused nodes do not run —
+    /// their producers apply the folded epilogues as they write — and the
+    /// result is bitwise what running every node gives.
     Tensor forward(const Tensor& x) override;
     Tensor backward(const Tensor& grad_out) override;
     void collect_params(std::vector<ParamRef>& out) override;
@@ -42,9 +55,16 @@ public:
     [[nodiscard]] std::int64_t macs(const Shape& in) const override;
     [[nodiscard]] std::int64_t param_count() const override;
 
-    /// Output tensor of an arbitrary node after the last forward()
-    /// (used by trackers that read intermediate features).
+    /// Output tensor of an arbitrary node after the last forward() (used by
+    /// trackers that read intermediate features).  An aliased or fused node
+    /// reads its carrier's tensor, which holds its value, so SkyNet's
+    /// feature_node still reads post-activation features.  A producer whose
+    /// value an epilogue overwrote throws std::logic_error naming that node.
     [[nodiscard]] const Tensor& node_output(int node) const;
+    /// The node whose tensor held `node`'s value in the last forward(): the
+    /// node itself when it ran, else the producer it was aliased or fused
+    /// into (obs::GraphProfiler reports it as LayerProfile::fused_into).
+    [[nodiscard]] int node_carrier(int node) const;
 
     // --- Introspection for rewrite passes (deploy::fold_graph_bn etc.) ---
     enum class NodeKind { kInput, kModule, kConcat, kAdd };
@@ -89,9 +109,16 @@ private:
         std::vector<int> concat_channels;  // filled during forward for kConcat
     };
 
+    /// Derive the next forward's carriers and epilogues for input shape `in`.
+    void plan_forward(const Shape& in);
+
     std::vector<Node> nodes_;
     int output_ = 0;
-    std::vector<Tensor> outputs_;  // per-node forward cache
+    // Per node, for the last forward:
+    std::vector<Tensor> outputs_;     // the tensor, empty unless the node ran
+    std::vector<int> carrier_;        // node whose tensor holds the value
+    std::vector<int> overwritten_;    // epilogue node fused over it, or -1
+    std::vector<Epilogue> epilogue_;  // what a running node applies on write
 };
 
 }  // namespace sky::nn

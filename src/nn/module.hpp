@@ -15,9 +15,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "nn/epilogue.hpp"
 #include "tensor/tensor.hpp"
 
 namespace sky::nn {
@@ -46,6 +48,20 @@ public:
     virtual Tensor forward(const Tensor& x) = 0;
     /// dL/d(input) given dL/d(output).  Parameter gradients accumulate.
     virtual Tensor backward(const Tensor& grad_out) = 0;
+
+    /// forward(x) with `ep` applied to the output (nn/epilogue.hpp) —
+    /// bitwise what forward(x) followed by ep's Activation / ChannelBias
+    /// modules gives.  nn::Graph calls it in eval mode with the epilogues it
+    /// folded into this node.  Default: forward, then ep in place, in
+    /// parallel; the conv layers and eval BatchNorm2d apply it as they write.
+    virtual Tensor forward_fused(const Tensor& x, const Epilogue& ep);
+
+    /// This module as an elementwise per-channel epilogue, or nullopt when it
+    /// is anything else.  Activation, ChannelBias and Identity (an empty
+    /// Epilogue) override it; their forward() computes exactly the Epilogue.
+    [[nodiscard]] virtual std::optional<Epilogue> as_epilogue() const {
+        return std::nullopt;
+    }
 
     /// Append this module's learnable parameters to `out`.
     virtual void collect_params(std::vector<ParamRef>& out) { (void)out; }

@@ -68,7 +68,9 @@ void PWConv1::prepack() {
         core::pack_a(opg, ipg, weight_.plane(g * opg, 0), /*trans=*/false, wpack_[g]);
 }
 
-Tensor PWConv1::forward(const Tensor& x) {
+Tensor PWConv1::forward(const Tensor& x) { return forward_fused(x, Epilogue{}); }
+
+Tensor PWConv1::forward_fused(const Tensor& x, const Epilogue& ep) {
     if (x.shape().c != in_ch_)
         throw std::invalid_argument(name() + ": got input " + x.shape().str());
     if (training_) input_ = x;
@@ -80,16 +82,12 @@ Tensor PWConv1::forward(const Tensor& x) {
     const bool packed = static_cast<int>(wpack_.size()) == groups_ &&
                         !wpack_[0].empty() && wpack_[0].mr == core::gemm_mr() &&
                         wpack_[0].K == ipg;
-    // A 1x1 conv is one GEMM per (image, group): Y_g = W_g (opg x ipg) *
-    // X_g (ipg x H*W), with the bias pre-filled into Y.
+    // A 1x1 conv is one GEMM per (image, group): Y_g = act(b_g + W_g X_g)
+    // with W_g opg x ipg and X_g ipg x H*W, stored straight from the tile.
+    // An epilogue bias cannot share the store's add with the layer's own
+    // bias, so it and its activation go in place afterwards.
+    core::Epilogue store = ep.bias != nullptr ? core::Epilogue{} : ep;
     for (int n = 0; n < s.n; ++n) {
-        if (has_bias_) {
-            for (int oc = 0; oc < out_ch_; ++oc) {
-                const float b = bias_[oc];
-                float* yp = y.plane(n, oc);
-                for (std::int64_t i = 0; i < plane; ++i) yp[i] = b;
-            }
-        }
         for (int g = 0; g < groups_; ++g) {
             core::pack_b(ipg, static_cast<int>(plane), x.plane(n, g * ipg),
                          /*trans=*/false, tls_cols);
@@ -101,9 +99,11 @@ Tensor PWConv1::forward(const Tensor& x) {
                              tls_weights);
                 wp = &tls_weights;
             }
-            core::sgemm_packed(*wp, tls_cols, y.plane(n, g * opg));
+            store.bias = has_bias_ ? bias_.data() + g * opg : nullptr;
+            core::sgemm_packed(*wp, tls_cols, y.plane(n, g * opg), store);
         }
     }
+    if (ep.bias != nullptr) apply_epilogue(ep, y);
     return y;
 }
 

@@ -21,6 +21,8 @@ public:
     PWConv1(int in_ch, int out_ch, bool bias, Rng& rng, int groups = 1);
 
     Tensor forward(const Tensor& x) override;
+    /// Applies `ep` in the GEMM store (see Conv2d::forward_fused).
+    Tensor forward_fused(const Tensor& x, const Epilogue& ep) override;
     Tensor backward(const Tensor& grad_out) override;
     void collect_params(std::vector<ParamRef>& out) override;
     void set_training(bool training) override;

@@ -28,10 +28,13 @@ public:
     ProfiledModule(nn::ModulePtr inner, LayerProfile* prof)
         : inner_(std::move(inner)), prof_(prof) {}
 
-    Tensor forward(const Tensor& x) override {
+    Tensor forward(const Tensor& x) override { return forward_fused(x, nn::Epilogue{}); }
+
+    // Times the layer together with the epilogues the graph fused into it.
+    Tensor forward_fused(const Tensor& x, const nn::Epilogue& ep) override {
         Span span(prof_->name.c_str(), "layer");
         const auto t0 = Clock::now();
-        Tensor y = inner_->forward(x);
+        Tensor y = inner_->forward_fused(x, ep);
         prof_->fwd_ms += ms_since(t0);
         ++prof_->fwd_calls;
         prof_->in = x.shape();
@@ -47,6 +50,10 @@ public:
         prof_->out_mean = y.size() ? sum / static_cast<double>(y.size()) : 0.0;
         prof_->out_absmax = absmax;
         return y;
+    }
+
+    [[nodiscard]] std::optional<nn::Epilogue> as_epilogue() const override {
+        return inner_->as_epilogue();
     }
 
     Tensor backward(const Tensor& grad_out) override {
@@ -65,6 +72,7 @@ public:
         Module::set_training(training);
         inner_->set_training(training);
     }
+    void prepack() override { inner_->prepack(); }
     [[nodiscard]] std::string name() const override { return inner_->name(); }
     [[nodiscard]] Shape out_shape(const Shape& in) const override {
         return inner_->out_shape(in);
@@ -105,9 +113,19 @@ GraphProfiler::GraphProfiler(nn::Graph& graph) : graph_(&graph) {
 
 GraphProfiler::~GraphProfiler() { detach(); }
 
+LayerProfile GraphProfiler::read(const LayerProfile& slot) const {
+    LayerProfile p = slot;
+    if (attached_) {
+        const int carrier = graph_->node_carrier(p.node);
+        p.fused_into = carrier != p.node ? carrier : -1;
+    }
+    return p;
+}
+
 void GraphProfiler::detach() {
     if (!attached_) return;
     for (const auto& slot : slots_) {
+        *slot = read(*slot);
         const auto node = static_cast<std::size_t>(slot->node);
         auto* shim = static_cast<ProfiledModule*>(graph_->node_module(node));
         graph_->replace_module(node, shim->release_inner());
@@ -129,7 +147,7 @@ void GraphProfiler::reset() {
 std::vector<LayerProfile> GraphProfiler::profiles() const {
     std::vector<LayerProfile> out;
     out.reserve(slots_.size());
-    for (const auto& slot : slots_) out.push_back(*slot);
+    for (const auto& slot : slots_) out.push_back(read(*slot));
     return out;
 }
 
@@ -149,16 +167,16 @@ std::string GraphProfiler::to_json() const {
     std::ostringstream os;
     os << "{\n  \"layers\": [";
     for (std::size_t i = 0; i < slots_.size(); ++i) {
-        const LayerProfile& p = *slots_[i];
-        char buf[224];
+        const LayerProfile p = read(*slots_[i]);
+        char buf[256];
         std::snprintf(buf, sizeof buf,
                       "\"fwd_calls\": %d, \"bwd_calls\": %d, \"fwd_ms\": %.6f, "
                       "\"bwd_ms\": %.6f, \"out_mean\": %.6g, \"out_absmax\": %.6g, "
-                      "\"threads\": %d, \"gflops\": %.4f",
+                      "\"threads\": %d, \"gflops\": %.4f, \"fused_into\": %d",
                       p.fwd_calls, p.bwd_calls, p.fwd_ms, p.bwd_ms,
                       std::isfinite(p.out_mean) ? p.out_mean : 0.0,
                       std::isfinite(p.out_absmax) ? p.out_absmax : 0.0, p.threads,
-                      p.fwd_gflops());
+                      p.fwd_gflops(), p.fused_into);
         os << (i ? "," : "") << "\n    {\"node\": " << p.node << ", \"name\": \"" << p.name
            << "\", \"kind\": \"" << p.kind << "\", \"in\": " << p.in.str()
            << ", \"out\": " << p.out.str() << ", \"macs\": " << p.macs
@@ -197,15 +215,16 @@ void GraphProfiler::export_metrics(Registry& registry, const std::string& prefix
 
 void GraphProfiler::print_table(Logger& log) const {
     const double total_ms = total_forward_ms();
-    log.infof("%4s %-24s %-8s %-18s %12s %10s %10s %8s %3s %7s", "node", "layer", "kind",
-              "out", "MACs", "ms/call", "fwd ms", "GFLOP/s", "thr", "%");
+    log.infof("%4s %-24s %-8s %-18s %12s %10s %10s %8s %3s %7s %5s", "node", "layer",
+              "kind", "out", "MACs", "ms/call", "fwd ms", "GFLOP/s", "thr", "%", "fused");
     for (const auto& slot : slots_) {
-        const LayerProfile& p = *slot;
+        const LayerProfile p = read(*slot);
         const double pct = total_ms > 0.0 ? 100.0 * p.fwd_ms / total_ms : 0.0;
-        log.infof("%4d %-24s %-8s %-18s %12lld %10.3f %10.3f %8.2f %3d %6.1f%%", p.node,
+        const std::string fused = p.fused_into >= 0 ? "->" + std::to_string(p.fused_into) : "";
+        log.infof("%4d %-24s %-8s %-18s %12lld %10.3f %10.3f %8.2f %3d %6.1f%% %5s", p.node,
                   p.name.c_str(), p.kind.c_str(), p.out.str().c_str(),
                   static_cast<long long>(p.macs), p.fwd_ms_avg(), p.fwd_ms,
-                  p.fwd_gflops(), p.threads, pct);
+                  p.fwd_gflops(), p.threads, pct, fused.c_str());
     }
     log.infof("%4s %-24s %-8s %-18s %12s %10s %10.3f %8s %3s %6s", "", "total", "", "",
               "", "", total_ms, "", "", "100%");

@@ -4,7 +4,10 @@
 // Graph::replace_module) that records forward/backward wall time, the MAC
 // count at the observed input shape, and output-tensor statistics — the
 // per-layer cost data behind the paper's Bundle latency models and roofline
-// analyses, measured instead of estimated.  While a trace session is
+// analyses, measured instead of estimated.  In an eval forward a fused
+// epilogue node (nn/graph.hpp) does not run: its shim records no call, its
+// time is part of its producer's, and LayerProfile::fused_into names that
+// producer.  While a trace session is
 // installed each layer forward also emits a span, so a profiled inference
 // shows up in chrome://tracing as a per-layer timeline.  The shims delegate
 // everything else (params, state, shapes, enumerate), so a profiled network
@@ -35,6 +38,9 @@ struct LayerProfile {
     double out_mean = 0.0;    ///< over the last forward's output
     double out_absmax = 0.0;
     int threads = 0;  ///< kernel-engine thread count during the last forward
+    /// The producer node this node was aliased or fused into in the last
+    /// forward (its time is in that node's), or -1 when it ran.
+    int fused_into = -1;
 
     [[nodiscard]] double fwd_ms_avg() const {
         return fwd_calls ? fwd_ms / fwd_calls : 0.0;
@@ -77,6 +83,10 @@ public:
     void print_table(Logger& log) const;
 
 private:
+    /// A slot with fused_into read from the graph's last forward (while
+    /// attached; detach() freezes it).
+    [[nodiscard]] LayerProfile read(const LayerProfile& slot) const;
+
     nn::Graph* graph_;
     // Heap slots so the shim modules hold stable LayerProfile pointers.
     std::vector<std::unique_ptr<LayerProfile>> slots_;

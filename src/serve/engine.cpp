@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "data/augment.hpp"
@@ -23,6 +24,16 @@ std::vector<double> latency_bounds() {
     std::vector<double> b;
     for (double v = 0.01; v < 1.2e4; v *= 1.5) b.push_back(v);
     return b;
+}
+
+std::string describe(const std::exception_ptr& cause) {
+    try {
+        std::rethrow_exception(cause);
+    } catch (const std::exception& e) {
+        return e.what();
+    } catch (...) {
+        return "unknown exception";
+    }
 }
 
 std::vector<double> depth_bounds(std::size_t capacity) {
@@ -132,7 +143,7 @@ void Engine::preprocess_loop() {
             continue;
         }
         r.pre_start = Clock::now();
-        {
+        try {
             obs::Span span("serve/preprocess", "serve");
             const Shape& s = r.image.shape();
             if (cfg_.target_h > 0 && cfg_.target_w > 0 &&
@@ -146,6 +157,9 @@ void Engine::preprocess_loop() {
                               : data::resize_bilinear(r.image, cfg_.target_h,
                                                       cfg_.target_w);
             }
+        } catch (...) {
+            fail(r, "preprocess", std::current_exception());
+            continue;
         }
         r.pre_end = Clock::now();
         observe("serve.latency.preprocess_ms", ms_between(r.pre_start, r.pre_end));
@@ -158,32 +172,55 @@ void Engine::preprocess_loop() {
 void Engine::infer_loop() {
     std::vector<Request> items;
     while (batcher_.pop_batch(cfg_.max_batch, cfg_.max_delay_ms, items)) {
-        InferredBatch batch;
-        batch.infer_start = Clock::now();
-        const Shape item_shape = items[0].image.shape();
-        Tensor input({static_cast<int>(items.size()), item_shape.c, item_shape.h,
-                      item_shape.w});
-        for (std::size_t i = 0; i < items.size(); ++i)
-            std::memcpy(input.plane(static_cast<int>(i), 0), items[i].image.data(),
-                        static_cast<std::size_t>(item_shape.per_item()) * sizeof(float));
-        {
-            obs::Span span("serve/infer", "serve");
-            batch.raw = detector_.forward(input);
+        try {
+            infer_batch(items);
+        } catch (...) {
+            if (items.size() == 1) {
+                fail(items[0], "inference", std::current_exception());
+            } else {
+                // Re-run the members alone: the good ones get bitwise the
+                // results the batch would have given them.
+                for (Request& r : items) {
+                    std::vector<Request> one;
+                    one.push_back(std::move(r));
+                    try {
+                        infer_batch(one);
+                    } catch (...) {
+                        fail(one[0], "inference", std::current_exception());
+                    }
+                }
+            }
         }
-        batch.infer_ms = ms_between(batch.infer_start, Clock::now());
-        batch.items = std::move(items);
         items.clear();  // moved-from; pop_batch re-fills it next iteration
-        batches_.fetch_add(1, std::memory_order_relaxed);
-        observe("serve.latency.infer_ms", batch.infer_ms);
-        if (obs::Registry* reg = cfg_.metrics) {
-            reg->add("serve.batches");
-            reg->observe("serve.batch.size", static_cast<double>(batch.items.size()));
-        }
-        if (std::optional<InferredBatch> rejected = post_q_.offer(std::move(batch))) {
-            for (Request& r : rejected->items)
-                r.promise.set_exception(std::make_exception_ptr(
-                    RejectedError("serve::Engine: post queue closed mid-flight")));
-        }
+    }
+}
+
+void Engine::infer_batch(std::vector<Request>& items) {
+    InferredBatch batch;
+    batch.infer_start = Clock::now();
+    const Shape item_shape = items[0].image.shape();
+    Tensor input({static_cast<int>(items.size()), item_shape.c, item_shape.h,
+                  item_shape.w});
+    for (std::size_t i = 0; i < items.size(); ++i)
+        std::memcpy(input.plane(static_cast<int>(i), 0), items[i].image.data(),
+                    static_cast<std::size_t>(item_shape.per_item()) * sizeof(float));
+    {
+        obs::Span span("serve/infer", "serve");
+        batch.raw = detector_.forward(input);
+    }
+    batch.infer_ms = ms_between(batch.infer_start, Clock::now());
+    batch.items = std::move(items);
+    items.clear();
+    batches_.fetch_add(1, std::memory_order_relaxed);
+    observe("serve.latency.infer_ms", batch.infer_ms);
+    if (obs::Registry* reg = cfg_.metrics) {
+        reg->add("serve.batches");
+        reg->observe("serve.batch.size", static_cast<double>(batch.items.size()));
+    }
+    if (std::optional<InferredBatch> rejected = post_q_.offer(std::move(batch))) {
+        for (Request& r : rejected->items)
+            r.promise.set_exception(std::make_exception_ptr(
+                RejectedError("serve::Engine: post queue closed mid-flight")));
     }
 }
 
@@ -192,9 +229,17 @@ void Engine::post_loop() {
     while (post_q_.pop(batch)) {
         const Clock::time_point post_start = Clock::now();
         std::vector<detect::BBox> boxes;
-        {
+        try {
             obs::Span span("serve/postprocess", "serve");
             boxes = detector_.head().decode(batch.raw);
+            if (boxes.size() != batch.items.size())
+                throw DetectorError("serve::Engine: decoded " + std::to_string(boxes.size()) +
+                                    " boxes for " + std::to_string(batch.items.size()) +
+                                    " images (head map " + batch.raw.shape().str() + ")");
+        } catch (...) {
+            const std::exception_ptr cause = std::current_exception();
+            for (Request& r : batch.items) fail(r, "postprocess", cause);
+            continue;
         }
         const Clock::time_point done = Clock::now();
         const double post_ms = ms_between(post_start, done);
@@ -218,6 +263,13 @@ void Engine::post_loop() {
             r.promise.set_value(res);
         }
     }
+}
+
+void Engine::fail(Request& r, const char* stage, const std::exception_ptr& cause) {
+    failed_.fetch_add(1, std::memory_order_relaxed);
+    if (obs::Registry* reg = cfg_.metrics) reg->add("serve.failed");
+    r.promise.set_exception(std::make_exception_ptr(InferenceError(
+        std::string("serve::Engine: ") + stage + " failed: " + describe(cause), cause)));
 }
 
 void Engine::observe(const char* name, double value) {

@@ -18,6 +18,12 @@
 // skynet/detector.hpp), results never depend on how requests were
 // coalesced or how many workers ran.
 //
+// Fault containment: a stage that throws fails only the requests it was
+// working on, with a typed InferenceError, and the engine keeps serving.
+// When a batch forward throws, its members are re-run one at a time — batch
+// forwards equal per-image forwards bitwise, so the good members get the
+// results they would have had, and only the offending request fails.
+//
 // Observability: with ServeConfig::metrics set, the engine records
 // per-request latency histograms (queue / preprocess / batch-wait / infer /
 // postprocess / total), queue-depth and batch-size histograms, and
@@ -29,8 +35,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <future>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -83,6 +91,19 @@ public:
     using std::runtime_error::runtime_error;
 };
 
+/// The future of a request whose preprocessing, inference or decoding
+/// threw.  what() names the stage and the cause's message; cause() is the
+/// original exception.
+class InferenceError : public std::runtime_error {
+public:
+    InferenceError(const std::string& what, std::exception_ptr cause)
+        : std::runtime_error(what), cause_(std::move(cause)) {}
+    [[nodiscard]] std::exception_ptr cause() const { return cause_; }
+
+private:
+    std::exception_ptr cause_;
+};
+
 class Engine {
 public:
     /// The engine borrows `detector`; it must outlive the engine and must
@@ -99,8 +120,9 @@ public:
     [[nodiscard]] bool running() const { return started_ && !stopped_; }
 
     /// Enqueue one {1,3,h,w} image; the future resolves when the request
-    /// has flowed through the whole pipeline.  Throws RejectedError under
-    /// kReject with a full queue, or after shutdown.
+    /// has flowed through the whole pipeline, or with InferenceError when a
+    /// stage failed on it.  Throws RejectedError under kReject with a full
+    /// queue, or after shutdown.
     [[nodiscard]] std::future<DetectResult> submit(Tensor image);
 
     /// Graceful shutdown.  With drain=true (default) every accepted request
@@ -113,6 +135,9 @@ public:
 
     [[nodiscard]] std::uint64_t submitted() const { return submitted_.load(); }
     [[nodiscard]] std::uint64_t completed() const { return completed_.load(); }
+    /// Requests that ended in InferenceError.  After shutdown(true),
+    /// submitted() == completed() + failed().
+    [[nodiscard]] std::uint64_t failed() const { return failed_.load(); }
     [[nodiscard]] std::uint64_t rejected() const { return rejected_.load(); }
     [[nodiscard]] std::uint64_t batches() const { return batches_.load(); }
 
@@ -138,7 +163,12 @@ private:
 
     void preprocess_loop();
     void infer_loop();
+    /// Forward `items` as one batch and queue it for postprocessing; throws
+    /// what the forward throws, with `items` left intact.
+    void infer_batch(std::vector<Request>& items);
     void post_loop();
+    /// Resolve `r` with an InferenceError for a fault in `stage`.
+    void fail(Request& r, const char* stage, const std::exception_ptr& cause);
     void observe(const char* name, double value);
     void publish_percentiles();
 
@@ -164,6 +194,7 @@ private:
     std::atomic<bool> discard_{false};
     std::atomic<std::uint64_t> submitted_{0};
     std::atomic<std::uint64_t> completed_{0};
+    std::atomic<std::uint64_t> failed_{0};
     std::atomic<std::uint64_t> rejected_{0};
     std::atomic<std::uint64_t> batches_{0};
 };

@@ -1,0 +1,294 @@
+// Fused eval epilogues (nn/epilogue.hpp, nn::Graph::forward): an eval
+// forward folds Identity / ChannelBias / Activation nodes into their
+// producers and must stay bitwise equal to a node-by-node unfused
+// evaluation at every SIMD level and thread count.  Also pins which
+// patterns must not fuse, node_output's view of fused nodes, the FmHook
+// exception and the refusal of collapsing inputs.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstring>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "backbones/registry.hpp"
+#include "core/simd.hpp"
+#include "core/thread_pool.hpp"
+#include "deploy/fold_bn.hpp"
+#include "nn/activations.hpp"
+#include "nn/batchnorm.hpp"
+#include "nn/conv.hpp"
+#include "nn/dwconv.hpp"
+#include "nn/fm_hook.hpp"
+#include "nn/pooling.hpp"
+#include "nn/pwconv.hpp"
+#include "skynet/detector.hpp"
+#include "skynet/skynet_model.hpp"
+#include "tracking/siamese.hpp"
+#include "unfused_reference.hpp"
+
+namespace sky {
+namespace {
+
+struct Restore {
+    core::SimdLevel saved = core::active_simd_level();
+    ~Restore() {
+        core::set_simd_level(saved);
+        core::ThreadPool::set_global_threads(0);
+    }
+};
+
+std::vector<core::SimdLevel> levels() {
+    std::vector<core::SimdLevel> out{core::SimdLevel::kScalar, core::SimdLevel::kGeneric};
+    if (core::best_simd_level() == core::SimdLevel::kAvx2)
+        out.push_back(core::SimdLevel::kAvx2);
+    return out;
+}
+
+Tensor random_input(Shape s, std::uint64_t seed, float lo = -1.0f, float hi = 1.0f) {
+    Rng rng(seed);
+    Tensor x(s);
+    x.rand_uniform(rng, lo, hi);
+    return x;
+}
+
+std::uint32_t bits(float v) {
+    std::uint32_t u = 0;
+    std::memcpy(&u, &v, sizeof u);
+    return u;
+}
+
+void expect_bitwise(const Tensor& got, const Tensor& want, const std::string& what) {
+    ASSERT_EQ(got.shape(), want.shape()) << what;
+    for (std::int64_t i = 0; i < got.size(); ++i)
+        ASSERT_EQ(bits(got[i]), bits(want[i]))
+            << what << " idx " << i << ": " << got[i] << " vs " << want[i];
+}
+
+/// Eval forward of `m` against the unfused reference at every SIMD level and
+/// 1/2/4 threads (the reference is recomputed per level: FMA contraction
+/// makes levels differ from each other, never a level from itself).
+void expect_fused_equals_unfused(nn::Module& m, const Tensor& x, const std::string& what) {
+    Restore restore;
+    m.set_training(false);
+    for (core::SimdLevel lvl : levels()) {
+        core::set_simd_level(lvl);
+        core::ThreadPool::set_global_threads(1);
+        const Tensor ref = testing::unfused_forward(m, x);
+        for (int threads : {1, 2, 4}) {
+            core::ThreadPool::set_global_threads(threads);
+            expect_bitwise(m.forward(x), ref,
+                           what + " @" + core::simd_level_name(lvl) + "/" +
+                               std::to_string(threads) + "t");
+        }
+    }
+}
+
+int fused_count(const nn::Graph& g) {
+    int n = 0;
+    for (std::size_t i = 0; i < g.node_count(); ++i)
+        if (g.node_carrier(static_cast<int>(i)) != static_cast<int>(i)) ++n;
+    return n;
+}
+
+// ------------------------------------------------------------ bitwise
+
+TEST(FusedForward, SkyNetBitwiseEqualsUnfusedFoldedAndUnfolded) {
+    for (SkyNetVariant v : {SkyNetVariant::kA, SkyNetVariant::kB, SkyNetVariant::kC})
+        for (nn::Act act : {nn::Act::kReLU, nn::Act::kReLU6, nn::Act::kLeaky})
+            for (bool folded : {false, true}) {
+                Rng rng(11);
+                Detector det({v, act, 2, 0.25f}, rng);
+                if (folded) (void)det.fold_bn();
+                const Tensor x = random_input({2, 3, 32, 64}, 12, 0.0f, 1.0f);
+                const std::string what = std::string(variant_name(v)) + "/" +
+                                         nn::act_name(act) + (folded ? "/folded" : "");
+                expect_fused_equals_unfused(det.net(), x, what);
+                // Every Bundle activation fused (unfolded: into its BN;
+                // folded: through the Identity / ChannelBias into the conv).
+                int acts = 0;
+                for (std::size_t i = 0; i < det.net().node_count(); ++i)
+                    if (det.net().node_module(i) != nullptr &&
+                        det.net().node_module(i)->kind() == "act") {
+                        ++acts;
+                        EXPECT_NE(det.net().node_carrier(static_cast<int>(i)),
+                                  static_cast<int>(i))
+                            << what << " node " << i;
+                    }
+                EXPECT_GT(acts, 0);
+            }
+}
+
+TEST(FusedForward, SigmoidAndConvBiasActivationGraphs) {
+    Rng rng(21);
+    nn::Graph g;
+    // conv (own bias) -> Sigmoid
+    int a = g.add(std::make_unique<nn::Conv2d>(3, 6, 3, 1, 1, true, rng), g.input());
+    a = g.add(std::make_unique<nn::Activation>(nn::Act::kSigmoid), a);
+    // bias-less conv -> ChannelBias -> LeakyReLU (-0.0 and 0.0 biases too)
+    int b = g.add(std::make_unique<nn::Conv2d>(3, 6, 3, 1, 1, false, rng), g.input());
+    b = g.add(std::make_unique<deploy::ChannelBias>(std::vector<float>{0.5f, -0.25f, 0.0f,
+                                                                       -0.0f, 1.0f, -2.0f}),
+              b);
+    b = g.add(std::make_unique<nn::Activation>(nn::Act::kLeaky, 0.2f), b);
+    b = g.add(std::make_unique<nn::MaxPool2>(), b);
+    // conv with its own bias -> ChannelBias -> ReLU6 (two biases)
+    int c = g.add(std::make_unique<nn::PWConv1>(3, 6, true, rng), g.input());
+    c = g.add(std::make_unique<deploy::ChannelBias>(std::vector<float>(6, 0.75f)), c);
+    c = g.add(std::make_unique<nn::Activation>(nn::Act::kReLU6), c);
+    c = g.add(std::make_unique<nn::MaxPool2>(), c);
+    // dwconv -> ChannelBias -> ReLU, BN -> Sigmoid
+    int d = g.add(std::make_unique<nn::DWConv3>(6, rng), a);
+    d = g.add(std::make_unique<deploy::ChannelBias>(std::vector<float>(6, -0.1f)), d);
+    d = g.add(std::make_unique<nn::Activation>(nn::Act::kReLU), d);
+    d = g.add(std::make_unique<nn::BatchNorm2d>(6), d);
+    d = g.add(std::make_unique<nn::Activation>(nn::Act::kSigmoid), d);
+    d = g.add(std::make_unique<nn::MaxPool2>(), d);
+    g.set_output(g.add_concat({b, c, d}));
+    expect_fused_equals_unfused(g, random_input({2, 3, 10, 14}, 22), "mixed");
+    // Every epilogue node fused: the two sigmoids, both biases and acts.
+    for (std::size_t i = 0; i < g.node_count(); ++i)
+        if (g.node_module(i) != nullptr && g.node_module(i)->as_epilogue())
+            EXPECT_NE(g.node_carrier(static_cast<int>(i)), static_cast<int>(i)) << i;
+}
+
+TEST(FusedForward, BackboneZooBitwiseEqualsUnfused) {
+    for (const std::string& name : backbones::backbone_names()) {
+        Rng rng(31);
+        backbones::Backbone b = backbones::build_by_name(name, 0.25f, rng);
+        expect_fused_equals_unfused(*b.net, random_input({1, 3, 32, 32}, 32, 0.0f, 1.0f),
+                                    name);
+    }
+}
+
+TEST(FusedForward, SiamRpnEmbedBitwiseEqualsUnfused) {
+    Rng rng(41);
+    SkyNetModel bb = build_skynet_backbone(0.25f, nn::Act::kReLU6, rng);
+    const int channels = bb.feature_channels();
+    tracking::SiameseEmbed embed(std::move(bb.net), channels, 16, rng);
+    expect_fused_equals_unfused(embed.net(), random_input({2, 3, 64, 64}, 42, 0.0f, 1.0f),
+                                "embed");
+    // The backbone is a Graph nested in the embed's Sequential: its BN ->
+    // ReLU6 pairs fused.
+    auto& backbone = dynamic_cast<nn::Graph&>(dynamic_cast<nn::Sequential&>(embed.net()).at(0));
+    EXPECT_GT(fused_count(backbone), 0);
+}
+
+// ------------------------------------------------------ fusion rule
+
+TEST(FusedForward, UnfusableCasesRunUnfused) {
+    Rng rng(51);
+    nn::Graph g;
+    // Input -> act: the input carries no epilogue.
+    const int act_in = g.add(std::make_unique<nn::Activation>(nn::Act::kReLU), g.input());
+    // A producer with a second reader keeps its value.
+    const int shared = g.add(std::make_unique<nn::Conv2d>(3, 4, 3, 1, 1, true, rng), act_in);
+    const int act_shared = g.add(std::make_unique<nn::Activation>(nn::Act::kReLU6), shared);
+    const int cat = g.add_concat({act_shared, shared});
+    // Concat -> act, then a second act and a bias after an act.
+    const int act_cat = g.add(std::make_unique<nn::Activation>(nn::Act::kLeaky), cat);
+    const int pw = g.add(std::make_unique<nn::PWConv1>(8, 4, false, rng), act_cat);
+    const int act1 = g.add(std::make_unique<nn::Activation>(nn::Act::kReLU), pw);
+    const int act2 = g.add(std::make_unique<nn::Activation>(nn::Act::kReLU6), act1);
+    const int bias = g.add(
+        std::make_unique<deploy::ChannelBias>(std::vector<float>(4, 0.5f)), act2);
+    // Add -> act.
+    const int sum = g.add_add(bias, act1);
+    const int act_add = g.add(std::make_unique<nn::Activation>(nn::Act::kReLU), sum);
+    // A bias right after an activation that did fuse.
+    const int pw2 = g.add(std::make_unique<nn::PWConv1>(4, 4, true, rng), act_add);
+    const int act3 = g.add(std::make_unique<nn::Activation>(nn::Act::kReLU6), pw2);
+    const int bias2 = g.add(
+        std::make_unique<deploy::ChannelBias>(std::vector<float>(4, -0.5f)), act3);
+    // A producer that is the graph output keeps its value too.
+    const int out = g.add(std::make_unique<nn::DWConv3>(4, rng), g.add_add(act_add, bias2));
+    const int act_dead = g.add(std::make_unique<nn::Activation>(nn::Act::kReLU), out);
+    g.set_output(out);
+
+    expect_fused_equals_unfused(g, random_input({2, 3, 8, 8}, 52), "unfusable");
+    for (int unfused : {act_in, act_shared, act_cat, act2, bias, act_add, bias2, act_dead})
+        EXPECT_EQ(g.node_carrier(unfused), unfused) << "node " << unfused;
+    EXPECT_EQ(g.node_carrier(act1), pw);  // the first act in a row does fuse
+    EXPECT_EQ(g.node_carrier(act3), pw2);
+    EXPECT_EQ(fused_count(g), 2);
+}
+
+TEST(FusedForward, TrainingAndFmHookRunEveryNode) {
+    Rng rng(61);
+    SkyNetModel model = build_skynet({SkyNetVariant::kC, nn::Act::kReLU6, 2, 0.25f}, rng);
+    nn::Graph& g = *model.net;
+    const Tensor x = random_input({1, 3, 32, 64}, 62, 0.0f, 1.0f);
+    g.set_training(true);
+    (void)g.forward(x);
+    EXPECT_EQ(fused_count(g), 0);
+
+    // Under an FmHook (Table 7's float emulation) the hook must see every
+    // activation and BN output, in node order, exactly as before fusion.
+    g.set_training(false);
+    const std::vector<Tensor> ref = testing::unfused_node_values(g, x);
+    std::vector<Tensor> seen;
+    {
+        nn::FmHookGuard guard([&seen](Tensor& t) { seen.push_back(t); });
+        (void)g.forward(x);
+        EXPECT_EQ(fused_count(g), 0);
+    }
+    std::vector<const Tensor*> want;
+    for (std::size_t i = 0; i < g.node_count(); ++i) {
+        const nn::Module* m = g.node_module(i);
+        if (m != nullptr && (m->kind() == "act" || m->kind() == "bn")) want.push_back(&ref[i]);
+    }
+    ASSERT_EQ(seen.size(), want.size());
+    for (std::size_t k = 0; k < seen.size(); ++k)
+        expect_bitwise(seen[k], *want[k], "hook call " + std::to_string(k));
+    (void)g.forward(x);  // hook gone: fusion is back
+    EXPECT_GT(fused_count(g), 0);
+}
+
+TEST(FusedForward, NodeOutputReadsCarriersAndRefusesOverwrittenProducers) {
+    Rng rng(71);
+    Detector det({SkyNetVariant::kC, nn::Act::kReLU6, 2, 0.25f}, rng);
+    (void)det.fold_bn();
+    nn::Graph& g = det.net();
+    g.set_training(false);
+    const Tensor x = random_input({1, 3, 32, 64}, 72, 0.0f, 1.0f);
+    const std::vector<Tensor> ref = testing::unfused_node_values(g, x);
+    (void)g.forward(x);
+    // SkyNet's feature tap is a fused activation: it reads post-activation
+    // features from its carrier.
+    const int feat = det.model().feature_node();
+    ASSERT_NE(g.node_carrier(feat), feat);
+    expect_bitwise(g.node_output(feat), ref[static_cast<std::size_t>(feat)], "feature tap");
+    int refused = 0;
+    for (std::size_t i = 0; i < g.node_count(); ++i) {
+        const int node = static_cast<int>(i);
+        try {
+            expect_bitwise(g.node_output(node), ref[i], "node " + std::to_string(i));
+        } catch (const std::logic_error& e) {
+            // Only a value an epilogue overwrote refuses, naming that node.
+            ++refused;
+            EXPECT_NE(std::string(e.what()).find("fused into it"), std::string::npos);
+        }
+    }
+    EXPECT_GT(refused, 0);
+    EXPECT_THROW((void)g.node_output(static_cast<int>(g.node_count())), std::out_of_range);
+}
+
+TEST(FusedForward, CollapsingInputIsRefusedBeforeAnyLayerRuns) {
+    Rng rng(81);
+    Detector det({SkyNetVariant::kC, nn::Act::kReLU6, 2, 0.25f}, rng);
+    const Tensor tiny = random_input({1, 3, 6, 6}, 82, 0.0f, 1.0f);
+    try {
+        (void)det.forward(tiny);
+        FAIL() << "a 6x6 input collapses SkyNet's maps and must be refused";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("has a degenerate shape"), std::string::npos)
+            << e.what();
+    }
+    det.net().set_training(true);
+    EXPECT_THROW((void)det.net().forward(tiny), std::invalid_argument);
+}
+
+}  // namespace
+}  // namespace sky

@@ -19,6 +19,7 @@
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "search/flow.hpp"
+#include "skynet/detector.hpp"
 #include "skynet/skynet_model.hpp"
 #include "train/trainer.hpp"
 
@@ -460,6 +461,39 @@ TEST(GraphProfiler, IsTransparentAndDetachRestores) {
             EXPECT_EQ(m->name().find("Profiled"), std::string::npos);
         }
     }
+}
+
+TEST(GraphProfiler, ShowsFusedEpiloguesAndKeepsTheForwardBitwise) {
+    Rng rng(12);
+    Detector det({SkyNetVariant::kC, nn::Act::kReLU6, 2, 0.25f}, rng);
+    (void)det.fold_bn();
+    nn::Graph& g = det.net();
+    Rng dr(13);
+    Tensor x({1, 3, 32, 64});
+    x.rand_uniform(dr, 0.0f, 1.0f);
+    const Tensor plain = det.forward(x);
+    GraphProfiler profiler(g);
+    const Tensor profiled = det.forward(x);
+    ASSERT_EQ(profiled.shape(), plain.shape());
+    for (std::int64_t i = 0; i < plain.size(); ++i)
+        ASSERT_EQ(profiled[i], plain[i]) << "profiled forward diverged at " << i;
+    int fused = 0;
+    for (const LayerProfile& p : profiler.profiles()) {
+        const bool epilogue = p.kind == "act" || p.kind == "bias" || p.kind == "identity";
+        EXPECT_EQ(p.fwd_calls == 0, p.fused_into >= 0) << p.node << " " << p.name;
+        EXPECT_EQ(p.fused_into >= 0, epilogue) << p.node << " " << p.name;
+        if (p.fused_into >= 0) {
+            ++fused;
+            // The carrier is the producer that ran and applied the epilogue.
+            EXPECT_EQ(p.fused_into, g.node_carrier(p.node));
+            EXPECT_FALSE(g.node_module(static_cast<std::size_t>(p.fused_into))->as_epilogue());
+        }
+    }
+    EXPECT_GT(fused, 0);
+    const std::string json = profiler.to_json();
+    EXPECT_NE(json.find("\"fused_into\": -1"), std::string::npos);
+    EXPECT_NE(json.find("\"fused_into\": 1}"), std::string::npos);  // bias -> dwconv 1
+    EXPECT_TRUE(json_valid(json));
 }
 
 TEST(GraphProfiler, ResetZeroesAccumulators) {

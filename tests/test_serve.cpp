@@ -7,6 +7,8 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -334,6 +336,70 @@ TEST(Engine, MetricsAndTraceCoverThePipeline) {
     EXPECT_EQ(pre, 7);
     EXPECT_GE(infer, 3);  // 7 requests at max_batch 3 -> >= 3 batches
     EXPECT_EQ(infer, post);
+}
+
+void expect_same_box(const detect::BBox& got, const detect::BBox& want) {
+    EXPECT_EQ(got.cx, want.cx);
+    EXPECT_EQ(got.cy, want.cy);
+    EXPECT_EQ(got.w, want.w);
+    EXPECT_EQ(got.h, want.h);
+}
+
+TEST(Engine, InferenceFaultFailsOnlyItsRequest) {
+    // int8 SkyNet-C x0.25 refuses a 6x6 image (its maps collapse) by
+    // throwing on the infer thread; the engine must survive it.
+    Rng rng(91);
+    Detector det({SkyNetVariant::kC, nn::Act::kReLU6, 2, 0.25f}, rng);
+    (void)det.quantize(quant::QuantConfig{});
+    const Tensor good = random_image(92);
+    const detect::BBox want = det.detect(good);
+    obs::Registry reg;
+    ServeConfig cfg;  // target 0: images pass through at their own size
+    cfg.metrics = &reg;
+    Engine engine(det, cfg);
+    std::future<DetectResult> bad = engine.submit(random_image(93, 6, 6));
+    std::future<DetectResult> ok = engine.submit(good);
+    engine.start();
+    try {
+        (void)bad.get();
+        ADD_FAILURE() << "a collapsing image must fail its request";
+    } catch (const InferenceError& e) {
+        EXPECT_NE(std::string(e.what()).find("degenerate shape"), std::string::npos)
+            << e.what();
+        EXPECT_THROW(std::rethrow_exception(e.cause()), std::invalid_argument);
+    }
+    expect_same_box(ok.get().box, want);
+    engine.shutdown(true);
+    EXPECT_EQ(engine.failed(), 1u);
+    EXPECT_EQ(engine.submitted(), engine.completed() + engine.failed());
+    EXPECT_EQ(reg.counter("serve.failed"), 1.0);
+}
+
+TEST(Engine, FailingBatchIsRerunOneImageAtATime) {
+    // Strict int8 throws on an input outside the declared range, so one bad
+    // image fails its whole batch's forward; re-run alone, the good members
+    // get exactly Detector::detect's boxes.
+    Rng rng(94);
+    Detector det({SkyNetVariant::kC, nn::Act::kReLU6, 2, 0.25f}, rng);
+    (void)det.quantize(quant::QuantConfig{}.with_execution(quant::QExecution::kInt8));
+    const Tensor good1 = random_image(95), good2 = random_image(96);
+    Tensor out_of_range = random_image(97);
+    out_of_range.fill(5.0f);
+    const detect::BBox want1 = det.detect(good1), want2 = det.detect(good2);
+    ServeConfig cfg;
+    cfg.max_batch = 4;
+    cfg.max_delay_ms = 200.0;
+    Engine engine(det, cfg);
+    std::future<DetectResult> f1 = engine.submit(good1);
+    std::future<DetectResult> fb = engine.submit(out_of_range);
+    std::future<DetectResult> f2 = engine.submit(good2);
+    engine.start();
+    EXPECT_THROW((void)fb.get(), InferenceError);
+    expect_same_box(f1.get().box, want1);
+    expect_same_box(f2.get().box, want2);
+    engine.shutdown(true);
+    EXPECT_EQ(engine.completed(), 2u);
+    EXPECT_EQ(engine.failed(), 1u);
 }
 
 // ------------------------------------------------------------- detector ---

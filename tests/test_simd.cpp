@@ -6,13 +6,17 @@
 // geometry change).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
 #include "core/gemm.hpp"
 #include "core/simd.hpp"
 #include "core/thread_pool.hpp"
+#include "nn/activations.hpp"
 #include "nn/conv.hpp"
 #include "nn/linear.hpp"
 #include "nn/pwconv.hpp"
@@ -159,6 +163,110 @@ TEST(Simd, VectorLevelsMatchScalarWithinTolerance) {
         for (std::size_t i = 0; i < ref.size(); ++i)
             ASSERT_NEAR(c[i], ref[i], 1e-4f)
                 << core::simd_level_name(lvl) << " idx " << i;
+    }
+}
+
+// ------------------------------------------------------- store-mode GEMM
+
+std::uint32_t bits(float v) {
+    std::uint32_t u = 0;
+    std::memcpy(&u, &v, sizeof u);
+    return u;
+}
+
+/// The unfused reference of a store-mode GEMM: C filled with the bias (or
+/// zeros), the accumulating sgemm_packed, then nn::Activation's own pass.
+std::vector<float> prefill_accumulate_activate(const core::PackedA& pa,
+                                               const core::PackedB& pb,
+                                               const std::vector<float>* bias,
+                                               nn::Activation* act) {
+    const int M = pa.M, N = pb.N;
+    std::vector<float> c(static_cast<std::size_t>(M) * N, 0.0f);
+    if (bias != nullptr)
+        for (int m = 0; m < M; ++m)
+            std::fill_n(c.begin() + static_cast<std::ptrdiff_t>(m) * N, N, (*bias)[m]);
+    core::sgemm_packed(pa, pb, c.data());
+    if (act == nullptr) return c;
+    Tensor t({1, M, 1, N}, c);
+    const Tensor y = act->forward(t);
+    return {y.data(), y.data() + y.size()};
+}
+
+TEST(Simd, StoreModeGemmEqualsPrefillAccumulateAndActivation) {
+    SimdGuard guard;
+    struct Case {
+        int M, N, K;
+    };
+    // Partial tiles at every geometry (M % mr and N % nr != 0), N = 1,
+    // M < mr, full tiles, and K = 0 (store mode must still write act(bias)).
+    const Case cases[] = {{1, 1, 1}, {3, 1, 4},   {5, 7, 0},   {2, 3, 9},  {6, 16, 8},
+                          {12, 32, 5}, {7, 17, 31}, {13, 29, 17}, {4, 4, 3}, {1, 40, 0}};
+    const nn::Act acts[] = {nn::Act::kReLU, nn::Act::kReLU6, nn::Act::kLeaky,
+                            nn::Act::kSigmoid};
+    for (core::SimdLevel lvl : available_levels()) {
+        core::set_simd_level(lvl);
+        int seed = 700;
+        for (const Case& tc : cases) {
+            // Scaled so outputs cross both ReLU6 clamps.
+            auto A = randv(static_cast<std::size_t>(tc.M) * tc.K,
+                           static_cast<std::uint64_t>(seed++));
+            for (float& v : A) v *= 3.0f;
+            const auto B = randv(static_cast<std::size_t>(tc.K) * tc.N,
+                                 static_cast<std::uint64_t>(seed++));
+            auto bias = randv(static_cast<std::size_t>(tc.M), static_cast<std::uint64_t>(seed++));
+            bias[0] = -0.0f;  // act(-0.0) at K = 0 must stay -0.0 where act keeps it
+            core::PackedA pa;
+            core::PackedB pb;
+            core::pack_a(tc.M, tc.K, A.data(), false, pa);
+            core::pack_b(tc.K, tc.N, B.data(), false, pb);
+            for (int a = -1; a < 4; ++a) {
+                nn::Activation act(a < 0 ? nn::Act::kReLU : acts[a], 0.13f);
+                act.set_training(false);
+                nn::Activation* pass = a < 0 ? nullptr : &act;
+                core::Epilogue ep;
+                if (pass != nullptr) ep = *act.as_epilogue();
+                for (const bool with_bias : {false, true}) {
+                    ep.bias = with_bias ? bias.data() : nullptr;
+                    core::ThreadPool::set_global_threads(1);
+                    const std::vector<float> want = prefill_accumulate_activate(
+                        pa, pb, with_bias ? &bias : nullptr, pass);
+                    for (int threads : {1, 2, 4}) {
+                        core::ThreadPool::set_global_threads(threads);
+                        // NaN-filled: store mode must never read C.
+                        std::vector<float> got(want.size(),
+                                               std::numeric_limits<float>::quiet_NaN());
+                        core::sgemm_packed(pa, pb, got.data(), ep);
+                        for (std::size_t i = 0; i < want.size(); ++i)
+                            ASSERT_EQ(bits(got[i]), bits(want[i]))
+                                << core::simd_level_name(lvl) << " " << tc.M << "x"
+                                << tc.N << "x" << tc.K << " act " << a << " bias "
+                                << with_bias << " @" << threads << "t idx " << i;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(Simd, StoreModeNegativeZeroProductsGivePositiveZero) {
+    // Every product is -0.0: the zero-filled C + acc gave +0.0, and LeakyReLU
+    // would keep a -0.0 negative, so the store must add the +0.0 too.
+    SimdGuard guard;
+    const int M = 7, N = 19, K = 3;
+    std::vector<float> A(static_cast<std::size_t>(M) * K, -1.5f);
+    std::vector<float> B(static_cast<std::size_t>(K) * N, 0.0f);
+    for (core::SimdLevel lvl : available_levels()) {
+        core::set_simd_level(lvl);
+        core::PackedA pa;
+        core::PackedB pb;
+        core::pack_a(M, K, A.data(), false, pa);
+        core::pack_b(K, N, B.data(), false, pb);
+        for (const core::EpilogueAct act : {core::EpilogueAct::kNone, core::EpilogueAct::kLeaky}) {
+            std::vector<float> c(static_cast<std::size_t>(M) * N, -7.0f);
+            core::sgemm_packed(pa, pb, c.data(), core::Epilogue{nullptr, act, 0.1f});
+            for (std::size_t i = 0; i < c.size(); ++i)
+                ASSERT_EQ(bits(c[i]), bits(0.0f)) << core::simd_level_name(lvl) << " idx " << i;
+        }
     }
 }
 

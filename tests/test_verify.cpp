@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -30,6 +31,7 @@
 #include "skynet/check_model.hpp"
 #include "skynet/detector.hpp"
 #include "skynet/skynet_model.hpp"
+#include "unfused_reference.hpp"
 #include "verify/analyze.hpp"
 #include "verify/check_graph.hpp"
 #include "verify/check_qmodel.hpp"
@@ -497,7 +499,9 @@ TEST(Analyze, PlanPeakBytesMatchInstrumentedExecution) {
 // ------------------------- fp32 interval domain: soundness by execution --
 
 /// Random conv/act/pool chains: every value a real forward pass produces
-/// must lie inside the statically analyzed per-node interval.
+/// must lie inside the statically analyzed per-node interval.  The eval
+/// forward fuses activations into their producers, so per-node values come
+/// from a node-by-node unfused evaluation, which the fused output equals.
 TEST(Analyze, ValueIntervalsSoundOnRandomGraphs) {
     for (std::uint64_t seed = 1; seed <= 12; ++seed) {
         Rng rng(seed * 53 + 1);
@@ -556,14 +560,21 @@ TEST(Analyze, ValueIntervalsSoundOnRandomGraphs) {
         for (int trial = 0; trial < 2; ++trial) {
             Tensor x({2, 3, 12, 12});
             x.rand_uniform(xr, -1.0f, 1.0f);
-            (void)g.forward(x);
+            const Tensor out = g.forward(x);
+            const std::vector<Tensor> values = testing::unfused_node_values(g, x);
+            const Tensor& ref = values[static_cast<std::size_t>(g.output_node())];
+            ASSERT_EQ(out.shape(), ref.shape());
+            ASSERT_EQ(std::memcmp(out.data(), ref.data(),
+                                  static_cast<std::size_t>(out.size()) * sizeof(float)),
+                      0)
+                << "seed " << seed << ": fused output differs from the unfused evaluation";
             for (std::size_t i = 0; i < g.node_count(); ++i) {
                 const quant::Interval& v = a.value_ranges[i];
                 if (!v.known) continue;
                 // fp64 interval arithmetic vs fp32 kernel accumulation order.
                 const double tol =
                     1e-4 * (1.0 + std::abs(v.lo) + std::abs(v.hi));
-                const Tensor& y = g.node_output(static_cast<int>(i));
+                const Tensor& y = values[i];
                 for (std::int64_t j = 0; j < y.size(); ++j) {
                     ASSERT_GE(y[j], v.lo - tol) << "seed " << seed << " node " << i;
                     ASSERT_LE(y[j], v.hi + tol) << "seed " << seed << " node " << i;

@@ -68,14 +68,14 @@ int main(int argc, char** argv) {
                 // RetinaNet-style head: a 4-deep 3x3 conv tower at 256
                 // channels before the box predictor — this is most of
                 // Thinker's compute.
-                auto seq = std::make_unique<nn::Sequential>();
+                auto g = std::make_unique<nn::Graph>();
                 const int feat = bb.out_channels;
-                seq->add(std::move(bb.net));
-                backbones::conv_bn_act(*seq, feat, 256, 3, 1, 1, nn::Act::kReLU, rng);
+                g->add(std::move(bb.net));
+                backbones::conv_bn_act(*g, feat, 256, 3, 1, 1, nn::Act::kReLU, rng);
                 for (int t = 0; t < 3; ++t)
-                    backbones::conv_bn_act(*seq, 256, 256, 3, 1, 1, nn::Act::kReLU, rng);
-                seq->emplace<nn::PWConv1>(256, 10, /*bias=*/true, rng);
-                net = std::move(seq);
+                    backbones::conv_bn_act(*g, 256, 256, 3, 1, 1, nn::Act::kReLU, rng);
+                g->emplace<nn::PWConv1>(256, 10, /*bias=*/true, rng);
+                net = std::move(g);
             } else {
                 net = backbones::make_detector(std::move(bb), 2, rng);
             }

@@ -11,24 +11,24 @@ namespace sky::backbones {
 // 5-conv channel progression (64-192-384-256-256) is preserved, which is
 // what matters for the tracking comparison of Table 8.
 Backbone build_alexnet(float width_mult, Rng& rng) {
-    auto seq = std::make_unique<nn::Sequential>();
+    auto net = std::make_unique<nn::Graph>();
     const int c1 = scale_ch(64, width_mult), c2 = scale_ch(192, width_mult),
               c3 = scale_ch(384, width_mult), c4 = scale_ch(256, width_mult),
               c5 = scale_ch(256, width_mult);
-    conv_bn_act(*seq, 3, c1, 5, 1, 2, nn::Act::kReLU, rng);
-    seq->emplace<nn::MaxPool2>();
-    conv_bn_act(*seq, c1, c2, 3, 1, 1, nn::Act::kReLU, rng);
-    seq->emplace<nn::MaxPool2>();
-    conv_bn_act(*seq, c2, c3, 3, 1, 1, nn::Act::kReLU, rng);
-    conv_bn_act(*seq, c3, c4, 3, 1, 1, nn::Act::kReLU, rng);
-    conv_bn_act(*seq, c4, c5, 3, 1, 1, nn::Act::kReLU, rng);
-    seq->emplace<nn::MaxPool2>();
-    return {std::move(seq), c5, "AlexNet"};
+    conv_bn_act(*net, 3, c1, 5, 1, 2, nn::Act::kReLU, rng);
+    net->emplace<nn::MaxPool2>();
+    conv_bn_act(*net, c1, c2, 3, 1, 1, nn::Act::kReLU, rng);
+    net->emplace<nn::MaxPool2>();
+    conv_bn_act(*net, c2, c3, 3, 1, 1, nn::Act::kReLU, rng);
+    conv_bn_act(*net, c3, c4, 3, 1, 1, nn::Act::kReLU, rng);
+    conv_bn_act(*net, c4, c5, 3, 1, 1, nn::Act::kReLU, rng);
+    net->emplace<nn::MaxPool2>();
+    return {std::move(net), c5, "AlexNet"};
 }
 
 nn::ModulePtr build_alexnet_classifier(int num_classes, int input_size, float width_mult,
                                        Rng& rng) {
-    auto seq = std::make_unique<nn::Sequential>();
+    auto net = std::make_unique<nn::Graph>();
     const int c1 = scale_ch(64, width_mult), c2 = scale_ch(192, width_mult),
               c3 = scale_ch(384, width_mult), c4 = scale_ch(256, width_mult),
               c5 = scale_ch(256, width_mult);
@@ -36,21 +36,21 @@ nn::ModulePtr build_alexnet_classifier(int num_classes, int input_size, float wi
     // at full scale the two 4096-wide FCs dominate AlexNet's 61M parameters
     // (Fig. 2a's blue bubbles); the proxy keeps the same conv:FC imbalance
     // without making CPU training infeasible.
-    conv_bn_act(*seq, 3, c1, 5, 1, 2, nn::Act::kReLU, rng);
-    seq->emplace<nn::MaxPool2>();
-    conv_bn_act(*seq, c1, c2, 3, 1, 1, nn::Act::kReLU, rng);
-    seq->emplace<nn::MaxPool2>();
-    conv_bn_act(*seq, c2, c3, 3, 1, 1, nn::Act::kReLU, rng);
-    conv_bn_act(*seq, c3, c4, 3, 1, 1, nn::Act::kReLU, rng);
-    conv_bn_act(*seq, c4, c5, 3, 1, 1, nn::Act::kReLU, rng);
-    seq->emplace<nn::MaxPool2>();
+    conv_bn_act(*net, 3, c1, 5, 1, 2, nn::Act::kReLU, rng);
+    net->emplace<nn::MaxPool2>();
+    conv_bn_act(*net, c1, c2, 3, 1, 1, nn::Act::kReLU, rng);
+    net->emplace<nn::MaxPool2>();
+    conv_bn_act(*net, c2, c3, 3, 1, 1, nn::Act::kReLU, rng);
+    conv_bn_act(*net, c3, c4, 3, 1, 1, nn::Act::kReLU, rng);
+    conv_bn_act(*net, c4, c5, 3, 1, 1, nn::Act::kReLU, rng);
+    net->emplace<nn::MaxPool2>();
     const int spatial = input_size / 8;
-    seq->emplace<nn::Linear>(c5 * spatial * spatial, fc, rng);
-    seq->emplace<nn::Activation>(nn::Act::kReLU);
-    seq->emplace<nn::Linear>(fc, fc, rng);
-    seq->emplace<nn::Activation>(nn::Act::kReLU);
-    seq->emplace<nn::Linear>(fc, num_classes, rng);
-    return seq;
+    net->emplace<nn::Linear>(c5 * spatial * spatial, fc, rng);
+    net->emplace<nn::Activation>(nn::Act::kReLU);
+    net->emplace<nn::Linear>(fc, fc, rng);
+    net->emplace<nn::Activation>(nn::Act::kReLU);
+    net->emplace<nn::Linear>(fc, num_classes, rng);
+    return net;
 }
 
 std::int64_t alexnet_reference_params(bool fc_only) {

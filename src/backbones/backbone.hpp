@@ -18,12 +18,11 @@
 
 #include "nn/activations.hpp"
 #include "nn/graph.hpp"
-#include "nn/sequential.hpp"
 
 namespace sky::backbones {
 
 struct Backbone {
-    nn::ModulePtr net;
+    std::unique_ptr<nn::Graph> net;
     int out_channels = 0;
     std::string name;
 
@@ -36,8 +35,8 @@ struct Backbone {
 /// Channel scaling used by every builder: round to a multiple of 4, floor 4.
 [[nodiscard]] int scale_ch(int ch, float mult);
 
-/// Conv + BN + activation, appended to `seq`.
-void conv_bn_act(nn::Sequential& seq, int in_ch, int out_ch, int k, int stride, int pad,
+/// Conv + BN + activation, appended to `g` after its current output.
+void conv_bn_act(nn::Graph& g, int in_ch, int out_ch, int k, int stride, int pad,
                  nn::Act act, Rng& rng);
 
 /// Attach the shared 2-anchor YOLO back-end (a 1x1 conv to 5*anchors

@@ -9,19 +9,19 @@ int scale_ch(int ch, float mult) {
     return std::max(4, (s + 3) / 4 * 4);
 }
 
-void conv_bn_act(nn::Sequential& seq, int in_ch, int out_ch, int k, int stride, int pad,
+void conv_bn_act(nn::Graph& g, int in_ch, int out_ch, int k, int stride, int pad,
                  nn::Act act, Rng& rng) {
-    seq.emplace<nn::Conv2d>(in_ch, out_ch, k, stride, pad, /*bias=*/false, rng);
-    seq.emplace<nn::BatchNorm2d>(out_ch);
-    seq.emplace<nn::Activation>(act);
+    g.emplace<nn::Conv2d>(in_ch, out_ch, k, stride, pad, /*bias=*/false, rng);
+    g.emplace<nn::BatchNorm2d>(out_ch);
+    g.emplace<nn::Activation>(act);
 }
 
 nn::ModulePtr make_detector(Backbone backbone, int anchors, Rng& rng) {
-    auto seq = std::make_unique<nn::Sequential>();
+    auto g = std::make_unique<nn::Graph>();
     const int feat = backbone.out_channels;
-    seq->add(std::move(backbone.net));
-    seq->emplace<nn::PWConv1>(feat, 5 * anchors, /*bias=*/true, rng);
-    return seq;
+    g->add(std::move(backbone.net));
+    g->emplace<nn::PWConv1>(feat, 5 * anchors, /*bias=*/true, rng);
+    return g;
 }
 
 Backbone build_by_name(const std::string& name, float width_mult, Rng& rng) {

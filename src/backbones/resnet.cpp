@@ -8,14 +8,14 @@
 namespace sky::backbones {
 namespace {
 
-/// conv-bn(-relu) chain as a Sequential, for use inside residual graphs.
+/// conv-bn(-relu) chain, nested as one node of a residual block.
 nn::ModulePtr conv_bn(int in_ch, int out_ch, int k, int stride, int pad, bool relu,
                       Rng& rng) {
-    auto seq = std::make_unique<nn::Sequential>();
-    seq->emplace<nn::Conv2d>(in_ch, out_ch, k, stride, pad, /*bias=*/false, rng);
-    seq->emplace<nn::BatchNorm2d>(out_ch);
-    if (relu) seq->emplace<nn::Activation>(nn::Act::kReLU);
-    return seq;
+    auto net = std::make_unique<nn::Graph>();
+    net->emplace<nn::Conv2d>(in_ch, out_ch, k, stride, pad, /*bias=*/false, rng);
+    net->emplace<nn::BatchNorm2d>(out_ch);
+    if (relu) net->emplace<nn::Activation>(nn::Act::kReLU);
+    return net;
 }
 
 /// BasicBlock (ResNet-18/34): 3x3 -> 3x3 with identity or 1x1 shortcut.
@@ -72,24 +72,24 @@ Backbone build_resnet(int depth, float width_mult, Rng& rng) {
                            scale_ch(256, width_mult), scale_ch(512, width_mult)};
     const int stage_stride[4] = {1, 2, 1, 1};
 
-    auto seq = std::make_unique<nn::Sequential>();
+    auto net = std::make_unique<nn::Graph>();
     const int stem = scale_ch(64, width_mult);
-    conv_bn_act(*seq, 3, stem, 3, 2, 1, nn::Act::kReLU, rng);
-    seq->emplace<nn::MaxPool2>();
+    conv_bn_act(*net, 3, stem, 3, 2, 1, nn::Act::kReLU, rng);
+    net->emplace<nn::MaxPool2>();
     int in_ch = stem;
     for (int s = 0; s < 4; ++s) {
         for (int b = 0; b < blocks[s]; ++b) {
             const int stride = b == 0 ? stage_stride[s] : 1;
             if (bottleneck) {
-                seq->add(bottleneck_block(in_ch, planes[s], stride, rng));
+                net->add(bottleneck_block(in_ch, planes[s], stride, rng));
                 in_ch = planes[s] * 4;
             } else {
-                seq->add(basic_block(in_ch, planes[s], stride, rng));
+                net->add(basic_block(in_ch, planes[s], stride, rng));
                 in_ch = planes[s];
             }
         }
     }
-    return {std::move(seq), in_ch, "ResNet-" + std::to_string(depth)};
+    return {std::move(net), in_ch, "ResNet-" + std::to_string(depth)};
 }
 
 }  // namespace sky::backbones

@@ -9,7 +9,7 @@ namespace sky::backbones {
 // at width 1.0, matching Table 2); only the first three of the five pools
 // downsample so the detection grid is stride 8.
 Backbone build_vgg16(float width_mult, Rng& rng) {
-    auto seq = std::make_unique<nn::Sequential>();
+    auto net = std::make_unique<nn::Graph>();
     struct Stage {
         int channels;
         int convs;
@@ -21,12 +21,12 @@ Backbone build_vgg16(float width_mult, Rng& rng) {
     for (const Stage& st : stages) {
         const int out_ch = scale_ch(st.channels, width_mult);
         for (int i = 0; i < st.convs; ++i) {
-            conv_bn_act(*seq, in_ch, out_ch, 3, 1, 1, nn::Act::kReLU, rng);
+            conv_bn_act(*net, in_ch, out_ch, 3, 1, 1, nn::Act::kReLU, rng);
             in_ch = out_ch;
         }
-        if (st.pool) seq->emplace<nn::MaxPool2>();
+        if (st.pool) net->emplace<nn::MaxPool2>();
     }
-    return {std::move(seq), in_ch, "VGG-16"};
+    return {std::move(net), in_ch, "VGG-16"};
 }
 
 }  // namespace sky::backbones

@@ -2,11 +2,25 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace sky::data {
+namespace {
+
+/// Refuse an empty source or target before any plane is indexed.
+void check_resize(const char* who, const Shape& s, int out_h, int out_w) {
+    if (s.n <= 0 || s.c <= 0 || s.h <= 0 || s.w <= 0 || out_h <= 0 || out_w <= 0)
+        throw std::invalid_argument(std::string(who) + ": cannot resize " + s.str() +
+                                    " to " + std::to_string(out_h) + "x" +
+                                    std::to_string(out_w));
+}
+
+}  // namespace
 
 Tensor resize_bilinear(const Tensor& img, int out_h, int out_w) {
     const Shape s = img.shape();
+    check_resize("resize_bilinear", s, out_h, out_w);
     Tensor out({s.n, s.c, out_h, out_w});
     const float sy = static_cast<float>(s.h) / static_cast<float>(out_h);
     const float sx = static_cast<float>(s.w) / static_cast<float>(out_w);
@@ -40,6 +54,7 @@ Tensor resize_bilinear(const Tensor& img, int out_h, int out_w) {
 
 Tensor resize_area(const Tensor& img, int out_h, int out_w) {
     const Shape s = img.shape();
+    check_resize("resize_area", s, out_h, out_w);
     Tensor out({s.n, s.c, out_h, out_w});
     const double sy = static_cast<double>(s.h) / out_h;
     const double sx = static_cast<double>(s.w) / out_w;

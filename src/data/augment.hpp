@@ -9,7 +9,8 @@
 
 namespace sky::data {
 
-/// Bilinear resize of a single-item CHW tensor (n must be 1).
+/// Bilinear resize of a single-item CHW tensor (n must be 1).  Both resizes
+/// throw std::invalid_argument on an empty source or target.
 [[nodiscard]] Tensor resize_bilinear(const Tensor& img, int out_h, int out_w);
 
 /// Area (box-filter) resize: every output pixel is the fractionally-weighted

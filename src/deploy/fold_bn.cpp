@@ -19,61 +19,6 @@ void fold_into_conv(Tensor& weight, Tensor& bias, const nn::BatchNorm2d& bn) {
     }
 }
 
-std::unique_ptr<nn::Sequential> fold_batch_norms(std::unique_ptr<nn::Sequential> seq,
-                                                 int* folded) {
-    auto modules = seq->take_modules();
-    auto out = std::make_unique<nn::Sequential>();
-    int count = 0;
-    for (std::size_t i = 0; i < modules.size(); ++i) {
-        nn::Module* next = i + 1 < modules.size() ? modules[i + 1].get() : nullptr;
-        auto* bn = dynamic_cast<nn::BatchNorm2d*>(next);
-        bool fused = false;
-        if (bn != nullptr) {
-            if (auto* conv = dynamic_cast<nn::Conv2d*>(modules[i].get())) {
-                conv->enable_bias();
-                fold_into_conv(conv->weight(), conv->bias(), *bn);
-                fused = true;
-            } else if (auto* pw = dynamic_cast<nn::PWConv1*>(modules[i].get())) {
-                pw->enable_bias();
-                fold_into_conv(pw->weight(), pw->bias(), *bn);
-                fused = true;
-            } else if (auto* dw = dynamic_cast<nn::DWConv3*>(modules[i].get())) {
-                // Depthwise has no bias: scale the filters, keep the shift
-                // as a per-channel bias layer in place of the BN.
-                std::vector<float> scale, shift;
-                bn->fused_affine(scale, shift);
-                Tensor& w = dw->weight();
-                for (int c = 0; c < dw->channels(); ++c) {
-                    float* wp = w.plane(c, 0);
-                    for (int t = 0; t < 9; ++t)
-                        wp[t] *= scale[static_cast<std::size_t>(c)];
-                }
-                out->add(std::move(modules[i]));
-                out->emplace<ChannelBias>(shift);
-                ++count;
-                ++i;  // skip the BN
-                continue;
-            }
-        }
-        if (fused) {
-            out->add(std::move(modules[i]));
-            ++count;
-            ++i;  // skip the BN
-        } else if (auto* inner = dynamic_cast<nn::Sequential*>(modules[i].get())) {
-            // Recurse into nested chains (bundles are Sequentials).
-            auto owned = std::unique_ptr<nn::Sequential>(inner);
-            modules[i].release();
-            int inner_count = 0;
-            out->add(fold_batch_norms(std::move(owned), &inner_count));
-            count += inner_count;
-        } else {
-            out->add(std::move(modules[i]));
-        }
-    }
-    if (folded != nullptr) *folded = count;
-    return out;
-}
-
 int fold_graph_bn(nn::Graph& g) {
     // Consumer counts: how many nodes read each node's output.
     std::vector<int> consumers(g.node_count(), 0);

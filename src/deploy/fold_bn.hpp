@@ -6,11 +6,10 @@
 // BatchNorm2d::fused_affine().  Folding removes the BN memory traffic and
 // is a prerequisite for the fixed-point datapath (§6.4.1).
 //
-// fold_batch_norms() walks a layer sequence described by `enumerate()` and
-// produces an inference-only Sequential with the BN layers absorbed.  It
-// handles the patterns this code base emits: {Conv2d|DWConv3|PWConv1}
-// followed (immediately) by BatchNorm2d.  Graph-structured networks fold
-// per branch via their Sequential sub-chains.
+// fold_graph_bn() rewrites an nn::Graph in place.  It folds the pattern this
+// code base emits — {Conv2d|DWConv3|PWConv1} followed by BatchNorm2d — among
+// the graph's own nodes; a nested graph node (a ResNet block, a Bundle) is
+// one opaque node to it, so the BNs inside stay unfolded.
 #pragma once
 
 #include "nn/batchnorm.hpp"
@@ -18,7 +17,6 @@
 #include "nn/conv.hpp"
 #include "nn/dwconv.hpp"
 #include "nn/pwconv.hpp"
-#include "nn/sequential.hpp"
 
 namespace sky::deploy {
 
@@ -26,18 +24,11 @@ namespace sky::deploy {
 /// The weight's leading dimension must equal bn's channel count.
 void fold_into_conv(Tensor& weight, Tensor& bias, const nn::BatchNorm2d& bn);
 
-/// Rebuild `seq` with every (conv-like, BN) pair fused; other layers are
-/// moved through unchanged, nested Sequentials fold recursively.  The input
-/// Sequential is consumed.  The number of folded BN layers is returned via
-/// `folded` (optional).
-[[nodiscard]] std::unique_ptr<nn::Sequential> fold_batch_norms(
-    std::unique_ptr<nn::Sequential> seq, int* folded = nullptr);
-
-/// Fold BN nodes of a Graph into their producing conv nodes (the SkyNet
-/// models are Graphs).  A BN folds when its single input is a Conv2d /
-/// PWConv1 / DWConv3 module node consumed only by that BN; the BN node is
-/// replaced by an Identity (or a ChannelBias for bias-less depthwise
-/// convs).  Returns the number of BN layers folded.
+/// Fold BN nodes of a Graph into their producing conv nodes.  A BN folds
+/// when its single input is a Conv2d / PWConv1 / DWConv3 module node
+/// consumed only by that BN; the BN node is replaced by an Identity (or a
+/// ChannelBias for bias-less depthwise convs).  Nested graphs are left as
+/// they are.  Returns the number of BN layers folded.
 int fold_graph_bn(nn::Graph& g);
 
 /// Pass-through module left behind where a folded layer used to be.  As an

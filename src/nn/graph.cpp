@@ -10,23 +10,23 @@
 namespace sky::nn {
 
 Graph::Graph() {
-    nodes_.push_back(Node{Kind::kInput, nullptr, {}, {}});
+    nodes_.push_back(Node{NodeKind::kInput, nullptr, {}, {}});
 }
 
 int Graph::add(ModulePtr m, int in) {
-    nodes_.push_back(Node{Kind::kModule, std::move(m), {in}, {}});
+    nodes_.push_back(Node{NodeKind::kModule, std::move(m), {in}, {}});
     output_ = static_cast<int>(nodes_.size()) - 1;
     return output_;
 }
 
 int Graph::add_concat(std::vector<int> ins) {
-    nodes_.push_back(Node{Kind::kConcat, nullptr, std::move(ins), {}});
+    nodes_.push_back(Node{NodeKind::kConcat, nullptr, std::move(ins), {}});
     output_ = static_cast<int>(nodes_.size()) - 1;
     return output_;
 }
 
 int Graph::add_add(int a, int b) {
-    nodes_.push_back(Node{Kind::kAdd, nullptr, {a, b}, {}});
+    nodes_.push_back(Node{NodeKind::kAdd, nullptr, {a, b}, {}});
     output_ = static_cast<int>(nodes_.size()) - 1;
     return output_;
 }
@@ -61,7 +61,7 @@ void Graph::plan_forward(const Shape& in) {
     std::vector<char> producer(n, 0), open(n, 0);
     for (std::size_t i = 1; i < n; ++i) {
         const Node& node = nodes_[i];
-        if (node.kind != Kind::kModule) continue;
+        if (node.kind != NodeKind::kModule) continue;
         const std::optional<Epilogue> e = node.module->as_epilogue();
         if (!e) {
             producer[i] = 1;
@@ -102,12 +102,12 @@ Tensor Graph::forward(const Tensor& x) {
         if (carrier_[i] != static_cast<int>(i)) continue;  // its carrier holds the value
         Node& node = nodes_[i];
         switch (node.kind) {
-            case Kind::kInput:
+            case NodeKind::kInput:
                 break;
-            case Kind::kModule:
+            case NodeKind::kModule:
                 outputs_[i] = node.module->forward_fused(value(node.inputs[0]), epilogue_[i]);
                 break;
-            case Kind::kConcat: {
+            case NodeKind::kConcat: {
                 std::vector<const Tensor*> parts;
                 node.concat_channels.clear();
                 for (int in : node.inputs) {
@@ -117,7 +117,7 @@ Tensor Graph::forward(const Tensor& x) {
                 outputs_[i] = Tensor::concat_channels(parts);
                 break;
             }
-            case Kind::kAdd: {
+            case NodeKind::kAdd: {
                 outputs_[i] = value(node.inputs[0]);
                 outputs_[i].axpy(1.0f, value(node.inputs[1]));
                 break;
@@ -142,18 +142,18 @@ Tensor Graph::backward(const Tensor& grad_out) {
         Tensor& g = grads[i];
         if (g.empty()) continue;  // node not on any path to the output
         switch (node.kind) {
-            case Kind::kInput:
+            case NodeKind::kInput:
                 break;
-            case Kind::kModule:
+            case NodeKind::kModule:
                 accumulate(node.inputs[0], node.module->backward(g));
                 break;
-            case Kind::kConcat: {
+            case NodeKind::kConcat: {
                 auto parts = Tensor::split_channels(g, node.concat_channels);
                 for (std::size_t p = 0; p < node.inputs.size(); ++p)
                     accumulate(node.inputs[p], std::move(parts[p]));
                 break;
             }
-            case Kind::kAdd: {
+            case NodeKind::kAdd: {
                 Tensor copy = g;
                 accumulate(node.inputs[0], std::move(copy));
                 accumulate(node.inputs[1], std::move(g));
@@ -192,13 +192,13 @@ std::vector<Shape> Graph::infer_shapes(const Shape& in) const {
     for (std::size_t i = 1; i < nodes_.size(); ++i) {
         const Node& node = nodes_[i];
         switch (node.kind) {
-            case Kind::kInput:
+            case NodeKind::kInput:
                 break;
-            case Kind::kModule:
+            case NodeKind::kModule:
                 shapes[i] = node.module->out_shape(
                     shapes[static_cast<std::size_t>(node.inputs[0])]);
                 break;
-            case Kind::kConcat: {
+            case NodeKind::kConcat: {
                 Shape s = shapes[static_cast<std::size_t>(node.inputs[0])];
                 int c = 0;
                 for (int inn : node.inputs) c += shapes[static_cast<std::size_t>(inn)].c;
@@ -206,7 +206,7 @@ std::vector<Shape> Graph::infer_shapes(const Shape& in) const {
                 shapes[i] = s;
                 break;
             }
-            case Kind::kAdd:
+            case NodeKind::kAdd:
                 shapes[i] = shapes[static_cast<std::size_t>(node.inputs[0])];
                 break;
         }

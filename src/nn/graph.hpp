@@ -4,8 +4,9 @@
 // chains with channel-concatenation joins (SkyNet's bypass, Fig. 4) and
 // elementwise-add joins (ResNet residuals).  Nodes are added in topological
 // order by construction; forward caches every node output it computes,
-// backward accumulates gradients in reverse order.  Graph is itself a
-// Module so a residual block can live inside a Sequential and vice versa.
+// backward accumulates gradients in reverse order.  A plain chain is a Graph
+// built with add(m) / emplace<M>(...) alone.  Graph is itself a Module, so a
+// block (a residual unit, a Bundle) nests inside another graph as one node.
 //
 // Eval forwards fuse epilogues (nn/epilogue.hpp).  An Identity node aliases
 // its input; an Activation or ChannelBias node whose input is a producer
@@ -15,6 +16,8 @@
 // keeps its value.  Training forwards, and eval forwards under an FmHook
 // (which must see every activation and BN output), run every node.
 #pragma once
+
+#include <utility>
 
 #include "nn/module.hpp"
 
@@ -29,6 +32,13 @@ public:
 
     /// Add a single-input module node; returns its node id.
     int add(ModulePtr m, int in);
+    /// Append a module node after the current output (chain building).
+    int add(ModulePtr m) { return add(std::move(m), output_); }
+    /// Construct-and-append helper.
+    template <typename M, typename... Args>
+    int emplace(Args&&... args) {
+        return add(std::make_unique<M>(std::forward<Args>(args)...));
+    }
     /// Channel concatenation of several nodes (same n/h/w).
     int add_concat(std::vector<int> ins);
     /// Elementwise sum of two nodes (same shape).
@@ -69,15 +79,7 @@ public:
     // --- Introspection for rewrite passes (deploy::fold_graph_bn etc.) ---
     enum class NodeKind { kInput, kModule, kConcat, kAdd };
     [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
-    [[nodiscard]] NodeKind node_kind(std::size_t i) const {
-        switch (nodes_[i].kind) {
-            case Kind::kInput: return NodeKind::kInput;
-            case Kind::kModule: return NodeKind::kModule;
-            case Kind::kConcat: return NodeKind::kConcat;
-            case Kind::kAdd: return NodeKind::kAdd;
-        }
-        return NodeKind::kInput;
-    }
+    [[nodiscard]] NodeKind node_kind(std::size_t i) const { return nodes_[i].kind; }
     [[nodiscard]] int output_node() const { return output_; }
     /// Module owned by a node, or nullptr for input/concat/add nodes.
     [[nodiscard]] Module* node_module(std::size_t i) { return nodes_[i].module.get(); }
@@ -101,9 +103,8 @@ public:
     }
 
 private:
-    enum class Kind { kInput, kModule, kConcat, kAdd };
     struct Node {
-        Kind kind;
+        NodeKind kind;
         ModulePtr module;        // kModule only
         std::vector<int> inputs;
         std::vector<int> concat_channels;  // filled during forward for kConcat

@@ -5,7 +5,7 @@
 // layer-owned gradient tensors exposed through params().  Layers cache
 // whatever activations they need between forward and backward, so a module
 // instance is single-use per step (forward then backward), which is exactly
-// how the Sequential / Graph containers drive them.
+// how nn::Graph, the one container, drives them.
 //
 // Layers also expose the static metadata the hardware-aware design flow
 // needs: output shape inference, FLOP count and parameter count for a given
@@ -105,8 +105,5 @@ protected:
 };
 
 using ModulePtr = std::unique_ptr<Module>;
-
-/// Total parameter count of a set of modules.
-[[nodiscard]] std::int64_t total_params(const std::vector<ParamRef>& params);
 
 }  // namespace sky::nn

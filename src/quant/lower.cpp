@@ -15,7 +15,6 @@
 #include "nn/linear.hpp"
 #include "nn/pooling.hpp"
 #include "nn/pwconv.hpp"
-#include "nn/sequential.hpp"
 #include "nn/shuffle.hpp"
 #include "nn/space_to_depth.hpp"
 
@@ -94,15 +93,6 @@ Op lower_module(nn::Module& m, const QuantConfig& cfg) {
     } else if (dynamic_cast<deploy::Identity*>(&m) != nullptr) {
         op.kind = OpKind::kIdentity;
         integer = true;
-    } else if (auto* seq = dynamic_cast<nn::Sequential*>(&m)) {
-        op.kind = OpKind::kBlock;
-        op.body.resize(1);
-        op.body[0].kind = OpKind::kInput;
-        for (std::size_t j = 0; j < seq->size(); ++j) {
-            op.body.push_back(lower_module(seq->at(j), cfg));
-            op.body.back().inputs = {static_cast<int>(j)};
-        }
-        op.body_output = static_cast<int>(seq->size());
     } else if (auto* sub = dynamic_cast<nn::Graph*>(&m)) {
         op.body_output = sub->output_node();
         // A nested graph without a valid output has no dataflow to follow.

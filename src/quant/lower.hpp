@@ -13,9 +13,9 @@
 //
 // Integer convolutions are quantized here, once: weight format, integer
 // taps, max|w_hat| and the bias at accumulator scale — the engine executes
-// them, the A004 proof and the error domain read them.  A nested Graph or
-// Sequential becomes a kBlock op whose body is lowered recursively; a block
-// always runs as one fp32 island.
+// them, the A004 proof and the error domain read them.  A nested Graph
+// becomes a kBlock op whose body is lowered recursively; a block always runs
+// as one fp32 island.
 //
 // Lowering also decides, once, which top-level ops execute (Op::alias): an
 // identity never does, and outside QExecution::kReference a ReLU/ReLU6
@@ -62,7 +62,7 @@ enum class OpKind {
     kReorder,   ///< SpaceToDepth
     kShuffle,   ///< ChannelShuffle
     kIdentity,  ///< deploy::Identity
-    kBlock,     ///< nested Graph / Sequential; `body` holds its ops
+    kBlock,     ///< nested Graph; `body` holds its ops
     kOpaque,    ///< a module no pass has a transfer function for
 };
 

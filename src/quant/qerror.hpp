@@ -23,9 +23,9 @@
 //   fallbacks    dequantize -> float module -> requantize contributes the
 //                module's real Lipschitz gain plus one half-step rounding
 //                (the fallback runs the *original* weights, so no weight
-//                rounding term); a block (nested Graph / Sequential) is
-//                one island whose body the same fp32 transfers walk, with
-//                per-channel concat / add and no rounding inside
+//                rounding term); a block (a nested Graph) is one island
+//                whose body the same fp32 transfers walk, with per-channel
+//                concat / add and no rounding inside
 //
 // Every per-node bound is finally capped by the trivial two-sided enclosure
 // max(E.hi - V.lo, V.hi - E.lo) — the engine value provably lives in the

@@ -8,16 +8,16 @@
 namespace sky::search {
 
 nn::ModulePtr build_sketch(const BundleSpec& spec, const BundleEvalConfig& cfg, Rng& rng) {
-    auto seq = std::make_unique<nn::Sequential>();
+    auto net = std::make_unique<nn::Graph>();
     int in_ch = 3;
     for (int s = 0; s < cfg.sketch_stacks; ++s) {
         const int out_ch = cfg.base_channels * (s + 1);
-        seq->add(instantiate(spec, in_ch, out_ch, nn::Act::kReLU, rng));
-        seq->emplace<nn::MaxPool2>();
+        net->add(instantiate(spec, in_ch, out_ch, nn::Act::kReLU, rng));
+        net->emplace<nn::MaxPool2>();
         in_ch = out_ch;
     }
-    seq->emplace<nn::PWConv1>(in_ch, 10, /*bias=*/true, rng);  // fixed bbox back-end
-    return seq;
+    net->emplace<nn::PWConv1>(in_ch, 10, /*bias=*/true, rng);  // fixed bbox back-end
+    return net;
 }
 
 std::vector<BundleEval> evaluate_bundles(const std::vector<BundleSpec>& candidates,

@@ -18,17 +18,17 @@ PsoSearch::PsoSearch(std::vector<BundleSpec> groups, PsoConfig cfg,
       rng_(cfg.seed) {}
 
 nn::ModulePtr PsoSearch::build_particle_net(const Particle& p, nn::Act act, Rng& rng) {
-    auto seq = std::make_unique<nn::Sequential>();
+    auto net = std::make_unique<nn::Graph>();
     int in_ch = 3;
     for (std::size_t i = 0; i < p.channels.size(); ++i) {
-        seq->add(instantiate(p.bundle, in_ch, p.channels[i], act, rng));
+        net->add(instantiate(p.bundle, in_ch, p.channels[i], act, rng));
         in_ch = p.channels[i];
         if (std::find(p.pool_after.begin(), p.pool_after.end(), static_cast<int>(i)) !=
             p.pool_after.end())
-            seq->emplace<nn::MaxPool2>();
+            net->emplace<nn::MaxPool2>();
     }
-    seq->emplace<nn::PWConv1>(in_ch, 10, /*bias=*/true, rng);
-    return seq;
+    net->emplace<nn::PWConv1>(in_ch, 10, /*bias=*/true, rng);
+    return net;
 }
 
 double PsoSearch::fitness(double accuracy, double gpu_ms, double fpga_ms) const {

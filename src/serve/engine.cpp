@@ -1,6 +1,7 @@
 #include "serve/engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -105,10 +106,13 @@ void Engine::start() {
 
 std::future<DetectResult> Engine::submit(Tensor image) {
     const Shape& s = image.shape();
-    if (s.n != 1 || s.c != 3)
-        throw std::invalid_argument("serve::Engine::submit: expected one {1,3,h,w} "
-                                    "image, got " +
+    if (s.n != 1 || s.c != 3 || s.h <= 0 || s.w <= 0)
+        throw std::invalid_argument("serve::Engine::submit: expected one non-empty "
+                                    "{1,3,h,w} image, got " +
                                     s.str());
+    const float* px = image.data();
+    if (!std::all_of(px, px + image.size(), [](float v) { return std::isfinite(v); }))
+        throw std::invalid_argument("serve::Engine::submit: image has a non-finite pixel");
     Request r;
     r.image = std::move(image);
     r.submit_tp = Clock::now();

@@ -122,7 +122,9 @@ public:
     /// Enqueue one {1,3,h,w} image; the future resolves when the request
     /// has flowed through the whole pipeline, or with InferenceError when a
     /// stage failed on it.  Throws RejectedError under kReject with a full
-    /// queue, or after shutdown.
+    /// queue, or after shutdown, and std::invalid_argument (not counted as
+    /// rejected) for anything but one non-empty {1,3,h,w} image of finite
+    /// pixels.
     [[nodiscard]] std::future<DetectResult> submit(Tensor image);
 
     /// Graceful shutdown.  With drain=true (default) every accepted request

@@ -36,36 +36,36 @@ BundleSpec skynet_bundle() { return {"DW3+PW1", {BundleOp::kDWConv3, BundleOp::k
 
 nn::ModulePtr instantiate(const BundleSpec& spec, int in_ch, int out_ch, nn::Act act,
                           Rng& rng) {
-    auto seq = std::make_unique<nn::Sequential>();
+    auto g = std::make_unique<nn::Graph>();
     int cur = in_ch;
     // The first channel-mapping op transitions cur -> out_ch; later mapping
     // ops stay at out_ch.  Channel-preserving ops run at the current width.
     for (BundleOp op : spec.ops) {
         switch (op) {
             case BundleOp::kDWConv3:
-                seq->emplace<nn::DWConv3>(cur, rng);
+                g->emplace<nn::DWConv3>(cur, rng);
                 break;
             case BundleOp::kPWConv1:
-                seq->emplace<nn::PWConv1>(cur, out_ch, /*bias=*/false, rng);
+                g->emplace<nn::PWConv1>(cur, out_ch, /*bias=*/false, rng);
                 cur = out_ch;
                 break;
             case BundleOp::kConv3:
-                seq->emplace<nn::Conv2d>(cur, out_ch, 3, 1, 1, /*bias=*/false, rng);
+                g->emplace<nn::Conv2d>(cur, out_ch, 3, 1, 1, /*bias=*/false, rng);
                 cur = out_ch;
                 break;
             case BundleOp::kConv1:
-                seq->emplace<nn::Conv2d>(cur, out_ch, 1, 1, 0, /*bias=*/false, rng);
+                g->emplace<nn::Conv2d>(cur, out_ch, 1, 1, 0, /*bias=*/false, rng);
                 cur = out_ch;
                 break;
             case BundleOp::kConv5:
-                seq->emplace<nn::Conv2d>(cur, out_ch, 5, 1, 2, /*bias=*/false, rng);
+                g->emplace<nn::Conv2d>(cur, out_ch, 5, 1, 2, /*bias=*/false, rng);
                 cur = out_ch;
                 break;
         }
-        seq->emplace<nn::BatchNorm2d>(cur);
-        seq->emplace<nn::Activation>(act);
+        g->emplace<nn::BatchNorm2d>(cur);
+        g->emplace<nn::Activation>(act);
     }
-    return seq;
+    return g;
 }
 
 }  // namespace sky

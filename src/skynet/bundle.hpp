@@ -8,14 +8,14 @@
 // trained DNN sketch, then keeps the Pareto-optimal ones.
 //
 // BundleSpec is the declarative description; instantiate() turns it into a
-// trainable nn::Sequential for given in/out channel counts.
+// trainable chain nn::Graph for given in/out channel counts.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "nn/activations.hpp"
-#include "nn/sequential.hpp"
+#include "nn/graph.hpp"
 
 namespace sky {
 

@@ -6,7 +6,7 @@
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/pwconv.hpp"
-#include "nn/sequential.hpp"
+#include "nn/graph.hpp"
 
 namespace sky::tracking {
 namespace {
@@ -16,12 +16,12 @@ float sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 }  // namespace
 
 MaskHead::MaskHead(int embed_dim, int mask_size, Rng& rng) : mask_size_(mask_size) {
-    auto seq = std::make_unique<nn::Sequential>();
-    seq->emplace<nn::PWConv1>(embed_dim, embed_dim, /*bias=*/false, rng);
-    seq->emplace<nn::BatchNorm2d>(embed_dim);
-    seq->emplace<nn::Activation>(nn::Act::kReLU);
-    seq->emplace<nn::PWConv1>(embed_dim, mask_size * mask_size, /*bias=*/true, rng);
-    branch_ = std::move(seq);
+    auto g = std::make_unique<nn::Graph>();
+    g->emplace<nn::PWConv1>(embed_dim, embed_dim, /*bias=*/false, rng);
+    g->emplace<nn::BatchNorm2d>(embed_dim);
+    g->emplace<nn::Activation>(nn::Act::kReLU);
+    g->emplace<nn::PWConv1>(embed_dim, mask_size * mask_size, /*bias=*/true, rng);
+    branch_ = std::move(g);
 }
 
 Tensor MaskHead::forward(const Tensor& response) { return branch_->forward(response); }

@@ -6,7 +6,7 @@
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/pwconv.hpp"
-#include "nn/sequential.hpp"
+#include "nn/graph.hpp"
 
 namespace sky::tracking {
 namespace {
@@ -14,12 +14,12 @@ namespace {
 float sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 
 nn::ModulePtr make_branch(int embed_dim, int out_ch, Rng& rng) {
-    auto seq = std::make_unique<nn::Sequential>();
-    seq->emplace<nn::PWConv1>(embed_dim, embed_dim, /*bias=*/false, rng);
-    seq->emplace<nn::BatchNorm2d>(embed_dim);
-    seq->emplace<nn::Activation>(nn::Act::kReLU);
-    seq->emplace<nn::PWConv1>(embed_dim, out_ch, /*bias=*/true, rng);
-    return seq;
+    auto g = std::make_unique<nn::Graph>();
+    g->emplace<nn::PWConv1>(embed_dim, embed_dim, /*bias=*/false, rng);
+    g->emplace<nn::BatchNorm2d>(embed_dim);
+    g->emplace<nn::Activation>(nn::Act::kReLU);
+    g->emplace<nn::PWConv1>(embed_dim, out_ch, /*bias=*/true, rng);
+    return g;
 }
 
 }  // namespace

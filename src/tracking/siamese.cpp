@@ -4,7 +4,6 @@
 
 #include "nn/batchnorm.hpp"
 #include "nn/pwconv.hpp"
-#include "nn/sequential.hpp"
 
 namespace sky::tracking {
 
@@ -114,12 +113,10 @@ void scatter_center_grad(const Tensor& grad_crop, Tensor& grad_feat) {
 
 SiameseEmbed::SiameseEmbed(nn::ModulePtr backbone, int feature_channels, int embed_dim,
                            Rng& rng)
-    : embed_dim_(embed_dim) {
-    auto seq = std::make_unique<nn::Sequential>();
-    seq->add(std::move(backbone));
-    seq->emplace<nn::PWConv1>(feature_channels, embed_dim, /*bias=*/false, rng);
-    seq->emplace<nn::BatchNorm2d>(embed_dim);
-    net_ = std::move(seq);
+    : net_(std::make_unique<nn::Graph>()), embed_dim_(embed_dim) {
+    net_->add(std::move(backbone));
+    net_->emplace<nn::PWConv1>(feature_channels, embed_dim, /*bias=*/false, rng);
+    net_->emplace<nn::BatchNorm2d>(embed_dim);
 }
 
 Tensor SiameseEmbed::forward(const Tensor& crops) { return net_->forward(crops); }

@@ -12,7 +12,7 @@
 
 #include <memory>
 
-#include "nn/module.hpp"
+#include "nn/graph.hpp"
 
 namespace sky::tracking {
 
@@ -32,7 +32,8 @@ void depthwise_xcorr_backward(const Tensor& search, const Tensor& kernel,
 void scatter_center_grad(const Tensor& grad_crop, Tensor& grad_feat);
 
 /// The Siamese embedding tower: backbone (any stride-8 feature extractor)
-/// plus a 1x1 "neck" to a fixed embedding width.
+/// plus a 1x1 "neck" to a fixed embedding width, as one chain nn::Graph
+/// whose node 1 is the backbone.
 class SiameseEmbed {
 public:
     /// `feature_channels` is the backbone's output width —
@@ -48,11 +49,11 @@ public:
     void set_training(bool training);
     [[nodiscard]] std::int64_t param_count() const;
     [[nodiscard]] int embed_dim() const { return embed_dim_; }
-    [[nodiscard]] const nn::Module& net() const { return *net_; }
-    [[nodiscard]] nn::Module& net() { return *net_; }
+    [[nodiscard]] const nn::Graph& net() const { return *net_; }
+    [[nodiscard]] nn::Graph& net() { return *net_; }
 
 private:
-    std::unique_ptr<nn::Module> net_;  // backbone + neck as one Sequential
+    std::unique_ptr<nn::Graph> net_;  // backbone -> neck conv -> neck BN
     int embed_dim_;
 };
 

@@ -1,9 +1,12 @@
 // Backbone zoo: published parameter counts at width 1.0 (Table 2's ResNet /
-// VGG sizes), stride-8 output contract, registry completeness, and the
-// AlexNet reference sizes behind Fig. 2a.
+// VGG sizes), stride-8 output contract, registry completeness, per-layer
+// profiling of every graph, and the AlexNet reference sizes behind Fig. 2a.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "backbones/registry.hpp"
+#include "obs/profiler.hpp"
 
 namespace sky::backbones {
 namespace {
@@ -63,6 +66,41 @@ TEST(Backbones, ForwardShapesAtQuarterWidth) {
         Tensor y = b.net->forward(x);
         EXPECT_EQ(y.shape().h, 2) << name;
         EXPECT_EQ(y.shape().w, 4) << name;
+    }
+}
+
+TEST(Backbones, EveryBackboneRunsUnderTheGraphProfiler) {
+    // Every backbone is an nn::Graph, so the per-layer profiler wraps each
+    // of its module nodes and the profiled eval forward (shims in place,
+    // epilogues still fused through them) is bitwise the plain one.
+    for (const std::string& name : backbone_names()) {
+        Rng rng(12);
+        Backbone b = build_by_name(name, 0.25f, rng);
+        b.net->set_training(false);
+        Tensor x({1, 3, 32, 32});
+        Rng r2(13);
+        x.rand_uniform(r2, 0.0f, 1.0f);
+        const Tensor plain = b.net->forward(x);
+
+        std::size_t modules = 0;
+        for (std::size_t i = 0; i < b.net->node_count(); ++i)
+            modules += b.net->node_kind(i) == nn::Graph::NodeKind::kModule ? 1 : 0;
+        obs::GraphProfiler prof(*b.net);
+        const Tensor profiled = b.net->forward(x);
+        ASSERT_EQ(profiled.shape(), plain.shape()) << name;
+        EXPECT_EQ(std::memcmp(profiled.data(), plain.data(),
+                              static_cast<std::size_t>(plain.size()) * sizeof(float)),
+                  0)
+            << name;
+        EXPECT_EQ(prof.layer_count(), modules) << name;
+        const std::vector<obs::LayerProfile> layers = prof.profiles();
+        ASSERT_EQ(layers.size(), modules) << name;
+        for (const obs::LayerProfile& l : layers) {
+            EXPECT_EQ(b.net->node_kind(static_cast<std::size_t>(l.node)),
+                      nn::Graph::NodeKind::kModule)
+                << name;
+            EXPECT_EQ(l.fwd_calls + (l.fused_into >= 0 ? 1 : 0), 1) << name << " " << l.node;
+        }
     }
 }
 

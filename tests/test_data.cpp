@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "data/augment.hpp"
 #include "data/synth_classification.hpp"
@@ -128,6 +129,17 @@ TEST(Augment, ResizeRoundTripApproximatesIdentity) {
     for (std::int64_t i = 0; i < img.size(); ++i)
         err += std::fabs(back[i] - img[i]);
     EXPECT_LT(err / img.size(), 0.02);
+}
+
+TEST(Augment, ResizeRefusesEmptySourceOrTarget) {
+    const Tensor img({1, 3, 4, 4}, 0.5f);
+    for (const auto resize : {&resize_bilinear, &resize_area}) {
+        EXPECT_THROW((void)resize(Tensor({1, 3, 0, 0}), 4, 4), std::invalid_argument);
+        EXPECT_THROW((void)resize(Tensor({1, 3, 4, 0}), 4, 4), std::invalid_argument);
+        EXPECT_THROW((void)resize(img, 0, 4), std::invalid_argument);
+        EXPECT_THROW((void)resize(img, 4, 0), std::invalid_argument);
+        EXPECT_EQ(resize(img, 2, 2).shape(), (Shape{1, 3, 2, 2}));
+    }
 }
 
 TEST(Augment, HFlipAndBox) {

@@ -1,6 +1,6 @@
-// Deployment passes: BN folding (sequential and graph forms) must preserve
-// eval-mode outputs exactly (up to float rounding) while removing the BN
-// layers; the model-summary report must account MACs/params consistently.
+// Deployment passes: BN folding must preserve eval-mode outputs exactly (up
+// to float rounding) while removing the BN layers; the model-summary report
+// must account MACs/params consistently.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -40,50 +40,56 @@ void warm_bn(nn::Module& net, const Shape& in_shape) {
     }
 }
 
-TEST(FoldBn, SequentialConvBnFoldsExactly) {
+TEST(FoldBn, ChainConvBnFoldsExactly) {
     Rng rng(1);
-    auto seq = std::make_unique<nn::Sequential>();
-    seq->emplace<nn::Conv2d>(3, 8, 3, 1, 1, /*bias=*/false, rng);
-    seq->emplace<nn::BatchNorm2d>(8);
-    seq->emplace<nn::Activation>(nn::Act::kReLU6);
-    seq->emplace<nn::DWConv3>(8, rng);
-    seq->emplace<nn::BatchNorm2d>(8);
-    seq->emplace<nn::PWConv1>(8, 4, /*bias=*/true, rng);
-    seq->emplace<nn::BatchNorm2d>(4);
-    warm_bn(*seq, {2, 3, 8, 8});
-    const Tensor before = eval_forward(*seq, {1, 3, 8, 8}, 7);
+    nn::Graph g;
+    g.emplace<nn::Conv2d>(3, 8, 3, 1, 1, /*bias=*/false, rng);
+    g.emplace<nn::BatchNorm2d>(8);
+    g.emplace<nn::Activation>(nn::Act::kReLU6);
+    g.emplace<nn::DWConv3>(8, rng);
+    g.emplace<nn::BatchNorm2d>(8);
+    g.emplace<nn::PWConv1>(8, 4, /*bias=*/true, rng);
+    g.emplace<nn::BatchNorm2d>(4);
+    warm_bn(g, {2, 3, 8, 8});
+    const Tensor before = eval_forward(g, {1, 3, 8, 8}, 7);
 
-    int folded = 0;
-    auto fused = fold_batch_norms(std::move(seq), &folded);
-    EXPECT_EQ(folded, 3);
-    const Tensor after = eval_forward(*fused, {1, 3, 8, 8}, 7);
+    EXPECT_EQ(fold_graph_bn(g), 3);
+    const Tensor after = eval_forward(g, {1, 3, 8, 8}, 7);
     ASSERT_EQ(before.size(), after.size());
     for (std::int64_t i = 0; i < before.size(); ++i)
         EXPECT_NEAR(before[i], after[i], 1e-4f) << i;
 
-    // No BN layers remain.
+    // No BN layers remain; the depthwise conv's shift became a ChannelBias.
     std::vector<nn::LayerInfo> layers;
-    fused->enumerate({1, 3, 8, 8}, layers);
+    g.enumerate({1, 3, 8, 8}, layers);
     for (const auto& li : layers) EXPECT_NE(li.kind, "bn");
+    EXPECT_EQ(g.node_module(5)->name(), "ChannelBias");
 }
 
-TEST(FoldBn, NestedSequentialFolds) {
+TEST(FoldBn, NestedGraphBnIsLeftAlone) {
+    // fold_graph_bn folds a graph's own nodes; a nested graph is one opaque
+    // node to it, so its BN survives (and the output stays the same).
     Rng rng(2);
-    auto inner = std::make_unique<nn::Sequential>();
+    auto inner = std::make_unique<nn::Graph>();
     inner->emplace<nn::PWConv1>(4, 6, false, rng);
     inner->emplace<nn::BatchNorm2d>(6);
-    auto outer = std::make_unique<nn::Sequential>();
-    outer->emplace<nn::Conv2d>(3, 4, 3, 1, 1, false, rng);
-    outer->emplace<nn::BatchNorm2d>(4);
-    outer->add(std::move(inner));
-    warm_bn(*outer, {2, 3, 6, 6});
-    const Tensor before = eval_forward(*outer, {1, 3, 6, 6}, 9);
-    int folded = 0;
-    auto fused = fold_batch_norms(std::move(outer), &folded);
-    EXPECT_EQ(folded, 2);
-    const Tensor after = eval_forward(*fused, {1, 3, 6, 6}, 9);
+    nn::Graph outer;
+    outer.emplace<nn::Conv2d>(3, 4, 3, 1, 1, false, rng);
+    outer.emplace<nn::BatchNorm2d>(4);
+    const int nested = outer.add(std::move(inner));
+    warm_bn(outer, {2, 3, 6, 6});
+    const Tensor before = eval_forward(outer, {1, 3, 6, 6}, 9);
+
+    EXPECT_EQ(fold_graph_bn(outer), 1);
+    EXPECT_EQ(outer.node_module(2)->name(), "Identity");
+    std::vector<nn::LayerInfo> layers;
+    outer.node_module(static_cast<std::size_t>(nested))->enumerate({1, 4, 6, 6}, layers);
+    ASSERT_EQ(layers.size(), 2u);
+    EXPECT_EQ(layers[1].kind, "bn");
+    const Tensor after = eval_forward(outer, {1, 3, 6, 6}, 9);
+    ASSERT_EQ(before.size(), after.size());
     for (std::int64_t i = 0; i < before.size(); ++i)
-        EXPECT_NEAR(before[i], after[i], 1e-4f);
+        EXPECT_NEAR(before[i], after[i], 1e-4f) << i;
 }
 
 TEST(FoldBn, SkyNetGraphFoldsAllBn) {

@@ -167,12 +167,13 @@ TEST(FusedForward, SiamRpnEmbedBitwiseEqualsUnfused) {
     Rng rng(41);
     SkyNetModel bb = build_skynet_backbone(0.25f, nn::Act::kReLU6, rng);
     const int channels = bb.feature_channels();
+    const nn::Graph& backbone = *bb.net;
     tracking::SiameseEmbed embed(std::move(bb.net), channels, 16, rng);
     expect_fused_equals_unfused(embed.net(), random_input({2, 3, 64, 64}, 42, 0.0f, 1.0f),
                                 "embed");
-    // The backbone is a Graph nested in the embed's Sequential: its BN ->
+    // The backbone is the embed chain's node 1, a nested graph: its BN ->
     // ReLU6 pairs fused.
-    auto& backbone = dynamic_cast<nn::Graph&>(dynamic_cast<nn::Sequential&>(embed.net()).at(0));
+    ASSERT_EQ(embed.net().node_module(1), &backbone);
     EXPECT_GT(fused_count(backbone), 0);
 }
 

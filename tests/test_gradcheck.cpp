@@ -15,7 +15,6 @@
 #include "nn/linear.hpp"
 #include "nn/pooling.hpp"
 #include "nn/pwconv.hpp"
-#include "nn/sequential.hpp"
 #include "nn/shuffle.hpp"
 #include "nn/space_to_depth.hpp"
 
@@ -176,15 +175,15 @@ TEST(GradCheck, ChannelShuffle) {
     grad_check(m, {2, 6, 4, 4});
 }
 
-TEST(GradCheck, SequentialChain) {
+TEST(GradCheck, GraphChain) {
     Rng rng(9);
-    auto seq = std::make_unique<Sequential>();
-    seq->emplace<Conv2d>(3, 6, 3, 1, 1, false, rng);
-    seq->emplace<BatchNorm2d>(6);
-    seq->emplace<Activation>(Act::kReLU6);
-    seq->emplace<MaxPool2>();
-    seq->emplace<PWConv1>(6, 4, true, rng);
-    grad_check(*seq, {2, 3, 8, 8}, 3e-2);
+    Graph g;
+    g.emplace<Conv2d>(3, 6, 3, 1, 1, false, rng);
+    g.emplace<BatchNorm2d>(6);
+    g.emplace<Activation>(Act::kReLU6);
+    g.emplace<MaxPool2>();
+    g.emplace<PWConv1>(6, 4, true, rng);
+    grad_check(g, {2, 3, 8, 8}, 3e-2);
 }
 
 TEST(GradCheck, GraphWithConcat) {

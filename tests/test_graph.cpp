@@ -1,8 +1,10 @@
-// Graph container: topology handling, concat/add joins, node outputs,
-// shape/MAC inference, gradient routing through shared inputs.
+// Graph container: chain building, topology handling, concat/add joins,
+// node outputs, shape/MAC inference, gradient routing through shared inputs.
 #include <gtest/gtest.h>
 
 #include "nn/activations.hpp"
+#include "nn/batchnorm.hpp"
+#include "nn/conv.hpp"
 #include "nn/graph.hpp"
 #include "nn/pooling.hpp"
 #include "nn/pwconv.hpp"
@@ -30,6 +32,31 @@ TEST(Graph, LinearChainMatchesManual) {
         manual[i] = manual[i] > 0.0f ? manual[i] : 0.0f;
     ASSERT_EQ(y.size(), manual.size());
     for (std::int64_t i = 0; i < y.size(); ++i) EXPECT_FLOAT_EQ(y[i], manual[i]);
+}
+
+TEST(Graph, ChainShapeAndParamSum) {
+    Rng rng(18);
+    Graph g;
+    g.emplace<Conv2d>(3, 8, 3, 1, 1, false, rng);
+    g.emplace<BatchNorm2d>(8);
+    g.emplace<Activation>(Act::kReLU);
+    EXPECT_EQ(g.emplace<MaxPool2>(), 4);  // each append follows the last
+    EXPECT_EQ(g.output_node(), 4);
+    EXPECT_EQ(g.out_shape({1, 3, 16, 16}), (Shape{1, 8, 8, 8}));
+    EXPECT_EQ(g.param_count(), 3 * 8 * 9 + 16);
+}
+
+TEST(Graph, ChainEnumerateListsLeaves) {
+    Rng rng(19);
+    Graph g;
+    g.emplace<Conv2d>(3, 4, 3, 1, 1, false, rng);
+    g.emplace<Activation>(Act::kReLU);
+    std::vector<LayerInfo> layers;
+    g.enumerate({1, 3, 8, 8}, layers);
+    ASSERT_EQ(layers.size(), 2u);
+    EXPECT_EQ(layers[0].kind, "conv");
+    EXPECT_EQ(layers[1].kind, "act");
+    EXPECT_EQ(layers[0].out, (Shape{1, 4, 8, 8}));
 }
 
 TEST(Graph, ConcatJoin) {

@@ -13,7 +13,6 @@
 #include "nn/linear.hpp"
 #include "nn/pooling.hpp"
 #include "nn/pwconv.hpp"
-#include "nn/sequential.hpp"
 #include "nn/shuffle.hpp"
 #include "nn/space_to_depth.hpp"
 
@@ -271,30 +270,6 @@ TEST(Linear, ComputesAffine) {
     Tensor y = fc.forward(x);
     EXPECT_FLOAT_EQ(y[0], 4.0f);
     EXPECT_FLOAT_EQ(y[1], 12.0f);
-}
-
-TEST(Sequential, ShapeChainAndParamSum) {
-    Rng rng(18);
-    Sequential seq;
-    seq.emplace<Conv2d>(3, 8, 3, 1, 1, false, rng);
-    seq.emplace<BatchNorm2d>(8);
-    seq.emplace<Activation>(Act::kReLU);
-    seq.emplace<MaxPool2>();
-    EXPECT_EQ(seq.out_shape({1, 3, 16, 16}), (Shape{1, 8, 8, 8}));
-    EXPECT_EQ(seq.param_count(), 3 * 8 * 9 + 16);
-}
-
-TEST(Sequential, EnumerateListsLeaves) {
-    Rng rng(19);
-    Sequential seq;
-    seq.emplace<Conv2d>(3, 4, 3, 1, 1, false, rng);
-    seq.emplace<Activation>(Act::kReLU);
-    std::vector<LayerInfo> layers;
-    seq.enumerate({1, 3, 8, 8}, layers);
-    ASSERT_EQ(layers.size(), 2u);
-    EXPECT_EQ(layers[0].kind, "conv");
-    EXPECT_EQ(layers[1].kind, "act");
-    EXPECT_EQ(layers[0].out, (Shape{1, 4, 8, 8}));
 }
 
 TEST(Optimizer, SgdDescendsQuadratic) {

@@ -25,7 +25,6 @@
 #include "nn/graph.hpp"
 #include "nn/pooling.hpp"
 #include "nn/pwconv.hpp"
-#include "nn/sequential.hpp"
 #include "quant/qengine.hpp"
 #include "quant/qerror.hpp"
 #include "skynet/detector.hpp"
@@ -95,20 +94,6 @@ SkyNetModel folded_model(SkyNetVariant v, std::uint64_t seed) {
     m.net->set_training(false);
     deploy::fold_graph_bn(*m.net);
     return m;
-}
-
-/// Backbones are built as one flat Sequential; the analyses and the engine
-/// want per-node granularity (same unwrap skyanalyze uses).
-std::unique_ptr<nn::Graph> to_graph(nn::ModulePtr net) {
-    auto g = std::make_unique<nn::Graph>();
-    int last = g->input();
-    if (auto* seq = dynamic_cast<nn::Sequential*>(net.get())) {
-        for (nn::ModulePtr& m : seq->take_modules()) last = g->add(std::move(m), last);
-    } else {
-        last = g->add(std::move(net), last);
-    }
-    g->set_output(last);
-    return g;
 }
 
 /// Random conv/dwconv/pwconv/act/pool chain with an occasional residual add,
@@ -207,8 +192,7 @@ TEST(QErrorOracle, SoundOnRandomizedChainGraphs) {
 TEST(QErrorOracle, SoundOnBackboneZoo) {
     for (const std::string& bname : backbones::backbone_names()) {
         Rng rng(7);
-        backbones::Backbone b = backbones::build_by_name(bname, 0.25f, rng);
-        std::unique_ptr<nn::Graph> g = to_graph(std::move(b.net));
+        std::unique_ptr<nn::Graph> g = backbones::build_by_name(bname, 0.25f, rng).net;
         g->set_training(false);
         deploy::fold_graph_bn(*g);
         const quant::QuantConfig cfg = scheme(9, 11).with_fp32_fallback(true);

@@ -6,8 +6,8 @@
 #include <cmath>
 
 #include "nn/activations.hpp"
+#include "nn/graph.hpp"
 #include "nn/pwconv.hpp"
-#include "nn/sequential.hpp"
 #include "quant/qmodel.hpp"
 #include "quant/quantizer.hpp"
 
@@ -69,7 +69,7 @@ TEST(FixedPoint, BoundedRangeQuantizesBetter) {
 
 TEST(Quantizer, SnapshotRestores) {
     Rng rng(3);
-    nn::Sequential net;
+    nn::Graph net;
     net.emplace<nn::PWConv1>(4, 4, true, rng);
     std::vector<nn::ParamRef> ps;
     net.collect_params(ps);
@@ -87,7 +87,7 @@ TEST(Quantizer, SnapshotRestores) {
 
 TEST(Quantizer, WeightBytesScaleWithBits) {
     Rng rng(4);
-    nn::Sequential net;
+    nn::Graph net;
     net.emplace<nn::PWConv1>(8, 8, false, rng);
     ParamSnapshot snap(net);
     const std::int64_t b8 = quantize_weights(net, 8);
@@ -100,7 +100,7 @@ TEST(Quantizer, WeightBytesScaleWithBits) {
 
 TEST(Quantizer, FmHookQuantizesActivationsInEval) {
     Rng rng(5);
-    nn::Sequential net;
+    nn::Graph net;
     net.emplace<nn::PWConv1>(2, 2, false, rng);
     net.emplace<nn::Activation>(nn::Act::kReLU);
     net.set_training(false);
@@ -133,7 +133,7 @@ TEST(Quantizer, Table7SchemeTable) {
 
 TEST(QModel, QuantizedEvalLeavesWeightsIntact) {
     Rng rng(7);
-    nn::Sequential net;
+    nn::Graph net;
     net.emplace<nn::PWConv1>(3, 10, true, rng);
     std::vector<nn::ParamRef> ps;
     net.collect_params(ps);

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -291,6 +292,33 @@ TEST(Engine, PreprocessResizesToModelInput) {
     EXPECT_GE(r.preprocess_ms, 0.0);
     EXPECT_GE(r.box.w, 0.0f);
     engine.shutdown();
+}
+
+TEST(Engine, SubmitRefusesEmptyAndNonFiniteImages) {
+    // With a target size set, an empty image would reach the resize and a
+    // non-finite pixel would come back as a plausible box: submit refuses
+    // both, like a wrong n or c, before anything is queued or counted.
+    Detector det = small_detector();
+    ServeConfig cfg;
+    cfg.target_h = 32;
+    cfg.target_w = 64;
+    Engine engine(det, cfg);
+    engine.start();
+    EXPECT_THROW((void)engine.submit(Tensor({1, 3, 0, 0})), std::invalid_argument);
+    EXPECT_THROW((void)engine.submit(Tensor({1, 3, 0, 64})), std::invalid_argument);
+    EXPECT_THROW((void)engine.submit(Tensor({1, 3, 32, 0})), std::invalid_argument);
+    const float inf = std::numeric_limits<float>::infinity();
+    for (const float bad : {std::numeric_limits<float>::quiet_NaN(), inf, -inf}) {
+        Tensor img = random_image(61);
+        img[img.size() / 2] = bad;
+        EXPECT_THROW((void)engine.submit(std::move(img)), std::invalid_argument) << bad;
+    }
+    EXPECT_EQ(engine.submitted(), 0u);
+    EXPECT_EQ(engine.rejected(), 0u);
+    EXPECT_GE(engine.submit(random_image(62)).get().box.w, 0.0f);  // still serving
+    engine.shutdown(true);
+    EXPECT_EQ(engine.completed(), 1u);
+    EXPECT_EQ(engine.failed(), 0u);
 }
 
 TEST(Engine, MetricsAndTraceCoverThePipeline) {

@@ -25,7 +25,6 @@
 #include "nn/dwconv.hpp"
 #include "nn/pooling.hpp"
 #include "nn/pwconv.hpp"
-#include "nn/sequential.hpp"
 #include "nn/shuffle.hpp"
 #include "quant/qengine.hpp"
 #include "skynet/check_model.hpp"
@@ -312,23 +311,10 @@ TEST(Verify, DetectorQuantizeRejectsDegenerateScheme) {
 
 // ------------------------------------------- checker / engine agreement --
 
-/// A backbone as a top-level graph, BN folded: flat Sequentials unwrap into
-/// a chain (skyanalyze's view), graphs are taken as they are.
+/// A backbone graph (skyanalyze's view), BN folded.
 std::unique_ptr<nn::Graph> folded_backbone(const std::string& name) {
     Rng rng(7);
-    backbones::Backbone b = backbones::build_by_name(name, 0.25f, rng);
-    std::unique_ptr<nn::Graph> g;
-    if (dynamic_cast<nn::Graph*>(b.net.get()) != nullptr) {
-        g.reset(static_cast<nn::Graph*>(b.net.release()));
-    } else {
-        g = std::make_unique<nn::Graph>();
-        int last = g->input();
-        if (auto* seq = dynamic_cast<nn::Sequential*>(b.net.get()))
-            for (nn::ModulePtr& m : seq->take_modules()) last = g->add(std::move(m), last);
-        else
-            last = g->add(std::move(b.net), last);
-        g->set_output(last);
-    }
+    std::unique_ptr<nn::Graph> g = backbones::build_by_name(name, 0.25f, rng).net;
     g->set_training(false);
     deploy::fold_graph_bn(*g);
     return g;

@@ -1,14 +1,13 @@
 // Node-by-node unfused evaluation of a network: the reference an eval
 // nn::Graph forward, which fuses epilogues into their producers, must equal
 // bitwise.  Every module node runs its own forward() and keeps its own
-// tensor; nested Graphs and Sequentials are walked the same way, so no
-// epilogue fuses anywhere.
+// tensor; nested Graphs are walked the same way, so no epilogue fuses
+// anywhere.
 #pragma once
 
 #include <vector>
 
 #include "nn/graph.hpp"
-#include "nn/sequential.hpp"
 #include "tensor/tensor.hpp"
 
 namespace sky::testing {
@@ -46,11 +45,6 @@ inline std::vector<Tensor> unfused_node_values(nn::Graph& g, const Tensor& x) {
 inline Tensor unfused_forward(nn::Module& m, const Tensor& x) {
     if (auto* g = dynamic_cast<nn::Graph*>(&m))
         return unfused_node_values(*g, x)[static_cast<std::size_t>(g->output_node())];
-    if (auto* s = dynamic_cast<nn::Sequential*>(&m)) {
-        Tensor y = x;
-        for (std::size_t i = 0; i < s->size(); ++i) y = unfused_forward(s->at(i), y);
-        return y;
-    }
     return m.forward(x);
 }
 

@@ -29,7 +29,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -38,7 +37,6 @@
 #include "backbones/registry.hpp"
 #include "deploy/fold_bn.hpp"
 #include "nn/graph.hpp"
-#include "nn/sequential.hpp"
 #include "sarif/sarif.hpp"
 #include "skynet/skynet_model.hpp"
 #include "verify/analyze.hpp"
@@ -67,21 +65,6 @@ struct ModelResult {
 
 void merge(verify::Report& into, const verify::Report& from) {
     for (const verify::Diagnostic& d : from.diagnostics) into.diagnostics.push_back(d);
-}
-
-/// The analyses are per-graph-node; a backbone built as one flat Sequential
-/// would be a single opaque node.  Unwrap it into an equivalent chain Graph
-/// so every conv/BN/activation gets its own interval, proof and plan slot.
-std::unique_ptr<nn::Graph> to_graph(nn::ModulePtr net) {
-    auto g = std::make_unique<nn::Graph>();
-    int last = g->input();
-    if (auto* seq = dynamic_cast<nn::Sequential*>(net.get())) {
-        for (nn::ModulePtr& m : seq->take_modules()) last = g->add(std::move(m), last);
-    } else {
-        last = g->add(std::move(net), last);
-    }
-    g->set_output(last);
-    return g;
 }
 
 ModelResult analyze_graph(std::string name, const nn::Graph& g, const Shape& input,
@@ -274,14 +257,8 @@ int main(int argc, char** argv) {
 
     for (const std::string& bname : backbones::backbone_names()) {
         Rng rng(7);  // fixed seed: diagnostics depend on shapes, not weights
-        backbones::Backbone b = backbones::build_by_name(bname, kBackboneWidth, rng);
-        if (auto* g = dynamic_cast<nn::Graph*>(b.net.get())) {
-            results.push_back(analyze_graph(bname, *g, input, /*qmodel=*/false, budget));
-        } else {
-            const std::unique_ptr<nn::Graph> g2 = to_graph(std::move(b.net));
-            results.push_back(
-                analyze_graph(bname, *g2, input, /*qmodel=*/false, budget));
-        }
+        const backbones::Backbone b = backbones::build_by_name(bname, kBackboneWidth, rng);
+        results.push_back(analyze_graph(bname, *b.net, input, /*qmodel=*/false, budget));
     }
     for (SkyNetVariant v : {SkyNetVariant::kA, SkyNetVariant::kB, SkyNetVariant::kC}) {
         Rng rng(7);

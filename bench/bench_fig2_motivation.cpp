@@ -4,15 +4,18 @@
 //     paper compresses parameters 22x (237.9 MB -> 10.8 MB) and FMs 16x
 //     (15.7 MB -> 0.98 MB) and finds accuracy more sensitive to FM
 //     precision.  We train the width-scaled AlexNet proxy on the synthetic
-//     classification task, sweep both axes at equal bit-widths, and also
+//     classification task, fold its BNs, sweep both axes at equal
+//     bit-widths on the bit-true integer engine (quant::QEngine), and also
 //     report the *full-size* AlexNet storage at each width (computed from
-//     the exact architecture).
+//     the exact architecture).  The engine has no float axis: the axis not
+//     being swept stays at 16 bits, a stand-in for float.
 // (b) FPGA BRAM usage vs input resize factor for FM12..FM16 quantisation.
 // (c) DSP count vs (weight bits, FM bits) for a 128-MAC accelerator IP.
 #include "backbones/registry.hpp"
 #include "bench/harness.hpp"
+#include "deploy/fold_bn.hpp"
 #include "hwsim/fpga_model.hpp"
-#include "quant/qmodel.hpp"
+#include "quant/qengine.hpp"
 #include "skynet/skynet_model.hpp"
 #include "train/trainer.hpp"
 
@@ -28,7 +31,7 @@ int main(int argc, char** argv) {
                 100.0 * backbones::alexnet_reference_params(true) / ref_params);
 
     Rng rng(3);
-    nn::ModulePtr net = backbones::build_alexnet_classifier(10, 32, 0.25f, rng);
+    std::unique_ptr<nn::Graph> net = backbones::build_alexnet_classifier(10, 32, 0.25f, rng);
     data::ClassificationDataset ds({32, 10, 0.25f, 0.18f, 11});
     train::ClassifyTrainConfig cfg;
     cfg.steps = train_steps;
@@ -39,18 +42,26 @@ int main(int argc, char** argv) {
     bench::record("fig2a.float_accuracy", float_acc, "acc", bench::Direction::kHigherIsBetter);
 
     const data::ClassificationBatch val = ds.validation(256);
+    deploy::fold_graph_bn(*net);
     // Offline calibration: the IP-shared FPGA design uses one FM format for
     // the whole network, so the range must cover the worst-case activation.
     const float fm_range = quant::calibrate_fm_abs_max(*net, val.images);
-    std::printf("calibrated FM range: +-%.1f (single shared format)\n\n", fm_range);
+    const auto accuracy = [&](int fm_bits, int weight_bits) {
+        quant::QEngine engine(*net, quant::QuantConfig{}
+                                        .with_bits(fm_bits, weight_bits)
+                                        .with_fm_abs_max(fm_range));
+        return train::argmax_accuracy(engine.run(val.images), val.labels);
+    };
+    std::printf("calibrated FM range: +-%.1f (single shared format); the axis not\n"
+                "swept stays at 16 bits\n\n",
+                fm_range);
     std::printf("%6s | %-26s | %-26s\n", "", "parameter quantisation", "feature-map quantisation");
     std::printf("%6s | %9s %14s | %9s %14s\n", "bits", "accuracy", "model size MB",
                 "accuracy", "FM size ratio");
     bench::rule();
     for (int bits : {12, 8, 6, 5, 4, 3}) {
-        const double acc_w = quant::classifier_acc_quantized(*net, val, 0, bits);
-        const double acc_f =
-            quant::classifier_acc_quantized(*net, val, bits, 0, fm_range);
+        const double acc_w = accuracy(16, bits);
+        const double acc_f = accuracy(bits, 16);
         std::printf("%6d | %9.3f %13.1f | %9.3f %13.1fx\n", bits, acc_w,
                     ref_params * bits / 8.0 / 1e6, acc_f, 32.0 / bits);
         bench::record("fig2a.acc_param_q" + std::to_string(bits), acc_w, "acc",

@@ -4,20 +4,23 @@
 // Paper: fp32 0.741; FM9/W11 0.727; FM9/W10 0.714; FM8/W11 0.690;
 //        FM8/W10 0.680  (drops of 1.4% .. 6.1% relative).
 //
-// We train one SkyNet C - ReLU6 and sweep the same schemes post-training;
-// the shape to reproduce is a monotone ordering in (FM bits, W bits) with
-// FM bits mattering more, and scheme 1 being the accuracy/score sweet spot
-// the paper deploys.
+// We train one SkyNet C - ReLU6, fold its BNs, and score every scheme on the
+// bit-true integer engine (quant::QEngine) that Detector::quantize deploys:
+// every feature map, the input image included, on one shared fixed-point
+// grid whose range is calibrated once on the validation set.  The shape to
+// reproduce is a monotone ordering in (FM bits, W bits) with FM bits
+// mattering more, and scheme 1 being the accuracy/score sweet spot the
+// paper deploys.
 // The second half measures the deployed datapath itself: wall-clock of the
-// packed int8 GEMM engine (QExecution::kAuto) against the scalar reference
-// interpreter (kReference, the pre-engine implementation) and the fp32 SIMD
-// path, on the same batch.
+// scheme-1 engine (QExecution::kAuto, packed u8 x s16 GEMM) against the
+// scalar reference interpreter (kReference) and the fp32 SIMD path of the
+// same folded graph, on the same batch.
 #include "bench/harness.hpp"
+#include "dacsdc/scheme_select.hpp"
 #include "data/synth_detection.hpp"
 #include "deploy/fold_bn.hpp"
 #include "detect/metrics.hpp"
 #include "quant/qengine.hpp"
-#include "quant/qmodel.hpp"
 #include "skynet/skynet_model.hpp"
 #include "train/trainer.hpp"
 
@@ -36,9 +39,25 @@ int main(int argc, char** argv) {
     const double float_iou =
         train::train_detector(*model.net, model.head, ds, cfg, train_rng).val_iou;
     const data::DetectionBatch val = ds.validation(128);
+    // Every number below runs the folded graph, as deployed (repacked, as
+    // Detector::fold_bn leaves it).
+    deploy::fold_graph_bn(*model.net);
+    model.net->prepack();
     // One static FM format for the whole network (the shared-buffer FPGA
     // regime), calibrated offline on the validation set.
     const float fm_range = quant::calibrate_fm_abs_max(*model.net, val.images);
+    const quant::QuantConfig calibrated = quant::QuantConfig{}.with_fm_abs_max(fm_range);
+    const auto engine_iou = [&](quant::QEngine& engine) {
+        return detect::mean_iou(model.head.decode(engine.run(val.images)), val.boxes);
+    };
+    const auto scheme_iou = [&](int fm, int w) {
+        quant::QEngine engine(*model.net, calibrated.with_bits(fm, w));
+        return engine_iou(engine);
+    };
+    // Scheme 1, the one the paper deploys; its engine also runs the clock.
+    const dacsdc::QuantScheme deployed = dacsdc::table7_schemes()[1];
+    quant::QEngine int8_engine(*model.net,
+                               calibrated.with_bits(deployed.fm_bits, deployed.weight_bits));
 
     const double paper_iou[5] = {0.741, 0.727, 0.714, 0.690, 0.680};
     std::printf("=== Table 7: quantisation schemes (trained %d steps) ===\n\n",
@@ -47,13 +66,13 @@ int main(int argc, char** argv) {
                 "paper IoU", "paper drop", "ours IoU", "ours drop");
     bench::rule(' ', 0);
     bench::rule();
-    double prev_ours = 0.0;
-    (void)prev_ours;
-    for (const quant::QuantScheme& s : quant::table7_schemes()) {
-        const double iou = s.id == 0 ? float_iou
-                                     : quant::detector_iou_quantized(
-                                           *model.net, model.head, val, s.fm_bits,
-                                           s.weight_bits, fm_range);
+    double int8_iou = 0.0;
+    for (const dacsdc::QuantScheme& s : dacsdc::table7_schemes()) {
+        double iou = float_iou;
+        if (s.id == deployed.id)
+            iou = int8_iou = engine_iou(int8_engine);
+        else if (s.id != 0)
+            iou = scheme_iou(s.fm_bits, s.weight_bits);
         const double paper_drop =
             100.0 * (paper_iou[0] - paper_iou[s.id]) / paper_iou[0];
         const double our_drop = 100.0 * (float_iou - iou) / std::max(float_iou, 1e-9);
@@ -76,8 +95,7 @@ int main(int argc, char** argv) {
     struct Ext { int fm, w; };
     const Ext ext[] = {{7, 11}, {6, 11}, {5, 11}, {4, 11}, {9, 6}, {9, 5}, {9, 4}};
     for (const Ext& e : ext) {
-        const double iou = quant::detector_iou_quantized(*model.net, model.head, val,
-                                                         e.fm, e.w, fm_range);
+        const double iou = scheme_iou(e.fm, e.w);
         std::printf("   FM%-2d / W%-2d  %9.3f %9.1f%%\n", e.fm, e.w, iou,
                     100.0 * (float_iou - iou) / std::max(float_iou, 1e-9));
     }
@@ -87,20 +105,14 @@ int main(int argc, char** argv) {
 
     // --- Wall-clock: int8 engine vs the reference interpreter vs fp32 -----
     // The scheme-1 engine, compiled once, timed on an 8-image batch.  The
-    // kReference engine IS the old interpreter (same code path), so
-    // int8_speedup_vs_ref measures what the packed u8 x s8 GEMM engine buys.
+    // kReference engine is the scalar interpreter at the same scheme, so
+    // int8_speedup_vs_ref measures what the packed u8 x s16 GEMM engine buys.
     const Tensor clock_batch = ds.validation(8).images;
     const bench::RepeatStats fp32_t =
         bench::run("table7.fp32_ms", "ms", bench::Direction::kLowerIsBetter,
                    [&] { (void)model.net->forward(clock_batch); });
-    deploy::fold_graph_bn(*model.net);
-    model.net->set_training(false);
-    const quant::QuantConfig qcfg =
-        quant::QuantConfig{}.with_bits(9, 11).with_fm_abs_max(fm_range);
     quant::QEngine ref_engine(
-        *model.net, qcfg.with_execution(quant::QExecution::kReference));
-    quant::QEngine int8_engine(*model.net,
-                               qcfg.with_execution(quant::QExecution::kAuto));
+        *model.net, int8_engine.config().with_execution(quant::QExecution::kReference));
     const bench::RepeatStats ref_t =
         bench::run("table7.ref_int_ms", "ms", bench::Direction::kLowerIsBetter,
                    [&] { (void)ref_engine.run(clock_batch); });
@@ -113,8 +125,6 @@ int main(int argc, char** argv) {
                   bench::Direction::kHigherIsBetter);
     bench::record("table7.int8_speedup_vs_fp32", vs_fp32, "x",
                   bench::Direction::kHigherIsBetter);
-    const double int8_iou =
-        detect::mean_iou(model.head.decode(int8_engine.run(val.images)), val.boxes);
     bench::record("table7.int8.iou", int8_iou, "iou",
                   bench::Direction::kHigherIsBetter);
     std::printf("\n--- scheme-1 wall clock (8-image batch, %d/%d convs on qgemm) ---\n",

@@ -26,8 +26,8 @@ Backbone build_alexnet(float width_mult, Rng& rng) {
     return {std::move(net), c5, "AlexNet"};
 }
 
-nn::ModulePtr build_alexnet_classifier(int num_classes, int input_size, float width_mult,
-                                       Rng& rng) {
+std::unique_ptr<nn::Graph> build_alexnet_classifier(int num_classes, int input_size,
+                                                    float width_mult, Rng& rng) {
     auto net = std::make_unique<nn::Graph>();
     const int c1 = scale_ch(64, width_mult), c2 = scale_ch(192, width_mult),
               c3 = scale_ch(384, width_mult), c4 = scale_ch(256, width_mult),

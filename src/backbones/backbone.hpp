@@ -55,8 +55,9 @@ Backbone build_tinyyolo(float width_mult, Rng& rng);
 /// AlexNet *classifier* (5 convs + 3 FC) for the Fig. 2a quantization study;
 /// `input_size` fixes the FC fan-in.  width_mult scales both conv channels
 /// and FC widths.
-[[nodiscard]] nn::ModulePtr build_alexnet_classifier(int num_classes, int input_size,
-                                                     float width_mult, Rng& rng);
+[[nodiscard]] std::unique_ptr<nn::Graph> build_alexnet_classifier(int num_classes,
+                                                                  int input_size,
+                                                                  float width_mult, Rng& rng);
 
 /// Exact float32 parameter bytes of the canonical full-size AlexNet
 /// (224x224, 1000 classes) — the "237.9 MB" reference of Fig. 2a, computed

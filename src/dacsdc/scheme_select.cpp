@@ -2,12 +2,17 @@
 
 #include <algorithm>
 
+#include "detect/metrics.hpp"
 #include "hwsim/energy.hpp"
-#include "quant/qmodel.hpp"
+#include "quant/qengine.hpp"
 
 namespace sky::dacsdc {
 
-std::vector<SchemeEvaluation> select_scheme(nn::Module& net, const detect::YoloHead& head,
+std::vector<QuantScheme> table7_schemes() {
+    return {{0, 0, 0}, {1, 9, 11}, {2, 9, 10}, {3, 8, 11}, {4, 8, 10}};
+}
+
+std::vector<SchemeEvaluation> select_scheme(nn::Graph& net, const detect::YoloHead& head,
                                             const data::DetectionBatch& val,
                                             const hwsim::FpgaModel& fpga,
                                             SchemeSelectConfig cfg) {
@@ -22,11 +27,20 @@ std::vector<SchemeEvaluation> select_scheme(nn::Module& net, const detect::YoloH
                                : quant::calibrate_fm_abs_max(net, val.images);
 
     std::vector<SchemeEvaluation> evals;
-    for (const quant::QuantScheme& s : quant::table7_schemes()) {
+    for (const QuantScheme& s : table7_schemes()) {
         SchemeEvaluation ev;
         ev.scheme = s;
-        ev.iou = quant::detector_iou_quantized(net, head, val, s.fm_bits, s.weight_bits,
-                                               fm_range);
+        Tensor raw;
+        if (s.id == 0) {
+            net.set_training(false);
+            raw = net.forward(val.images);
+        } else {
+            quant::QEngine engine(net, quant::QuantConfig{}
+                                           .with_bits(s.fm_bits, s.weight_bits)
+                                           .with_fm_abs_max(fm_range));
+            raw = engine.run(val.images);
+        }
+        ev.iou = detect::mean_iou(head.decode(raw), val.boxes);
         const hwsim::FpgaBuildConfig build{s.weight_bits, s.fm_bits, false,
                                            cfg.batch_tile, 1.0};
         const hwsim::FpgaEstimate est = fpga.estimate(hw_net, cfg.hw_input, build);

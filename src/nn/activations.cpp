@@ -1,7 +1,5 @@
 #include "nn/activations.hpp"
 
-#include "nn/fm_hook.hpp"
-
 namespace sky::nn {
 
 const char* act_name(Act a) {
@@ -33,7 +31,6 @@ Tensor Activation::forward(const Tensor& x) {
     Tensor y = x;
     apply_epilogue(epilogue(), y);
     if (training_ && kind_ == Act::kSigmoid) input_ = y;  // sigmoid backward uses the output
-    if (!training_ && fm_hook()) fm_hook()(y);
     return y;
 }
 

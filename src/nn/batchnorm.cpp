@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "core/thread_pool.hpp"
-#include "nn/fm_hook.hpp"
 
 namespace sky::nn {
 
@@ -82,9 +81,6 @@ Tensor BatchNorm2d::forward_fused(const Tensor& x, const Epilogue& ep) {
             }
         }
         });
-        // In deployment BN folds into the conv and its output is what the
-        // shared feature-map buffer stores — so the FM hook applies here too.
-        if (fm_hook()) fm_hook()(y);
     }
     return y;
 }

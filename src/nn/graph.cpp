@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "nn/fm_hook.hpp"
-
 namespace sky::nn {
 
 Graph::Graph() {
@@ -46,7 +44,7 @@ void Graph::plan_forward(const Shape& in) {
     std::iota(carrier_.begin(), carrier_.end(), 0);
     overwritten_.assign(n, -1);
     epilogue_.assign(n, Epilogue{});
-    if (training_ || fm_hook()) return;
+    if (training_) return;
 
     std::vector<int> readers(n, 0);
     for (const Node& node : nodes_)

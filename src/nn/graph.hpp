@@ -13,8 +13,7 @@
 // module's value read by that node alone folds into the producer, which
 // applies it as it writes its output.  At most one bias and then one
 // activation fold into a producer, and a producer that is the graph output
-// keeps its value.  Training forwards, and eval forwards under an FmHook
-// (which must see every activation and BN output), run every node.
+// keeps its value.  Training forwards run every node.
 #pragma once
 
 #include <utility>
@@ -49,9 +48,9 @@ public:
 
     /// Runs the graph.  Shapes are inferred first: a node with a degenerate
     /// shape throws std::invalid_argument before any layer runs.  In eval
-    /// mode with no FmHook installed, aliased and fused nodes do not run —
-    /// their producers apply the folded epilogues as they write — and the
-    /// result is bitwise what running every node gives.
+    /// mode aliased and fused nodes do not run — their producers apply the
+    /// folded epilogues as they write — and the result is bitwise what
+    /// running every node gives.
     Tensor forward(const Tensor& x) override;
     Tensor backward(const Tensor& grad_out) override;
     void collect_params(std::vector<ParamRef>& out) override;

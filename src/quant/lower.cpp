@@ -61,6 +61,8 @@ Op lower_module(nn::Module& m, const QuantConfig& cfg) {
     } else if (auto* fc = dynamic_cast<nn::Linear*>(&m)) {
         set_conv(op, OpKind::kConv, fc->weight(), &fc->bias(), fc->weight().shape().c, 1,
                  1, 0, 1);
+        op.flatten = true;
+        integer = true;
     } else if (auto* bn = dynamic_cast<nn::BatchNorm2d*>(&m)) {
         op.kind = OpKind::kAffine;
         bn->fused_affine(op.scale, op.shift);
@@ -290,8 +292,9 @@ deploy::MemoryPlan plan_activations(const Program& p, const Shape& input) {
         const Shape& x = op.inputs.empty() ? s : shapes[static_cast<std::size_t>(op.inputs[0])];
         if (s.n <= 0 || s.c <= 0 || s.h <= 0 || s.w <= 0)
             refuse(i, " has a degenerate shape (run verify::check_graph)");
+        const std::int64_t in_ch = op.flatten ? x.per_item() : x.c;
         if (op.verdict == Verdict::kInt &&
-            (op.kind == OpKind::kConv || op.kind == OpKind::kDwConv) && x.c != op.in_ch)
+            (op.kind == OpKind::kConv || op.kind == OpKind::kDwConv) && in_ch != op.in_ch)
             refuse(i, " (" + op.name + ") expects " + std::to_string(op.in_ch) +
                           " input channels, got " + x.str());
         for (const int in : op.inputs) {

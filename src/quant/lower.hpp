@@ -82,6 +82,7 @@ struct Op {
     const Tensor* weight = nullptr;
     const Tensor* bias = nullptr;  ///< nullptr: no bias
     int in_ch = 0, out_ch = 0, k = 1, stride = 1, pad = 0, groups = 1;
+    bool flatten = false;  ///< a Linear: reads its input as {n, c*h*w, 1, 1}
     // Integer ops, quantized once on the scheme's grid.
     FixedPointFormat wfmt{};               ///< per-layer weight format
     std::vector<std::int32_t> qweights;    ///< w_hat, the layout of *weight

@@ -448,7 +448,10 @@ void QEngine::execute_dwconv(const Op& op, const QLayer& l, const QTensor& x,
 
 void QEngine::execute_conv(const Op& op, const QLayer& l, const QTensor& x, QTensor& y,
                            bool allow_qgemm) {
-    const int H = x.shape.h, W = x.shape.w;
+    // A Linear reads each item's values as one 1x1 column: the NCHW layout
+    // already stores them in that order.
+    const Shape xs = op.flatten ? Shape{x.shape.n, op.in_ch, 1, 1} : x.shape;
+    const int H = xs.h, W = xs.w;
     const int in_ch = op.in_ch, out_ch = op.out_ch, k = op.k, stride = op.stride,
               pad = op.pad;
     const int OH = (H + 2 * pad - k) / stride + 1;
@@ -518,7 +521,7 @@ void QEngine::execute_conv(const Op& op, const QLayer& l, const QTensor& x, QTen
     const std::int32_t* wd = op.qweights.data();
     const std::int64_t* bd = op.qbias.empty() ? nullptr : op.qbias.data();
     std::int32_t* yd = y.data.data();
-    const int xc = x.shape.c;
+    const int xc = xs.c;
     core::parallel_for(
         0, static_cast<std::int64_t>(x.shape.n) * out_ch, 1,
         [=](std::int64_t i0, std::int64_t i1) {
@@ -684,6 +687,20 @@ Tensor QEngine::run(const Tensor& input) {
     // The output survives to the end of the pass; park its buffer too.
     release_after(layers_.size());
     return result;
+}
+
+float calibrate_fm_abs_max(nn::Graph& graph, const Tensor& calibration) {
+    graph.set_training(false);
+    (void)graph.forward(calibration);
+    // A carrier's tensor ends up holding the value of the last node it
+    // carries, which node_output reads without a fused-over refusal.
+    std::vector<int> last(graph.node_count(), -1);
+    for (int i = 0; i < static_cast<int>(graph.node_count()); ++i)
+        last[static_cast<std::size_t>(graph.node_carrier(i))] = i;
+    float max_abs = 0.0f;
+    for (const int node : last)
+        if (node >= 0) max_abs = std::max(max_abs, graph.node_output(node).abs_max());
+    return max_abs;
 }
 
 std::int64_t QEngine::weight_bytes() const {

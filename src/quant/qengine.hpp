@@ -144,4 +144,11 @@ private:
     std::int64_t measured_peak_bytes_ = 0;
 };
 
+/// The FM range a scheme's shared format must cover: the largest |value|
+/// over every tensor one eval forward of `graph` (BN-folded, as QEngine
+/// compiles it) materializes on `calibration` — one tensor per carrier
+/// (nn::Graph::node_carrier), the input included.  Pass the result to
+/// QuantConfig::with_fm_abs_max.
+[[nodiscard]] float calibrate_fm_abs_max(nn::Graph& graph, const Tensor& calibration);
+
 }  // namespace sky::quant

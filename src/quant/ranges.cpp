@@ -12,12 +12,12 @@ namespace sky::quant {
 
 std::vector<std::string> scheme_violations(const QuantConfig& cfg) {
     std::vector<std::string> v;
-    if (cfg.fm_bits < 2 || cfg.fm_bits > 32)
+    if (cfg.fm_bits < 2 || cfg.fm_bits > 24)
         v.push_back("fm_bits=" + std::to_string(cfg.fm_bits) +
-                    " is outside the representable window [2, 32]");
-    if (cfg.weight_bits < 2 || cfg.weight_bits > 32)
+                    " is outside the representable window [2, 24]");
+    if (cfg.weight_bits < 2 || cfg.weight_bits > 24)
         v.push_back("weight_bits=" + std::to_string(cfg.weight_bits) +
-                    " is outside the representable window [2, 32]");
+                    " is outside the representable window [2, 24]");
     if (!(cfg.fm_abs_max > 0.0f) || !std::isfinite(cfg.fm_abs_max))
         v.push_back("fm_abs_max=" + std::to_string(cfg.fm_abs_max) +
                     " must be positive and finite to define the shared FM grid");

@@ -52,8 +52,12 @@ struct GridSpec {
 };
 
 /// Every rule `cfg` breaks, one message each (empty: a valid scheme): bit
-/// widths in [2, 32], fm_abs_max positive and finite, input_lo <= input_hi.
+/// widths in [2, 24], fm_abs_max positive and finite, input_lo <= input_hi.
 /// The one scheme validation — verify::check_qmodel reports each as Q005.
+/// The 24-bit cap keeps |w_hat| and |x| at most 2^23, so prove_qgemm's
+/// K * max|w| * span, the dwconv's 9 * max|w| * max|x| and the int64
+/// reference accumulators stay exact for K < 2^16 (VGG-16's 4608 is the
+/// deepest reduction shipped); wider words overflow them.
 [[nodiscard]] std::vector<std::string> scheme_violations(const QuantConfig& cfg);
 
 /// Resolve a scheme into its grid.  Throws std::invalid_argument with the

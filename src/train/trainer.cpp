@@ -126,7 +126,10 @@ ClassifyTrainResult train_classifier(nn::Module& net, data::ClassificationDatase
 }
 
 double evaluate_classifier(nn::Module& net, const data::ClassificationBatch& val) {
-    const Tensor logits = net.forward(val.images);
+    return argmax_accuracy(net.forward(val.images), val.labels);
+}
+
+double argmax_accuracy(const Tensor& logits, const std::vector<int>& labels) {
     int correct = 0;
     const Shape s = logits.shape();
     for (int n = 0; n < s.n; ++n) {
@@ -134,7 +137,7 @@ double evaluate_classifier(nn::Module& net, const data::ClassificationBatch& val
         int arg = 0;
         for (int k = 1; k < s.c; ++k)
             if (lp[k] > lp[arg]) arg = k;
-        if (arg == val.labels[static_cast<std::size_t>(n)]) ++correct;
+        if (arg == labels[static_cast<std::size_t>(n)]) ++correct;
     }
     return static_cast<double>(correct) / static_cast<double>(s.n);
 }

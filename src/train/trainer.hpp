@@ -81,4 +81,9 @@ ClassifyTrainResult train_classifier(nn::Module& net, data::ClassificationDatase
 [[nodiscard]] double evaluate_classifier(nn::Module& net,
                                          const data::ClassificationBatch& val);
 
+/// Fraction of items whose largest logit ({n, classes, 1, 1}) is the label:
+/// evaluate_classifier's score for logits from any datapath (the Fig. 2a
+/// bench scores quant::QEngine outputs with it).
+[[nodiscard]] double argmax_accuracy(const Tensor& logits, const std::vector<int>& labels);
+
 }  // namespace sky::train

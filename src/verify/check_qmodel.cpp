@@ -13,10 +13,10 @@ Report check_qmodel(const nn::Graph& g, const quant::QuantConfig& cfg,
 Report check_qmodel(const quant::Program& p, const QuantCheckOptions& opts) {
     Report rep;
 
-    // --- Scheme sanity (Table 7 schemes live in [2, 32] bits). ---------
+    // --- Scheme sanity (Table 7 schemes live in [2, 24] bits). ---------
     for (const std::string& why : p.scheme_errors)
         rep.error("Q005", -1, why,
-                  "pick bit widths in [2, 32], a positive finite fm_abs_max "
+                  "pick bit widths in [2, 24], a positive finite fm_abs_max "
                   "(quant::calibrate_fm_abs_max) and input_lo <= input_hi");
     if (!p.valid_scheme()) return rep;  // the format below would be meaningless
 

@@ -5,8 +5,11 @@
 #include <cmath>
 
 #include "dacsdc/scheme_select.hpp"
+#include "deploy/fold_bn.hpp"
+#include "detect/metrics.hpp"
 #include "io/ascii_viz.hpp"
 #include "nn/optimizer.hpp"
+#include "quant/qengine.hpp"
 #include "skynet/skynet_model.hpp"
 #include "tracking/metrics.hpp"
 #include "tracking/tracker.hpp"
@@ -104,10 +107,27 @@ TEST(Adam, StepSizeBoundedByLr) {
     EXPECT_NEAR(std::abs(w[1]), 0.05f, 5e-3f);
 }
 
-TEST(SchemeSelect, RanksByProjectedScore) {
-    Rng rng(5);
+/// A small SkyNet-C with its BNs folded, as select_scheme takes it.
+SkyNetModel folded_skynet(std::uint64_t seed) {
+    Rng rng(seed);
     SkyNetModel m = build_skynet({SkyNetVariant::kC, nn::Act::kReLU6, 2, 0.2f}, rng);
     m.net->set_training(false);
+    deploy::fold_graph_bn(*m.net);
+    return m;
+}
+
+TEST(SchemeSelect, Table7SchemeTable) {
+    const auto schemes = dacsdc::table7_schemes();
+    ASSERT_EQ(schemes.size(), 5u);
+    EXPECT_EQ(schemes[0].fm_bits, 0);
+    EXPECT_EQ(schemes[1].fm_bits, 9);
+    EXPECT_EQ(schemes[1].weight_bits, 11);
+    EXPECT_EQ(schemes[4].fm_bits, 8);
+    EXPECT_EQ(schemes[4].weight_bits, 10);
+}
+
+TEST(SchemeSelect, RanksByProjectedScore) {
+    SkyNetModel m = folded_skynet(5);
     data::DetectionDataset ds({32, 64, 1, false, 9});
     const data::DetectionBatch val = ds.validation(8);
     hwsim::FpgaModel u96(hwsim::ultra96());
@@ -121,6 +141,53 @@ TEST(SchemeSelect, RanksByProjectedScore) {
         EXPECT_GT(ev.fps, 0.0);
         EXPECT_GT(ev.power_w, 0.0);
     }
+}
+
+TEST(SchemeSelect, SchemeIouIsTheEngineIou) {
+    SkyNetModel m = folded_skynet(6);
+    data::DetectionDataset ds({32, 64, 1, false, 10});
+    const data::DetectionBatch val = ds.validation(8);
+    hwsim::FpgaModel u96(hwsim::ultra96());
+    dacsdc::SchemeSelectConfig cfg;
+    cfg.hw_input = {1, 3, 32, 64};
+    const float range = quant::calibrate_fm_abs_max(*m.net, val.images);
+    const auto ranked = dacsdc::select_scheme(*m.net, m.head, val, u96, cfg);
+    ASSERT_EQ(ranked.size(), 5u);
+    for (const dacsdc::SchemeEvaluation& ev : ranked) {
+        const dacsdc::QuantScheme& s = ev.scheme;
+        Tensor raw;
+        if (s.id == 0) {
+            raw = m.net->forward(val.images);
+        } else {
+            quant::QEngine engine(*m.net, quant::QuantConfig{}
+                                              .with_bits(s.fm_bits, s.weight_bits)
+                                              .with_fm_abs_max(range));
+            raw = engine.run(val.images);
+        }
+        EXPECT_EQ(ev.iou, detect::mean_iou(m.head.decode(raw), val.boxes))
+            << "scheme " << s.id;
+    }
+}
+
+TEST(SchemeSelect, LeavesTheFloatGraphUntouched) {
+    SkyNetModel m = folded_skynet(7);
+    data::DetectionDataset ds({32, 64, 1, false, 5});
+    const data::DetectionBatch val = ds.validation(4);
+    std::vector<nn::ParamRef> params;
+    m.net->collect_params(params);
+    std::vector<Tensor> before;
+    for (const nn::ParamRef& p : params) before.push_back(*p.value);
+    const Tensor y_before = m.net->forward(val.images);
+    dacsdc::SchemeSelectConfig cfg;
+    cfg.hw_input = {1, 3, 32, 64};
+    (void)dacsdc::select_scheme(*m.net, m.head, val, hwsim::FpgaModel(hwsim::ultra96()), cfg);
+    for (std::size_t k = 0; k < params.size(); ++k)
+        for (std::int64_t i = 0; i < before[k].size(); ++i)
+            ASSERT_EQ((*params[k].value)[i], before[k][i]) << "param " << k << " @" << i;
+    const Tensor y_after = m.net->forward(val.images);
+    ASSERT_EQ(y_after.shape(), y_before.shape());
+    for (std::int64_t i = 0; i < y_before.size(); ++i)
+        ASSERT_EQ(y_after[i], y_before[i]) << "fp32 output @" << i;
 }
 
 TEST(AsciiViz, RendersBoxesAndLuminance) {

@@ -1,14 +1,16 @@
 // Integer inference engine: agreement with the float network at high
 // precision, output representability on the FM grid, behaviour under the
-// Table 7 schemes, and compile-time validation.
+// Table 7 schemes, FM range calibration and compile-time validation.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "deploy/fold_bn.hpp"
 #include "detect/metrics.hpp"
 #include "quant/qengine.hpp"
 #include "skynet/skynet_model.hpp"
+#include "unfused_reference.hpp"
 
 namespace sky::quant {
 namespace {
@@ -118,6 +120,31 @@ TEST(QEngine, ReLU6ClipIsExactOnGrid) {
     // No value of the final map may exceed what the datapath can represent.
     EXPECT_LE(q.max(), static_cast<float>(engine.fm_format().max_val()) + 1e-6f);
     EXPECT_GE(q.min(), static_cast<float>(engine.fm_format().min_val()) - 1e-6f);
+}
+
+TEST(QEngine, CalibrationIsTheLargestCarriedValue) {
+    SkyNetModel m = make_folded(SkyNetVariant::kC, 15);
+    nn::Graph& g = *m.net;
+    Tensor x({2, 3, 32, 64});
+    Rng xr(16);
+    x.rand_uniform(xr, 0.0f, 1.0f);
+    const float range = calibrate_fm_abs_max(g, x);
+    // The eval forward materializes one tensor per carrier, holding the
+    // value of the last node it carries.
+    const std::vector<Tensor> values = testing::unfused_node_values(g, x);
+    std::vector<int> last(g.node_count(), -1);
+    for (int i = 0; i < static_cast<int>(g.node_count()); ++i)
+        last[static_cast<std::size_t>(g.node_carrier(i))] = i;
+    float want = 0.0f;
+    int carriers = 0;
+    for (const int node : last) {
+        if (node < 0) continue;
+        ++carriers;
+        want = std::max(want, values[static_cast<std::size_t>(node)].abs_max());
+    }
+    EXPECT_LT(carriers, static_cast<int>(g.node_count()));  // fusion happened
+    EXPECT_EQ(range, want);
+    EXPECT_GE(range, values[static_cast<std::size_t>(g.output_node())].abs_max());
 }
 
 }  // namespace

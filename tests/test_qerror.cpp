@@ -203,6 +203,15 @@ TEST(QErrorOracle, SoundOnBackboneZoo) {
         inputs.push_back(std::move(x));
         expect_sound(*g, cfg, inputs, bname);
     }
+    // Fig. 2a's classifier, whose Linear layers run as integer convs.
+    Rng rng(7);
+    std::unique_ptr<nn::Graph> fc = backbones::build_alexnet_classifier(10, 32, 0.25f, rng);
+    fc->set_training(false);
+    deploy::fold_graph_bn(*fc);
+    Tensor x({2, 3, 32, 32});
+    Rng xr(19);
+    x.rand_uniform(xr, 0.0f, 1.0f);
+    expect_sound(*fc, scheme(9, 11), {x}, "alexnet-classifier");
 }
 
 TEST(QErrorOracle, SoundAndTightOnSkyNetVariants) {

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "backbones/backbone.hpp"
 #include "core/qgemm.hpp"
 #include "core/simd.hpp"
 #include "core/thread_pool.hpp"
@@ -312,6 +313,49 @@ TEST(QEngineOracle, NarrowAndWideWeightFormatsStayExact) {
         x.rand_uniform(xr, 0.0f, 1.0f);
         expect_bitwise_equal(fast.run(x), oracle.run(x), "wide weights");
     }
+}
+
+TEST(QEngineOracle, WidestSchemeTracksFp32) {
+    // 24-bit words are the widest scheme the engine accepts: every int64
+    // product its proofs and reference accumulators form stays exact there.
+    Rng rng(81);
+    SkyNetModel m = build_skynet({SkyNetVariant::kC, nn::Act::kReLU6, 2, 0.25f}, rng);
+    m.net->set_training(false);
+    deploy::fold_graph_bn(*m.net);
+    Tensor x({1, 3, 32, 64});
+    Rng xr(82);
+    x.rand_uniform(xr, 0.0f, 1.0f);
+    const Tensor ref = m.net->forward(x);
+    for (const quant::QExecution e : {quant::QExecution::kAuto, quant::QExecution::kReference}) {
+        quant::QEngine engine(*m.net, scheme(24, 24, e));
+        const Tensor y = engine.run(x);
+        ASSERT_EQ(y.shape(), ref.shape());
+        double dev = 0.0;
+        for (std::int64_t i = 0; i < y.size(); ++i)
+            dev = std::max(dev, std::abs(static_cast<double>(y[i]) - ref[i]));
+        EXPECT_LT(dev, 1e-4) << quant::qexecution_name(e);
+    }
+}
+
+TEST(QEngineOracle, AutoIsBitTrueToReferenceOnTheAlexNetClassifier) {
+    // The Fig. 2a proxy: five convs and three Linear layers, which lower to
+    // integer 1x1 convs over the flattened input.
+    Rng rng(3);
+    std::unique_ptr<nn::Graph> g = backbones::build_alexnet_classifier(10, 32, 0.25f, rng);
+    g->set_training(false);
+    deploy::fold_graph_bn(*g);
+    quant::QEngine fast(*g, scheme(9, 11, quant::QExecution::kAuto));
+    quant::QEngine oracle(*g, scheme(9, 11, quant::QExecution::kReference));
+    EXPECT_EQ(fast.report().qgemm_layers, 8) << fast.report().summary();
+    EXPECT_EQ(fast.report().ref_layers, 0);
+    Tensor x({4, 3, 32, 32});
+    Rng xr(4);
+    x.rand_uniform(xr, 0.0f, 1.0f);
+    const Tensor y = fast.run(x);
+    EXPECT_EQ(y.shape(), (Shape{4, 10, 1, 1}));
+    expect_bitwise_equal(y, oracle.run(x), "alexnet classifier auto-vs-ref");
+    for (quant::QEngine* e : {&fast, &oracle})
+        EXPECT_EQ(e->measured_peak_bytes(), e->plan_activations(x.shape()).peak_bytes);
 }
 
 TEST(QEngineOracle, CustomGraphWithAddRunsBitTrue) {

@@ -241,6 +241,12 @@ TEST(Verify, DegenerateSchemeIsQ005) {
     const verify::Report range =
         verify::check_qmodel(g, quant::QuantConfig{9, 11, -1.0f});
     EXPECT_TRUE(range.has("Q005")) << range.str();
+    // Wider than 24 bits the engine's int64 proofs would overflow.
+    for (const quant::QuantConfig& wide :
+         {quant::QuantConfig{}.with_bits(25, 11), quant::QuantConfig{}.with_bits(9, 25)}) {
+        EXPECT_TRUE(verify::check_qmodel(g, wide).has("Q005"));
+        EXPECT_THROW(quant::QEngine(g, wide), std::invalid_argument);
+    }
 }
 
 TEST(Verify, IntegerOnlyGridWarnsQ006) {
@@ -360,6 +366,12 @@ TEST(Verify, CheckQmodelAgreesWithTheEngineOnEveryShippedModel) {
         EXPECT_EQ(expect_checker_agrees_with_engine(*m.net, variant_name(v)), 2)
             << "a folded SkyNet must compile with and without fp32_fallback";
     }
+    // Fig. 2a's classifier: its Linear layers lower to integer convs (no Q002).
+    Rng rng(7);
+    std::unique_ptr<nn::Graph> fc = backbones::build_alexnet_classifier(10, 32, 0.25f, rng);
+    fc->set_training(false);
+    deploy::fold_graph_bn(*fc);
+    EXPECT_EQ(expect_checker_agrees_with_engine(*fc, "alexnet-classifier"), 2);
 }
 
 // -------------------------------------------- abstract interpretation (A) --

@@ -57,34 +57,37 @@ const char* qgemm_kernel_name() { return active_kernel().name; }
 int qgemm_max_k() { return detail::kQGemmMaxK; }
 
 // Shared A-pack body: widen `src` values (s8 or validated int32) into the
-// k-paired s16 panel layout and record per-row sums.
+// k-paired s16 panel layout and record per-row sums and magnitude sums.
 template <class Src>
 void qpack_a_impl(int M, int K, const Src* A, QPackedA& out, int mr) {
     out.M = M;
     out.K = K;
     out.mr = mr;
+    // Every row's sums start at zero, which they stay when K is zero.
+    out.rowsum.assign(static_cast<std::size_t>(std::max(M, 0)), 0);
+    out.rowabs.assign(static_cast<std::size_t>(std::max(M, 0)), 0);
     if (M <= 0 || K <= 0) {
         out.data.clear();
-        out.rowsum.clear();
         return;
     }
     const std::int64_t mp = ceil_div(M, mr);
     const std::int64_t kp = padded_k(K);
     out.data.assign(static_cast<std::size_t>(mp * mr * kp), 0);
-    out.rowsum.assign(static_cast<std::size_t>(M), 0);
     std::int16_t* dst = out.data.data();
     for (std::int64_t p = 0; p < mp; ++p) {
         const int rows = static_cast<int>(std::min<std::int64_t>(mr, M - p * mr));
         std::int16_t* panel = dst + p * mr * kp;
         for (int m = 0; m < rows; ++m) {
             const Src* src = A + (p * mr + m) * static_cast<std::int64_t>(K);
-            std::int64_t sum = 0;
+            std::int64_t sum = 0, abs_sum = 0;
             for (int k = 0; k < K; ++k) {
                 panel[(k >> 1) * mr * 2 + m * 2 + (k & 1)] =
                     static_cast<std::int16_t>(src[k]);
                 sum += src[k];
+                abs_sum += src[k] < 0 ? -static_cast<std::int64_t>(src[k]) : src[k];
             }
             out.rowsum[static_cast<std::size_t>(p * mr + m)] = sum;
+            out.rowabs[static_cast<std::size_t>(p * mr + m)] = abs_sum;
         }
     }
 }
@@ -126,10 +129,30 @@ void qpack_b(int K, int N, const std::uint8_t* B, QPackedB& out) {
     }
 }
 
-void qgemm_packed(const QPackedA& A, const QPackedB& B, std::int32_t* C) {
+namespace {
+
+/// The store mode's int32 proof for rows [row0, row0 + rows): no u8 operand
+/// drives |bias + acc| + 2^(shift-1) to 2^31, with |acc| <= 255 * rowabs.
+bool requant_fits_int32(const std::int64_t* rowabs, const QEpilogue& rq, std::int64_t row0,
+                        int rows) {
+    if (rq.shift < 1 || rq.shift > 30) return false;
+    const std::int64_t room =
+        (std::int64_t{1} << 31) - (std::int64_t{1} << (rq.shift - 1));
+    for (std::int64_t m = row0; m < row0 + rows; ++m) {
+        const std::int64_t left = room - 255 * rowabs[m];
+        const std::int64_t b = rq.bias != nullptr ? rq.bias[m] : 0;
+        if (b <= -left || b >= left) return false;
+    }
+    return true;
+}
+
+/// The tile walk shared by both qgemm_packed modes; `rq` null accumulates.
+void run_tiles(const QPackedA& A, const QPackedB& B, std::int32_t* C, const QEpilogue* rq) {
     const detail::QGemmKernel kern = active_kernel();
     const int M = A.M, N = B.N, K = A.K;
-    if (M <= 0 || N <= 0 || K <= 0) return;
+    // K = 0 still stores the requantized bias; only the accumulate has
+    // nothing to add.
+    if (M <= 0 || N <= 0 || K < 0 || (K == 0 && rq == nullptr)) return;
     if (A.mr != kern.mr || B.nr != kern.nr)
         throw std::logic_error(
             "qgemm_packed: operands were packed for a different micro-kernel tile "
@@ -143,40 +166,48 @@ void qgemm_packed(const QPackedA& A, const QPackedB& B, std::int32_t* C) {
     const std::int64_t mp = ceil_div(M, mr), np = ceil_div(N, nr);
     const std::int16_t* ap = A.data.data();
     const std::uint8_t* bp = B.data.data();
+    const std::int64_t* rowabs = A.rowabs.data();
     const std::int64_t apanel = static_cast<std::int64_t>(mr) * padded_k(K);
     const std::int64_t bpanel = static_cast<std::int64_t>(nr) * padded_k(K);
+    const auto tile = [=](std::int64_t p, std::int64_t q) {
+        const int mv = static_cast<int>(std::min<std::int64_t>(mr, M - p * mr));
+        const int nv = static_cast<int>(std::min<std::int64_t>(nr, N - q * nr));
+        QEpilogue tile_rq;
+        bool rq32 = false;
+        if (rq != nullptr) {
+            tile_rq = *rq;
+            if (tile_rq.bias != nullptr) tile_rq.bias += p * mr;
+            rq32 = requant_fits_int32(rowabs, *rq, p * mr, mv);
+        }
+        kern.fn(k2, ap + p * apanel, bp + q * bpanel,
+                C + p * mr * static_cast<std::int64_t>(N) + q * nr, N, mv, nv,
+                rq != nullptr ? &tile_rq : nullptr, rq32);
+    };
     // Same disjoint-tile split as sgemm_packed: one register tile per kernel
     // call, one chunk per tile, so bitwise thread-count invariant (and here
     // even exact, so level-invariant too).
     if (np >= mp) {
         parallel_for(0, np, 1, [=](std::int64_t q0, std::int64_t q1) {
-            for (std::int64_t q = q0; q < q1; ++q) {
-                const int nv =
-                    static_cast<int>(std::min<std::int64_t>(nr, N - q * nr));
-                for (std::int64_t p = 0; p < mp; ++p) {
-                    const int mv =
-                        static_cast<int>(std::min<std::int64_t>(mr, M - p * mr));
-                    kern.fn(k2, ap + p * apanel, bp + q * bpanel,
-                            C + p * mr * static_cast<std::int64_t>(N) + q * nr, N, mv,
-                            nv);
-                }
-            }
+            for (std::int64_t q = q0; q < q1; ++q)
+                for (std::int64_t p = 0; p < mp; ++p) tile(p, q);
         });
     } else {
         parallel_for(0, mp, 1, [=](std::int64_t p0, std::int64_t p1) {
-            for (std::int64_t p = p0; p < p1; ++p) {
-                const int mv =
-                    static_cast<int>(std::min<std::int64_t>(mr, M - p * mr));
-                for (std::int64_t q = 0; q < np; ++q) {
-                    const int nv =
-                        static_cast<int>(std::min<std::int64_t>(nr, N - q * nr));
-                    kern.fn(k2, ap + p * apanel, bp + q * bpanel,
-                            C + p * mr * static_cast<std::int64_t>(N) + q * nr, N, mv,
-                            nv);
-                }
-            }
+            for (std::int64_t p = p0; p < p1; ++p)
+                for (std::int64_t q = 0; q < np; ++q) tile(p, q);
         });
     }
+}
+
+}  // namespace
+
+void qgemm_packed(const QPackedA& A, const QPackedB& B, std::int32_t* C) {
+    run_tiles(A, B, C, nullptr);
+}
+
+void qgemm_packed(const QPackedA& A, const QPackedB& B, std::int32_t* C,
+                  const QEpilogue& rq) {
+    run_tiles(A, B, C, &rq);
 }
 
 void qim2col_packed(const std::int32_t* img, int C, int H, int W, int k, int stride,

@@ -6,7 +6,10 @@
 //                        for the active micro-kernel (core/simd.hpp level),
 //   qgemm_packed         walks the C tile grid, one int32 register tile per
 //                        micro-kernel call, parallelised over whole tiles
-//                        through the global ThreadPool,
+//                        through the global ThreadPool.  It either
+//                        accumulates into C or, in store mode, writes
+//                        clamp(round_shift(bias + acc, shift), lo, hi)
+//                        straight from the register tile (a QEpilogue),
 //   qim2col_packed       lowers a CHW fixed-point image straight into the
 //                        u8 panel layout with a zero-point offset applied.
 //
@@ -23,11 +26,14 @@
 // K * max|a| * max|b| < 2^31.  qpack_a (s8 source) guarantees that for
 // K <= qgemm_max_k(); qpack_a_wide callers must prove the value-aware bound
 // themselves (quant/qengine.cpp plans it per layer from the propagated
-// ranges).
+// ranges).  The store mode needs no further proof from the caller: it
+// requantizes a tile in int32 registers only where the packed weights bound
+// every biased accumulator, and in int64 elsewhere.
 //
 // Determinism is stronger than the fp32 engine's: accumulation is exact
 // integer arithmetic, so results are bitwise identical across thread counts
-// AND across every SIMD level (tests/test_qgemm.cpp pins both).
+// AND across every SIMD level, in both modes (tests/test_qgemm.cpp pins
+// both).
 #pragma once
 
 #include <cstdint>
@@ -49,13 +55,16 @@ namespace sky::core {
 /// rows [p*mr, p*mr + mr) as data[p*mr*KP + k2*mr*2 + m*2 + t] where
 /// KP = K rounded up to even and (k2, t) addresses tap 2*k2 + t.  Rows past
 /// M and the phantom odd-K tap are zero.  `rowsum[m]` is the sum of row m of
-/// A over the real K taps — the zero-point correction term.
+/// A over the real K taps — the zero-point correction term — and `rowabs[m]`
+/// the sum of its magnitudes: no u8 operand drives row m's accumulator past
+/// 255 * rowabs[m].
 struct QPackedA {
     int M = 0;
     int K = 0;
     int mr = 0;
     std::vector<std::int16_t> data;
     std::vector<std::int64_t> rowsum;
+    std::vector<std::int64_t> rowabs;
     [[nodiscard]] bool empty() const { return data.empty(); }
     void clear() { *this = QPackedA{}; }
 };
@@ -85,11 +94,42 @@ void qpack_a_wide(int M, int K, const std::int32_t* A, QPackedA& out);
 /// Pack B (K x N row-major u8) for the active micro-kernel.
 void qpack_b(int K, int N, const std::uint8_t* B, QPackedB& out);
 
+/// Round-to-nearest arithmetic right shift, ties away from zero (the FPGA
+/// requantization rounding).  shift <= 0 is an exact left shift.
+[[nodiscard]] inline std::int64_t round_shift(std::int64_t v, int shift) {
+    if (shift <= 0) return v << (-shift);
+    const std::int64_t half = std::int64_t{1} << (shift - 1);
+    return v >= 0 ? (v + half) >> shift : -((-v + half) >> shift);
+}
+
+/// Per-row requantization a store-mode qgemm_packed applies to each C row as
+/// it leaves the register tile — the integer twin of core::Epilogue:
+/// y = clamp(round_shift(bias[row] + acc, shift), lo, hi).  `bias` is
+/// borrowed and sits at accumulator scale: one value per row, or nullptr
+/// for none.
+struct QEpilogue {
+    const std::int64_t* bias = nullptr;
+    int shift = 0;
+    std::int32_t lo = 0;
+    std::int32_t hi = 0;
+};
+
 /// C(M x N) += A * B over packed operands with exact int32 accumulation.
 /// A.K must equal B.K and both packs must match the active tile geometry
 /// (std::logic_error otherwise); K > qgemm_max_k() throws std::length_error.
 /// C is row-major with leading dimension N.
 void qgemm_packed(const QPackedA& A, const QPackedB& B, std::int32_t* C);
+
+/// Store mode: C(M x N) = clamp(round_shift(b + A * B, rq.shift), rq.lo,
+/// rq.hi) with b = rq.bias[m], or 0 when rq.bias is null.  C is written once
+/// from the register tile and never read.  This is bitwise what a
+/// zero-filled C, the accumulating qgemm_packed and an int64 requantize pass
+/// give, at every level and thread count; K = 0 writes the requantized
+/// bias.  A tile requantizes in int32 registers when every row m satisfies
+/// 255 * A.rowabs[m] + |b| + 2^(shift - 1) < 2^31 with 1 <= shift <= 30,
+/// and in int64 otherwise.  Same operand checks as the accumulating form.
+void qgemm_packed(const QPackedA& A, const QPackedB& B, std::int32_t* C,
+                  const QEpilogue& rq);
 
 /// im2col of one CHW image of fixed-point grid values straight into the u8
 /// panel layout, storing u = x - lo per tap.  Caller guarantees every pixel

@@ -1,6 +1,7 @@
 // The integer register-tile GEMM micro-kernel behind the quantized
 // inference path (core/qgemm.hpp): C_tile(mr x nr) += Apanel(s16) * Bpanel(u8)
-// with exact int32 accumulation.
+// with exact int32 accumulation, or in store mode
+// C_tile = clamp(round_shift(bias + Apanel * Bpanel, shift), lo, hi).
 //
 // Operands arrive packed in the K-PAIRED panel layout: the contraction axis
 // is rounded up to an even KP = 2*K2 and panels store the two taps of each
@@ -19,24 +20,40 @@
 //
 // Accumulation is exact whenever K * max|a| * max|b| < 2^31 — guaranteed by
 // K <= kQGemmMaxK for s8-range A, planned per layer by quant/qengine.cpp for
-// wide A.  All instantiations (scalar / generic / avx2) return BITWISE
-// IDENTICAL results, a stronger contract than the fp32 engine's per-level
-// tolerance (docs/KERNELS.md, docs/QUANTIZATION.md).
+// wide A.
+//
+// Store mode is FBGEMM's fused requantize output stage: the tile's
+// accumulators never reach memory unrequantized.  Where the driver proved
+// |bias + acc| + 2^(shift-1) < 2^31 for every row of the tile, the vector
+// kernels requantize in int32 registers — abs, add half, arithmetic shift,
+// restore the sign, then min/max, which is round_shift's ties-away-from-zero
+// bit for bit.  Elsewhere, and always in the scalar reference, the tile is
+// spilled and requantized in int64 with round_shift itself.
+//
+// All instantiations (scalar / generic / avx2) return BITWISE IDENTICAL
+// results in both modes, a stronger contract than the fp32 engine's
+// per-level tolerance (docs/KERNELS.md, docs/QUANTIZATION.md).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+
+#include "core/qgemm.hpp"
 
 namespace sky::core::detail {
 
 /// One selectable integer micro-kernel: tile geometry plus the tile
-/// function.  `fn(K2, a, b, c, ldc, mr, nr)` accumulates the mr x nr valid
-/// corner of the tile into int32 C (row stride ldc); K2 is the k-PAIR count.
+/// function.  `fn(K2, a, b, c, ldc, mr, nr, rq, rq32)` accumulates the
+/// mr x nr valid corner of the tile into int32 C (row stride ldc), or with a
+/// non-null `rq` stores its requantization there; rq->bias then points at
+/// the tile's row 0, and `rq32` says the driver proved the int32 register
+/// path exact for every row of the tile.  K2 is the k-PAIR count.
 struct QGemmKernel {
     int mr = 0;
     int nr = 0;
     void (*fn)(int K2, const std::int16_t* a, const std::uint8_t* b, std::int32_t* c,
-               std::int64_t ldc, int mr, int nr) = nullptr;
+               std::int64_t ldc, int mr, int nr, const QEpilogue* rq, bool rq32) = nullptr;
     const char* name = "?";
 };
 
@@ -45,11 +62,36 @@ struct QGemmKernel {
 /// larger K.
 inline constexpr int kQGemmMaxK = 65536;
 
+/// Write the valid mr x nr corner of a spilled tile `t` (row stride NR) into
+/// C: accumulate when rq is null, copy when `t` already holds the
+/// requantized values, and otherwise requantize each biased accumulator in
+/// int64 — the store mode's reference semantics.
+template <int NR>
+inline void write_corner(const std::int32_t* t, std::int32_t* c, std::int64_t ldc, int mr,
+                         int nr, const QEpilogue* rq, bool requantized) {
+    for (int m = 0; m < mr; ++m) {
+        const std::int32_t* src = t + m * NR;
+        std::int32_t* row = c + m * ldc;
+        if (rq == nullptr) {
+            for (int n = 0; n < nr; ++n) row[n] += src[n];
+        } else if (requantized) {
+            std::memcpy(row, src, static_cast<std::size_t>(nr) * sizeof(std::int32_t));
+        } else {
+            const std::int64_t b = rq->bias != nullptr ? rq->bias[m] : 0;
+            for (int n = 0; n < nr; ++n)
+                row[n] = static_cast<std::int32_t>(std::clamp<std::int64_t>(
+                    round_shift(b + src[n], rq->shift), rq->lo, rq->hi));
+        }
+    }
+}
+
 /// Reference semantics: plain int32 scalar accumulation over the k-paired
-/// panels.  Also the SKYNET_SIMD=0 fallback.
+/// panels, and the int64 requantization in store mode whatever the driver
+/// proved.  Also the SKYNET_SIMD=0 fallback.
 template <int MR, int NR>
 void qgemm_ukernel_scalar(int K2, const std::int16_t* a, const std::uint8_t* b,
-                          std::int32_t* c, std::int64_t ldc, int mr, int nr) {
+                          std::int32_t* c, std::int64_t ldc, int mr, int nr,
+                          const QEpilogue* rq, bool /*rq32*/) {
     std::int32_t acc[MR][NR] = {};
     for (int k2 = 0; k2 < K2; ++k2, a += MR * 2, b += NR * 2) {
         for (int m = 0; m < MR; ++m) {
@@ -60,8 +102,15 @@ void qgemm_ukernel_scalar(int K2, const std::int16_t* a, const std::uint8_t* b,
                              a1 * static_cast<std::int32_t>(b[n * 2 + 1]);
         }
     }
-    for (int m = 0; m < mr; ++m)
-        for (int n = 0; n < nr; ++n) c[m * ldc + n] += acc[m][n];
+    write_corner<NR>(&acc[0][0], c, ldc, mr, nr, rq, false);
+}
+
+/// A VI with every int32 lane set to x.
+template <class VI>
+inline VI qsplat(std::int32_t x) {
+    VI v{};
+    for (int i = 0; i < static_cast<int>(sizeof(VI) / sizeof(std::int32_t)); ++i) v[i] = x;
+    return v;
 }
 
 /// Vector-extension instantiation: VI is a GNU vector of int32 lanes, VU a
@@ -70,7 +119,8 @@ void qgemm_ukernel_scalar(int K2, const std::int16_t* a, const std::uint8_t* b,
 /// __builtin_convertvector — portable across GCC/Clang baseline ISAs.
 template <class VI, class VU, int MR, int NV>
 void qgemm_ukernel_vec(int K2, const std::int16_t* a, const std::uint8_t* b,
-                       std::int32_t* c, std::int64_t ldc, int mr, int nr) {
+                       std::int32_t* c, std::int64_t ldc, int mr, int nr,
+                       const QEpilogue* rq, bool rq32) {
     constexpr int kLanes = static_cast<int>(sizeof(VI) / sizeof(std::int32_t));
     constexpr int NR = kLanes * NV;
     static_assert(sizeof(VU) == 2 * sizeof(VI) / 4, "VU must hold one k-pair per lane");
@@ -94,23 +144,38 @@ void qgemm_ukernel_vec(int K2, const std::int16_t* a, const std::uint8_t* b,
             }
         }
         for (int m = 0; m < MR; ++m) {
-            const std::int32_t a0 = a[m * 2];
-            const std::int32_t a1 = a[m * 2 + 1];
-            VI v0{}, v1{};
-            for (int i = 0; i < kLanes; ++i) {
-                v0[i] = a0;
-                v1[i] = a1;
-            }
+            const VI v0 = qsplat<VI>(a[m * 2]);
+            const VI v1 = qsplat<VI>(a[m * 2 + 1]);
             for (int v = 0; v < NV; ++v) acc[m][v] += v0 * even[v] + v1 * odd[v];
         }
     }
-    if (mr == MR && nr == NR) {
+    const bool in_regs = rq != nullptr && rq32;
+    if (in_regs) {
+        // Store mode on the registers.  Padding rows (m >= mr) take bias 0
+        // so the bias is never read past row mr.
+        const VI zero = qsplat<VI>(0), half = qsplat<VI>(std::int32_t{1} << (rq->shift - 1));
+        const VI lo = qsplat<VI>(rq->lo), hi = qsplat<VI>(rq->hi);
+        for (int m = 0; m < MR; ++m) {
+            const VI bias = qsplat<VI>(
+                rq->bias != nullptr && m < mr ? static_cast<std::int32_t>(rq->bias[m]) : 0);
+            for (int v = 0; v < NV; ++v) {
+                const VI x = bias + acc[m][v];
+                VI r = ((x < zero ? -x : x) + half) >> rq->shift;
+                r = x < zero ? -r : r;
+                acc[m][v] = r < lo ? lo : (r > hi ? hi : r);
+            }
+        }
+    }
+    if (mr == MR && nr == NR && (rq == nullptr || in_regs)) {
         for (int m = 0; m < MR; ++m) {
             std::int32_t* row = c + m * ldc;
             for (int v = 0; v < NV; ++v) {
-                VI cur;
-                std::memcpy(&cur, row + v * kLanes, sizeof(VI));
-                cur += acc[m][v];
+                VI cur = acc[m][v];
+                if (rq == nullptr) {
+                    VI old;
+                    std::memcpy(&old, row + v * kLanes, sizeof(VI));
+                    cur += old;
+                }
                 std::memcpy(row + v * kLanes, &cur, sizeof(VI));
             }
         }
@@ -119,8 +184,7 @@ void qgemm_ukernel_vec(int K2, const std::int16_t* a, const std::uint8_t* b,
         for (int m = 0; m < MR; ++m)
             for (int v = 0; v < NV; ++v)
                 std::memcpy(tmp + m * NR + v * kLanes, &acc[m][v], sizeof(VI));
-        for (int m = 0; m < mr; ++m)
-            for (int n = 0; n < nr; ++n) c[m * ldc + n] += tmp[m * NR + n];
+        write_corner<NR>(tmp, c, ldc, mr, nr, rq, in_regs);
     }
 }
 

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "core/qgemm.hpp"
 #include "tensor/tensor.hpp"
 
 namespace sky::quant {
@@ -38,13 +39,9 @@ struct FixedPointFormat {
     return static_cast<std::int32_t>(std::clamp(v, lo, hi));
 }
 
-/// Round-to-nearest arithmetic right shift, ties away from zero (the FPGA
-/// requantization rounding).  shift <= 0 is an exact left shift.
-[[nodiscard]] inline std::int64_t round_shift(std::int64_t v, int shift) {
-    if (shift <= 0) return v << (-shift);
-    const std::int64_t half = 1LL << (shift - 1);
-    return v >= 0 ? (v + half) >> shift : -((-v + half) >> shift);
-}
+/// Round-to-nearest arithmetic right shift, ties away from zero: the one
+/// copy the integer GEMM's store mode applies too (core/qgemm.hpp).
+using core::round_shift;
 
 /// Round every element of `t` to the fixed-point grid (in place).
 void quantize_tensor(Tensor& t, const FixedPointFormat& fmt);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -94,13 +93,6 @@ QEngine::QEngine(Program program) : program_(std::move(program)) {
                                static_cast<std::int64_t>(proof.zero_point) *
                                    l.apack.rowsum[uoc];
         }
-        // Branchless int32 requantization is exact when the biased
-        // accumulator plus the rounding offset provably fits int32.
-        std::int64_t bmax = 0;
-        for (const std::int64_t b : l.bias_corr) bmax = std::max(bmax, std::abs(b));
-        l.rq32 = shift >= 1 && shift <= 30 &&
-                 proof.acc_bound + bmax + (std::int64_t{1} << (shift - 1)) <
-                     (std::int64_t{1} << 31);
         l.impl = QImpl::kQGemm;
         any_qgemm_ = true;
     }
@@ -198,7 +190,7 @@ void QEngine::execute(std::size_t i, bool allow_qgemm) {
         case OpKind::kMaxPool: {
             y.shape = {x.shape.n, x.shape.c, x.shape.h / 2, x.shape.w / 2};
             y.data.resize(static_cast<std::size_t>(y.shape.count()));
-            const int W = x.shape.w, OH = y.shape.h, OW = y.shape.w;
+            const int H = x.shape.h, W = x.shape.w, OH = y.shape.h, OW = y.shape.w;
             const std::int32_t* xd = x.data.data();
             std::int32_t* yd = y.data.data();
             core::parallel_for(
@@ -206,7 +198,7 @@ void QEngine::execute(std::size_t i, bool allow_qgemm) {
                 [=](std::int64_t p0, std::int64_t p1) {
                     for (std::int64_t p = p0; p < p1; ++p) {
                         const std::int32_t* xp =
-                            xd + p * static_cast<std::int64_t>(x.shape.h) * W;
+                            xd + p * static_cast<std::int64_t>(H) * W;
                         std::int32_t* yp =
                             yd + p * static_cast<std::int64_t>(OH) * OW;
                         for (int oh = 0; oh < OH; ++oh)
@@ -225,7 +217,7 @@ void QEngine::execute(std::size_t i, bool allow_qgemm) {
             const int b = op.block;
             y.shape = {x.shape.n, x.shape.c * b * b, x.shape.h / b, x.shape.w / b};
             y.data.resize(static_cast<std::size_t>(y.shape.count()));
-            const int OH = y.shape.h, OW = y.shape.w, W = x.shape.w;
+            const int OH = y.shape.h, OW = y.shape.w, H = x.shape.h, W = x.shape.w;
             const std::int32_t* xd = x.data.data();
             std::int32_t* yd = y.data.data();
             core::parallel_for(
@@ -233,7 +225,7 @@ void QEngine::execute(std::size_t i, bool allow_qgemm) {
                 [=](std::int64_t p0, std::int64_t p1) {
                     for (std::int64_t p = p0; p < p1; ++p) {
                         const std::int32_t* xp =
-                            xd + p * static_cast<std::int64_t>(x.shape.h) * W;
+                            xd + p * static_cast<std::int64_t>(H) * W;
                         std::int32_t* yp =
                             yd + p * static_cast<std::int64_t>(b) * b * OH * OW;
                         for (int dy = 0; dy < b; ++dy)
@@ -461,57 +453,16 @@ void QEngine::execute_conv(const Op& op, const QLayer& l, const QTensor& x, QTen
     const int shift = op.wfmt.frac_bits;
     const std::int32_t clamp_lo = l.clamp_lo, clamp_hi = l.clamp_hi;
     if (l.impl == QImpl::kQGemm && allow_qgemm) {
-        const int M = out_ch;
-        const std::int64_t N = static_cast<std::int64_t>(OH) * OW;
+        // Each image lowers into the u8 panels and one store-mode GEMM writes
+        // clamp(round_shift(bias' + acc, shift)) straight from its register
+        // tiles: saturation and any fused activation in the same step.
+        const core::QEpilogue rq{l.bias_corr.data(), shift, clamp_lo, clamp_hi};
+        const std::int64_t in_image = static_cast<std::int64_t>(in_ch) * H * W;
+        const std::int64_t out_image = static_cast<std::int64_t>(out_ch) * OH * OW;
         for (int n = 0; n < x.shape.n; ++n) {
-            const std::int32_t* img =
-                x.data.data() + static_cast<std::int64_t>(n) * in_ch * H * W;
-            core::qim2col_packed(img, in_ch, H, W, k, stride, pad, OH, OW,
-                                 l.zero_point, bpanel_);
-            acc_.assign(static_cast<std::size_t>(M * N), 0);
-            core::qgemm_packed(l.apack, bpanel_, acc_.data());
-            std::int32_t* yp =
-                y.data.data() + static_cast<std::int64_t>(n) * M * N;
-            const std::int32_t* cacc = acc_.data();
-            const std::int64_t* bias_corr = l.bias_corr.data();
-            // Requantize row-parallel: acc = bias' + gemm, then round-shift
-            // by the weight fraction and clamp (saturation + any fused
-            // activation in one step).
-            if (l.rq32 && clamp_lo == 0) {
-                // Branchless int32 variant (planned: biased accumulator +
-                // rounding offset fit int32).  With a fused ReLU clamp at 0,
-                // any negative accumulator rounds to <= 0 and clamps to 0 —
-                // exactly what (max(acc, 0) + half) >> shift yields — so the
-                // sign branch of round_shift disappears and the loop
-                // auto-vectorizes.
-                const std::int32_t half = std::int32_t{1} << (shift - 1);
-                core::parallel_for(0, M, 1, [=](std::int64_t m0, std::int64_t m1) {
-                    for (std::int64_t oc = m0; oc < m1; ++oc) {
-                        const std::int32_t b =
-                            static_cast<std::int32_t>(bias_corr[oc]);
-                        const std::int32_t* row = cacc + oc * N;
-                        std::int32_t* out = yp + oc * N;
-                        for (std::int64_t j = 0; j < N; ++j) {
-                            const std::int32_t a =
-                                (std::max(b + row[j], 0) + half) >> shift;
-                            out[j] = std::min(a, clamp_hi);
-                        }
-                    }
-                });
-            } else {
-                core::parallel_for(0, M, 1, [=](std::int64_t m0, std::int64_t m1) {
-                    for (std::int64_t oc = m0; oc < m1; ++oc) {
-                        const std::int64_t b = bias_corr[oc];
-                        const std::int32_t* row = cacc + oc * N;
-                        std::int32_t* out = yp + oc * N;
-                        for (std::int64_t j = 0; j < N; ++j)
-                            out[j] =
-                                static_cast<std::int32_t>(std::clamp<std::int64_t>(
-                                    round_shift(b + row[j], shift), clamp_lo,
-                                    clamp_hi));
-                    }
-                });
-            }
+            core::qim2col_packed(x.data.data() + n * in_image, in_ch, H, W, k, stride, pad,
+                                 OH, OW, l.zero_point, bpanel_);
+            core::qgemm_packed(l.apack, bpanel_, y.data.data() + n * out_image, rq);
         }
         return;
     }
@@ -659,6 +610,7 @@ Tensor QEngine::run(const Tensor& input) {
                     "QEngine: strict int8: input outside the declared "
                     "[input_lo, input_hi] range (widen QuantConfig::with_input_range)");
             allow_qgemm = false;
+            ++reference_fallbacks_;
         }
     }
     release_after(0);

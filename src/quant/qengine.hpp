@@ -15,7 +15,8 @@
 // convolution whose input span provably fits 8 unsigned bits runs on the
 // packed u8 x s16 GEMM engine (core/qgemm.hpp) with the zero-point
 // correction folded into its bias — weights up to 15 bits are native s16
-// taps, one GEMM pass.  Everything else runs the scalar reference
+// taps, one GEMM pass whose store requantizes each register tile onto the
+// grid.  Everything else runs the scalar reference
 // interpreter, which is also the correctness oracle: both paths compute the
 // SAME integers (the int8 path is an exact refactoring of the reference
 // accumulation, pinned by tests/test_qgemm.cpp), and a run whose input
@@ -40,10 +41,19 @@
 
 namespace sky::quant {
 
-/// Integer feature map: int32 payload on the shared FM grid.
+/// Integer feature map: int32 payload on the shared FM grid.  Move-only:
+/// activations only ever move between the arena slots and the per-node
+/// views, and a kernel body that captured one by copy (a `[=]` lambda
+/// naming `x.shape`) would copy the whole payload on every call.
 struct QTensor {
     Shape shape;
     std::vector<std::int32_t> data;
+
+    QTensor() = default;
+    QTensor(const QTensor&) = delete;
+    QTensor& operator=(const QTensor&) = delete;
+    QTensor(QTensor&&) noexcept = default;
+    QTensor& operator=(QTensor&&) noexcept = default;
 };
 
 class QEngine {
@@ -94,6 +104,11 @@ public:
     [[nodiscard]] std::int64_t measured_peak_bytes() const {
         return measured_peak_bytes_;
     }
+    /// run() passes whose input left the declared [input_lo, input_hi]
+    /// range and so ran every conv on the scalar reference path instead of
+    /// the packed qgemm plan (the answer stays bit-true; only the speed
+    /// drops).  Stays 0 for an engine with no qgemm layer.
+    [[nodiscard]] std::int64_t reference_fallbacks() const { return reference_fallbacks_; }
 
 private:
     /// Engine state of one program op; its parameters and integer weights
@@ -108,7 +123,6 @@ private:
         std::vector<std::int64_t> bias_corr;  // bias + zero_point * rowsum(w)
         std::int32_t zero_point = 0;          // u8 operand stores x - zero_point
         bool dw32 = false;  // dwconv can accumulate in int32 (vector fast path)
-        bool rq32 = false;  // biased accumulator + rounding offset fit int32
     };
 
     /// Run op `i` (an executing op) into its arena-backed outputs_ entry;
@@ -128,7 +142,6 @@ private:
     QuantReport report_;
     // Per-run scratch, reused across layers and batch items.
     core::QPackedB bpanel_;
-    std::vector<std::int32_t> acc_;
     // Arena execution state: run() checks each node's buffer out of its
     // planned slot, executes, and checks it back in after the node's last
     // reader — vector moves (pointer swaps), no allocation once the slot
@@ -140,6 +153,7 @@ private:
     std::vector<std::vector<std::int32_t>> slot_bufs_; // parked slot storage
     std::vector<std::vector<int>> releases_;           // nodes dying after step i
     std::int64_t alloc_events_ = 0;
+    std::int64_t reference_fallbacks_ = 0;
     std::int64_t live_bytes_ = 0;
     std::int64_t measured_peak_bytes_ = 0;
 };

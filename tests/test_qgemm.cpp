@@ -1,9 +1,10 @@
 // Packed u8 x s8 GEMM engine (core/qgemm.hpp) and the int8 execution plan of
-// quant::QEngine: kernel parity against an int64 reference, requantization
-// edge cases, bitwise invariance to thread count and SIMD level, and the
+// quant::QEngine: kernel parity against an int64 reference, the store-mode
+// requantization and its edge cases, bitwise invariance to thread count and SIMD level, and the
 // auto-vs-reference oracle on whole networks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -132,6 +133,87 @@ TEST(QGemm, AccumulatesIntoC) {
     const auto ref = ref_gemm(4, 6, 9, a, b);
     for (std::size_t i = 0; i < c.size(); ++i)
         EXPECT_EQ(c[i], static_cast<std::int32_t>(ref[i]) + 100);
+}
+
+TEST(QGemm, StoreModeRequantizeIsAccumulateThenRequantize) {
+    // clamp(round_shift(bias + A*B, shift), lo, hi) written from the register
+    // tile must be bitwise the accumulating kernel followed by an int64
+    // requantize pass.  Every row but the big-bias one passes the int32
+    // proof (255 * rowabs <= 255 * 64 * 128 is far below 2^31), so the vector
+    // levels run both the register path and the int64 spill.
+    SimdGuard sguard;
+    ThreadGuard tguard;
+    struct Clamp {
+        std::int32_t lo, hi;
+    };
+    // A 9-bit grid at 5 fractional bits: saturation, a fused ReLU, a fused ReLU6.
+    const Clamp clamps[] = {{-256, 255}, {0, 255}, {0, 192}};
+    std::int64_t negative = 0, negative_ties = 0, positive_ties = 0, wide = 0;
+    for (core::SimdLevel lvl : available_levels()) {
+        ASSERT_EQ(core::set_simd_level(lvl), lvl);
+        const int mr = core::qgemm_mr(), nr = core::qgemm_nr();
+        // PackedParityVsInt64Reference's shapes, plus K = 0.
+        const int shapes[][3] = {{1, 1, 1},        {3, 5, 7},    {mr, 2, nr},  {2 * mr, 8, 3 * nr},
+                                 {13, 33, 29},     {17, 64, 40}, {5, 0, 3}};
+        for (int threads : {1, 2, 4}) {
+            core::ThreadPool::set_global_threads(threads);
+            for (const auto& s : shapes) {
+                const int M = s[0], K = s[1], N = s[2];
+                const auto a = make_a(M, K, static_cast<std::uint32_t>(M * 131 + K));
+                const auto b = make_b(K, N, static_cast<std::uint32_t>(N * 17 + K));
+                core::QPackedA pa;
+                core::QPackedB pb;
+                core::qpack_a(M, K, a.data(), pa);
+                core::qpack_b(K, N, b.data(), pb);
+                std::vector<std::int32_t> acc(static_cast<std::size_t>(M) * N, 0);
+                core::qgemm_packed(pa, pb, acc.data());
+                for (const int shift : {1, 6, 11}) {
+                    // Zero, positive and negative rows; the last row's biased
+                    // accumulator lies past int32.
+                    std::vector<std::int64_t> bias(static_cast<std::size_t>(M));
+                    for (int m = 0; m < M; ++m)
+                        bias[static_cast<std::size_t>(m)] =
+                            m % 3 == 0 ? 0 : ((m * 37) % 23 - 11) * (std::int64_t{1} << shift);
+                    if (M > 1) bias.back() = -(std::int64_t{3} << 31);
+                    for (const Clamp& c : clamps) {
+                        for (const bool with_bias : {true, false}) {
+                            const core::QEpilogue rq{with_bias ? bias.data() : nullptr, shift,
+                                                     c.lo, c.hi};
+                            // Store mode never reads C: start from garbage.
+                            std::vector<std::int32_t> got(acc.size(), 0x5a5a5a5a);
+                            core::qgemm_packed(pa, pb, got.data(), rq);
+                            for (int m = 0; m < M; ++m)
+                                for (int n = 0; n < N; ++n) {
+                                    const auto i = static_cast<std::size_t>(m) * N + n;
+                                    const std::int64_t v =
+                                        (with_bias ? bias[static_cast<std::size_t>(m)] : 0) +
+                                        acc[i];
+                                    const std::int64_t r = quant::round_shift(v, shift);
+                                    ASSERT_EQ(got[i], std::clamp<std::int64_t>(r, c.lo, c.hi))
+                                        << M << "x" << K << "x" << N << " @" << i << " shift "
+                                        << shift << " clamp [" << c.lo << ", " << c.hi
+                                        << "] bias " << with_bias << " ("
+                                        << core::qgemm_kernel_name() << ", " << threads
+                                        << " threads)";
+                                    // What the data covered, inside the clamp.
+                                    const bool tie = (v & ((std::int64_t{1} << shift) - 1)) ==
+                                                     (std::int64_t{1} << (shift - 1));
+                                    const bool inside = r > c.lo && r < c.hi;
+                                    negative += v < 0;
+                                    negative_ties += tie && v < 0 && inside;
+                                    positive_ties += tie && v > 0 && inside;
+                                    wide += v <= std::numeric_limits<std::int32_t>::min();
+                                }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(negative, 0);
+    EXPECT_GT(negative_ties, 0);
+    EXPECT_GT(positive_ties, 0);
+    EXPECT_GT(wide, 0);
 }
 
 TEST(QGemm, RowsumRecordsRealTaps) {
@@ -387,10 +469,17 @@ TEST(QEngineOracle, OutOfDeclaredRangeInputFallsBackBitTrue) {
     SkyNetModel m = folded_model(SkyNetVariant::kA, 41);
     quant::QEngine fast(*m.net, scheme(9, 11, quant::QExecution::kAuto));
     quant::QEngine oracle(*m.net, scheme(9, 11, quant::QExecution::kReference));
+    Tensor in_range({1, 3, 32, 64});
+    Rng ir(43);
+    in_range.rand_uniform(ir, 0.0f, 1.0f);
+    (void)fast.run(in_range);
+    EXPECT_EQ(fast.reference_fallbacks(), 0);
     Tensor x({1, 3, 32, 64});
     Rng xr(42);
     x.rand_uniform(xr, -2.0f, 2.0f);  // declared range is [0, 1]
     expect_bitwise_equal(fast.run(x), oracle.run(x), "out-of-range fallback");
+    EXPECT_EQ(fast.reference_fallbacks(), 1);
+    EXPECT_EQ(oracle.reference_fallbacks(), 0);  // no qgemm plan to leave
 }
 
 TEST(QEngineOracle, EngineIsBitwiseInvariantToThreadsAndSimd) {

@@ -180,10 +180,6 @@ void sgemm_wrapped(int M, int N, int K, const float* A, bool a_trans, const floa
 
 }  // namespace
 
-void sgemm_nn(int M, int N, int K, const float* A, const float* B, float* C) {
-    sgemm_wrapped(M, N, K, A, false, B, false, C);
-}
-
 void sgemm_tn(int M, int N, int K, const float* A, const float* B, float* C) {
     sgemm_wrapped(M, N, K, A, true, B, false, C);
 }

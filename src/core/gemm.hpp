@@ -18,9 +18,9 @@
 //
 // Weights can be packed once ("prepacked") at model build / BN-fold time via
 // pack_a and reused across forwards — the nn layers thread a PackedA handle
-// through exactly that path.  The sgemm_nn/tn/nt wrappers keep the classic
-// pointer interface and pack both operands per call into thread-local
-// scratch.
+// through exactly that path.  The sgemm_tn/nt wrappers, which the conv and
+// pwconv backward passes call, keep the classic pointer interface and pack
+// both operands per call into thread-local scratch.
 //
 // Determinism: every C element is one sequential k-accumulation inside one
 // micro-kernel call and every tile is written by exactly one parallel_for
@@ -101,9 +101,6 @@ void sgemm_packed(const PackedA& A, const PackedB& B, float* C);
 /// accumulating sgemm_packed and a separate activation pass give, at every
 /// level and thread count; K = 0 writes act(b).
 void sgemm_packed(const PackedA& A, const PackedB& B, float* C, const Epilogue& ep);
-
-/// C(M x N) += A(M x K) * B(K x N).
-void sgemm_nn(int M, int N, int K, const float* A, const float* B, float* C);
 
 /// C(M x N) += A^T * B where A is stored K x M (op(A) = M x K).
 void sgemm_tn(int M, int N, int K, const float* A, const float* B, float* C);

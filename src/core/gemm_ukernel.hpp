@@ -106,28 +106,39 @@ template <class VF, int MR, int NV>
 void ukernel(int K, const float* a, const float* b, float* c, std::int64_t ldc,
              int mr, int nr, const Epilogue* ep) {
     constexpr int NR = kLanes<VF> * NV;
+    // Every tile loop is unrolled, so the accumulators can live in registers.
+    // Rolled, GCC 12 -O2 kept acc[MR][NV] on the stack at every vector level:
+    // each multiply-add read and wrote memory.  Unrolling keeps the order of
+    // every sum, so the result is bitwise the rolled kernel's.
     VF acc[MR][NV] = {};
     for (int k = 0; k < K; ++k, a += MR, b += NR) {
         VF bv[NV];
+#pragma GCC unroll 8
         for (int v = 0; v < NV; ++v) bv[v] = vload<VF>(b + v * kLanes<VF>);
+#pragma GCC unroll 8
         for (int m = 0; m < MR; ++m) {
             const VF av = vsplat<VF>(a[m]);
+#pragma GCC unroll 8
             for (int v = 0; v < NV; ++v) acc[m][v] += av * bv[v];
         }
     }
     if (ep != nullptr) {
         // Store mode: the tile's final values, still in registers.  Padding
         // rows (m >= mr) take bias 0 so the bias is never read past row mr.
+#pragma GCC unroll 8
         for (int m = 0; m < MR; ++m) {
             const VF bias = vsplat<VF>(ep->bias != nullptr && m < mr ? ep->bias[m] : 0.0f);
+#pragma GCC unroll 8
             for (int v = 0; v < NV; ++v)
                 acc[m][v] = epilogue_act<VF>(K > 0 ? bias + acc[m][v] : bias, ep->act,
                                              ep->slope);
         }
     }
     if (mr == MR && nr == NR) {
+#pragma GCC unroll 8
         for (int m = 0; m < MR; ++m) {
             float* row = c + m * ldc;
+#pragma GCC unroll 8
             for (int v = 0; v < NV; ++v) {
                 float* p = row + v * kLanes<VF>;
                 vstore<VF>(p, ep != nullptr ? acc[m][v] : vload<VF>(p) + acc[m][v]);
@@ -137,7 +148,9 @@ void ukernel(int K, const float* a, const float* b, float* c, std::int64_t ldc,
         // Partial tile: spill the (zero-padded) accumulators and write only
         // the valid corner, so edge tiles never read or write beyond C.
         float tmp[MR * NR];
+#pragma GCC unroll 8
         for (int m = 0; m < MR; ++m)
+#pragma GCC unroll 8
             for (int v = 0; v < NV; ++v)
                 vstore<VF>(tmp + m * NR + v * kLanes<VF>, acc[m][v]);
         for (int m = 0; m < mr; ++m)

@@ -21,15 +21,19 @@ BatchNorm2d::BatchNorm2d(int channels, float momentum, float eps)
 
 std::string BatchNorm2d::name() const { return "BN(" + std::to_string(channels_) + ")"; }
 
-Tensor BatchNorm2d::forward(const Tensor& x) { return forward_fused(x, Epilogue{}); }
+Tensor BatchNorm2d::forward(const Tensor& x) {
+    Tensor y;
+    forward_fused(x, Epilogue{}, y);
+    return y;
+}
 
-Tensor BatchNorm2d::forward_fused(const Tensor& x, const Epilogue& ep) {
+void BatchNorm2d::forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) {
     if (x.shape().c != channels_)
         throw std::invalid_argument(name() + ": got input " + x.shape().str());
     const Shape s = x.shape();
     const std::int64_t plane = static_cast<std::int64_t>(s.h) * s.w;
     const std::int64_t count = static_cast<std::int64_t>(s.n) * plane;
-    Tensor y(s);
+    y.resize(s);  // both modes write every element
     if (training_) {
         xhat_ = Tensor(s);
         batch_inv_std_.assign(static_cast<std::size_t>(channels_), 0.0f);
@@ -82,7 +86,6 @@ Tensor BatchNorm2d::forward_fused(const Tensor& x, const Epilogue& ep) {
         }
         });
     }
-    return y;
 }
 
 Tensor BatchNorm2d::backward(const Tensor& grad_out) {

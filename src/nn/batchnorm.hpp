@@ -16,7 +16,7 @@ public:
 
     Tensor forward(const Tensor& x) override;
     /// Eval applies `ep` to each plane inside the normalisation loop.
-    Tensor forward_fused(const Tensor& x, const Epilogue& ep) override;
+    void forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) override;
     Tensor backward(const Tensor& grad_out) override;
     void collect_params(std::vector<ParamRef>& out) override;
     void collect_state(std::vector<Tensor*>& out) override;

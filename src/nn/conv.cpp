@@ -68,15 +68,19 @@ void Conv2d::prepack() {
     core::pack_a(out_ch_, K, weight_.data(), /*trans=*/false, wpack_);
 }
 
-Tensor Conv2d::forward(const Tensor& x) { return forward_fused(x, Epilogue{}); }
+Tensor Conv2d::forward(const Tensor& x) {
+    Tensor y;
+    forward_fused(x, Epilogue{}, y);
+    return y;
+}
 
-Tensor Conv2d::forward_fused(const Tensor& x, const Epilogue& ep) {
+void Conv2d::forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) {
     if (x.shape().c != in_ch_)
         throw std::invalid_argument(name() + ": got input " + x.shape().str());
     if (training_) input_ = x;
     const Shape in = x.shape();
     const Shape os = out_shape(in);
-    Tensor y(os);
+    y.resize(os);  // the store-mode GEMM writes every element
     const int K = in_ch_ * k_ * k_;
     // Use the prepacked weight panels when valid for the active kernel;
     // otherwise pack into thread-local scratch (never into the shared member —
@@ -94,7 +98,6 @@ Tensor Conv2d::forward_fused(const Tensor& x, const Epilogue& ep) {
         core::sgemm_packed(*wp, tls_cols, y.plane(n, 0), store);
     }
     if (ep.bias != nullptr) apply_epilogue(ep, y);
-    return y;
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {

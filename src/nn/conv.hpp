@@ -25,7 +25,7 @@ public:
     /// The GEMM store writes act(bias + acc) per output channel.  An
     /// epilogue that brings its own bias is applied in place afterwards,
     /// since it cannot share the store's add with the layer's bias.
-    Tensor forward_fused(const Tensor& x, const Epilogue& ep) override;
+    void forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) override;
     Tensor backward(const Tensor& grad_out) override;
     void collect_params(std::vector<ParamRef>& out) override;
     /// Entering training drops the weight pack (the optimizer is about to

@@ -1,5 +1,6 @@
 #include "nn/dwconv.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "core/thread_pool.hpp"
@@ -19,16 +20,22 @@ std::int64_t DWConv3::param_count() const { return static_cast<std::int64_t>(cha
 
 std::string DWConv3::name() const { return "DW-Conv3(" + std::to_string(channels_) + ")"; }
 
-Tensor DWConv3::forward(const Tensor& x) { return forward_fused(x, Epilogue{}); }
+Tensor DWConv3::forward(const Tensor& x) {
+    Tensor y;
+    forward_fused(x, Epilogue{}, y);
+    return y;
+}
 
-Tensor DWConv3::forward_fused(const Tensor& x, const Epilogue& ep) {
+void DWConv3::forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) {
     if (x.shape().c != channels_)
         throw std::invalid_argument(name() + ": got input " + x.shape().str());
     if (training_) input_ = x;
     const Shape s = x.shape();
-    Tensor y(s);
+    y.resize(s);
+    const std::int64_t plane = static_cast<std::int64_t>(s.h) * s.w;
     // Each (n, c) plane is an independent 3x3 convolution; parallelise over
     // the flattened plane index (disjoint outputs, thread-count invariant).
+    // A chunk zeroes its own planes, then accumulates the taps into them.
     core::parallel_for(
         0, static_cast<std::int64_t>(s.n) * channels_, 1,
         [&](std::int64_t p0, std::int64_t p1) {
@@ -37,6 +44,7 @@ Tensor DWConv3::forward_fused(const Tensor& x, const Epilogue& ep) {
             const int c = static_cast<int>(p % channels_);
             const float* xp = x.plane(n, c);
             float* yp = y.plane(n, c);
+            std::fill(yp, yp + plane, 0.0f);
             const float* w = weight_.plane(c, 0);
             for (int oh = 0; oh < s.h; ++oh) {
                 float* yrow = yp + static_cast<std::int64_t>(oh) * s.w;
@@ -62,10 +70,9 @@ Tensor DWConv3::forward_fused(const Tensor& x, const Epilogue& ep) {
                     }
                 }
             }
-            apply_epilogue(ep, c, yp, static_cast<std::int64_t>(s.h) * s.w);
+            apply_epilogue(ep, c, yp, plane);
         }
         });
-    return y;
 }
 
 Tensor DWConv3::backward(const Tensor& grad_out) {

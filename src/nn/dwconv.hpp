@@ -15,8 +15,9 @@ public:
     DWConv3(int channels, Rng& rng);
 
     Tensor forward(const Tensor& x) override;
-    /// Applies `ep` to each plane right after computing it, in its chunk.
-    Tensor forward_fused(const Tensor& x, const Epilogue& ep) override;
+    /// Each chunk zeroes its planes of `y`, accumulates the taps into them
+    /// and applies `ep` right after.
+    void forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) override;
     Tensor backward(const Tensor& grad_out) override;
     void collect_params(std::vector<ParamRef>& out) override;
 

@@ -46,10 +46,9 @@ void apply_epilogue(const Epilogue& ep, Tensor& y) {
                        });
 }
 
-Tensor Module::forward_fused(const Tensor& x, const Epilogue& ep) {
-    Tensor y = forward(x);
+void Module::forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) {
+    y = forward(x);
     apply_epilogue(ep, y);
-    return y;
 }
 
 }  // namespace sky::nn

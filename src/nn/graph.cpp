@@ -89,21 +89,29 @@ void Graph::plan_forward(const Shape& in) {
     }
 }
 
-Tensor Graph::forward(const Tensor& x) {
+const Tensor& Graph::run(const Tensor& x) {
+    computed_ = 0;
     plan_forward(x.shape());
-    outputs_.assign(nodes_.size(), Tensor{});
+    outputs_.resize(nodes_.size());
     outputs_[0] = x;
+    computed_ = 1;
     const auto value = [&](int node) -> const Tensor& {
         return outputs_[static_cast<std::size_t>(carrier_[static_cast<std::size_t>(node)])];
     };
-    for (std::size_t i = 1; i < nodes_.size(); ++i) {
-        if (carrier_[i] != static_cast<int>(i)) continue;  // its carrier holds the value
+    for (std::size_t i = 1; i < nodes_.size(); ++i, computed_ = i) {
+        // Each executing node writes into the tensor it wrote last forward,
+        // so a steady-state forward allocates no activation buffer.
+        Tensor& y = outputs_[i];
+        if (carrier_[i] != static_cast<int>(i)) {  // its carrier holds the value
+            y = Tensor{};  // drop the buffer of a forward in which it ran
+            continue;
+        }
         Node& node = nodes_[i];
         switch (node.kind) {
             case NodeKind::kInput:
                 break;
             case NodeKind::kModule:
-                outputs_[i] = node.module->forward_fused(value(node.inputs[0]), epilogue_[i]);
+                node.module->forward_fused(value(node.inputs[0]), epilogue_[i], y);
                 break;
             case NodeKind::kConcat: {
                 std::vector<const Tensor*> parts;
@@ -112,17 +120,24 @@ Tensor Graph::forward(const Tensor& x) {
                     parts.push_back(&value(in));
                     node.concat_channels.push_back(value(in).shape().c);
                 }
-                outputs_[i] = Tensor::concat_channels(parts);
+                Tensor::concat_channels(parts, y);
                 break;
             }
             case NodeKind::kAdd: {
-                outputs_[i] = value(node.inputs[0]);
-                outputs_[i].axpy(1.0f, value(node.inputs[1]));
+                y = value(node.inputs[0]);
+                y.axpy(1.0f, value(node.inputs[1]));
                 break;
             }
         }
     }
     return value(output_);
+}
+
+Tensor Graph::forward(const Tensor& x) { return run(x); }
+
+void Graph::forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) {
+    y = run(x);
+    apply_epilogue(ep, y);
 }
 
 Tensor Graph::backward(const Tensor& grad_out) {
@@ -249,7 +264,11 @@ const Tensor& Graph::node_output(int node) const {
         throw std::logic_error("Graph::node_output: node " + std::to_string(node) +
                                " was not kept: epilogue node " + std::to_string(over) +
                                " fused into it");
-    return outputs_[static_cast<std::size_t>(carrier_[static_cast<std::size_t>(node)])];
+    const auto carrier = static_cast<std::size_t>(carrier_[static_cast<std::size_t>(node)]);
+    if (carrier >= computed_)
+        throw std::logic_error("Graph::node_output: node " + std::to_string(node) +
+                               " was not computed: the last forward stopped before it");
+    return outputs_[carrier];
 }
 
 int Graph::node_carrier(int node) const {

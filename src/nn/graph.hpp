@@ -3,10 +3,11 @@
 // Supports exactly the topologies this reproduction needs: single-input
 // chains with channel-concatenation joins (SkyNet's bypass, Fig. 4) and
 // elementwise-add joins (ResNet residuals).  Nodes are added in topological
-// order by construction; forward caches every node output it computes,
-// backward accumulates gradients in reverse order.  A plain chain is a Graph
-// built with add(m) / emplace<M>(...) alone.  Graph is itself a Module, so a
-// block (a residual unit, a Bundle) nests inside another graph as one node.
+// order by construction; forward keeps every node output it computes, in a
+// buffer the next forward writes again, and backward accumulates gradients
+// in reverse order.  A plain chain is a Graph built with add(m) /
+// emplace<M>(...) alone.  Graph is itself a Module, so a block (a residual
+// unit, a Bundle) nests inside another graph as one node.
 //
 // Eval forwards fuse epilogues (nn/epilogue.hpp).  An Identity node aliases
 // its input; an Activation or ChannelBias node whose input is a producer
@@ -50,8 +51,12 @@ public:
     /// shape throws std::invalid_argument before any layer runs.  In eval
     /// mode aliased and fused nodes do not run — their producers apply the
     /// folded epilogues as they write — and the result is bitwise what
-    /// running every node gives.
+    /// running every node gives.  Every node that runs writes into the
+    /// tensor it wrote on the previous forward (Module::forward_fused), so
+    /// at a batch size seen before a forward allocates only its result.
     Tensor forward(const Tensor& x) override;
+    /// Runs the graph and copies its output into `y`'s buffer.
+    void forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) override;
     Tensor backward(const Tensor& grad_out) override;
     void collect_params(std::vector<ParamRef>& out) override;
     void collect_state(std::vector<Tensor*>& out) override;
@@ -68,7 +73,8 @@ public:
     /// trackers that read intermediate features).  An aliased or fused node
     /// reads its carrier's tensor, which holds its value, so SkyNet's
     /// feature_node still reads post-activation features.  A producer whose
-    /// value an epilogue overwrote throws std::logic_error naming that node.
+    /// value an epilogue overwrote throws std::logic_error naming that node,
+    /// and so does a node a throwing forward never reached.
     [[nodiscard]] const Tensor& node_output(int node) const;
     /// The node whose tensor held `node`'s value in the last forward(): the
     /// node itself when it ran, else the producer it was aliased or fused
@@ -111,11 +117,14 @@ private:
 
     /// Derive the next forward's carriers and epilogues for input shape `in`.
     void plan_forward(const Shape& in);
+    /// The forward itself; returns the output node's tensor.
+    const Tensor& run(const Tensor& x);
 
     std::vector<Node> nodes_;
     int output_ = 0;
     // Per node, for the last forward:
     std::vector<Tensor> outputs_;     // the tensor, empty unless the node ran
+    std::size_t computed_ = 0;        // nodes [0, computed_) hold its values
     std::vector<int> carrier_;        // node whose tensor holds the value
     std::vector<int> overwritten_;    // epilogue node fused over it, or -1
     std::vector<Epilogue> epilogue_;  // what a running node applies on write

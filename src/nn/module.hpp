@@ -49,12 +49,15 @@ public:
     /// dL/d(input) given dL/d(output).  Parameter gradients accumulate.
     virtual Tensor backward(const Tensor& grad_out) = 0;
 
-    /// forward(x) with `ep` applied to the output (nn/epilogue.hpp) —
+    /// y = forward(x) with `ep` applied to the output (nn/epilogue.hpp) —
     /// bitwise what forward(x) followed by ep's Activation / ChannelBias
-    /// modules gives.  nn::Graph calls it in eval mode with the epilogues it
-    /// folded into this node.  Default: forward, then ep in place, in
-    /// parallel; the conv layers and eval BatchNorm2d apply it as they write.
-    virtual Tensor forward_fused(const Tensor& x, const Epilogue& ep);
+    /// modules gives.  nn::Graph calls it with each executing node's own
+    /// output tensor, so `y` arrives holding that node's previous output:
+    /// any shape, stale values.  An override sizes it with Tensor::resize,
+    /// which keeps the buffer, and writes every element.  Default: y =
+    /// forward(x), then ep in place, in parallel; the convs, BatchNorm2d,
+    /// MaxPool2 and SpaceToDepth write into y and apply ep as they write.
+    virtual void forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y);
 
     /// This module as an elementwise per-channel epilogue, or nullopt when it
     /// is anything else.  Activation, ChannelBias and Identity (an empty

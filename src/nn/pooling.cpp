@@ -1,15 +1,30 @@
 #include "nn/pooling.hpp"
 
+#include <stdexcept>
+
 #include "core/thread_pool.hpp"
 
 namespace sky::nn {
 
 Tensor MaxPool2::forward(const Tensor& x) {
+    Tensor y;
+    forward_fused(x, Epilogue{}, y);
+    return y;
+}
+
+void MaxPool2::forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) {
     const Shape s = x.shape();
-    in_shape_ = s;
     const Shape os = out_shape(s);
-    Tensor y(os);
-    argmax_.assign(static_cast<std::size_t>(os.count()), 0);
+    y.resize(os);  // the scan below writes every element
+    // Only a training forward records the argmax backward() routes through;
+    // an eval forward writes no member, so it neither arms backward nor
+    // races a concurrent forward.
+    std::int32_t* argmax = nullptr;
+    if (training_) {
+        in_shape_ = s;
+        argmax_.resize(static_cast<std::size_t>(os.count()));
+        argmax = argmax_.data();
+    }
     const std::int64_t oplane = static_cast<std::int64_t>(os.h) * os.w;
     // Each (n, c) plane pools independently; the argmax_ block for plane p
     // starts at p * oplane, matching the sequential fill order of the seed.
@@ -30,24 +45,33 @@ Tensor MaxPool2::forward(const Tensor& x) {
                         const std::int64_t cand[3] = {best + 1, best + s.w,
                                                       best + s.w + 1};
                         for (std::int64_t idx : cand) {
-                            // 2x2 window fully in-bounds because os = floor(in/2)
+                            // 2x2 window fully in-bounds because os = floor(in/2).
+                            // Strict >: the first of equal values (-0.0 == +0.0)
+                            // stays, and a later NaN never wins.
                             if (xp[idx] > bv) {
                                 bv = xp[idx];
                                 best = idx;
                             }
                         }
                         yp[static_cast<std::int64_t>(oh) * os.w + ow] = bv;
-                        argmax_[static_cast<std::size_t>(oi++)] =
-                            static_cast<std::int32_t>(best);
+                        if (argmax != nullptr) argmax[oi++] = static_cast<std::int32_t>(best);
                     }
                 }
+                apply_epilogue(ep, c, yp, oplane);
             }
         });
-    return y;
 }
 
 Tensor MaxPool2::backward(const Tensor& grad_out) {
+    if (argmax_.empty())
+        throw std::logic_error(name() +
+                               ": backward() without a training forward — call forward() "
+                               "in training mode first");
     const Shape os = grad_out.shape();
+    if (os != out_shape(in_shape_))
+        throw std::logic_error(name() + ": backward() got " + os.str() +
+                               ", the training forward produced " +
+                               out_shape(in_shape_).str());
     Tensor gi(in_shape_);
     const std::int64_t oplane = static_cast<std::int64_t>(os.h) * os.w;
     core::parallel_for(

@@ -7,12 +7,19 @@
 namespace sky::nn {
 
 /// 2x2 max pooling with stride 2.  Odd trailing rows/columns are dropped,
-/// matching the usual floor-division convention.
+/// matching the usual floor-division convention.  Each window keeps its first
+/// maximum in scan order (strict >), so ties, ±0 and NaN resolve the same in
+/// every mode.
 class MaxPool2 : public Module {
 public:
     MaxPool2() = default;
 
     Tensor forward(const Tensor& x) override;
+    /// Writes every element of `y` and applies `ep` per plane.  Only training
+    /// records the argmax that backward() needs.
+    void forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) override;
+    /// Throws std::logic_error without a training forward, or when grad_out's
+    /// shape is not that forward's output shape.
     Tensor backward(const Tensor& grad_out) override;
 
     [[nodiscard]] std::string name() const override { return "MaxPool2x2"; }
@@ -22,7 +29,7 @@ public:
     }
 
 private:
-    Shape in_shape_;
+    Shape in_shape_;                    ///< input of the last training forward
     std::vector<std::int32_t> argmax_;  ///< flat input index per output element
 };
 

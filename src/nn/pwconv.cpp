@@ -68,14 +68,18 @@ void PWConv1::prepack() {
         core::pack_a(opg, ipg, weight_.plane(g * opg, 0), /*trans=*/false, wpack_[g]);
 }
 
-Tensor PWConv1::forward(const Tensor& x) { return forward_fused(x, Epilogue{}); }
+Tensor PWConv1::forward(const Tensor& x) {
+    Tensor y;
+    forward_fused(x, Epilogue{}, y);
+    return y;
+}
 
-Tensor PWConv1::forward_fused(const Tensor& x, const Epilogue& ep) {
+void PWConv1::forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) {
     if (x.shape().c != in_ch_)
         throw std::invalid_argument(name() + ": got input " + x.shape().str());
     if (training_) input_ = x;
     const Shape s = x.shape();
-    Tensor y({s.n, out_ch_, s.h, s.w});
+    y.resize({s.n, out_ch_, s.h, s.w});  // the store below writes every element
     const std::int64_t plane = static_cast<std::int64_t>(s.h) * s.w;
     const int ipg = in_ch_ / groups_;   // input channels per group
     const int opg = out_ch_ / groups_;  // output channels per group
@@ -104,7 +108,6 @@ Tensor PWConv1::forward_fused(const Tensor& x, const Epilogue& ep) {
         }
     }
     if (ep.bias != nullptr) apply_epilogue(ep, y);
-    return y;
 }
 
 Tensor PWConv1::backward(const Tensor& grad_out) {

@@ -22,7 +22,7 @@ public:
 
     Tensor forward(const Tensor& x) override;
     /// Applies `ep` in the GEMM store (see Conv2d::forward_fused).
-    Tensor forward_fused(const Tensor& x, const Epilogue& ep) override;
+    void forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) override;
     Tensor backward(const Tensor& grad_out) override;
     void collect_params(std::vector<ParamRef>& out) override;
     void set_training(bool training) override;

@@ -9,13 +9,19 @@ std::string SpaceToDepth::name() const {
 }
 
 Tensor SpaceToDepth::forward(const Tensor& x) {
+    Tensor y;
+    forward_fused(x, Epilogue{}, y);
+    return y;
+}
+
+void SpaceToDepth::forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) {
     const Shape s = x.shape();
     if (s.h % block_ != 0 || s.w % block_ != 0)
         throw std::invalid_argument(name() + ": input " + s.str() +
                                     " not divisible by block");
     in_shape_ = s;
     const Shape os = out_shape(s);
-    Tensor y(os);
+    y.resize(os);  // the block copy below writes every element
     for (int n = 0; n < s.n; ++n) {
         for (int c = 0; c < s.c; ++c) {
             const float* xp = x.plane(n, c);
@@ -32,7 +38,7 @@ Tensor SpaceToDepth::forward(const Tensor& x) {
             }
         }
     }
-    return y;
+    apply_epilogue(ep, y);
 }
 
 Tensor SpaceToDepth::backward(const Tensor& grad_out) {

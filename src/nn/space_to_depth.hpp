@@ -18,6 +18,8 @@ public:
     explicit SpaceToDepth(int block = 2) : block_(block) {}
 
     Tensor forward(const Tensor& x) override;
+    /// Writes every element of `y`, then applies `ep` in place.
+    void forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) override;
     Tensor backward(const Tensor& grad_out) override;
 
     [[nodiscard]] std::string name() const override;

@@ -28,13 +28,18 @@ public:
     ProfiledModule(nn::ModulePtr inner, LayerProfile* prof)
         : inner_(std::move(inner)), prof_(prof) {}
 
-    Tensor forward(const Tensor& x) override { return forward_fused(x, nn::Epilogue{}); }
+    Tensor forward(const Tensor& x) override {
+        Tensor y;
+        forward_fused(x, nn::Epilogue{}, y);
+        return y;
+    }
 
-    // Times the layer together with the epilogues the graph fused into it.
-    Tensor forward_fused(const Tensor& x, const nn::Epilogue& ep) override {
+    // Times the layer together with the epilogues the graph fused into it,
+    // writing into the graph's tensor as the unprofiled forward does.
+    void forward_fused(const Tensor& x, const nn::Epilogue& ep, Tensor& y) override {
         Span span(prof_->name.c_str(), "layer");
         const auto t0 = Clock::now();
-        Tensor y = inner_->forward_fused(x, ep);
+        inner_->forward_fused(x, ep, y);
         prof_->fwd_ms += ms_since(t0);
         ++prof_->fwd_calls;
         prof_->in = x.shape();
@@ -49,7 +54,6 @@ public:
         }
         prof_->out_mean = y.size() ? sum / static_cast<double>(y.size()) : 0.0;
         prof_->out_absmax = absmax;
-        return y;
     }
 
     [[nodiscard]] std::optional<nn::Epilogue> as_epilogue() const override {

@@ -78,7 +78,7 @@ void Tensor::kaiming(Rng& rng, int fan_in) {
     randn(rng, 0.0f, stddev);
 }
 
-Tensor Tensor::concat_channels(const std::vector<const Tensor*>& parts) {
+void Tensor::concat_channels(const std::vector<const Tensor*>& parts, Tensor& out) {
     if (parts.empty()) throw std::invalid_argument("concat_channels: no inputs");
     const Shape& first = parts.front()->shape();
     int total_c = 0;
@@ -87,9 +87,10 @@ Tensor Tensor::concat_channels(const std::vector<const Tensor*>& parts) {
         if (s.n != first.n || s.h != first.h || s.w != first.w)
             throw std::invalid_argument("concat_channels: incompatible part " + s.str() +
                                         " vs " + first.str());
+        if (p == &out) throw std::invalid_argument("concat_channels: output is an input");
         total_c += s.c;
     }
-    Tensor out({first.n, total_c, first.h, first.w});
+    out.resize({first.n, total_c, first.h, first.w});  // the copies write every element
     const std::int64_t plane = static_cast<std::int64_t>(first.h) * first.w;
     for (int n = 0; n < first.n; ++n) {
         int c_off = 0;
@@ -99,7 +100,6 @@ Tensor Tensor::concat_channels(const std::vector<const Tensor*>& parts) {
             c_off += pc;
         }
     }
-    return out;
 }
 
 std::vector<Tensor> Tensor::split_channels(const Tensor& whole,

@@ -1,7 +1,8 @@
 // Dense float32 NCHW tensor.
 //
 // Tensor is a value type: copy copies the buffer, move steals it.  Layers in
-// sky::nn exchange Tensors by const reference and return them by value.  The
+// sky::nn exchange Tensors by const reference and return them by value, or
+// write into a caller's tensor whose buffer they reuse (resize()).  The
 // class deliberately exposes raw data() access: inner loops in the layer
 // implementations are hand-written for cache-friendliness, and the tensor
 // abstraction should never stand between a kernel and its memory.
@@ -51,6 +52,15 @@ public:
         return data_.data() + index(n, c, 0, 0);
     }
 
+    /// Set the shape to `s` and size the buffer to match, keeping its
+    /// capacity: shrinking frees nothing, and growing within the capacity
+    /// allocates nothing.  Elements past the old size are zero; the others
+    /// keep stale values, so the caller must write every element.
+    void resize(Shape s) {
+        shape_ = s;
+        data_.resize(static_cast<std::size_t>(s.count()));
+    }
+
     void zero();
     void fill(float v);
     /// In-place: this += alpha * other.  Shapes must match.
@@ -76,8 +86,9 @@ public:
     /// Kaiming/He initialisation for a conv weight of given fan-in.
     void kaiming(Rng& rng, int fan_in);
 
-    /// Concatenate along the channel axis.  All inputs share n/h/w.
-    static Tensor concat_channels(const std::vector<const Tensor*>& parts);
+    /// Concatenate along the channel axis into `out`, reusing its buffer
+    /// (resize()).  All inputs share n/h/w, and `out` is none of them.
+    static void concat_channels(const std::vector<const Tensor*>& parts, Tensor& out);
     /// Split a channel-concatenated gradient back into per-part tensors.
     static std::vector<Tensor> split_channels(const Tensor& whole,
                                               const std::vector<int>& channel_counts);

@@ -4,13 +4,23 @@
 // evaluation at every SIMD level and thread count.  Also pins which
 // patterns must not fuse, node_output's view of fused nodes, the training
 // exception and the refusal of collapsing inputs.
+//
+// ActivationReuse: every node that runs writes into the buffer it wrote on
+// the previous forward (Module::forward_fused).  Buffers stay put across
+// forwards and batch sizes, stale contents never reach a result, and eval
+// MaxPool2, which records no argmax, equals the training-mode pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "backbones/registry.hpp"
@@ -23,6 +33,7 @@
 #include "nn/dwconv.hpp"
 #include "nn/pooling.hpp"
 #include "nn/pwconv.hpp"
+#include "nn/space_to_depth.hpp"
 #include "skynet/detector.hpp"
 #include "skynet/skynet_model.hpp"
 #include "tracking/siamese.hpp"
@@ -270,6 +281,247 @@ TEST(FusedForward, CollapsingInputIsRefusedBeforeAnyLayerRuns) {
     }
     det.net().set_training(true);
     EXPECT_THROW((void)det.net().forward(tiny), std::invalid_argument);
+}
+
+// ------------------------------------------------- activation reuse
+
+/// A network under test, in eval mode, and whatever owns it.
+struct Net {
+    std::string name;
+    Shape in;  ///< input shape at batch 1
+    std::shared_ptr<void> owner;
+    nn::Graph* graph = nullptr;
+};
+
+Net eval_net(std::string name, Shape in, std::shared_ptr<void> owner, nn::Graph& g) {
+    g.set_training(false);
+    return Net{std::move(name), in, std::move(owner), &g};
+}
+
+/// SkyNet A/B/C (unfolded, and BN-folded as serve runs it) and the SiamRPN
+/// embed, each built afresh from a fixed seed.  Every node that runs in
+/// them writes into its buffer (the nested embed backbone included).
+std::vector<std::function<Net()>> skynet_nets() {
+    std::vector<std::function<Net()>> out;
+    for (SkyNetVariant v : {SkyNetVariant::kA, SkyNetVariant::kB, SkyNetVariant::kC})
+        for (bool folded : {false, true})
+            out.emplace_back([v, folded] {
+                Rng rng(91);
+                auto det = std::make_shared<Detector>(
+                    SkyNetConfig{v, nn::Act::kReLU6, 2, 0.25f}, rng);
+                if (folded) (void)det->fold_bn();
+                return eval_net(std::string("SkyNet-") + variant_name(v) +
+                                    (folded ? "/folded" : ""),
+                                {1, 3, 32, 64}, det, det->net());
+            });
+    out.emplace_back([] {
+        Rng rng(93);
+        SkyNetModel bb = build_skynet_backbone(0.25f, nn::Act::kReLU6, rng);
+        const int channels = bb.feature_channels();
+        auto embed = std::make_shared<tracking::SiameseEmbed>(std::move(bb.net), channels,
+                                                              16, rng);
+        return eval_net("embed", {1, 3, 64, 64}, embed, embed->net());
+    });
+    return out;
+}
+
+/// The 9 zoo backbones.  Some of their nodes keep the default
+/// forward_fused, which allocates.
+std::vector<std::function<Net()>> zoo_nets() {
+    std::vector<std::function<Net()>> out;
+    for (const std::string& name : backbones::backbone_names())
+        out.emplace_back([name] {
+            Rng rng(92);
+            auto b = std::make_shared<backbones::Backbone>(
+                backbones::build_by_name(name, 0.25f, rng));
+            return eval_net(name, {1, 3, 32, 32}, b, *b->net);
+        });
+    return out;
+}
+
+Shape at_batch(Shape s, int n) {
+    s.n = n;
+    return s;
+}
+
+/// The buffer behind every node value of `g` and of the graphs nested in
+/// it, after the last forward; nullptr for a value an epilogue overwrote.
+void collect_buffers(const nn::Graph& g, std::vector<const float*>& out) {
+    for (std::size_t i = 0; i < g.node_count(); ++i) {
+        try {
+            out.push_back(g.node_output(static_cast<int>(i)).data());
+        } catch (const std::logic_error&) {
+            out.push_back(nullptr);
+        }
+        if (const auto* inner = dynamic_cast<const nn::Graph*>(g.node_module(i)))
+            collect_buffers(*inner, out);
+    }
+}
+
+std::vector<const float*> buffers(const nn::Graph& g) {
+    std::vector<const float*> out;
+    collect_buffers(g, out);
+    return out;
+}
+
+TEST(ActivationReuse, SteadyStateForwardWritesTheSameBuffers) {
+    Restore restore;
+    core::ThreadPool::set_global_threads(4);
+    for (const auto& make : skynet_nets()) {
+        const Net net = make();
+        nn::Graph& g = *net.graph;
+        const Tensor x = random_input(at_batch(net.in, 4), 101, 0.0f, 1.0f);
+        const Tensor first = g.forward(x);  // warm: every buffer sized
+        const std::vector<const float*> warm = buffers(g);
+        int live = 0;
+        for (const float* p : warm) live += p != nullptr;
+        EXPECT_GT(live, 4) << net.name;
+        expect_bitwise(g.forward(x), first, net.name + " second forward");
+        EXPECT_EQ(buffers(g), warm) << net.name << ": a node buffer was reallocated";
+        // Smaller batches reuse the same buffers, and so does the way back.
+        for (int n : {1, 4}) {
+            (void)g.forward(random_input(at_batch(net.in, n), 102 + n, 0.0f, 1.0f));
+            EXPECT_EQ(buffers(g), warm) << net.name << " at batch " << n;
+        }
+    }
+}
+
+/// Copies its input, and records what the graph handed it as `y`.
+class ReuseProbe : public nn::Module {
+public:
+    Tensor forward(const Tensor& x) override { return x; }
+    void forward_fused(const Tensor& x, const nn::Epilogue& ep, Tensor& y) override {
+        arrived_data = y.data();
+        arrived_shape = y.shape();
+        y.resize(x.shape());
+        std::copy_n(x.data(), x.size(), y.data());
+        nn::apply_epilogue(ep, y);
+        left_data = y.data();
+        left_shape = y.shape();
+    }
+    Tensor backward(const Tensor& grad_out) override { return grad_out; }
+    [[nodiscard]] std::string name() const override { return "ReuseProbe"; }
+    [[nodiscard]] Shape out_shape(const Shape& in) const override { return in; }
+
+    const float* arrived_data = nullptr;
+    Shape arrived_shape{0, 0, 0, 0};
+    const float* left_data = nullptr;
+    Shape left_shape{0, 0, 0, 0};
+};
+
+TEST(ActivationReuse, TheGraphHandsEachNodeItsPreviousOutput) {
+    Rng rng(105);
+    nn::Graph g;
+    std::vector<ReuseProbe*> probes;
+    const auto probe = [&](int in) {
+        auto p = std::make_unique<ReuseProbe>();
+        probes.push_back(p.get());
+        return g.add(std::move(p), in);
+    };
+    const int a = probe(g.add(std::make_unique<nn::PWConv1>(3, 4, false, rng), g.input()));
+    const int b = probe(g.add(std::make_unique<nn::DWConv3>(4, rng), a));
+    probe(g.add_concat({a, b}));
+    g.set_training(false);
+    (void)g.forward(random_input({4, 3, 6, 8}, 106));
+    for (int n : {4, 1, 3}) {
+        std::vector<std::pair<const float*, Shape>> before;
+        for (const ReuseProbe* p : probes) before.emplace_back(p->left_data, p->left_shape);
+        (void)g.forward(random_input({n, 3, 6, 8}, 107));
+        for (std::size_t i = 0; i < probes.size(); ++i) {
+            EXPECT_EQ(probes[i]->arrived_data, before[i].first) << "probe " << i << " n=" << n;
+            EXPECT_EQ(probes[i]->arrived_shape, before[i].second) << "probe " << i << " n=" << n;
+        }
+    }
+}
+
+TEST(ActivationReuse, StaleContentsNeverLeakIntoAResult) {
+    Restore restore;
+    core::ThreadPool::set_global_threads(4);
+    std::vector<std::function<Net()>> nets = skynet_nets();
+    for (auto& make : zoo_nets()) nets.push_back(std::move(make));
+    for (const auto& make : nets) {
+        const Net net = make();
+        nn::Graph& g = *net.graph;
+        // Every buffer first holds NaN, then each batch size must give what
+        // a graph that never ran gives.
+        (void)g.forward(Tensor(at_batch(net.in, 4), std::numeric_limits<float>::quiet_NaN()));
+        int seed = 110;
+        for (int n : {4, 1, 3}) {
+            const Tensor x = random_input(at_batch(net.in, n), static_cast<std::uint64_t>(seed++),
+                                          0.0f, 1.0f);
+            const Net fresh = make();
+            const Tensor want = fresh.graph->forward(x);
+            for (std::int64_t i = 0; i < want.size(); ++i)
+                ASSERT_FALSE(std::isnan(want[i])) << net.name << " idx " << i;
+            expect_bitwise(g.forward(x), want, net.name + " at batch " + std::to_string(n));
+        }
+    }
+}
+
+TEST(ActivationReuse, EvalMaxPoolEqualsTrainingMaxPoolBitwise) {
+    Restore restore;
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    // Hand-made 2x2 windows: ties keep the first value in scan order, so
+    // -0.0 before +0.0 stays -0.0; a NaN never wins unless it comes first.
+    Tensor x({1, 1, 2, 16});
+    const float windows[8][4] = {{-0.0f, 0.0f, 0.0f, -0.0f}, {0.0f, -0.0f, -1.0f, -0.0f},
+                                 {nan, 1.0f, 2.0f, 3.0f},    {1.0f, nan, 3.0f, 2.0f},
+                                 {2.0f, 2.0f, 1.0f, 2.0f},   {-1.0f, -1.0f, nan, -1.0f},
+                                 {nan, nan, nan, nan},       {-3.0f, -2.0f, -2.0f, -4.0f}};
+    for (int k = 0; k < 8; ++k) {
+        x.at(0, 0, 0, 2 * k) = windows[k][0];
+        x.at(0, 0, 0, 2 * k + 1) = windows[k][1];
+        x.at(0, 0, 1, 2 * k) = windows[k][2];
+        x.at(0, 0, 1, 2 * k + 1) = windows[k][3];
+    }
+    const float want[8] = {-0.0f, 0.0f, nan, 3.0f, 2.0f, -1.0f, nan, -2.0f};
+    nn::MaxPool2 pool;
+    pool.set_training(false);
+    const Tensor eval = pool.forward(x);
+    for (int k = 0; k < 8; ++k)
+        EXPECT_EQ(bits(eval[k]), bits(want[k])) << "window " << k << ": " << eval[k];
+    pool.set_training(true);
+    expect_bitwise(eval, pool.forward(x), "hand-made windows");
+
+    // Random planes with NaN and signed-zero ties, at 1 and 4 threads, and
+    // an eval forward into a larger stale buffer.
+    Tensor r = random_input({3, 5, 9, 14}, 120, -1.0f, 1.0f);
+    Rng rng(121);
+    for (std::int64_t i = 0; i < r.size(); ++i) {
+        const double u = rng.uniform(0.0, 1.0);
+        if (u < 0.1) r[i] = nan;
+        else if (u < 0.3) r[i] = 0.0f;
+        else if (u < 0.5) r[i] = -0.0f;
+    }
+    pool.set_training(true);
+    const Tensor train = pool.forward(r);
+    pool.set_training(false);
+    for (int threads : {1, 4}) {
+        core::ThreadPool::set_global_threads(threads);
+        expect_bitwise(pool.forward(r), train, "eval @" + std::to_string(threads) + "t");
+        Tensor stale({4, 8, 9, 9}, nan);
+        pool.forward_fused(r, nn::Epilogue{}, stale);
+        expect_bitwise(stale, train, "eval into a stale buffer @" + std::to_string(threads) + "t");
+    }
+}
+
+TEST(ActivationReuse, NodesAThrowingForwardNeverReachedExposeNoValue) {
+    Rng rng(130);
+    nn::Graph g;
+    const int pw = g.add(std::make_unique<nn::PWConv1>(3, 4, false, rng), g.input());
+    const int reorder = g.add(std::make_unique<nn::SpaceToDepth>(2), pw);
+    const int head = g.add(std::make_unique<nn::PWConv1>(16, 2, true, rng), reorder);
+    g.set_training(false);
+    (void)g.forward(random_input({1, 3, 4, 4}, 131));
+    EXPECT_NO_THROW((void)g.node_output(head));
+    // 5 rows do not split into 2x2 blocks: SpaceToDepth throws at run time,
+    // after the first conv wrote its buffer for this forward.
+    EXPECT_THROW((void)g.forward(random_input({1, 3, 5, 4}, 132)), std::invalid_argument);
+    EXPECT_EQ(g.node_output(pw).shape(), (Shape{1, 4, 5, 4}));
+    EXPECT_THROW((void)g.node_output(reorder), std::logic_error);
+    EXPECT_THROW((void)g.node_output(head), std::logic_error);
+    (void)g.forward(random_input({1, 3, 4, 4}, 133));
+    EXPECT_EQ(g.node_output(head).shape(), (Shape{1, 2, 2, 2}));
 }
 
 }  // namespace

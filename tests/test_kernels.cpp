@@ -8,6 +8,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/gemm.hpp"
@@ -113,7 +114,11 @@ TEST(Gemm, MatchesNaiveAllVariants) {
     for (int threads : {1, 4}) {
         core::ThreadPool::set_global_threads(threads);
         std::vector<float> c_nn(static_cast<std::size_t>(M) * N, 0.5f);
-        core::sgemm_nn(M, N, K, A.data(), B.data(), c_nn.data());
+        core::PackedA pa;
+        core::PackedB pb;
+        core::pack_a(M, K, A.data(), /*trans=*/false, pa);
+        core::pack_b(K, N, B.data(), /*trans=*/false, pb);
+        core::sgemm_packed(pa, pb, c_nn.data());
         std::vector<float> c_tn(static_cast<std::size_t>(M) * N, 0.5f);
         core::sgemm_tn(M, N, K, At.data(), B.data(), c_tn.data());
         std::vector<float> c_nt(static_cast<std::size_t>(M) * N, 0.5f);
@@ -431,11 +436,24 @@ TEST(BackwardGuard, ThrowsWithoutCachedInput) {
     nn::DWConv3 dw(3, rng);
     nn::PWConv1 pw(3, 4, false, rng);
     nn::Linear fc(6, 2, rng);
+    nn::MaxPool2 pool;
     Tensor g({1, 3, 4, 4});
     EXPECT_THROW((void)conv.backward(g), std::logic_error);
     EXPECT_THROW((void)dw.backward(g), std::logic_error);
     EXPECT_THROW((void)pw.backward(g), std::logic_error);
     EXPECT_THROW((void)fc.backward(Tensor({1, 2, 1, 1})), std::logic_error);
+    try {
+        (void)pool.backward(g);
+        ADD_FAILURE() << "MaxPool2::backward ran without a training forward";
+    } catch (const std::logic_error& e) {
+        EXPECT_NE(std::string(e.what()).find("without a training forward"), std::string::npos)
+            << e.what();
+    }
+    // A gradient of another shape than the training forward produced.
+    (void)pool.forward(randn_tensor({1, 3, 8, 8}, 11));
+    EXPECT_NO_THROW((void)pool.backward(g));
+    EXPECT_THROW((void)pool.backward(Tensor({1, 3, 4, 3})), std::logic_error);
+    EXPECT_THROW((void)pool.backward(Tensor({2, 3, 4, 4})), std::logic_error);
 }
 
 TEST(BackwardGuard, EvalForwardDoesNotArmBackward) {
@@ -450,6 +468,14 @@ TEST(BackwardGuard, EvalForwardDoesNotArmBackward) {
     conv.set_training(true);
     const Tensor y2 = conv.forward(x);
     EXPECT_NO_THROW((void)conv.backward(y2));
+
+    nn::MaxPool2 pool;
+    pool.set_training(false);
+    const Tensor p = pool.forward(x);  // eval mode: no argmax recorded
+    EXPECT_THROW((void)pool.backward(p), std::logic_error);
+    pool.set_training(true);
+    const Tensor p2 = pool.forward(x);
+    EXPECT_NO_THROW((void)pool.backward(p2));
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 #include <algorithm>
 #include <cctype>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "backbones/backbone.hpp"
 #include "data/synth_classification.hpp"
@@ -477,6 +479,24 @@ TEST(GraphProfiler, ShowsFusedEpiloguesAndKeepsTheForwardBitwise) {
     ASSERT_EQ(profiled.shape(), plain.shape());
     for (std::int64_t i = 0; i < plain.size(); ++i)
         ASSERT_EQ(profiled[i], plain[i]) << "profiled forward diverged at " << i;
+    // The shims pass the graph's tensors through: a second profiled forward
+    // writes every node value into the buffer the first one wrote.
+    const auto node_buffers = [&g] {
+        std::vector<const float*> out;
+        for (std::size_t i = 0; i < g.node_count(); ++i) {
+            try {
+                out.push_back(g.node_output(static_cast<int>(i)).data());
+            } catch (const std::logic_error&) {  // overwritten by a fused epilogue
+                out.push_back(nullptr);
+            }
+        }
+        return out;
+    };
+    const std::vector<const float*> first = node_buffers();
+    const Tensor again = det.forward(x);
+    EXPECT_EQ(node_buffers(), first);
+    for (std::int64_t i = 0; i < plain.size(); ++i)
+        ASSERT_EQ(again[i], plain[i]) << "second profiled forward diverged at " << i;
     int fused = 0;
     for (const LayerProfile& p : profiler.profiles()) {
         const bool epilogue = p.kind == "act" || p.kind == "bias" || p.kind == "identity";

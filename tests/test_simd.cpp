@@ -63,6 +63,15 @@ void ref_nn(int M, int N, int K, const std::vector<float>& A,
         }
 }
 
+/// C += A * B through the packed interface, A and B row-major.
+void packed_nn(int M, int N, int K, const float* A, const float* B, float* C) {
+    core::PackedA pa;
+    core::PackedB pb;
+    core::pack_a(M, K, A, /*trans=*/false, pa);
+    core::pack_b(K, N, B, /*trans=*/false, pb);
+    core::sgemm_packed(pa, pb, C);
+}
+
 std::vector<float> transpose(const std::vector<float>& m, int rows, int cols) {
     std::vector<float> t(m.size());
     for (int r = 0; r < rows; ++r)
@@ -125,7 +134,7 @@ TEST(Simd, GemmMatchesReferenceAllLevelsAndShapes) {
                 core::ThreadPool::set_global_threads(threads);
                 std::vector<float> cn(ref.size(), 0.25f), ct(ref.size(), 0.25f),
                     cx(ref.size(), 0.25f);
-                core::sgemm_nn(tc.M, tc.N, tc.K, A.data(), B.data(), cn.data());
+                packed_nn(tc.M, tc.N, tc.K, A.data(), B.data(), cn.data());
                 core::sgemm_tn(tc.M, tc.N, tc.K, At.data(), B.data(), ct.data());
                 core::sgemm_nt(tc.M, tc.N, tc.K, A.data(), Bt.data(), cx.data());
                 for (std::size_t i = 0; i < ref.size(); ++i) {
@@ -154,12 +163,12 @@ TEST(Simd, VectorLevelsMatchScalarWithinTolerance) {
     const auto B = randv(static_cast<std::size_t>(K) * N, 8);
     core::set_simd_level(core::SimdLevel::kScalar);
     std::vector<float> ref(static_cast<std::size_t>(M) * N, 0.0f);
-    core::sgemm_nn(M, N, K, A.data(), B.data(), ref.data());
+    packed_nn(M, N, K, A.data(), B.data(), ref.data());
     for (core::SimdLevel lvl : available_levels()) {
         if (lvl == core::SimdLevel::kScalar) continue;
         core::set_simd_level(lvl);
         std::vector<float> c(ref.size(), 0.0f);
-        core::sgemm_nn(M, N, K, A.data(), B.data(), c.data());
+        packed_nn(M, N, K, A.data(), B.data(), c.data());
         for (std::size_t i = 0; i < ref.size(); ++i)
             ASSERT_NEAR(c[i], ref[i], 1e-4f)
                 << core::simd_level_name(lvl) << " idx " << i;
@@ -280,16 +289,20 @@ TEST(Simd, PackedInterfaceBitwiseEqualsWrapper) {
         const int M = 11, N = 21, K = 9;
         const auto A = randv(static_cast<std::size_t>(M) * K, 21);
         const auto B = randv(static_cast<std::size_t>(K) * N, 22);
-        std::vector<float> c1(static_cast<std::size_t>(M) * N, 1.0f);
-        core::sgemm_nn(M, N, K, A.data(), B.data(), c1.data());
+        // The transposed-storage wrappers pack to the same panels as A and B.
+        std::vector<float> c_tn(static_cast<std::size_t>(M) * N, 1.0f), c_nt(c_tn);
+        core::sgemm_tn(M, N, K, transpose(A, M, K).data(), B.data(), c_tn.data());
+        core::sgemm_nt(M, N, K, A.data(), transpose(B, K, N).data(), c_nt.data());
         core::PackedA pa;
         core::PackedB pb;
         core::pack_a(M, K, A.data(), false, pa);
         core::pack_b(K, N, B.data(), false, pb);
-        std::vector<float> c2(c1.size(), 1.0f);
+        std::vector<float> c2(c_tn.size(), 1.0f);
         core::sgemm_packed(pa, pb, c2.data());
-        for (std::size_t i = 0; i < c1.size(); ++i)
-            ASSERT_EQ(c1[i], c2[i]) << core::simd_level_name(lvl) << " idx " << i;
+        for (std::size_t i = 0; i < c2.size(); ++i) {
+            ASSERT_EQ(c_tn[i], c2[i]) << core::simd_level_name(lvl) << " tn idx " << i;
+            ASSERT_EQ(c_nt[i], c2[i]) << core::simd_level_name(lvl) << " nt idx " << i;
+        }
     }
 }
 
@@ -358,11 +371,11 @@ TEST(Simd, GemmBitwiseThreadInvariantAtEveryLevel) {
         core::set_simd_level(lvl);
         core::ThreadPool::set_global_threads(1);
         std::vector<float> ref(static_cast<std::size_t>(M) * N, 0.0f);
-        core::sgemm_nn(M, N, K, A.data(), B.data(), ref.data());
+        packed_nn(M, N, K, A.data(), B.data(), ref.data());
         for (int threads : {2, 4}) {
             core::ThreadPool::set_global_threads(threads);
             std::vector<float> c(ref.size(), 0.0f);
-            core::sgemm_nn(M, N, K, A.data(), B.data(), c.data());
+            packed_nn(M, N, K, A.data(), B.data(), c.data());
             for (std::size_t i = 0; i < ref.size(); ++i)
                 ASSERT_EQ(c[i], ref[i])
                     << core::simd_level_name(lvl) << " @" << threads << "t idx " << i;

@@ -70,7 +70,8 @@ TEST(Tensor, ConcatSplitChannelsRoundTrip) {
     Tensor a({2, 3, 4, 4}), b({2, 5, 4, 4});
     a.randn(rng);
     b.randn(rng);
-    Tensor cat = Tensor::concat_channels({&a, &b});
+    Tensor cat;
+    Tensor::concat_channels({&a, &b}, cat);
     EXPECT_EQ(cat.shape(), (Shape{2, 8, 4, 4}));
     auto parts = Tensor::split_channels(cat, {3, 5});
     ASSERT_EQ(parts.size(), 2u);
@@ -80,10 +81,14 @@ TEST(Tensor, ConcatSplitChannelsRoundTrip) {
 
 TEST(Tensor, ConcatOrderMatchesPlaneLayout) {
     Tensor a({1, 1, 2, 2}, 1.0f), b({1, 2, 2, 2}, 2.0f);
-    Tensor cat = Tensor::concat_channels({&a, &b});
+    Tensor cat({1, 7, 5, 5}, -1.0f);  // a stale, larger buffer is reused
+    Tensor::concat_channels({&a, &b}, cat);
+    EXPECT_EQ(cat.shape(), (Shape{1, 3, 2, 2}));
     EXPECT_FLOAT_EQ(cat.at(0, 0, 0, 0), 1.0f);
     EXPECT_FLOAT_EQ(cat.at(0, 1, 0, 0), 2.0f);
     EXPECT_FLOAT_EQ(cat.at(0, 2, 1, 1), 2.0f);
+    for (std::int64_t i = 0; i < cat.size(); ++i)
+        EXPECT_FLOAT_EQ(cat[i], i < 4 ? 1.0f : 2.0f) << i;
 }
 
 TEST(Rng, Deterministic) {
@@ -148,11 +153,13 @@ TEST(Tensor, ConcatChannelsMismatchThrows) {
     Tensor b({2, 5, 4, 4});
     Tensor wrong_n({1, 3, 4, 4});
     Tensor wrong_hw({2, 3, 4, 5});
-    EXPECT_THROW((void)Tensor::concat_channels({}), std::invalid_argument);
-    EXPECT_THROW((void)Tensor::concat_channels({&a, &wrong_n}), std::invalid_argument);
-    EXPECT_THROW((void)Tensor::concat_channels({&a, &wrong_hw}), std::invalid_argument);
-    const Tensor ok = Tensor::concat_channels({&a, &b});
-    EXPECT_EQ(ok.shape(), (Shape{2, 8, 4, 4}));
+    Tensor out;
+    EXPECT_THROW(Tensor::concat_channels({}, out), std::invalid_argument);
+    EXPECT_THROW(Tensor::concat_channels({&a, &wrong_n}, out), std::invalid_argument);
+    EXPECT_THROW(Tensor::concat_channels({&a, &wrong_hw}, out), std::invalid_argument);
+    EXPECT_THROW(Tensor::concat_channels({&a, &b}, a), std::invalid_argument);
+    Tensor::concat_channels({&a, &b}, out);
+    EXPECT_EQ(out.shape(), (Shape{2, 8, 4, 4}));
 }
 
 TEST(Tensor, KaimingStddev) {

@@ -30,7 +30,7 @@ inline std::vector<Tensor> unfused_node_values(nn::Graph& g, const Tensor& x) {
             case nn::Graph::NodeKind::kConcat: {
                 std::vector<const Tensor*> parts;
                 for (int in : ins) parts.push_back(&v[static_cast<std::size_t>(in)]);
-                v[i] = Tensor::concat_channels(parts);
+                Tensor::concat_channels(parts, v[i]);
                 break;
             }
             case nn::Graph::NodeKind::kAdd:

@@ -31,20 +31,12 @@ int Graph::add_add(int a, int b) {
 
 void Graph::set_output(int node) { output_ = node; }
 
-void Graph::plan_forward(const Shape& in) {
-    const std::vector<Shape> shapes = infer_shapes(in);
-    for (std::size_t i = 0; i < shapes.size(); ++i) {
-        const Shape& s = shapes[i];
-        if (s.n <= 0 || s.c <= 0 || s.h <= 0 || s.w <= 0)
-            throw std::invalid_argument("Graph::forward: node " + std::to_string(i) +
-                                        " has a degenerate shape (run verify::check_graph)");
-    }
+Graph::FusionPlan Graph::plan(bool fuse) const {
     const std::size_t n = nodes_.size();
-    carrier_.resize(n);
-    std::iota(carrier_.begin(), carrier_.end(), 0);
-    overwritten_.assign(n, -1);
-    epilogue_.assign(n, Epilogue{});
-    if (training_) return;
+    FusionPlan plan{std::vector<int>(n), std::vector<int>(n, -1), std::vector<Epilogue>(n)};
+    std::vector<int>& carrier = plan.carrier;
+    std::iota(carrier.begin(), carrier.end(), 0);
+    if (!fuse) return plan;
 
     std::vector<int> readers(n, 0);
     for (const Node& node : nodes_)
@@ -66,43 +58,51 @@ void Graph::plan_forward(const Shape& in) {
             open[i] = sole_reader(i);
             continue;
         }
-        const auto c = static_cast<std::size_t>(carrier_[static_cast<std::size_t>(node.inputs[0])]);
+        const auto c = static_cast<std::size_t>(carrier[static_cast<std::size_t>(node.inputs[0])]);
         if (e->empty()) {  // an identity aliases whatever holds its input
-            carrier_[i] = static_cast<int>(c);
+            carrier[i] = static_cast<int>(c);
             open[c] = open[c] && sole_reader(i);
             continue;
         }
-        Epilogue& fused = epilogue_[c];
+        Epilogue& fused = plan.epilogue[c];
         const bool fits = fused.act == EpilogueAct::kNone &&
                           (e->bias == nullptr || fused.bias == nullptr);
         if (!producer[c] || !open[c] || !fits) continue;
         for (std::size_t k = c; k < i; ++k)
-            if (carrier_[k] == static_cast<int>(c) && overwritten_[k] < 0)
-                overwritten_[k] = static_cast<int>(i);
+            if (carrier[k] == static_cast<int>(c) && plan.overwritten[k] < 0)
+                plan.overwritten[k] = static_cast<int>(i);
         if (e->bias != nullptr) fused.bias = e->bias;
         if (e->act != EpilogueAct::kNone) {
             fused.act = e->act;
             fused.slope = e->slope;
         }
-        carrier_[i] = static_cast<int>(c);
+        carrier[i] = static_cast<int>(c);
         open[c] = sole_reader(i);
     }
+    return plan;
 }
 
 const Tensor& Graph::run(const Tensor& x) {
     computed_ = 0;
-    plan_forward(x.shape());
+    const std::vector<Shape> shapes = infer_shapes(x.shape());
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+        const Shape& s = shapes[i];
+        if (s.n <= 0 || s.c <= 0 || s.h <= 0 || s.w <= 0)
+            throw std::invalid_argument("Graph::forward: node " + std::to_string(i) +
+                                        " has a degenerate shape (run verify::check_graph)");
+    }
+    plan_ = plan(/*fuse=*/!training_);
     outputs_.resize(nodes_.size());
     outputs_[0] = x;
     computed_ = 1;
     const auto value = [&](int node) -> const Tensor& {
-        return outputs_[static_cast<std::size_t>(carrier_[static_cast<std::size_t>(node)])];
+        return outputs_[static_cast<std::size_t>(plan_.carrier[static_cast<std::size_t>(node)])];
     };
     for (std::size_t i = 1; i < nodes_.size(); ++i, computed_ = i) {
         // Each executing node writes into the tensor it wrote last forward,
         // so a steady-state forward allocates no activation buffer.
         Tensor& y = outputs_[i];
-        if (carrier_[i] != static_cast<int>(i)) {  // its carrier holds the value
+        if (plan_.carrier[i] != static_cast<int>(i)) {  // its carrier holds the value
             y = Tensor{};  // drop the buffer of a forward in which it ran
             continue;
         }
@@ -111,7 +111,7 @@ const Tensor& Graph::run(const Tensor& x) {
             case NodeKind::kInput:
                 break;
             case NodeKind::kModule:
-                node.module->forward_fused(value(node.inputs[0]), epilogue_[i], y);
+                node.module->forward_fused(value(node.inputs[0]), plan_.epilogue[i], y);
                 break;
             case NodeKind::kConcat: {
                 std::vector<const Tensor*> parts;
@@ -259,12 +259,12 @@ std::int64_t Graph::param_count() const {
 const Tensor& Graph::node_output(int node) const {
     if (node < 0 || node >= static_cast<int>(outputs_.size()))
         throw std::out_of_range("Graph::node_output: bad node id");
-    const int over = overwritten_[static_cast<std::size_t>(node)];
+    const int over = plan_.overwritten[static_cast<std::size_t>(node)];
     if (over >= 0)
         throw std::logic_error("Graph::node_output: node " + std::to_string(node) +
                                " was not kept: epilogue node " + std::to_string(over) +
                                " fused into it");
-    const auto carrier = static_cast<std::size_t>(carrier_[static_cast<std::size_t>(node)]);
+    const auto carrier = static_cast<std::size_t>(plan_.carrier[static_cast<std::size_t>(node)]);
     if (carrier >= computed_)
         throw std::logic_error("Graph::node_output: node " + std::to_string(node) +
                                " was not computed: the last forward stopped before it");
@@ -275,8 +275,8 @@ int Graph::node_carrier(int node) const {
     if (node < 0 || node >= static_cast<int>(nodes_.size()))
         throw std::out_of_range("Graph::node_carrier: bad node id");
     // A node no forward has planned yet carries itself.
-    return node < static_cast<int>(carrier_.size()) ? carrier_[static_cast<std::size_t>(node)]
-                                                    : node;
+    const auto i = static_cast<std::size_t>(node);
+    return i < plan_.carrier.size() ? plan_.carrier[i] : node;
 }
 
 }  // namespace sky::nn

@@ -9,8 +9,9 @@
 // emplace<M>(...) alone.  Graph is itself a Module, so a block (a residual
 // unit, a Bundle) nests inside another graph as one node.
 //
-// Eval forwards fuse epilogues (nn/epilogue.hpp).  An Identity node aliases
-// its input; an Activation or ChannelBias node whose input is a producer
+// Eval forwards fuse epilogues (nn/epilogue.hpp) by fusion_plan(), the one
+// fusion rule (quant::lower only vetoes).  An Identity node aliases its
+// input; an Activation or ChannelBias node whose input is a producer
 // module's value read by that node alone folds into the producer, which
 // applies it as it writes its output.  At most one bias and then one
 // activation fold into a producer, and a producer that is the graph output
@@ -99,6 +100,14 @@ public:
     /// verify::check_model).  Trusts the edges — verify::check_graph
     /// diagnoses a malformed graph.
     [[nodiscard]] std::vector<Shape> infer_shapes(const Shape& in) const;
+    /// The plan every eval forward runs, per node.  It reads the nodes and
+    /// edges only (no input shape, not the training flag) and trusts them.
+    struct FusionPlan {
+        std::vector<int> carrier;        ///< node whose tensor holds the value
+        std::vector<int> overwritten;    ///< epilogue node fused over it, or -1
+        std::vector<Epilogue> epilogue;  ///< what a running node applies on write
+    };
+    [[nodiscard]] FusionPlan fusion_plan() const { return plan(/*fuse=*/true); }
     /// Swap a module node's implementation (shapes must stay compatible);
     /// returns the displaced module so wrappers (obs::GraphProfiler) can
     /// reinstall it later.
@@ -115,8 +124,8 @@ private:
         std::vector<int> concat_channels;  // filled during forward for kConcat
     };
 
-    /// Derive the next forward's carriers and epilogues for input shape `in`.
-    void plan_forward(const Shape& in);
+    /// fusion_plan(), or with fuse=false the plan that runs every node.
+    [[nodiscard]] FusionPlan plan(bool fuse) const;
     /// The forward itself; returns the output node's tensor.
     const Tensor& run(const Tensor& x);
 
@@ -125,9 +134,7 @@ private:
     // Per node, for the last forward:
     std::vector<Tensor> outputs_;     // the tensor, empty unless the node ran
     std::size_t computed_ = 0;        // nodes [0, computed_) hold its values
-    std::vector<int> carrier_;        // node whose tensor holds the value
-    std::vector<int> overwritten_;    // epilogue node fused over it, or -1
-    std::vector<Epilogue> epilogue_;  // what a running node applies on write
+    FusionPlan plan_;                 // the plan it ran
 };
 
 }  // namespace sky::nn

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <initializer_list>
 #include <limits>
 #include <stdexcept>
 
@@ -189,66 +188,48 @@ bool well_formed(const Program& p) {
     return p.output >= 0 && static_cast<std::size_t>(p.output) < p.ops.size();
 }
 
-/// The execution decisions (Op::alias, fused_act, fused_bias), each
-/// bit-identical to executing the graph verbatim.  Identities (folded BN
-/// leaves one behind every conv) are pure plumbing.  A fused ReLU/ReLU6
-/// becomes its producer's requantization clamp: clamp(round_shift(acc))
-/// equals act(saturate(round_shift(acc))) because the activation bounds lie
-/// inside the grid.  kReference keeps every other op so the oracle executes
-/// the graph as written.
+/// The execution decisions (Op::alias, fused_act, fused_bias): the graph's
+/// fusion plan minus the folds the integer datapath cannot make exactly.
+/// Identities (folded BN leaves one behind every conv) are pure plumbing.
+/// A folded ReLU/ReLU6 becomes a requantization clamp:
+/// clamp(round_shift(acc)) equals act(saturate(round_shift(acc))) because
+/// the activation bounds lie inside the grid.  kReference keeps every
+/// other op so the oracle executes the graph as written.
 void schedule(Program& p) {
-    std::vector<Op>& ops = p.ops;
     if (!well_formed(p)) return;  // plan_activations refuses the program
-    for (Op& op : ops)
-        if (op.kind == OpKind::kIdentity) op.alias = p.carrier(op.inputs[0]);
-    if (p.execution == QExecution::kReference || !p.valid_scheme()) return;
-
-    std::vector<int> consumers(ops.size(), 0);
-    for (const Op& op : ops)
-        if (op.executes())
-            for (const int in : op.inputs) ++consumers[static_cast<std::size_t>(p.carrier(in))];
-    ++consumers[static_cast<std::size_t>(p.carrier(p.output))];
-    // The producer `op` folds into: its input past the identities, when that
-    // is an integer op of one of `kinds` with no other consumer.
-    const auto producer = [&](const Op& op, std::initializer_list<OpKind> kinds) {
-        int src = op.inputs[0];
-        if (ops[static_cast<std::size_t>(src)].kind == OpKind::kIdentity)
-            src = ops[static_cast<std::size_t>(src)].alias;
-        const Op& prod = ops[static_cast<std::size_t>(src)];
-        const bool ok = consumers[static_cast<std::size_t>(src)] == 1 &&
-                        prod.verdict == Verdict::kInt &&
-                        std::find(kinds.begin(), kinds.end(), prod.kind) != kinds.end();
-        return ok ? src : -1;
-    };
-    for (std::size_t j = 0; j < ops.size(); ++j) {
-        Op& act = ops[j];
-        if (act.kind != OpKind::kRelu && act.kind != OpKind::kRelu6) continue;
-        const int src = producer(act, {OpKind::kConv, OpKind::kDwConv, OpKind::kBias});
-        if (src < 0) continue;
-        ops[static_cast<std::size_t>(src)].fused_act = static_cast<int>(j);
-        act.alias = src;
-    }
-    // A dwconv's ChannelBias (carrying any fused clamp) folds into the
-    // dwconv: one tensor pass instead of two, composed elementwise.  Only
-    // when the add provably fits int32 next to a grid value.
+    const bool fuse = p.execution != QExecution::kReference && p.valid_scheme();
+    const std::vector<int> carrier = p.graph->fusion_plan().carrier;
+    // A ChannelBias folds into a dwconv only when the add provably fits
+    // int32 next to a grid value.
     const auto fits = [&p](std::int64_t b) {
         return b >= std::numeric_limits<std::int32_t>::min() -
                         static_cast<std::int64_t>(p.spec.grid_lo) &&
                b <= std::numeric_limits<std::int32_t>::max() -
                         static_cast<std::int64_t>(p.spec.grid_hi);
     };
-    for (std::size_t j = 0; j < ops.size(); ++j) {
-        Op& bias = ops[j];
-        if (bias.kind != OpKind::kBias) continue;
-        const int src = producer(bias, {OpKind::kDwConv});
-        if (src < 0 || !std::all_of(bias.qbias.begin(), bias.qbias.end(), fits)) continue;
-        ops[static_cast<std::size_t>(src)].fused_bias = static_cast<int>(j);
-        bias.alias = src;
+    for (std::size_t i = 1; i < p.ops.size(); ++i) {
+        Op& op = p.ops[i];
+        const int in = p.carrier(op.inputs[0]), c = carrier[i];
+        Op& prod = p.ops[static_cast<std::size_t>(c)];
+        // The fp32 plan folds op into c unless c == i.  The fold stands when
+        // c (a module that is no epilogue, so it executes here too) is an
+        // integer conv or dwconv whose buffer holds op's input: c == in,
+        // which also rules out c == i.
+        const bool holds = fuse && c == in && prod.verdict == Verdict::kInt &&
+                           (prod.kind == OpKind::kConv || prod.kind == OpKind::kDwConv);
+        if (op.kind == OpKind::kIdentity) {
+            op.alias = in;
+        } else if (holds && (op.kind == OpKind::kRelu || op.kind == OpKind::kRelu6)) {
+            // A ChannelBias folded into c applies the last clamp.
+            (prod.fused_bias < 0 ? prod : p.ops[static_cast<std::size_t>(prod.fused_bias)])
+                .fused_act = static_cast<int>(i);
+            op.alias = c;
+        } else if (holds && op.kind == OpKind::kBias && prod.kind == OpKind::kDwConv &&
+                   std::all_of(op.qbias.begin(), op.qbias.end(), fits)) {
+            prod.fused_bias = static_cast<int>(i);
+            op.alias = c;
+        }
     }
-    // A value folded into a bias that folded into a dwconv lives in the
-    // dwconv's buffer.
-    for (Op& op : ops)
-        if (!op.executes()) op.alias = p.carrier(op.alias);
 }
 
 }  // namespace

@@ -17,11 +17,13 @@
 // becomes a kBlock op whose body is lowered recursively; a block always runs
 // as one fp32 island.
 //
-// Lowering also decides, once, which top-level ops execute (Op::alias): an
-// identity never does, and outside QExecution::kReference a ReLU/ReLU6
-// folds into the requantization clamp of its single-consumer conv, dwconv
-// or bias producer, and a dwconv's single-consumer ChannelBias folds into
-// the dwconv.  QEngine runs exactly the executing ops, and
+// Lowering also decides, once, which top-level ops execute (Op::alias).  It
+// runs nn::Graph::fusion_plan(), the fp32 forward's plan, and only vetoes:
+// an identity never executes; outside QExecution::kReference and with a
+// valid scheme, a folded ReLU/ReLU6 stays in the clamp of an integer conv or
+// dwconv holding its input (or of the ChannelBias folded into it), and a
+// folded ChannelBias stays in such a dwconv when its grid bias fits int32;
+// every other op executes.  QEngine runs exactly the executing ops, and
 // plan_activations() sizes exactly their buffers — for the engine and for
 // verify::analyze alike.
 //

@@ -142,8 +142,7 @@ void Engine::preprocess_loop() {
     Request r;
     while (requests_.pop(r)) {
         if (discard_.load(std::memory_order_relaxed)) {
-            r.promise.set_exception(std::make_exception_ptr(
-                RejectedError("serve::Engine: shut down before preprocessing")));
+            discard(r, "shut down before preprocessing");
             continue;
         }
         r.pre_start = Clock::now();
@@ -168,8 +167,7 @@ void Engine::preprocess_loop() {
         r.pre_end = Clock::now();
         observe("serve.latency.preprocess_ms", ms_between(r.pre_start, r.pre_end));
         if (std::optional<Request> rejected = batcher_.offer(std::move(r)))
-            rejected->promise.set_exception(std::make_exception_ptr(
-                RejectedError("serve::Engine: batcher closed mid-flight")));
+            discard(*rejected, "batcher closed mid-flight");
     }
 }
 
@@ -221,11 +219,8 @@ void Engine::infer_batch(std::vector<Request>& items) {
         reg->add("serve.batches");
         reg->observe("serve.batch.size", static_cast<double>(batch.items.size()));
     }
-    if (std::optional<InferredBatch> rejected = post_q_.offer(std::move(batch))) {
-        for (Request& r : rejected->items)
-            r.promise.set_exception(std::make_exception_ptr(
-                RejectedError("serve::Engine: post queue closed mid-flight")));
-    }
+    if (std::optional<InferredBatch> rejected = post_q_.offer(std::move(batch)))
+        for (Request& r : rejected->items) discard(r, "post queue closed mid-flight");
 }
 
 void Engine::post_loop() {
@@ -276,6 +271,13 @@ void Engine::fail(Request& r, const char* stage, const std::exception_ptr& cause
         std::string("serve::Engine: ") + stage + " failed: " + describe(cause), cause)));
 }
 
+void Engine::discard(Request& r, const char* why) {
+    discarded_.fetch_add(1, std::memory_order_relaxed);
+    if (obs::Registry* reg = cfg_.metrics) reg->add("serve.discarded");
+    r.promise.set_exception(
+        std::make_exception_ptr(RejectedError(std::string("serve::Engine: ") + why)));
+}
+
 void Engine::observe(const char* name, double value) {
     if (obs::Registry* reg = cfg_.metrics) reg->observe(name, value);
 }
@@ -307,9 +309,7 @@ void Engine::shutdown(bool drain) {
     } else {
         // Never started: nothing will drain the queue — fail what's in it.
         Request r;
-        while (requests_.pop(r))
-            r.promise.set_exception(std::make_exception_ptr(
-                RejectedError("serve::Engine: shut down before start()")));
+        while (requests_.pop(r)) discard(r, "shut down before start()");
     }
     publish_percentiles();
 }

@@ -84,8 +84,8 @@ struct DetectResult {
     double total_ms = 0.0;       ///< submit -> result ready
 };
 
-/// Thrown by submit() under the kReject policy when the queue is full, and
-/// for requests discarded by a non-draining shutdown.
+/// Thrown by submit() for a request it refuses (rejected()), and the future
+/// of an accepted request a shutdown discards (discarded()).
 class RejectedError : public std::runtime_error {
 public:
     using std::runtime_error::runtime_error;
@@ -128,18 +128,22 @@ public:
     [[nodiscard]] std::future<DetectResult> submit(Tensor image);
 
     /// Graceful shutdown.  With drain=true (default) every accepted request
-    /// completes before the workers exit; with drain=false requests still
-    /// waiting in the request queue fail with RejectedError (requests
-    /// already past preprocess always complete).  Publishes the p50/p95/p99
-    /// latency gauges.  Idempotent; concurrent callers serialise on the
-    /// lifecycle lock, so when shutdown() returns the pipeline has drained.
+    /// completes before the workers exit; with drain=false, or before
+    /// start(), requests still waiting in the request queue fail with
+    /// RejectedError (requests already past preprocess always complete).
+    /// Publishes the p50/p95/p99 latency gauges.  Idempotent; concurrent
+    /// callers serialise on the lifecycle lock, so when shutdown() returns
+    /// every accepted future is resolved.
     void shutdown(bool drain = true) SKY_EXCLUDES(lifecycle_mu_);
 
+    /// After shutdown(), submitted() == completed() + failed() + discarded().
     [[nodiscard]] std::uint64_t submitted() const { return submitted_.load(); }
     [[nodiscard]] std::uint64_t completed() const { return completed_.load(); }
-    /// Requests that ended in InferenceError.  After shutdown(true),
-    /// submitted() == completed() + failed().
+    /// Accepted requests that ended in InferenceError.
     [[nodiscard]] std::uint64_t failed() const { return failed_.load(); }
+    /// Accepted requests a shutdown ended in RejectedError.
+    [[nodiscard]] std::uint64_t discarded() const { return discarded_.load(); }
+    /// Requests submit() refused with RejectedError: never accepted.
     [[nodiscard]] std::uint64_t rejected() const { return rejected_.load(); }
     [[nodiscard]] std::uint64_t batches() const { return batches_.load(); }
 
@@ -171,6 +175,8 @@ private:
     void post_loop();
     /// Resolve `r` with an InferenceError for a fault in `stage`.
     void fail(Request& r, const char* stage, const std::exception_ptr& cause);
+    /// Resolve `r`, accepted but cut off by a shutdown, with a RejectedError.
+    void discard(Request& r, const char* why);
     void observe(const char* name, double value);
     void publish_percentiles();
 
@@ -197,6 +203,7 @@ private:
     std::atomic<std::uint64_t> submitted_{0};
     std::atomic<std::uint64_t> completed_{0};
     std::atomic<std::uint64_t> failed_{0};
+    std::atomic<std::uint64_t> discarded_{0};
     std::atomic<std::uint64_t> rejected_{0};
     std::atomic<std::uint64_t> batches_{0};
 };

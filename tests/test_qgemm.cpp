@@ -9,12 +9,14 @@
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "backbones/backbone.hpp"
+#include "backbones/registry.hpp"
 #include "core/qgemm.hpp"
 #include "core/simd.hpp"
 #include "core/thread_pool.hpp"
@@ -25,6 +27,7 @@
 #include "nn/dwconv.hpp"
 #include "nn/graph.hpp"
 #include "nn/pooling.hpp"
+#include "nn/pwconv.hpp"
 #include "nn/shuffle.hpp"
 #include "quant/lower.hpp"
 #include "quant/qengine.hpp"
@@ -595,6 +598,21 @@ TEST(QEngine, RunRefusesInputsTheProgramCannotRun) {
     }
 }
 
+/// The kAuto engine of `g` is bitwise the kReference one, and its measured
+/// activation peak is the plan's.
+void expect_auto_runs_its_plan(nn::Graph& g, const Shape& in, const quant::QuantConfig& cfg,
+                               const char* what) {
+    const quant::QuantConfig fast_cfg = cfg.with_execution(quant::QExecution::kAuto);
+    const deploy::MemoryPlan plan = quant::plan_activations(quant::lower(g, fast_cfg), in);
+    quant::QEngine fast(g, fast_cfg);
+    quant::QEngine oracle(g, cfg.with_execution(quant::QExecution::kReference));
+    Tensor x(in);
+    Rng xr(11);
+    x.rand_uniform(xr, 0.0f, 1.0f);
+    expect_bitwise_equal(fast.run(x), oracle.run(x), what);
+    EXPECT_EQ(fast.measured_peak_bytes(), plan.peak_bytes) << what;
+}
+
 TEST(Lower, ExecutionDecisionsFollowTheMode) {
     // conv -> identity -> relu -> dwconv -> bias -> relu6 -> conv -> relu,
     // with the last conv also feeding the closing add.
@@ -632,13 +650,140 @@ TEST(Lower, ExecutionDecisionsFollowTheMode) {
     const deploy::MemoryPlan plan = quant::plan_activations(p, in);
     for (std::size_t i = 0; i < p.ops.size(); ++i)
         EXPECT_EQ(plan.tensors[i].slot < 0, !p.ops[i].executes()) << i;
-    quant::QEngine fast(g, scheme(9, 11, quant::QExecution::kAuto));
-    quant::QEngine oracle(g, scheme(9, 11, quant::QExecution::kReference));
-    Tensor x(in);
-    Rng xr(11);
-    x.rand_uniform(xr, 0.0f, 1.0f);
-    expect_bitwise_equal(fast.run(x), oracle.run(x), "fused chain");
-    EXPECT_EQ(fast.measured_peak_bytes(), plan.peak_bytes);
+    expect_auto_runs_its_plan(g, in, scheme(9, 11, quant::QExecution::kAuto), "fused chain");
+
+    // The vetoes: each graph below is one fold the fp32 plan makes and the
+    // integer datapath does (or does not) keep.
+    const quant::QuantConfig s9 = scheme(9, 11, quant::QExecution::kAuto);
+    {  // conv -> ChannelBias -> ReLU: fp32 folds both into the conv; a bias
+       // folds only into a dwconv, so the ReLU's input is the bias's buffer.
+        nn::Graph h;
+        const int c = h.add(std::make_unique<nn::Conv2d>(3, 8, 3, 1, 1, true, rng), 0);
+        const int hb =
+            h.add(std::make_unique<deploy::ChannelBias>(std::vector<float>(8, -0.5f)), c);
+        const int hr = h.add(std::make_unique<nn::Activation>(nn::Act::kReLU), hb);
+        EXPECT_EQ(h.fusion_plan().carrier[static_cast<std::size_t>(hr)], c);
+        const quant::Program q = quant::lower(h, s9);
+        EXPECT_TRUE(q.ops[static_cast<std::size_t>(hb)].executes());
+        EXPECT_TRUE(q.ops[static_cast<std::size_t>(hr)].executes());
+        EXPECT_EQ(q.ops[static_cast<std::size_t>(hb)].fused_act, -1);
+        expect_auto_runs_its_plan(h, in, s9, "conv -> bias -> relu");
+    }
+    {  // concat -> ChannelBias -> ReLU6: a concat carries no epilogue, and
+       // neither does a ChannelBias, so both run on their own.
+        nn::Graph h;
+        const int a = h.add(std::make_unique<nn::Conv2d>(3, 4, 1, 1, 0, true, rng), 0);
+        const int c = h.add(std::make_unique<nn::Conv2d>(3, 4, 3, 1, 1, true, rng), 0);
+        const int cat = h.add_concat({a, c});
+        const int hb =
+            h.add(std::make_unique<deploy::ChannelBias>(std::vector<float>(8, 0.5f)), cat);
+        const int hr = h.add(std::make_unique<nn::Activation>(nn::Act::kReLU6), hb);
+        EXPECT_EQ(h.fusion_plan().carrier[static_cast<std::size_t>(hr)], hr);
+        const quant::Program q = quant::lower(h, s9);
+        for (const int i : {cat, hb, hr})
+            EXPECT_TRUE(q.ops[static_cast<std::size_t>(i)].executes()) << i;
+        expect_auto_runs_its_plan(h, in, s9, "concat -> bias -> relu6");
+    }
+    {  // conv -> LeakyReLU: fp32 folds it; the integer side runs it as an
+       // fp32 island.
+        nn::Graph h;
+        const int c = h.add(std::make_unique<nn::Conv2d>(3, 8, 3, 1, 1, true, rng), 0);
+        const int hl = h.add(std::make_unique<nn::Activation>(nn::Act::kLeaky), c);
+        EXPECT_EQ(h.fusion_plan().carrier[static_cast<std::size_t>(hl)], c);
+        const quant::QuantConfig fallback = s9.with_fp32_fallback();
+        const quant::Program q = quant::lower(h, fallback);
+        EXPECT_TRUE(q.ops[static_cast<std::size_t>(hl)].executes());
+        EXPECT_EQ(q.ops[static_cast<std::size_t>(c)].fused_act, -1);
+        quant::QEngine engine(h, fallback);
+        EXPECT_EQ(engine.report().layers[static_cast<std::size_t>(hl)].impl, quant::QImpl::kFp32);
+        expect_auto_runs_its_plan(h, in, fallback, "conv -> leaky");
+    }
+    {  // conv -> MaxPool -> ReLU, then a grouped 1x1 conv (an fp32 island) ->
+       // ReLU6: fp32 folds both activations; only an integer conv or dwconv
+       // has a requantization clamp to tighten, so both run here.
+        nn::Graph h;
+        const int c = h.add(std::make_unique<nn::Conv2d>(3, 8, 3, 1, 1, true, rng), 0);
+        const int mp = h.add(std::make_unique<nn::MaxPool2>(), c);
+        const int hr = h.add(std::make_unique<nn::Activation>(nn::Act::kReLU), mp);
+        const int gp = h.add(std::make_unique<nn::PWConv1>(8, 8, true, rng, 2), hr);
+        const int hr6 = h.add(std::make_unique<nn::Activation>(nn::Act::kReLU6), gp);
+        const quant::QuantConfig fallback = s9.with_fp32_fallback();
+        const quant::Program q = quant::lower(h, fallback);
+        for (const int i : {hr, hr6}) {
+            EXPECT_EQ(h.fusion_plan().carrier[static_cast<std::size_t>(i)], i - 1) << i;
+            EXPECT_TRUE(q.ops[static_cast<std::size_t>(i)].executes()) << i;
+        }
+        expect_auto_runs_its_plan(h, in, fallback, "maxpool -> relu, grouped conv -> relu6");
+    }
+    {  // dwconv -> ChannelBias -> Identity -> ReLU6: everything folds, and the
+       // ReLU6 clamp lands on the bias folded into the dwconv.
+        nn::Graph h;
+        const int d = h.add(std::make_unique<nn::DWConv3>(3, rng), 0);
+        const int hb =
+            h.add(std::make_unique<deploy::ChannelBias>(std::vector<float>(3, 0.25f)), d);
+        const int hi = h.add(std::make_unique<deploy::Identity>(), hb);
+        const int hr = h.add(std::make_unique<nn::Activation>(nn::Act::kReLU6), hi);
+        const quant::Program q = quant::lower(h, s9);
+        for (const int i : {hb, hi, hr}) EXPECT_EQ(q.carrier(i), d) << i;
+        EXPECT_EQ(q.ops[static_cast<std::size_t>(d)].fused_bias, hb);
+        EXPECT_EQ(q.ops[static_cast<std::size_t>(d)].fused_act, -1);
+        EXPECT_EQ(q.ops[static_cast<std::size_t>(hb)].fused_act, hr);
+        expect_auto_runs_its_plan(h, in, s9, "dwconv -> bias -> identity -> relu6");
+    }
+}
+
+TEST(Lower, SkippedOpsSitWhereTheFp32PlanHoldsThem) {
+    // quant::lower decides no fusion of its own: it only vetoes folds of
+    // nn::Graph::fusion_plan().  So every op it skips lives in the buffer
+    // the fp32 eval forward keeps it in, on every shipped graph.
+    const auto check = [](nn::Graph& g, const std::string& what) {
+        const std::vector<int> fp32 = g.fusion_plan().carrier;
+        for (const quant::QExecution e :
+             {quant::QExecution::kAuto, quant::QExecution::kReference}) {
+            const quant::Program p = quant::lower(g, scheme(9, 11, e));
+            for (int i = 0; i < static_cast<int>(p.ops.size()); ++i) {
+                if (p.ops[static_cast<std::size_t>(i)].executes()) continue;
+                EXPECT_EQ(p.carrier(i), fp32[static_cast<std::size_t>(i)]) << what << " op " << i;
+            }
+        }
+    };
+    for (const std::string& name : backbones::backbone_names()) {
+        Rng rng(31);
+        backbones::Backbone b = backbones::build_by_name(name, 0.25f, rng);
+        check(*b.net, name);
+        deploy::fold_graph_bn(*b.net);
+        check(*b.net, name + " folded");
+    }
+    // The models the repo calibrates an FM range on (quant::calibrate_fm_abs_max
+    // reads the fp32 carriers): folded ReLU6 SkyNet and Fig. 2a's AlexNet
+    // classifier.  No veto fires, so the integer plan is the fp32 one.
+    const auto expect_no_veto = [](nn::Graph& g, const std::string& what, int skips) {
+        const std::vector<int> fp32 = g.fusion_plan().carrier;
+        const quant::Program p = quant::lower(g, scheme(9, 11, quant::QExecution::kAuto));
+        int skipped = 0;
+        for (int i = 0; i < static_cast<int>(p.ops.size()); ++i) {
+            EXPECT_EQ(p.carrier(i), fp32[static_cast<std::size_t>(i)]) << what << " op " << i;
+            skipped += p.ops[static_cast<std::size_t>(i)].executes() ? 0 : 1;
+        }
+        EXPECT_EQ(skipped, skips) << what;
+    };
+    const std::map<SkyNetVariant, int> skipped{
+        {SkyNetVariant::kA, 20}, {SkyNetVariant::kB, 24}, {SkyNetVariant::kC, 24}};
+    for (const auto& [v, count] : skipped)
+        for (const nn::Act act : {nn::Act::kReLU6, nn::Act::kLeaky}) {
+            Rng rng(7);
+            SkyNetModel m = build_skynet({v, act, 2, 0.25f}, rng);
+            const std::string what = std::string("skynet-") + variant_name(v);
+            check(*m.net, what);
+            deploy::fold_graph_bn(*m.net);
+            check(*m.net, what + " folded");
+            if (act == nn::Act::kReLU6) expect_no_veto(*m.net, what, count);
+        }
+    Rng rng(3);
+    std::unique_ptr<nn::Graph> alexnet = backbones::build_alexnet_classifier(10, 32, 0.25f, rng);
+    deploy::fold_graph_bn(*alexnet);
+    check(*alexnet, "alexnet classifier");
+    expect_no_veto(*alexnet, "alexnet classifier", 12);
 }
 
 // ------------------------------------------------------------ detector path --

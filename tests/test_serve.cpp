@@ -206,23 +206,71 @@ TEST(Engine, ShutdownDrainsInflightRequests) {
     for (int i = 0; i < 12; ++i) futures.push_back(engine.submit(random_image(100 + i)));
     engine.shutdown(/*drain=*/true);  // must complete every accepted request
     for (auto& f : futures) {
+        ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
         const DetectResult r = f.get();  // throws if any request was dropped
         EXPECT_GE(r.box.w, 0.0f);
         EXPECT_GT(r.total_ms, 0.0);
     }
     EXPECT_EQ(engine.completed(), 12u);
+    EXPECT_EQ(engine.submitted(), engine.completed() + engine.failed() + engine.discarded());
+    EXPECT_EQ(engine.discarded(), 0u);
     EXPECT_GE(engine.batches(), 3u);  // 12 requests / max_batch 4
 }
 
 TEST(Engine, NonDrainingShutdownFailsOnlyQueuedRequests) {
     Detector det = small_detector();
+    obs::Registry reg;
     ServeConfig cfg;
     cfg.queue_capacity = 16;
+    cfg.metrics = &reg;
     Engine engine(det, cfg);
     std::vector<std::future<DetectResult>> futures;
     for (int i = 0; i < 5; ++i) futures.push_back(engine.submit(random_image(i)));
     engine.shutdown(/*drain=*/false);  // never started: all five still queued
-    for (auto& f : futures) EXPECT_THROW((void)f.get(), RejectedError);
+    for (auto& f : futures) {
+        ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+        EXPECT_THROW((void)f.get(), RejectedError);
+    }
+    // Accepted, then discarded: neither completed, failed nor rejected.
+    EXPECT_EQ(engine.submitted(), 5u);
+    EXPECT_EQ(engine.discarded(), 5u);
+    EXPECT_EQ(engine.completed() + engine.failed() + engine.rejected(), 0u);
+    EXPECT_EQ(reg.counter("serve.discarded"), 5.0);
+    EXPECT_EQ(reg.counter("serve.rejected"), 0.0);
+}
+
+TEST(Engine, StartedNonDrainingShutdownAccountsForEveryRequest) {
+    // Requests already past preprocess complete and queued ones are
+    // discarded; which is which depends on timing, the sum does not.
+    Detector det = small_detector();
+    obs::Registry reg;
+    ServeConfig cfg;
+    cfg.max_batch = 2;
+    cfg.queue_capacity = 32;
+    cfg.metrics = &reg;
+    Engine engine(det, cfg);
+    engine.start();
+    std::vector<std::future<DetectResult>> futures;
+    for (int i = 0; i < 12; ++i) futures.push_back(engine.submit(random_image(200 + i)));
+    engine.shutdown(/*drain=*/false);
+    std::uint64_t completed = 0, discarded = 0;
+    for (auto& f : futures) {
+        ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+        try {
+            EXPECT_GE(f.get().box.w, 0.0f);
+            ++completed;
+        } catch (const RejectedError&) {
+            ++discarded;
+        }
+    }
+    EXPECT_EQ(engine.submitted(), 12u);
+    EXPECT_EQ(engine.completed(), completed);
+    EXPECT_EQ(engine.discarded(), discarded);
+    EXPECT_EQ(engine.failed(), 0u);
+    EXPECT_EQ(engine.submitted(), engine.completed() + engine.failed() + engine.discarded());
+    EXPECT_EQ(engine.rejected(), 0u);
+    EXPECT_EQ(reg.counter("serve.discarded"), static_cast<double>(discarded));
+    EXPECT_EQ(reg.counter("serve.completed"), static_cast<double>(completed));
 }
 
 TEST(Engine, BatchedResultsBitwiseEqualSingleDetectAtAnyThreadCount) {

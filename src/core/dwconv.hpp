@@ -1,0 +1,58 @@
+// The 3x3 depthwise convolution kernel (stride 1, pad 1) behind SkyNet's
+// DW-Conv3, for both datapaths:
+//
+//   dwconv3x3(float)    y = act(conv3x3(x, w) + b), the fp32 DWConv3 forward
+//                       with its fused epilogue applied at the store
+//   dwconv3x3(int32)    y = clamp(clamp(round_shift(conv3x3(x, w), shift),
+//                       lo, hi) + bias, bias_lo, bias_hi), the int8 engine's
+//                       int32 dwconv with its requantization and folded bias
+//
+// Each call convolves ONE H x W plane with its own 9 taps (w[kh*3 + kw]);
+// callers parallelise over (image, channel) planes, so every output element
+// is written by exactly one call and results are thread-count invariant.
+// The kernel is written once against compiler vector extensions
+// (core/dwconv_ukernel.hpp) and instantiated per SIMD level (core/simd.hpp);
+// the active level picks the instantiation.
+//
+// Both flavours return BITWISE the same values at every level:
+//   * fp32 keeps the sequential kernel's operation order per element —
+//     acc starts at +0.0 and each present input row adds
+//     (w0*l + w1*m) + w2*r; the left edge column adds its two taps
+//     separately, the right edge adds w0*l + w1*m — and no level contracts
+//     a multiply-add into an FMA.  The epilogue is nn::activate's formula
+//     on `acc + b` (or `acc` without a bias), as a separate pass computed.
+//   * int32 sums are exact under the caller's proof (below), so their
+//     order is free; rounding is round_shift's ties-away-from-zero.
+#pragma once
+
+#include <cstdint>
+
+#include "core/gemm.hpp"
+
+namespace sky::core {
+
+/// fp32 depthwise 3x3 over one plane: y = act(conv3x3(x, w) + b).  `ep.bias`
+/// points at THIS plane's bias (one value) or is null.  Writes all H x W
+/// outputs without reading y; y must not overlap x.
+void dwconv3x3(const float* x, const float* w, int H, int W, const Epilogue& ep, float* y);
+
+/// The int32 dwconv's requantization of each accumulator:
+/// y = clamp(clamp(round_shift(acc, shift), lo, hi) + bias, bias_lo, bias_hi).
+/// Without a folded bias, pass bias 0 and the conv's own [lo, hi] again.
+struct DwRequant {
+    int shift = 1;
+    std::int32_t lo = 0;
+    std::int32_t hi = 0;
+    std::int32_t bias = 0;
+    std::int32_t bias_lo = 0;
+    std::int32_t bias_hi = 0;
+};
+
+/// int32 depthwise 3x3 over one plane with `rq` applied at the store.  The
+/// caller proves the int32 arithmetic exact: 1 <= shift <= 30,
+/// 9 * max|w| * max|x| + 2^(shift-1) < 2^31, and clamp(r, lo, hi) + bias
+/// fits int32.  Writes all H x W outputs; y must not overlap x.
+void dwconv3x3(const std::int32_t* x, const std::int32_t* w, int H, int W,
+               const DwRequant& rq, std::int32_t* y);
+
+}  // namespace sky::core

@@ -1,0 +1,212 @@
+// The depthwise 3x3 plane kernel behind core/dwconv.hpp, written once
+// against compiler vector extensions and instantiated per SIMD level:
+// core/dwconv.cpp the scalar and baseline-ISA widths, core/dwconv_avx2.cpp
+// the 8-lane AVX2 width (compiled with -mavx2 and no -mfma).
+//
+// DwPlane<T, V>::run(x, w, H, W, y, fin) convolves one H x W plane (stride 1,
+// pad 1).  T is the element type (float or int32), V a GNU vector of T lanes
+// or T itself for the scalar reference instantiation.  The input rows an
+// output row reads (oh-1, oh, oh+1, clipped at the plane border) are fixed
+// per row, so each of the four row shapes is its own unrolled loop:
+//
+//   column 0         acc = +0; per row: acc += w1*x0, then acc += w2*x1
+//   columns 1..W-2   acc = +0; per row: acc += (w0*l + w1*m) + w2*r, in V
+//                    lanes; the last vector is shifted left to end at W-2
+//                    and rewrites a few columns with the same values
+//   column W-1       acc = +0; per row: acc += w0*x[W-2] + w1*x[W-1]
+//
+// That is the sequential DWConv3 loop's order for every element, so fp32
+// outputs are bitwise that loop's as long as no multiply-add contracts into
+// an FMA.  `fin` maps each finished accumulator to its output (the fp32
+// epilogue or the int32 requantization) in registers, before the one store;
+// the edge columns go through lane 0 of a V.
+//
+// Every helper is a template over V, so the AVX2 translation unit shares no
+// inline function with the baseline ones: a helper the linker merged across
+// them could run AVX2 code on a CPU without it.
+#pragma once
+
+#include <cstdint>
+#include <cstring>
+#include <type_traits>
+
+#include "core/dwconv.hpp"
+#include "core/gemm_ukernel.hpp"
+
+namespace sky::core::detail {
+
+/// One selectable depthwise kernel: both plane functions of one level.
+struct DwConvKernel {
+    void (*f32)(const float* x, const float* w, int H, int W, const Epilogue& ep,
+                float* y) = nullptr;
+    void (*i32)(const std::int32_t* x, const std::int32_t* w, int H, int W,
+                const DwRequant& rq, std::int32_t* y) = nullptr;
+};
+
+template <class T, class V>
+struct DwPlane {
+    static constexpr int kLanes = static_cast<int>(sizeof(V) / sizeof(T));
+
+    /// U (V or T) loaded from p.
+    template <class U>
+    static U load(const T* p) {
+        if constexpr (std::is_same_v<U, T>) {
+            return *p;
+        } else {
+            U v;
+            std::memcpy(&v, p, sizeof(U));
+            return v;
+        }
+    }
+
+    static V splat(T x) {
+        if constexpr (std::is_same_v<V, T>) {
+            return x;
+        } else {
+            V v{};
+            for (int i = 0; i < kLanes; ++i) v[i] = x;
+            return v;
+        }
+    }
+
+    static T lane0(V v) {
+        if constexpr (std::is_same_v<V, T>) {
+            return v;
+        } else {
+            return v[0];
+        }
+    }
+
+    /// The interior taps of output columns [ow, ow + lanes(U)), U being V or
+    /// T; `w` holds the 9 weights as U.
+    template <class U, int KH0, int KH1>
+    static U taps(const T* const* rows, const U* w, int ow) {
+        U acc{};
+#pragma GCC unroll 3
+        for (int kh = KH0; kh <= KH1; ++kh) {
+            const T* r = rows[kh];
+            acc = acc + ((w[kh * 3] * load<U>(r + ow - 1) + w[kh * 3 + 1] * load<U>(r + ow)) +
+                         w[kh * 3 + 2] * load<U>(r + ow + 1));
+        }
+        return acc;
+    }
+
+    /// One output row reading input rows KH0..KH1 (top, mid, bot are the
+    /// rows oh-1, oh, oh+1).  The rows, the 9 weight vectors and `fin` are
+    /// locals no store can alias, so they stay in registers.
+    template <int KH0, int KH1, class Fin>
+    static void row(const T* top, const T* mid, const T* bot, const T* w, int W, T* out,
+                    const Fin fin) {
+        const T* const rows[3] = {top, mid, bot};
+        V wv[9];
+#pragma GCC unroll 9
+        for (int k = 0; k < 9; ++k) wv[k] = splat(w[k]);
+        T acc{};
+#pragma GCC unroll 3
+        for (int kh = KH0; kh <= KH1; ++kh) {
+            acc = acc + w[kh * 3 + 1] * rows[kh][0];
+            if (W > 1) acc = acc + w[kh * 3 + 2] * rows[kh][1];
+        }
+        out[0] = lane0(fin(splat(acc)));
+        if (W == 1) return;
+        int ow = 1;
+        const int last = W - 1 - kLanes;  // the vector that ends at column W-2
+        if (last >= 1) {
+            for (; ow < last; ow += kLanes) {
+                const V v = fin(taps<V, KH0, KH1>(rows, wv, ow));
+                std::memcpy(out + ow, &v, sizeof(V));
+            }
+            const V v = fin(taps<V, KH0, KH1>(rows, wv, last));
+            std::memcpy(out + last, &v, sizeof(V));
+            ow = W - 1;
+        }
+        for (; ow < W - 1; ++ow) out[ow] = lane0(fin(splat(taps<T, KH0, KH1>(rows, w, ow))));
+        acc = T{};
+#pragma GCC unroll 3
+        for (int kh = KH0; kh <= KH1; ++kh)
+            acc = acc + (w[kh * 3] * rows[kh][W - 2] + w[kh * 3 + 1] * rows[kh][W - 1]);
+        out[W - 1] = lane0(fin(splat(acc)));
+    }
+
+    template <class Fin>
+    static void run(const T* x, const T* w, int H, int W, T* y, const Fin& fin) {
+        if (W <= 0) return;
+        for (int oh = 0; oh < H; ++oh) {
+            const T* mid = x + static_cast<std::int64_t>(oh) * W;
+            const T* top = oh > 0 ? mid - W : nullptr;
+            const T* bot = oh + 1 < H ? mid + W : nullptr;
+            T* out = y + static_cast<std::int64_t>(oh) * W;
+            if (H == 1)
+                row<1, 1>(top, mid, bot, w, W, out, fin);
+            else if (oh == 0)
+                row<1, 2>(top, mid, bot, w, W, out, fin);
+            else if (oh + 1 == H)
+                row<0, 1>(top, mid, bot, w, W, out, fin);
+            else
+                row<0, 2>(top, mid, bot, w, W, out, fin);
+        }
+    }
+};
+
+/// fp32 finish: nn/epilogue.hpp's act(acc + b), or act(acc) without a bias.
+template <class VF>
+struct DwEpilogue {
+    bool has_bias;
+    VF bias;
+    EpilogueAct act;
+    float slope;
+
+    explicit DwEpilogue(const Epilogue& ep)
+        : has_bias(ep.bias != nullptr),
+          bias(DwPlane<float, VF>::splat(has_bias ? *ep.bias : 0.0f)),
+          act(ep.act),
+          slope(ep.slope) {}
+
+    VF operator()(VF acc) const {
+        return epilogue_act<VF>(has_bias ? acc + bias : acc, act, slope);
+    }
+};
+
+/// int32 finish: round_shift's ties-away-from-zero on |acc| + half with the
+/// sign restored, the conv's clamp, then the folded bias and its clamp.
+template <class VI>
+struct DwRequantize {
+    VI half, lo, hi, bias, bias_lo, bias_hi;
+    int shift;
+
+    explicit DwRequantize(const DwRequant& rq)
+        : half(DwPlane<std::int32_t, VI>::splat(std::int32_t{1} << (rq.shift - 1))),
+          lo(DwPlane<std::int32_t, VI>::splat(rq.lo)),
+          hi(DwPlane<std::int32_t, VI>::splat(rq.hi)),
+          bias(DwPlane<std::int32_t, VI>::splat(rq.bias)),
+          bias_lo(DwPlane<std::int32_t, VI>::splat(rq.bias_lo)),
+          bias_hi(DwPlane<std::int32_t, VI>::splat(rq.bias_hi)),
+          shift(rq.shift) {}
+
+    VI operator()(VI acc) const {
+        const VI zero{};
+        VI r = ((acc < zero ? -acc : acc) + half) >> shift;
+        r = acc < zero ? -r : r;
+        r = r < lo ? lo : (r > hi ? hi : r);
+        r = r + bias;
+        return r < bias_lo ? bias_lo : (r > bias_hi ? bias_hi : r);
+    }
+};
+
+template <class VF>
+void dwconv3x3_f32(const float* x, const float* w, int H, int W, const Epilogue& ep,
+                   float* y) {
+    DwPlane<float, VF>::run(x, w, H, W, y, DwEpilogue<VF>(ep));
+}
+
+template <class VI>
+void dwconv3x3_i32(const std::int32_t* x, const std::int32_t* w, int H, int W,
+                   const DwRequant& rq, std::int32_t* y) {
+    DwPlane<std::int32_t, VI>::run(x, w, H, W, y, DwRequantize<VI>(rq));
+}
+
+/// AVX2 kernels, defined in core/dwconv_avx2.cpp when that TU is part of the
+/// build (SKYNET_SIMD CMake option, x86-64 GCC/Clang only).
+const DwConvKernel& dwconv_avx2_kernel();
+
+}  // namespace sky::core::detail

@@ -1,16 +1,18 @@
 // SIMD dispatch layer for the sky::core kernel engine.
 //
-// The GEMM micro-kernels (core/gemm.cpp, core/gemm_avx2.cpp) are written
-// once against compiler vector extensions and instantiated at several
-// register widths; this header names the levels and owns the process-wide
-// selection:
+// The GEMM micro-kernels (core/gemm.cpp, core/gemm_avx2.cpp), their integer
+// twin (core/qgemm*.cpp) and the depthwise kernel (core/dwconv*.cpp) are
+// written once against compiler vector extensions and instantiated at
+// several register widths; this header names the levels and owns the
+// process-wide selection:
 //
 //   kScalar   plain float accumulators — the reference semantics, also the
 //             fallback when vector units are disabled (SKYNET_SIMD=0).
 //   kGeneric  native-width vectors at the baseline ISA of the build
 //             (SSE2 on x86-64, NEON on aarch64) — no special build flags.
-//   kAvx2     8-wide AVX2 + FMA kernels from a dedicated -mavx2 -mfma
-//             translation unit, used only when the CPU reports support.
+//   kAvx2     8-wide AVX2 kernels from dedicated -mavx2 translation units
+//             (the fp32 GEMM's also -mfma), used only when the CPU reports
+//             support for both.
 //
 // Selection order: the SKYNET_SIMD environment variable ("0" forces
 // kScalar) read once on first use, else the best level the running CPU

@@ -1,8 +1,8 @@
 #include "nn/dwconv.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
+#include "core/dwconv.hpp"
 #include "core/thread_pool.hpp"
 
 namespace sky::nn {
@@ -32,45 +32,19 @@ void DWConv3::forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) {
     if (training_) input_ = x;
     const Shape s = x.shape();
     y.resize(s);
-    const std::int64_t plane = static_cast<std::int64_t>(s.h) * s.w;
     // Each (n, c) plane is an independent 3x3 convolution; parallelise over
     // the flattened plane index (disjoint outputs, thread-count invariant).
-    // A chunk zeroes its own planes, then accumulates the taps into them.
+    // The kernel writes every element of a plane with `ep` applied.
     core::parallel_for(
         0, static_cast<std::int64_t>(s.n) * channels_, 1,
         [&](std::int64_t p0, std::int64_t p1) {
         for (std::int64_t p = p0; p < p1; ++p) {
             const int n = static_cast<int>(p / channels_);
             const int c = static_cast<int>(p % channels_);
-            const float* xp = x.plane(n, c);
-            float* yp = y.plane(n, c);
-            std::fill(yp, yp + plane, 0.0f);
-            const float* w = weight_.plane(c, 0);
-            for (int oh = 0; oh < s.h; ++oh) {
-                float* yrow = yp + static_cast<std::int64_t>(oh) * s.w;
-                for (int kh = 0; kh < 3; ++kh) {
-                    const int ih = oh - 1 + kh;
-                    if (ih < 0 || ih >= s.h) continue;
-                    const float* xrow = xp + static_cast<std::int64_t>(ih) * s.w;
-                    const float w0 = w[kh * 3 + 0];
-                    const float w1 = w[kh * 3 + 1];
-                    const float w2 = w[kh * 3 + 2];
-                    // interior columns all in-bounds: unrolled taps
-                    for (int ow = 1; ow + 1 < s.w; ++ow)
-                        yrow[ow] += w0 * xrow[ow - 1] + w1 * xrow[ow] + w2 * xrow[ow + 1];
-                    // left edge
-                    if (s.w > 0) {
-                        yrow[0] += w1 * xrow[0];
-                        if (s.w > 1) yrow[0] += w2 * xrow[1];
-                    }
-                    // right edge
-                    if (s.w > 1) {
-                        const int last = s.w - 1;
-                        yrow[last] += w0 * xrow[last - 1] + w1 * xrow[last];
-                    }
-                }
-            }
-            apply_epilogue(ep, c, yp, plane);
+            const Epilogue plane_ep{ep.bias != nullptr ? ep.bias + c : nullptr, ep.act,
+                                    ep.slope};
+            core::dwconv3x3(x.plane(n, c), weight_.plane(c, 0), s.h, s.w, plane_ep,
+                            y.plane(n, c));
         }
         });
 }

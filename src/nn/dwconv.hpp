@@ -15,8 +15,8 @@ public:
     DWConv3(int channels, Rng& rng);
 
     Tensor forward(const Tensor& x) override;
-    /// Each chunk zeroes its planes of `y`, accumulates the taps into them
-    /// and applies `ep` right after.
+    /// core::dwconv3x3 writes every element of each plane of `y`, with `ep`
+    /// applied at the store.
     void forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) override;
     Tensor backward(const Tensor& grad_out) override;
     void collect_params(std::vector<ParamRef>& out) override;

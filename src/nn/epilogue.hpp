@@ -5,8 +5,9 @@
 // In eval mode nn::Graph folds such nodes into the module that produces
 // their input, and that module applies the Epilogue where it writes its
 // output (Module::forward_fused): PWConv1 and Conv2d in the GEMM store,
-// DWConv3 and MaxPool2 per plane inside their parallel chunks, eval
-// BatchNorm2d in its own loop, and any other module in place afterwards.
+// DWConv3 in the depthwise kernel's store (core/dwconv.hpp), MaxPool2 per
+// plane inside its parallel chunks, eval BatchNorm2d in its own loop, and
+// any other module in place afterwards.
 // The formulas below are the only scalar copy; core/gemm_ukernel.hpp
 // carries their vector twin.
 // Every fused value is the same expression, in the same operand order, as

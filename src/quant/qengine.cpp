@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "core/dwconv.hpp"
 #include "core/thread_pool.hpp"
 #include "quant/intervals.hpp"
 #include "quant/qerror.hpp"
@@ -62,10 +63,12 @@ QEngine::QEngine(Program program) : program_(std::move(program)) {
         if (conv || op.kind == OpKind::kAdd || op.kind == OpKind::kBias) l.impl = QImpl::kRefInt;
         if (!conv) continue;
         const int shift = op.wfmt.frac_bits;
+        if (p.execution == QExecution::kReference) continue;
         if (op.kind == OpKind::kDwConv) {
-            // The dwconv gets a branch-free int32 fast path whenever the
-            // 9-tap accumulation plus the rounding offset provably fits —
-            // bit-equal to the int64 reference (exact integer sums).
+            // The dwconv runs the int32 vector kernel (core/dwconv.hpp)
+            // whenever the 9-tap accumulation plus the rounding offset
+            // provably fits — bit-equal to the int64 loop (exact integer
+            // sums), which the oracle keeps.
             const std::int64_t xmax =
                 std::max<std::int64_t>(-static_cast<std::int64_t>(spec.grid_lo), spec.grid_hi);
             l.dw32 = shift >= 1 && shift <= 30 &&
@@ -73,7 +76,6 @@ QEngine::QEngine(Program program) : program_(std::move(program)) {
                          (std::int64_t{1} << 31);
             continue;
         }
-        if (p.execution == QExecution::kReference) continue;
         const int K = op.in_ch * op.k * op.k;
         const ConvProof proof = prove_qgemm(K, op.pad, p.cfg.weight_bits, op.wmax,
                                             range[static_cast<std::size_t>(op.inputs[0])]);
@@ -352,55 +354,23 @@ void QEngine::execute_dwconv(const Op& op, const QLayer& l, const QTensor& x,
     // One (n, c) plane per iteration in both paths: writes are disjoint,
     // accumulation is exact integer — bitwise thread-count invariant.
     if (l.dw32) {
-        // Branch-free int32 fast path (planned: 9-tap sum + rounding offset
-        // provably fit int32).  Missing border rows read a zero row — the
-        // phantom taps contribute w * 0, exactly like skipping them — and
-        // the rounding matches round_shift tie-away-from-zero bit for bit.
-        const std::int32_t half = std::int32_t{1} << (shift - 1);
+        // The vector kernel (planned: 9-tap sum + rounding offset provably
+        // fit int32).  A zero bias with the conv's own bounds is the
+        // unfused result: clamp(clamp(r) + 0) == clamp(r).
         core::parallel_for(
             0, static_cast<std::int64_t>(x.shape.n) * C, 1,
             [=](std::int64_t i0, std::int64_t i1) {
-                const std::vector<std::int32_t> zrow(static_cast<std::size_t>(W), 0);
                 for (std::int64_t idx = i0; idx < i1; ++idx) {
                     const int c = static_cast<int>(idx % C);
-                    // Fused trailing bias: clamp(clamp(r) + b) with a zero
-                    // bias and the same bounds is the unfused result.
-                    const std::int32_t badd =
-                        pbias ? static_cast<std::int32_t>(pbias[c]) : 0;
-                    const std::int32_t flo = pbias ? plo : clamp_lo;
-                    const std::int32_t fhi = pbias ? phi : clamp_hi;
-                    const auto requant = [=](std::int32_t acc) {
-                        const std::int32_t r = acc >= 0 ? (acc + half) >> shift
-                                                        : -((-acc + half) >> shift);
-                        return std::clamp(std::clamp(r, clamp_lo, clamp_hi) + badd,
-                                          flo, fhi);
-                    };
-                    const std::int32_t* xp = xd + idx * H * W;
-                    std::int32_t* yp = yd + idx * H * W;
-                    const std::int32_t* w = wd + static_cast<std::int64_t>(c) * 9;
-                    const std::int32_t w0 = w[0], w1 = w[1], w2 = w[2], w3 = w[3],
-                                       w4 = w[4], w5 = w[5], w6 = w[6], w7 = w[7],
-                                       w8 = w[8];
-                    for (int oh = 0; oh < H; ++oh) {
-                        const std::int32_t* rm = xp + static_cast<std::int64_t>(oh) * W;
-                        const std::int32_t* rt = oh > 0 ? rm - W : zrow.data();
-                        const std::int32_t* rb = oh + 1 < H ? rm + W : zrow.data();
-                        std::int32_t* out = yp + static_cast<std::int64_t>(oh) * W;
-                        out[0] = requant(
-                            w1 * rt[0] + w4 * rm[0] + w7 * rb[0] +
-                            (W > 1 ? w2 * rt[1] + w5 * rm[1] + w8 * rb[1] : 0));
-                        for (int ow = 1; ow < W - 1; ++ow)
-                            out[ow] = requant(
-                                w0 * rt[ow - 1] + w1 * rt[ow] + w2 * rt[ow + 1] +
-                                w3 * rm[ow - 1] + w4 * rm[ow] + w5 * rm[ow + 1] +
-                                w6 * rb[ow - 1] + w7 * rb[ow] + w8 * rb[ow + 1]);
-                        if (W > 1) {
-                            const int ow = W - 1;
-                            out[ow] = requant(w0 * rt[ow - 1] + w1 * rt[ow] +
-                                              w3 * rm[ow - 1] + w4 * rm[ow] +
-                                              w6 * rb[ow - 1] + w7 * rb[ow]);
-                        }
-                    }
+                    const core::DwRequant rq{
+                        shift,
+                        clamp_lo,
+                        clamp_hi,
+                        pbias ? static_cast<std::int32_t>(pbias[c]) : 0,
+                        pbias ? plo : clamp_lo,
+                        pbias ? phi : clamp_hi};
+                    core::dwconv3x3(xd + idx * H * W, wd + static_cast<std::int64_t>(c) * 9, H,
+                                    W, rq, yd + idx * H * W);
                 }
             });
         return;

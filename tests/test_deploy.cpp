@@ -183,8 +183,11 @@ TEST(Report, SummaryTotalsMatchModule) {
     EXPECT_EQ(s.total_params, m.net->param_count());
     EXPECT_GT(s.rows.size(), 30u);
     // Depthwise layers on a GPU-class roofline are memory-bound.
-    for (const auto& r : s.rows)
-        if (r.info.kind == "dwconv") EXPECT_FALSE(r.compute_bound);
+    for (const auto& r : s.rows) {
+        if (r.info.kind == "dwconv") {
+            EXPECT_FALSE(r.compute_bound);
+        }
+    }
 }
 
 TEST(Report, PrintSummaryWritesTable) {

@@ -1,0 +1,379 @@
+// The depthwise 3x3 kernel (core/dwconv.hpp) against the loops it replaced,
+// at every SIMD level and at 1, 2 and 4 threads (the kernel runs inside
+// parallel_for chunks, one plane per call):
+//   * fp32 bitwise against the sequential DWConv3 loop — a +0-filled plane
+//     that each present input row accumulates into — followed by a separate
+//     nn::apply_epilogue pass, for every EpilogueAct with and without a bias,
+//     on inputs and weights holding NaN, +-Inf and +-0;
+//   * int32 bitwise against the int64 loop QEngine's reference interpreter
+//     runs, across shifts, clamps, folded biases and values at the edge of
+//     the int32 proof.
+// Each output is written into a stale buffer with guard cells on both sides,
+// which must come back untouched.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "core/dwconv.hpp"
+#include "core/qgemm.hpp"
+#include "core/simd.hpp"
+#include "core/thread_pool.hpp"
+#include "nn/dwconv.hpp"
+#include "nn/epilogue.hpp"
+#include "tensor/rng.hpp"
+#include "tensor/tensor.hpp"
+
+namespace sky {
+namespace {
+
+/// Restores the dispatch level and the global pool when a test exits.
+struct SimdGuard {
+    core::SimdLevel saved = core::active_simd_level();
+    ~SimdGuard() {
+        core::set_simd_level(saved);
+        core::ThreadPool::set_global_threads(0);
+    }
+};
+
+std::vector<core::SimdLevel> available_levels() {
+    std::vector<core::SimdLevel> out{core::SimdLevel::kScalar, core::SimdLevel::kGeneric};
+    if (core::best_simd_level() == core::SimdLevel::kAvx2)
+        out.push_back(core::SimdLevel::kAvx2);
+    return out;
+}
+
+constexpr int kWidths[] = {1, 2, 3, 8, 9, 10, 16, 17, 40};
+constexpr int kHeights[] = {1, 2, 3, 5};
+constexpr int kImages = 2;
+constexpr int kChannels = 3;
+constexpr int kGuard = 16;  // stale cells before and after the planes
+
+std::uint32_t bits(float v) {
+    std::uint32_t u = 0;
+    std::memcpy(&u, &v, sizeof u);
+    return u;
+}
+
+/// Every value bit for bit, +-0 included.  A NaN must meet a NaN, but its
+/// payload is not part of the contract: an x86 add of two NaNs keeps one
+/// operand's payload, and the compiler may commute an add.
+bool same_float(float a, float b) {
+    return (std::isnan(a) && std::isnan(b)) || bits(a) == bits(b);
+}
+
+// ------------------------------------------------------------------ fp32 --
+
+/// The sequential DWConv3 loop the kernel replaced, then its epilogue pass.
+void reference_plane(const float* xp, const float* w, int H, int W, const nn::Epilogue& ep,
+                     int channel, float* yp) {
+    std::fill(yp, yp + static_cast<std::int64_t>(H) * W, 0.0f);
+    for (int oh = 0; oh < H; ++oh) {
+        float* yrow = yp + static_cast<std::int64_t>(oh) * W;
+        for (int kh = 0; kh < 3; ++kh) {
+            const int ih = oh - 1 + kh;
+            if (ih < 0 || ih >= H) continue;
+            const float* xrow = xp + static_cast<std::int64_t>(ih) * W;
+            const float w0 = w[kh * 3 + 0];
+            const float w1 = w[kh * 3 + 1];
+            const float w2 = w[kh * 3 + 2];
+            for (int ow = 1; ow + 1 < W; ++ow)
+                yrow[ow] += w0 * xrow[ow - 1] + w1 * xrow[ow] + w2 * xrow[ow + 1];
+            if (W > 0) {
+                yrow[0] += w1 * xrow[0];
+                if (W > 1) yrow[0] += w2 * xrow[1];
+            }
+            if (W > 1) {
+                const int last = W - 1;
+                yrow[last] += w0 * xrow[last - 1] + w1 * xrow[last];
+            }
+        }
+    }
+    nn::apply_epilogue(ep, channel, yp, static_cast<std::int64_t>(H) * W);
+}
+
+/// Uniform values in [-2, 2]; with `specials`, about one in eight is NaN,
+/// +-Inf or +-0 instead.
+std::vector<float> floats(std::size_t n, Rng& rng, bool specials) {
+    const float cases[] = {std::numeric_limits<float>::quiet_NaN(),
+                           std::numeric_limits<float>::infinity(),
+                           -std::numeric_limits<float>::infinity(), 0.0f, -0.0f};
+    std::vector<float> v(n);
+    for (float& e : v)
+        e = specials && rng.chance(0.125) ? cases[rng.uniform_int(0, 4)]
+                                          : static_cast<float>(rng.uniform(-2.0, 2.0));
+    return v;
+}
+
+/// Runs the kernel over every (image, channel) plane at every level and
+/// 1/2/4 threads, into a stale buffer, against reference_plane.
+void expect_f32_matches(const std::vector<float>& x, const std::vector<float>& w, int H, int W,
+                        const nn::Epilogue& ep, const std::string& what) {
+    const std::int64_t plane = static_cast<std::int64_t>(H) * W;
+    const std::int64_t planes = static_cast<std::int64_t>(kImages) * kChannels;
+    std::vector<float> want(static_cast<std::size_t>(planes * plane));
+    for (std::int64_t p = 0; p < planes; ++p) {
+        const int c = static_cast<int>(p % kChannels);
+        reference_plane(x.data() + p * plane, w.data() + c * 9, H, W, ep, c,
+                        want.data() + p * plane);
+    }
+    const float stale = -std::numeric_limits<float>::quiet_NaN();
+    for (core::SimdLevel lvl : available_levels()) {
+        core::set_simd_level(lvl);
+        for (int threads : {1, 2, 4}) {
+            core::ThreadPool::set_global_threads(threads);
+            std::vector<float> buf(static_cast<std::size_t>(planes * plane + 2 * kGuard), stale);
+            float* y = buf.data() + kGuard;
+            core::parallel_for(0, planes, 1, [&](std::int64_t p0, std::int64_t p1) {
+                for (std::int64_t p = p0; p < p1; ++p) {
+                    const int c = static_cast<int>(p % kChannels);
+                    const nn::Epilogue pe{ep.bias != nullptr ? ep.bias + c : nullptr, ep.act,
+                                          ep.slope};
+                    core::dwconv3x3(x.data() + p * plane, w.data() + c * 9, H, W, pe,
+                                    y + p * plane);
+                }
+            });
+            const std::string at = what + " " + std::to_string(H) + "x" + std::to_string(W) +
+                                   " @" + core::simd_level_name(lvl) + "/" +
+                                   std::to_string(threads) + "t";
+            for (std::int64_t i = 0; i < planes * plane; ++i)
+                ASSERT_TRUE(same_float(y[i], want[static_cast<std::size_t>(i)]))
+                    << at << " idx " << i << ": " << y[i] << " vs " << want[i];
+            for (int g = 0; g < kGuard; ++g) {
+                ASSERT_EQ(bits(buf[static_cast<std::size_t>(g)]), bits(stale)) << at;
+                ASSERT_EQ(bits(buf[buf.size() - 1 - static_cast<std::size_t>(g)]), bits(stale))
+                    << at;
+            }
+        }
+    }
+}
+
+const nn::EpilogueAct kActs[] = {nn::EpilogueAct::kNone, nn::EpilogueAct::kReLU,
+                                 nn::EpilogueAct::kReLU6, nn::EpilogueAct::kLeaky,
+                                 nn::EpilogueAct::kSigmoid};
+
+TEST(DwConv, Fp32EqualsTheSequentialLoopPlusEpilogueBitwise) {
+    SimdGuard guard;
+    Rng rng(11);
+    std::vector<float> bias = floats(kChannels, rng, false);
+    bias[1] = -0.0f;
+    const float* const biases[] = {nullptr, bias.data()};
+    for (int H : kHeights)
+        for (int W : kWidths) {
+            const std::size_t n = static_cast<std::size_t>(kImages) * kChannels * H * W;
+            const std::vector<float> x = floats(n, rng, false);
+            const std::vector<float> w = floats(9 * kChannels, rng, false);
+            for (nn::EpilogueAct act : kActs)
+                for (const float* b : biases)
+                    expect_f32_matches(x, w, H, W, nn::Epilogue{b, act, 0.1f},
+                                       b != nullptr ? "bias" : "no bias");
+        }
+}
+
+TEST(DwConv, Fp32KeepsNaNInfAndSignedZeroLikeTheSequentialLoop) {
+    SimdGuard guard;
+    Rng rng(12);
+    std::vector<float> bias = floats(kChannels, rng, true);
+    bias[0] = -0.0f;
+    const float* const biases[] = {nullptr, bias.data()};
+    for (int H : kHeights)
+        for (int W : kWidths) {
+            const std::size_t n = static_cast<std::size_t>(kImages) * kChannels * H * W;
+            std::vector<float> x = floats(n, rng, true);
+            std::vector<float> w = floats(9 * kChannels, rng, true);
+            // Channel 2 of image 0: +0 inputs and negative weights, so every
+            // product is -0.0 and only the +0 start makes the sum +0.0.
+            std::fill(x.begin() + 2 * H * W, x.begin() + 3 * H * W, 0.0f);
+            for (int k = 0; k < 9; ++k) w[static_cast<std::size_t>(18 + k)] = -1.0f - k;
+            for (nn::EpilogueAct act : kActs)
+                for (const float* b : biases)
+                    expect_f32_matches(x, w, H, W, nn::Epilogue{b, act, 0.1f},
+                                       b != nullptr ? "specials, bias" : "specials");
+        }
+}
+
+TEST(DwConv, LayerForwardFusedEqualsTheSequentialLoopPlusEpilogue) {
+    // nn::DWConv3 hands the kernel each plane's input, weights and bias.
+    SimdGuard guard;
+    Rng rng(13);
+    nn::DWConv3 layer(5, rng);
+    layer.set_training(false);
+    Tensor x({3, 5, 7, 19});
+    x.rand_uniform(rng, -1.0f, 1.0f);
+    const std::vector<float> bias = floats(5, rng, false);
+    const nn::Epilogue ep{bias.data(), nn::EpilogueAct::kReLU6, 0.0f};
+    Tensor want(x.shape());
+    for (int n = 0; n < 3; ++n)
+        for (int c = 0; c < 5; ++c)
+            reference_plane(x.plane(n, c), layer.weight().plane(c, 0), 7, 19, ep, c,
+                            want.plane(n, c));
+    for (core::SimdLevel lvl : available_levels()) {
+        core::set_simd_level(lvl);
+        for (int threads : {1, 2, 4}) {
+            core::ThreadPool::set_global_threads(threads);
+            Tensor y({4, 5, 9, 21}, std::numeric_limits<float>::quiet_NaN());
+            layer.forward_fused(x, ep, y);
+            ASSERT_EQ(y.shape(), x.shape());
+            for (std::int64_t i = 0; i < y.size(); ++i)
+                ASSERT_EQ(bits(y[i]), bits(want[i]))
+                    << core::simd_level_name(lvl) << "/" << threads << "t idx " << i;
+        }
+    }
+}
+
+// ----------------------------------------------------------------- int32 --
+
+/// QEngine's int64 reference loop for one plane.
+void reference_plane(const std::int32_t* xp, const std::int32_t* w, int H, int W,
+                     const core::DwRequant& rq, std::int32_t* yp) {
+    for (int oh = 0; oh < H; ++oh)
+        for (int ow = 0; ow < W; ++ow) {
+            std::int64_t acc = 0;
+            for (int kh = 0; kh < 3; ++kh)
+                for (int kw = 0; kw < 3; ++kw) {
+                    const int ih = oh - 1 + kh;
+                    const int iw = ow - 1 + kw;
+                    if (ih < 0 || ih >= H || iw < 0 || iw >= W) continue;
+                    acc += static_cast<std::int64_t>(w[kh * 3 + kw]) *
+                           xp[static_cast<std::int64_t>(ih) * W + iw];
+                }
+            yp[static_cast<std::int64_t>(oh) * W + ow] =
+                static_cast<std::int32_t>(std::clamp<std::int64_t>(
+                    std::clamp<std::int64_t>(core::round_shift(acc, rq.shift), rq.lo, rq.hi) +
+                        rq.bias,
+                    rq.bias_lo, rq.bias_hi));
+        }
+}
+
+/// One requantization per channel (a folded bias differs per channel).
+void expect_i32_matches(const std::vector<std::int32_t>& x, const std::vector<std::int32_t>& w,
+                        int H, int W, const std::vector<core::DwRequant>& rq,
+                        const std::string& what) {
+    const std::int64_t plane = static_cast<std::int64_t>(H) * W;
+    const std::int64_t planes = static_cast<std::int64_t>(kImages) * kChannels;
+    std::vector<std::int32_t> want(static_cast<std::size_t>(planes * plane));
+    for (std::int64_t p = 0; p < planes; ++p) {
+        const auto c = static_cast<std::size_t>(p % kChannels);
+        reference_plane(x.data() + p * plane, w.data() + c * 9, H, W, rq[c],
+                        want.data() + p * plane);
+    }
+    const std::int32_t stale = 0x5A5A5A5A;
+    for (core::SimdLevel lvl : available_levels()) {
+        core::set_simd_level(lvl);
+        for (int threads : {1, 2, 4}) {
+            core::ThreadPool::set_global_threads(threads);
+            std::vector<std::int32_t> buf(static_cast<std::size_t>(planes * plane + 2 * kGuard),
+                                          stale);
+            std::int32_t* y = buf.data() + kGuard;
+            core::parallel_for(0, planes, 1, [&](std::int64_t p0, std::int64_t p1) {
+                for (std::int64_t p = p0; p < p1; ++p) {
+                    const auto c = static_cast<std::size_t>(p % kChannels);
+                    core::dwconv3x3(x.data() + p * plane, w.data() + c * 9, H, W, rq[c],
+                                    y + p * plane);
+                }
+            });
+            const std::string at = what + " " + std::to_string(H) + "x" + std::to_string(W) +
+                                   " shift " + std::to_string(rq[0].shift) + " @" +
+                                   core::simd_level_name(lvl) + "/" + std::to_string(threads) +
+                                   "t";
+            for (std::int64_t i = 0; i < planes * plane; ++i)
+                ASSERT_EQ(y[i], want[static_cast<std::size_t>(i)]) << at << " idx " << i;
+            for (int g = 0; g < kGuard; ++g) {
+                ASSERT_EQ(buf[static_cast<std::size_t>(g)], stale) << at;
+                ASSERT_EQ(buf[buf.size() - 1 - static_cast<std::size_t>(g)], stale) << at;
+            }
+        }
+    }
+}
+
+std::vector<std::int32_t> ints(std::size_t n, Rng& rng, int lo, int hi) {
+    std::vector<std::int32_t> v(n);
+    for (std::int32_t& e : v) e = rng.uniform_int(lo, hi);
+    return v;
+}
+
+TEST(DwConv, Int32EqualsTheInt64LoopAcrossShiftsClampsAndFoldedBiases) {
+    // A 9-bit FM grid with 5 fraction bits (six = 6.0 on the grid) and
+    // 11-bit weights, as QEngine plans SkyNet at its default scheme.
+    SimdGuard guard;
+    constexpr std::int32_t kGridLo = -256, kGridHi = 255, kSix = 192;
+    struct Clamp {
+        std::int32_t lo, hi;
+    };
+    struct Bias {
+        const char* name;
+        bool folded;
+        std::int32_t add;  // channel c adds add * (c + 1)
+        Clamp clamp;
+    };
+    const Clamp clamps[] = {{kGridLo, kGridHi}, {0, kSix}};
+    const Bias biases[] = {{"no bias", false, 0, {}},
+                           {"zero bias", true, 0, {kGridLo, kGridHi}},
+                           {"negative bias", true, -37, {kGridLo, kGridHi}},
+                           {"negative bias + relu6", true, -37, {0, kSix}}};
+    Rng rng(21);
+    for (int shift : {1, 6, 11})
+        for (int H : kHeights)
+            for (int W : kWidths) {
+                const std::size_t n = static_cast<std::size_t>(kImages) * kChannels * H * W;
+                const std::vector<std::int32_t> x = ints(n, rng, kGridLo, kGridHi);
+                const std::vector<std::int32_t> w = ints(9 * kChannels, rng, -1024, 1023);
+                for (const Clamp& cl : clamps)
+                    for (const Bias& b : biases) {
+                        std::vector<core::DwRequant> rq;
+                        for (int c = 0; c < kChannels; ++c)
+                            rq.push_back(b.folded
+                                             ? core::DwRequant{shift, cl.lo, cl.hi,
+                                                               b.add * (c + 1), b.clamp.lo,
+                                                               b.clamp.hi}
+                                             : core::DwRequant{shift, cl.lo, cl.hi, 0, cl.lo,
+                                                               cl.hi});
+                        expect_i32_matches(x, w, H, W, rq, b.name);
+                    }
+            }
+}
+
+TEST(DwConv, Int32IsExactAtTheEdgeOfItsProof) {
+    // The widest operands the int32 proof admits,
+    // 9 * max|w| * max|x| + 2^(shift-1) <= 2^31 - 1: every tap at +-max
+    // makes a plane's interior accumulators reach +-9 * max|w| * max|x|.
+    SimdGuard guard;
+    Rng rng(22);
+    for (int shift : {1, 6, 11})
+        for (std::int64_t wmax : {1, 28, 1023}) {
+            const std::int64_t room = std::numeric_limits<std::int32_t>::max() -
+                                      (std::int64_t{1} << (shift - 1));
+            const auto xmax = static_cast<std::int32_t>(room / (9 * wmax));
+            ASSERT_LE(9 * wmax * xmax + (std::int64_t{1} << (shift - 1)),
+                      std::numeric_limits<std::int32_t>::max());
+            const auto wm = static_cast<std::int32_t>(wmax);
+            const std::int32_t big = std::numeric_limits<std::int32_t>::max() / 2;
+            const std::vector<core::DwRequant> rq(kChannels,
+                                                  core::DwRequant{shift, -big, big, 0, -big, big});
+            for (int H : {3, 5})
+                for (int W : {3, 10, 17, 40}) {
+                    const std::size_t plane = static_cast<std::size_t>(H) * W;
+                    // Channel 0: all +max taps; channel 1: inputs at -max;
+                    // channel 2: random signs at full magnitude.
+                    std::vector<std::int32_t> x(static_cast<std::size_t>(kImages) * kChannels *
+                                                plane);
+                    std::vector<std::int32_t> w(9 * kChannels);
+                    for (std::size_t i = 0; i < x.size(); ++i) {
+                        const std::size_t c = (i / plane) % kChannels;
+                        x[i] = c == 0 ? xmax : c == 1 ? -xmax : (rng.chance(0.5) ? xmax : -xmax);
+                    }
+                    for (std::size_t k = 0; k < w.size(); ++k)
+                        w[k] = k < 18 ? wm : (rng.chance(0.5) ? wm : -wm);
+                    expect_i32_matches(x, w, H, W, rq, "proof edge, max|w| " +
+                                                           std::to_string(wmax));
+                }
+        }
+}
+
+}  // namespace
+}  // namespace sky

@@ -206,7 +206,9 @@ TEST(AsciiViz, RendersBoxesAndLuminance) {
     std::size_t pos = 0, prev = 0;
     int lines = 0;
     while ((pos = art.find('\n', prev)) != std::string::npos) {
-        if (lines > 0) EXPECT_EQ(pos - prev, 32u);
+        if (lines > 0) {
+            EXPECT_EQ(pos - prev, 32u);
+        }
         prev = pos + 1;
         ++lines;
     }

@@ -159,9 +159,11 @@ TEST(FusedForward, SigmoidAndConvBiasActivationGraphs) {
     g.set_output(g.add_concat({b, c, d}));
     expect_fused_equals_unfused(g, random_input({2, 3, 10, 14}, 22), "mixed");
     // Every epilogue node fused: the two sigmoids, both biases and acts.
-    for (std::size_t i = 0; i < g.node_count(); ++i)
-        if (g.node_module(i) != nullptr && g.node_module(i)->as_epilogue())
+    for (std::size_t i = 0; i < g.node_count(); ++i) {
+        if (g.node_module(i) != nullptr && g.node_module(i)->as_epilogue()) {
             EXPECT_NE(g.node_carrier(static_cast<int>(i)), static_cast<int>(i)) << i;
+        }
+    }
 }
 
 TEST(FusedForward, BackboneZooBitwiseEqualsUnfused) {

@@ -129,8 +129,9 @@ TEST_P(FixedPointSweep, QuantisationInvariants) {
     // 1. Bounded error: |q(v) - v| <= step/2 for in-range values.
     for (std::int64_t i = 0; i < t.size(); ++i) {
         const float q = fmt.quantize(t[i]);
-        if (t[i] > fmt.min_val() && t[i] < fmt.max_val())
+        if (t[i] > fmt.min_val() && t[i] < fmt.max_val()) {
             EXPECT_LE(std::fabs(q - t[i]), fmt.step() * 0.5 + 1e-9) << t[i];
+        }
     }
     // 2. Idempotence: quantising twice changes nothing.
     Tensor once = t;

@@ -262,6 +262,9 @@ int main(int argc, char** argv) {
                       static_cast<double>(plan.peak_bytes), "bytes");
         bench::record("serve.int8_steady_alloc_events",
                       static_cast<double>(steady_allocs), "count");
+        // In-range frames never leave the qgemm plan for the reference path.
+        bench::record("serve.int8_reference_fallbacks",
+                      static_cast<double>(qdet.qengine()->reference_fallbacks()), "count");
         std::printf("\nint8 activation arena: %s\n", plan.summary().c_str());
         std::printf("CHECK int8 steady state allocation-free + peak exact: %s\n",
                     alloc_free ? "PASSED" : "FAILED");

@@ -209,7 +209,7 @@ std::string Value::str_or(const std::string& key, const std::string& fallback) c
 }
 
 bool parse(const std::string& text, Value& out, std::string& err) {
-    Parser p{text};
+    Parser p{text, 0, {}};
     out = Value{};
     if (!p.parse_value(out, 0)) {
         err = p.err;

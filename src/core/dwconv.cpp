@@ -13,13 +13,15 @@ typedef std::int32_t vi4 __attribute__((vector_size(16), aligned(4)));
 
 const detail::DwConvKernel& scalar_kernel() {
     static const detail::DwConvKernel k{&detail::dwconv3x3_f32<float>,
-                                        &detail::dwconv3x3_i32<std::int32_t>};
+                                        &detail::dwconv3x3_int<std::int32_t, std::int32_t>,
+                                        &detail::dwconv3x3_int<std::int32_t, std::int16_t>};
     return k;
 }
 
 const detail::DwConvKernel& generic_kernel() {
     static const detail::DwConvKernel k{&detail::dwconv3x3_f32<vf4>,
-                                        &detail::dwconv3x3_i32<vi4>};
+                                        &detail::dwconv3x3_int<vi4, std::int32_t>,
+                                        &detail::dwconv3x3_int<vi4, std::int16_t>};
     return k;
 }
 
@@ -46,6 +48,11 @@ void dwconv3x3(const float* x, const float* w, int H, int W, const Epilogue& ep,
 void dwconv3x3(const std::int32_t* x, const std::int32_t* w, int H, int W,
                const DwRequant& rq, std::int32_t* y) {
     active_kernel().i32(x, w, H, W, rq, y);
+}
+
+void dwconv3x3(const std::int16_t* x, const std::int32_t* w, int H, int W,
+               const DwRequant& rq, std::int16_t* y) {
+    active_kernel().i16(x, w, H, W, rq, y);
 }
 
 }  // namespace sky::core

@@ -3,9 +3,12 @@
 //
 //   dwconv3x3(float)    y = act(conv3x3(x, w) + b), the fp32 DWConv3 forward
 //                       with its fused epilogue applied at the store
-//   dwconv3x3(int32)    y = clamp(clamp(round_shift(conv3x3(x, w), shift),
+//   dwconv3x3(int)      y = clamp(clamp(round_shift(conv3x3(x, w), shift),
 //                       lo, hi) + bias, bias_lo, bias_hi), the int8 engine's
-//                       int32 dwconv with its requantization and folded bias
+//                       dwconv with its requantization and folded bias, over
+//                       int32 or int16 activation words (int32 lanes either
+//                       way: an int16 row widens as it loads, and each result
+//                       narrows as it stores)
 //
 // Each call convolves ONE H x W plane with its own 9 taps (w[kh*3 + kw]);
 // callers parallelise over (image, channel) planes, so every output element
@@ -21,7 +24,7 @@
 //     separately, the right edge adds w0*l + w1*m — and no level contracts
 //     a multiply-add into an FMA.  The epilogue is nn::activate's formula
 //     on `acc + b` (or `acc` without a bias), as a separate pass computed.
-//   * int32 sums are exact under the caller's proof (below), so their
+//   * int sums are exact under the caller's proof (below), so their
 //     order is free; rounding is round_shift's ties-away-from-zero.
 #pragma once
 
@@ -48,11 +51,15 @@ struct DwRequant {
     std::int32_t bias_hi = 0;
 };
 
-/// int32 depthwise 3x3 over one plane with `rq` applied at the store.  The
+/// Integer depthwise 3x3 over one plane with `rq` applied at the store.  The
 /// caller proves the int32 arithmetic exact: 1 <= shift <= 30,
 /// 9 * max|w| * max|x| + 2^(shift-1) < 2^31, and clamp(r, lo, hi) + bias
 /// fits int32.  Writes all H x W outputs; y must not overlap x.
 void dwconv3x3(const std::int32_t* x, const std::int32_t* w, int H, int W,
                const DwRequant& rq, std::int32_t* y);
+/// The same over int16 words; the caller also keeps [bias_lo, bias_hi]
+/// inside [-32768, 32767], so every result fits its word.
+void dwconv3x3(const std::int16_t* x, const std::int32_t* w, int H, int W,
+               const DwRequant& rq, std::int16_t* y);
 
 }  // namespace sky::core

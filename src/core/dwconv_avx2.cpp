@@ -5,8 +5,14 @@
 // core/qgemm_avx2.cpp.  8 lanes per vector: the fp32 flavour multiplies and
 // adds in separate vmulps / vaddps, so each element keeps the sequential
 // kernel's two roundings per tap (an FMA-contracted build measured no
-// faster); the int32 flavour multiplies with vpmulld and requantizes in the
-// same registers before the one store.
+// faster); the integer flavour multiplies with vpmulld and requantizes in
+// the same registers before the one store.  Over int16 words each load is
+// one vpmovsxwd and each store one vpackssdw + vpermq: GCC 12 splits an
+// 8-lane __builtin_convertvector widening into two 128-bit halves
+// (vpmovsxwd, vpsrldq, vpmovsxwd, vinserti128), so this unit brings its own
+// load/store policy.
+#include <immintrin.h>
+
 #include "core/dwconv_ukernel.hpp"
 
 namespace sky::core::detail {
@@ -15,10 +21,26 @@ namespace {
 typedef float vf8 __attribute__((vector_size(32), aligned(4)));
 typedef std::int32_t vi8 __attribute__((vector_size(32), aligned(4)));
 
+/// int16 words <-> 8 int32 lanes.  The stored values are clamped into
+/// int16, so the saturating pack never saturates.
+struct Int16Words {
+    static vi8 load(const std::int16_t* p) {
+        return reinterpret_cast<vi8>(
+            _mm256_cvtepi16_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p))));
+    }
+    static void store(std::int16_t* p, vi8 v) {
+        const __m256i x = reinterpret_cast<__m256i>(v);
+        const __m256i packed = _mm256_permute4x64_epi64(_mm256_packs_epi32(x, x), 0xD8);
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(p), _mm256_castsi256_si128(packed));
+    }
+};
+
 }  // namespace
 
 const DwConvKernel& dwconv_avx2_kernel() {
-    static const DwConvKernel kernel{&dwconv3x3_f32<vf8>, &dwconv3x3_i32<vi8>};
+    static const DwConvKernel kernel{&dwconv3x3_f32<vf8>,
+                                     &dwconv3x3_int<vi8, std::int32_t>,
+                                     &dwconv3x3_int<vi8, std::int16_t, Int16Words>};
     return kernel;
 }
 

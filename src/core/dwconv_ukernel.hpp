@@ -3,11 +3,14 @@
 // core/dwconv.cpp the scalar and baseline-ISA widths, core/dwconv_avx2.cpp
 // the 8-lane AVX2 width (compiled with -mavx2 and no -mfma).
 //
-// DwPlane<T, V>::run(x, w, H, W, y, fin) convolves one H x W plane (stride 1,
-// pad 1).  T is the element type (float or int32), V a GNU vector of T lanes
-// or T itself for the scalar reference instantiation.  The input rows an
-// output row reads (oh-1, oh, oh+1, clipped at the plane border) are fixed
-// per row, so each of the four row shapes is its own unrolled loop:
+// DwPlane<T, V, S, Io>::run(x, w, H, W, y, fin) convolves one H x W plane
+// (stride 1, pad 1).  T is the lane type the taps accumulate in (float or
+// int32), V a GNU vector of T lanes or T itself for the scalar reference
+// instantiation, S the stored word (T, or int16 for the integer engine's
+// 16-bit activations) and Io the policy that loads S words into V lanes and
+// stores V lanes as S words.  The input rows an output row reads (oh-1, oh,
+// oh+1, clipped at the plane border) are fixed per row, so each of the four
+// row shapes is its own unrolled loop:
 //
 //   column 0         acc = +0; per row: acc += w1*x0, then acc += w2*x1
 //   columns 1..W-2   acc = +0; per row: acc += (w0*l + w1*m) + w2*r, in V
@@ -35,27 +38,67 @@
 
 namespace sky::core::detail {
 
-/// One selectable depthwise kernel: both plane functions of one level.
+/// One selectable depthwise kernel: the plane functions of one level.
 struct DwConvKernel {
     void (*f32)(const float* x, const float* w, int H, int W, const Epilogue& ep,
                 float* y) = nullptr;
     void (*i32)(const std::int32_t* x, const std::int32_t* w, int H, int W,
                 const DwRequant& rq, std::int32_t* y) = nullptr;
+    void (*i16)(const std::int16_t* x, const std::int32_t* w, int H, int W,
+                const DwRequant& rq, std::int16_t* y) = nullptr;
 };
 
-template <class T, class V>
+/// The default load/store policy: a plain copy when S is V's lane type T;
+/// for int16 words in 4 int32 lanes, a widening load and a narrowing store
+/// (exact: every stored value fits S).  The scalar instantiation (V == T)
+/// stores one converted value and loads through DwPlane::load<T>.
+template <class T, class V, class S>
+struct DwWords {
+    static constexpr int kLanes = static_cast<int>(sizeof(V) / sizeof(T));
+
+    static V load(const S* p) {
+        if constexpr (std::is_same_v<S, T>) {
+            V v;
+            std::memcpy(&v, p, sizeof(V));
+            return v;
+        } else {
+            // Each word into the high half of its lane, then an arithmetic
+            // shift: one unpack and one shift on SSE2, where GCC 12 spends
+            // seven instructions on __builtin_convertvector.
+            static_assert(kLanes == 4 && sizeof(S) == 2 && sizeof(T) == 4,
+                          "int16 words in 4 int32 lanes");
+            typedef S VS __attribute__((vector_size(sizeof(S) * kLanes), aligned(sizeof(S))));
+            VS v;
+            std::memcpy(&v, p, sizeof(VS));
+            return reinterpret_cast<V>(__builtin_shufflevector(v, v, 0, 0, 1, 1, 2, 2, 3, 3)) >>
+                   16;
+        }
+    }
+
+    static void store(S* p, V v) {
+        if constexpr (std::is_same_v<V, T>) {
+            *p = static_cast<S>(v);
+        } else if constexpr (std::is_same_v<S, T>) {
+            std::memcpy(p, &v, sizeof(V));
+        } else {
+            typedef S VS __attribute__((vector_size(sizeof(S) * kLanes), aligned(sizeof(S))));
+            const VS narrow = __builtin_convertvector(v, VS);
+            std::memcpy(p, &narrow, sizeof(VS));
+        }
+    }
+};
+
+template <class T, class V, class S = T, class Io = DwWords<T, V, S>>
 struct DwPlane {
     static constexpr int kLanes = static_cast<int>(sizeof(V) / sizeof(T));
 
     /// U (V or T) loaded from p.
     template <class U>
-    static U load(const T* p) {
+    static U load(const S* p) {
         if constexpr (std::is_same_v<U, T>) {
-            return *p;
+            return static_cast<T>(*p);
         } else {
-            U v;
-            std::memcpy(&v, p, sizeof(U));
-            return v;
+            return Io::load(p);
         }
     }
 
@@ -80,11 +123,11 @@ struct DwPlane {
     /// The interior taps of output columns [ow, ow + lanes(U)), U being V or
     /// T; `w` holds the 9 weights as U.
     template <class U, int KH0, int KH1>
-    static U taps(const T* const* rows, const U* w, int ow) {
+    static U taps(const S* const* rows, const U* w, int ow) {
         U acc{};
 #pragma GCC unroll 3
         for (int kh = KH0; kh <= KH1; ++kh) {
-            const T* r = rows[kh];
+            const S* r = rows[kh];
             acc = acc + ((w[kh * 3] * load<U>(r + ow - 1) + w[kh * 3 + 1] * load<U>(r + ow)) +
                          w[kh * 3 + 2] * load<U>(r + ow + 1));
         }
@@ -95,47 +138,46 @@ struct DwPlane {
     /// rows oh-1, oh, oh+1).  The rows, the 9 weight vectors and `fin` are
     /// locals no store can alias, so they stay in registers.
     template <int KH0, int KH1, class Fin>
-    static void row(const T* top, const T* mid, const T* bot, const T* w, int W, T* out,
+    static void row(const S* top, const S* mid, const S* bot, const T* w, int W, S* out,
                     const Fin fin) {
-        const T* const rows[3] = {top, mid, bot};
+        const S* const rows[3] = {top, mid, bot};
         V wv[9];
 #pragma GCC unroll 9
         for (int k = 0; k < 9; ++k) wv[k] = splat(w[k]);
         T acc{};
 #pragma GCC unroll 3
         for (int kh = KH0; kh <= KH1; ++kh) {
-            acc = acc + w[kh * 3 + 1] * rows[kh][0];
-            if (W > 1) acc = acc + w[kh * 3 + 2] * rows[kh][1];
+            acc = acc + w[kh * 3 + 1] * static_cast<T>(rows[kh][0]);
+            if (W > 1) acc = acc + w[kh * 3 + 2] * static_cast<T>(rows[kh][1]);
         }
-        out[0] = lane0(fin(splat(acc)));
+        out[0] = static_cast<S>(lane0(fin(splat(acc))));
         if (W == 1) return;
         int ow = 1;
         const int last = W - 1 - kLanes;  // the vector that ends at column W-2
         if (last >= 1) {
-            for (; ow < last; ow += kLanes) {
-                const V v = fin(taps<V, KH0, KH1>(rows, wv, ow));
-                std::memcpy(out + ow, &v, sizeof(V));
-            }
-            const V v = fin(taps<V, KH0, KH1>(rows, wv, last));
-            std::memcpy(out + last, &v, sizeof(V));
+            for (; ow < last; ow += kLanes)
+                Io::store(out + ow, fin(taps<V, KH0, KH1>(rows, wv, ow)));
+            Io::store(out + last, fin(taps<V, KH0, KH1>(rows, wv, last)));
             ow = W - 1;
         }
-        for (; ow < W - 1; ++ow) out[ow] = lane0(fin(splat(taps<T, KH0, KH1>(rows, w, ow))));
+        for (; ow < W - 1; ++ow)
+            out[ow] = static_cast<S>(lane0(fin(splat(taps<T, KH0, KH1>(rows, w, ow)))));
         acc = T{};
 #pragma GCC unroll 3
         for (int kh = KH0; kh <= KH1; ++kh)
-            acc = acc + (w[kh * 3] * rows[kh][W - 2] + w[kh * 3 + 1] * rows[kh][W - 1]);
-        out[W - 1] = lane0(fin(splat(acc)));
+            acc = acc + (w[kh * 3] * static_cast<T>(rows[kh][W - 2]) +
+                         w[kh * 3 + 1] * static_cast<T>(rows[kh][W - 1]));
+        out[W - 1] = static_cast<S>(lane0(fin(splat(acc))));
     }
 
     template <class Fin>
-    static void run(const T* x, const T* w, int H, int W, T* y, const Fin& fin) {
+    static void run(const S* x, const T* w, int H, int W, S* y, const Fin& fin) {
         if (W <= 0) return;
         for (int oh = 0; oh < H; ++oh) {
-            const T* mid = x + static_cast<std::int64_t>(oh) * W;
-            const T* top = oh > 0 ? mid - W : nullptr;
-            const T* bot = oh + 1 < H ? mid + W : nullptr;
-            T* out = y + static_cast<std::int64_t>(oh) * W;
+            const S* mid = x + static_cast<std::int64_t>(oh) * W;
+            const S* top = oh > 0 ? mid - W : nullptr;
+            const S* bot = oh + 1 < H ? mid + W : nullptr;
+            S* out = y + static_cast<std::int64_t>(oh) * W;
             if (H == 1)
                 row<1, 1>(top, mid, bot, w, W, out, fin);
             else if (oh == 0)
@@ -199,10 +241,12 @@ void dwconv3x3_f32(const float* x, const float* w, int H, int W, const Epilogue&
     DwPlane<float, VF>::run(x, w, H, W, y, DwEpilogue<VF>(ep));
 }
 
-template <class VI>
-void dwconv3x3_i32(const std::int32_t* x, const std::int32_t* w, int H, int W,
-                   const DwRequant& rq, std::int32_t* y) {
-    DwPlane<std::int32_t, VI>::run(x, w, H, W, y, DwRequantize<VI>(rq));
+/// The integer flavour over either stored word S; `Io` loads S words into
+/// int32 lanes and stores them back narrowed.
+template <class VI, class S, class Io = DwWords<std::int32_t, VI, S>>
+void dwconv3x3_int(const S* x, const std::int32_t* w, int H, int W, const DwRequant& rq,
+                   S* y) {
+    DwPlane<std::int32_t, VI, S, Io>::run(x, w, H, W, y, DwRequantize<VI>(rq));
 }
 
 /// AVX2 kernels, defined in core/dwconv_avx2.cpp when that TU is part of the

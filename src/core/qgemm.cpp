@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 
 #include "core/qgemm_ukernel.hpp"
 #include "core/simd.hpp"
@@ -18,14 +19,16 @@ typedef std::int32_t vi4 __attribute__((vector_size(16), aligned(4)));
 typedef std::uint8_t vu8x8 __attribute__((vector_size(8), aligned(1)));
 
 const detail::QGemmKernel& scalar_kernel() {
-    static const detail::QGemmKernel k{4, 4, &detail::qgemm_ukernel_scalar<4, 4>,
+    static const detail::QGemmKernel k{4, 4, &detail::qgemm_ukernel_scalar<4, 4, std::int32_t>,
+                                       &detail::qgemm_ukernel_scalar<4, 4, std::int16_t>,
                                        "scalar"};
     return k;
 }
 
 const detail::QGemmKernel& generic_kernel() {
     static const detail::QGemmKernel k{
-        4, 8, &detail::qgemm_ukernel_vec<vi4, vu8x8, 4, 2>, "generic"};
+        4, 8, &detail::qgemm_ukernel_vec<vi4, vu8x8, 4, 2, std::int32_t>,
+        &detail::qgemm_ukernel_vec<vi4, vu8x8, 4, 2, std::int16_t>, "generic"};
     return k;
 }
 
@@ -146,8 +149,10 @@ bool requant_fits_int32(const std::int64_t* rowabs, const QEpilogue& rq, std::in
     return true;
 }
 
-/// The tile walk shared by both qgemm_packed modes; `rq` null accumulates.
-void run_tiles(const QPackedA& A, const QPackedB& B, std::int32_t* C, const QEpilogue* rq) {
+/// The tile walk shared by both qgemm_packed modes and both C words; `rq`
+/// null accumulates (int32 C only).
+template <class CT>
+void run_tiles(const QPackedA& A, const QPackedB& B, CT* C, const QEpilogue* rq) {
     const detail::QGemmKernel kern = active_kernel();
     const int M = A.M, N = B.N, K = A.K;
     // K = 0 still stores the requantized bias; only the accumulate has
@@ -179,9 +184,12 @@ void run_tiles(const QPackedA& A, const QPackedB& B, std::int32_t* C, const QEpi
             if (tile_rq.bias != nullptr) tile_rq.bias += p * mr;
             rq32 = requant_fits_int32(rowabs, *rq, p * mr, mv);
         }
-        kern.fn(k2, ap + p * apanel, bp + q * bpanel,
-                C + p * mr * static_cast<std::int64_t>(N) + q * nr, N, mv, nv,
-                rq != nullptr ? &tile_rq : nullptr, rq32);
+        CT* c = C + p * mr * static_cast<std::int64_t>(N) + q * nr;
+        if constexpr (std::is_same_v<CT, std::int16_t>)
+            kern.store16(k2, ap + p * apanel, bp + q * bpanel, c, N, mv, nv, &tile_rq, rq32);
+        else
+            kern.fn(k2, ap + p * apanel, bp + q * bpanel, c, N, mv, nv,
+                    rq != nullptr ? &tile_rq : nullptr, rq32);
     };
     // Same disjoint-tile split as sgemm_packed: one register tile per kernel
     // call, one chunk per tile, so bitwise thread-count invariant (and here
@@ -210,8 +218,18 @@ void qgemm_packed(const QPackedA& A, const QPackedB& B, std::int32_t* C,
     run_tiles(A, B, C, &rq);
 }
 
-void qim2col_packed(const std::int32_t* img, int C, int H, int W, int k, int stride,
-                    int pad, int OH, int OW, std::int32_t lo, QPackedB& out) {
+void qgemm_packed(const QPackedA& A, const QPackedB& B, std::int16_t* C,
+                  const QEpilogue& rq) {
+    if (rq.lo < -32768 || rq.hi > 32767)
+        throw std::invalid_argument("qgemm_packed: int16 store with a clamp outside int16");
+    run_tiles(A, B, C, &rq);
+}
+
+namespace {
+
+template <class Word>
+void qim2col_impl(const Word* img, int C, int H, int W, int k, int stride, int pad, int OH,
+                  int OW, std::int32_t lo, QPackedB& out) {
     const int nr = active_kernel().nr;
     const std::int64_t rows = static_cast<std::int64_t>(C) * k * k;  // GEMM K
     const std::int64_t ocols = static_cast<std::int64_t>(OH) * OW;   // GEMM N
@@ -239,8 +257,8 @@ void qim2col_packed(const std::int32_t* img, int C, int H, int W, int k, int str
         parallel_for(0, (rows + 1) / 2, 1, [=](std::int64_t h0, std::int64_t h1) {
             for (std::int64_t h = h0; h < h1; ++h) {
                 const std::int64_t r = 2 * h;
-                const std::int32_t* p0 = img + r * H * W;
-                const std::int32_t* p1 =
+                const Word* p0 = img + r * H * W;
+                const Word* p1 =
                     r + 1 < rows ? img + (r + 1) * H * W : nullptr;
                 std::uint8_t* dst = data + h * nr * 2;
                 std::int64_t jc = 0;
@@ -271,7 +289,7 @@ void qim2col_packed(const std::int32_t* img, int C, int H, int W, int k, int str
             const int ic = static_cast<int>(r / (k * k));
             const int kh = static_cast<int>(r / k) % k;
             const int kw = static_cast<int>(r % k);
-            const std::int32_t* plane = img + static_cast<std::int64_t>(ic) * H * W;
+            const Word* plane = img + static_cast<std::int64_t>(ic) * H * W;
             std::uint8_t* cur = data + (r >> 1) * nr * 2 + (r & 1);  // lane, panel 0
             int jj = 0;  // column offset within the current panel
             const auto put = [&](std::uint8_t v) {
@@ -287,7 +305,7 @@ void qim2col_packed(const std::int32_t* img, int C, int H, int W, int k, int str
                     for (int ow = 0; ow < OW; ++ow) put(zero_u);
                     continue;
                 }
-                const std::int32_t* row = plane + static_cast<std::int64_t>(ih) * W;
+                const Word* row = plane + static_cast<std::int64_t>(ih) * W;
                 const int iw0 = -pad + kw;
                 for (int ow = 0; ow < OW; ++ow) {
                     const int iw = iw0 + ow * stride;
@@ -298,6 +316,18 @@ void qim2col_packed(const std::int32_t* img, int C, int H, int W, int k, int str
             }
         }
     });
+}
+
+}  // namespace
+
+void qim2col_packed(const std::int32_t* img, int C, int H, int W, int k, int stride,
+                    int pad, int OH, int OW, std::int32_t lo, QPackedB& out) {
+    qim2col_impl(img, C, H, W, k, stride, pad, OH, OW, lo, out);
+}
+
+void qim2col_packed(const std::int16_t* img, int C, int H, int W, int k, int stride,
+                    int pad, int OH, int OW, std::int32_t lo, QPackedB& out) {
+    qim2col_impl(img, C, H, W, k, stride, pad, OH, OW, lo, out);
 }
 
 }  // namespace sky::core

@@ -7,11 +7,13 @@
 //   qgemm_packed         walks the C tile grid, one int32 register tile per
 //                        micro-kernel call, parallelised over whole tiles
 //                        through the global ThreadPool.  It either
-//                        accumulates into C or, in store mode, writes
+//                        accumulates into int32 C or, in store mode, writes
 //                        clamp(round_shift(bias + acc, shift), lo, hi)
-//                        straight from the register tile (a QEpilogue),
-//   qim2col_packed       lowers a CHW fixed-point image straight into the
-//                        u8 panel layout with a zero-point offset applied.
+//                        straight from the register tile (a QEpilogue) as
+//                        int32 or int16 words,
+//   qim2col_packed       lowers a CHW fixed-point image of int16 or int32
+//                        words straight into the u8 panel layout with a
+//                        zero-point offset applied.
 //
 // Zero-point handling is the caller's contract (quant/qengine.cpp): the u8
 // operand stores u = x - lo for a layer whose inputs are proven to lie in
@@ -131,11 +133,20 @@ void qgemm_packed(const QPackedA& A, const QPackedB& B, std::int32_t* C);
 void qgemm_packed(const QPackedA& A, const QPackedB& B, std::int32_t* C,
                   const QEpilogue& rq);
 
+/// Store mode into int16 words: the same values as the int32 store, each
+/// narrowed from the register tile (on AVX2 one vpackssdw + vpermq per
+/// tile row after the clamp).  Throws std::invalid_argument when
+/// [rq.lo, rq.hi] is not inside [-32768, 32767], so no value can wrap.
+void qgemm_packed(const QPackedA& A, const QPackedB& B, std::int16_t* C,
+                  const QEpilogue& rq);
+
 /// im2col of one CHW image of fixed-point grid values straight into the u8
 /// panel layout, storing u = x - lo per tap.  Caller guarantees every pixel
 /// (and 0, whenever pad > 0) lies in [lo, lo + 255].  Equivalent to im2col()
-/// followed by qpack_b() of (x - lo).
+/// followed by qpack_b() of (x - lo).  One body reads either word type.
 void qim2col_packed(const std::int32_t* img, int C, int H, int W, int k, int stride,
+                    int pad, int OH, int OW, std::int32_t lo, QPackedB& out);
+void qim2col_packed(const std::int16_t* img, int C, int H, int W, int k, int stride,
                     int pad, int OH, int OW, std::int32_t lo, QPackedB& out);
 
 }  // namespace sky::core

@@ -10,19 +10,21 @@
 // even for the wide 9..15-bit weight formats.  Measured ~2x the fp32 FMA
 // kernel's MAC rate on the same tile.  Store mode requantizes the 12
 // accumulators in place (vpabsd, vpsrad, vpsignd, vpmaxsd/vpminsd) before
-// the one store.
+// the one store; an int16 C packs each clamped row with one vpackssdw and
+// puts its lanes back in column order with one vpermq.
 #include <immintrin.h>
 
 #include <cstring>
+#include <type_traits>
 
 #include "core/qgemm_ukernel.hpp"
 
 namespace sky::core::detail {
 namespace {
 
-void qkernel_avx2(int K2, const std::int16_t* a, const std::uint8_t* b,
-                  std::int32_t* c, std::int64_t ldc, int mr, int nr,
-                  const QEpilogue* rq, bool rq32) {
+template <class CT>
+void qkernel_avx2(int K2, const std::int16_t* a, const std::uint8_t* b, CT* c,
+                  std::int64_t ldc, int mr, int nr, const QEpilogue* rq, bool rq32) {
     constexpr int MR = 6, NR = 16;
     // Every row loop is unrolled, and the spill below stores by value, so
     // the tile can live in ymm registers.  Rolled, GCC -O2 kept the whole
@@ -71,15 +73,26 @@ void qkernel_avx2(int K2, const std::int16_t* a, const std::uint8_t* b,
     if (mr == MR && nr == NR && (rq == nullptr || in_regs)) {
 #pragma GCC unroll 6
         for (int m = 0; m < MR; ++m) {
-            std::int32_t* row = c + m * ldc;
-            __m256i* lo = reinterpret_cast<__m256i*>(row);
-            __m256i* hi = reinterpret_cast<__m256i*>(row + 8);
-            if (in_regs) {
-                _mm256_storeu_si256(lo, acc[m][0]);
-                _mm256_storeu_si256(hi, acc[m][1]);
+            CT* row = c + m * ldc;
+            if constexpr (std::is_same_v<CT, std::int16_t>) {
+                // vpackssdw packs within 128-bit lanes (columns 0-3, 8-11,
+                // 4-7, 12-15); vpermq restores the column order.  The
+                // clamped values fit int16, so nothing saturates.
+                const __m256i packed = _mm256_permute4x64_epi64(
+                    _mm256_packs_epi32(acc[m][0], acc[m][1]), 0xD8);
+                _mm256_storeu_si256(reinterpret_cast<__m256i*>(row), packed);
             } else {
-                _mm256_storeu_si256(lo, _mm256_add_epi32(_mm256_loadu_si256(lo), acc[m][0]));
-                _mm256_storeu_si256(hi, _mm256_add_epi32(_mm256_loadu_si256(hi), acc[m][1]));
+                __m256i* lo = reinterpret_cast<__m256i*>(row);
+                __m256i* hi = reinterpret_cast<__m256i*>(row + 8);
+                if (in_regs) {
+                    _mm256_storeu_si256(lo, acc[m][0]);
+                    _mm256_storeu_si256(hi, acc[m][1]);
+                } else {
+                    _mm256_storeu_si256(lo,
+                                        _mm256_add_epi32(_mm256_loadu_si256(lo), acc[m][0]));
+                    _mm256_storeu_si256(hi,
+                                        _mm256_add_epi32(_mm256_loadu_si256(hi), acc[m][1]));
+                }
             }
         }
     } else {
@@ -96,7 +109,8 @@ void qkernel_avx2(int K2, const std::int16_t* a, const std::uint8_t* b,
 }  // namespace
 
 const QGemmKernel& qgemm_avx2_kernel() {
-    static const QGemmKernel kernel{6, 16, &qkernel_avx2, "avx2"};
+    static const QGemmKernel kernel{6, 16, &qkernel_avx2<std::int32_t>,
+                                    &qkernel_avx2<std::int16_t>, "avx2"};
     return kernel;
 }
 

@@ -28,7 +28,9 @@
 // kernels requantize in int32 registers — abs, add half, arithmetic shift,
 // restore the sign, then min/max, which is round_shift's ties-away-from-zero
 // bit for bit.  Elsewhere, and always in the scalar reference, the tile is
-// spilled and requantized in int64 with round_shift itself.
+// spilled and requantized in int64 with round_shift itself.  Every kernel is
+// a template over the C word CT: int32, or int16 for the store mode alone,
+// where each clamped value is narrowed as it is stored.
 //
 // All instantiations (scalar / generic / avx2) return BITWISE IDENTICAL
 // results in both modes, a stronger contract than the fp32 engine's
@@ -38,22 +40,28 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
 
 #include "core/qgemm.hpp"
 
 namespace sky::core::detail {
 
 /// One selectable integer micro-kernel: tile geometry plus the tile
-/// function.  `fn(K2, a, b, c, ldc, mr, nr, rq, rq32)` accumulates the
+/// functions.  `fn(K2, a, b, c, ldc, mr, nr, rq, rq32)` accumulates the
 /// mr x nr valid corner of the tile into int32 C (row stride ldc), or with a
 /// non-null `rq` stores its requantization there; rq->bias then points at
 /// the tile's row 0, and `rq32` says the driver proved the int32 register
-/// path exact for every row of the tile.  K2 is the k-PAIR count.
+/// path exact for every row of the tile.  `store16` is the same store mode
+/// into int16 C (rq is never null).  K2 is the k-PAIR count.
+template <class CT>
+using QTileFn = void (*)(int K2, const std::int16_t* a, const std::uint8_t* b, CT* c,
+                         std::int64_t ldc, int mr, int nr, const QEpilogue* rq, bool rq32);
+
 struct QGemmKernel {
     int mr = 0;
     int nr = 0;
-    void (*fn)(int K2, const std::int16_t* a, const std::uint8_t* b, std::int32_t* c,
-               std::int64_t ldc, int mr, int nr, const QEpilogue* rq, bool rq32) = nullptr;
+    QTileFn<std::int32_t> fn = nullptr;
+    QTileFn<std::int16_t> store16 = nullptr;
     const char* name = "?";
 };
 
@@ -63,23 +71,27 @@ struct QGemmKernel {
 inline constexpr int kQGemmMaxK = 65536;
 
 /// Write the valid mr x nr corner of a spilled tile `t` (row stride NR) into
-/// C: accumulate when rq is null, copy when `t` already holds the
-/// requantized values, and otherwise requantize each biased accumulator in
-/// int64 — the store mode's reference semantics.
-template <int NR>
-inline void write_corner(const std::int32_t* t, std::int32_t* c, std::int64_t ldc, int mr,
-                         int nr, const QEpilogue* rq, bool requantized) {
+/// C: accumulate when rq is null (int32 C only), copy when `t` already holds
+/// the requantized values, and otherwise requantize each biased accumulator
+/// in int64 — the store mode's reference semantics.
+template <int NR, class CT>
+inline void write_corner(const std::int32_t* t, CT* c, std::int64_t ldc, int mr, int nr,
+                         const QEpilogue* rq, bool requantized) {
     for (int m = 0; m < mr; ++m) {
         const std::int32_t* src = t + m * NR;
-        std::int32_t* row = c + m * ldc;
+        CT* row = c + m * ldc;
         if (rq == nullptr) {
-            for (int n = 0; n < nr; ++n) row[n] += src[n];
+            if constexpr (std::is_same_v<CT, std::int32_t>)
+                for (int n = 0; n < nr; ++n) row[n] += src[n];
         } else if (requantized) {
-            std::memcpy(row, src, static_cast<std::size_t>(nr) * sizeof(std::int32_t));
+            if constexpr (std::is_same_v<CT, std::int32_t>)
+                std::memcpy(row, src, static_cast<std::size_t>(nr) * sizeof(std::int32_t));
+            else
+                for (int n = 0; n < nr; ++n) row[n] = static_cast<CT>(src[n]);
         } else {
             const std::int64_t b = rq->bias != nullptr ? rq->bias[m] : 0;
             for (int n = 0; n < nr; ++n)
-                row[n] = static_cast<std::int32_t>(std::clamp<std::int64_t>(
+                row[n] = static_cast<CT>(std::clamp<std::int64_t>(
                     round_shift(b + src[n], rq->shift), rq->lo, rq->hi));
         }
     }
@@ -88,10 +100,10 @@ inline void write_corner(const std::int32_t* t, std::int32_t* c, std::int64_t ld
 /// Reference semantics: plain int32 scalar accumulation over the k-paired
 /// panels, and the int64 requantization in store mode whatever the driver
 /// proved.  Also the SKYNET_SIMD=0 fallback.
-template <int MR, int NR>
-void qgemm_ukernel_scalar(int K2, const std::int16_t* a, const std::uint8_t* b,
-                          std::int32_t* c, std::int64_t ldc, int mr, int nr,
-                          const QEpilogue* rq, bool /*rq32*/) {
+template <int MR, int NR, class CT>
+void qgemm_ukernel_scalar(int K2, const std::int16_t* a, const std::uint8_t* b, CT* c,
+                          std::int64_t ldc, int mr, int nr, const QEpilogue* rq,
+                          bool /*rq32*/) {
     std::int32_t acc[MR][NR] = {};
     for (int k2 = 0; k2 < K2; ++k2, a += MR * 2, b += NR * 2) {
         for (int m = 0; m < MR; ++m) {
@@ -116,14 +128,15 @@ inline VI qsplat(std::int32_t x) {
 /// Vector-extension instantiation: VI is a GNU vector of int32 lanes, VU a
 /// byte vector of 2*lanes(VI) (one k-pair per column).  Even/odd byte lanes
 /// are split with __builtin_shufflevector and widened through
-/// __builtin_convertvector — portable across GCC/Clang baseline ISAs.
-template <class VI, class VU, int MR, int NV>
-void qgemm_ukernel_vec(int K2, const std::int16_t* a, const std::uint8_t* b,
-                       std::int32_t* c, std::int64_t ldc, int mr, int nr,
-                       const QEpilogue* rq, bool rq32) {
+/// __builtin_convertvector — portable across GCC/Clang baseline ISAs.  An
+/// int16 C narrows each clamped vector through __builtin_convertvector.
+template <class VI, class VU, int MR, int NV, class CT>
+void qgemm_ukernel_vec(int K2, const std::int16_t* a, const std::uint8_t* b, CT* c,
+                       std::int64_t ldc, int mr, int nr, const QEpilogue* rq, bool rq32) {
     constexpr int kLanes = static_cast<int>(sizeof(VI) / sizeof(std::int32_t));
     constexpr int NR = kLanes * NV;
     static_assert(sizeof(VU) == 2 * sizeof(VI) / 4, "VU must hold one k-pair per lane");
+    typedef CT VC __attribute__((vector_size(sizeof(CT) * kLanes), aligned(sizeof(CT))));
     VI acc[MR][NV] = {};
     for (int k2 = 0; k2 < K2; ++k2, a += MR * 2, b += NR * 2) {
         VI even[NV], odd[NV];
@@ -168,15 +181,20 @@ void qgemm_ukernel_vec(int K2, const std::int16_t* a, const std::uint8_t* b,
     }
     if (mr == MR && nr == NR && (rq == nullptr || in_regs)) {
         for (int m = 0; m < MR; ++m) {
-            std::int32_t* row = c + m * ldc;
+            CT* row = c + m * ldc;
             for (int v = 0; v < NV; ++v) {
-                VI cur = acc[m][v];
-                if (rq == nullptr) {
-                    VI old;
-                    std::memcpy(&old, row + v * kLanes, sizeof(VI));
-                    cur += old;
+                if constexpr (std::is_same_v<CT, std::int32_t>) {
+                    VI cur = acc[m][v];
+                    if (rq == nullptr) {
+                        VI old;
+                        std::memcpy(&old, row + v * kLanes, sizeof(VI));
+                        cur += old;
+                    }
+                    std::memcpy(row + v * kLanes, &cur, sizeof(VI));
+                } else {
+                    const VC narrow = __builtin_convertvector(acc[m][v], VC);
+                    std::memcpy(row + v * kLanes, &narrow, sizeof(VC));
                 }
-                std::memcpy(row + v * kLanes, &cur, sizeof(VI));
             }
         }
     } else {

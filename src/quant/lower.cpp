@@ -288,7 +288,7 @@ deploy::MemoryPlan plan_activations(const Program& p, const Shape& input) {
         }
         if (!op.executes()) continue;  // no buffer: its carrier holds the value
         for (const int in : op.inputs) tensors[i].inputs.push_back(p.carrier(in));
-        tensors[i].bytes = s.count() * static_cast<std::int64_t>(sizeof(std::int32_t));
+        tensors[i].bytes = s.count() * activation_word_bytes(p.cfg.fm_bits);
     }
     return deploy::plan_tensors(tensors, p.carrier(p.output));
 }

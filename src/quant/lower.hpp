@@ -135,7 +135,8 @@ struct Program {
 [[nodiscard]] Program lower(const nn::Graph& g, const QuantConfig& cfg);
 
 /// The activation memory plan of `p`'s executing ops for inputs of `input`
-/// shape, in int32 grid words (deploy::plan_tensors over the shapes
+/// shape, in FM grid words of activation_word_bytes(p.cfg.fm_bits): int16
+/// up to 16-bit FMs, int32 above (deploy::plan_tensors over the shapes
 /// nn::Graph::infer_shapes gives).  QEngine runs out of exactly this plan.
 /// Throws std::invalid_argument, before anything runs, on a malformed edge
 /// or output, a degenerate shape, a concat / add of mismatched shapes, or

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -16,7 +17,8 @@ namespace sky::quant {
 
 QEngine::QEngine(nn::Graph& graph, const QuantConfig& cfg) : QEngine(lower(graph, cfg)) {}
 
-QEngine::QEngine(Program program) : program_(std::move(program)) {
+QEngine::QEngine(Program program)
+    : program_(std::move(program)), word_bytes_(activation_word_bytes(program_.cfg.fm_bits)) {
     const Program& p = program_;
     // The lowering carries the one scheme validation and the per-op
     // verdicts verify::check_qmodel reports (Q005, Q001/Q002): the engine
@@ -141,15 +143,21 @@ QEngine::QEngine(Program program) : program_(std::move(program)) {
          ea.output_bound > static_cast<double>(p.cfg.error_budget));
 }
 
+template <class Word>
+QView<Word> QEngine::view(std::size_t i) const {
+    return {shapes_[i], reinterpret_cast<Word*>(arena_.get() + offsets_[i])};
+}
+
+template <class Word>
 void QEngine::execute(std::size_t i, bool allow_qgemm) {
     const Op& op = program_.ops[i];
     const QLayer& l = layers_[i];
-    QTensor& y = outputs_[i];
-    // An input is read from the buffer of the op that carries its value.
-    const auto input = [this, &op](std::size_t k) -> const QTensor& {
-        return outputs_[static_cast<std::size_t>(program_.carrier(op.inputs[k]))];
+    const QView<Word> y = view<Word>(i);
+    // An input is read from the view of the op that carries its value.
+    const auto input = [this, &op](std::size_t k) {
+        return view<Word>(static_cast<std::size_t>(program_.carrier(op.inputs[k])));
     };
-    const QTensor& x = input(0);
+    const QView<Word> x = input(0);
     const GridSpec& spec = program_.spec;
     const int fm_bits = spec.fm.total_bits;
     if (op.verdict == Verdict::kFp32) {
@@ -157,15 +165,16 @@ void QEngine::execute(std::size_t i, bool allow_qgemm) {
         // downstream integer layers see grid values as usual.
         Tensor xf(x.shape);
         const float step = static_cast<float>(spec.fm.step());
-        for (std::size_t k = 0; k < x.data.size(); ++k)
-            xf[static_cast<std::int64_t>(k)] = static_cast<float>(x.data[k]) * step;
+        for (std::int64_t k = 0; k < x.size(); ++k)
+            xf[k] = static_cast<float>(x.data[k]) * step;
         const Tensor yf = op.module->forward(xf);
-        y.shape = yf.shape();
-        y.data.resize(static_cast<std::size_t>(yf.size()));
+        if (!(yf.shape() == y.shape))
+            throw std::logic_error("QEngine: " + op.name + " returned " + yf.shape().str() +
+                                   ", planned " + y.shape.str());
         const double inv_step = 1.0 / spec.fm.step();
         for (std::int64_t k = 0; k < yf.size(); ++k)
-            y.data[static_cast<std::size_t>(k)] = saturate(
-                static_cast<std::int64_t>(std::llround(yf[k] * inv_step)), fm_bits);
+            y.data[k] = static_cast<Word>(
+                saturate(static_cast<std::int64_t>(std::llround(yf[k] * inv_step)), fm_bits));
         return;
     }
     switch (op.kind) {
@@ -177,32 +186,25 @@ void QEngine::execute(std::size_t i, bool allow_qgemm) {
             return;
         case OpKind::kRelu:
         case OpKind::kRelu6: {
-            y.shape = x.shape;
-            y.data.resize(x.data.size());
             const std::int32_t hi = op.kind == OpKind::kRelu6 ? spec.six : spec.grid_hi;
-            const std::int32_t* src = x.data.data();
-            std::int32_t* dst = y.data.data();
-            core::parallel_for(0, static_cast<std::int64_t>(x.data.size()), 4096,
-                               [=](std::int64_t i0, std::int64_t i1) {
-                                   for (std::int64_t i = i0; i < i1; ++i)
-                                       dst[i] = std::clamp(src[i], 0, hi);
-                               });
+            const Word* src = x.data;
+            Word* dst = y.data;
+            core::parallel_for(0, y.size(), 4096, [=](std::int64_t i0, std::int64_t i1) {
+                for (std::int64_t i = i0; i < i1; ++i)
+                    dst[i] = static_cast<Word>(std::clamp<std::int32_t>(src[i], 0, hi));
+            });
             return;
         }
         case OpKind::kMaxPool: {
-            y.shape = {x.shape.n, x.shape.c, x.shape.h / 2, x.shape.w / 2};
-            y.data.resize(static_cast<std::size_t>(y.shape.count()));
             const int H = x.shape.h, W = x.shape.w, OH = y.shape.h, OW = y.shape.w;
-            const std::int32_t* xd = x.data.data();
-            std::int32_t* yd = y.data.data();
+            const Word* xd = x.data;
+            Word* yd = y.data;
             core::parallel_for(
                 0, static_cast<std::int64_t>(x.shape.n) * x.shape.c, 1,
                 [=](std::int64_t p0, std::int64_t p1) {
                     for (std::int64_t p = p0; p < p1; ++p) {
-                        const std::int32_t* xp =
-                            xd + p * static_cast<std::int64_t>(H) * W;
-                        std::int32_t* yp =
-                            yd + p * static_cast<std::int64_t>(OH) * OW;
+                        const Word* xp = xd + p * static_cast<std::int64_t>(H) * W;
+                        Word* yp = yd + p * static_cast<std::int64_t>(OH) * OW;
                         for (int oh = 0; oh < OH; ++oh)
                             for (int ow = 0; ow < OW; ++ow) {
                                 const std::int64_t base =
@@ -217,25 +219,20 @@ void QEngine::execute(std::size_t i, bool allow_qgemm) {
         }
         case OpKind::kReorder: {
             const int b = op.block;
-            y.shape = {x.shape.n, x.shape.c * b * b, x.shape.h / b, x.shape.w / b};
-            y.data.resize(static_cast<std::size_t>(y.shape.count()));
             const int OH = y.shape.h, OW = y.shape.w, H = x.shape.h, W = x.shape.w;
-            const std::int32_t* xd = x.data.data();
-            std::int32_t* yd = y.data.data();
+            const Word* xd = x.data;
+            Word* yd = y.data;
             core::parallel_for(
                 0, static_cast<std::int64_t>(x.shape.n) * x.shape.c, 1,
                 [=](std::int64_t p0, std::int64_t p1) {
                     for (std::int64_t p = p0; p < p1; ++p) {
-                        const std::int32_t* xp =
-                            xd + p * static_cast<std::int64_t>(H) * W;
-                        std::int32_t* yp =
-                            yd + p * static_cast<std::int64_t>(b) * b * OH * OW;
+                        const Word* xp = xd + p * static_cast<std::int64_t>(H) * W;
+                        Word* yp = yd + p * static_cast<std::int64_t>(b) * b * OH * OW;
                         for (int dy = 0; dy < b; ++dy)
                             for (int dx = 0; dx < b; ++dx) {
-                                std::int32_t* q =
-                                    yp + static_cast<std::int64_t>(dy * b + dx) * OH * OW;
+                                Word* q = yp + static_cast<std::int64_t>(dy * b + dx) * OH * OW;
                                 for (int oh = 0; oh < OH; ++oh) {
-                                    const std::int32_t* row =
+                                    const Word* row =
                                         xp + static_cast<std::int64_t>(oh * b + dy) * W + dx;
                                     for (int ow = 0; ow < OW; ++ow)
                                         q[static_cast<std::int64_t>(oh) * OW + ow] =
@@ -247,64 +244,46 @@ void QEngine::execute(std::size_t i, bool allow_qgemm) {
             return;
         }
         case OpKind::kConcat: {
-            y.shape = x.shape;
-            y.shape.c = 0;
-            for (std::size_t k = 0; k < op.inputs.size(); ++k) y.shape.c += input(k).shape.c;
-            y.data.resize(static_cast<std::size_t>(y.shape.count()));
             const std::int64_t plane = static_cast<std::int64_t>(x.shape.h) * x.shape.w;
             for (int n = 0; n < y.shape.n; ++n) {
-                std::int64_t off =
-                    static_cast<std::int64_t>(n) * y.shape.c * plane;
+                Word* dst = y.data + static_cast<std::int64_t>(n) * y.shape.c * plane;
                 for (std::size_t k = 0; k < op.inputs.size(); ++k) {
-                    const QTensor& part = input(k);
-                    const std::int64_t bytes =
-                        static_cast<std::int64_t>(part.shape.c) * plane;
-                    std::copy_n(part.data.begin() +
-                                    static_cast<std::int64_t>(n) * bytes,
-                                bytes, y.data.begin() + off);
-                    off += bytes;
+                    const QView<Word> part = input(k);
+                    const std::int64_t count = static_cast<std::int64_t>(part.shape.c) * plane;
+                    dst = std::copy_n(part.data + n * count, count, dst);
                 }
             }
             return;
         }
         case OpKind::kAdd: {
-            const QTensor& a = x;
-            const QTensor& b = input(1);
-            y.shape = a.shape;
-            y.data.resize(a.data.size());
-            const std::int32_t* ad = a.data.data();
-            const std::int32_t* bd = b.data.data();
-            std::int32_t* yd = y.data.data();
-            core::parallel_for(0, static_cast<std::int64_t>(a.data.size()), 4096,
-                               [=](std::int64_t i0, std::int64_t i1) {
-                                   for (std::int64_t i = i0; i < i1; ++i)
-                                       yd[i] = saturate(
-                                           static_cast<std::int64_t>(ad[i]) + bd[i],
-                                           fm_bits);
-                               });
+            const Word* ad = x.data;
+            const Word* bd = input(1).data;
+            Word* yd = y.data;
+            core::parallel_for(0, y.size(), 4096, [=](std::int64_t i0, std::int64_t i1) {
+                for (std::int64_t i = i0; i < i1; ++i)
+                    yd[i] = static_cast<Word>(
+                        saturate(static_cast<std::int64_t>(ad[i]) + bd[i], fm_bits));
+            });
             return;
         }
         case OpKind::kBias: {
             // Per-channel add with the layer's requantization clamp — the
             // grid bounds when unfused (== the old saturate), or [0, six]
             // when a downstream ReLU/ReLU6 was folded in.
-            y.shape = x.shape;
-            y.data.resize(x.data.size());
-            const std::int64_t plane =
-                static_cast<std::int64_t>(x.shape.h) * x.shape.w;
+            const std::int64_t plane = static_cast<std::int64_t>(x.shape.h) * x.shape.w;
             const int C = x.shape.c;
             const std::int32_t lo = l.clamp_lo, hi = l.clamp_hi;
             const std::int32_t glo = spec.grid_lo, ghi = spec.grid_hi;
-            const std::int32_t* xd = x.data.data();
-            std::int32_t* yd = y.data.data();
+            const Word* xd = x.data;
+            Word* yd = y.data;
             const std::int64_t* bias = op.qbias.data();
             core::parallel_for(
                 0, static_cast<std::int64_t>(x.shape.n) * C, 1,
                 [=](std::int64_t p0, std::int64_t p1) {
                     for (std::int64_t p = p0; p < p1; ++p) {
                         const std::int64_t b = bias[p % C];
-                        const std::int32_t* src = xd + p * plane;
-                        std::int32_t* dst = yd + p * plane;
+                        const Word* src = xd + p * plane;
+                        Word* dst = yd + p * plane;
                         // Grid values fit fm_bits, so when the bias also fits
                         // int32 with headroom the sum is exact in int32.
                         if (b >= std::numeric_limits<std::int32_t>::min() -
@@ -313,10 +292,10 @@ void QEngine::execute(std::size_t i, bool allow_qgemm) {
                                      static_cast<std::int64_t>(ghi)) {
                             const std::int32_t b32 = static_cast<std::int32_t>(b);
                             for (std::int64_t i = 0; i < plane; ++i)
-                                dst[i] = std::clamp(src[i] + b32, lo, hi);
+                                dst[i] = static_cast<Word>(std::clamp(src[i] + b32, lo, hi));
                         } else {
                             for (std::int64_t i = 0; i < plane; ++i)
-                                dst[i] = static_cast<std::int32_t>(std::clamp(
+                                dst[i] = static_cast<Word>(std::clamp(
                                     static_cast<std::int64_t>(src[i]) + b,
                                     static_cast<std::int64_t>(lo),
                                     static_cast<std::int64_t>(hi)));
@@ -332,16 +311,15 @@ void QEngine::execute(std::size_t i, bool allow_qgemm) {
     }
 }
 
-void QEngine::execute_dwconv(const Op& op, const QLayer& l, const QTensor& x,
-                             QTensor& y) const {
-    y.shape = x.shape;
-    y.data.resize(static_cast<std::size_t>(y.shape.count()));
+template <class Word>
+void QEngine::execute_dwconv(const Op& op, const QLayer& l, const QView<Word>& x,
+                             const QView<Word>& y) const {
     const int H = x.shape.h, W = x.shape.w, C = x.shape.c;
     const int shift = op.wfmt.frac_bits;
     const std::int32_t clamp_lo = l.clamp_lo, clamp_hi = l.clamp_hi;
-    const std::int32_t* xd = x.data.data();
+    const Word* xd = x.data;
     const std::int32_t* wd = op.qweights.data();
-    std::int32_t* yd = y.data.data();
+    Word* yd = y.data;
     // A folded ChannelBias adds after the clamp, then applies its own clamp.
     const std::int64_t* pbias = nullptr;
     std::int32_t plo = 0, phi = 0;
@@ -383,8 +361,8 @@ void QEngine::execute_dwconv(const Op& op, const QLayer& l, const QTensor& x,
                 const std::int64_t badd = pbias ? pbias[c] : 0;
                 const std::int32_t flo = pbias ? plo : clamp_lo;
                 const std::int32_t fhi = pbias ? phi : clamp_hi;
-                const std::int32_t* xp = xd + idx * H * W;
-                std::int32_t* yp = yd + idx * H * W;
+                const Word* xp = xd + idx * H * W;
+                Word* yp = yd + idx * H * W;
                 const std::int32_t* w = wd + static_cast<std::int64_t>(c) * 9;
                 for (int oh = 0; oh < H; ++oh)
                     for (int ow = 0; ow < W; ++ow) {
@@ -398,7 +376,7 @@ void QEngine::execute_dwconv(const Op& op, const QLayer& l, const QTensor& x,
                                        xp[static_cast<std::int64_t>(ih) * W + iw];
                             }
                         yp[static_cast<std::int64_t>(oh) * W + ow] =
-                            static_cast<std::int32_t>(std::clamp<std::int64_t>(
+                            static_cast<Word>(std::clamp<std::int64_t>(
                                 std::clamp<std::int64_t>(round_shift(acc, shift),
                                                          clamp_lo, clamp_hi) +
                                     badd,
@@ -408,40 +386,39 @@ void QEngine::execute_dwconv(const Op& op, const QLayer& l, const QTensor& x,
         });
 }
 
-void QEngine::execute_conv(const Op& op, const QLayer& l, const QTensor& x, QTensor& y,
-                           bool allow_qgemm) {
+template <class Word>
+void QEngine::execute_conv(const Op& op, const QLayer& l, const QView<Word>& x,
+                           const QView<Word>& y, bool allow_qgemm) {
     // A Linear reads each item's values as one 1x1 column: the NCHW layout
     // already stores them in that order.
     const Shape xs = op.flatten ? Shape{x.shape.n, op.in_ch, 1, 1} : x.shape;
     const int H = xs.h, W = xs.w;
     const int in_ch = op.in_ch, out_ch = op.out_ch, k = op.k, stride = op.stride,
               pad = op.pad;
-    const int OH = (H + 2 * pad - k) / stride + 1;
-    const int OW = (W + 2 * pad - k) / stride + 1;
-    y.shape = {x.shape.n, out_ch, OH, OW};
-    y.data.resize(static_cast<std::size_t>(y.shape.count()));
+    const int OH = y.shape.h, OW = y.shape.w;
     const int shift = op.wfmt.frac_bits;
     const std::int32_t clamp_lo = l.clamp_lo, clamp_hi = l.clamp_hi;
     if (l.impl == QImpl::kQGemm && allow_qgemm) {
         // Each image lowers into the u8 panels and one store-mode GEMM writes
         // clamp(round_shift(bias' + acc, shift)) straight from its register
-        // tiles: saturation and any fused activation in the same step.
+        // tiles as Words: saturation and any fused activation in the same
+        // step.
         const core::QEpilogue rq{l.bias_corr.data(), shift, clamp_lo, clamp_hi};
         const std::int64_t in_image = static_cast<std::int64_t>(in_ch) * H * W;
         const std::int64_t out_image = static_cast<std::int64_t>(out_ch) * OH * OW;
         for (int n = 0; n < x.shape.n; ++n) {
-            core::qim2col_packed(x.data.data() + n * in_image, in_ch, H, W, k, stride, pad,
-                                 OH, OW, l.zero_point, bpanel_);
-            core::qgemm_packed(l.apack, bpanel_, y.data.data() + n * out_image, rq);
+            core::qim2col_packed(x.data + n * in_image, in_ch, H, W, k, stride, pad, OH, OW,
+                                 l.zero_point, bpanel_);
+            core::qgemm_packed(l.apack, bpanel_, y.data + n * out_image, rq);
         }
         return;
     }
     // Reference path: direct integer convolution, one (n, oc) output plane
     // per iteration.  Bit-true for any input (no range assumptions).
-    const std::int32_t* xd = x.data.data();
+    const Word* xd = x.data;
     const std::int32_t* wd = op.qweights.data();
     const std::int64_t* bd = op.qbias.empty() ? nullptr : op.qbias.data();
-    std::int32_t* yd = y.data.data();
+    Word* yd = y.data;
     const int xc = xs.c;
     core::parallel_for(
         0, static_cast<std::int64_t>(x.shape.n) * out_ch, 1,
@@ -449,8 +426,7 @@ void QEngine::execute_conv(const Op& op, const QLayer& l, const QTensor& x, QTen
             for (std::int64_t idx = i0; idx < i1; ++idx) {
                 const std::int64_t n = idx / out_ch;
                 const int oc = static_cast<int>(idx % out_ch);
-                std::int32_t* yp =
-                    yd + idx * static_cast<std::int64_t>(OH) * OW;
+                Word* yp = yd + idx * static_cast<std::int64_t>(OH) * OW;
                 const std::int32_t* wbase =
                     wd + static_cast<std::int64_t>(oc) * in_ch * k * k;
                 const std::int64_t b = bd ? bd[oc] : 0;
@@ -458,7 +434,7 @@ void QEngine::execute_conv(const Op& op, const QLayer& l, const QTensor& x, QTen
                     for (int xx = 0; xx < OW; ++xx) {
                         std::int64_t acc = b;
                         for (int ic = 0; ic < in_ch; ++ic) {
-                            const std::int32_t* xp =
+                            const Word* xp =
                                 xd + (n * xc + ic) * static_cast<std::int64_t>(H) * W;
                             const std::int32_t* w =
                                 wbase + static_cast<std::int64_t>(ic) * k * k;
@@ -473,7 +449,7 @@ void QEngine::execute_conv(const Op& op, const QLayer& l, const QTensor& x, QTen
                                 }
                         }
                         yp[static_cast<std::int64_t>(yy) * OW + xx] =
-                            static_cast<std::int32_t>(std::clamp<std::int64_t>(
+                            static_cast<Word>(std::clamp<std::int64_t>(
                                 round_shift(acc, shift), clamp_lo, clamp_hi));
                     }
             }
@@ -482,25 +458,37 @@ void QEngine::execute_conv(const Op& op, const QLayer& l, const QTensor& x, QTen
 
 void QEngine::ensure_plan(const Shape& input) {
     if (has_plan_ && plan_shape_ == input) return;
-    plan_ = quant::plan_activations(program_, input);
+    deploy::MemoryPlan plan = quant::plan_activations(program_, input);
+    std::vector<Shape> shapes = program_.graph->infer_shapes(input);
+    // Every slot at a cache-line offset of the one arena, which grows only
+    // when this plan needs more than it holds.
+    std::vector<std::int64_t> slot_offset(plan.slots.size());
+    std::int64_t bytes = 0;
+    for (std::size_t s = 0; s < plan.slots.size(); ++s) {
+        slot_offset[s] = bytes;
+        bytes += (plan.slots[s].bytes + 63) / 64 * 64;
+    }
+    offsets_.assign(layers_.size(), -1);
     releases_.assign(layers_.size() + 1, {});
     for (std::size_t i = 0; i < layers_.size(); ++i) {
-        const deploy::TensorPlan& t = plan_.tensors[i];
+        const deploy::TensorPlan& t = plan.tensors[i];
         if (t.slot < 0) continue;
-        releases_[std::min<std::size_t>(static_cast<std::size_t>(t.last),
-                                        layers_.size())]
+        // The views cover exactly the planned bytes: a slot never overflows.
+        if (t.bytes != shapes[i].count() * word_bytes_)
+            throw std::logic_error("QEngine: the plan sizes node " + std::to_string(i) +
+                                   " in another word than the engine stores");
+        offsets_[i] = slot_offset[static_cast<std::size_t>(t.slot)];
+        releases_[std::min<std::size_t>(static_cast<std::size_t>(t.last), layers_.size())]
             .push_back(static_cast<int>(i));
     }
-    slot_bufs_.resize(plan_.slots.size());
-    // Pre-size every slot to its planned capacity so even the FIRST run at
-    // this shape is allocation-free (plan-time provisioning, not counted in
-    // alloc_events_ — that gauge tracks steady-state growth only).
-    for (std::size_t s = 0; s < slot_bufs_.size(); ++s) {
-        const auto cap = static_cast<std::size_t>(
-            plan_.slots[s].bytes / static_cast<std::int64_t>(sizeof(std::int32_t)));
-        if (slot_bufs_[s].capacity() < cap) slot_bufs_[s].reserve(cap);
+    if (bytes > arena_capacity_) {
+        if (arena_) ++alloc_events_;
+        arena_.reset();
+        arena_ = std::make_unique_for_overwrite<std::byte[]>(static_cast<std::size_t>(bytes));
+        arena_capacity_ = bytes;
     }
-    outputs_.resize(layers_.size());
+    plan_ = std::move(plan);
+    shapes_ = std::move(shapes);
     plan_shape_ = input;
     has_plan_ = true;
     report_.activation_plan = plan_;
@@ -515,54 +503,40 @@ const deploy::MemoryPlan& QEngine::plan_activations(const Shape& input) {
 
 Tensor QEngine::run(const Tensor& input) {
     ensure_plan(input.shape());
+    return word_bytes_ == 2 ? run_words<std::int16_t>(input) : run_words<std::int32_t>(input);
+}
+
+template <class Word>
+Tensor QEngine::run_words(const Tensor& input) {
+    static_assert(sizeof(Word) == 2 || sizeof(Word) == 4, "an activation word");
     live_bytes_ = 0;
     measured_peak_bytes_ = 0;
-    // Check a node's buffer out of its planned arena slot (pointer swap) and
-    // back in after its last reader ran.  Steady state reuses the converged
-    // slot capacities — the only allocations are capacity growths, counted
-    // in alloc_events_.
-    const auto claim = [this](std::size_t node) {
-        const int slot = plan_.tensors[node].slot;
-        if (slot >= 0)
-            outputs_[node].data = std::move(slot_bufs_[static_cast<std::size_t>(slot)]);
-        return outputs_[node].data.capacity();
-    };
-    const auto defined = [this](std::size_t node, std::size_t cap_before) {
-        if (outputs_[node].data.capacity() > cap_before) ++alloc_events_;
-        live_bytes_ += static_cast<std::int64_t>(outputs_[node].data.size()) *
-                       static_cast<std::int64_t>(sizeof(std::int32_t));
+    // Every view sits in its planned slot; the schedule only accounts the
+    // live words, which peak where the plan says they do.
+    const auto defined = [this](std::size_t node) {
+        live_bytes_ += shapes_[node].count() * static_cast<std::int64_t>(sizeof(Word));
         measured_peak_bytes_ = std::max(measured_peak_bytes_, live_bytes_);
     };
     const auto release_after = [this](std::size_t step) {
-        for (const int dead : releases_[step]) {
-            QTensor& t = outputs_[static_cast<std::size_t>(dead)];
-            live_bytes_ -= static_cast<std::int64_t>(t.data.size()) *
-                           static_cast<std::int64_t>(sizeof(std::int32_t));
-            const int slot = plan_.tensors[static_cast<std::size_t>(dead)].slot;
-            slot_bufs_[static_cast<std::size_t>(slot)] = std::move(t.data);
-        }
+        for (const int dead : releases_[step])
+            live_bytes_ -= shapes_[static_cast<std::size_t>(dead)].count() *
+                           static_cast<std::int64_t>(sizeof(Word));
     };
 
     // Quantise the input onto the FM grid (element-parallel, exact).
-    const std::size_t in_cap = claim(0);
-    QTensor& in = outputs_[0];
-    in.shape = input.shape();
-    in.data.resize(static_cast<std::size_t>(input.size()));
+    const QView<Word> in = view<Word>(0);
     const double inv_step = 1.0 / program_.spec.fm.step();
     const int fm_bits = program_.spec.fm.total_bits;
     {
         const float* src = input.data();
-        std::int32_t* dst = in.data.data();
-        core::parallel_for(0, input.size(), 4096,
-                           [=](std::int64_t i0, std::int64_t i1) {
-                               for (std::int64_t i = i0; i < i1; ++i)
-                                   dst[i] = saturate(
-                                       static_cast<std::int64_t>(
-                                           std::llround(src[i] * inv_step)),
-                                       fm_bits);
-                           });
+        Word* dst = in.data;
+        core::parallel_for(0, input.size(), 4096, [=](std::int64_t i0, std::int64_t i1) {
+            for (std::int64_t i = i0; i < i1; ++i)
+                dst[i] = static_cast<Word>(saturate(
+                    static_cast<std::int64_t>(std::llround(src[i] * inv_step)), fm_bits));
+        });
     }
-    defined(0, in_cap);
+    defined(0);
     // The int8 plan assumed inputs inside the declared range; verify that
     // at run time and fall back to the reference path for the whole pass if
     // violated — the answer stays bit-true either way.
@@ -570,9 +544,9 @@ Tensor QEngine::run(const Tensor& input) {
     if (any_qgemm_) {
         const GridSpec& spec = program_.spec;
         std::int32_t mn = spec.in_hi, mx = spec.in_lo;
-        for (const std::int32_t v : in.data) {
-            mn = std::min(mn, v);
-            mx = std::max(mx, v);
+        for (std::int64_t k = 0; k < in.size(); ++k) {
+            mn = std::min<std::int32_t>(mn, in.data[k]);
+            mx = std::max<std::int32_t>(mx, in.data[k]);
         }
         if (mn < spec.in_lo || mx > spec.in_hi) {
             if (program_.execution == QExecution::kInt8)
@@ -588,25 +562,23 @@ Tensor QEngine::run(const Tensor& input) {
     for (std::size_t i = 1; i < layers_.size(); ++i) {
         // A skipped op has no buffer: its carrier's holds the value.
         if (!program_.ops[i].executes()) continue;
-        const std::size_t cap = claim(i);
-        execute(i, allow_qgemm);
-        defined(i, cap);
+        execute<Word>(i, allow_qgemm);
+        defined(i);
         release_after(i);
     }
 
-    const QTensor& out = outputs_[static_cast<std::size_t>(program_.carrier(program_.output))];
+    const QView<Word> out =
+        view<Word>(static_cast<std::size_t>(program_.carrier(program_.output)));
     Tensor result(out.shape);
     const float step = static_cast<float>(program_.spec.fm.step());
     {
-        const std::int32_t* src = out.data.data();
+        const Word* src = out.data;
         float* dst = result.data();
-        core::parallel_for(0, static_cast<std::int64_t>(out.data.size()), 4096,
-                           [=](std::int64_t i0, std::int64_t i1) {
-                               for (std::int64_t i = i0; i < i1; ++i)
-                                   dst[i] = static_cast<float>(src[i]) * step;
-                           });
+        core::parallel_for(0, out.size(), 4096, [=](std::int64_t i0, std::int64_t i1) {
+            for (std::int64_t i = i0; i < i1; ++i) dst[i] = static_cast<float>(src[i]) * step;
+        });
     }
-    // The output survives to the end of the pass; park its buffer too.
+    // The output survives to the end of the pass.
     release_after(layers_.size());
     return result;
 }

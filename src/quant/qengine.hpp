@@ -26,10 +26,19 @@
 // fuse into its requantization clamp (provably equal to
 // clamp-after-saturate on the grid), identities are never executed.
 //
+// Activations are stored as 16-bit words when fm_bits <= 16 and as int32
+// words for 17-24-bit formats (quant::activation_word_bytes decides, for
+// the engine and the planner alike).  Every node's output is a view into
+// its planned slot of one arena allocated per plan: no op resizes or
+// zero-fills a buffer.
+//
 // Determinism: integer arithmetic end to end — results are bitwise
 // invariant to thread count, SIMD level, and batch composition, which is
 // the contract sky::serve's batch coalescing relies on.
 #pragma once
+
+#include <cstddef>
+#include <memory>
 
 #include "core/qgemm.hpp"
 #include "deploy/memory_plan.hpp"
@@ -41,19 +50,14 @@
 
 namespace sky::quant {
 
-/// Integer feature map: int32 payload on the shared FM grid.  Move-only:
-/// activations only ever move between the arena slots and the per-node
-/// views, and a kernel body that captured one by copy (a `[=]` lambda
-/// naming `x.shape`) would copy the whole payload on every call.
-struct QTensor {
+/// One node's activation: its shape and its words in the engine's arena
+/// slot.  Two members, a shape and a pointer, so a kernel body that
+/// captures a view by copy copies no activation.
+template <class Word>
+struct QView {
     Shape shape;
-    std::vector<std::int32_t> data;
-
-    QTensor() = default;
-    QTensor(const QTensor&) = delete;
-    QTensor& operator=(const QTensor&) = delete;
-    QTensor(QTensor&&) noexcept = default;
-    QTensor& operator=(QTensor&&) noexcept = default;
+    Word* data = nullptr;
+    [[nodiscard]] std::int64_t size() const { return shape.count(); }
 };
 
 class QEngine {
@@ -93,14 +97,15 @@ public:
     /// program cannot run (wrong channel count, a map that collapses)
     /// throws std::invalid_argument here, before any kernel runs.
     const deploy::MemoryPlan& plan_activations(const Shape& input);
-    /// Arena slot buffers that had to grow (capacity allocations) across all
-    /// run() calls so far.  Zero growth between runs at a fixed input shape
-    /// is the allocation-free steady state bench_serve gauges.
+    /// Times the arena had to grow: a plan (a new input shape) that needed
+    /// more bytes than the arena held.  The first allocation is provisioning,
+    /// not growth, so a fixed input shape reads 0 from the first run on —
+    /// the allocation-free steady state bench_serve gauges.
     [[nodiscard]] std::int64_t alloc_events() const { return alloc_events_; }
-    /// Peak live activation bytes observed during the last run() — equals
-    /// plan_activations(shape).peak_bytes exactly (the plan is an exact
-    /// static model of run()'s claim/release schedule, pinned by
-    /// tests/test_verify.cpp).
+    /// Peak live activation bytes, in words of activation_word_bytes(),
+    /// during the last run() — equals plan_activations(shape).peak_bytes
+    /// exactly (the plan is an exact static model of run()'s define/release
+    /// schedule, pinned by tests/test_verify.cpp).
     [[nodiscard]] std::int64_t measured_peak_bytes() const {
         return measured_peak_bytes_;
     }
@@ -125,33 +130,48 @@ private:
         bool dw32 = false;  // dwconv can accumulate in int32 (vector fast path)
     };
 
-    /// Run op `i` (an executing op) into its arena-backed outputs_ entry;
-    /// inputs are read from their carriers' entries.
+    /// The passes over the arena, one template over the stored word
+    /// (int16 or int32, activation_word_bytes of the FM format).
+    template <class Word>
+    Tensor run_words(const Tensor& input);
+    /// Run op `i` (an executing op) into its arena view; inputs are read
+    /// from their carriers' views.
+    template <class Word>
     void execute(std::size_t i, bool allow_qgemm);
-    void execute_conv(const Op& op, const QLayer& l, const QTensor& x, QTensor& y,
-                      bool allow_qgemm);
-    void execute_dwconv(const Op& op, const QLayer& l, const QTensor& x, QTensor& y) const;
+    template <class Word>
+    void execute_conv(const Op& op, const QLayer& l, const QView<Word>& x,
+                      const QView<Word>& y, bool allow_qgemm);
+    template <class Word>
+    void execute_dwconv(const Op& op, const QLayer& l, const QView<Word>& x,
+                        const QView<Word>& y) const;
+    /// Node `i`'s view: its planned shape at its slot's offset.
+    template <class Word>
+    [[nodiscard]] QView<Word> view(std::size_t i) const;
 
-    /// (Re)compute the liveness plan + release schedule when the input
-    /// shape changed since the last run.
+    /// (Re)compute the liveness plan, the views and the release schedule
+    /// when the input shape changed since the last run; grow the arena when
+    /// the new plan needs more bytes than it holds.
     void ensure_plan(const Shape& input);
 
     Program program_;  // the ops run() executes, with their integer weights
     bool any_qgemm_ = false;
+    int word_bytes_ = 4;  // activation_word_bytes(cfg.fm_bits)
     std::vector<QLayer> layers_;  // one per op
     QuantReport report_;
     // Per-run scratch, reused across layers and batch items.
     core::QPackedB bpanel_;
-    // Arena execution state: run() checks each node's buffer out of its
-    // planned slot, executes, and checks it back in after the node's last
-    // reader — vector moves (pointer swaps), no allocation once the slot
-    // capacities have converged.
+    // Arena execution state: one allocation holds every slot of the plan,
+    // never value-initialized (every executor writes its whole output
+    // before anything reads it).  A node's view points at its slot's
+    // offset; the schedule below only accounts the live bytes.
     deploy::MemoryPlan plan_;
     Shape plan_shape_{};
     bool has_plan_ = false;
-    std::vector<QTensor> outputs_;                     // per-node views
-    std::vector<std::vector<std::int32_t>> slot_bufs_; // parked slot storage
-    std::vector<std::vector<int>> releases_;           // nodes dying after step i
+    std::unique_ptr<std::byte[]> arena_;
+    std::int64_t arena_capacity_ = 0;
+    std::vector<Shape> shapes_;               // per node, the plan's shape
+    std::vector<std::int64_t> offsets_;       // per node: its slot's byte offset
+    std::vector<std::vector<int>> releases_;  // nodes dying after step i
     std::int64_t alloc_events_ = 0;
     std::int64_t reference_fallbacks_ = 0;
     std::int64_t live_bytes_ = 0;

@@ -51,6 +51,16 @@ struct GridSpec {
     std::int32_t in_lo = 0, in_hi = 0;
 };
 
+/// Bytes of the word every activation on a `fm_bits`-wide FM grid is
+/// stored in: 2 (int16) up to 16 bits, 4 (int32) above — a valid scheme's
+/// grid has at most 24.  Every stored value is a grid value saturated to
+/// fm_bits, so it always fits.  QEngine stores its activations in this word
+/// and quant::plan_activations sizes tensors in it, so the plan and the
+/// engine's measured peak agree.
+[[nodiscard]] constexpr int activation_word_bytes(int fm_bits) {
+    return fm_bits <= 16 ? 2 : 4;
+}
+
 /// Every rule `cfg` breaks, one message each (empty: a valid scheme): bit
 /// widths in [2, 24], fm_abs_max positive and finite, input_lo <= input_hi.
 /// The one scheme validation — verify::check_qmodel reports each as Q005.

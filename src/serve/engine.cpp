@@ -218,6 +218,10 @@ void Engine::infer_batch(std::vector<Request>& items) {
     if (obs::Registry* reg = cfg_.metrics) {
         reg->add("serve.batches");
         reg->observe("serve.batch.size", static_cast<double>(batch.items.size()));
+        // int8 passes whose input left the declared range and so ran every
+        // conv on the scalar reference path: bit-true, only slower.
+        if (const quant::QEngine* q = detector_.qengine())
+            reg->set("quant.reference_fallbacks", static_cast<double>(q->reference_fallbacks()));
     }
     if (std::optional<InferredBatch> rejected = post_q_.offer(std::move(batch)))
         for (Request& r : rejected->items) discard(r, "post queue closed mid-flight");

@@ -5,9 +5,10 @@
 //     that each present input row accumulates into — followed by a separate
 //     nn::apply_epilogue pass, for every EpilogueAct with and without a bias,
 //     on inputs and weights holding NaN, +-Inf and +-0;
-//   * int32 bitwise against the int64 loop QEngine's reference interpreter
-//     runs, across shifts, clamps, folded biases and values at the edge of
-//     the int32 proof.
+//   * int32 and int16 words bitwise against the int64 loop QEngine's
+//     reference interpreter runs, across shifts, clamps, folded biases,
+//     values at the edge of the int32 proof and, for int16, at both ends of
+//     the word.
 // Each output is written into a stale buffer with guard cells on both sides,
 // which must come back untouched.
 #include <gtest/gtest.h>
@@ -228,9 +229,10 @@ TEST(DwConv, LayerForwardFusedEqualsTheSequentialLoopPlusEpilogue) {
 
 // ----------------------------------------------------------------- int32 --
 
-/// QEngine's int64 reference loop for one plane.
-void reference_plane(const std::int32_t* xp, const std::int32_t* w, int H, int W,
-                     const core::DwRequant& rq, std::int32_t* yp) {
+/// QEngine's int64 reference loop for one plane, over either word.
+template <class Word>
+void reference_plane(const Word* xp, const std::int32_t* w, int H, int W,
+                     const core::DwRequant& rq, Word* yp) {
     for (int oh = 0; oh < H; ++oh)
         for (int ow = 0; ow < W; ++ow) {
             std::int64_t acc = 0;
@@ -243,7 +245,7 @@ void reference_plane(const std::int32_t* xp, const std::int32_t* w, int H, int W
                            xp[static_cast<std::int64_t>(ih) * W + iw];
                 }
             yp[static_cast<std::int64_t>(oh) * W + ow] =
-                static_cast<std::int32_t>(std::clamp<std::int64_t>(
+                static_cast<Word>(std::clamp<std::int64_t>(
                     std::clamp<std::int64_t>(core::round_shift(acc, rq.shift), rq.lo, rq.hi) +
                         rq.bias,
                     rq.bias_lo, rq.bias_hi));
@@ -251,25 +253,24 @@ void reference_plane(const std::int32_t* xp, const std::int32_t* w, int H, int W
 }
 
 /// One requantization per channel (a folded bias differs per channel).
-void expect_i32_matches(const std::vector<std::int32_t>& x, const std::vector<std::int32_t>& w,
-                        int H, int W, const std::vector<core::DwRequant>& rq,
-                        const std::string& what) {
+template <class Word>
+void expect_int_matches(const std::vector<Word>& x, const std::vector<std::int32_t>& w, int H,
+                        int W, const std::vector<core::DwRequant>& rq, const std::string& what) {
     const std::int64_t plane = static_cast<std::int64_t>(H) * W;
     const std::int64_t planes = static_cast<std::int64_t>(kImages) * kChannels;
-    std::vector<std::int32_t> want(static_cast<std::size_t>(planes * plane));
+    std::vector<Word> want(static_cast<std::size_t>(planes * plane));
     for (std::int64_t p = 0; p < planes; ++p) {
         const auto c = static_cast<std::size_t>(p % kChannels);
         reference_plane(x.data() + p * plane, w.data() + c * 9, H, W, rq[c],
                         want.data() + p * plane);
     }
-    const std::int32_t stale = 0x5A5A5A5A;
+    const auto stale = static_cast<Word>(0x5A5A5A5A);
     for (core::SimdLevel lvl : available_levels()) {
         core::set_simd_level(lvl);
         for (int threads : {1, 2, 4}) {
             core::ThreadPool::set_global_threads(threads);
-            std::vector<std::int32_t> buf(static_cast<std::size_t>(planes * plane + 2 * kGuard),
-                                          stale);
-            std::int32_t* y = buf.data() + kGuard;
+            std::vector<Word> buf(static_cast<std::size_t>(planes * plane + 2 * kGuard), stale);
+            Word* y = buf.data() + kGuard;
             core::parallel_for(0, planes, 1, [&](std::int64_t p0, std::int64_t p1) {
                 for (std::int64_t p = p0; p < p1; ++p) {
                     const auto c = static_cast<std::size_t>(p % kChannels);
@@ -333,7 +334,7 @@ TEST(DwConv, Int32EqualsTheInt64LoopAcrossShiftsClampsAndFoldedBiases) {
                                                                b.clamp.hi}
                                              : core::DwRequant{shift, cl.lo, cl.hi, 0, cl.lo,
                                                                cl.hi});
-                        expect_i32_matches(x, w, H, W, rq, b.name);
+                        expect_int_matches(x, w, H, W, rq, b.name);
                     }
             }
 }
@@ -369,10 +370,70 @@ TEST(DwConv, Int32IsExactAtTheEdgeOfItsProof) {
                     }
                     for (std::size_t k = 0; k < w.size(); ++k)
                         w[k] = k < 18 ? wm : (rng.chance(0.5) ? wm : -wm);
-                    expect_i32_matches(x, w, H, W, rq, "proof edge, max|w| " +
+                    expect_int_matches(x, w, H, W, rq, "proof edge, max|w| " +
                                                            std::to_string(wmax));
                 }
         }
+}
+
+TEST(DwConv, Int16WordsEqualTheInt64LoopAtBothEndsOfTheWord) {
+    // A 16-bit FM grid with 11 fraction bits (six = 6.0 on the grid), which
+    // QEngine stores as int16 words: inputs include -32768 and 32767, and
+    // the clamps reach both ends of the word.  max|w| = 1024 keeps the int32
+    // proof, 9 * 1024 * 32768 + 2^10 < 2^31.
+    SimdGuard guard;
+    constexpr std::int32_t kWordLo = -32768, kWordHi = 32767, kSix = 6 << 11;
+    struct Clamp {
+        std::int32_t lo, hi;
+    };
+    struct Bias {
+        const char* name;
+        bool folded;
+        std::int32_t add;  // channel c adds add * (c + 1)
+        Clamp clamp;
+    };
+    const Clamp clamps[] = {{kWordLo, kWordHi}, {0, kSix}};
+    const Bias biases[] = {{"no bias", false, 0, {}},
+                           {"negative bias", true, -9000, {kWordLo, kWordHi}},
+                           {"positive bias + relu6", true, 700, {0, kSix}}};
+    Rng rng(23);
+    std::int64_t word_lo = 0, word_hi = 0;
+    for (int shift : {1, 6, 11})
+        for (int H : kHeights)
+            for (int W : kWidths) {
+                const std::size_t n = static_cast<std::size_t>(kImages) * kChannels * H * W;
+                std::vector<std::int16_t> x(n);
+                for (std::size_t i = 0; i < n; ++i)
+                    x[i] = static_cast<std::int16_t>(
+                        i % 5 == 0 ? kWordLo
+                                   : i % 5 == 1 ? kWordHi : rng.uniform_int(kWordLo, kWordHi));
+                const std::vector<std::int32_t> w = ints(9 * kChannels, rng, -1024, 1024);
+                for (const Clamp& cl : clamps)
+                    for (const Bias& b : biases) {
+                        std::vector<core::DwRequant> rq;
+                        for (int c = 0; c < kChannels; ++c)
+                            rq.push_back(b.folded
+                                             ? core::DwRequant{shift, cl.lo, cl.hi,
+                                                               b.add * (c + 1), b.clamp.lo,
+                                                               b.clamp.hi}
+                                             : core::DwRequant{shift, cl.lo, cl.hi, 0, cl.lo,
+                                                               cl.hi});
+                        expect_int_matches(x, w, H, W, rq, b.name);
+                        std::vector<std::int16_t> y(n);
+                        const std::int64_t plane = static_cast<std::int64_t>(H) * W;
+                        for (std::int64_t p = 0; p < kImages * kChannels; ++p)
+                            reference_plane(x.data() + p * plane,
+                                            w.data() + (p % kChannels) * 9, H, W,
+                                            rq[static_cast<std::size_t>(p % kChannels)],
+                                            y.data() + p * plane);
+                        for (const std::int16_t v : y) {
+                            word_lo += v == kWordLo;
+                            word_hi += v == kWordHi;
+                        }
+                    }
+            }
+    EXPECT_GT(word_lo, 0);
+    EXPECT_GT(word_hi, 0);
 }
 
 }  // namespace

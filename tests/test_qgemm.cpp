@@ -219,6 +219,89 @@ TEST(QGemm, StoreModeRequantizeIsAccumulateThenRequantize) {
     EXPECT_GT(wide, 0);
 }
 
+TEST(QGemm, Int16StoreEqualsTheInt32StoreBitwise) {
+    // The int16 store writes each value the int32 store writes from the
+    // same register tile, narrowed: full and partial tiles, K = 0, the int32
+    // register path and the int64 spill (the last row's bias), with values
+    // clamped at both ends of the 16-bit word.  Nothing lands outside C.
+    SimdGuard sguard;
+    ThreadGuard tguard;
+    struct Clamp {
+        std::int32_t lo, hi;
+    };
+    // A 16-bit grid, a 9-bit grid and a fused ReLU6 on it.
+    const Clamp clamps[] = {{-32768, 32767}, {-256, 255}, {0, 192}};
+    constexpr int kGuard = 16;
+    constexpr std::int16_t kStale = 0x5A5A;
+    std::int64_t word_lo = 0, word_hi = 0;
+    for (core::SimdLevel lvl : available_levels()) {
+        ASSERT_EQ(core::set_simd_level(lvl), lvl);
+        const int mr = core::qgemm_mr(), nr = core::qgemm_nr();
+        const int shapes[][3] = {{1, 1, 1},         {3, 5, 7},    {mr, 2, nr},
+                                 {2 * mr, 8, 3 * nr}, {13, 33, 29}, {17, 64, 40},
+                                 {mr + 1, 31, nr + 3}, {5, 0, 3}};
+        for (int threads : {1, 2, 4}) {
+            core::ThreadPool::set_global_threads(threads);
+            for (const auto& s : shapes) {
+                const int M = s[0], K = s[1], N = s[2];
+                const auto a = make_a(M, K, static_cast<std::uint32_t>(M * 71 + K));
+                const auto b = make_b(K, N, static_cast<std::uint32_t>(N * 13 + K));
+                core::QPackedA pa;
+                core::QPackedB pb;
+                core::qpack_a(M, K, a.data(), pa);
+                core::qpack_b(K, N, b.data(), pb);
+                const std::size_t count = static_cast<std::size_t>(M) * N;
+                for (const int shift : {1, 6}) {
+                    std::vector<std::int64_t> bias(static_cast<std::size_t>(M));
+                    for (int m = 0; m < M; ++m)
+                        bias[static_cast<std::size_t>(m)] =
+                            ((m * 29) % 17 - 8) * (std::int64_t{1} << (shift + 4));
+                    if (M > 1) bias.back() = std::int64_t{3} << 31;
+                    for (const Clamp& c : clamps) {
+                        const core::QEpilogue rq{bias.data(), shift, c.lo, c.hi};
+                        std::vector<std::int32_t> want(count, 0x5a5a5a5a);
+                        core::qgemm_packed(pa, pb, want.data(), rq);
+                        std::vector<std::int16_t> buf(count + 2 * kGuard, kStale);
+                        core::qgemm_packed(pa, pb, buf.data() + kGuard, rq);
+                        const std::string at = std::to_string(M) + "x" + std::to_string(K) +
+                                               "x" + std::to_string(N) + " shift " +
+                                               std::to_string(shift) + " clamp [" +
+                                               std::to_string(c.lo) + ", " +
+                                               std::to_string(c.hi) + "] (" +
+                                               core::qgemm_kernel_name() + ", " +
+                                               std::to_string(threads) + " threads)";
+                        for (std::size_t i = 0; i < count; ++i) {
+                            ASSERT_EQ(buf[kGuard + i], want[i]) << at << " @" << i;
+                            word_lo += want[i] == -32768;
+                            word_hi += want[i] == 32767;
+                        }
+                        for (int g = 0; g < kGuard; ++g) {
+                            ASSERT_EQ(buf[static_cast<std::size_t>(g)], kStale) << at;
+                            ASSERT_EQ(buf[buf.size() - 1 - static_cast<std::size_t>(g)], kStale)
+                                << at;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(word_lo, 0);
+    EXPECT_GT(word_hi, 0);
+    // A clamp the word cannot hold is refused before anything is written.
+    const auto a = make_a(2, 3, 1);
+    const auto b = make_b(3, 2, 2);
+    core::QPackedA pa;
+    core::QPackedB pb;
+    core::qpack_a(2, 3, a.data(), pa);
+    core::qpack_b(3, 2, b.data(), pb);
+    std::vector<std::int16_t> c(4, kStale);
+    EXPECT_THROW(core::qgemm_packed(pa, pb, c.data(), core::QEpilogue{nullptr, 1, -32769, 0}),
+                 std::invalid_argument);
+    EXPECT_THROW(core::qgemm_packed(pa, pb, c.data(), core::QEpilogue{nullptr, 1, 0, 32768}),
+                 std::invalid_argument);
+    EXPECT_EQ(c, std::vector<std::int16_t>(4, kStale));
+}
+
 TEST(QGemm, RowsumRecordsRealTaps) {
     const int M = 5, K = 7;  // odd K: the phantom tap must not leak in
     const auto a = make_a(M, K, 9);
@@ -290,12 +373,18 @@ TEST(QGemm, Im2colPackedMatchesManualLowering) {
                             static_cast<std::uint8_t>(x - lo);
                     }
             }
-    core::QPackedB want, got;
+    core::QPackedB want, got, got16;
     core::qpack_b(K, OH * OW, cols.data(), want);
     core::qim2col_packed(img.data(), C, H, W, k, stride, pad, OH, OW, lo, got);
     EXPECT_EQ(got.K, want.K);
     EXPECT_EQ(got.N, want.N);
     EXPECT_EQ(got.data, want.data);
+    // The same image stored as int16 words lowers to the same panel.
+    const std::vector<std::int16_t> img16(img.begin(), img.end());
+    core::qim2col_packed(img16.data(), C, H, W, k, stride, pad, OH, OW, lo, got16);
+    EXPECT_EQ(got16.K, want.K);
+    EXPECT_EQ(got16.N, want.N);
+    EXPECT_EQ(got16.data, want.data);
 }
 
 TEST(QGemm, RejectsMismatchedAndOversizedOperands) {
@@ -351,9 +440,9 @@ quant::QuantConfig scheme(int fm, int w, quant::QExecution e) {
         e);
 }
 
-SkyNetModel folded_model(SkyNetVariant v, std::uint64_t seed) {
+SkyNetModel folded_model(SkyNetVariant v, std::uint64_t seed, float width = 0.2f) {
     Rng rng(seed);
-    SkyNetModel m = build_skynet({v, nn::Act::kReLU6, 2, 0.2f}, rng);
+    SkyNetModel m = build_skynet({v, nn::Act::kReLU6, 2, width}, rng);
     m.net->set_training(true);
     Rng wr(77);
     for (int i = 0; i < 3; ++i) {
@@ -611,6 +700,88 @@ void expect_auto_runs_its_plan(nn::Graph& g, const Shape& in, const quant::Quant
     x.rand_uniform(xr, 0.0f, 1.0f);
     expect_bitwise_equal(fast.run(x), oracle.run(x), what);
     EXPECT_EQ(fast.measured_peak_bytes(), plan.peak_bytes) << what;
+}
+
+TEST(QEngineOracle, EveryActivationWordRunsBitTrueInItsPlan) {
+    // 9- and 16-bit FMs store int16 words, 17- and 24-bit FMs int32 words:
+    // the plan counts each executing op's elements in that word, kAuto is
+    // bitwise kReference, and each engine's measured peak is its plan's.
+    SkyNetModel m = folded_model(SkyNetVariant::kC, 23);
+    const Shape in{2, 3, 32, 64};
+    const std::vector<Shape> shapes = m.net->infer_shapes(in);
+    Tensor x(in);
+    Rng xr(24);
+    x.rand_uniform(xr, 0.0f, 1.0f);
+    for (const int fm : {9, 16, 17, 24}) {
+        SCOPED_TRACE("fm " + std::to_string(fm));
+        const std::int64_t word = fm <= 16 ? 2 : 4;
+        for (const quant::QExecution e :
+             {quant::QExecution::kAuto, quant::QExecution::kReference}) {
+            const quant::Program p = quant::lower(*m.net, scheme(fm, 11, e));
+            const deploy::MemoryPlan plan = quant::plan_activations(p, in);
+            std::int64_t total = 0;
+            for (std::size_t i = 0; i < p.ops.size(); ++i) {
+                const std::int64_t bytes = p.ops[i].executes() ? shapes[i].count() * word : 0;
+                EXPECT_EQ(plan.tensors[i].bytes, bytes) << "node " << i;
+                total += bytes;
+            }
+            EXPECT_EQ(plan.total_bytes, total) << quant::qexecution_name(e);
+        }
+        quant::QEngine fast(*m.net, scheme(fm, 11, quant::QExecution::kAuto));
+        quant::QEngine oracle(*m.net, scheme(fm, 11, quant::QExecution::kReference));
+        if (fm == 9) {
+            EXPECT_GT(fast.report().qgemm_layers, 0);
+        }
+        expect_bitwise_equal(fast.run(x), oracle.run(x), "word widths");
+        for (quant::QEngine* e : {&fast, &oracle})
+            EXPECT_EQ(e->measured_peak_bytes(), e->plan_activations(in).peak_bytes)
+                << quant::qexecution_name(e->execution());
+    }
+}
+
+TEST(QEngine, StaleArenaContentsNeverLeak) {
+    // The arena is never value-initialized, so every executor must write
+    // its whole view.  A saturating pass fills the slots first; then each
+    // forward at batch 4 -> 1 -> 3 -> 4, whose plans move tenants between
+    // slots, must give every image bitwise what a freshly built engine gives
+    // it alone.  A view left partly unwritten holds whatever an earlier
+    // tenant wrote there, in this pass or before, and that differs between a
+    // batch and a single image.
+    const Shape item{1, 3, 32, 64};
+    std::vector<Tensor> images;
+    for (int k = 0; k < 4; ++k) {
+        Tensor x(item);
+        Rng xr(static_cast<std::uint64_t>(k) * 7 + 3);
+        x.rand_uniform(xr, 0.0f, 1.0f);
+        images.push_back(std::move(x));
+    }
+    for (const SkyNetVariant v : {SkyNetVariant::kA, SkyNetVariant::kB, SkyNetVariant::kC}) {
+        SkyNetModel m = folded_model(v, 101, 0.25f);
+        for (const quant::QExecution e :
+             {quant::QExecution::kAuto, quant::QExecution::kReference}) {
+            SCOPED_TRACE(std::string(variant_name(v)) + " " + quant::qexecution_name(e));
+            std::vector<Tensor> alone;
+            for (const Tensor& x : images) {
+                quant::QEngine fresh(*m.net, scheme(9, 11, e));
+                alone.push_back(fresh.run(x));
+            }
+            quant::QEngine engine(*m.net, scheme(9, 11, e));
+            (void)engine.run(Tensor({4, 3, 32, 64}, 100.0f));
+            for (const int n : {4, 1, 3, 4}) {
+                Tensor batch({n, 3, 32, 64});
+                for (int k = 0; k < n; ++k)
+                    std::copy_n(images[static_cast<std::size_t>(k)].data(), item.count(),
+                                batch.data() + k * item.count());
+                const Tensor y = engine.run(batch);
+                const std::int64_t per = y.shape().per_item();
+                for (int k = 0; k < n; ++k)
+                    for (std::int64_t i = 0; i < per; ++i)
+                        ASSERT_EQ(y[k * per + i], alone[static_cast<std::size_t>(k)][i])
+                            << "batch " << n << " image " << k << " @" << i;
+            }
+            EXPECT_EQ(engine.alloc_events(), 0);
+        }
+    }
 }
 
 TEST(Lower, ExecutionDecisionsFollowTheMode) {

@@ -535,6 +535,34 @@ TEST(Engine, PrecisionGaugeDistinguishesQuantizedReplicas) {
     engine.shutdown();
 }
 
+TEST(Engine, ReferenceFallbackGaugeCountsOutOfRangeInt8Passes) {
+    // Non-strict int8: an image outside the declared [0, 1] input range runs
+    // its pass on the scalar reference path (bit-true, slower), and the
+    // gauge published after each int8 batch counts those passes.
+    obs::Registry reg;
+    Detector det = small_detector(18);
+    (void)det.quantize(quant::QuantConfig{}.with_execution(quant::QExecution::kAuto));
+    ServeConfig cfg;
+    cfg.metrics = &reg;
+    Engine engine(det, cfg);
+    engine.start();
+    (void)engine.submit(random_image(4)).get();
+    (void)engine.submit(random_image(5)).get();
+    bool published = false;
+    for (const auto& [name, value] : reg.snapshot().gauges)
+        if (name == "quant.reference_fallbacks") {
+            published = true;
+            EXPECT_EQ(value, 0.0);
+        }
+    EXPECT_TRUE(published) << "no gauge after two in-range int8 batches";
+    Tensor wild({1, 3, 32, 64});
+    Rng rng(6);
+    wild.rand_uniform(rng, -2.0f, 2.0f);
+    (void)engine.submit(wild).get();
+    EXPECT_EQ(reg.gauge("quant.reference_fallbacks"), 1.0);
+    engine.shutdown();
+}
+
 TEST(Detector, RejectsMalformedInputs) {
     Detector det = small_detector();
     EXPECT_THROW((void)det.detect(Tensor({2, 3, 32, 64})), std::invalid_argument);

@@ -403,12 +403,12 @@ TEST(SkylintLayers, MissingManifestSkipsL001ButKeepsL002) {
 
 TEST(SkylintLayers, ManifestParserRejectsBadLines) {
     std::vector<Violation> diags;
-    parse_manifest("tools/skylint/layers.txt",
-                   "no colon here\n"
-                   "a: a\n"          // self-dependency
-                   "a: b\n"          // duplicate of a (also: b undeclared)
-                   "c: missing\n",   // dep never declared
-                   diags);
+    (void)parse_manifest("tools/skylint/layers.txt",
+                         "no colon here\n"
+                         "a: a\n"          // self-dependency
+                         "a: b\n"          // duplicate of a (also: b undeclared)
+                         "c: missing\n",   // dep never declared
+                         diags);
     ASSERT_GE(diags.size(), 4u);
     for (const Violation& v : diags) EXPECT_EQ(v.rule, "L000") << v.str();
 }

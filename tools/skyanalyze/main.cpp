@@ -37,6 +37,7 @@
 #include "backbones/registry.hpp"
 #include "deploy/fold_bn.hpp"
 #include "nn/graph.hpp"
+#include "quant/ranges.hpp"
 #include "sarif/sarif.hpp"
 #include "skynet/skynet_model.hpp"
 #include "verify/analyze.hpp"
@@ -57,6 +58,7 @@ struct ModelResult {
     verify::Report report;           // merged: check_graph (+qmodel) + analyze
     deploy::MemoryPlan plan;
     bool has_plan = false;
+    int word_bytes = 0;              // the plan's FM grid word (2: int16, 4: int32)
     Shape input{};
     bool has_bound = false;          // the error domain ran (the graph was well-formed)
     bool bound_known = false;        // certified bound exists (no E002)
@@ -82,6 +84,7 @@ ModelResult analyze_graph(std::string name, const nn::Graph& g, const Shape& inp
         merge(r.report, a.report);
         r.plan = a.plan;
         r.has_plan = a.has_plan;
+        r.word_bytes = quant::activation_word_bytes(opts.qconfig.fm_bits);
         r.has_bound = true;
         r.bound_known = a.errors.output_known;
         r.bound = a.errors.output_bound;
@@ -140,14 +143,17 @@ void write_plan_report(const std::vector<ModelResult>& results, const char* path
         std::fprintf(stderr, "skyanalyze: cannot write %s\n", path);
         return;
     }
-    std::fprintf(f, "# skyanalyze activation memory plans (elem = int32 grid word, 4 B)\n");
+    std::fprintf(f,
+                 "# skyanalyze activation memory plans, in FM grid words (int16 up to "
+                 "16-bit FMs, int32 above)\n");
     for (const ModelResult& r : results) {
         if (!r.has_plan) {
             std::fprintf(f, "%-24s @%s: no plan (graph has errors or is degenerate)\n",
                          r.name.c_str(), r.input.str().c_str());
             continue;
         }
-        std::fprintf(f, "%-24s @%s: %s\n", r.name.c_str(), r.input.str().c_str(),
+        std::fprintf(f, "%-24s @%s: int%d words (%d B): %s\n", r.name.c_str(),
+                     r.input.str().c_str(), 8 * r.word_bytes, r.word_bytes,
                      r.plan.summary().c_str());
     }
     std::fclose(f);

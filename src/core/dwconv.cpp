@@ -46,12 +46,12 @@ void dwconv3x3(const float* x, const float* w, int H, int W, const Epilogue& ep,
 }
 
 void dwconv3x3(const std::int32_t* x, const std::int32_t* w, int H, int W,
-               const DwRequant& rq, std::int32_t* y) {
+               const QEpilogue& rq, std::int32_t* y) {
     active_kernel().i32(x, w, H, W, rq, y);
 }
 
 void dwconv3x3(const std::int16_t* x, const std::int32_t* w, int H, int W,
-               const DwRequant& rq, std::int16_t* y) {
+               const QEpilogue& rq, std::int16_t* y) {
     active_kernel().i16(x, w, H, W, rq, y);
 }
 

@@ -3,9 +3,9 @@
 //
 //   dwconv3x3(float)    y = act(conv3x3(x, w) + b), the fp32 DWConv3 forward
 //                       with its fused epilogue applied at the store
-//   dwconv3x3(int)      y = clamp(clamp(round_shift(conv3x3(x, w), shift),
-//                       lo, hi) + bias, bias_lo, bias_hi), the int8 engine's
-//                       dwconv with its requantization and folded bias, over
+//   dwconv3x3(int)      y = clamp(round_shift(conv3x3(x, w) + b, shift), lo,
+//                       hi), the int8 engine's dwconv with its bias and
+//                       requantization — the qgemm store's QEpilogue — over
 //                       int32 or int16 activation words (int32 lanes either
 //                       way: an int16 row widens as it loads, and each result
 //                       narrows as it stores)
@@ -31,6 +31,7 @@
 #include <cstdint>
 
 #include "core/gemm.hpp"
+#include "core/qgemm.hpp"
 
 namespace sky::core {
 
@@ -39,27 +40,17 @@ namespace sky::core {
 /// outputs without reading y; y must not overlap x.
 void dwconv3x3(const float* x, const float* w, int H, int W, const Epilogue& ep, float* y);
 
-/// The int32 dwconv's requantization of each accumulator:
-/// y = clamp(clamp(round_shift(acc, shift), lo, hi) + bias, bias_lo, bias_hi).
-/// Without a folded bias, pass bias 0 and the conv's own [lo, hi] again.
-struct DwRequant {
-    int shift = 1;
-    std::int32_t lo = 0;
-    std::int32_t hi = 0;
-    std::int32_t bias = 0;
-    std::int32_t bias_lo = 0;
-    std::int32_t bias_hi = 0;
-};
-
-/// Integer depthwise 3x3 over one plane with `rq` applied at the store.  The
-/// caller proves the int32 arithmetic exact: 1 <= shift <= 30,
-/// 9 * max|w| * max|x| + 2^(shift-1) < 2^31, and clamp(r, lo, hi) + bias
-/// fits int32.  Writes all H x W outputs; y must not overlap x.
+/// Integer depthwise 3x3 over one plane: y = clamp(round_shift(conv3x3(x,
+/// w) + b, rq.shift), rq.lo, rq.hi).  `rq.bias` points at THIS plane's bias
+/// at accumulator scale (one value) or is null.  The caller proves the int32
+/// arithmetic exact: 1 <= shift <= 30 and
+/// 9 * max|w| * max|x| + |b| + 2^(shift-1) < 2^31.  Writes all H x W
+/// outputs; y must not overlap x.
 void dwconv3x3(const std::int32_t* x, const std::int32_t* w, int H, int W,
-               const DwRequant& rq, std::int32_t* y);
-/// The same over int16 words; the caller also keeps [bias_lo, bias_hi]
-/// inside [-32768, 32767], so every result fits its word.
+               const QEpilogue& rq, std::int32_t* y);
+/// The same over int16 words; the caller also keeps [lo, hi] inside
+/// [-32768, 32767], so every result fits its word.
 void dwconv3x3(const std::int16_t* x, const std::int32_t* w, int H, int W,
-               const DwRequant& rq, std::int16_t* y);
+               const QEpilogue& rq, std::int16_t* y);
 
 }  // namespace sky::core

@@ -43,9 +43,9 @@ struct DwConvKernel {
     void (*f32)(const float* x, const float* w, int H, int W, const Epilogue& ep,
                 float* y) = nullptr;
     void (*i32)(const std::int32_t* x, const std::int32_t* w, int H, int W,
-                const DwRequant& rq, std::int32_t* y) = nullptr;
+                const QEpilogue& rq, std::int32_t* y) = nullptr;
     void (*i16)(const std::int16_t* x, const std::int32_t* w, int H, int W,
-                const DwRequant& rq, std::int16_t* y) = nullptr;
+                const QEpilogue& rq, std::int16_t* y) = nullptr;
 };
 
 /// The default load/store policy: a plain copy when S is V's lane type T;
@@ -209,29 +209,27 @@ struct DwEpilogue {
     }
 };
 
-/// int32 finish: round_shift's ties-away-from-zero on |acc| + half with the
-/// sign restored, the conv's clamp, then the folded bias and its clamp.
+/// int32 finish: the bias, round_shift's ties-away-from-zero on |acc| +
+/// half with the sign restored, then the clamp.
 template <class VI>
-struct DwRequantize {
-    VI half, lo, hi, bias, bias_lo, bias_hi;
+struct DwQEpilogue {
+    VI bias, half, lo, hi;
     int shift;
 
-    explicit DwRequantize(const DwRequant& rq)
-        : half(DwPlane<std::int32_t, VI>::splat(std::int32_t{1} << (rq.shift - 1))),
+    explicit DwQEpilogue(const QEpilogue& rq)
+        : bias(DwPlane<std::int32_t, VI>::splat(
+              rq.bias != nullptr ? static_cast<std::int32_t>(*rq.bias) : 0)),
+          half(DwPlane<std::int32_t, VI>::splat(std::int32_t{1} << (rq.shift - 1))),
           lo(DwPlane<std::int32_t, VI>::splat(rq.lo)),
           hi(DwPlane<std::int32_t, VI>::splat(rq.hi)),
-          bias(DwPlane<std::int32_t, VI>::splat(rq.bias)),
-          bias_lo(DwPlane<std::int32_t, VI>::splat(rq.bias_lo)),
-          bias_hi(DwPlane<std::int32_t, VI>::splat(rq.bias_hi)),
           shift(rq.shift) {}
 
     VI operator()(VI acc) const {
         const VI zero{};
-        VI r = ((acc < zero ? -acc : acc) + half) >> shift;
-        r = acc < zero ? -r : r;
-        r = r < lo ? lo : (r > hi ? hi : r);
-        r = r + bias;
-        return r < bias_lo ? bias_lo : (r > bias_hi ? bias_hi : r);
+        const VI a = acc + bias;
+        VI r = ((a < zero ? -a : a) + half) >> shift;
+        r = a < zero ? -r : r;
+        return r < lo ? lo : (r > hi ? hi : r);
     }
 };
 
@@ -244,9 +242,9 @@ void dwconv3x3_f32(const float* x, const float* w, int H, int W, const Epilogue&
 /// The integer flavour over either stored word S; `Io` loads S words into
 /// int32 lanes and stores them back narrowed.
 template <class VI, class S, class Io = DwWords<std::int32_t, VI, S>>
-void dwconv3x3_int(const S* x, const std::int32_t* w, int H, int W, const DwRequant& rq,
+void dwconv3x3_int(const S* x, const std::int32_t* w, int H, int W, const QEpilogue& rq,
                    S* y) {
-    DwPlane<std::int32_t, VI, S, Io>::run(x, w, H, W, y, DwRequantize<VI>(rq));
+    DwPlane<std::int32_t, VI, S, Io>::run(x, w, H, W, y, DwQEpilogue<VI>(rq));
 }
 
 /// AVX2 kernels, defined in core/dwconv_avx2.cpp when that TU is part of the

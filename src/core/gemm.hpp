@@ -47,8 +47,9 @@ enum class EpilogueAct : std::uint8_t { kNone, kReLU, kReLU6, kLeaky, kSigmoid }
 
 /// Elementwise per-row epilogue y = act(bias[row] + x).  A store-mode
 /// sgemm_packed applies it to each C row as it leaves the register tile;
-/// the nn layers use the same struct per output channel (nn/epilogue.hpp).
-/// `bias` is borrowed: one value per row, or nullptr for none.
+/// an nn conv builds it from its own bias and the fused activation
+/// (nn/epilogue.hpp).  `bias` is borrowed: one value per row, or nullptr
+/// for none.
 struct Epilogue {
     const float* bias = nullptr;
     EpilogueAct act = EpilogueAct::kNone;

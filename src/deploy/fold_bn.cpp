@@ -33,41 +33,23 @@ int fold_graph_bn(nn::Graph& g) {
         if (ins.size() != 1) continue;
         const std::size_t j = static_cast<std::size_t>(ins[0]);
         if (consumers[j] != 1) continue;  // the conv output is used elsewhere
-        if (auto* conv = dynamic_cast<nn::Conv2d*>(g.node_module(j))) {
+        nn::Module* m = g.node_module(j);
+        if (auto* conv = dynamic_cast<nn::Conv2d*>(m)) {
             conv->enable_bias();
             fold_into_conv(conv->weight(), conv->bias(), *bn);
-            g.replace_module(i, std::make_unique<Identity>());
-            ++count;
-        } else if (auto* pw = dynamic_cast<nn::PWConv1*>(g.node_module(j))) {
+        } else if (auto* pw = dynamic_cast<nn::PWConv1*>(m)) {
             pw->enable_bias();
             fold_into_conv(pw->weight(), pw->bias(), *bn);
-            g.replace_module(i, std::make_unique<Identity>());
-            ++count;
-        } else if (auto* dw = dynamic_cast<nn::DWConv3*>(g.node_module(j))) {
-            std::vector<float> scale, shift;
-            bn->fused_affine(scale, shift);
-            Tensor& w = dw->weight();
-            for (int c = 0; c < dw->channels(); ++c) {
-                float* wp = w.plane(c, 0);
-                for (int t = 0; t < 9; ++t) wp[t] *= scale[static_cast<std::size_t>(c)];
-            }
-            g.replace_module(i, std::make_unique<ChannelBias>(shift));
-            ++count;
+        } else if (auto* dw = dynamic_cast<nn::DWConv3*>(m)) {
+            dw->enable_bias();
+            fold_into_conv(dw->weight(), dw->bias(), *bn);
+        } else {
+            continue;
         }
+        g.replace_module(i, std::make_unique<Identity>());
+        ++count;
     }
     return count;
 }
-
-ChannelBias::ChannelBias(std::vector<float> bias) : bias_(std::move(bias)) {}
-
-Tensor ChannelBias::forward(const Tensor& x) {
-    if (x.shape().c != static_cast<int>(bias_.size()))
-        throw std::invalid_argument("ChannelBias: channel mismatch");
-    Tensor y = x;
-    nn::apply_epilogue(nn::Epilogue{bias_.data()}, y);
-    return y;
-}
-
-Tensor ChannelBias::backward(const Tensor& grad_out) { return grad_out; }
 
 }  // namespace sky::deploy

@@ -26,9 +26,9 @@ void fold_into_conv(Tensor& weight, Tensor& bias, const nn::BatchNorm2d& bn);
 
 /// Fold BN nodes of a Graph into their producing conv nodes.  A BN folds
 /// when its single input is a Conv2d / PWConv1 / DWConv3 module node
-/// consumed only by that BN; the BN node is replaced by an Identity (or a
-/// ChannelBias for bias-less depthwise convs).  Nested graphs are left as
-/// they are.  Returns the number of BN layers folded.
+/// consumed only by that BN; the conv gains a bias if it had none, and the
+/// BN node is replaced by an Identity.  Nested graphs are left as they are.
+/// Returns the number of BN layers folded.
 int fold_graph_bn(nn::Graph& g);
 
 /// Pass-through module left behind where a folded layer used to be.  As an
@@ -43,28 +43,6 @@ public:
     [[nodiscard]] std::string name() const override { return "Identity"; }
     [[nodiscard]] std::string kind() const override { return "identity"; }
     [[nodiscard]] Shape out_shape(const Shape& in) const override { return in; }
-};
-
-/// Per-channel constant bias — what remains of a BN folded into a bias-less
-/// depthwise convolution.  An eval nn::Graph forward folds it into the
-/// depthwise conv's per-plane epilogue.
-class ChannelBias : public nn::Module {
-public:
-    explicit ChannelBias(std::vector<float> bias);
-
-    Tensor forward(const Tensor& x) override;
-    Tensor backward(const Tensor& grad_out) override;
-    [[nodiscard]] std::optional<nn::Epilogue> as_epilogue() const override {
-        return nn::Epilogue{bias_.data()};
-    }
-
-    [[nodiscard]] std::string name() const override { return "ChannelBias"; }
-    [[nodiscard]] std::string kind() const override { return "bias"; }
-    [[nodiscard]] Shape out_shape(const Shape& in) const override { return in; }
-    [[nodiscard]] const std::vector<float>& values() const { return bias_; }
-
-private:
-    std::vector<float> bias_;
 };
 
 }  // namespace sky::deploy

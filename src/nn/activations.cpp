@@ -18,10 +18,10 @@ std::string Activation::name() const { return act_name(kind_); }
 
 Epilogue Activation::epilogue() const {
     switch (kind_) {
-        case Act::kReLU: return {nullptr, EpilogueAct::kReLU, slope_};
-        case Act::kReLU6: return {nullptr, EpilogueAct::kReLU6, slope_};
-        case Act::kLeaky: return {nullptr, EpilogueAct::kLeaky, slope_};
-        case Act::kSigmoid: return {nullptr, EpilogueAct::kSigmoid, slope_};
+        case Act::kReLU: return {EpilogueAct::kReLU, slope_};
+        case Act::kReLU6: return {EpilogueAct::kReLU6, slope_};
+        case Act::kLeaky: return {EpilogueAct::kLeaky, slope_};
+        case Act::kSigmoid: return {EpilogueAct::kSigmoid, slope_};
     }
     return {};
 }

@@ -67,7 +67,7 @@ void BatchNorm2d::forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) 
                     hp[i] = h;
                     yp[i] = g * h + b;
                 }
-                apply_epilogue(ep, c, yp, plane);
+                apply_epilogue(ep, yp, plane);
             }
         }
         });
@@ -81,7 +81,7 @@ void BatchNorm2d::forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) 
                 const float* xp = x.plane(n, c);
                 float* yp = y.plane(n, c);
                 for (std::int64_t i = 0; i < plane; ++i) yp[i] = g * xp[i] + b;
-                apply_epilogue(ep, c, yp, plane);
+                apply_epilogue(ep, yp, plane);
             }
         }
         });

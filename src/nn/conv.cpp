@@ -90,14 +90,12 @@ void Conv2d::forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) {
         core::pack_a(out_ch_, K, weight_.data(), /*trans=*/false, tls_weights);
         wp = &tls_weights;
     }
-    core::Epilogue store = ep.bias != nullptr ? core::Epilogue{} : ep;
-    store.bias = has_bias_ ? bias_.data() : nullptr;
+    const core::Epilogue store{has_bias_ ? bias_.data() : nullptr, ep.act, ep.slope};
     for (int n = 0; n < in.n; ++n) {
         core::im2col_packed(x.plane(n, 0), in.c, in.h, in.w, k_, stride_, pad_, os.h,
                             os.w, tls_cols);
         core::sgemm_packed(*wp, tls_cols, y.plane(n, 0), store);
     }
-    if (ep.bias != nullptr) apply_epilogue(ep, y);
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {

@@ -22,9 +22,7 @@ public:
     Conv2d(int in_ch, int out_ch, int k, int stride, int pad, bool bias, Rng& rng);
 
     Tensor forward(const Tensor& x) override;
-    /// The GEMM store writes act(bias + acc) per output channel.  An
-    /// epilogue that brings its own bias is applied in place afterwards,
-    /// since it cannot share the store's add with the layer's bias.
+    /// The GEMM store writes act(bias + acc) per output channel.
     void forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) override;
     Tensor backward(const Tensor& grad_out) override;
     void collect_params(std::vector<ParamRef>& out) override;

@@ -8,7 +8,11 @@
 namespace sky::nn {
 
 DWConv3::DWConv3(int channels, Rng& rng)
-    : channels_(channels), weight_({channels, 1, 3, 3}), grad_weight_({channels, 1, 3, 3}) {
+    : channels_(channels),
+      weight_({channels, 1, 3, 3}),
+      bias_({1, channels, 1, 1}),
+      grad_weight_({channels, 1, 3, 3}),
+      grad_bias_({1, channels, 1, 1}) {
     weight_.kaiming(rng, 9);
 }
 
@@ -16,7 +20,9 @@ std::int64_t DWConv3::macs(const Shape& in) const {
     return static_cast<std::int64_t>(in.n) * in.c * in.h * in.w * 9;
 }
 
-std::int64_t DWConv3::param_count() const { return static_cast<std::int64_t>(channels_) * 9; }
+std::int64_t DWConv3::param_count() const {
+    return static_cast<std::int64_t>(channels_) * (has_bias_ ? 10 : 9);
+}
 
 std::string DWConv3::name() const { return "DW-Conv3(" + std::to_string(channels_) + ")"; }
 
@@ -34,15 +40,16 @@ void DWConv3::forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) {
     y.resize(s);
     // Each (n, c) plane is an independent 3x3 convolution; parallelise over
     // the flattened plane index (disjoint outputs, thread-count invariant).
-    // The kernel writes every element of a plane with `ep` applied.
+    // The kernel writes every element of a plane with its bias and `ep`
+    // applied.
     core::parallel_for(
         0, static_cast<std::int64_t>(s.n) * channels_, 1,
         [&](std::int64_t p0, std::int64_t p1) {
         for (std::int64_t p = p0; p < p1; ++p) {
             const int n = static_cast<int>(p / channels_);
             const int c = static_cast<int>(p % channels_);
-            const Epilogue plane_ep{ep.bias != nullptr ? ep.bias + c : nullptr, ep.act,
-                                    ep.slope};
+            const core::Epilogue plane_ep{has_bias_ ? bias_.data() + c : nullptr, ep.act,
+                                          ep.slope};
             core::dwconv3x3(x.plane(n, c), weight_.plane(c, 0), s.h, s.w, plane_ep,
                             y.plane(n, c));
         }
@@ -67,6 +74,12 @@ Tensor DWConv3::backward(const Tensor& grad_out) {
             float* gxp = grad_in.plane(n, c);
             const float* w = weight_.plane(c, 0);
             float* gw = grad_weight_.plane(c, 0);
+            if (has_bias_) {
+                double bacc = 0.0;
+                for (std::int64_t i = 0; i < static_cast<std::int64_t>(s.h) * s.w; ++i)
+                    bacc += gp[i];
+                grad_bias_[c] += static_cast<float>(bacc);
+            }
             for (int oh = 0; oh < s.h; ++oh) {
                 const float* grow = gp + static_cast<std::int64_t>(oh) * s.w;
                 for (int kh = 0; kh < 3; ++kh) {
@@ -96,6 +109,7 @@ Tensor DWConv3::backward(const Tensor& grad_out) {
 
 void DWConv3::collect_params(std::vector<ParamRef>& out) {
     out.push_back({&weight_, &grad_weight_});
+    if (has_bias_) out.push_back({&bias_, &grad_bias_});
 }
 
 }  // namespace sky::nn

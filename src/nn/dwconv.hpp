@@ -15,8 +15,8 @@ public:
     DWConv3(int channels, Rng& rng);
 
     Tensor forward(const Tensor& x) override;
-    /// core::dwconv3x3 writes every element of each plane of `y`, with `ep`
-    /// applied at the store.
+    /// core::dwconv3x3 writes act(conv + bias) to every element of each
+    /// plane of `y`.
     void forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) override;
     Tensor backward(const Tensor& grad_out) override;
     void collect_params(std::vector<ParamRef>& out) override;
@@ -28,13 +28,21 @@ public:
 
     [[nodiscard]] Tensor& weight() { return weight_; }
     [[nodiscard]] const Tensor& weight() const { return weight_; }
+    [[nodiscard]] Tensor& bias() { return bias_; }
+    [[nodiscard]] const Tensor& bias() const { return bias_; }
     [[nodiscard]] int channels() const { return channels_; }
     [[nodiscard]] std::string kind() const override { return "dwconv"; }
+    [[nodiscard]] bool has_bias() const { return has_bias_; }
+    /// Deployment passes (BN folding) may need to materialise a bias.
+    void enable_bias() { has_bias_ = true; }
 
 private:
     int channels_;
+    bool has_bias_ = false;
     Tensor weight_;  ///< [channels, 1, 3, 3]
+    Tensor bias_;    ///< [1, channels, 1, 1]
     Tensor grad_weight_;
+    Tensor grad_bias_;
     Tensor input_;
 };
 

@@ -7,29 +7,19 @@ namespace sky::nn {
 namespace {
 
 template <EpilogueAct A>
-void apply_plane(const float* bias, float slope, float* p, std::int64_t n) {
-    if (bias != nullptr) {
-        const float b = *bias;
-        for (std::int64_t i = 0; i < n; ++i) p[i] = activate<A>(p[i] + b, slope);
-    } else {
-        for (std::int64_t i = 0; i < n; ++i) p[i] = activate<A>(p[i], slope);
-    }
+void apply_plane(float slope, float* p, std::int64_t n) {
+    for (std::int64_t i = 0; i < n; ++i) p[i] = activate<A>(p[i], slope);
 }
 
 }  // namespace
 
-void apply_epilogue(const Epilogue& ep, int channel, float* p, std::int64_t n) {
-    const float* b = ep.bias != nullptr ? ep.bias + channel : nullptr;
+void apply_epilogue(const Epilogue& ep, float* p, std::int64_t n) {
     switch (ep.act) {
-        case EpilogueAct::kNone:
-            if (b != nullptr) apply_plane<EpilogueAct::kNone>(b, ep.slope, p, n);
-            break;
-        case EpilogueAct::kReLU: apply_plane<EpilogueAct::kReLU>(b, ep.slope, p, n); break;
-        case EpilogueAct::kReLU6: apply_plane<EpilogueAct::kReLU6>(b, ep.slope, p, n); break;
-        case EpilogueAct::kLeaky: apply_plane<EpilogueAct::kLeaky>(b, ep.slope, p, n); break;
-        case EpilogueAct::kSigmoid:
-            apply_plane<EpilogueAct::kSigmoid>(b, ep.slope, p, n);
-            break;
+        case EpilogueAct::kNone: break;
+        case EpilogueAct::kReLU: apply_plane<EpilogueAct::kReLU>(ep.slope, p, n); break;
+        case EpilogueAct::kReLU6: apply_plane<EpilogueAct::kReLU6>(ep.slope, p, n); break;
+        case EpilogueAct::kLeaky: apply_plane<EpilogueAct::kLeaky>(ep.slope, p, n); break;
+        case EpilogueAct::kSigmoid: apply_plane<EpilogueAct::kSigmoid>(ep.slope, p, n); break;
     }
 }
 
@@ -41,8 +31,7 @@ void apply_epilogue(const Epilogue& ep, Tensor& y) {
     core::parallel_for(0, static_cast<std::int64_t>(s.n) * s.c, 1,
                        [&](std::int64_t p0, std::int64_t p1) {
                            for (std::int64_t p = p0; p < p1; ++p)
-                               apply_epilogue(ep, static_cast<int>(p % s.c),
-                                              y.data() + p * plane, plane);
+                               apply_epilogue(ep, y.data() + p * plane, plane);
                        });
 }
 

@@ -1,13 +1,13 @@
-// Fused eval epilogues: the elementwise per-channel tail y = act(x + b[c])
-// that an Activation, a ChannelBias or a folded-BN Identity applies to its
-// producer's output.
+// Fused eval epilogues: the elementwise activation y = act(x) that an
+// Activation (or, empty, a folded-BN Identity) applies to its producer's
+// output.
 //
 // In eval mode nn::Graph folds such nodes into the module that produces
 // their input, and that module applies the Epilogue where it writes its
-// output (Module::forward_fused): PWConv1 and Conv2d in the GEMM store,
-// DWConv3 in the depthwise kernel's store (core/dwconv.hpp), MaxPool2 per
-// plane inside its parallel chunks, eval BatchNorm2d in its own loop, and
-// any other module in place afterwards.
+// output (Module::forward_fused): PWConv1, Conv2d and DWConv3 after adding
+// their own bias in the store (core::Epilogue, core/gemm.hpp and
+// core/dwconv.hpp), MaxPool2 per plane inside its parallel chunks, eval
+// BatchNorm2d in its own loop, and any other module in place afterwards.
 // The formulas below are the only scalar copy; core/gemm_ukernel.hpp
 // carries their vector twin.
 // Every fused value is the same expression, in the same operand order, as
@@ -22,10 +22,15 @@
 
 namespace sky::nn {
 
-/// y = act(x + bias[c]); the add is skipped when bias is null, and an empty
-/// Epilogue (an Identity) changes nothing.
-using Epilogue = core::Epilogue;
 using core::EpilogueAct;
+
+/// y = act(x); an empty Epilogue (an Identity) changes nothing.  A conv
+/// applies it as core::Epilogue{its own bias, act, slope}.
+struct Epilogue {
+    EpilogueAct act = EpilogueAct::kNone;
+    float slope = 0.0f;  ///< kLeaky's negative-side slope
+    [[nodiscard]] bool empty() const { return act == EpilogueAct::kNone; }
+};
 
 /// The activation formulas (ReLU, ReLU6, LeakyReLU, Sigmoid) — written once.
 template <EpilogueAct A>
@@ -44,8 +49,8 @@ template <EpilogueAct A>
     }
 }
 
-/// Apply `ep` in place to one plane of `n` values of channel `channel`.
-void apply_epilogue(const Epilogue& ep, int channel, float* p, std::int64_t n);
+/// Apply `ep` in place to `n` values.
+void apply_epilogue(const Epilogue& ep, float* p, std::int64_t n);
 
 /// Apply `ep` in place to every (image, channel) plane of `y`, in parallel.
 void apply_epilogue(const Epilogue& ep, Tensor& y);

@@ -64,18 +64,11 @@ Graph::FusionPlan Graph::plan(bool fuse) const {
             open[c] = open[c] && sole_reader(i);
             continue;
         }
-        Epilogue& fused = plan.epilogue[c];
-        const bool fits = fused.act == EpilogueAct::kNone &&
-                          (e->bias == nullptr || fused.bias == nullptr);
-        if (!producer[c] || !open[c] || !fits) continue;
+        if (!producer[c] || !open[c] || !plan.epilogue[c].empty()) continue;
         for (std::size_t k = c; k < i; ++k)
             if (carrier[k] == static_cast<int>(c) && plan.overwritten[k] < 0)
                 plan.overwritten[k] = static_cast<int>(i);
-        if (e->bias != nullptr) fused.bias = e->bias;
-        if (e->act != EpilogueAct::kNone) {
-            fused.act = e->act;
-            fused.slope = e->slope;
-        }
+        plan.epilogue[c] = *e;
         carrier[i] = static_cast<int>(c);
         open[c] = sole_reader(i);
     }

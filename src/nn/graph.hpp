@@ -11,11 +11,11 @@
 //
 // Eval forwards fuse epilogues (nn/epilogue.hpp) by fusion_plan(), the one
 // fusion rule (quant::lower only vetoes).  An Identity node aliases its
-// input; an Activation or ChannelBias node whose input is a producer
-// module's value read by that node alone folds into the producer, which
-// applies it as it writes its output.  At most one bias and then one
-// activation fold into a producer, and a producer that is the graph output
-// keeps its value.  Training forwards run every node.
+// input; an Activation node whose input is a producer module's value read
+// by that node alone folds into the producer, which applies it as it writes
+// its output.  At most one activation folds into a producer, and a producer
+// that is the graph output keeps its value.  Training forwards run every
+// node.
 #pragma once
 
 #include <utility>

@@ -50,8 +50,7 @@ public:
     virtual Tensor backward(const Tensor& grad_out) = 0;
 
     /// y = forward(x) with `ep` applied to the output (nn/epilogue.hpp) —
-    /// bitwise what forward(x) followed by ep's Activation / ChannelBias
-    /// modules gives.  nn::Graph calls it with each executing node's own
+    /// bitwise what forward(x) followed by ep's Activation module gives.  nn::Graph calls it with each executing node's own
     /// output tensor, so `y` arrives holding that node's previous output:
     /// any shape, stale values.  An override sizes it with Tensor::resize,
     /// which keeps the buffer, and writes every element.  Default: y =
@@ -59,9 +58,9 @@ public:
     /// MaxPool2 and SpaceToDepth write into y and apply ep as they write.
     virtual void forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y);
 
-    /// This module as an elementwise per-channel epilogue, or nullopt when it
-    /// is anything else.  Activation, ChannelBias and Identity (an empty
-    /// Epilogue) override it; their forward() computes exactly the Epilogue.
+    /// This module as an elementwise epilogue, or nullopt when it is
+    /// anything else.  Activation and Identity (an empty Epilogue) override
+    /// it; their forward() computes exactly the Epilogue.
     [[nodiscard]] virtual std::optional<Epilogue> as_epilogue() const {
         return std::nullopt;
     }

@@ -57,7 +57,7 @@ void MaxPool2::forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) {
                         if (argmax != nullptr) argmax[oi++] = static_cast<std::int32_t>(best);
                     }
                 }
-                apply_epilogue(ep, c, yp, oplane);
+                apply_epilogue(ep, yp, oplane);
             }
         });
 }

@@ -88,9 +88,7 @@ void PWConv1::forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) {
                         wpack_[0].K == ipg;
     // A 1x1 conv is one GEMM per (image, group): Y_g = act(b_g + W_g X_g)
     // with W_g opg x ipg and X_g ipg x H*W, stored straight from the tile.
-    // An epilogue bias cannot share the store's add with the layer's own
-    // bias, so it and its activation go in place afterwards.
-    core::Epilogue store = ep.bias != nullptr ? core::Epilogue{} : ep;
+    core::Epilogue store{nullptr, ep.act, ep.slope};
     for (int n = 0; n < s.n; ++n) {
         for (int g = 0; g < groups_; ++g) {
             core::pack_b(ipg, static_cast<int>(plane), x.plane(n, g * ipg),
@@ -107,7 +105,6 @@ void PWConv1::forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) {
             core::sgemm_packed(*wp, tls_cols, y.plane(n, g * opg), store);
         }
     }
-    if (ep.bias != nullptr) apply_epilogue(ep, y);
 }
 
 Tensor PWConv1::backward(const Tensor& grad_out) {

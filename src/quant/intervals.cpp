@@ -165,11 +165,6 @@ Interval op_interval(const Op& op, const std::vector<Interval>& v, int node,
             return conv_interval(op, in);
         case OpKind::kAffine:
             return affine_interval(op.scale, op.shift, in);
-        case OpKind::kBias: {
-            if (!in.known || op.shift.empty()) return {};
-            const auto [mn, mx] = std::minmax_element(op.shift.begin(), op.shift.end());
-            return {in.lo + *mn, in.hi + *mx, true};
-        }
         case OpKind::kRelu:
         case OpKind::kRelu6:
         case OpKind::kLeaky:

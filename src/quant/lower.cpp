@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <limits>
 #include <stdexcept>
 
 #include "deploy/fold_bn.hpp"
@@ -54,8 +53,8 @@ Op lower_module(nn::Module& m, const QuantConfig& cfg) {
         why = ": grouped 1x1 conv is unsupported";
         hint = "ungroup the conv or extend the integer engine";
     } else if (auto* dw = dynamic_cast<nn::DWConv3*>(&m)) {
-        set_conv(op, OpKind::kDwConv, dw->weight(), nullptr, dw->channels(), 3, 1, 1,
-                 dw->channels());
+        set_conv(op, OpKind::kDwConv, dw->weight(), dw->has_bias() ? &dw->bias() : nullptr,
+                 dw->channels(), 3, 1, 1, dw->channels());
         integer = true;
     } else if (auto* fc = dynamic_cast<nn::Linear*>(&m)) {
         set_conv(op, OpKind::kConv, fc->weight(), &fc->bias(), fc->weight().shape().c, 1,
@@ -65,10 +64,6 @@ Op lower_module(nn::Module& m, const QuantConfig& cfg) {
     } else if (auto* bn = dynamic_cast<nn::BatchNorm2d*>(&m)) {
         op.kind = OpKind::kAffine;
         bn->fused_affine(op.scale, op.shift);
-    } else if (auto* cb = dynamic_cast<deploy::ChannelBias*>(&m)) {
-        op.kind = OpKind::kBias;
-        op.shift = cb->values();
-        integer = true;
     } else if (auto* act = dynamic_cast<nn::Activation*>(&m)) {
         switch (act->act_kind()) {
             case nn::Act::kReLU: op.kind = OpKind::kRelu; break;
@@ -188,7 +183,7 @@ bool well_formed(const Program& p) {
     return p.output >= 0 && static_cast<std::size_t>(p.output) < p.ops.size();
 }
 
-/// The execution decisions (Op::alias, fused_act, fused_bias): the graph's
+/// The execution decisions (Op::alias, fused_act): the graph's
 /// fusion plan minus the folds the integer datapath cannot make exactly.
 /// Identities (folded BN leaves one behind every conv) are pure plumbing.
 /// A folded ReLU/ReLU6 becomes a requantization clamp:
@@ -199,14 +194,6 @@ void schedule(Program& p) {
     if (!well_formed(p)) return;  // plan_activations refuses the program
     const bool fuse = p.execution != QExecution::kReference && p.valid_scheme();
     const std::vector<int> carrier = p.graph->fusion_plan().carrier;
-    // A ChannelBias folds into a dwconv only when the add provably fits
-    // int32 next to a grid value.
-    const auto fits = [&p](std::int64_t b) {
-        return b >= std::numeric_limits<std::int32_t>::min() -
-                        static_cast<std::int64_t>(p.spec.grid_lo) &&
-               b <= std::numeric_limits<std::int32_t>::max() -
-                        static_cast<std::int64_t>(p.spec.grid_hi);
-    };
     for (std::size_t i = 1; i < p.ops.size(); ++i) {
         Op& op = p.ops[i];
         const int in = p.carrier(op.inputs[0]), c = carrier[i];
@@ -220,13 +207,7 @@ void schedule(Program& p) {
         if (op.kind == OpKind::kIdentity) {
             op.alias = in;
         } else if (holds && (op.kind == OpKind::kRelu || op.kind == OpKind::kRelu6)) {
-            // A ChannelBias folded into c applies the last clamp.
-            (prod.fused_bias < 0 ? prod : p.ops[static_cast<std::size_t>(prod.fused_bias)])
-                .fused_act = static_cast<int>(i);
-            op.alias = c;
-        } else if (holds && op.kind == OpKind::kBias && prod.kind == OpKind::kDwConv &&
-                   std::all_of(op.qbias.begin(), op.qbias.end(), fits)) {
-            prod.fused_bias = static_cast<int>(i);
+            prod.fused_act = static_cast<int>(i);
             op.alias = c;
         }
     }
@@ -244,15 +225,10 @@ Program lower(const nn::Graph& g, const QuantConfig& cfg) {
     p.output = g.output_node();
     if (p.valid_scheme()) {
         p.spec = make_grid_spec(cfg);
-        const double inv_step = 1.0 / p.spec.fm.step();
-        for (Op& op : p.ops) {
-            if (op.verdict != Verdict::kInt) continue;
-            if (op.kind == OpKind::kConv || op.kind == OpKind::kDwConv)
+        for (Op& op : p.ops)
+            if (op.verdict == Verdict::kInt &&
+                (op.kind == OpKind::kConv || op.kind == OpKind::kDwConv))
                 quantize_conv(op, cfg.weight_bits, p.spec.fm);
-            else if (op.kind == OpKind::kBias)  // the folded BN shift, on the FM grid
-                for (const float b : op.shift)
-                    op.qbias.push_back(static_cast<std::int64_t>(std::llround(b * inv_step)));
-        }
     }
     schedule(p);
     return p;

@@ -21,9 +21,7 @@
 // runs nn::Graph::fusion_plan(), the fp32 forward's plan, and only vetoes:
 // an identity never executes; outside QExecution::kReference and with a
 // valid scheme, a folded ReLU/ReLU6 stays in the clamp of an integer conv or
-// dwconv holding its input (or of the ChannelBias folded into it), and a
-// folded ChannelBias stays in such a dwconv when its grid bias fits int32;
-// every other op executes.  QEngine runs exactly the executing ops, and
+// dwconv holding its input; every other op executes.  QEngine runs exactly the executing ops, and
 // plan_activations() sizes exactly their buffers — for the engine and for
 // verify::analyze alike.
 //
@@ -54,7 +52,6 @@ enum class OpKind {
     kConv,      ///< Conv2d, PWConv1 (any groups), Linear (1x1 on the flattened input)
     kDwConv,    ///< DWConv3 (a conv with groups == channels)
     kAffine,    ///< BatchNorm2d, as its fused per-channel affine
-    kBias,      ///< deploy::ChannelBias
     kRelu,
     kRelu6,
     kLeaky,
@@ -89,9 +86,9 @@ struct Op {
     FixedPointFormat wfmt{};               ///< per-layer weight format
     std::vector<std::int32_t> qweights;    ///< w_hat, the layout of *weight
     std::int64_t wmax = 0;                 ///< max |w_hat|
-    std::vector<std::int64_t> qbias;       ///< conv: accumulator scale; kBias: FM grid
+    std::vector<std::int64_t> qbias;       ///< the bias at accumulator scale
 
-    std::vector<float> scale, shift;  ///< kAffine: y = scale_c * x + shift_c; kBias: shift
+    std::vector<float> scale, shift;  ///< kAffine: y = scale_c * x + shift_c
     float slope = 0.0f;               ///< kLeaky
     int block = 2;                    ///< kReorder
 
@@ -104,8 +101,7 @@ struct Op {
     /// -1: the op executes.  Otherwise it is skipped and op `alias` (an
     /// executing op) holds its value in its own buffer.
     int alias = -1;
-    int fused_act = -1;   ///< kConv/kDwConv/kBias: the ReLU/ReLU6 op in its clamp
-    int fused_bias = -1;  ///< kDwConv: the ChannelBias op folded into it
+    int fused_act = -1;  ///< kConv/kDwConv: the ReLU/ReLU6 op in its clamp
 
     [[nodiscard]] bool executes() const { return alias < 0; }
 };

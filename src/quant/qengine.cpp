@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -55,26 +54,27 @@ QEngine::QEngine(Program program)
         l.clamp_hi = fused && p.ops[static_cast<std::size_t>(op.fused_act)].kind == OpKind::kRelu6
                          ? spec.six
                          : spec.grid_hi;
-        for (const int j : {op.fused_act, op.fused_bias})
-            if (j >= 0) notes[static_cast<std::size_t>(j)] = "fused into " + op.name;
+        if (fused) notes[static_cast<std::size_t>(op.fused_act)] = "fused into " + op.name;
         if (op.verdict == Verdict::kFp32) {
             l.impl = QImpl::kFp32;
             continue;
         }
         const bool conv = op.kind == OpKind::kConv || op.kind == OpKind::kDwConv;
-        if (conv || op.kind == OpKind::kAdd || op.kind == OpKind::kBias) l.impl = QImpl::kRefInt;
+        if (conv || op.kind == OpKind::kAdd) l.impl = QImpl::kRefInt;
         if (!conv) continue;
         const int shift = op.wfmt.frac_bits;
         if (p.execution == QExecution::kReference) continue;
         if (op.kind == OpKind::kDwConv) {
             // The dwconv runs the int32 vector kernel (core/dwconv.hpp)
-            // whenever the 9-tap accumulation plus the rounding offset
-            // provably fits — bit-equal to the int64 loop (exact integer
-            // sums), which the oracle keeps.
+            // whenever the 9-tap accumulation plus the bias and the rounding
+            // offset provably fits — bit-equal to the int64 loop (exact
+            // integer sums), which the oracle keeps.
             const std::int64_t xmax =
                 std::max<std::int64_t>(-static_cast<std::int64_t>(spec.grid_lo), spec.grid_hi);
+            std::int64_t bmax = 0;
+            for (const std::int64_t b : op.qbias) bmax = std::max(bmax, b < 0 ? -b : b);
             l.dw32 = shift >= 1 && shift <= 30 &&
-                     9 * op.wmax * xmax + (std::int64_t{1} << (shift - 1)) <
+                     9 * op.wmax * xmax + bmax + (std::int64_t{1} << (shift - 1)) <
                          (std::int64_t{1} << 31);
             continue;
         }
@@ -179,10 +179,8 @@ void QEngine::execute(std::size_t i, bool allow_qgemm) {
     }
     switch (op.kind) {
         case OpKind::kConv:
-            execute_conv(op, l, x, y, allow_qgemm);
-            return;
         case OpKind::kDwConv:
-            execute_dwconv(op, l, x, y);
+            execute_conv(op, l, x, y, allow_qgemm);
             return;
         case OpKind::kRelu:
         case OpKind::kRelu6: {
@@ -266,124 +264,11 @@ void QEngine::execute(std::size_t i, bool allow_qgemm) {
             });
             return;
         }
-        case OpKind::kBias: {
-            // Per-channel add with the layer's requantization clamp — the
-            // grid bounds when unfused (== the old saturate), or [0, six]
-            // when a downstream ReLU/ReLU6 was folded in.
-            const std::int64_t plane = static_cast<std::int64_t>(x.shape.h) * x.shape.w;
-            const int C = x.shape.c;
-            const std::int32_t lo = l.clamp_lo, hi = l.clamp_hi;
-            const std::int32_t glo = spec.grid_lo, ghi = spec.grid_hi;
-            const Word* xd = x.data;
-            Word* yd = y.data;
-            const std::int64_t* bias = op.qbias.data();
-            core::parallel_for(
-                0, static_cast<std::int64_t>(x.shape.n) * C, 1,
-                [=](std::int64_t p0, std::int64_t p1) {
-                    for (std::int64_t p = p0; p < p1; ++p) {
-                        const std::int64_t b = bias[p % C];
-                        const Word* src = xd + p * plane;
-                        Word* dst = yd + p * plane;
-                        // Grid values fit fm_bits, so when the bias also fits
-                        // int32 with headroom the sum is exact in int32.
-                        if (b >= std::numeric_limits<std::int32_t>::min() -
-                                     static_cast<std::int64_t>(glo) &&
-                            b <= std::numeric_limits<std::int32_t>::max() -
-                                     static_cast<std::int64_t>(ghi)) {
-                            const std::int32_t b32 = static_cast<std::int32_t>(b);
-                            for (std::int64_t i = 0; i < plane; ++i)
-                                dst[i] = static_cast<Word>(std::clamp(src[i] + b32, lo, hi));
-                        } else {
-                            for (std::int64_t i = 0; i < plane; ++i)
-                                dst[i] = static_cast<Word>(std::clamp(
-                                    static_cast<std::int64_t>(src[i]) + b,
-                                    static_cast<std::int64_t>(lo),
-                                    static_cast<std::int64_t>(hi)));
-                        }
-                    }
-                });
-            return;
-        }
         default:
             // Inputs are quantized by run(), identities and fused ops never
             // execute, and every other kind runs only as an fp32 island.
             throw std::logic_error("QEngine: no integer executor for " + op.name);
     }
-}
-
-template <class Word>
-void QEngine::execute_dwconv(const Op& op, const QLayer& l, const QView<Word>& x,
-                             const QView<Word>& y) const {
-    const int H = x.shape.h, W = x.shape.w, C = x.shape.c;
-    const int shift = op.wfmt.frac_bits;
-    const std::int32_t clamp_lo = l.clamp_lo, clamp_hi = l.clamp_hi;
-    const Word* xd = x.data;
-    const std::int32_t* wd = op.qweights.data();
-    Word* yd = y.data;
-    // A folded ChannelBias adds after the clamp, then applies its own clamp.
-    const std::int64_t* pbias = nullptr;
-    std::int32_t plo = 0, phi = 0;
-    if (op.fused_bias >= 0) {
-        const auto j = static_cast<std::size_t>(op.fused_bias);
-        pbias = program_.ops[j].qbias.data();
-        plo = layers_[j].clamp_lo;
-        phi = layers_[j].clamp_hi;
-    }
-    // One (n, c) plane per iteration in both paths: writes are disjoint,
-    // accumulation is exact integer — bitwise thread-count invariant.
-    if (l.dw32) {
-        // The vector kernel (planned: 9-tap sum + rounding offset provably
-        // fit int32).  A zero bias with the conv's own bounds is the
-        // unfused result: clamp(clamp(r) + 0) == clamp(r).
-        core::parallel_for(
-            0, static_cast<std::int64_t>(x.shape.n) * C, 1,
-            [=](std::int64_t i0, std::int64_t i1) {
-                for (std::int64_t idx = i0; idx < i1; ++idx) {
-                    const int c = static_cast<int>(idx % C);
-                    const core::DwRequant rq{
-                        shift,
-                        clamp_lo,
-                        clamp_hi,
-                        pbias ? static_cast<std::int32_t>(pbias[c]) : 0,
-                        pbias ? plo : clamp_lo,
-                        pbias ? phi : clamp_hi};
-                    core::dwconv3x3(xd + idx * H * W, wd + static_cast<std::int64_t>(c) * 9, H,
-                                    W, rq, yd + idx * H * W);
-                }
-            });
-        return;
-    }
-    core::parallel_for(
-        0, static_cast<std::int64_t>(x.shape.n) * C, 1,
-        [=](std::int64_t i0, std::int64_t i1) {
-            for (std::int64_t idx = i0; idx < i1; ++idx) {
-                const int c = static_cast<int>(idx % C);
-                const std::int64_t badd = pbias ? pbias[c] : 0;
-                const std::int32_t flo = pbias ? plo : clamp_lo;
-                const std::int32_t fhi = pbias ? phi : clamp_hi;
-                const Word* xp = xd + idx * H * W;
-                Word* yp = yd + idx * H * W;
-                const std::int32_t* w = wd + static_cast<std::int64_t>(c) * 9;
-                for (int oh = 0; oh < H; ++oh)
-                    for (int ow = 0; ow < W; ++ow) {
-                        std::int64_t acc = 0;
-                        for (int kh = 0; kh < 3; ++kh)
-                            for (int kw = 0; kw < 3; ++kw) {
-                                const int ih = oh - 1 + kh;
-                                const int iw = ow - 1 + kw;
-                                if (ih < 0 || ih >= H || iw < 0 || iw >= W) continue;
-                                acc += static_cast<std::int64_t>(w[kh * 3 + kw]) *
-                                       xp[static_cast<std::int64_t>(ih) * W + iw];
-                            }
-                        yp[static_cast<std::int64_t>(oh) * W + ow] =
-                            static_cast<Word>(std::clamp<std::int64_t>(
-                                std::clamp<std::int64_t>(round_shift(acc, shift),
-                                                         clamp_lo, clamp_hi) +
-                                    badd,
-                                flo, fhi));
-                    }
-            }
-        });
 }
 
 template <class Word>
@@ -398,6 +283,29 @@ void QEngine::execute_conv(const Op& op, const QLayer& l, const QView<Word>& x,
     const int OH = y.shape.h, OW = y.shape.w;
     const int shift = op.wfmt.frac_bits;
     const std::int32_t clamp_lo = l.clamp_lo, clamp_hi = l.clamp_hi;
+    const Word* xd = x.data;
+    const std::int32_t* wd = op.qweights.data();
+    const std::int64_t* bd = op.qbias.empty() ? nullptr : op.qbias.data();
+    Word* yd = y.data;
+    // Every path sums exact integers into disjoint outputs (one (n, oc)
+    // plane per iteration, or one qgemm tile), so results are bitwise
+    // thread-count invariant.
+    if (l.dw32) {
+        // The depthwise vector kernel (planned: 9-tap sum, bias and rounding
+        // offset provably fit int32), with the same requantization.
+        core::parallel_for(
+            0, static_cast<std::int64_t>(x.shape.n) * out_ch, 1,
+            [=](std::int64_t i0, std::int64_t i1) {
+                for (std::int64_t idx = i0; idx < i1; ++idx) {
+                    const int c = static_cast<int>(idx % out_ch);
+                    const core::QEpilogue rq{bd != nullptr ? bd + c : nullptr, shift, clamp_lo,
+                                             clamp_hi};
+                    core::dwconv3x3(xd + idx * H * W, wd + static_cast<std::int64_t>(c) * 9, H,
+                                    W, rq, yd + idx * H * W);
+                }
+            });
+        return;
+    }
     if (l.impl == QImpl::kQGemm && allow_qgemm) {
         // Each image lowers into the u8 panels and one store-mode GEMM writes
         // clamp(round_shift(bias' + acc, shift)) straight from its register
@@ -413,29 +321,27 @@ void QEngine::execute_conv(const Op& op, const QLayer& l, const QView<Word>& x,
         }
         return;
     }
-    // Reference path: direct integer convolution, one (n, oc) output plane
-    // per iteration.  Bit-true for any input (no range assumptions).
-    const Word* xd = x.data;
-    const std::int32_t* wd = op.qweights.data();
-    const std::int64_t* bd = op.qbias.empty() ? nullptr : op.qbias.data();
-    Word* yd = y.data;
+    // Reference path: direct integer convolution over each output channel's
+    // group (a dwconv's holds one input channel).  Bit-true for any input
+    // (no range assumptions).
     const int xc = xs.c;
+    const int ipg = in_ch / op.groups, opg = out_ch / op.groups;
     core::parallel_for(
         0, static_cast<std::int64_t>(x.shape.n) * out_ch, 1,
         [=](std::int64_t i0, std::int64_t i1) {
             for (std::int64_t idx = i0; idx < i1; ++idx) {
                 const std::int64_t n = idx / out_ch;
                 const int oc = static_cast<int>(idx % out_ch);
+                const int ic0 = oc / opg * ipg;
                 Word* yp = yd + idx * static_cast<std::int64_t>(OH) * OW;
-                const std::int32_t* wbase =
-                    wd + static_cast<std::int64_t>(oc) * in_ch * k * k;
+                const std::int32_t* wbase = wd + static_cast<std::int64_t>(oc) * ipg * k * k;
                 const std::int64_t b = bd ? bd[oc] : 0;
                 for (int yy = 0; yy < OH; ++yy)
                     for (int xx = 0; xx < OW; ++xx) {
                         std::int64_t acc = b;
-                        for (int ic = 0; ic < in_ch; ++ic) {
+                        for (int ic = 0; ic < ipg; ++ic) {
                             const Word* xp =
-                                xd + (n * xc + ic) * static_cast<std::int64_t>(H) * W;
+                                xd + (n * xc + ic0 + ic) * static_cast<std::int64_t>(H) * W;
                             const std::int32_t* w =
                                 wbase + static_cast<std::int64_t>(ic) * k * k;
                             for (int kh = 0; kh < k; ++kh)

@@ -141,9 +141,6 @@ private:
     template <class Word>
     void execute_conv(const Op& op, const QLayer& l, const QView<Word>& x,
                       const QView<Word>& y, bool allow_qgemm);
-    template <class Word>
-    void execute_dwconv(const Op& op, const QLayer& l, const QView<Word>& x,
-                        const QView<Word>& y) const;
     /// Node `i`'s view: its planned shape at its slot's offset.
     template <class Word>
     [[nodiscard]] QView<Word> view(std::size_t i) const;

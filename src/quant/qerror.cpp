@@ -292,25 +292,6 @@ Transfer engine_err(const Op& op, const std::vector<Transfer>& v, Interval vin,
         case OpKind::kReorder:  // exact integer reorder: errors move with values
             t.e = uniform(ein.bound);
             return t;
-        case OpKind::kBias: {
-            // Integer add of the grid-rounded bias, then clamp: the incoming
-            // error plus each channel's exact bias rounding plus saturation.
-            if (!vout.known) return no_vout();
-            const double clamp = sat();
-            const ErrBound in = align(ein, op.shift.size());
-            t.e.per_ch.resize(op.shift.size());
-            double worst = 0.0;
-            for (std::size_t c = 0; c < op.shift.size(); ++c) {
-                if (!std::isfinite(op.shift[c])) return lost("non-finite bias");
-                const double fresh = std::abs(op.qbias[c] * s - op.shift[c]) + clamp;
-                t.e.per_ch[c] = in.channel(c) + fresh;
-                worst = std::max(worst, fresh);
-            }
-            set_bound_from_channels(t.e);
-            t.introduced = worst;
-            if (!finite(t.e)) return lost("error bound overflowed");
-            return t;
-        }
         default:  // integer max pool / identity: 1-Lipschitz, stays on the grid
             return t;
     }

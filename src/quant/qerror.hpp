@@ -16,8 +16,8 @@
 //                sum|w_hat| per (out, in) channel pair, bias rounding at
 //                accumulator scale, one half-step requantization rounding,
 //                and grid-clamp saturation versus the fp32 interval
-//   bias/add     exact on-grid integer arithmetic: only the bias's own grid
-//                rounding plus clamp saturation enter
+//   add          exact on-grid integer arithmetic: only clamp saturation
+//                enters
 //   clamps       ReLU is 1-Lipschitz on both sides; ReLU6 adds the exact
 //                |six_hat - 6| grid offset
 //   fallbacks    dequantize -> float module -> requantize contributes the

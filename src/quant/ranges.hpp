@@ -17,7 +17,7 @@
 //     identity         -> preserved (data movement / max selection)
 //   concat             -> union of the input intervals
 //   conv / dwconv /
-//     bias / add / fp32
+//     add / fp32
 //     islands          -> the full grid (every executed value requantizes
 //                         onto the grid, so this is always sound)
 //

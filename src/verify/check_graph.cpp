@@ -19,12 +19,14 @@ namespace {
 
 std::string shape_str(const Shape& s) { return s.str(); }
 
-/// Expected input channel count of a module, when statically knowable.
-std::optional<int> expected_in_channels(const nn::Module& m) {
+/// Expected input channel count of a module, when statically knowable; a
+/// Linear's is its input feature count, which it reads as c*h*w.
+std::optional<std::int64_t> expected_in_channels(const nn::Module& m) {
     if (const auto* conv = dynamic_cast<const nn::Conv2d*>(&m)) return conv->in_channels();
     if (const auto* pw = dynamic_cast<const nn::PWConv1*>(&m)) return pw->in_channels();
     if (const auto* dw = dynamic_cast<const nn::DWConv3*>(&m)) return dw->channels();
     if (const auto* bn = dynamic_cast<const nn::BatchNorm2d*>(&m)) return bn->channels();
+    if (const auto* fc = dynamic_cast<const nn::Linear*>(&m)) return fc->weight().shape().c;
     return std::nullopt;
 }
 
@@ -33,13 +35,15 @@ std::optional<int> expected_in_channels(const nn::Module& m) {
 /// has been emitted and downstream checks on this chain are skipped).
 std::optional<Shape> check_module(const nn::Module& m, const Shape& in, int node,
                                   Report& rep) {
-    if (const std::optional<int> want = expected_in_channels(m); want && *want != in.c) {
+    const bool flat = dynamic_cast<const nn::Linear*>(&m) != nullptr;
+    const std::int64_t got = flat ? in.per_item() : in.c;
+    if (const std::optional<std::int64_t> want = expected_in_channels(m); want && *want != got) {
         rep.error("G005", node,
                   m.name() + " expects " + std::to_string(*want) +
-                      " input channels but its producer emits " + std::to_string(in.c) +
-                      " " + shape_str(in),
-                  "rewire the edge or rebuild the layer with in_ch=" +
-                      std::to_string(in.c));
+                      (flat ? " input features" : " input channels") +
+                      " but its producer emits " + std::to_string(got) + " " + shape_str(in),
+                  std::string("rewire the edge or rebuild the layer with ") +
+                      (flat ? "in_features=" : "in_ch=") + std::to_string(got));
         return std::nullopt;
     }
     if (const auto* pw = dynamic_cast<const nn::PWConv1*>(&m)) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <stdexcept>
 #include <vector>
@@ -59,11 +60,13 @@ TEST(FoldBn, ChainConvBnFoldsExactly) {
     for (std::int64_t i = 0; i < before.size(); ++i)
         EXPECT_NEAR(before[i], after[i], 1e-4f) << i;
 
-    // No BN layers remain; the depthwise conv's shift became a ChannelBias.
+    // No BN layers remain; each became an Identity, and the depthwise conv
+    // took its shift as its own bias.
     std::vector<nn::LayerInfo> layers;
     g.enumerate({1, 3, 8, 8}, layers);
     for (const auto& li : layers) EXPECT_NE(li.kind, "bn");
-    EXPECT_EQ(g.node_module(5)->name(), "ChannelBias");
+    EXPECT_EQ(g.node_module(5)->name(), "Identity");
+    EXPECT_TRUE(dynamic_cast<const nn::DWConv3&>(*g.node_module(4)).has_bias());
 }
 
 TEST(FoldBn, NestedGraphBnIsLeftAlone) {
@@ -119,14 +122,47 @@ TEST(FoldBn, GraphFoldSkipsSharedConvOutputs) {
     EXPECT_EQ(fold_graph_bn(g), 0);
 }
 
-TEST(FoldBn, ChannelBiasAddsPerChannel) {
-    ChannelBias cb({1.0f, -2.0f});
-    Tensor x({1, 2, 2, 2}, 0.5f);
-    Tensor y = cb.forward(x);
-    EXPECT_FLOAT_EQ(y.at(0, 0, 0, 0), 1.5f);
-    EXPECT_FLOAT_EQ(y.at(0, 1, 1, 1), -1.5f);
-    Tensor bad({1, 3, 2, 2});
-    EXPECT_THROW((void)cb.forward(bad), std::invalid_argument);
+TEST(FoldBn, DwConvTakesTheBnShiftAsItsBias) {
+    // A BN after a depthwise conv folds like one after any conv: the scale
+    // multiplies each channel's 9 taps, and the shift becomes the conv's own
+    // bias, bit for bit — a parameter, so a checkpoint carries it.
+    Rng rng(5);
+    nn::Graph g;
+    const int d = g.emplace<nn::DWConv3>(4, rng);
+    const int b = g.emplace<nn::BatchNorm2d>(4);
+    auto& bn = dynamic_cast<nn::BatchNorm2d&>(*g.node_module(static_cast<std::size_t>(b)));
+    for (int c = 0; c < 4; ++c) {
+        bn.gamma()[c] = 0.5f + 0.25f * static_cast<float>(c);
+        bn.beta()[c] = 0.125f * static_cast<float>(c) - 0.2f;
+    }
+    warm_bn(g, {2, 4, 6, 6});
+    std::vector<float> scale, shift;
+    bn.fused_affine(scale, shift);
+    auto& dw = dynamic_cast<nn::DWConv3&>(*g.node_module(static_cast<std::size_t>(d)));
+    const Tensor w = dw.weight();
+    EXPECT_FALSE(dw.has_bias());
+    EXPECT_EQ(dw.param_count(), 4 * 9);
+
+    EXPECT_EQ(fold_graph_bn(g), 1);
+    EXPECT_EQ(g.node_module(static_cast<std::size_t>(b))->name(), "Identity");
+    ASSERT_TRUE(dw.has_bias());
+    const auto bits = [](float v) {
+        std::uint32_t u = 0;
+        std::memcpy(&u, &v, sizeof u);
+        return u;
+    };
+    for (int c = 0; c < 4; ++c) {
+        EXPECT_EQ(bits(dw.bias()[c]), bits(shift[static_cast<std::size_t>(c)])) << c;
+        for (int t = 0; t < 9; ++t)
+            EXPECT_EQ(bits(dw.weight()[c * 9 + t]),
+                      bits(w[c * 9 + t] * scale[static_cast<std::size_t>(c)]))
+                << c << "/" << t;
+    }
+    std::vector<nn::ParamRef> params;
+    dw.collect_params(params);
+    ASSERT_EQ(params.size(), 2u);
+    EXPECT_EQ(params[1].value, &dw.bias());
+    EXPECT_EQ(dw.param_count(), 4 * 10);
 }
 
 // ------------------------------------------------------------ plan_tensors --

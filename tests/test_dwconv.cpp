@@ -3,12 +3,12 @@
 // parallel_for chunks, one plane per call):
 //   * fp32 bitwise against the sequential DWConv3 loop — a +0-filled plane
 //     that each present input row accumulates into — followed by a separate
-//     nn::apply_epilogue pass, for every EpilogueAct with and without a bias,
-//     on inputs and weights holding NaN, +-Inf and +-0;
+//     bias pass and nn::apply_epilogue pass, for every EpilogueAct with and
+//     without a bias, on inputs and weights holding NaN, +-Inf and +-0;
 //   * int32 and int16 words bitwise against the int64 loop QEngine's
-//     reference interpreter runs, across shifts, clamps, folded biases,
-//     values at the edge of the int32 proof and, for int16, at both ends of
-//     the word.
+//     reference interpreter runs, across shifts, clamps, folded-BN biases at
+//     accumulator scale, values at the edge of the int32 proof and, for
+//     int16, at both ends of the word.
 // Each output is written into a stale buffer with guard cells on both sides,
 // which must come back untouched.
 #include <gtest/gtest.h>
@@ -70,9 +70,10 @@ bool same_float(float a, float b) {
 
 // ------------------------------------------------------------------ fp32 --
 
-/// The sequential DWConv3 loop the kernel replaced, then its epilogue pass.
-void reference_plane(const float* xp, const float* w, int H, int W, const nn::Epilogue& ep,
-                     int channel, float* yp) {
+/// The sequential DWConv3 loop the kernel replaced, then its bias and
+/// epilogue passes; `ep.bias` points at this plane's bias or is null.
+void reference_plane(const float* xp, const float* w, int H, int W, const core::Epilogue& ep,
+                     float* yp) {
     std::fill(yp, yp + static_cast<std::int64_t>(H) * W, 0.0f);
     for (int oh = 0; oh < H; ++oh) {
         float* yrow = yp + static_cast<std::int64_t>(oh) * W;
@@ -95,7 +96,15 @@ void reference_plane(const float* xp, const float* w, int H, int W, const nn::Ep
             }
         }
     }
-    nn::apply_epilogue(ep, channel, yp, static_cast<std::int64_t>(H) * W);
+    const std::int64_t n = static_cast<std::int64_t>(H) * W;
+    if (ep.bias != nullptr)
+        for (std::int64_t i = 0; i < n; ++i) yp[i] = yp[i] + *ep.bias;
+    nn::apply_epilogue(nn::Epilogue{ep.act, ep.slope}, yp, n);
+}
+
+/// `ep` with its per-channel bias array narrowed to channel c's value.
+core::Epilogue plane_epilogue(const core::Epilogue& ep, int c) {
+    return {ep.bias != nullptr ? ep.bias + c : nullptr, ep.act, ep.slope};
 }
 
 /// Uniform values in [-2, 2]; with `specials`, about one in eight is NaN,
@@ -114,13 +123,13 @@ std::vector<float> floats(std::size_t n, Rng& rng, bool specials) {
 /// Runs the kernel over every (image, channel) plane at every level and
 /// 1/2/4 threads, into a stale buffer, against reference_plane.
 void expect_f32_matches(const std::vector<float>& x, const std::vector<float>& w, int H, int W,
-                        const nn::Epilogue& ep, const std::string& what) {
+                        const core::Epilogue& ep, const std::string& what) {
     const std::int64_t plane = static_cast<std::int64_t>(H) * W;
     const std::int64_t planes = static_cast<std::int64_t>(kImages) * kChannels;
     std::vector<float> want(static_cast<std::size_t>(planes * plane));
     for (std::int64_t p = 0; p < planes; ++p) {
         const int c = static_cast<int>(p % kChannels);
-        reference_plane(x.data() + p * plane, w.data() + c * 9, H, W, ep, c,
+        reference_plane(x.data() + p * plane, w.data() + c * 9, H, W, plane_epilogue(ep, c),
                         want.data() + p * plane);
     }
     const float stale = -std::numeric_limits<float>::quiet_NaN();
@@ -133,10 +142,8 @@ void expect_f32_matches(const std::vector<float>& x, const std::vector<float>& w
             core::parallel_for(0, planes, 1, [&](std::int64_t p0, std::int64_t p1) {
                 for (std::int64_t p = p0; p < p1; ++p) {
                     const int c = static_cast<int>(p % kChannels);
-                    const nn::Epilogue pe{ep.bias != nullptr ? ep.bias + c : nullptr, ep.act,
-                                          ep.slope};
-                    core::dwconv3x3(x.data() + p * plane, w.data() + c * 9, H, W, pe,
-                                    y + p * plane);
+                    core::dwconv3x3(x.data() + p * plane, w.data() + c * 9, H, W,
+                                    plane_epilogue(ep, c), y + p * plane);
                 }
             });
             const std::string at = what + " " + std::to_string(H) + "x" + std::to_string(W) +
@@ -171,7 +178,7 @@ TEST(DwConv, Fp32EqualsTheSequentialLoopPlusEpilogueBitwise) {
             const std::vector<float> w = floats(9 * kChannels, rng, false);
             for (nn::EpilogueAct act : kActs)
                 for (const float* b : biases)
-                    expect_f32_matches(x, w, H, W, nn::Epilogue{b, act, 0.1f},
+                    expect_f32_matches(x, w, H, W, core::Epilogue{b, act, 0.1f},
                                        b != nullptr ? "bias" : "no bias");
         }
 }
@@ -193,26 +200,29 @@ TEST(DwConv, Fp32KeepsNaNInfAndSignedZeroLikeTheSequentialLoop) {
             for (int k = 0; k < 9; ++k) w[static_cast<std::size_t>(18 + k)] = -1.0f - k;
             for (nn::EpilogueAct act : kActs)
                 for (const float* b : biases)
-                    expect_f32_matches(x, w, H, W, nn::Epilogue{b, act, 0.1f},
+                    expect_f32_matches(x, w, H, W, core::Epilogue{b, act, 0.1f},
                                        b != nullptr ? "specials, bias" : "specials");
         }
 }
 
 TEST(DwConv, LayerForwardFusedEqualsTheSequentialLoopPlusEpilogue) {
-    // nn::DWConv3 hands the kernel each plane's input, weights and bias.
+    // nn::DWConv3 hands the kernel each plane's input, weights and its own
+    // bias, with the fused activation.
     SimdGuard guard;
     Rng rng(13);
     nn::DWConv3 layer(5, rng);
     layer.set_training(false);
+    layer.enable_bias();
     Tensor x({3, 5, 7, 19});
     x.rand_uniform(rng, -1.0f, 1.0f);
     const std::vector<float> bias = floats(5, rng, false);
-    const nn::Epilogue ep{bias.data(), nn::EpilogueAct::kReLU6, 0.0f};
+    std::copy(bias.begin(), bias.end(), layer.bias().data());
+    const nn::Epilogue ep{nn::EpilogueAct::kReLU6, 0.0f};
     Tensor want(x.shape());
     for (int n = 0; n < 3; ++n)
         for (int c = 0; c < 5; ++c)
-            reference_plane(x.plane(n, c), layer.weight().plane(c, 0), 7, 19, ep, c,
-                            want.plane(n, c));
+            reference_plane(x.plane(n, c), layer.weight().plane(c, 0), 7, 19,
+                            core::Epilogue{bias.data() + c, ep.act, ep.slope}, want.plane(n, c));
     for (core::SimdLevel lvl : available_levels()) {
         core::set_simd_level(lvl);
         for (int threads : {1, 2, 4}) {
@@ -229,13 +239,14 @@ TEST(DwConv, LayerForwardFusedEqualsTheSequentialLoopPlusEpilogue) {
 
 // ----------------------------------------------------------------- int32 --
 
-/// QEngine's int64 reference loop for one plane, over either word.
+/// QEngine's int64 reference loop for one plane, over either word; `rq.bias`
+/// points at this plane's bias or is null.
 template <class Word>
 void reference_plane(const Word* xp, const std::int32_t* w, int H, int W,
-                     const core::DwRequant& rq, Word* yp) {
+                     const core::QEpilogue& rq, Word* yp) {
     for (int oh = 0; oh < H; ++oh)
         for (int ow = 0; ow < W; ++ow) {
-            std::int64_t acc = 0;
+            std::int64_t acc = rq.bias != nullptr ? *rq.bias : 0;
             for (int kh = 0; kh < 3; ++kh)
                 for (int kw = 0; kw < 3; ++kw) {
                     const int ih = oh - 1 + kh;
@@ -244,18 +255,24 @@ void reference_plane(const Word* xp, const std::int32_t* w, int H, int W,
                     acc += static_cast<std::int64_t>(w[kh * 3 + kw]) *
                            xp[static_cast<std::int64_t>(ih) * W + iw];
                 }
-            yp[static_cast<std::int64_t>(oh) * W + ow] =
-                static_cast<Word>(std::clamp<std::int64_t>(
-                    std::clamp<std::int64_t>(core::round_shift(acc, rq.shift), rq.lo, rq.hi) +
-                        rq.bias,
-                    rq.bias_lo, rq.bias_hi));
+            yp[static_cast<std::int64_t>(oh) * W + ow] = static_cast<Word>(
+                std::clamp<std::int64_t>(core::round_shift(acc, rq.shift), rq.lo, rq.hi));
         }
 }
 
-/// One requantization per channel (a folded bias differs per channel).
+/// One requantization per channel: channel c adds bias[c], or no bias when
+/// `bias` is empty.
+std::vector<core::QEpilogue> per_channel(const std::vector<std::int64_t>& bias, int shift,
+                                         std::int32_t lo, std::int32_t hi) {
+    std::vector<core::QEpilogue> rq;
+    for (std::size_t c = 0; c < kChannels; ++c)
+        rq.push_back({bias.empty() ? nullptr : &bias[c], shift, lo, hi});
+    return rq;
+}
+
 template <class Word>
 void expect_int_matches(const std::vector<Word>& x, const std::vector<std::int32_t>& w, int H,
-                        int W, const std::vector<core::DwRequant>& rq, const std::string& what) {
+                        int W, const std::vector<core::QEpilogue>& rq, const std::string& what) {
     const std::int64_t plane = static_cast<std::int64_t>(H) * W;
     const std::int64_t planes = static_cast<std::int64_t>(kImages) * kChannels;
     std::vector<Word> want(static_cast<std::size_t>(planes * plane));
@@ -298,6 +315,19 @@ std::vector<std::int32_t> ints(std::size_t n, Rng& rng, int lo, int hi) {
     return v;
 }
 
+/// Per-channel biases at accumulator scale: none, zero, and `grid` FM steps
+/// times (c + 1) plus an odd remainder, so the rounding sees the bias.
+std::vector<std::vector<std::int64_t>> bias_cases(int shift, std::int64_t grid) {
+    std::vector<std::vector<std::int64_t>> cases{{}, std::vector<std::int64_t>(kChannels, 0)};
+    for (const std::int64_t sign : {-1, 1}) {
+        std::vector<std::int64_t> b;
+        for (int c = 0; c < kChannels; ++c)
+            b.push_back(sign * ((grid * (c + 1) << shift) + 2 * c + 1));
+        cases.push_back(b);
+    }
+    return cases;
+}
+
 TEST(DwConv, Int32EqualsTheInt64LoopAcrossShiftsClampsAndFoldedBiases) {
     // A 9-bit FM grid with 5 fraction bits (six = 6.0 on the grid) and
     // 11-bit weights, as QEngine plans SkyNet at its default scheme.
@@ -306,17 +336,7 @@ TEST(DwConv, Int32EqualsTheInt64LoopAcrossShiftsClampsAndFoldedBiases) {
     struct Clamp {
         std::int32_t lo, hi;
     };
-    struct Bias {
-        const char* name;
-        bool folded;
-        std::int32_t add;  // channel c adds add * (c + 1)
-        Clamp clamp;
-    };
     const Clamp clamps[] = {{kGridLo, kGridHi}, {0, kSix}};
-    const Bias biases[] = {{"no bias", false, 0, {}},
-                           {"zero bias", true, 0, {kGridLo, kGridHi}},
-                           {"negative bias", true, -37, {kGridLo, kGridHi}},
-                           {"negative bias + relu6", true, -37, {0, kSix}}};
     Rng rng(21);
     for (int shift : {1, 6, 11})
         for (int H : kHeights)
@@ -325,77 +345,69 @@ TEST(DwConv, Int32EqualsTheInt64LoopAcrossShiftsClampsAndFoldedBiases) {
                 const std::vector<std::int32_t> x = ints(n, rng, kGridLo, kGridHi);
                 const std::vector<std::int32_t> w = ints(9 * kChannels, rng, -1024, 1023);
                 for (const Clamp& cl : clamps)
-                    for (const Bias& b : biases) {
-                        std::vector<core::DwRequant> rq;
-                        for (int c = 0; c < kChannels; ++c)
-                            rq.push_back(b.folded
-                                             ? core::DwRequant{shift, cl.lo, cl.hi,
-                                                               b.add * (c + 1), b.clamp.lo,
-                                                               b.clamp.hi}
-                                             : core::DwRequant{shift, cl.lo, cl.hi, 0, cl.lo,
-                                                               cl.hi});
-                        expect_int_matches(x, w, H, W, rq, b.name);
-                    }
+                    for (const std::vector<std::int64_t>& b : bias_cases(shift, 37))
+                        expect_int_matches(x, w, H, W, per_channel(b, shift, cl.lo, cl.hi),
+                                           b.empty() ? "no bias" : "bias " +
+                                                                       std::to_string(b[0]));
             }
 }
 
 TEST(DwConv, Int32IsExactAtTheEdgeOfItsProof) {
     // The widest operands the int32 proof admits,
-    // 9 * max|w| * max|x| + 2^(shift-1) <= 2^31 - 1: every tap at +-max
-    // makes a plane's interior accumulators reach +-9 * max|w| * max|x|.
+    // 9 * max|w| * max|x| + max|b| + 2^(shift-1) <= 2^31 - 1: every tap at
+    // +-max makes a plane's interior accumulators reach +-9 * max|w| * max|x|,
+    // and the bias pushes them further out.
     SimdGuard guard;
     Rng rng(22);
     for (int shift : {1, 6, 11})
-        for (std::int64_t wmax : {1, 28, 1023}) {
-            const std::int64_t room = std::numeric_limits<std::int32_t>::max() -
-                                      (std::int64_t{1} << (shift - 1));
-            const auto xmax = static_cast<std::int32_t>(room / (9 * wmax));
-            ASSERT_LE(9 * wmax * xmax + (std::int64_t{1} << (shift - 1)),
-                      std::numeric_limits<std::int32_t>::max());
-            const auto wm = static_cast<std::int32_t>(wmax);
-            const std::int32_t big = std::numeric_limits<std::int32_t>::max() / 2;
-            const std::vector<core::DwRequant> rq(kChannels,
-                                                  core::DwRequant{shift, -big, big, 0, -big, big});
-            for (int H : {3, 5})
-                for (int W : {3, 10, 17, 40}) {
-                    const std::size_t plane = static_cast<std::size_t>(H) * W;
-                    // Channel 0: all +max taps; channel 1: inputs at -max;
-                    // channel 2: random signs at full magnitude.
-                    std::vector<std::int32_t> x(static_cast<std::size_t>(kImages) * kChannels *
-                                                plane);
-                    std::vector<std::int32_t> w(9 * kChannels);
-                    for (std::size_t i = 0; i < x.size(); ++i) {
-                        const std::size_t c = (i / plane) % kChannels;
-                        x[i] = c == 0 ? xmax : c == 1 ? -xmax : (rng.chance(0.5) ? xmax : -xmax);
+        for (std::int64_t wmax : {1, 28, 1023})
+            for (std::int64_t bmax : {0, 1 << 20}) {
+                const std::int64_t room = std::numeric_limits<std::int32_t>::max() -
+                                          (std::int64_t{1} << (shift - 1)) - bmax;
+                const auto xmax = static_cast<std::int32_t>(room / (9 * wmax));
+                ASSERT_LE(9 * wmax * xmax + bmax + (std::int64_t{1} << (shift - 1)),
+                          std::numeric_limits<std::int32_t>::max());
+                const auto wm = static_cast<std::int32_t>(wmax);
+                const std::int32_t big = std::numeric_limits<std::int32_t>::max() / 2;
+                // Channel 0 adds +max|b| to its largest sums, channel 1 -max|b|
+                // to its most negative, channel 2 either.
+                const std::vector<std::int64_t> bias{bmax, -bmax, rng.chance(0.5) ? bmax : -bmax};
+                const std::vector<core::QEpilogue> rq = per_channel(bias, shift, -big, big);
+                for (int H : {3, 5})
+                    for (int W : {3, 10, 17, 40}) {
+                        const std::size_t plane = static_cast<std::size_t>(H) * W;
+                        // Channel 0: all +max taps; channel 1: inputs at -max;
+                        // channel 2: random signs at full magnitude.
+                        std::vector<std::int32_t> x(static_cast<std::size_t>(kImages) *
+                                                    kChannels * plane);
+                        std::vector<std::int32_t> w(9 * kChannels);
+                        for (std::size_t i = 0; i < x.size(); ++i) {
+                            const std::size_t c = (i / plane) % kChannels;
+                            x[i] = c == 0   ? xmax
+                                   : c == 1 ? -xmax
+                                            : (rng.chance(0.5) ? xmax : -xmax);
+                        }
+                        for (std::size_t k = 0; k < w.size(); ++k)
+                            w[k] = k < 18 ? wm : (rng.chance(0.5) ? wm : -wm);
+                        expect_int_matches(x, w, H, W, rq,
+                                           "proof edge, max|w| " + std::to_string(wmax) +
+                                               ", max|b| " + std::to_string(bmax));
                     }
-                    for (std::size_t k = 0; k < w.size(); ++k)
-                        w[k] = k < 18 ? wm : (rng.chance(0.5) ? wm : -wm);
-                    expect_int_matches(x, w, H, W, rq, "proof edge, max|w| " +
-                                                           std::to_string(wmax));
-                }
-        }
+            }
 }
 
 TEST(DwConv, Int16WordsEqualTheInt64LoopAtBothEndsOfTheWord) {
     // A 16-bit FM grid with 11 fraction bits (six = 6.0 on the grid), which
     // QEngine stores as int16 words: inputs include -32768 and 32767, and
-    // the clamps reach both ends of the word.  max|w| = 1024 keeps the int32
-    // proof, 9 * 1024 * 32768 + 2^10 < 2^31.
+    // the clamps reach both ends of the word.  max|w| = 1024 and biases up
+    // to 3 * 9000 FM steps keep the int32 proof,
+    // 9 * 1024 * 32768 + 27000 * 2^11 + 2^10 < 2^31.
     SimdGuard guard;
     constexpr std::int32_t kWordLo = -32768, kWordHi = 32767, kSix = 6 << 11;
     struct Clamp {
         std::int32_t lo, hi;
     };
-    struct Bias {
-        const char* name;
-        bool folded;
-        std::int32_t add;  // channel c adds add * (c + 1)
-        Clamp clamp;
-    };
     const Clamp clamps[] = {{kWordLo, kWordHi}, {0, kSix}};
-    const Bias biases[] = {{"no bias", false, 0, {}},
-                           {"negative bias", true, -9000, {kWordLo, kWordHi}},
-                           {"positive bias + relu6", true, 700, {0, kSix}}};
     Rng rng(23);
     std::int64_t word_lo = 0, word_hi = 0;
     for (int shift : {1, 6, 11})
@@ -409,16 +421,10 @@ TEST(DwConv, Int16WordsEqualTheInt64LoopAtBothEndsOfTheWord) {
                                    : i % 5 == 1 ? kWordHi : rng.uniform_int(kWordLo, kWordHi));
                 const std::vector<std::int32_t> w = ints(9 * kChannels, rng, -1024, 1024);
                 for (const Clamp& cl : clamps)
-                    for (const Bias& b : biases) {
-                        std::vector<core::DwRequant> rq;
-                        for (int c = 0; c < kChannels; ++c)
-                            rq.push_back(b.folded
-                                             ? core::DwRequant{shift, cl.lo, cl.hi,
-                                                               b.add * (c + 1), b.clamp.lo,
-                                                               b.clamp.hi}
-                                             : core::DwRequant{shift, cl.lo, cl.hi, 0, cl.lo,
-                                                               cl.hi});
-                        expect_int_matches(x, w, H, W, rq, b.name);
+                    for (const std::vector<std::int64_t>& b : bias_cases(shift, 9000)) {
+                        const std::vector<core::QEpilogue> rq = per_channel(b, shift, cl.lo, cl.hi);
+                        expect_int_matches(x, w, H, W, rq,
+                                           b.empty() ? "no bias" : "bias " + std::to_string(b[0]));
                         std::vector<std::int16_t> y(n);
                         const std::int64_t plane = static_cast<std::int64_t>(H) * W;
                         for (std::int64_t p = 0; p < kImages * kChannels; ++p)

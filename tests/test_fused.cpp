@@ -1,9 +1,9 @@
 // Fused eval epilogues (nn/epilogue.hpp, nn::Graph::forward): an eval
-// forward folds Identity / ChannelBias / Activation nodes into their
-// producers and must stay bitwise equal to a node-by-node unfused
-// evaluation at every SIMD level and thread count.  Also pins which
-// patterns must not fuse, node_output's view of fused nodes, the training
-// exception and the refusal of collapsing inputs.
+// forward folds Identity / Activation nodes into their producers and must
+// stay bitwise equal to a node-by-node unfused evaluation at every SIMD
+// level and thread count.  Also pins which patterns must not fuse,
+// node_output's view of fused nodes, the training exception and the
+// refusal of collapsing inputs.
 //
 // ActivationReuse: every node that runs writes into the buffer it wrote on
 // the previous forward (Module::forward_fused).  Buffers stay put across
@@ -26,7 +26,6 @@
 #include "backbones/registry.hpp"
 #include "core/simd.hpp"
 #include "core/thread_pool.hpp"
-#include "deploy/fold_bn.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv.hpp"
@@ -117,7 +116,7 @@ TEST(FusedForward, SkyNetBitwiseEqualsUnfusedFoldedAndUnfolded) {
                                          nn::act_name(act) + (folded ? "/folded" : "");
                 expect_fused_equals_unfused(det.net(), x, what);
                 // Every Bundle activation fused (unfolded: into its BN;
-                // folded: through the Identity / ChannelBias into the conv).
+                // folded: through the Identity into the conv).
                 int acts = 0;
                 for (std::size_t i = 0; i < det.net().node_count(); ++i)
                     if (det.net().node_module(i) != nullptr &&
@@ -137,28 +136,32 @@ TEST(FusedForward, SigmoidAndConvBiasActivationGraphs) {
     // conv (own bias) -> Sigmoid
     int a = g.add(std::make_unique<nn::Conv2d>(3, 6, 3, 1, 1, true, rng), g.input());
     a = g.add(std::make_unique<nn::Activation>(nn::Act::kSigmoid), a);
-    // bias-less conv -> ChannelBias -> LeakyReLU (-0.0 and 0.0 biases too)
-    int b = g.add(std::make_unique<nn::Conv2d>(3, 6, 3, 1, 1, false, rng), g.input());
-    b = g.add(std::make_unique<deploy::ChannelBias>(std::vector<float>{0.5f, -0.25f, 0.0f,
-                                                                       -0.0f, 1.0f, -2.0f}),
-              b);
+    // conv -> LeakyReLU, with -0.0 and 0.0 among the conv's biases
+    auto conv = std::make_unique<nn::Conv2d>(3, 6, 3, 1, 1, true, rng);
+    const float conv_bias[] = {0.5f, -0.25f, 0.0f, -0.0f, 1.0f, -2.0f};
+    for (int k = 0; k < 6; ++k) conv->bias()[k] = conv_bias[k];
+    int b = g.add(std::move(conv), g.input());
     b = g.add(std::make_unique<nn::Activation>(nn::Act::kLeaky, 0.2f), b);
     b = g.add(std::make_unique<nn::MaxPool2>(), b);
-    // conv with its own bias -> ChannelBias -> ReLU6 (two biases)
-    int c = g.add(std::make_unique<nn::PWConv1>(3, 6, true, rng), g.input());
-    c = g.add(std::make_unique<deploy::ChannelBias>(std::vector<float>(6, 0.75f)), c);
+    // pwconv with its own bias -> ReLU6
+    auto pw = std::make_unique<nn::PWConv1>(3, 6, true, rng);
+    for (int k = 0; k < 6; ++k) pw->bias()[k] = 0.75f;
+    int c = g.add(std::move(pw), g.input());
     c = g.add(std::make_unique<nn::Activation>(nn::Act::kReLU6), c);
     c = g.add(std::make_unique<nn::MaxPool2>(), c);
-    // dwconv -> ChannelBias -> ReLU, BN -> Sigmoid
-    int d = g.add(std::make_unique<nn::DWConv3>(6, rng), a);
-    d = g.add(std::make_unique<deploy::ChannelBias>(std::vector<float>(6, -0.1f)), d);
+    // dwconv with a folded-BN bias -> ReLU, BN -> Sigmoid
+    auto dw = std::make_unique<nn::DWConv3>(6, rng);
+    dw->enable_bias();
+    for (int k = 0; k < 6; ++k)
+        dw->bias()[k] = k == 2 ? -0.0f : 0.2f * static_cast<float>(k) - 0.3f;
+    int d = g.add(std::move(dw), a);
     d = g.add(std::make_unique<nn::Activation>(nn::Act::kReLU), d);
     d = g.add(std::make_unique<nn::BatchNorm2d>(6), d);
     d = g.add(std::make_unique<nn::Activation>(nn::Act::kSigmoid), d);
     d = g.add(std::make_unique<nn::MaxPool2>(), d);
     g.set_output(g.add_concat({b, c, d}));
     expect_fused_equals_unfused(g, random_input({2, 3, 10, 14}, 22), "mixed");
-    // Every epilogue node fused: the two sigmoids, both biases and acts.
+    // Every epilogue node fused: the two sigmoids and the other acts.
     for (std::size_t i = 0; i < g.node_count(); ++i) {
         if (g.node_module(i) != nullptr && g.node_module(i)->as_epilogue()) {
             EXPECT_NE(g.node_carrier(static_cast<int>(i)), static_cast<int>(i)) << i;
@@ -200,28 +203,23 @@ TEST(FusedForward, UnfusableCasesRunUnfused) {
     const int shared = g.add(std::make_unique<nn::Conv2d>(3, 4, 3, 1, 1, true, rng), act_in);
     const int act_shared = g.add(std::make_unique<nn::Activation>(nn::Act::kReLU6), shared);
     const int cat = g.add_concat({act_shared, shared});
-    // Concat -> act, then a second act and a bias after an act.
+    // Concat -> act, then a second act after an act.
     const int act_cat = g.add(std::make_unique<nn::Activation>(nn::Act::kLeaky), cat);
     const int pw = g.add(std::make_unique<nn::PWConv1>(8, 4, false, rng), act_cat);
     const int act1 = g.add(std::make_unique<nn::Activation>(nn::Act::kReLU), pw);
     const int act2 = g.add(std::make_unique<nn::Activation>(nn::Act::kReLU6), act1);
-    const int bias = g.add(
-        std::make_unique<deploy::ChannelBias>(std::vector<float>(4, 0.5f)), act2);
     // Add -> act.
-    const int sum = g.add_add(bias, act1);
+    const int sum = g.add_add(act2, act1);
     const int act_add = g.add(std::make_unique<nn::Activation>(nn::Act::kReLU), sum);
-    // A bias right after an activation that did fuse.
     const int pw2 = g.add(std::make_unique<nn::PWConv1>(4, 4, true, rng), act_add);
     const int act3 = g.add(std::make_unique<nn::Activation>(nn::Act::kReLU6), pw2);
-    const int bias2 = g.add(
-        std::make_unique<deploy::ChannelBias>(std::vector<float>(4, -0.5f)), act3);
     // A producer that is the graph output keeps its value too.
-    const int out = g.add(std::make_unique<nn::DWConv3>(4, rng), g.add_add(act_add, bias2));
+    const int out = g.add(std::make_unique<nn::DWConv3>(4, rng), g.add_add(act_add, act3));
     const int act_dead = g.add(std::make_unique<nn::Activation>(nn::Act::kReLU), out);
     g.set_output(out);
 
     expect_fused_equals_unfused(g, random_input({2, 3, 8, 8}, 52), "unfusable");
-    for (int unfused : {act_in, act_shared, act_cat, act2, bias, act_add, bias2, act_dead})
+    for (int unfused : {act_in, act_shared, act_cat, act2, act_add, act_dead})
         EXPECT_EQ(g.node_carrier(unfused), unfused) << "node " << unfused;
     EXPECT_EQ(g.node_carrier(act1), pw);  // the first act in a row does fuse
     EXPECT_EQ(g.node_carrier(act3), pw2);

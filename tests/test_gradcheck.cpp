@@ -110,6 +110,9 @@ TEST(GradCheck, DWConv3) {
     Rng rng(5);
     DWConv3 m(6, rng);
     grad_check(m, {2, 6, 7, 6});
+    DWConv3 biased(6, rng);  // the bias a folded BatchNorm leaves behind
+    biased.enable_bias();
+    grad_check(biased, {2, 6, 7, 6});
 }
 
 TEST(GradCheck, PWConv1) {

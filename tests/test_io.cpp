@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 
+#include "deploy/fold_bn.hpp"
 #include "io/serialize.hpp"
+#include "nn/batchnorm.hpp"
 #include "skynet/skynet_model.hpp"
 
 namespace sky::io {
@@ -55,6 +58,44 @@ TEST(Serialize, LoadedModelProducesIdenticalOutput) {
     ASSERT_EQ(ya.size(), yb.size());
     for (std::int64_t i = 0; i < ya.size(); ++i) EXPECT_FLOAT_EQ(ya[i], yb[i]);
     std::remove(path.c_str());
+
+    // A deployed model: BN-folded SkyNet-C whose BN shifts and statistics
+    // moved before folding.  Every folded bias, the depthwise convs' too,
+    // must reach the checkpoint; a freshly built model folds to all-zero
+    // shifts, so a dropped bias shows in the output.
+    const auto folded_c = [](std::uint64_t seed, bool trained) {
+        Rng r(seed);
+        SkyNetModel m = build_skynet({SkyNetVariant::kC, nn::Act::kReLU6, 2, 0.25f}, r);
+        if (trained) {
+            for (std::size_t i = 0; i < m.net->node_count(); ++i)
+                if (auto* bn = dynamic_cast<nn::BatchNorm2d*>(m.net->node_module(i)))
+                    bn->beta().rand_uniform(r, -0.5f, 0.5f);
+            for (int step = 0; step < 3; ++step) {
+                Tensor batch({2, 3, 32, 64});
+                batch.rand_uniform(r, 0.0f, 1.0f);
+                (void)m.net->forward(batch);
+            }
+        }
+        EXPECT_EQ(deploy::fold_graph_bn(*m.net), 12);
+        return m;
+    };
+    SkyNetModel deployed = folded_c(7, true);
+    deployed.net->set_training(false);
+    const Tensor yd = deployed.net->forward(x);
+    const std::string folded_path = temp_path("folded");
+    save_weights(*deployed.net, folded_path);
+    SkyNetModel fresh = folded_c(77, false);
+    load_weights(*fresh.net, folded_path);
+    fresh.net->set_training(false);
+    const Tensor yf = fresh.net->forward(x);
+    ASSERT_EQ(yd.shape(), yf.shape());
+    for (std::int64_t i = 0; i < yd.size(); ++i) {
+        std::uint32_t u = 0, v = 0;
+        std::memcpy(&u, &yd.data()[i], sizeof u);
+        std::memcpy(&v, &yf.data()[i], sizeof v);
+        ASSERT_EQ(u, v) << "folded, element " << i << ": " << yd[i] << " vs " << yf[i];
+    }
+    std::remove(folded_path.c_str());
 }
 
 TEST(Serialize, SizeMatchesPrediction) {

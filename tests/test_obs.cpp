@@ -499,7 +499,7 @@ TEST(GraphProfiler, ShowsFusedEpiloguesAndKeepsTheForwardBitwise) {
         ASSERT_EQ(again[i], plain[i]) << "second profiled forward diverged at " << i;
     int fused = 0;
     for (const LayerProfile& p : profiler.profiles()) {
-        const bool epilogue = p.kind == "act" || p.kind == "bias" || p.kind == "identity";
+        const bool epilogue = p.kind == "act" || p.kind == "identity";
         EXPECT_EQ(p.fwd_calls == 0, p.fused_into >= 0) << p.node << " " << p.name;
         EXPECT_EQ(p.fused_into >= 0, epilogue) << p.node << " " << p.name;
         if (p.fused_into >= 0) {
@@ -512,7 +512,7 @@ TEST(GraphProfiler, ShowsFusedEpiloguesAndKeepsTheForwardBitwise) {
     EXPECT_GT(fused, 0);
     const std::string json = profiler.to_json();
     EXPECT_NE(json.find("\"fused_into\": -1"), std::string::npos);
-    EXPECT_NE(json.find("\"fused_into\": 1}"), std::string::npos);  // bias -> dwconv 1
+    EXPECT_NE(json.find("\"fused_into\": 1}"), std::string::npos);  // identity -> dwconv 1
     EXPECT_TRUE(json_valid(json));
 }
 

@@ -11,6 +11,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -557,6 +558,39 @@ TEST(QEngineOracle, CustomGraphWithAddRunsBitTrue) {
     expect_bitwise_equal(fast.run(x), oracle.run(x), "custom graph");
 }
 
+TEST(QEngineOracle, DwConvBiasCountsInItsInt32Proof) {
+    // A folded BN's shift is the dwconv's bias at accumulator scale.  Where
+    // the bias, not the taps, breaks 9 * max|w| * max|x| + max|b| +
+    // 2^(shift-1) < 2^31, the int32 kernel must not run; the engine stays
+    // bit-true either way.
+    Rng rng(13);
+    for (const float shift : {0.5f, 5000.0f}) {
+        SCOPED_TRACE(shift);
+        nn::Graph g;
+        auto dw = std::make_unique<nn::DWConv3>(2, rng);
+        dw->enable_bias();
+        dw->bias()[0] = shift;
+        dw->bias()[1] = -shift;
+        g.add(std::move(dw), 0);
+        const quant::QuantConfig base =
+            quant::QuantConfig{}.with_bits(16, 11).with_fm_abs_max(8.0f).with_input_range(
+                -1.0f, 1.0f);
+        const quant::Program p = quant::lower(g, base);
+        const quant::Op& op = p.ops[1];
+        ASSERT_EQ(op.qbias.size(), 2u);
+        const std::int64_t taps = 9 * op.wmax * -static_cast<std::int64_t>(p.spec.grid_lo) +
+                                  (std::int64_t{1} << (op.wfmt.frac_bits - 1));
+        ASSERT_LT(taps, std::int64_t{1} << 31);
+        EXPECT_EQ(taps + std::abs(op.qbias[0]) < (std::int64_t{1} << 31), shift < 1.0f);
+        quant::QEngine fast(g, base.with_execution(quant::QExecution::kAuto));
+        quant::QEngine oracle(g, base.with_execution(quant::QExecution::kReference));
+        Tensor x({2, 2, 9, 11});
+        Rng xr(14);
+        x.rand_uniform(xr, -1.0f, 1.0f);
+        expect_bitwise_equal(fast.run(x), oracle.run(x), "biased dwconv");
+    }
+}
+
 TEST(QEngineOracle, OutOfDeclaredRangeInputFallsBackBitTrue) {
     SkyNetModel m = folded_model(SkyNetVariant::kA, 41);
     quant::QEngine fast(*m.net, scheme(9, 11, quant::QExecution::kAuto));
@@ -642,13 +676,59 @@ TEST(QEngine, Fp32FallbackRunsUnsupportedLayers) {
     }
 }
 
-TEST(QEngine, EnvVarPinsReferenceExecution) {
-    ASSERT_EQ(setenv("SKYNET_QENGINE", "ref", 1), 0);
+/// Sets an environment variable for one scope, then restores what was there.
+class ScopedEnv {
+public:
+    ScopedEnv(const char* name, const char* value) : name_(name) {
+        if (const char* old = std::getenv(name)) saved_ = old;
+        EXPECT_EQ(setenv(name, value, 1), 0);
+    }
+    ~ScopedEnv() {
+        if (saved_)
+            setenv(name_, saved_->c_str(), 1);
+        else
+            unsetenv(name_);
+    }
+    ScopedEnv(const ScopedEnv&) = delete;
+    ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+private:
+    const char* name_;
+    std::optional<std::string> saved_;
+};
+
+TEST(QEngine, EnvVarOverridesTheConfiguredExecution) {
+    // SKYNET_QENGINE, the rollback lever, overrides QuantConfig::execution
+    // when an engine is built: that engine then reports the pinned mode and
+    // runs bitwise like one configured with it.
+    const char* before = std::getenv("SKYNET_QENGINE");
+    const std::optional<std::string> outer = before ? std::optional<std::string>(before)
+                                                    : std::nullopt;
     SkyNetModel m = folded_model(SkyNetVariant::kA, 71);
-    quant::QEngine engine(*m.net, scheme(9, 11, quant::QExecution::kAuto));
-    unsetenv("SKYNET_QENGINE");
-    EXPECT_EQ(engine.execution(), quant::QExecution::kReference);
-    EXPECT_EQ(engine.report().qgemm_layers, 0);
+    Tensor x({2, 3, 32, 64});
+    Rng xr(72);
+    x.rand_uniform(xr, 0.0f, 1.0f);
+    struct Case {
+        const char* value;
+        quant::QExecution want;
+    };
+    for (const Case& c : {Case{"ref", quant::QExecution::kReference},
+                          Case{"int8", quant::QExecution::kInt8}}) {
+        SCOPED_TRACE(c.value);
+        std::unique_ptr<quant::QEngine> pinned;
+        {
+            const ScopedEnv env("SKYNET_QENGINE", c.value);
+            pinned = std::make_unique<quant::QEngine>(*m.net,
+                                                      scheme(9, 11, quant::QExecution::kAuto));
+        }
+        EXPECT_EQ(pinned->execution(), c.want);
+        EXPECT_EQ(pinned->report().execution, c.want);
+        EXPECT_EQ(pinned->report().qgemm_layers == 0, c.want == quant::QExecution::kReference);
+        quant::QEngine configured(*m.net, scheme(9, 11, c.want));
+        expect_bitwise_equal(pinned->run(x), configured.run(x), c.value);
+    }
+    const char* after = std::getenv("SKYNET_QENGINE");
+    EXPECT_EQ(after ? std::optional<std::string>(after) : std::nullopt, outer);
 }
 
 TEST(QEngine, RunRefusesInputsTheProgramCannotRun) {
@@ -785,16 +865,21 @@ TEST(QEngine, StaleArenaContentsNeverLeak) {
 }
 
 TEST(Lower, ExecutionDecisionsFollowTheMode) {
-    // conv -> identity -> relu -> dwconv -> bias -> relu6 -> conv -> relu,
-    // with the last conv also feeding the closing add.
+    // conv -> identity -> relu -> dwconv (a folded-BN bias) -> relu6 -> conv
+    // -> relu, with the last conv also feeding the closing add.
     Rng rng(10);
+    const auto biased_dw = [&rng](int channels, float bias) {
+        auto dw = std::make_unique<nn::DWConv3>(channels, rng);
+        dw->enable_bias();
+        for (int c = 0; c < channels; ++c) dw->bias()[c] = bias;
+        return dw;
+    };
     nn::Graph g;
     const int c1 = g.add(std::make_unique<nn::Conv2d>(3, 8, 3, 1, 1, true, rng), 0);
     const int id = g.add(std::make_unique<deploy::Identity>(), c1);
     const int r1 = g.add(std::make_unique<nn::Activation>(nn::Act::kReLU), id);
-    const int dw = g.add(std::make_unique<nn::DWConv3>(8, rng), r1);
-    const int b = g.add(std::make_unique<deploy::ChannelBias>(std::vector<float>(8, 0.25f)), dw);
-    const int r6 = g.add(std::make_unique<nn::Activation>(nn::Act::kReLU6), b);
+    const int dw = g.add(biased_dw(8, 0.25f), r1);
+    const int r6 = g.add(std::make_unique<nn::Activation>(nn::Act::kReLU6), dw);
     const int c2 = g.add(std::make_unique<nn::Conv2d>(8, 8, 1, 1, 0, true, rng), r6);
     const int r2 = g.add(std::make_unique<nn::Activation>(nn::Act::kReLU), c2);
     g.set_output(g.add_add(c2, r2));
@@ -808,10 +893,9 @@ TEST(Lower, ExecutionDecisionsFollowTheMode) {
     EXPECT_EQ(p.carrier(id), c1);
     EXPECT_EQ(p.carrier(r1), c1);  // fused into the conv's clamp
     EXPECT_EQ(p.ops[static_cast<std::size_t>(c1)].fused_act, r1);
-    EXPECT_EQ(p.carrier(b), dw);   // folded into the dwconv ...
-    EXPECT_EQ(p.ops[static_cast<std::size_t>(dw)].fused_bias, b);
-    EXPECT_EQ(p.carrier(r6), dw);  // ... with the ReLU6 fused into the bias
-    EXPECT_EQ(p.ops[static_cast<std::size_t>(b)].fused_act, r6);
+    EXPECT_EQ(p.carrier(r6), dw);  // fused into the biased dwconv's clamp
+    EXPECT_EQ(p.ops[static_cast<std::size_t>(dw)].fused_act, r6);
+    EXPECT_EQ(p.ops[static_cast<std::size_t>(dw)].qbias.size(), 8u);
     EXPECT_TRUE(p.ops[static_cast<std::size_t>(r2)].executes());  // c2 has two consumers
     EXPECT_EQ(p.ops[static_cast<std::size_t>(c2)].fused_act, -1);
 
@@ -826,34 +910,18 @@ TEST(Lower, ExecutionDecisionsFollowTheMode) {
     // The vetoes: each graph below is one fold the fp32 plan makes and the
     // integer datapath does (or does not) keep.
     const quant::QuantConfig s9 = scheme(9, 11, quant::QExecution::kAuto);
-    {  // conv -> ChannelBias -> ReLU: fp32 folds both into the conv; a bias
-       // folds only into a dwconv, so the ReLU's input is the bias's buffer.
-        nn::Graph h;
-        const int c = h.add(std::make_unique<nn::Conv2d>(3, 8, 3, 1, 1, true, rng), 0);
-        const int hb =
-            h.add(std::make_unique<deploy::ChannelBias>(std::vector<float>(8, -0.5f)), c);
-        const int hr = h.add(std::make_unique<nn::Activation>(nn::Act::kReLU), hb);
-        EXPECT_EQ(h.fusion_plan().carrier[static_cast<std::size_t>(hr)], c);
-        const quant::Program q = quant::lower(h, s9);
-        EXPECT_TRUE(q.ops[static_cast<std::size_t>(hb)].executes());
-        EXPECT_TRUE(q.ops[static_cast<std::size_t>(hr)].executes());
-        EXPECT_EQ(q.ops[static_cast<std::size_t>(hb)].fused_act, -1);
-        expect_auto_runs_its_plan(h, in, s9, "conv -> bias -> relu");
-    }
-    {  // concat -> ChannelBias -> ReLU6: a concat carries no epilogue, and
-       // neither does a ChannelBias, so both run on their own.
+    {  // concat -> ReLU6: a concat carries no epilogue, so both run on
+       // their own.
         nn::Graph h;
         const int a = h.add(std::make_unique<nn::Conv2d>(3, 4, 1, 1, 0, true, rng), 0);
         const int c = h.add(std::make_unique<nn::Conv2d>(3, 4, 3, 1, 1, true, rng), 0);
         const int cat = h.add_concat({a, c});
-        const int hb =
-            h.add(std::make_unique<deploy::ChannelBias>(std::vector<float>(8, 0.5f)), cat);
-        const int hr = h.add(std::make_unique<nn::Activation>(nn::Act::kReLU6), hb);
+        const int hr = h.add(std::make_unique<nn::Activation>(nn::Act::kReLU6), cat);
         EXPECT_EQ(h.fusion_plan().carrier[static_cast<std::size_t>(hr)], hr);
         const quant::Program q = quant::lower(h, s9);
-        for (const int i : {cat, hb, hr})
+        for (const int i : {cat, hr})
             EXPECT_TRUE(q.ops[static_cast<std::size_t>(i)].executes()) << i;
-        expect_auto_runs_its_plan(h, in, s9, "concat -> bias -> relu6");
+        expect_auto_runs_its_plan(h, in, s9, "concat -> relu6");
     }
     {  // conv -> LeakyReLU: fp32 folds it; the integer side runs it as an
        // fp32 island.
@@ -886,20 +954,16 @@ TEST(Lower, ExecutionDecisionsFollowTheMode) {
         }
         expect_auto_runs_its_plan(h, in, fallback, "maxpool -> relu, grouped conv -> relu6");
     }
-    {  // dwconv -> ChannelBias -> Identity -> ReLU6: everything folds, and the
-       // ReLU6 clamp lands on the bias folded into the dwconv.
+    {  // biased dwconv -> Identity -> ReLU6, a folded Bundle's depthwise
+       // half: everything folds, and the ReLU6 clamp lands on the dwconv.
         nn::Graph h;
-        const int d = h.add(std::make_unique<nn::DWConv3>(3, rng), 0);
-        const int hb =
-            h.add(std::make_unique<deploy::ChannelBias>(std::vector<float>(3, 0.25f)), d);
-        const int hi = h.add(std::make_unique<deploy::Identity>(), hb);
+        const int d = h.add(biased_dw(3, 0.25f), 0);
+        const int hi = h.add(std::make_unique<deploy::Identity>(), d);
         const int hr = h.add(std::make_unique<nn::Activation>(nn::Act::kReLU6), hi);
         const quant::Program q = quant::lower(h, s9);
-        for (const int i : {hb, hi, hr}) EXPECT_EQ(q.carrier(i), d) << i;
-        EXPECT_EQ(q.ops[static_cast<std::size_t>(d)].fused_bias, hb);
-        EXPECT_EQ(q.ops[static_cast<std::size_t>(d)].fused_act, -1);
-        EXPECT_EQ(q.ops[static_cast<std::size_t>(hb)].fused_act, hr);
-        expect_auto_runs_its_plan(h, in, s9, "dwconv -> bias -> identity -> relu6");
+        for (const int i : {hi, hr}) EXPECT_EQ(q.carrier(i), d) << i;
+        EXPECT_EQ(q.ops[static_cast<std::size_t>(d)].fused_act, hr);
+        expect_auto_runs_its_plan(h, in, s9, "dwconv -> identity -> relu6");
     }
 }
 

@@ -233,7 +233,10 @@ TEST(Simd, StoreModeGemmEqualsPrefillAccumulateAndActivation) {
                 act.set_training(false);
                 nn::Activation* pass = a < 0 ? nullptr : &act;
                 core::Epilogue ep;
-                if (pass != nullptr) ep = *act.as_epilogue();
+                if (pass != nullptr) {
+                    ep.act = act.as_epilogue()->act;
+                    ep.slope = act.as_epilogue()->slope;
+                }
                 for (const bool with_bias : {false, true}) {
                     ep.bias = with_bias ? bias.data() : nullptr;
                     core::ThreadPool::set_global_threads(1);

@@ -23,6 +23,7 @@
 #include "nn/batchnorm.hpp"
 #include "nn/conv.hpp"
 #include "nn/dwconv.hpp"
+#include "nn/linear.hpp"
 #include "nn/pooling.hpp"
 #include "nn/pwconv.hpp"
 #include "nn/shuffle.hpp"
@@ -107,6 +108,22 @@ TEST(Verify, ChannelMismatchIsG005) {
     g.add(std::make_unique<nn::DWConv3>(8, rng), 0);  // input has 3 channels
     const verify::Report rep = verify::check_graph(g, kIn);
     EXPECT_TRUE(rep.has("G005")) << rep.str();
+
+    // A Linear reads c*h*w features: Conv2d(3->8) on 8x8 emits 512, not the
+    // 100 it takes.  The forward would throw; the check names the edge.
+    nn::Graph fc;
+    fc.add(std::make_unique<nn::Linear>(100, 10, rng),
+           fc.add(std::make_unique<nn::Conv2d>(3, 8, 3, 1, 1, false, rng), 0));
+    const verify::Report frep = verify::check_graph(fc, {1, 3, 8, 8});
+    EXPECT_TRUE(frep.has("G005")) << frep.str();
+    EXPECT_EQ(frep.error_count(), 1) << frep.str();
+    EXPECT_NE(frep.str().find("in_features=512"), std::string::npos) << frep.str();
+    fc.set_training(false);
+    EXPECT_THROW((void)fc.forward(Tensor({1, 3, 8, 8})), std::invalid_argument);
+    nn::Graph ok;
+    ok.add(std::make_unique<nn::Linear>(512, 10, rng),
+           ok.add(std::make_unique<nn::Conv2d>(3, 8, 3, 1, 1, false, rng), 0));
+    EXPECT_TRUE(verify::check_graph(ok, {1, 3, 8, 8}).ok());
 }
 
 TEST(Verify, CollapsedFeatureMapIsG006) {
@@ -658,6 +675,7 @@ std::map<std::string, verify::Report> seeded_defect_reports() {
     {
         nn::Graph g;
         g.add(std::make_unique<nn::DWConv3>(8, rng), 0);
+        g.add(std::make_unique<nn::Linear>(100, 10, rng), 0);  // reads 3 * 32 * 64
         out["G005"] = verify::check_graph(g, kIn);
     }
     {

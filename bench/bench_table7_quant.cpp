@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
     // Every number below runs the folded graph, as deployed (repacked, as
     // Detector::fold_bn leaves it).
     deploy::fold_graph_bn(*model.net);
-    model.net->prepack();
+    model.net->set_training(false);
     // One static FM format for the whole network (the shared-buffer FPGA
     // regime), calibrated offline on the validation set.
     const float fm_range = quant::calibrate_fm_abs_max(*model.net, val.images);

@@ -53,6 +53,8 @@ struct Parser {
             if (at_end()) return fail("unterminated string");
             const char c = text[pos++];
             if (c == '"') return true;
+            if (static_cast<unsigned char>(c) < 0x20)
+                return fail("raw control character in string");
             if (c != '\\') {
                 out.push_back(c);
                 continue;
@@ -240,30 +242,6 @@ std::string num(double v) {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.17g", v);
     return buf;
-}
-
-std::string escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x",
-                                  static_cast<unsigned>(static_cast<unsigned char>(c)));
-                    out += buf;
-                } else {
-                    out.push_back(c);
-                }
-        }
-    }
-    return out;
 }
 
 }  // namespace sky::bench::json

@@ -8,12 +8,15 @@
 // values, and string escaping).  It parses the full JSON grammar — objects,
 // arrays, strings with escapes, numbers, literals — but is tuned for
 // machine-written documents: no comments, no trailing commas, UTF-8 passed
-// through verbatim.
+// through verbatim.  Like RFC 8259 §7 it refuses a raw control character
+// inside a string.
 #pragma once
 
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "core/json.hpp"
 
 namespace sky::bench::json {
 
@@ -55,7 +58,10 @@ bool parse_file(const std::string& path, Value& out, std::string& err);
 /// `null` so emitted documents always parse.
 [[nodiscard]] std::string num(double v);
 
-/// `s` with JSON string escapes applied (quotes, backslashes, control chars).
-[[nodiscard]] std::string escape(const std::string& s);
+/// `s` with JSON string escapes applied (quotes, backslashes, control
+/// chars): core::json_escape, the one escaper every emitter calls.
+[[nodiscard]] inline std::string escape(const std::string& s) {
+    return core::json_escape(s);
+}
 
 }  // namespace sky::bench::json

@@ -16,9 +16,9 @@
 //                     into C or, in store mode, writes act(bias + acc)
 //                     straight from the register tile (an Epilogue).
 //
-// Weights can be packed once ("prepacked") at model build / BN-fold time via
-// pack_a and reused across forwards — the nn layers thread a PackedA handle
-// through exactly that path.  The sgemm_tn/nt wrappers, which the conv and
+// Weights can be packed once via pack_a and reused across forwards: every
+// nn conv layer keeps such a weight pack for its eval forwards
+// (nn/conv_layer.hpp).  The sgemm_tn/nt wrappers, which the conv and
 // pwconv backward passes call, keep the classic pointer interface and pack
 // both operands per call into thread-local scratch.
 //

@@ -33,19 +33,10 @@ int fold_graph_bn(nn::Graph& g) {
         if (ins.size() != 1) continue;
         const std::size_t j = static_cast<std::size_t>(ins[0]);
         if (consumers[j] != 1) continue;  // the conv output is used elsewhere
-        nn::Module* m = g.node_module(j);
-        if (auto* conv = dynamic_cast<nn::Conv2d*>(m)) {
-            conv->enable_bias();
-            fold_into_conv(conv->weight(), conv->bias(), *bn);
-        } else if (auto* pw = dynamic_cast<nn::PWConv1*>(m)) {
-            pw->enable_bias();
-            fold_into_conv(pw->weight(), pw->bias(), *bn);
-        } else if (auto* dw = dynamic_cast<nn::DWConv3*>(m)) {
-            dw->enable_bias();
-            fold_into_conv(dw->weight(), dw->bias(), *bn);
-        } else {
-            continue;
-        }
+        auto* conv = dynamic_cast<nn::ConvLayer*>(g.node_module(j));
+        if (conv == nullptr) continue;
+        conv->enable_bias();
+        fold_into_conv(conv->weight(), conv->bias(), *bn);  // weight() drops the pack
         g.replace_module(i, std::make_unique<Identity>());
         ++count;
     }

@@ -7,16 +7,16 @@
 // is a prerequisite for the fixed-point datapath (§6.4.1).
 //
 // fold_graph_bn() rewrites an nn::Graph in place.  It folds the pattern this
-// code base emits — {Conv2d|DWConv3|PWConv1} followed by BatchNorm2d — among
-// the graph's own nodes; a nested graph node (a ResNet block, a Bundle) is
-// one opaque node to it, so the BNs inside stay unfolded.
+// code base emits — a conv layer (nn::ConvLayer: Conv2d, PWConv1, DWConv3,
+// Linear) followed by BatchNorm2d — among the graph's own nodes; a nested
+// graph node (a ResNet block, a Bundle) is one opaque node to it, so the BNs
+// inside stay unfolded.  So is a node obs::GraphProfiler wrapped: fold
+// before attaching a profiler.
 #pragma once
 
 #include "nn/batchnorm.hpp"
+#include "nn/conv_layer.hpp"
 #include "nn/graph.hpp"
-#include "nn/conv.hpp"
-#include "nn/dwconv.hpp"
-#include "nn/pwconv.hpp"
 
 namespace sky::deploy {
 
@@ -25,10 +25,11 @@ namespace sky::deploy {
 void fold_into_conv(Tensor& weight, Tensor& bias, const nn::BatchNorm2d& bn);
 
 /// Fold BN nodes of a Graph into their producing conv nodes.  A BN folds
-/// when its single input is a Conv2d / PWConv1 / DWConv3 module node
-/// consumed only by that BN; the conv gains a bias if it had none, and the
-/// BN node is replaced by an Identity.  Nested graphs are left as they are.
-/// Returns the number of BN layers folded.
+/// when its single input is an nn::ConvLayer module node consumed only by
+/// that BN; the conv gains a bias if it had none (its own bias: the one bias
+/// rule), its weight pack is dropped, and the BN node is replaced by an
+/// Identity.  Nested graphs are left as they are.  Returns the number of BN
+/// layers folded.
 int fold_graph_bn(nn::Graph& g);
 
 /// Pass-through module left behind where a folded layer used to be.  As an

@@ -2,24 +2,17 @@
 
 #include <sstream>
 
+#include "core/json.hpp"
+
 namespace sky::io {
 namespace {
 
-std::string escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\') out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
 void append_layer(std::ostringstream& os, const nn::LayerInfo& li, bool first) {
     if (!first) os << ",";
-    os << "\n    {\"name\": \"" << escape(li.name) << "\", \"kind\": \"" << li.kind
-       << "\", \"in\": " << li.in.str() << ", \"out\": " << li.out.str()
-       << ", \"macs\": " << li.macs << ", \"params\": " << li.params << "}";
+    os << "\n    {\"name\": \"" << core::json_escape(li.name) << "\", \"kind\": \""
+       << core::json_escape(li.kind) << "\", \"in\": " << li.in.str()
+       << ", \"out\": " << li.out.str() << ", \"macs\": " << li.macs
+       << ", \"params\": " << li.params << "}";
 }
 
 }  // namespace
@@ -59,8 +52,9 @@ std::string export_graph_json(const nn::Graph& graph, const Shape& input) {
         }
         os << "]";
         if (const nn::Module* m = graph.node_module(i))
-            os << ", \"module\": \"" << escape(m->name()) << "\", \"layer_kind\": \""
-               << m->kind() << "\", \"params\": " << m->param_count();
+            os << ", \"module\": \"" << core::json_escape(m->name())
+               << "\", \"layer_kind\": \"" << core::json_escape(m->kind())
+               << "\", \"params\": " << m->param_count();
         os << "}";
     }
     os << "\n  ]\n}\n";

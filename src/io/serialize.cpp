@@ -1,5 +1,6 @@
 #include "io/serialize.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -76,20 +77,26 @@ void load_weights(nn::Module& net, const std::string& path) {
         throw std::runtime_error("load_weights: tensor count mismatch (file " +
                                  std::to_string(count) + ", net " +
                                  std::to_string(tensors.size()) + ")");
-    for (Tensor* t : tensors) {
+    // Read and check the whole file before writing any tensor, so a file
+    // that fails part-way leaves the network as it was.
+    std::vector<std::vector<float>> payload(tensors.size());
+    for (std::size_t i = 0; i < tensors.size(); ++i) {
         std::int32_t dims[4];
         read_or_throw(in, dims, sizeof(dims));
-        const Shape expect = t->shape();
+        const Shape expect = tensors[i]->shape();
         if (dims[0] != expect.n || dims[1] != expect.c || dims[2] != expect.h ||
             dims[3] != expect.w)
             throw std::runtime_error("load_weights: shape mismatch");
         std::uint64_t elems = 0;
         read_or_throw(in, &elems, sizeof(elems));
-        if (elems != static_cast<std::uint64_t>(t->size()))
+        if (elems != static_cast<std::uint64_t>(tensors[i]->size()))
             throw std::runtime_error("load_weights: element count mismatch");
-        read_or_throw(in, t->data(),
+        payload[i].resize(elems);
+        read_or_throw(in, payload[i].data(),
                       static_cast<std::streamsize>(elems * sizeof(float)));
     }
+    for (std::size_t i = 0; i < tensors.size(); ++i)
+        std::copy(payload[i].begin(), payload[i].end(), tensors[i]->data());
 }
 
 std::int64_t serialized_size(nn::Module& net) {

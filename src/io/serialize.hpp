@@ -20,7 +20,10 @@ namespace sky::io {
 void save_weights(nn::Module& net, const std::string& path);
 
 /// Load parameters saved by save_weights into `net`.  Throws
-/// std::runtime_error on I/O failure or any shape/count mismatch.
+/// std::runtime_error on I/O failure or any shape/count mismatch, and does
+/// so before writing any tensor: a failed load leaves `net` as it was.  It
+/// writes through collect_params, which drops every conv layer's weight
+/// pack, so a model already in eval mode runs the loaded weights at once.
 void load_weights(nn::Module& net, const std::string& path);
 
 /// Byte size the file will have (header + payload), for tests/tools.

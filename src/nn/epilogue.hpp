@@ -5,9 +5,10 @@
 // In eval mode nn::Graph folds such nodes into the module that produces
 // their input, and that module applies the Epilogue where it writes its
 // output (Module::forward_fused): PWConv1, Conv2d and DWConv3 after adding
-// their own bias in the store (core::Epilogue, core/gemm.hpp and
-// core/dwconv.hpp), MaxPool2 per plane inside its parallel chunks, eval
-// BatchNorm2d in its own loop, and any other module in place afterwards.
+// the bias every nn::ConvLayer owns in the store (core::Epilogue,
+// core/gemm.hpp and core/dwconv.hpp), MaxPool2 per plane inside its
+// parallel chunks, eval BatchNorm2d in its own loop, and any other module
+// (Linear among them) in place afterwards.
 // The formulas below are the only scalar copy; core/gemm_ukernel.hpp
 // carries their vector twin.
 // Every fused value is the same expression, in the same operand order, as

@@ -187,11 +187,6 @@ void Graph::set_training(bool training) {
         if (n.module) n.module->set_training(training);
 }
 
-void Graph::prepack() {
-    for (auto& n : nodes_)
-        if (n.module) n.module->prepack();
-}
-
 std::vector<Shape> Graph::infer_shapes(const Shape& in) const {
     std::vector<Shape> shapes(nodes_.size());
     shapes[0] = in;

@@ -59,10 +59,11 @@ public:
     /// Runs the graph and copies its output into `y`'s buffer.
     void forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) override;
     Tensor backward(const Tensor& grad_out) override;
+    /// Every node's, in node order (a conv layer's drops its weight pack).
     void collect_params(std::vector<ParamRef>& out) override;
     void collect_state(std::vector<Tensor*>& out) override;
+    /// Every node's; set_training(false) is what packs the conv weights.
     void set_training(bool training) override;
-    void prepack() override;
 
     [[nodiscard]] std::string name() const override { return "Graph"; }
     void enumerate(const Shape& in, std::vector<LayerInfo>& out) const override;
@@ -82,7 +83,8 @@ public:
     /// into (obs::GraphProfiler reports it as LayerProfile::fused_into).
     [[nodiscard]] int node_carrier(int node) const;
 
-    // --- Introspection for rewrite passes (deploy::fold_graph_bn etc.) ---
+    // --- Introspection for rewrite passes (deploy::fold_graph_bn etc.; a
+    // conv-like node is one test for nn::ConvLayer and its ConvSpec) ---
     enum class NodeKind { kInput, kModule, kConcat, kAdd };
     [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
     [[nodiscard]] NodeKind node_kind(std::size_t i) const { return nodes_[i].kind; }

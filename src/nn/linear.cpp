@@ -1,7 +1,6 @@
 #include "nn/linear.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "core/scratch.hpp"
 #include "core/thread_pool.hpp"
@@ -10,66 +9,43 @@ namespace sky::nn {
 namespace {
 
 thread_local core::PackedB tls_cols;
-thread_local core::PackedA tls_weights;
 
 }  // namespace
 
 Linear::Linear(int in_features, int out_features, Rng& rng)
-    : in_(in_features),
-      out_(out_features),
-      weight_({out_features, in_features, 1, 1}),
-      bias_({1, out_features, 1, 1}),
-      grad_weight_({out_features, in_features, 1, 1}),
-      grad_bias_({1, out_features, 1, 1}) {
-    weight_.kaiming(rng, in_features);
-}
+    : ConvLayer({.in_ch = in_features, .out_ch = out_features, .flatten = true},
+                /*bias=*/true, rng) {}
 
 std::string Linear::name() const {
-    return "Linear(" + std::to_string(in_) + "->" + std::to_string(out_) + ")";
-}
-
-void Linear::set_training(bool training) {
-    Module::set_training(training);
-    if (training)
-        wpack_.clear();
-    else
-        prepack();
-}
-
-void Linear::prepack() {
-    if (training_) return;
-    if (!wpack_.empty() && wpack_.mr == core::gemm_mr() && wpack_.K == in_) return;
-    core::pack_a(out_, in_, weight_.data(), /*trans=*/false, wpack_);
+    return "Linear(" + std::to_string(spec().in_ch) + "->" + std::to_string(spec().out_ch) +
+           ")";
 }
 
 Tensor Linear::forward(const Tensor& x) {
-    if (x.shape().per_item() != in_)
-        throw std::invalid_argument(name() + ": got input " + x.shape().str());
-    Tensor flat = x.reshaped({x.shape().n, in_, 1, 1});
+    check_input(x);
+    const int in = spec().in_ch;
+    const int out = spec().out_ch;
+    Tensor flat = x.reshaped({x.shape().n, in, 1, 1});
     if (training_) {
         input_ = flat;
         in_shape_ = x.shape();
     }
     const int n = flat.shape().n;
-    Tensor y({n, out_, 1, 1});
+    Tensor y({n, out, 1, 1});
     if (!training_) {
         // Eval: Y^T (out x n) = W (out x in) * X^T through the packed SIMD
         // GEMM.  X is stored n x in, so pack_b reads it transposed; the
         // out x n product lands in scratch and transposes into y with bias.
-        const core::PackedA* wp = &wpack_;
-        if (wpack_.empty() || wpack_.mr != core::gemm_mr() || wpack_.K != in_) {
-            core::pack_a(out_, in_, weight_.data(), /*trans=*/false, tls_weights);
-            wp = &tls_weights;
-        }
-        core::pack_b(in_, n, flat.data(), /*trans=*/true, tls_cols);
+        const core::PackedA& w = packed_weights(0);
+        core::pack_b(in, n, flat.data(), /*trans=*/true, tls_cols);
         const std::size_t tmp_sz =
-            static_cast<std::size_t>(out_) * static_cast<std::size_t>(n);
+            static_cast<std::size_t>(out) * static_cast<std::size_t>(n);
         std::vector<float>& tmp = core::tls_scratch(core::ScratchSlot::kLayerTmp, tmp_sz);
         std::fill(tmp.begin(), tmp.begin() + static_cast<std::ptrdiff_t>(tmp_sz), 0.0f);
-        core::sgemm_packed(*wp, tls_cols, tmp.data());
+        core::sgemm_packed(w, tls_cols, tmp.data());
         for (int b = 0; b < n; ++b) {
             float* yp = y.plane(b, 0);
-            for (int o = 0; o < out_; ++o)
+            for (int o = 0; o < out; ++o)
                 yp[o] = bias_[o] + tmp[static_cast<std::size_t>(o) * n + b];
         }
         return y;
@@ -77,13 +53,13 @@ Tensor Linear::forward(const Tensor& x) {
     // Training: each y[b][o] is one sequential double-precision dot product,
     // identical to the seed kernel for any thread count (the optimizer and
     // gradient-check tests rely on this accuracy).
-    core::parallel_for(0, out_, 8, [&](std::int64_t o0, std::int64_t o1) {
+    core::parallel_for(0, out, 8, [&](std::int64_t o0, std::int64_t o1) {
         for (int o = static_cast<int>(o0); o < static_cast<int>(o1); ++o) {
             const float* wrow = weight_.plane(o, 0);
             for (int b = 0; b < n; ++b) {
                 const float* xp = flat.plane(b, 0);
                 double acc = bias_[o];
-                for (int i = 0; i < in_; ++i) acc += static_cast<double>(wrow[i]) * xp[i];
+                for (int i = 0; i < in; ++i) acc += static_cast<double>(wrow[i]) * xp[i];
                 y.plane(b, 0)[o] = static_cast<float>(acc);
             }
         }
@@ -92,12 +68,11 @@ Tensor Linear::forward(const Tensor& x) {
 }
 
 Tensor Linear::backward(const Tensor& grad_out) {
-    if (input_.empty())
-        throw std::logic_error(name() +
-                               ": backward() without a cached input — call forward() in "
-                               "training mode first");
+    check_cached_input();
+    const int in = spec().in_ch;
+    const int out = spec().out_ch;
     const int n = input_.shape().n;
-    Tensor gi({n, in_, 1, 1});
+    Tensor gi({n, in, 1, 1});
     // Two disjoint-output passes: per-batch-row input gradients, then
     // per-feature weight/bias gradients (batch accumulation stays ascending,
     // matching the seed order).
@@ -105,30 +80,25 @@ Tensor Linear::backward(const Tensor& grad_out) {
         for (int b = static_cast<int>(b0); b < static_cast<int>(b1); ++b) {
             const float* gp = grad_out.plane(b, 0);
             float* gxp = gi.plane(b, 0);
-            for (int o = 0; o < out_; ++o) {
+            for (int o = 0; o < out; ++o) {
                 const float g = gp[o];
                 const float* wrow = weight_.plane(o, 0);
-                for (int i = 0; i < in_; ++i) gxp[i] += g * wrow[i];
+                for (int i = 0; i < in; ++i) gxp[i] += g * wrow[i];
             }
         }
     });
-    core::parallel_for(0, out_, 8, [&](std::int64_t o0, std::int64_t o1) {
+    core::parallel_for(0, out, 8, [&](std::int64_t o0, std::int64_t o1) {
         for (int o = static_cast<int>(o0); o < static_cast<int>(o1); ++o) {
             float* gwrow = grad_weight_.plane(o, 0);
             for (int b = 0; b < n; ++b) {
                 const float g = grad_out.plane(b, 0)[o];
                 grad_bias_[o] += g;
                 const float* xp = input_.plane(b, 0);
-                for (int i = 0; i < in_; ++i) gwrow[i] += g * xp[i];
+                for (int i = 0; i < in; ++i) gwrow[i] += g * xp[i];
             }
         }
     });
     return gi.reshaped(in_shape_);
-}
-
-void Linear::collect_params(std::vector<ParamRef>& out) {
-    out.push_back({&weight_, &grad_weight_});
-    out.push_back({&bias_, &grad_bias_});
 }
 
 }  // namespace sky::nn

@@ -3,55 +3,29 @@
 // Input {n, F, 1, 1} (or any shape whose per-item count equals in_features) ->
 // output {n, out_features, 1, 1}.  Used by the classifier backbones (AlexNet,
 // VGG) whose FC layers dominate the parameter-compression study of Fig. 2a.
-// Eval forwards run Y^T = W * X^T through the packed SIMD GEMM with a
-// prepacked weight handle; training forwards keep the seed's sequential
-// double-precision dot products (the optimizer tests rely on that accuracy).
+// A ConvLayer: a biased 1x1 conv over the flattened input.  Eval forwards
+// run Y^T = W * X^T through the packed SIMD GEMM against the weight pack;
+// training forwards keep the seed's sequential double-precision dot
+// products (the optimizer tests rely on that accuracy).
 #pragma once
 
-#include "core/gemm.hpp"
-#include "nn/module.hpp"
+#include "nn/conv_layer.hpp"
 
 namespace sky::nn {
 
-class Linear : public Module {
+class Linear : public ConvLayer {
 public:
     Linear(int in_features, int out_features, Rng& rng);
 
+    /// forward_fused is Module's: this forward, then the epilogue in place.
     Tensor forward(const Tensor& x) override;
     Tensor backward(const Tensor& grad_out) override;
-    void collect_params(std::vector<ParamRef>& out) override;
-    void set_training(bool training) override;
-    void prepack() override;
 
     [[nodiscard]] std::string name() const override;
-    [[nodiscard]] Shape out_shape(const Shape& in) const override {
-        return {in.n, out_, 1, 1};
-    }
-    [[nodiscard]] std::int64_t macs(const Shape& in) const override {
-        return static_cast<std::int64_t>(in.n) * in_ * out_;
-    }
-    [[nodiscard]] std::int64_t param_count() const override {
-        return static_cast<std::int64_t>(in_) * out_ + out_;
-    }
-
-    /// Mutable access invalidates the prepacked weight panels (see
-    /// Conv2d::weight()).
-    [[nodiscard]] Tensor& weight() {
-        wpack_.clear();
-        return weight_;
-    }
-    [[nodiscard]] const Tensor& weight() const { return weight_; }
-    [[nodiscard]] const Tensor& bias() const { return bias_; }
     [[nodiscard]] std::string kind() const override { return "fc"; }
 
 private:
-    int in_, out_;
-    Tensor weight_;  ///< [out, in, 1, 1]
-    Tensor bias_;
-    Tensor grad_weight_, grad_bias_;
-    Tensor input_;          ///< flattened {n, in, 1, 1}
-    Shape in_shape_;        ///< original input shape (restored in backward)
-    core::PackedA wpack_;   ///< prepacked weight panels (eval mode only)
+    Shape in_shape_;  ///< original input shape (restored in backward)
 };
 
 }  // namespace sky::nn

@@ -65,24 +65,19 @@ public:
         return std::nullopt;
     }
 
-    /// Append this module's learnable parameters to `out`.
+    /// Append this module's learnable parameters to `out`.  The pointers
+    /// are mutable, so a conv layer drops its weight pack here.
     virtual void collect_params(std::vector<ParamRef>& out) { (void)out; }
 
     /// Append non-trainable state tensors (e.g. BN running statistics) —
     /// everything beyond collect_params() that a checkpoint must carry.
     virtual void collect_state(std::vector<Tensor*>& out) { (void)out; }
 
+    /// Containers recurse.  A conv layer (nn/conv_layer.hpp) packs its
+    /// weights for eval forwards on set_training(false), even when already
+    /// in eval mode, and drops the pack on set_training(true).
     virtual void set_training(bool training) { training_ = training; }
     [[nodiscard]] bool training() const { return training_; }
-
-    /// Pack weights into the SIMD GEMM panel layout (core/gemm.hpp) so eval
-    /// forwards skip per-call repacking.  Containers recurse; layers without
-    /// a GEMM formulation ignore it.  Idempotent; packs are invalidated by
-    /// mutable weight() access and by entering training mode, and layers
-    /// refresh them on set_training(false), so an explicit call is only
-    /// needed after mutating weights while already in eval mode
-    /// (sky::Detector does this after BN folding).
-    virtual void prepack() {}
 
     [[nodiscard]] virtual std::string name() const = 0;
     [[nodiscard]] virtual Shape out_shape(const Shape& in) const = 0;

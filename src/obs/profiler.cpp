@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/json.hpp"
 #include "core/thread_pool.hpp"
 #include "obs/logger.hpp"
 #include "obs/registry.hpp"
@@ -76,7 +77,6 @@ public:
         Module::set_training(training);
         inner_->set_training(training);
     }
-    void prepack() override { inner_->prepack(); }
     [[nodiscard]] std::string name() const override { return inner_->name(); }
     [[nodiscard]] Shape out_shape(const Shape& in) const override {
         return inner_->out_shape(in);
@@ -181,10 +181,10 @@ std::string GraphProfiler::to_json() const {
                       std::isfinite(p.out_mean) ? p.out_mean : 0.0,
                       std::isfinite(p.out_absmax) ? p.out_absmax : 0.0, p.threads,
                       p.fwd_gflops(), p.fused_into);
-        os << (i ? "," : "") << "\n    {\"node\": " << p.node << ", \"name\": \"" << p.name
-           << "\", \"kind\": \"" << p.kind << "\", \"in\": " << p.in.str()
-           << ", \"out\": " << p.out.str() << ", \"macs\": " << p.macs
-           << ", \"params\": " << p.params << ", " << buf << "}";
+        os << (i ? "," : "") << "\n    {\"node\": " << p.node << ", \"name\": \""
+           << core::json_escape(p.name) << "\", \"kind\": \"" << core::json_escape(p.kind)
+           << "\", \"in\": " << p.in.str() << ", \"out\": " << p.out.str()
+           << ", \"macs\": " << p.macs << ", \"params\": " << p.params << ", " << buf << "}";
     }
     char totals[96];
     std::snprintf(totals, sizeof totals,

@@ -10,9 +10,14 @@
 // producer.  While a trace session is
 // installed each layer forward also emits a span, so a profiled inference
 // shows up in chrome://tracing as a per-layer timeline.  The shims delegate
-// everything else (params, state, shapes, enumerate), so a profiled network
-// trains, checkpoints and estimates identically; detach() restores the
-// original modules.
+// everything else (params, state, training mode, shapes, enumerate), so a
+// profiled network trains, checkpoints and estimates identically; detach()
+// restores the original modules.
+//
+// A pass that dispatches on layer type sees the shims instead of the
+// layers: with a profiler attached, deploy::fold_graph_bn folds no BN and
+// quant::lower finds no conv.  Run the deployment passes (Detector::fold_bn,
+// quantize) first and attach the profiler after them.
 #pragma once
 
 #include <memory>

@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/json.hpp"
+
 namespace sky::obs {
 namespace {
 
@@ -16,16 +18,6 @@ std::string num(double v) {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.17g", v);
     return buf;
-}
-
-std::string escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\') out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
 }
 
 // RFC 4180 CSV field: quoted (with doubled inner quotes) whenever the name
@@ -142,16 +134,17 @@ std::string Registry::to_json() const {
     std::ostringstream os;
     os << "{\n  \"counters\": {";
     for (std::size_t i = 0; i < snap.counters.size(); ++i)
-        os << (i ? "," : "") << "\n    \"" << escape(snap.counters[i].first)
+        os << (i ? "," : "") << "\n    \"" << core::json_escape(snap.counters[i].first)
            << "\": " << num(snap.counters[i].second);
     os << (snap.counters.empty() ? "" : "\n  ") << "},\n  \"gauges\": {";
     for (std::size_t i = 0; i < snap.gauges.size(); ++i)
-        os << (i ? "," : "") << "\n    \"" << escape(snap.gauges[i].first)
+        os << (i ? "," : "") << "\n    \"" << core::json_escape(snap.gauges[i].first)
            << "\": " << num(snap.gauges[i].second);
     os << (snap.gauges.empty() ? "" : "\n  ") << "},\n  \"histograms\": {";
     for (std::size_t i = 0; i < snap.histograms.size(); ++i) {
         const auto& [name, h] = snap.histograms[i];
-        os << (i ? "," : "") << "\n    \"" << escape(name) << "\": {\"count\": " << h.count
+        os << (i ? "," : "") << "\n    \"" << core::json_escape(name)
+           << "\": {\"count\": " << h.count
            << ", \"sum\": " << num(h.sum) << ", \"min\": " << num(h.min)
            << ", \"max\": " << num(h.max) << ", \"bounds\": [";
         for (std::size_t j = 0; j < h.bounds.size(); ++j)

@@ -7,20 +7,12 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/json.hpp"
+
 namespace sky::obs {
 namespace {
 
 std::atomic<TraceSession*> g_session{nullptr};
-
-std::string escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\') out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
 
 std::string num(double v) {
     if (!std::isfinite(v)) return "0";
@@ -73,8 +65,9 @@ std::string TraceSession::to_json() const {
     os << "{\n\"traceEvents\": [";
     for (std::size_t i = 0; i < evs.size(); ++i) {
         const TraceEvent& e = evs[i];
-        os << (i ? "," : "") << "\n  {\"name\": \"" << escape(e.name) << "\", \"cat\": \""
-           << escape(e.cat) << "\", \"ph\": \"X\", \"ts\": " << num(e.ts_us)
+        os << (i ? "," : "") << "\n  {\"name\": \"" << core::json_escape(e.name)
+           << "\", \"cat\": \"" << core::json_escape(e.cat)
+           << "\", \"ph\": \"X\", \"ts\": " << num(e.ts_us)
            << ", \"dur\": " << num(e.dur_us) << ", \"pid\": 0, \"tid\": " << e.tid << "}";
     }
     os << (evs.empty() ? "" : "\n") << "],\n\"displayTimeUnit\": \"ms\"\n}\n";

@@ -22,14 +22,14 @@ constexpr double kFloatMax = 3.4028234663852886e38;
 /// taps against values in `in` can reach.  Zero padding makes 0 a
 /// reachable input value, so padded convs widen `in` to include it.
 Interval conv_interval(const Op& op, Interval in) {
-    const std::int64_t k_per_oc = static_cast<std::int64_t>(op.in_ch / op.groups) * op.k * op.k;
-    if (!in.known || op.out_ch <= 0 || k_per_oc <= 0) return {};
-    const double ilo = op.pad > 0 ? std::min(in.lo, 0.0) : in.lo;
-    const double ihi = op.pad > 0 ? std::max(in.hi, 0.0) : in.hi;
+    const std::int64_t k_per_oc = op.weight->shape().per_item();
+    if (!in.known || op.conv.out_ch <= 0 || k_per_oc <= 0) return {};
+    const double ilo = op.conv.pad > 0 ? std::min(in.lo, 0.0) : in.lo;
+    const double ihi = op.conv.pad > 0 ? std::max(in.hi, 0.0) : in.hi;
     const Tensor& w = *op.weight;
     Interval out{std::numeric_limits<double>::infinity(),
                  -std::numeric_limits<double>::infinity(), true};
-    for (int oc = 0; oc < op.out_ch; ++oc) {
+    for (int oc = 0; oc < op.conv.out_ch; ++oc) {
         double lo = 0.0, hi = 0.0;
         const std::int64_t base = static_cast<std::int64_t>(oc) * k_per_oc;
         for (std::int64_t k = 0; k < k_per_oc; ++k) {

@@ -8,11 +8,8 @@
 #include "deploy/fold_bn.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
-#include "nn/conv.hpp"
-#include "nn/dwconv.hpp"
-#include "nn/linear.hpp"
+#include "nn/conv_layer.hpp"
 #include "nn/pooling.hpp"
-#include "nn/pwconv.hpp"
 #include "nn/shuffle.hpp"
 #include "nn/space_to_depth.hpp"
 
@@ -20,19 +17,6 @@ namespace sky::quant {
 namespace {
 
 std::vector<Op> lower_graph(const nn::Graph& g, const QuantConfig& cfg);
-
-void set_conv(Op& op, OpKind kind, const Tensor& w, const Tensor* bias, int in_ch,
-              int k, int stride, int pad, int groups) {
-    op.kind = kind;
-    op.weight = &w;
-    op.bias = bias;
-    op.in_ch = in_ch;
-    op.out_ch = w.shape().n;
-    op.k = k;
-    op.stride = stride;
-    op.pad = pad;
-    op.groups = groups;
-}
 
 /// The module-kind dispatch: kind, parameters and verdict of one module.
 Op lower_module(nn::Module& m, const QuantConfig& cfg) {
@@ -42,25 +26,16 @@ Op lower_module(nn::Module& m, const QuantConfig& cfg) {
     bool integer = false;  // the integer engine has a lowering for it
     std::string why = " (kind '" + m.kind() + "') has no integer-engine lowering";
     std::string hint = "replace the layer or extend quant::QEngine";
-    if (auto* c = dynamic_cast<nn::Conv2d*>(&m)) {
-        set_conv(op, OpKind::kConv, c->weight(), c->has_bias() ? &c->bias() : nullptr,
-                 c->in_channels(), c->kernel(), c->stride(), c->padding(), 1);
-        integer = true;
-    } else if (auto* pw = dynamic_cast<nn::PWConv1*>(&m)) {
-        set_conv(op, OpKind::kConv, pw->weight(), pw->has_bias() ? &pw->bias() : nullptr,
-                 pw->in_channels(), 1, 1, 0, pw->groups());
-        integer = pw->groups() == 1;
-        why = ": grouped 1x1 conv is unsupported";
+    if (const auto* conv = dynamic_cast<const nn::ConvLayer*>(&m)) {
+        const nn::ConvSpec& s = conv->spec();
+        op.kind = s.depthwise() ? OpKind::kDwConv : OpKind::kConv;
+        op.conv = s;
+        op.weight = &conv->weight();
+        op.bias = conv->has_bias() ? &conv->bias() : nullptr;
+        integer = s.groups == 1 || s.depthwise();
+        const std::string k = std::to_string(s.k);
+        why = ": grouped " + k + "x" + k + " conv is unsupported";
         hint = "ungroup the conv or extend the integer engine";
-    } else if (auto* dw = dynamic_cast<nn::DWConv3*>(&m)) {
-        set_conv(op, OpKind::kDwConv, dw->weight(), dw->has_bias() ? &dw->bias() : nullptr,
-                 dw->channels(), 3, 1, 1, dw->channels());
-        integer = true;
-    } else if (auto* fc = dynamic_cast<nn::Linear*>(&m)) {
-        set_conv(op, OpKind::kConv, fc->weight(), &fc->bias(), fc->weight().shape().c, 1,
-                 1, 0, 1);
-        op.flatten = true;
-        integer = true;
     } else if (auto* bn = dynamic_cast<nn::BatchNorm2d*>(&m)) {
         op.kind = OpKind::kAffine;
         bn->fused_affine(op.scale, op.shift);
@@ -164,7 +139,7 @@ void quantize_conv(Op& op, int weight_bits, const FixedPointFormat& fm) {
     }
     if (op.bias == nullptr) return;
     const double scale = std::ldexp(1.0, op.wfmt.frac_bits + fm.frac_bits);
-    for (int oc = 0; oc < op.out_ch; ++oc)
+    for (int oc = 0; oc < op.conv.out_ch; ++oc)
         op.qbias.push_back(
             static_cast<std::int64_t>(std::llround((*op.bias)[oc] * scale)));
 }
@@ -249,10 +224,10 @@ deploy::MemoryPlan plan_activations(const Program& p, const Shape& input) {
         const Shape& x = op.inputs.empty() ? s : shapes[static_cast<std::size_t>(op.inputs[0])];
         if (s.n <= 0 || s.c <= 0 || s.h <= 0 || s.w <= 0)
             refuse(i, " has a degenerate shape (run verify::check_graph)");
-        const std::int64_t in_ch = op.flatten ? x.per_item() : x.c;
+        const std::int64_t in_ch = op.conv.flatten ? x.per_item() : x.c;
         if (op.verdict == Verdict::kInt &&
-            (op.kind == OpKind::kConv || op.kind == OpKind::kDwConv) && in_ch != op.in_ch)
-            refuse(i, " (" + op.name + ") expects " + std::to_string(op.in_ch) +
+            (op.kind == OpKind::kConv || op.kind == OpKind::kDwConv) && in_ch != op.conv.in_ch)
+            refuse(i, " (" + op.name + ") expects " + std::to_string(op.conv.in_ch) +
                           " input channels, got " + x.str());
         for (const int in : op.inputs) {
             Shape y = shapes[static_cast<std::size_t>(in)];

@@ -1,9 +1,10 @@
 // Lowering: one pass from a BN-folded nn::Graph to the flat, typed op
 // program that every consumer of the integer datapath reads.
 //
-// quant::lower() is the only place in src/quant and src/verify that asks
-// what kind of module a graph node holds.  Each node becomes one Op — a
-// typed kind, the layer parameters the passes need, and a verdict:
+// quant::lower() is the only place in src/quant that asks what kind of
+// module a graph node holds; every conv-like layer is one test for
+// nn::ConvLayer, whose ConvSpec the op carries.  Each node becomes one Op —
+// a typed kind, the layer parameters the passes need, and a verdict:
 //
 //   kInt       the integer engine runs the op on the shared FM grid
 //   kFp32      the op runs as an fp32 island (dequantize -> float module ->
@@ -38,6 +39,7 @@
 #include <vector>
 
 #include "deploy/memory_plan.hpp"
+#include "nn/conv_layer.hpp"
 #include "nn/graph.hpp"
 #include "quant/fixed_point.hpp"
 #include "quant/qconfig.hpp"
@@ -49,8 +51,8 @@ enum class OpKind {
     kInput,
     kConcat,
     kAdd,
-    kConv,      ///< Conv2d, PWConv1 (any groups), Linear (1x1 on the flattened input)
-    kDwConv,    ///< DWConv3 (a conv with groups == channels)
+    kConv,      ///< an nn::ConvLayer: Conv2d, PWConv1 (any groups), Linear
+    kDwConv,    ///< a depthwise nn::ConvLayer (ConvSpec::depthwise: DWConv3)
     kAffine,    ///< BatchNorm2d, as its fused per-channel affine
     kRelu,
     kRelu6,
@@ -77,11 +79,11 @@ struct Op {
     nn::Module* module = nullptr;
     std::string code, reason, hint;  ///< the Q001/Q002 finding when verdict != kInt
 
-    // kConv / kDwConv: weight [out_ch, in_ch / groups, k, k].
+    // kConv / kDwConv: the layer's geometry and its weight
+    // [out_ch, in_ch / groups, k, k].
+    nn::ConvSpec conv;
     const Tensor* weight = nullptr;
     const Tensor* bias = nullptr;  ///< nullptr: no bias
-    int in_ch = 0, out_ch = 0, k = 1, stride = 1, pad = 0, groups = 1;
-    bool flatten = false;  ///< a Linear: reads its input as {n, c*h*w, 1, 1}
     // Integer ops, quantized once on the scheme's grid.
     FixedPointFormat wfmt{};               ///< per-layer weight format
     std::vector<std::int32_t> qweights;    ///< w_hat, the layout of *weight

@@ -78,8 +78,8 @@ QEngine::QEngine(Program program)
                          (std::int64_t{1} << 31);
             continue;
         }
-        const int K = op.in_ch * op.k * op.k;
-        const ConvProof proof = prove_qgemm(K, op.pad, p.cfg.weight_bits, op.wmax,
+        const int K = op.conv.in_ch * op.conv.k * op.conv.k;
+        const ConvProof proof = prove_qgemm(K, op.conv.pad, p.cfg.weight_bits, op.wmax,
                                             range[static_cast<std::size_t>(op.inputs[0])]);
         if (!proof.eligible) {
             if (p.execution == QExecution::kInt8)
@@ -88,10 +88,10 @@ QEngine::QEngine(Program program)
             notes[i] = proof.reason;
             continue;
         }
-        core::qpack_a_wide(op.out_ch, K, op.qweights.data(), l.apack);
+        core::qpack_a_wide(op.conv.out_ch, K, op.qweights.data(), l.apack);
         l.zero_point = proof.zero_point;
-        l.bias_corr.resize(static_cast<std::size_t>(op.out_ch));
-        for (int oc = 0; oc < op.out_ch; ++oc) {
+        l.bias_corr.resize(static_cast<std::size_t>(op.conv.out_ch));
+        for (int oc = 0; oc < op.conv.out_ch; ++oc) {
             const auto uoc = static_cast<std::size_t>(oc);
             l.bias_corr[uoc] = (op.qbias.empty() ? 0 : op.qbias[uoc]) +
                                static_cast<std::int64_t>(proof.zero_point) *
@@ -276,10 +276,9 @@ void QEngine::execute_conv(const Op& op, const QLayer& l, const QView<Word>& x,
                            const QView<Word>& y, bool allow_qgemm) {
     // A Linear reads each item's values as one 1x1 column: the NCHW layout
     // already stores them in that order.
-    const Shape xs = op.flatten ? Shape{x.shape.n, op.in_ch, 1, 1} : x.shape;
+    const auto [in_ch, out_ch, k, stride, pad, groups, flatten] = op.conv;
+    const Shape xs = flatten ? Shape{x.shape.n, in_ch, 1, 1} : x.shape;
     const int H = xs.h, W = xs.w;
-    const int in_ch = op.in_ch, out_ch = op.out_ch, k = op.k, stride = op.stride,
-              pad = op.pad;
     const int OH = y.shape.h, OW = y.shape.w;
     const int shift = op.wfmt.frac_bits;
     const std::int32_t clamp_lo = l.clamp_lo, clamp_hi = l.clamp_hi;
@@ -325,7 +324,7 @@ void QEngine::execute_conv(const Op& op, const QLayer& l, const QView<Word>& x,
     // group (a dwconv's holds one input channel).  Bit-true for any input
     // (no range assumptions).
     const int xc = xs.c;
-    const int ipg = in_ch / op.groups, opg = out_ch / op.groups;
+    const int ipg = in_ch / groups, opg = out_ch / groups;
     core::parallel_for(
         0, static_cast<std::int64_t>(x.shape.n) * out_ch, 1,
         [=](std::int64_t i0, std::int64_t i1) {

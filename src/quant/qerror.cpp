@@ -79,18 +79,19 @@ Transfer conv_err(const Op& op, const ErrBound& ein_raw, Interval vin, Interval 
         sat = sat_term(vout, spec->grid_lo, spec->grid_hi, s);
         acc_scale = std::ldexp(1.0, op.wfmt.frac_bits + spec->fm.frac_bits);
     }
-    const ErrBound ein = align(ein_raw, static_cast<std::size_t>(op.in_ch));
-    const int in_per_group = op.in_ch / op.groups, out_per_group = op.out_ch / op.groups;
-    const int taps = op.k * op.k;
+    const ErrBound ein = align(ein_raw, static_cast<std::size_t>(op.conv.in_ch));
+    const int in_per_group = op.conv.in_ch / op.conv.groups;
+    const int out_per_group = op.conv.out_ch / op.conv.groups;
+    const int taps = op.conv.k * op.conv.k;
     const std::int64_t k_per_oc = static_cast<std::int64_t>(in_per_group) * taps;
     const double wstep = op.wfmt.step();
 
     Transfer t;
     t.e.known = true;
-    t.e.per_ch.resize(static_cast<std::size_t>(op.out_ch));
+    t.e.per_ch.resize(static_cast<std::size_t>(op.conv.out_ch));
     t.lip = 0.0;
     double worst_fresh = 0.0;
-    for (int oc = 0; oc < op.out_ch; ++oc) {
+    for (int oc = 0; oc < op.conv.out_ch; ++oc) {
         const std::int64_t base = static_cast<std::int64_t>(oc) * k_per_oc;
         const std::int64_t ic0 = static_cast<std::int64_t>(oc / out_per_group) * in_per_group;
         double carried = 0.0, rounding = 0.0, lip_oc = 0.0;

@@ -30,13 +30,13 @@ const char* detector_stage_name(DetectorStage s) {
 
 Detector::Detector(const SkyNetConfig& cfg, Rng& rng) : model_(build_skynet(cfg, rng)) {
     verify::enforce(verify());
-    prepack();
+    model_.net->set_training(false);  // packs every conv's weights
 }
 
 Detector::Detector(SkyNetModel model) : model_(std::move(model)) {
     if (!model_.net) throw std::invalid_argument("Detector: model has no network");
     verify::enforce(verify());
-    prepack();
+    model_.net->set_training(false);
 }
 
 verify::Report Detector::verify(const Shape& input) const {
@@ -47,16 +47,8 @@ int Detector::fold_bn() {
     if (stage_ != DetectorStage::kFloat) return 0;
     const int folded = deploy::fold_graph_bn(*model_.net);
     stage_ = DetectorStage::kFolded;
-    prepack();  // folding rewrote conv weights, so the panels are stale
+    model_.net->set_training(false);  // repacks the weights folding rewrote
     return folded;
-}
-
-void Detector::prepack() {
-    // set_training(false) refreshes every layer's weight panels; the explicit
-    // prepack() covers layers whose packs were invalidated while already in
-    // eval mode (mutable weight() access during BN folding).
-    model_.net->set_training(false);
-    model_.net->prepack();
 }
 
 quant::QuantReport Detector::quantize(const quant::QuantConfig& qcfg) {

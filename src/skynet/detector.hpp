@@ -85,10 +85,6 @@ public:
     /// legacy positional spelling `quantize({9, 11, 8.0f})` still compiles:
     /// QuantConfig's leading fields keep that order.
     quant::QuantReport quantize(const quant::QuantConfig& qcfg);
-    /// Pack all layer weights into the SIMD GEMM panel layout so the first
-    /// forward() pays no packing cost.  Called automatically at construction
-    /// and after fold_bn(); harmless to call again (idempotent).
-    void prepack();
     [[nodiscard]] DetectorStage stage() const { return stage_; }
     /// Datapath the next forward() will use: kInt8 once quantize() has run.
     [[nodiscard]] Precision precision() const {
@@ -118,7 +114,9 @@ public:
 
     // --- Inference -----------------------------------------------------
     /// Raw head map {n, 5*anchors, gh, gw} for {n,3,h,w} input.  Forces
-    /// eval mode.
+    /// eval mode (nn::Module::set_training(false)), which also repacks conv
+    /// weights rewritten since the last forward, e.g. by a checkpoint load
+    /// into net().
     [[nodiscard]] Tensor forward(const Tensor& images);
     /// Best box of a single image ({1,3,h,w}).
     [[nodiscard]] detect::BBox detect(const Tensor& image);

@@ -25,9 +25,10 @@ void prove_accumulators(const quant::Program& p, const std::vector<quant::GridRa
         const quant::Op& op = p.ops[i];
         // Grouped and fp32 convs never take qgemm; dwconvs have their own path.
         if (op.kind != quant::OpKind::kConv || op.verdict != quant::Verdict::kInt) continue;
-        const int K = op.in_ch * op.k * op.k;
-        const quant::ConvProof pr = quant::prove_qgemm(
-            K, op.pad, p.cfg.weight_bits, op.wmax, gr[static_cast<std::size_t>(op.inputs[0])]);
+        const int K = op.conv.in_ch * op.conv.k * op.conv.k;
+        const quant::ConvProof pr =
+            quant::prove_qgemm(K, op.conv.pad, p.cfg.weight_bits, op.wmax,
+                               gr[static_cast<std::size_t>(op.inputs[0])]);
         if (pr.eligible || pr.reason.find("accumulator") == std::string::npos) continue;
         rep.warn("A004", static_cast<int>(i),
                  op.name + ": int32 accumulator bound reached: K=" + std::to_string(K) +

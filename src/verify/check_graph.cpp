@@ -6,11 +6,8 @@
 #include <vector>
 
 #include "nn/batchnorm.hpp"
-#include "nn/conv.hpp"
-#include "nn/dwconv.hpp"
-#include "nn/linear.hpp"
+#include "nn/conv_layer.hpp"
 #include "nn/pooling.hpp"
-#include "nn/pwconv.hpp"
 #include "nn/shuffle.hpp"
 #include "nn/space_to_depth.hpp"
 
@@ -19,25 +16,22 @@ namespace {
 
 std::string shape_str(const Shape& s) { return s.str(); }
 
-/// Expected input channel count of a module, when statically knowable; a
-/// Linear's is its input feature count, which it reads as c*h*w.
-std::optional<std::int64_t> expected_in_channels(const nn::Module& m) {
-    if (const auto* conv = dynamic_cast<const nn::Conv2d*>(&m)) return conv->in_channels();
-    if (const auto* pw = dynamic_cast<const nn::PWConv1*>(&m)) return pw->in_channels();
-    if (const auto* dw = dynamic_cast<const nn::DWConv3*>(&m)) return dw->channels();
-    if (const auto* bn = dynamic_cast<const nn::BatchNorm2d*>(&m)) return bn->channels();
-    if (const auto* fc = dynamic_cast<const nn::Linear*>(&m)) return fc->weight().shape().c;
-    return std::nullopt;
-}
-
 /// Per-module structural checks that need the incoming shape.  Returns the
 /// inferred output shape, or nullopt when inference failed (a diagnostic
 /// has been emitted and downstream checks on this chain are skipped).
 std::optional<Shape> check_module(const nn::Module& m, const Shape& in, int node,
                                   Report& rep) {
-    const bool flat = dynamic_cast<const nn::Linear*>(&m) != nullptr;
+    const auto* conv = dynamic_cast<const nn::ConvLayer*>(&m);
+    // The input channel count a layer expects, when statically knowable; a
+    // Linear's is its input feature count, which it reads as c*h*w.
+    std::optional<std::int64_t> want;
+    if (conv != nullptr)
+        want = conv->spec().in_ch;
+    else if (const auto* bn = dynamic_cast<const nn::BatchNorm2d*>(&m))
+        want = bn->channels();
+    const bool flat = conv != nullptr && conv->spec().flatten;
     const std::int64_t got = flat ? in.per_item() : in.c;
-    if (const std::optional<std::int64_t> want = expected_in_channels(m); want && *want != got) {
+    if (want && *want != got) {
         rep.error("G005", node,
                   m.name() + " expects " + std::to_string(*want) +
                       (flat ? " input features" : " input channels") +
@@ -45,16 +39,6 @@ std::optional<Shape> check_module(const nn::Module& m, const Shape& in, int node
                   std::string("rewire the edge or rebuild the layer with ") +
                       (flat ? "in_features=" : "in_ch=") + std::to_string(got));
         return std::nullopt;
-    }
-    if (const auto* pw = dynamic_cast<const nn::PWConv1*>(&m)) {
-        if (pw->groups() > 1 && (pw->in_channels() % pw->groups() != 0 ||
-                                 pw->out_channels() % pw->groups() != 0)) {
-            rep.error("G012", node,
-                      m.name() + " groups=" + std::to_string(pw->groups()) +
-                          " do not divide in/out channels",
-                      "pick a group count dividing both channel counts");
-            return std::nullopt;
-        }
     }
     if (const auto* shuffle = dynamic_cast<const nn::ChannelShuffle*>(&m)) {
         if (shuffle->groups() < 1 || in.c % shuffle->groups() != 0) {
@@ -64,8 +48,8 @@ std::optional<Shape> check_module(const nn::Module& m, const Shape& in, int node
             return std::nullopt;
         }
     }
-    if (const auto* conv = dynamic_cast<const nn::Conv2d*>(&m)) {
-        const int k = conv->kernel(), s = conv->stride(), p = conv->padding();
+    if (conv != nullptr) {
+        const int k = conv->spec().k, s = conv->spec().stride, p = conv->spec().pad;
         const int eh = in.h + 2 * p - k, ew = in.w + 2 * p - k;
         if (eh < 0 || ew < 0) {
             rep.error("G006", node,

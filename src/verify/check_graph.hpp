@@ -7,9 +7,11 @@
 // conv fed the wrong channel count, a stride/padding combination that
 // silently truncates the feature map, a node wired to an edge that does
 // not exist.  check_graph() runs symbolic shape inference through every
-// node kind the repo emits (conv / dwconv / pwconv / pooling /
-// space_to_depth / shuffle / concat / add) and reports typed diagnostics;
-// it never runs a kernel and never allocates a feature map.
+// node kind the repo emits (conv layers / pooling / space_to_depth /
+// shuffle / concat / add) and reports typed diagnostics; it never runs a
+// kernel and never allocates a feature map.  Every conv-like layer is one
+// test for nn::ConvLayer: its ConvSpec gives the expected input channels
+// (G005) and the kernel geometry (G006/G007).
 //
 // Diagnostic catalog (full table in docs/STATIC_ANALYSIS.md):
 //   G001 error  dangling edge (input id out of range)
@@ -23,7 +25,8 @@
 //   G009 error  output node id invalid
 //   G010 error  module shape inference threw
 //   G011 error  join node has too few inputs
-//   G012 error  channel count incompatible with grouped conv / shuffle
+//   G012 error  channel count incompatible with a shuffle's groups (a
+//               grouped PWConv1 refuses a bad count in its constructor)
 // The SkyNetModel-level M-codes live in skynet/check_model.hpp: verify
 // stays below skynet in the layering manifest (tools/skylint/layers.txt).
 #pragma once

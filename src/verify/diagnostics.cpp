@@ -72,8 +72,7 @@ const std::vector<CatalogEntry>& catalog() {
         {"G009", Severity::kError, "output node id invalid"},
         {"G010", Severity::kError, "module shape inference threw"},
         {"G011", Severity::kError, "join node has too few inputs"},
-        {"G012", Severity::kError,
-         "channel count incompatible with grouped conv / shuffle"},
+        {"G012", Severity::kError, "channel count incompatible with a shuffle's groups"},
         {"M001", Severity::kError, "SkyNetModel feature tap node invalid"},
         {"M002", Severity::kWarning,
          "feature tap channel metadata disagrees with the graph"},

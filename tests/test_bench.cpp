@@ -20,7 +20,11 @@
 #include "bench/json.hpp"
 #include "bench/report.hpp"
 #include "bench/stats.hpp"
+#include "io/export_graph.hpp"
+#include "nn/graph.hpp"
+#include "obs/profiler.hpp"
 #include "obs/registry.hpp"
+#include "obs/trace.hpp"
 
 namespace sky::bench {
 namespace {
@@ -113,6 +117,17 @@ TEST(Json, RejectsMalformedInput) {
     EXPECT_FALSE(err.empty());
 }
 
+TEST(Json, RejectsRawControlCharactersInStrings) {
+    // RFC 8259 §7: a control character inside a string must be escaped.
+    json::Value v;
+    std::string err;
+    EXPECT_FALSE(json::parse("\"a\tb\"", v, err));
+    EXPECT_NE(err.find("control character"), std::string::npos) << err;
+    EXPECT_FALSE(json::parse(std::string("{\"a\x01\": 1}"), v, err));
+    ASSERT_TRUE(json::parse("\"a\\tb\\u0001\"", v, err)) << err;
+    EXPECT_EQ(v.str, std::string("a\tb\x01"));
+}
+
 TEST(Json, EscapeAndNumHelpers) {
     EXPECT_EQ(json::escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     EXPECT_EQ(json::num(std::nan("")), "null");
@@ -134,6 +149,69 @@ Fingerprint test_fingerprint() {
     fp.bench_scale = 1.0;
     fp.cpu_cores = 8;
     return fp;
+}
+
+/// True when `s` is a string or an object key anywhere in `v`.
+bool holds_string(const json::Value& v, const std::string& s) {
+    if (v.is_string() && v.str == s) return true;
+    for (const json::Value& e : v.array)
+        if (holds_string(e, s)) return true;
+    for (const auto& [key, e] : v.object)
+        if (key == s || holds_string(e, s)) return true;
+    return false;
+}
+
+/// A pass-through layer whose name and kind are `name`.
+class NamedLayer : public nn::Module {
+public:
+    explicit NamedLayer(std::string name) : name_(std::move(name)) {}
+    Tensor forward(const Tensor& x) override { return x; }
+    Tensor backward(const Tensor& g) override { return g; }
+    [[nodiscard]] std::string name() const override { return name_; }
+    [[nodiscard]] std::string kind() const override { return name_; }
+    [[nodiscard]] Shape out_shape(const Shape& in) const override { return in; }
+
+private:
+    std::string name_;
+};
+
+TEST(Json, EveryEmitterRoundTripsControlCharacters) {
+    // A name with every character class core::json_escape treats apart.
+    const std::string name = "a\tb\nc\r\"q\"\\\x01\x1f";
+    std::vector<std::pair<std::string, std::string>> docs;
+
+    obs::Registry reg;
+    reg.add(name);
+    reg.set(name + "g", 1.0);
+    reg.observe(name + "h", 2.0);
+    docs.emplace_back("registry", reg.to_json());
+    obs::TraceSession trace;
+    trace.record(name, name, 0.0, 1.0);
+    docs.emplace_back("trace", trace.to_json());
+    nn::Graph g;
+    g.add(std::make_unique<NamedLayer>(name), 0);
+    docs.emplace_back("export_layers", io::export_layers_json(g, {1, 1, 2, 2}));
+    docs.emplace_back("export_graph", io::export_graph_json(g, {1, 1, 2, 2}));
+    {
+        obs::GraphProfiler prof(g);
+        docs.emplace_back("profiler", prof.to_json());
+    }
+    Report rep;
+    rep.set_name(name);
+    rep.record(name, 1.0, name, Direction::kLowerIsBetter);
+    Fingerprint fp = test_fingerprint();
+    fp.compiler = name;
+    docs.emplace_back("report", rep.to_json(fp));
+    DiffReport diff;
+    diff.notes.push_back(name);
+    docs.emplace_back("benchdiff", render_json(diff));
+
+    for (const auto& [emitter, text] : docs) {
+        json::Value v;
+        std::string err;
+        ASSERT_TRUE(json::parse(text, v, err)) << emitter << ": " << err << "\n" << text;
+        EXPECT_TRUE(holds_string(v, name)) << emitter << ":\n" << text;
+    }
 }
 
 TEST(Report, EmitsVersionedSchemaWithUnitsAndRepeatStats) {

@@ -13,6 +13,10 @@
 #include "deploy/memory_plan.hpp"
 
 #include "nn/activations.hpp"
+#include "nn/conv.hpp"
+#include "nn/dwconv.hpp"
+#include "nn/linear.hpp"
+#include "nn/pwconv.hpp"
 #include "deploy/report.hpp"
 #include "detect/nms.hpp"
 #include "detect/yolo_head.hpp"
@@ -163,6 +167,24 @@ TEST(FoldBn, DwConvTakesTheBnShiftAsItsBias) {
     ASSERT_EQ(params.size(), 2u);
     EXPECT_EQ(params[1].value, &dw.bias());
     EXPECT_EQ(dw.param_count(), 4 * 10);
+}
+
+TEST(FoldBn, LinearTakesTheBnAsItsBias) {
+    // Linear is a conv layer too (a 1x1 conv over its flattened input), so a
+    // BN after it folds into its weight rows and bias like after any conv.
+    Rng rng(6);
+    nn::Graph g;
+    g.emplace<nn::Linear>(2 * 3 * 3, 5, rng);
+    g.emplace<nn::BatchNorm2d>(5);
+    warm_bn(g, {4, 2, 3, 3});
+    const Tensor before = eval_forward(g, {1, 2, 3, 3}, 13);
+
+    EXPECT_EQ(fold_graph_bn(g), 1);
+    EXPECT_EQ(g.node_module(2)->name(), "Identity");
+    const Tensor after = eval_forward(g, {1, 2, 3, 3}, 13);
+    ASSERT_EQ(before.size(), after.size());
+    for (std::int64_t i = 0; i < before.size(); ++i)
+        EXPECT_NEAR(before[i], after[i], 1e-4f) << i;
 }
 
 // ------------------------------------------------------------ plan_tensors --

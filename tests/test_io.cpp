@@ -1,11 +1,16 @@
-// Weight serialization: round trips, size accounting, and the failure modes
-// (wrong file, wrong architecture, truncated payload).
+// Weight serialization: round trips, size accounting, the failure modes
+// (wrong file, wrong architecture, truncated payload) and what a load does
+// to a model that is already in eval mode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "deploy/fold_bn.hpp"
 #include "io/serialize.hpp"
@@ -17,6 +22,27 @@ namespace {
 
 std::string temp_path(const char* tag) {
     return std::string(::testing::TempDir()) + "skynet_io_" + tag + ".bin";
+}
+
+SkyNetModel quarter_c(std::uint64_t seed) {
+    Rng rng(seed);
+    return build_skynet({SkyNetVariant::kC, nn::Act::kReLU6, 2, 0.25f}, rng);
+}
+
+Tensor probe_input() {
+    Tensor x({1, 3, 32, 64});
+    Rng xr(3);
+    x.rand_uniform(xr, 0.0f, 1.0f);
+    return x;
+}
+
+/// Elements whose bit patterns differ (every element when the shapes do).
+std::int64_t differing_bits(const Tensor& a, const Tensor& b) {
+    if (!(a.shape() == b.shape())) return std::max(a.size(), b.size());
+    std::int64_t n = 0;
+    for (std::int64_t i = 0; i < a.size(); ++i)
+        n += std::memcmp(&a.data()[i], &b.data()[i], sizeof(float)) != 0;
+    return n;
 }
 
 TEST(Serialize, RoundTripRestoresExactWeights) {
@@ -96,6 +122,75 @@ TEST(Serialize, LoadedModelProducesIdenticalOutput) {
         ASSERT_EQ(u, v) << "folded, element " << i << ": " << yd[i] << " vs " << yf[i];
     }
     std::remove(folded_path.c_str());
+}
+
+TEST(Serialize, LoadIntoAnEvalModelRunsTheLoadedWeights) {
+    // An eval model that has run a forward holds weight packs.  A load
+    // writes the weights through collect_params, which drops them, so the
+    // next forward is bitwise the saved model's, and so is the one after the
+    // repack of set_training(false).
+    const Tensor x = probe_input();
+    SkyNetModel a = quarter_c(1);
+    a.net->set_training(false);
+    const Tensor ya = a.net->forward(x);
+    const std::string path = temp_path("evalload");
+    save_weights(*a.net, path);
+
+    SkyNetModel b = quarter_c(2);
+    b.net->set_training(false);
+    ASSERT_EQ(differing_bits(b.net->forward(x), ya), ya.size());
+    load_weights(*b.net, path);
+    EXPECT_EQ(differing_bits(b.net->forward(x), ya), 0) << "right after the load";
+    b.net->set_training(false);
+    EXPECT_EQ(differing_bits(b.net->forward(x), ya), 0) << "after set_training(false)";
+    std::remove(path.c_str());
+}
+
+TEST(Serialize, FailedLoadLeavesTheModelUnchanged) {
+    // Another model's checkpoint, broken two ways: cut 16 bytes short, and
+    // with its last tensor's header claiming one channel more.  Each load
+    // throws before it writes anything.
+    SkyNetModel a = quarter_c(1);
+    const std::string path = temp_path("failsource");
+    save_weights(*a.net, path);
+    std::ifstream in(path, std::ios::binary);
+    const std::vector<char> bytes{std::istreambuf_iterator<char>(in),
+                                  std::istreambuf_iterator<char>()};
+    in.close();
+    std::remove(path.c_str());
+    std::vector<Tensor*> state;
+    a.net->collect_state(state);
+    ASSERT_FALSE(state.empty());
+    // The last tensor's header: 4 x i32 shape, then its u64 element count.
+    const auto last_elems = static_cast<std::size_t>(state.back()->size());
+    const std::size_t dims_c = bytes.size() - last_elems * sizeof(float) -
+                               sizeof(std::uint64_t) - 3 * sizeof(std::int32_t);
+    std::vector<char> reshaped = bytes;
+    std::int32_t channels = 0;
+    std::memcpy(&channels, &reshaped[dims_c], sizeof channels);
+    ASSERT_EQ(channels, state.back()->shape().c);
+    ++channels;
+    std::memcpy(&reshaped[dims_c], &channels, sizeof channels);
+    const std::vector<std::pair<const char*, std::vector<char>>> bad_files = {
+        {"truncated", std::vector<char>(bytes.begin(), bytes.end() - 16)},
+        {"wrong last shape", reshaped},
+    };
+
+    const Tensor x = probe_input();
+    SkyNetModel b = quarter_c(2);
+    b.net->set_training(false);
+    const Tensor yb = b.net->forward(x);
+    for (const auto& [what, file] : bad_files) {
+        const std::string bad = temp_path("bad");
+        std::ofstream out(bad, std::ios::binary | std::ios::trunc);
+        out.write(file.data(), static_cast<std::streamsize>(file.size()));
+        out.close();
+        EXPECT_THROW(load_weights(*b.net, bad), std::runtime_error) << what;
+        EXPECT_EQ(differing_bits(b.net->forward(x), yb), 0) << what;
+        b.net->set_training(false);
+        EXPECT_EQ(differing_bits(b.net->forward(x), yb), 0) << what << ", repacked";
+        std::remove(bad.c_str());
+    }
 }
 
 TEST(Serialize, SizeMatchesPrediction) {

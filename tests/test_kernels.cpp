@@ -194,20 +194,20 @@ TEST(Gemm, Col2imIsIm2colAdjoint) {
 // -------------------------------------------------- seed-kernel parity: conv
 
 /// The seed's naive Conv2d forward (direct 7-deep loop nest), as a reference.
-Tensor naive_conv_forward(nn::Conv2d& conv, const Tensor& x) {
+Tensor naive_conv_forward(const nn::Conv2d& conv, const Tensor& x) {
     const Shape in = x.shape();
     const Shape os = conv.out_shape(in);
-    const int k = conv.kernel(), stride = conv.stride(), pad = conv.padding();
+    const int k = conv.spec().k, stride = conv.spec().stride, pad = conv.spec().pad;
     Tensor y(os);
     for (int n = 0; n < in.n; ++n)
-        for (int oc = 0; oc < conv.out_channels(); ++oc) {
+        for (int oc = 0; oc < conv.spec().out_ch; ++oc) {
             float* yp = y.plane(n, oc);
             if (conv.has_bias()) {
                 const float b = conv.bias()[oc];
                 for (std::int64_t i = 0; i < static_cast<std::int64_t>(os.h) * os.w; ++i)
                     yp[i] = b;
             }
-            for (int ic = 0; ic < conv.in_channels(); ++ic) {
+            for (int ic = 0; ic < conv.spec().in_ch; ++ic) {
                 const float* xp = x.plane(n, ic);
                 const float* wp = conv.weight().plane(oc, ic);
                 for (int kh = 0; kh < k; ++kh)
@@ -261,14 +261,15 @@ TEST(KernelParity, Conv2dForwardMatchesSeed) {
 }
 
 /// The seed's naive PWConv1 forward, as a reference.
-Tensor naive_pwconv_forward(nn::PWConv1& conv, const Tensor& x) {
+Tensor naive_pwconv_forward(const nn::PWConv1& conv, const Tensor& x) {
+    const nn::ConvSpec& cs = conv.spec();
     const Shape s = x.shape();
-    Tensor y({s.n, conv.out_channels(), s.h, s.w});
+    Tensor y({s.n, cs.out_ch, s.h, s.w});
     const std::int64_t plane = static_cast<std::int64_t>(s.h) * s.w;
-    const int ipg = conv.in_channels() / conv.groups();
-    const int opg = conv.out_channels() / conv.groups();
+    const int ipg = cs.in_ch / cs.groups;
+    const int opg = cs.out_ch / cs.groups;
     for (int n = 0; n < s.n; ++n)
-        for (int oc = 0; oc < conv.out_channels(); ++oc) {
+        for (int oc = 0; oc < cs.out_ch; ++oc) {
             const int g = oc / opg;
             float* yp = y.plane(n, oc);
             if (conv.has_bias()) {

@@ -436,7 +436,7 @@ TEST(Simd, MutableWeightAccessKeepsForwardFresh) {
     const Tensor y1 = conv.forward(x);
     Tensor& w = conv.weight();
     for (std::int64_t i = 0; i < w.size(); ++i) w[i] *= 2.0f;
-    conv.prepack();  // re-pack the mutated weights while staying in eval
+    conv.set_training(false);  // re-pack the mutated weights while staying in eval
     const Tensor y2 = conv.forward(x);
     for (std::int64_t i = 0; i < y1.size(); ++i)
         ASSERT_NEAR(y2[i], 2.0f * y1[i], 2e-4f) << "idx " << i;

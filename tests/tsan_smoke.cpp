@@ -15,27 +15,36 @@
 
 #include "core/thread_pool.hpp"
 #include "nn/conv.hpp"
+#include "nn/dwconv.hpp"
+#include "nn/linear.hpp"
 #include "nn/pwconv.hpp"
 #include "serve/engine.hpp"
 #include "skynet/detector.hpp"
 
 namespace {
 
-/// Concurrent eval forward() on ONE module instance from several threads.
-/// The layers used to lower into member scratch (`col_`), so this raced;
-/// with thread-local scratch every thread must get the same bitwise result
-/// as a lone sequential call.
+/// Concurrent eval forward() on ONE module instance from several threads,
+/// for every nn::ConvLayer subclass.  The layers used to lower into member
+/// scratch (`col_`), so this raced; with thread-local scratch, and the weight
+/// pack only read (nn/conv_layer.hpp), every thread must get the same
+/// bitwise result as a lone sequential call.
 int concurrent_forward_smoke() {
     using namespace sky;
     Rng rng(23);
     nn::Conv2d conv(3, 8, 3, 1, 1, true, rng);
     nn::PWConv1 pw(8, 6, true, rng, 2);
-    conv.set_training(false);
-    pw.set_training(false);
+    nn::DWConv3 dw(6, rng);
+    nn::Linear fc(6 * 16 * 18, 5, rng);
+    std::vector<nn::Module*> chain{&conv, &pw, &dw, &fc};
+    for (nn::Module* m : chain) m->set_training(false);
     Tensor x({2, 3, 16, 18});
     x.rand_uniform(rng, 0.0f, 1.0f);
-    const Tensor ref_conv = conv.forward(x);
-    const Tensor ref_pw = pw.forward(ref_conv);
+    const auto run = [&] {
+        std::vector<Tensor> ys;
+        for (nn::Module* m : chain) ys.push_back(m->forward(ys.empty() ? x : ys.back()));
+        return ys;
+    };
+    const std::vector<Tensor> ref = run();
     std::atomic<int> failures{0};
     constexpr int kThreads = 4;
     constexpr int kRounds = 6;
@@ -43,18 +52,13 @@ int concurrent_forward_smoke() {
     for (int t = 0; t < kThreads; ++t)
         workers.emplace_back([&] {
             for (int round = 0; round < kRounds; ++round) {
-                const Tensor yc = conv.forward(x);
-                const Tensor yp = pw.forward(yc);
-                for (std::int64_t i = 0; i < yc.size(); ++i)
-                    if (yc[i] != ref_conv[i]) {
-                        failures.fetch_add(1, std::memory_order_relaxed);
-                        break;
-                    }
-                for (std::int64_t i = 0; i < yp.size(); ++i)
-                    if (yp[i] != ref_pw[i]) {
-                        failures.fetch_add(1, std::memory_order_relaxed);
-                        break;
-                    }
+                const std::vector<Tensor> ys = run();
+                for (std::size_t l = 0; l < ys.size(); ++l)
+                    for (std::int64_t i = 0; i < ys[l].size(); ++i)
+                        if (ys[l][i] != ref[l][i]) {
+                            failures.fetch_add(1, std::memory_order_relaxed);
+                            break;
+                        }
             }
         });
     for (auto& w : workers) w.join();

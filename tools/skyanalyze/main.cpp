@@ -92,19 +92,6 @@ ModelResult analyze_graph(std::string name, const nn::Graph& g, const Shape& inp
     return r;
 }
 
-std::string json_escape(const std::string& s) {
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\') out += '\\';
-        if (c == '\n') {
-            out += "\\n";
-            continue;
-        }
-        out += c;
-    }
-    return out;
-}
-
 void print_json(const std::vector<ModelResult>& results, int errors, int warnings) {
     std::printf("{\n  \"models\": [");
     for (std::size_t i = 0; i < results.size(); ++i) {
@@ -117,8 +104,8 @@ void print_json(const std::vector<ModelResult>& results, int errors, int warning
             std::printf("%s\n      {\"severity\": \"%s\", \"code\": \"%s\", \"node\": %d, "
                         "\"message\": \"%s\", \"hint\": \"%s\"}",
                         j == 0 ? "" : ",", verify::severity_name(d.severity),
-                        d.code.c_str(), d.node, json_escape(d.message).c_str(),
-                        json_escape(d.hint).c_str());
+                        d.code.c_str(), d.node, sarif::json_escape(d.message).c_str(),
+                        sarif::json_escape(d.hint).c_str());
         }
         std::printf("%s],\n", ds.empty() ? "" : "\n     ");
         if (r.has_bound && r.bound_known)

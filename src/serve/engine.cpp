@@ -38,9 +38,11 @@ std::string describe(const std::exception_ptr& cause) {
 }
 
 std::vector<double> depth_bounds(std::size_t capacity) {
-    std::vector<double> b;
-    for (std::size_t d = 0; d <= capacity; d = d ? d * 2 : 1)
+    std::vector<double> b{0.0};
+    for (std::size_t d = 1; d <= capacity; d *= 2) {
         b.push_back(static_cast<double>(d));
+        if (d > capacity / 2) break;  // the next d would pass capacity or wrap to 0
+    }
     return b;
 }
 
@@ -50,14 +52,11 @@ Engine::Engine(Detector& detector, ServeConfig cfg)
     : detector_(detector),
       cfg_(cfg),
       requests_(cfg.queue_capacity),
-      batcher_(cfg.queue_capacity,
-               [](const Request& head, const Request& candidate) {
-                   return head.image.shape() == candidate.image.shape();
-               }),
+      batch_q_(cfg.queue_capacity),
       post_q_(std::max<std::size_t>(2, cfg.queue_capacity / 4)) {
     if (cfg_.max_batch < 1) throw std::invalid_argument("ServeConfig: max_batch >= 1");
-    if (cfg_.preprocess_workers < 1)
-        throw std::invalid_argument("ServeConfig: preprocess_workers >= 1");
+    if (!std::isfinite(cfg_.max_delay_ms))
+        throw std::invalid_argument("ServeConfig: max_delay_ms must be finite");
     if (cfg_.max_delay_ms < 0.0) cfg_.max_delay_ms = 0.0;
     if (obs::Registry* reg = cfg_.metrics) {
         for (const char* h :
@@ -98,8 +97,7 @@ void Engine::start() {
     if (stopped_.load()) throw std::logic_error("serve::Engine: start() after shutdown");
     if (started_.exchange(true))
         throw std::logic_error("serve::Engine: start() called twice");
-    for (int i = 0; i < cfg_.preprocess_workers; ++i)
-        pre_workers_.emplace_back([this] { preprocess_loop(); });
+    pre_worker_ = std::thread([this] { preprocess_loop(); });
     infer_worker_ = std::thread([this] { infer_loop(); });
     post_worker_ = std::thread([this] { post_loop(); });
 }
@@ -119,7 +117,7 @@ std::future<DetectResult> Engine::submit(Tensor image) {
     std::future<DetectResult> fut = r.promise.get_future();
 
     const bool accepted = cfg_.overflow == OverflowPolicy::kBlock
-                              ? requests_.push(std::move(r))
+                              ? !requests_.offer(std::move(r))  // nullopt: accepted
                               : requests_.try_push(std::move(r));
     if (!accepted) {
         rejected_.fetch_add(1, std::memory_order_relaxed);
@@ -166,14 +164,18 @@ void Engine::preprocess_loop() {
         }
         r.pre_end = Clock::now();
         observe("serve.latency.preprocess_ms", ms_between(r.pre_start, r.pre_end));
-        if (std::optional<Request> rejected = batcher_.offer(std::move(r)))
-            discard(*rejected, "batcher closed mid-flight");
+        if (std::optional<Request> rejected = batch_q_.offer(std::move(r)))
+            discard(*rejected, "batch queue closed mid-flight");
     }
 }
 
 void Engine::infer_loop() {
+    // One NCHW tensor per batch: only equal image shapes ride together.
+    const auto same_shape = [](const Request& head, const Request& candidate) {
+        return head.image.shape() == candidate.image.shape();
+    };
     std::vector<Request> items;
-    while (batcher_.pop_batch(cfg_.max_batch, cfg_.max_delay_ms, items)) {
+    while (batch_q_.pop_batch(cfg_.max_batch, cfg_.max_delay_ms, items, same_shape)) {
         try {
             infer_batch(items);
         } catch (...) {
@@ -305,8 +307,8 @@ void Engine::shutdown(bool drain) {
     if (!drain) discard_.store(true, std::memory_order_relaxed);
     requests_.close();
     if (started_) {
-        for (std::thread& t : pre_workers_) t.join();
-        batcher_.close();
+        pre_worker_.join();
+        batch_q_.close();
         infer_worker_.join();
         post_q_.close();
         post_worker_.join();

@@ -2,21 +2,22 @@
 // (§6.2/§6.3) as a real multi-threaded pipeline instead of a simulation.
 //
 // Requests enter a bounded MPMC queue (backpressure: block or reject), a
-// preprocess stage resizes them to the model input, a dynamic batcher
-// coalesces them (up to max_batch / max_delay_ms) into one NCHW tensor, a
-// single inference worker runs the Detector, and a postprocess stage
-// decodes boxes and fulfils the per-request futures.  Each stage runs on
-// its own worker thread(s), so fetch/preprocess/inference/postprocess
+// preprocess stage resizes them to the model input, the inference worker
+// pops them from a second queue in batches (up to max_batch /
+// max_delay_ms, same shape) into one NCHW tensor and runs the Detector,
+// and a postprocess stage decodes boxes and fulfils the per-request
+// futures.  Each stage runs on its own worker thread, and the stages are
+// joined by serve::BoundedQueue, so fetch/preprocess/inference/postprocess
 // overlap exactly as in the paper's pipelined schedule:
 //
-//   submit() -> [request queue] -> preprocess xN -> [batcher] -> infer x1
-//            -> [post queue] -> postprocess x1 -> promise
+//   submit() -> [request queue] -> preprocess -> [batch queue] -> infer
+//            -> [post queue] -> postprocess -> promise
 //
 // Determinism: the inference worker calls Detector::detect-equivalent code
-// on whatever batch the batcher formed; since batch forwards are bitwise
+// on whatever batch pop_batch formed; since batch forwards are bitwise
 // equal to per-image forwards at any SKYNET_THREADS (see
 // skynet/detector.hpp), results never depend on how requests were
-// coalesced or how many workers ran.
+// coalesced.
 //
 // Fault containment: a stage that throws fails only the requests it was
 // working on, with a typed InferenceError, and the engine keeps serving.
@@ -45,7 +46,6 @@
 #include "core/annotations.hpp"
 #include "core/mutex.hpp"
 #include "obs/registry.hpp"
-#include "serve/batcher.hpp"
 #include "serve/queue.hpp"
 #include "skynet/detector.hpp"
 
@@ -58,14 +58,13 @@ enum class OverflowPolicy {
 };
 
 struct ServeConfig {
-    int max_batch = 8;          ///< batcher coalescing limit
-    double max_delay_ms = 2.0;  ///< max time the batcher waits to fill a batch
+    int max_batch = 8;          ///< batch coalescing limit
+    double max_delay_ms = 2.0;  ///< max time to wait to fill a batch; finite
     std::size_t queue_capacity = 64;  ///< request-queue bound (backpressure)
     OverflowPolicy overflow = OverflowPolicy::kBlock;
-    int preprocess_workers = 1;
     /// When both are > 0, the preprocess stage bilinear-resizes every input
     /// to {target_h, target_w} (the paper's resize step); otherwise inputs
-    /// pass through and the batcher groups equal shapes.
+    /// pass through and only equal shapes share a batch.
     int target_h = 0;
     int target_w = 0;
     obs::Registry* metrics = nullptr;  ///< nullptr records nothing
@@ -184,16 +183,16 @@ private:
     ServeConfig cfg_;
 
     BoundedQueue<Request> requests_;
-    Batcher<Request> batcher_;
+    BoundedQueue<Request> batch_q_;
     BoundedQueue<InferredBatch> post_q_;
 
     // Serialises start()/shutdown() — without it a concurrent pair could
     // interleave the started_/stopped_ checks with the spawn/join below and
     // join threads that are still being constructed.  Guards
-    // pre_workers_/infer_worker_/post_worker_; taken before the stage
+    // pre_worker_/infer_worker_/post_worker_; taken before the stage
     // queues' leaf locks (close() runs under it), never by the workers.
     core::Mutex lifecycle_mu_;
-    std::vector<std::thread> pre_workers_ SKY_GUARDED_BY(lifecycle_mu_);
+    std::thread pre_worker_ SKY_GUARDED_BY(lifecycle_mu_);
     std::thread infer_worker_ SKY_GUARDED_BY(lifecycle_mu_);
     std::thread post_worker_ SKY_GUARDED_BY(lifecycle_mu_);
 

@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cmath>
 #include <future>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -19,7 +22,6 @@
 #include "core/thread_pool.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
-#include "serve/batcher.hpp"
 #include "serve/queue.hpp"
 #include "skynet/detector.hpp"
 
@@ -82,15 +84,6 @@ TEST(BoundedQueue, OfferReturnsItemOnlyWhenClosed) {
     EXPECT_EQ(*v, 1);
 }
 
-TEST(Batcher, OfferReturnsItemOnlyWhenClosed) {
-    Batcher<std::unique_ptr<int>> b(2);
-    EXPECT_FALSE(b.offer(std::make_unique<int>(7)));
-    b.close();
-    auto rejected = b.offer(std::make_unique<int>(8));
-    ASSERT_TRUE(rejected.has_value());
-    EXPECT_EQ(**rejected, 8);
-}
-
 TEST(BoundedQueue, BlockingPushWaitsForSpace) {
     BoundedQueue<int> q(1);
     ASSERT_TRUE(q.try_push(1));
@@ -99,70 +92,141 @@ TEST(BoundedQueue, BlockingPushWaitsForSpace) {
         int v;
         (void)q.pop(v);
     });
-    EXPECT_TRUE(q.push(2));  // blocks until the consumer frees a slot
+    EXPECT_FALSE(q.offer(2));  // blocks until the consumer frees a slot
     consumer.join();
     EXPECT_EQ(q.size(), 1u);
 }
 
-// -------------------------------------------------------------- batcher ---
+// ------------------------------------------------------------ pop_batch ---
 
-TEST(Batcher, CoalescesUpToMaxBatch) {
-    Batcher<int> b(32);
-    for (int i = 0; i < 10; ++i) ASSERT_TRUE(b.push(int(i)));
-    std::vector<int> out;
-    // Items are already queued, so max_batch wins long before max_delay.
-    ASSERT_TRUE(b.pop_batch(4, 1000.0, out));
-    EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3}));
-    ASSERT_TRUE(b.pop_batch(4, 1000.0, out));
-    EXPECT_EQ(out, (std::vector<int>{4, 5, 6, 7}));
-    b.close();
-    ASSERT_TRUE(b.pop_batch(4, 1000.0, out));  // drain mode: no delay wait
-    EXPECT_EQ(out, (std::vector<int>{8, 9}));
-    EXPECT_FALSE(b.pop_batch(4, 1000.0, out));  // closed and empty
+const auto any_joins = [](const int&, const int&) { return true; };
+
+double ms_since(std::chrono::steady_clock::time_point t0) {
+    return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+        .count();
 }
 
-TEST(Batcher, MaxDelayFlushesPartialBatch) {
-    Batcher<int> b(32);
-    ASSERT_TRUE(b.push(1));
-    ASSERT_TRUE(b.push(2));
+TEST(BoundedQueue, CoalescesUpToMaxBatch) {
+    BoundedQueue<int> q(32);
+    for (int i = 0; i < 10; ++i) ASSERT_TRUE(q.try_push(int(i)));
+    std::vector<int> out;
+    // Items are already queued, so max_batch wins long before max_delay.
+    ASSERT_TRUE(q.pop_batch(4, 1000.0, out, any_joins));
+    EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3}));
+    ASSERT_TRUE(q.pop_batch(4, 1000.0, out, any_joins));
+    EXPECT_EQ(out, (std::vector<int>{4, 5, 6, 7}));
+    q.close();
+    ASSERT_TRUE(q.pop_batch(4, 1000.0, out, any_joins));  // drain mode: no delay wait
+    EXPECT_EQ(out, (std::vector<int>{8, 9}));
+    EXPECT_FALSE(q.pop_batch(4, 1000.0, out, any_joins));  // closed and empty
+}
+
+TEST(BoundedQueue, MaxDelayFlushesPartialBatch) {
+    BoundedQueue<int> q(32);
+    ASSERT_TRUE(q.try_push(1));
+    ASSERT_TRUE(q.try_push(2));
     std::vector<int> out;
     const auto t0 = std::chrono::steady_clock::now();
-    ASSERT_TRUE(b.pop_batch(8, 50.0, out));
-    const double waited =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-            .count();
+    ASSERT_TRUE(q.pop_batch(8, 50.0, out, any_joins));
+    const double waited = ms_since(t0);
     EXPECT_EQ(out.size(), 2u);       // partial batch released...
     EXPECT_GE(waited, 40.0);         // ...but only after ~max_delay_ms
     EXPECT_LT(waited, 2000.0);
 }
 
-TEST(Batcher, LateArrivalJoinsWithinDelay) {
-    Batcher<int> b(32);
-    ASSERT_TRUE(b.push(1));
-    std::thread producer([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        (void)b.push(2);
-    });
-    std::vector<int> out;
-    ASSERT_TRUE(b.pop_batch(2, 5000.0, out));  // fills to max_batch and returns
-    producer.join();
-    EXPECT_EQ(out, (std::vector<int>{1, 2}));
+TEST(BoundedQueue, LateArrivalJoinsWithinDelay) {
+    // 1e300 ms and infinity are past the clock's range: the deadline
+    // saturates and they wait like any long delay.
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double delay : {5000.0, 1e300, inf}) {
+        BoundedQueue<int> q(32);
+        ASSERT_TRUE(q.try_push(1));
+        std::thread producer([&] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            (void)q.offer(2);
+        });
+        std::vector<int> out;
+        ASSERT_TRUE(q.pop_batch(2, delay, out, any_joins));  // fills to max_batch and returns
+        producer.join();
+        EXPECT_EQ(out, (std::vector<int>{1, 2})) << delay;
+    }
 }
 
-TEST(Batcher, CompatibilityPredicateBoundsBatch) {
+TEST(BoundedQueue, NaNOrNegativeDelayDoesNotWait) {
+    for (const double delay : {std::numeric_limits<double>::quiet_NaN(), -1e300, 0.0}) {
+        BoundedQueue<int> q(32);
+        ASSERT_TRUE(q.try_push(1));
+        std::vector<int> out;
+        const auto t0 = std::chrono::steady_clock::now();
+        ASSERT_TRUE(q.pop_batch(2, delay, out, any_joins));
+        EXPECT_LT(ms_since(t0), 1000.0) << delay;
+        EXPECT_EQ(out, (std::vector<int>{1})) << delay;
+    }
+}
+
+TEST(BoundedQueue, JoinPredicateBoundsBatch) {
     // Odd/even may not mix: the engine uses the same mechanism to keep
     // mixed input shapes out of a single NCHW tensor.
-    Batcher<int> b(32, [](const int& head, const int& cand) {
+    const auto same_parity = [](const int& head, const int& cand) {
         return head % 2 == cand % 2;
-    });
-    for (int v : {2, 4, 7, 9, 6}) ASSERT_TRUE(b.push(int(v)));
+    };
+    BoundedQueue<int> q(32);
+    for (int v : {2, 4, 7, 9, 6}) ASSERT_TRUE(q.try_push(int(v)));
     std::vector<int> out;
-    ASSERT_TRUE(b.pop_batch(8, 10.0, out));
+    ASSERT_TRUE(q.pop_batch(8, 10.0, out, same_parity));
     EXPECT_EQ(out, (std::vector<int>{2, 4}));  // stops at the first odd item
-    ASSERT_TRUE(b.pop_batch(8, 10.0, out));
+    ASSERT_TRUE(q.pop_batch(8, 10.0, out, same_parity));
     EXPECT_EQ(out, (std::vector<int>{7, 9}));
-    ASSERT_TRUE(b.pop_batch(8, 10.0, out));
+    ASSERT_TRUE(q.pop_batch(8, 10.0, out, same_parity));
     EXPECT_EQ(out, (std::vector<int>{6}));
+}
+
+TEST(BoundedQueue, CloseRacingBlockedOffersAndPopBatchLosesNothing) {
+    // Four producers block on a queue of two while one consumer batches
+    // out of it; close() lands after a different number of deliveries each
+    // round.  Every id is delivered exactly once or handed back by offer()
+    // exactly once, and pop_batch() ends only on a closed, drained queue.
+    constexpr int kProducers = 4;
+    constexpr int kPerProducer = 50;
+    constexpr int kIds = kProducers * kPerProducer;
+    for (const int close_after : {0, 1, 2, 3, 7, 20, 33, 60, 100, 150, 197, 199, kIds}) {
+        BoundedQueue<int> q(2);
+        std::atomic<int> delivered_count{0};
+        std::vector<int> delivered;
+        bool drained_when_done = false;
+        std::thread consumer([&] {
+            std::vector<int> batch;
+            while (q.pop_batch(3, 1.0, batch, any_joins)) {
+                EXPECT_GE(batch.size(), 1u);
+                EXPECT_LE(batch.size(), 3u);
+                delivered.insert(delivered.end(), batch.begin(), batch.end());
+                delivered_count.fetch_add(static_cast<int>(batch.size()));
+            }
+            drained_when_done = q.closed() && q.size() == 0;
+        });
+        std::vector<std::vector<int>> handed_back(kProducers);
+        std::vector<std::thread> producers;
+        for (int p = 0; p < kProducers; ++p)
+            producers.emplace_back([&, p] {
+                for (int i = 0; i < kPerProducer; ++i)
+                    if (std::optional<int> back = q.offer(p * kPerProducer + i))
+                        handed_back[static_cast<std::size_t>(p)].push_back(*back);
+            });
+        while (delivered_count.load() < close_after) std::this_thread::yield();
+        q.close();
+        for (std::thread& t : producers) t.join();
+        consumer.join();
+
+        EXPECT_TRUE(drained_when_done) << "close after " << close_after;
+        std::vector<int> seen(kIds, 0);
+        for (const int id : delivered) ++seen[static_cast<std::size_t>(id)];
+        for (const std::vector<int>& ids : handed_back)
+            for (const int id : ids) ++seen[static_cast<std::size_t>(id)];
+        for (int id = 0; id < kIds; ++id)
+            EXPECT_EQ(seen[static_cast<std::size_t>(id)], 1)
+                << "id " << id << ", close after " << close_after;
+        EXPECT_GE(delivered.size(), static_cast<std::size_t>(close_after));
+    }
 }
 
 // --------------------------------------------------------------- engine ---
@@ -192,6 +256,35 @@ TEST(Engine, RejectPolicyShedsLoadDeterministically) {
     engine.shutdown();
     EXPECT_EQ(engine.completed(), 2u);
     EXPECT_THROW((void)engine.submit(random_image(4)), RejectedError);
+}
+
+TEST(Engine, RefusesNonFiniteMaxDelay) {
+    Detector det = small_detector();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double delay : {inf, -inf, std::numeric_limits<double>::quiet_NaN()}) {
+        ServeConfig cfg;
+        cfg.max_delay_ms = delay;
+        EXPECT_THROW((Engine(det, cfg)), std::invalid_argument) << delay;
+    }
+}
+
+TEST(Engine, HugeQueueCapacityGetsFiniteDepthBuckets) {
+    // The depth buckets double up to the capacity; past 2^63 a doubling
+    // wraps to 0, and the bucket loop must still end.
+    Detector det = small_detector();
+    obs::Registry reg;
+    ServeConfig cfg;
+    cfg.queue_capacity = std::numeric_limits<std::size_t>::max();
+    cfg.metrics = &reg;
+    Engine engine(det, cfg);
+    const std::vector<double> bounds = reg.histogram("serve.queue.depth").bounds;
+    ASSERT_EQ(bounds.size(), 65u);  // 0, 1, 2, 4, ..., 2^63
+    EXPECT_EQ(bounds.front(), 0.0);
+    EXPECT_EQ(bounds.back(), std::ldexp(1.0, 63));
+    engine.start();
+    EXPECT_GE(engine.submit(random_image(3)).get().box.w, 0.0f);
+    engine.shutdown();
+    EXPECT_EQ(engine.completed(), 1u);
 }
 
 TEST(Engine, ShutdownDrainsInflightRequests) {
@@ -306,7 +399,7 @@ TEST(Engine, BatchedResultsBitwiseEqualSingleDetectAtAnyThreadCount) {
         }
 
         // The async engine with dynamic batching must agree bitwise too,
-        // whatever batches its batcher happens to form.
+        // whatever batches pop_batch happens to form.
         ServeConfig cfg;
         cfg.max_batch = 4;
         cfg.max_delay_ms = 20.0;

@@ -285,11 +285,11 @@ TEST(Skylint, CleanFileReportsNothing) {
 }
 
 TEST(Skylint, ViolationJsonEscapesQuotes) {
-    const Violation v{"src/a.cpp", 3, "L001", "include of \"b/c.hpp\" bad"};
+    const Violation v{"src/a.cpp", 3, "L001", "include of \"b/c.hpp\" bad\t\r\x01"};
     const std::string j = v.json();
     EXPECT_NE(j.find("\"file\": \"src/a.cpp\""), std::string::npos) << j;
     EXPECT_NE(j.find("\"line\": 3"), std::string::npos) << j;
-    EXPECT_NE(j.find("\\\"b/c.hpp\\\""), std::string::npos) << j;
+    EXPECT_NE(j.find("\\\"b/c.hpp\\\" bad\\t\\r\\u0001\""), std::string::npos) << j;
 }
 
 // ------------------------------------------------------------ scan_includes --

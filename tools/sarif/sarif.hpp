@@ -42,7 +42,8 @@ struct Log {
     [[nodiscard]] std::string str() const;
 };
 
-/// JSON string escaping (exposed for tests).
+/// JSON string escaping; also the escaper of skylint --json and skyanalyze
+/// --json, so every tool escapes alike.
 [[nodiscard]] std::string json_escape(const std::string& s);
 
 }  // namespace sarif

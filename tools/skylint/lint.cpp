@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
+#include "sarif/sarif.hpp"
 #include "skylint/layers.hpp"
 
 namespace skylint {
@@ -195,25 +195,6 @@ bool is_source_file(const std::filesystem::path& p) {
     return ext == ".cpp" || ext == ".hpp" || ext == ".h" || ext == ".cc";
 }
 
-void json_escape(const std::string& s, std::string& out) {
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-}
-
 }  // namespace
 
 std::string Violation::str() const {
@@ -221,14 +202,9 @@ std::string Violation::str() const {
 }
 
 std::string Violation::json() const {
-    std::string out = "{\"file\": \"";
-    json_escape(file, out);
-    out += "\", \"line\": " + std::to_string(line) + ", \"rule\": \"";
-    json_escape(rule, out);
-    out += "\", \"message\": \"";
-    json_escape(message, out);
-    out += "\"}";
-    return out;
+    return "{\"file\": \"" + sarif::json_escape(file) + "\", \"line\": " +
+           std::to_string(line) + ", \"rule\": \"" + sarif::json_escape(rule) +
+           "\", \"message\": \"" + sarif::json_escape(message) + "\"}";
 }
 
 std::string strip_comments_and_strings(const std::string& src) {

@@ -1,7 +1,9 @@
 // The depthwise 3x3 plane kernel behind core/dwconv.hpp, written once
-// against compiler vector extensions and instantiated per SIMD level:
-// core/dwconv.cpp the scalar and baseline-ISA widths, core/dwconv_avx2.cpp
-// the 8-lane AVX2 width (compiled with -mavx2 and no -mfma).
+// against compiler vector extensions and instantiated per SIMD level
+// through the plane-kernel table (core/plane_kernels.hpp):
+// core/plane_kernels.cpp the scalar and baseline-ISA widths,
+// core/plane_kernels_avx2.cpp the 8-lane AVX2 width (compiled with -mavx2
+// and no -mfma).
 //
 // DwPlane<T, V, S, Io>::run(x, w, H, W, y, fin) convolves one H x W plane
 // (stride 1, pad 1).  T is the lane type the taps accumulate in (float or
@@ -37,16 +39,6 @@
 #include "core/gemm_ukernel.hpp"
 
 namespace sky::core::detail {
-
-/// One selectable depthwise kernel: the plane functions of one level.
-struct DwConvKernel {
-    void (*f32)(const float* x, const float* w, int H, int W, const Epilogue& ep,
-                float* y) = nullptr;
-    void (*i32)(const std::int32_t* x, const std::int32_t* w, int H, int W,
-                const QEpilogue& rq, std::int32_t* y) = nullptr;
-    void (*i16)(const std::int16_t* x, const std::int32_t* w, int H, int W,
-                const QEpilogue& rq, std::int16_t* y) = nullptr;
-};
 
 /// The default load/store policy: a plain copy when S is V's lane type T;
 /// for int16 words in 4 int32 lanes, a widening load and a narrowing store
@@ -246,9 +238,5 @@ void dwconv3x3_int(const S* x, const std::int32_t* w, int H, int W, const QEpilo
                    S* y) {
     DwPlane<std::int32_t, VI, S, Io>::run(x, w, H, W, y, DwQEpilogue<VI>(rq));
 }
-
-/// AVX2 kernels, defined in core/dwconv_avx2.cpp when that TU is part of the
-/// build (SKYNET_SIMD CMake option, x86-64 GCC/Clang only).
-const DwConvKernel& dwconv_avx2_kernel();
 
 }  // namespace sky::core::detail

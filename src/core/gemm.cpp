@@ -73,6 +73,55 @@ void pack_a(int M, int K, const float* A, bool trans, PackedA& out) {
     }
 }
 
+namespace {
+
+/// Panels [q0, q1) of op(B) for an NR-column micro-kernel.  Every real lane
+/// is copied, and only the last panel's columns past N are padding, so only
+/// they are zeroed.
+template <int NR>
+void pack_b_panels(int K, int N, const float* B, bool trans, float* dst, std::int64_t q0,
+                   std::int64_t q1) {
+    for (std::int64_t q = q0; q < q1; ++q) {
+        const int cols = static_cast<int>(std::min<std::int64_t>(NR, N - q * NR));
+        float* panel = dst + q * NR * K;
+        if (!trans) {
+            for (int k = 0; k < K; ++k) {
+                const float* src = B + static_cast<std::int64_t>(k) * N + q * NR;
+                float* row = panel + static_cast<std::int64_t>(k) * NR;
+                if (cols == NR) {
+                    std::memcpy(row, src, sizeof(float) * NR);
+                } else {
+                    std::memcpy(row, src, sizeof(float) * static_cast<std::size_t>(cols));
+                    std::fill(row + cols, row + NR, 0.0f);
+                }
+            }
+        } else {
+            for (int j = 0; j < cols; ++j) {
+                const float* src = B + (q * NR + j) * static_cast<std::int64_t>(K);
+                for (int k = 0; k < K; ++k) panel[static_cast<std::int64_t>(k) * NR + j] = src[k];
+            }
+            if (cols < NR)
+                for (int k = 0; k < K; ++k)
+                    std::fill(panel + static_cast<std::int64_t>(k) * NR + cols,
+                              panel + static_cast<std::int64_t>(k) * NR + NR, 0.0f);
+        }
+    }
+}
+
+/// pack_b_panels at a micro-kernel's tile width.  The width is a template
+/// argument, so each row's copy is a few fixed-size moves, not a library
+/// call.
+auto panel_fill(int nr) {
+    switch (nr) {
+        case 4: return &pack_b_panels<4>;
+        case 8: return &pack_b_panels<8>;
+        case 16: return &pack_b_panels<16>;
+        default: throw std::logic_error("pack_b: no panel fill for this tile width");
+    }
+}
+
+}  // namespace
+
 void pack_b(int K, int N, const float* B, bool trans, PackedB& out) {
     const int nr = active_kernel().nr;
     out.K = K;
@@ -82,26 +131,18 @@ void pack_b(int K, int N, const float* B, bool trans, PackedB& out) {
         out.data.clear();
         return;
     }
+    const auto fill = panel_fill(nr);
     const std::int64_t np = ceil_div(N, nr);
-    out.data.assign(static_cast<std::size_t>(np * nr * K), 0.0f);
+    const std::int64_t panel = static_cast<std::int64_t>(nr) * K;
+    // fill writes every element, so resize() zeroes only what the buffer
+    // grows by.  Panels are disjoint, so any split is thread-count
+    // invariant; a chunk moves at least 4096 floats, so a small pack (a
+    // Linear's few columns, a tiny map) runs inline on the caller.
+    out.data.resize(static_cast<std::size_t>(np * panel));
     float* dst = out.data.data();
-    for (std::int64_t q = 0; q < np; ++q) {
-        const int cols = static_cast<int>(std::min<std::int64_t>(nr, N - q * nr));
-        float* panel = dst + q * nr * K;
-        if (!trans) {
-            for (int k = 0; k < K; ++k) {
-                const float* src = B + static_cast<std::int64_t>(k) * N + q * nr;
-                float* row = panel + static_cast<std::int64_t>(k) * nr;
-                for (int j = 0; j < cols; ++j) row[j] = src[j];
-            }
-        } else {
-            for (int j = 0; j < cols; ++j) {
-                const float* src = B + (q * nr + j) * static_cast<std::int64_t>(K);
-                for (int k = 0; k < K; ++k)
-                    panel[static_cast<std::int64_t>(k) * nr + j] = src[k];
-            }
-        }
-    }
+    parallel_for(0, np, ceil_div(4096, panel), [=](std::int64_t q0, std::int64_t q1) {
+        fill(K, N, B, trans, dst, q0, q1);
+    });
 }
 
 namespace {

@@ -1,9 +1,16 @@
-// AVX2 instantiation of the depthwise 3x3 kernel.
+// AVX2 instantiation of the plane kernels (core/plane_kernels.hpp): the
+// depthwise 3x3 convolution and the 2x2 max pool.
 //
 // Compiled with -mavx2 and WITHOUT -mfma (src/CMakeLists.txt), and selected
 // only when core::best_simd_level() reports AVX2 support, like
-// core/qgemm_avx2.cpp.  8 lanes per vector: the fp32 flavour multiplies and
-// adds in separate vmulps / vaddps, so each element keeps the sequential
+// core/qgemm_avx2.cpp.
+//
+// The max pool runs 8 fp32 or int32 lanes and 16 int16 lanes per vector;
+// each split into even and odd columns is a vpermd pair and a blend, or
+// over int16 words a vpand / vpsrld, a vpackusdw and a vpermq.
+//
+// The depthwise kernel runs 8 lanes.  Its fp32 flavour multiplies and adds
+// in separate vmulps / vaddps, so each element keeps the sequential
 // kernel's two roundings per tap (an FMA-contracted build measured no
 // faster); the integer flavour multiplies with vpmulld and requantizes in
 // the same registers before the one store.  Over int16 words each load is
@@ -14,12 +21,15 @@
 #include <immintrin.h>
 
 #include "core/dwconv_ukernel.hpp"
+#include "core/maxpool_ukernel.hpp"
+#include "core/plane_kernels.hpp"
 
 namespace sky::core::detail {
 namespace {
 
 typedef float vf8 __attribute__((vector_size(32), aligned(4)));
 typedef std::int32_t vi8 __attribute__((vector_size(32), aligned(4)));
+typedef std::int16_t vs16 __attribute__((vector_size(32), aligned(2)));
 
 /// int16 words <-> 8 int32 lanes.  The stored values are clamped into
 /// int16, so the saturating pack never saturates.
@@ -37,11 +47,14 @@ struct Int16Words {
 
 }  // namespace
 
-const DwConvKernel& dwconv_avx2_kernel() {
-    static const DwConvKernel kernel{&dwconv3x3_f32<vf8>,
-                                     &dwconv3x3_int<vi8, std::int32_t>,
-                                     &dwconv3x3_int<vi8, std::int16_t, Int16Words>};
-    return kernel;
+const PlaneKernels& plane_kernels_avx2() {
+    static const PlaneKernels kernels{&dwconv3x3_f32<vf8>,
+                                      &dwconv3x3_int<vi8, std::int32_t>,
+                                      &dwconv3x3_int<vi8, std::int16_t, Int16Words>,
+                                      &maxpool2x2_f32<vf8>,
+                                      &maxpool2x2_int<vi8, std::int32_t>,
+                                      &maxpool2x2_int<vs16, std::int16_t>};
+    return kernels;
 }
 
 }  // namespace sky::core::detail

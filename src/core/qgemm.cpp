@@ -242,9 +242,11 @@ void qim2col_impl(const Word* img, int C, int H, int W, int k, int stride, int p
     }
     const std::int64_t np = ceil_div(ocols, nr);
     const std::int64_t kp = padded_k(static_cast<int>(rows));
-    // assign() zeroes the phantom odd-K tap and the partial-panel tail in one
-    // pass; the row loop below only touches real (row, column) lanes.
-    out.data.assign(static_cast<std::size_t>(np * nr * kp), 0);
+    // Both paths below write every lane: the real (row, column) lanes, and
+    // zeros into the only padding there is, the odd-K phantom lane and the
+    // last panel's columns past N.  So resize() zeroes only what the buffer
+    // grows by, and no stale byte of an earlier, larger pack survives.
+    out.data.resize(static_cast<std::size_t>(np * nr * kp));
     std::uint8_t* data = out.data.data();
     const std::int64_t panel_stride = static_cast<std::int64_t>(nr) * kp;
     const std::uint8_t zero_u = static_cast<std::uint8_t>(-lo);  // x = 0 offset
@@ -271,10 +273,13 @@ void qim2col_impl(const Word* img, int C, int H, int W, int k, int stride, int p
                             dst[j * 2 + 1] =
                                 static_cast<std::uint8_t>(p1[jc + j] - lo);
                         }
-                    } else {  // odd C: the phantom lane keeps its zero
-                        for (int j = 0; j < cols; ++j)
+                    } else {  // odd C: the phantom lane is zero
+                        for (int j = 0; j < cols; ++j) {
                             dst[j * 2] = static_cast<std::uint8_t>(p0[jc + j] - lo);
+                            dst[j * 2 + 1] = 0;
+                        }
                     }
+                    std::fill(dst + cols * 2, dst + nr * 2, std::uint8_t{0});
                     jc += cols;
                 }
             }
@@ -284,12 +289,9 @@ void qim2col_impl(const Word* img, int C, int H, int W, int k, int stride, int p
     // Row r of the column matrix maps to the fixed byte lane
     // (r/2)*nr*2 + (r&1) of every panel — rows are written by exactly one
     // chunk, same disjointness (thread-count invariance) as im2col_packed.
-    parallel_for(0, rows, 4, [=](std::int64_t r0, std::int64_t r1) {
+    // An odd K's phantom row r = K is all zeros.
+    parallel_for(0, kp, 4, [=](std::int64_t r0, std::int64_t r1) {
         for (std::int64_t r = r0; r < r1; ++r) {
-            const int ic = static_cast<int>(r / (k * k));
-            const int kh = static_cast<int>(r / k) % k;
-            const int kw = static_cast<int>(r % k);
-            const Word* plane = img + static_cast<std::int64_t>(ic) * H * W;
             std::uint8_t* cur = data + (r >> 1) * nr * 2 + (r & 1);  // lane, panel 0
             int jj = 0;  // column offset within the current panel
             const auto put = [&](std::uint8_t v) {
@@ -299,6 +301,14 @@ void qim2col_impl(const Word* img, int C, int H, int W, int k, int stride, int p
                     cur += panel_stride;
                 }
             };
+            if (r == rows) {
+                for (std::int64_t j = 0; j < np * nr; ++j) put(0);
+                continue;
+            }
+            const int ic = static_cast<int>(r / (k * k));
+            const int kh = static_cast<int>(r / k) % k;
+            const int kw = static_cast<int>(r % k);
+            const Word* plane = img + static_cast<std::int64_t>(ic) * H * W;
             for (int oh = 0; oh < OH; ++oh) {
                 const int ih = oh * stride - pad + kh;
                 if (ih < 0 || ih >= H) {
@@ -314,6 +324,8 @@ void qim2col_impl(const Word* img, int C, int H, int W, int k, int stride, int p
                             : zero_u);
                 }
             }
+            // This row's lanes in the last panel's columns past N.
+            for (std::int64_t j = ocols; j < np * nr; ++j) put(0);
         }
     });
 }

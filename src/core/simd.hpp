@@ -1,10 +1,10 @@
 // SIMD dispatch layer for the sky::core kernel engine.
 //
 // The GEMM micro-kernels (core/gemm.cpp, core/gemm_avx2.cpp), their integer
-// twin (core/qgemm*.cpp) and the depthwise kernel (core/dwconv*.cpp) are
-// written once against compiler vector extensions and instantiated at
-// several register widths; this header names the levels and owns the
-// process-wide selection:
+// twin (core/qgemm*.cpp) and the plane kernels, the depthwise conv and the
+// max pool (core/plane_kernels*.cpp), are written once against compiler
+// vector extensions and instantiated at several register widths; this
+// header names the levels and owns the process-wide selection:
 //
 //   kScalar   plain float accumulators — the reference semantics, also the
 //             fallback when vector units are disabled (SKYNET_SIMD=0).

@@ -6,7 +6,8 @@
 // their input, and that module applies the Epilogue where it writes its
 // output (Module::forward_fused): PWConv1, Conv2d and DWConv3 after adding
 // the bias every nn::ConvLayer owns in the store (core::Epilogue,
-// core/gemm.hpp and core/dwconv.hpp), MaxPool2 per plane inside its
+// core/gemm.hpp and core/dwconv.hpp), eval MaxPool2 in the max-pool
+// kernel's store (core/maxpool.hpp), SpaceToDepth per plane inside its
 // parallel chunks, eval BatchNorm2d in its own loop, and any other module
 // (Linear among them) in place afterwards.
 // The formulas below are the only scalar copy; core/gemm_ukernel.hpp

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -98,6 +99,22 @@ public:
     }
 
 protected:
+    /// For a layer that records only its input shape for backward: `in`,
+    /// the input of its last training forward (nullopt without one), once
+    /// `grad_out` is checked to be that forward's output shape.  Throws
+    /// std::logic_error otherwise.
+    [[nodiscard]] Shape recorded_input(const std::optional<Shape>& in,
+                                       const Shape& grad_out) const {
+        if (!in)
+            throw std::logic_error(name() +
+                                   ": backward() without a training forward — call forward() "
+                                   "in training mode first");
+        if (grad_out != out_shape(*in))
+            throw std::logic_error(name() + ": backward() got " + grad_out.str() +
+                                   ", the training forward produced " + out_shape(*in).str());
+        return *in;
+    }
+
     bool training_ = true;
 };
 

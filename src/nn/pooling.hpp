@@ -15,8 +15,9 @@ public:
     MaxPool2() = default;
 
     Tensor forward(const Tensor& x) override;
-    /// Writes every element of `y` and applies `ep` per plane.  Only training
-    /// records the argmax that backward() needs.
+    /// Writes every element of `y` and applies `ep` per plane.  An eval
+    /// forward runs the vector kernel core::maxpool2x2; only training runs
+    /// the scalar scan that records the argmax backward() needs.
     void forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) override;
     /// Throws std::logic_error without a training forward, or when grad_out's
     /// shape is not that forward's output shape.
@@ -29,16 +30,19 @@ public:
     }
 
 private:
-    Shape in_shape_;                    ///< input of the last training forward
+    std::optional<Shape> in_shape_;     ///< input of the last training forward
     std::vector<std::int32_t> argmax_;  ///< flat input index per output element
 };
 
-/// Global average pooling to 1x1.
+/// Global average pooling to 1x1.  Like MaxPool2, only a training forward
+/// records what backward() needs.
 class GlobalAvgPool : public Module {
 public:
     GlobalAvgPool() = default;
 
     Tensor forward(const Tensor& x) override;
+    /// Throws std::logic_error without a training forward, or when grad_out's
+    /// shape is not that forward's output shape.
     Tensor backward(const Tensor& grad_out) override;
 
     [[nodiscard]] std::string name() const override { return "GlobalAvgPool"; }
@@ -48,7 +52,7 @@ public:
     }
 
 private:
-    Shape in_shape_;
+    std::optional<Shape> in_shape_;  ///< input of the last training forward
 };
 
 }  // namespace sky::nn

@@ -18,8 +18,12 @@ public:
     explicit SpaceToDepth(int block = 2) : block_(block) {}
 
     Tensor forward(const Tensor& x) override;
-    /// Writes every element of `y`, then applies `ep` in place.
+    /// Writes every element of `y` and applies `ep` per plane, (image,
+    /// channel) planes in parallel.  Only training records the input shape
+    /// that backward() needs.
     void forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) override;
+    /// Throws std::logic_error without a training forward, or when grad_out's
+    /// shape is not that forward's output shape.
     Tensor backward(const Tensor& grad_out) override;
 
     [[nodiscard]] std::string name() const override;
@@ -31,7 +35,7 @@ public:
 
 private:
     int block_;
-    Shape in_shape_;
+    std::optional<Shape> in_shape_;  ///< input of the last training forward
 };
 
 }  // namespace sky::nn

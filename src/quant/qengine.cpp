@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/dwconv.hpp"
+#include "core/maxpool.hpp"
 #include "core/thread_pool.hpp"
 #include "quant/intervals.hpp"
 #include "quant/qerror.hpp"
@@ -194,25 +195,18 @@ void QEngine::execute(std::size_t i, bool allow_qgemm) {
             return;
         }
         case OpKind::kMaxPool: {
-            const int H = x.shape.h, W = x.shape.w, OH = y.shape.h, OW = y.shape.w;
+            // The vector kernel in both executions: an integer max is exact,
+            // so there is no order for a reference run to check.
+            const int H = x.shape.h, W = x.shape.w;
+            const std::int64_t iplane = static_cast<std::int64_t>(H) * W;
+            const std::int64_t oplane = static_cast<std::int64_t>(y.shape.h) * y.shape.w;
             const Word* xd = x.data;
             Word* yd = y.data;
-            core::parallel_for(
-                0, static_cast<std::int64_t>(x.shape.n) * x.shape.c, 1,
-                [=](std::int64_t p0, std::int64_t p1) {
-                    for (std::int64_t p = p0; p < p1; ++p) {
-                        const Word* xp = xd + p * static_cast<std::int64_t>(H) * W;
-                        Word* yp = yd + p * static_cast<std::int64_t>(OH) * OW;
-                        for (int oh = 0; oh < OH; ++oh)
-                            for (int ow = 0; ow < OW; ++ow) {
-                                const std::int64_t base =
-                                    static_cast<std::int64_t>(oh * 2) * W + ow * 2;
-                                yp[static_cast<std::int64_t>(oh) * OW + ow] =
-                                    std::max(std::max(xp[base], xp[base + 1]),
-                                             std::max(xp[base + W], xp[base + W + 1]));
-                            }
-                    }
-                });
+            core::parallel_for(0, static_cast<std::int64_t>(x.shape.n) * x.shape.c, 1,
+                               [=](std::int64_t p0, std::int64_t p1) {
+                                   for (std::int64_t p = p0; p < p1; ++p)
+                                       core::maxpool2x2(xd + p * iplane, H, W, yd + p * oplane);
+                               });
             return;
         }
         case OpKind::kReorder: {

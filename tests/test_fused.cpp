@@ -8,7 +8,8 @@
 // ActivationReuse: every node that runs writes into the buffer it wrote on
 // the previous forward (Module::forward_fused).  Buffers stay put across
 // forwards and batch sizes, stale contents never reach a result, and eval
-// MaxPool2, which records no argmax, equals the training-mode pool.
+// MaxPool2, which runs the vector kernel and records no argmax, equals
+// the training-mode pool at every level.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -476,16 +477,22 @@ TEST(ActivationReuse, EvalMaxPoolEqualsTrainingMaxPoolBitwise) {
     }
     const float want[8] = {-0.0f, 0.0f, nan, 3.0f, 2.0f, -1.0f, nan, -2.0f};
     nn::MaxPool2 pool;
-    pool.set_training(false);
-    const Tensor eval = pool.forward(x);
-    for (int k = 0; k < 8; ++k)
-        EXPECT_EQ(bits(eval[k]), bits(want[k])) << "window " << k << ": " << eval[k];
     pool.set_training(true);
-    expect_bitwise(eval, pool.forward(x), "hand-made windows");
+    const Tensor scanned = pool.forward(x);
+    for (int k = 0; k < 8; ++k)
+        EXPECT_EQ(bits(scanned[k]), bits(want[k])) << "window " << k << ": " << scanned[k];
+    pool.set_training(false);
+    for (core::SimdLevel lvl : levels()) {
+        core::set_simd_level(lvl);
+        expect_bitwise(pool.forward(x), scanned,
+                       std::string("hand-made windows @") + core::simd_level_name(lvl));
+    }
 
-    // Random planes with NaN and signed-zero ties, at 1 and 4 threads, and
-    // an eval forward into a larger stale buffer.
-    Tensor r = random_input({3, 5, 9, 14}, 120, -1.0f, 1.0f);
+    // Random planes with NaN and signed-zero ties, at every level and 1 and
+    // 4 threads, and an eval forward into a larger stale buffer.  45 columns
+    // pool to 22 outputs per row: two full vectors and a shifted-back tail
+    // at 8 lanes, five and a tail at 4.
+    Tensor r = random_input({3, 5, 9, 45}, 120, -1.0f, 1.0f);
     Rng rng(121);
     for (std::int64_t i = 0; i < r.size(); ++i) {
         const double u = rng.uniform(0.0, 1.0);
@@ -496,12 +503,17 @@ TEST(ActivationReuse, EvalMaxPoolEqualsTrainingMaxPoolBitwise) {
     pool.set_training(true);
     const Tensor train = pool.forward(r);
     pool.set_training(false);
-    for (int threads : {1, 4}) {
-        core::ThreadPool::set_global_threads(threads);
-        expect_bitwise(pool.forward(r), train, "eval @" + std::to_string(threads) + "t");
-        Tensor stale({4, 8, 9, 9}, nan);
-        pool.forward_fused(r, nn::Epilogue{}, stale);
-        expect_bitwise(stale, train, "eval into a stale buffer @" + std::to_string(threads) + "t");
+    for (core::SimdLevel lvl : levels()) {
+        core::set_simd_level(lvl);
+        for (int threads : {1, 4}) {
+            core::ThreadPool::set_global_threads(threads);
+            const std::string at =
+                std::string(core::simd_level_name(lvl)) + "/" + std::to_string(threads) + "t";
+            expect_bitwise(pool.forward(r), train, "eval @" + at);
+            Tensor stale({4, 8, 9, 9}, nan);
+            pool.forward_fused(r, nn::Epilogue{}, stale);
+            expect_bitwise(stale, train, "eval into a stale buffer @" + at);
+        }
     }
 }
 

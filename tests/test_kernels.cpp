@@ -1,14 +1,20 @@
 // Kernel engine tests: thread-pool semantics, GEMM correctness, layer parity
 // with the naive seed kernels, thread-count invariance of every parallelised
-// layer, NaN propagation through the GEMM conv path, and the
-// backward-before-forward guards.
+// layer, NaN propagation through the GEMM conv path, the
+// backward-before-forward guards, and concurrent eval forwards on one pool
+// or reorder module (a data race there is the TSan lane's to report).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <initializer_list>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/gemm.hpp"
@@ -20,6 +26,7 @@
 #include "nn/linear.hpp"
 #include "nn/pooling.hpp"
 #include "nn/pwconv.hpp"
+#include "nn/space_to_depth.hpp"
 
 namespace sky {
 namespace {
@@ -443,12 +450,17 @@ TEST(BackwardGuard, ThrowsWithoutCachedInput) {
     EXPECT_THROW((void)dw.backward(g), std::logic_error);
     EXPECT_THROW((void)pw.backward(g), std::logic_error);
     EXPECT_THROW((void)fc.backward(Tensor({1, 2, 1, 1})), std::logic_error);
-    try {
-        (void)pool.backward(g);
-        ADD_FAILURE() << "MaxPool2::backward ran without a training forward";
-    } catch (const std::logic_error& e) {
-        EXPECT_NE(std::string(e.what()).find("without a training forward"), std::string::npos)
-            << e.what();
+    nn::SpaceToDepth s2d(2);
+    nn::GlobalAvgPool gap;
+    for (nn::Module* m : std::initializer_list<nn::Module*>{&pool, &s2d, &gap}) {
+        try {
+            (void)m->backward(g);
+            ADD_FAILURE() << m->name() << "::backward ran without a training forward";
+        } catch (const std::logic_error& e) {
+            EXPECT_NE(std::string(e.what()).find("without a training forward"),
+                      std::string::npos)
+                << e.what();
+        }
     }
     // A gradient of another shape than the training forward produced.
     (void)pool.forward(randn_tensor({1, 3, 8, 8}, 11));
@@ -477,6 +489,70 @@ TEST(BackwardGuard, EvalForwardDoesNotArmBackward) {
     pool.set_training(true);
     const Tensor p2 = pool.forward(x);
     EXPECT_NO_THROW((void)pool.backward(p2));
+}
+
+TEST(BackwardGuard, EvalForwardBeforeBackwardKeepsTheTrainingShape) {
+    // A training forward at one batch, an eval forward at another, then the
+    // backward: it routes the training gradient exactly as without the eval
+    // forward in between, and refuses a gradient of the eval output's shape.
+    ThreadGuard guard;
+    const auto make = [](int kind) -> nn::ModulePtr {
+        if (kind == 0) return std::make_unique<nn::SpaceToDepth>(2);
+        if (kind == 1) return std::make_unique<nn::GlobalAvgPool>();
+        return std::make_unique<nn::MaxPool2>();
+    };
+    for (int kind = 0; kind < 3; ++kind)
+        for (const auto& [train_n, eval_n] : {std::pair{1, 3}, std::pair{3, 1}}) {
+            const Tensor x = randn_tensor({train_n, 4, 4, 6}, 40 + static_cast<unsigned>(kind));
+            const Tensor xe = randn_tensor({eval_n, 4, 4, 6}, 50);
+            nn::ModulePtr fresh = make(kind);
+            const Tensor grad = randn_tensor(fresh->out_shape(x.shape()), 60);
+            (void)fresh->forward(x);
+            const Tensor want = fresh->backward(grad);
+
+            nn::ModulePtr m = make(kind);
+            (void)m->forward(x);
+            m->set_training(false);
+            const Tensor ye = m->forward(xe);
+            const std::string what = m->name() + " trained at batch " +
+                                     std::to_string(train_n) + ", eval at " +
+                                     std::to_string(eval_n);
+            const Tensor got = m->backward(grad);
+            ASSERT_EQ(got.shape(), x.shape()) << what;
+            for (std::int64_t i = 0; i < got.size(); ++i)
+                ASSERT_EQ(got[i], want[i]) << what << " idx " << i;
+            EXPECT_THROW((void)m->backward(ye), std::logic_error) << what;
+        }
+}
+
+TEST(ConcurrentEval, PoolAndReorderModulesServeTwoThreadsAtOnce) {
+    // An eval forward writes no member of SpaceToDepth, GlobalAvgPool or
+    // MaxPool2, so two threads may share one module; each must get exactly
+    // the outputs it gets alone.
+    ThreadGuard guard;
+    core::ThreadPool::set_global_threads(2);
+    nn::SpaceToDepth s2d(2);
+    nn::GlobalAvgPool gap;
+    nn::MaxPool2 pool;
+    const Tensor xs[2] = {randn_tensor({1, 3, 8, 10}, 70), randn_tensor({3, 3, 6, 4}, 71)};
+    for (nn::Module* m : std::initializer_list<nn::Module*>{&s2d, &gap, &pool}) {
+        m->set_training(false);
+        const Tensor want[2] = {m->forward(xs[0]), m->forward(xs[1])};
+        int mismatches[2] = {0, 0};
+        std::vector<std::thread> workers;
+        for (int t = 0; t < 2; ++t)
+            workers.emplace_back([&, t] {
+                for (int rep = 0; rep < 20; ++rep) {
+                    const Tensor y = m->forward(xs[t]);
+                    if (!(y.shape() == want[t].shape()) ||
+                        !std::equal(y.data(), y.data() + y.size(), want[t].data()))
+                        ++mismatches[t];
+                }
+            });
+        for (std::thread& w : workers) w.join();
+        EXPECT_EQ(mismatches[0], 0) << m->name();
+        EXPECT_EQ(mismatches[1], 0) << m->name();
+    }
 }
 
 }  // namespace

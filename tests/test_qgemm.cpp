@@ -348,16 +348,12 @@ TEST(QGemm, BitwiseInvariantAcrossThreadCounts) {
     }
 }
 
-TEST(QGemm, Im2colPackedMatchesManualLowering) {
-    // 2-channel 5x4 image, 3x3 kernel, stride 1, pad 1, zero-point -3.
-    const int C = 2, H = 5, W = 4, k = 3, stride = 1, pad = 1;
-    const int OH = 5, OW = 4, K = C * k * k;
-    std::vector<std::int32_t> img(static_cast<std::size_t>(C) * H * W);
-    for (std::size_t i = 0; i < img.size(); ++i)
-        img[i] = static_cast<std::int32_t>(i * 7 % 250) - 3;  // in [lo, lo+255]
-    const std::int32_t lo = -3;
-    // Manual im2col to row-major u8, then qpack_b.
-    std::vector<std::uint8_t> cols(static_cast<std::size_t>(K) * OH * OW, 0);
+/// The column matrix of one CHW image as row-major u8 (x - lo per tap, and
+/// 0 - lo for a padded tap): what qim2col_packed lowers before packing.
+std::vector<std::uint8_t> lowered_u8(const std::vector<std::int32_t>& img, int C, int H, int W,
+                                     int k, int stride, int pad, int OH, int OW,
+                                     std::int32_t lo) {
+    std::vector<std::uint8_t> cols(static_cast<std::size_t>(C) * k * k * OH * OW, 0);
     for (int c = 0; c < C; ++c)
         for (int kh = 0; kh < k; ++kh)
             for (int kw = 0; kw < k; ++kw) {
@@ -374,6 +370,19 @@ TEST(QGemm, Im2colPackedMatchesManualLowering) {
                             static_cast<std::uint8_t>(x - lo);
                     }
             }
+    return cols;
+}
+
+TEST(QGemm, Im2colPackedMatchesManualLowering) {
+    // 2-channel 5x4 image, 3x3 kernel, stride 1, pad 1, zero-point -3.
+    const int C = 2, H = 5, W = 4, k = 3, stride = 1, pad = 1;
+    const int OH = 5, OW = 4, K = C * k * k;
+    std::vector<std::int32_t> img(static_cast<std::size_t>(C) * H * W);
+    for (std::size_t i = 0; i < img.size(); ++i)
+        img[i] = static_cast<std::int32_t>(i * 7 % 250) - 3;  // in [lo, lo+255]
+    const std::int32_t lo = -3;
+    // Manual im2col to row-major u8, then qpack_b.
+    const std::vector<std::uint8_t> cols = lowered_u8(img, C, H, W, k, stride, pad, OH, OW, lo);
     core::QPackedB want, got, got16;
     core::qpack_b(K, OH * OW, cols.data(), want);
     core::qim2col_packed(img.data(), C, H, W, k, stride, pad, OH, OW, lo, got);
@@ -386,6 +395,67 @@ TEST(QGemm, Im2colPackedMatchesManualLowering) {
     EXPECT_EQ(got16.K, want.K);
     EXPECT_EQ(got16.N, want.N);
     EXPECT_EQ(got16.data, want.data);
+}
+
+TEST(QGemm, Im2colPackedOverALargerStalePackEqualsQPackB) {
+    // qim2col_packed writes every byte of its panels, zeros included only in
+    // the padding (the odd-K phantom lane, the last panel's columns past N),
+    // so a QPackedB a larger conv filled last, then poisoned, must come back
+    // byte for byte qpack_b's.  Odd K and an N no level's nr divides, through
+    // the pointwise fast path and the generic path, over both words, at
+    // every level and 1/2/4 threads.
+    SimdGuard simd;
+    ThreadGuard threads_guard;
+    struct Case {
+        int C, H, W, k, stride, pad;
+    };
+    const Case cases[] = {{5, 7, 9, 1, 1, 0},   // pointwise: K 5, N 63
+                          {4, 5, 11, 1, 1, 0},  // pointwise, even K: N 55
+                          {3, 5, 7, 3, 1, 1},   // generic: K 27, N 35
+                          {3, 6, 5, 3, 2, 1}};  // generic, stride 2: N 9
+    const std::int32_t lo = -3;
+    for (core::SimdLevel lvl : available_levels()) {
+        core::set_simd_level(lvl);
+        for (int threads : {1, 2, 4}) {
+            core::ThreadPool::set_global_threads(threads);
+            for (const Case& c : cases) {
+                const int OH = (c.H + 2 * c.pad - c.k) / c.stride + 1;
+                const int OW = (c.W + 2 * c.pad - c.k) / c.stride + 1;
+                const int K = c.C * c.k * c.k;
+                std::vector<std::int32_t> img(static_cast<std::size_t>(c.C) * c.H * c.W);
+                for (std::size_t i = 0; i < img.size(); ++i)
+                    img[i] = static_cast<std::int32_t>((i * 37 + 11) % 256) + lo;
+                core::QPackedB want;
+                const std::vector<std::uint8_t> cols =
+                    lowered_u8(img, c.C, c.H, c.W, c.k, c.stride, c.pad, OH, OW, lo);
+                core::qpack_b(K, OH * OW, cols.data(), want);
+                // A larger conv of the same kind fills the panel last.
+                const int BC = c.C + 3, BH = c.H + 4, BW = c.W + 6;
+                const int BOH = (BH + 2 * c.pad - c.k) / c.stride + 1;
+                const int BOW = (BW + 2 * c.pad - c.k) / c.stride + 1;
+                const std::vector<std::int32_t> big(static_cast<std::size_t>(BC) * BH * BW, 0);
+                const std::vector<std::int16_t> big16(big.begin(), big.end());
+                const std::vector<std::int16_t> img16(img.begin(), img.end());
+                const std::string at = std::string(core::simd_level_name(lvl)) + "/" +
+                                       std::to_string(threads) + "t K " + std::to_string(K) +
+                                       " N " + std::to_string(OH * OW);
+                core::QPackedB got;
+                core::qim2col_packed(big.data(), BC, BH, BW, c.k, c.stride, c.pad, BOH, BOW, lo,
+                                     got);
+                ASSERT_GT(got.data.size(), want.data.size()) << at;
+                std::fill(got.data.begin(), got.data.end(), std::uint8_t{0xA5});
+                core::qim2col_packed(img.data(), c.C, c.H, c.W, c.k, c.stride, c.pad, OH, OW, lo,
+                                     got);
+                EXPECT_EQ(got.data, want.data) << "int32 words " << at;
+                core::qim2col_packed(big16.data(), BC, BH, BW, c.k, c.stride, c.pad, BOH, BOW,
+                                     lo, got);
+                std::fill(got.data.begin(), got.data.end(), std::uint8_t{0xA5});
+                core::qim2col_packed(img16.data(), c.C, c.H, c.W, c.k, c.stride, c.pad, OH, OW,
+                                     lo, got);
+                EXPECT_EQ(got.data, want.data) << "int16 words " << at;
+            }
+        }
+    }
 }
 
 TEST(QGemm, RejectsMismatchedAndOversizedOperands) {

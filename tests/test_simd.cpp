@@ -3,7 +3,9 @@
 // identities, bitwise thread-count invariance at every level, and the
 // prepacked-weight protocol of the nn layers (bitwise equality with the
 // unpacked path, invalidation on mutable weight() access, repack on kernel
-// geometry change).
+// geometry change).  PackB: pack_b, which fills its panels on the kernel
+// pool, against a sequential pack byte for byte, and the PWConv1 / Linear
+// eval forwards that pack through it at 1, 2 and 4 threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +13,7 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/gemm.hpp"
@@ -484,6 +487,95 @@ TEST(Simd, PrepackSurvivesLevelSwitchViaFallback) {
     ASSERT_EQ(y_generic.shape(), y_scalar.shape());
     for (std::int64_t i = 0; i < y_scalar.size(); ++i)
         ASSERT_NEAR(y_scalar[i], y_generic[i], 1e-4f) << "idx " << i;
+}
+
+// ------------------------------------------------------------------ pack_b
+
+/// The sequential pack: panel q holds columns [q*nr, q*nr + nr) of op(B)
+/// k-major, zero past N.
+std::vector<float> sequential_pack_b(int K, int N, const std::vector<float>& B, bool trans,
+                                     int nr) {
+    const int np = (N + nr - 1) / nr;
+    std::vector<float> out(static_cast<std::size_t>(np) * nr * K, 0.0f);
+    for (int q = 0; q < np; ++q)
+        for (int k = 0; k < K; ++k)
+            for (int j = 0; j < nr && q * nr + j < N; ++j) {
+                const std::size_t n = static_cast<std::size_t>(q) * nr + j;
+                out[(static_cast<std::size_t>(q) * K + k) * nr + j] =
+                    trans ? B[n * K + k] : B[static_cast<std::size_t>(k) * N + n];
+            }
+    return out;
+}
+
+TEST(PackB, EqualsASequentialPackByteForByteAtEveryLevel) {
+    SimdGuard guard;
+    // K x N: single panels, N past a multiple of every level's nr, and packs
+    // large enough to split into pool chunks (a chunk moves >= 4096 floats).
+    const int shapes[][2] = {{1, 1}, {3, 5}, {7, 17}, {16, 33}, {5, 1000}, {64, 1021},
+                             {300, 37}, {1280, 45}};
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (core::SimdLevel lvl : available_levels()) {
+        core::set_simd_level(lvl);
+        const int nr = core::gemm_nr();
+        for (int threads : {1, 2, 4}) {
+            core::ThreadPool::set_global_threads(threads);
+            for (const auto& kn : shapes)
+                for (bool trans : {false, true}) {
+                    const int K = kn[0], N = kn[1];
+                    const std::vector<float> B =
+                        randv(static_cast<std::size_t>(K) * N, 101 + static_cast<unsigned>(K));
+                    const std::vector<float> want = sequential_pack_b(K, N, B, trans, nr);
+                    // A larger pack fills the panels last, then every value
+                    // turns NaN, so any lane pack_b leaves unwritten shows.
+                    const std::vector<float> big =
+                        randv(static_cast<std::size_t>(K + 3) * (N + 2 * nr + 1), 102);
+                    core::PackedB pb;
+                    core::pack_b(K + 3, N + 2 * nr + 1, big.data(), trans, pb);
+                    ASSERT_GT(pb.data.size(), want.size());
+                    std::fill(pb.data.begin(), pb.data.end(), nan);
+                    core::pack_b(K, N, B.data(), trans, pb);
+                    const std::string at = std::string(core::simd_level_name(lvl)) + "/" +
+                                           std::to_string(threads) + "t K " +
+                                           std::to_string(K) + " N " + std::to_string(N) +
+                                           (trans ? " trans" : "");
+                    EXPECT_EQ(pb.K, K) << at;
+                    EXPECT_EQ(pb.N, N) << at;
+                    EXPECT_EQ(pb.nr, nr) << at;
+                    ASSERT_EQ(pb.data.size(), want.size()) << at;
+                    EXPECT_EQ(std::memcmp(pb.data.data(), want.data(), want.size() * sizeof(float)),
+                              0)
+                        << at;
+                }
+        }
+    }
+}
+
+TEST(PackB, PWConv1AndLinearEvalForwardsBitwiseAcrossThreadCounts) {
+    SimdGuard guard;
+    Rng rng(91);
+    nn::PWConv1 pw(12, 10, true, rng, 2);
+    nn::Linear fc(300, 7, rng);
+    const Tensor x = randn_tensor({2, 12, 33, 37}, 92);   // 1221 columns per pack
+    const Tensor fx = randn_tensor({37, 300, 1, 1}, 93);  // 37 columns of K = 300
+    for (core::SimdLevel lvl : available_levels()) {
+        core::set_simd_level(lvl);
+        pw.set_training(false);  // packs the weights at this level's geometry
+        fc.set_training(false);
+        core::ThreadPool::set_global_threads(1);
+        const Tensor pw1 = pw.forward(x);
+        const Tensor fc1 = fc.forward(fx);
+        for (int threads : {2, 4}) {
+            core::ThreadPool::set_global_threads(threads);
+            const Tensor pwn = pw.forward(x);
+            const Tensor fcn = fc.forward(fx);
+            ASSERT_EQ(pwn.shape(), pw1.shape());
+            ASSERT_EQ(fcn.shape(), fc1.shape());
+            EXPECT_EQ(std::memcmp(pwn.data(), pw1.data(), sizeof(float) * pw1.size()), 0)
+                << "PWConv1 @" << core::simd_level_name(lvl) << "/" << threads << "t";
+            EXPECT_EQ(std::memcmp(fcn.data(), fc1.data(), sizeof(float) * fc1.size()), 0)
+                << "Linear @" << core::simd_level_name(lvl) << "/" << threads << "t";
+        }
+    }
 }
 
 }  // namespace

@@ -75,18 +75,18 @@ void pack_a(int M, int K, const float* A, bool trans, PackedA& out) {
 
 namespace {
 
-/// Panels [q0, q1) of op(B) for an NR-column micro-kernel.  Every real lane
-/// is copied, and only the last panel's columns past N are padding, so only
-/// they are zeroed.
+/// Panels [q0, q1) of op(B) for an NR-column micro-kernel, reading stored
+/// rows `ld` floats apart.  Every real lane is copied, and only the last
+/// panel's columns past N are padding, so only they are zeroed.
 template <int NR>
-void pack_b_panels(int K, int N, const float* B, bool trans, float* dst, std::int64_t q0,
-                   std::int64_t q1) {
+void pack_b_panels(int K, int N, const float* B, std::int64_t ld, bool trans, float* dst,
+                   std::int64_t q0, std::int64_t q1) {
     for (std::int64_t q = q0; q < q1; ++q) {
         const int cols = static_cast<int>(std::min<std::int64_t>(NR, N - q * NR));
         float* panel = dst + q * NR * K;
         if (!trans) {
             for (int k = 0; k < K; ++k) {
-                const float* src = B + static_cast<std::int64_t>(k) * N + q * NR;
+                const float* src = B + k * ld + q * NR;
                 float* row = panel + static_cast<std::int64_t>(k) * NR;
                 if (cols == NR) {
                     std::memcpy(row, src, sizeof(float) * NR);
@@ -97,7 +97,7 @@ void pack_b_panels(int K, int N, const float* B, bool trans, float* dst, std::in
             }
         } else {
             for (int j = 0; j < cols; ++j) {
-                const float* src = B + (q * NR + j) * static_cast<std::int64_t>(K);
+                const float* src = B + (q * NR + j) * ld;
                 for (int k = 0; k < K; ++k) panel[static_cast<std::int64_t>(k) * NR + j] = src[k];
             }
             if (cols < NR)
@@ -123,6 +123,10 @@ auto panel_fill(int nr) {
 }  // namespace
 
 void pack_b(int K, int N, const float* B, bool trans, PackedB& out) {
+    pack_b(K, N, B, trans ? K : N, trans, out);
+}
+
+void pack_b(int K, int N, const float* B, std::int64_t ld, bool trans, PackedB& out) {
     const int nr = active_kernel().nr;
     out.K = K;
     out.N = N;
@@ -141,14 +145,16 @@ void pack_b(int K, int N, const float* B, bool trans, PackedB& out) {
     out.data.resize(static_cast<std::size_t>(np * panel));
     float* dst = out.data.data();
     parallel_for(0, np, ceil_div(4096, panel), [=](std::int64_t q0, std::int64_t q1) {
-        fill(K, N, B, trans, dst, q0, q1);
+        fill(K, N, B, ld, trans, dst, q0, q1);
     });
 }
 
 namespace {
 
-/// The tile walk shared by both sgemm_packed modes; `ep` null accumulates.
-void run_tiles(const PackedA& A, const PackedB& B, float* C, const Epilogue* ep) {
+/// The tile walk shared by both sgemm_packed modes over C rows `ldc` floats
+/// apart; `ep` null accumulates.
+void run_tiles(const PackedA& A, const PackedB& B, float* C, std::int64_t ldc,
+               const Epilogue* ep) {
     const detail::GemmKernel kern = active_kernel();
     const int M = A.M, N = B.N, K = A.K;
     // K = 0 still stores act(bias); only the accumulate has nothing to add.
@@ -172,8 +178,7 @@ void run_tiles(const PackedA& A, const PackedB& B, float* C, const Epilogue* ep)
             tile_ep = *ep;
             if (tile_ep.bias != nullptr) tile_ep.bias += p * mr;
         }
-        kern.fn(K, ap + p * apanel, bp + q * bpanel,
-                C + p * mr * static_cast<std::int64_t>(N) + q * nr, N, mv, nv,
+        kern.fn(K, ap + p * apanel, bp + q * bpanel, C + p * mr * ldc + q * nr, ldc, mv, nv,
                 ep != nullptr ? &tile_ep : nullptr);
     };
     // Every register tile of C is produced by exactly one micro-kernel call
@@ -196,11 +201,54 @@ void run_tiles(const PackedA& A, const PackedB& B, float* C, const Epilogue* ep)
 }  // namespace
 
 void sgemm_packed(const PackedA& A, const PackedB& B, float* C) {
-    run_tiles(A, B, C, nullptr);
+    run_tiles(A, B, C, B.N, nullptr);
 }
 
 void sgemm_packed(const PackedA& A, const PackedB& B, float* C, const Epilogue& ep) {
-    run_tiles(A, B, C, &ep);
+    run_tiles(A, B, C, B.N, &ep);
+}
+
+void sgemm_packed(const PackedA& A, const PackedB& B, float* C, std::int64_t ldc,
+                  const Epilogue& ep) {
+    run_tiles(A, B, C, ldc, &ep);
+}
+
+void for_each_band(int H, int W, bool pool, std::int64_t planes,
+                   const std::function<void(const Band&)>& fn) {
+    if (H <= 0 || W <= 0 || planes <= 0) return;
+    // Sizes at which a band's packed B and its pre-pool outputs stay in L2
+    // between the pack, the multiply and the pool (docs/KERNELS.md).
+    constexpr std::int64_t kBandCols = 256, kPoolBandCols = 1280, kChunksPerThread = 4;
+    const std::int64_t threads = ThreadPool::global().size();
+    // Bands per plane that give every pool thread its chunks.
+    const std::int64_t want = ceil_div(kChunksPerThread * threads, planes);
+    std::int64_t end = 0, width = 0;  // columns the bands cover; per band
+    if (pool) {
+        const std::int64_t rows = 2 * (H / 2);
+        std::int64_t band_rows = std::max<std::int64_t>(2, kPoolBandCols / W / 2 * 2);
+        band_rows = std::min(band_rows, std::max<std::int64_t>(2, ceil_div(rows, 2 * want) * 2));
+        end = rows * W;
+        width = band_rows * W;
+    } else {
+        // Whole 16-column panels (every kernel's tile width divides 16), so
+        // only the last band ends in a partial tile.
+        end = static_cast<std::int64_t>(H) * W;
+        width = std::min(kBandCols, ceil_div(ceil_div(end, want), 16) * 16);
+    }
+    const std::int64_t count = ceil_div(end, width);  // bands per plane
+    parallel_for(0, planes * count, 1, [&](std::int64_t t0, std::int64_t t1) {
+        for (std::int64_t t = t0; t < t1; ++t) {
+            Band b;
+            b.plane = t / count;
+            b.c0 = t % count * width;
+            b.cols = static_cast<int>(std::min(width, end - b.c0));
+            if (pool) {
+                b.rows = b.cols / W;
+                b.out0 = b.c0 / W / 2 * (W / 2);
+            }
+            fn(b);
+        }
+    });
 }
 
 namespace {

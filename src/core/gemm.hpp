@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 namespace sky::core {
@@ -91,6 +92,12 @@ void pack_a(int M, int K, const float* A, bool trans, PackedA& out);
 /// reads the N x K storage of sgemm_nt.
 void pack_b(int K, int N, const float* B, bool trans, PackedB& out);
 
+/// pack_b of a window of a wider matrix whose stored rows lie `ld` floats
+/// apart: K rows of N floats (ld >= N), or with trans=true N rows of K
+/// floats (ld >= K).  A pointwise conv's band is such a window: N columns of
+/// its K channel planes, ld = H * W.
+void pack_b(int K, int N, const float* B, std::int64_t ld, bool trans, PackedB& out);
+
 /// C(M x N) += op(A) * op(B) over packed operands.  A.K must equal B.K and
 /// both packs must match the active tile geometry (std::logic_error
 /// otherwise); C is row-major with leading dimension N.
@@ -102,6 +109,11 @@ void sgemm_packed(const PackedA& A, const PackedB& B, float* C);
 /// accumulating sgemm_packed and a separate activation pass give, at every
 /// level and thread count; K = 0 writes act(b).
 void sgemm_packed(const PackedA& A, const PackedB& B, float* C, const Epilogue& ep);
+
+/// Store mode into C rows that lie `ldc` floats apart (ldc >= N): a band of
+/// a wider output, say the same N columns of each output channel plane.
+void sgemm_packed(const PackedA& A, const PackedB& B, float* C, std::int64_t ldc,
+                  const Epilogue& ep);
 
 /// C(M x N) += A^T * B where A is stored K x M (op(A) = M x K).
 void sgemm_tn(int M, int N, int K, const float* A, const float* B, float* C);
@@ -120,6 +132,30 @@ void im2col(const float* img, int C, int H, int W, int k, int stride, int pad, i
 /// followed by pack_b() of the result.
 void im2col_packed(const float* img, int C, int H, int W, int k, int stride, int pad,
                    int OH, int OW, PackedB& out);
+
+/// One band of a pointwise conv's band-major walk (for_each_band): columns
+/// [c0, c0 + cols) of one H x W plane.  With a folded 2x2 max pool the band
+/// is `rows` whole rows, an even count, and its pooled values start at
+/// element `out0` of the (H/2) x (W/2) output plane.
+struct Band {
+    std::int64_t plane = 0;  ///< (image, group) plane, in [0, planes)
+    std::int64_t c0 = 0;     ///< first column in the plane
+    int cols = 0;            ///< columns in the band
+    int rows = 0;            ///< whole rows (pool only)
+    std::int64_t out0 = 0;   ///< first pooled output (pool only)
+};
+
+/// The band-major walk of a pointwise (1x1) conv over `planes` (image,
+/// group) planes of H x W: one parallel_for whose chunks call fn once per
+/// band, and fn takes its band through the whole layer: it packs the band
+/// (pack_b at the plane's row stride), multiplies it in store mode and,
+/// with a folded pool, pools it from per-thread scratch.  Without a pool a
+/// band is about 256 columns; with one, about 1280 columns of whole rows,
+/// so every pool window lies in one band, and a dropped odd row is never
+/// visited.  Bands shrink until the walk has at least 4 chunks per
+/// kernel-pool thread.  docs/KERNELS.md has the measurements.
+void for_each_band(int H, int W, bool pool, std::int64_t planes,
+                   const std::function<void(const Band&)>& fn);
 
 /// Scatter-accumulate a column matrix back into a CHW image gradient —
 /// the adjoint of im2col.  `img` is accumulated into, not overwritten.

@@ -4,19 +4,22 @@
 // core/plane_kernels.cpp the scalar and baseline-ISA widths,
 // core/plane_kernels_avx2.cpp the 32-byte AVX2 width.
 //
-// PoolPlane<T, V>::run(x, H, W, y, fin) pools one H x W plane of T words
-// (float, int32 or int16) into H/2 x W/2; an odd trailing row or column is
-// dropped.  V is a GNU vector of T lanes, or T itself for the scalar
-// reference instantiation.  Each output row reads one input row pair: for
-// lanes(V) outputs at a time it loads 2 * lanes(V) words of each row,
-// splits them into their even and odd columns in registers, and runs every
-// window's sequential scan lane by lane:
+// PoolPlane<T, V, Split>::run(x, H, W, y, fin) pools one H x W plane of T
+// words (float, int32 or int16) into H/2 x W/2; an odd trailing row or
+// column is dropped.  V is a GNU vector of T lanes, or T itself for the
+// scalar reference instantiation.  Each output row reads one input row
+// pair: for lanes(V) outputs at a time it loads 2 * lanes(V) words of each
+// row, splits them into their even and odd columns in registers (Split),
+// and runs every window's sequential scan lane by lane:
 //
 //   bv = x00;  bv = c > bv ? c : bv  for c = x01, x10, x11 in turn
 //
 // For fp32 each step is vmaxps(c, bv), which returns its second operand on
 // a NaN and on equal values, so NaN, +-0 ties and +-inf resolve as the
-// scalar scan does; integer max is exact in any order.  The last vector of
+// scalar scan does; integer max is exact in any order.  A Split may leave
+// the lanes permuted, the same way in each of the four splits: the scan is
+// lane-wise, so Split::restore puts the finished vector in output order
+// once.  The last vector of
 // a row is shifted back to end at the row's last output and rewrites a few
 // outputs with the same values; a row narrower than one vector runs per
 // element through lane 0 of a V.  `fin` maps each finished vector to its
@@ -36,7 +39,24 @@
 
 namespace sky::core::detail {
 
+/// The even and odd columns of the 2 * lanes words a, b in output order:
+/// one shufflevector each, nothing to restore.
 template <class T, class V>
+struct OrderedSplit {
+    static constexpr int kLanes = static_cast<int>(sizeof(V) / sizeof(T));
+
+    /// Columns 2*i + Odd (i < lanes): the even (Odd = 0) or the odd
+    /// (Odd = 1) columns.
+    template <int Odd, std::size_t... I>
+    static V columns(V a, V b, std::index_sequence<I...>) {
+        return __builtin_shufflevector(a, b, (2 * I + Odd)...);
+    }
+    static V even(V a, V b) { return columns<0>(a, b, std::make_index_sequence<kLanes>{}); }
+    static V odd(V a, V b) { return columns<1>(a, b, std::make_index_sequence<kLanes>{}); }
+    static V restore(V v) { return v; }
+};
+
+template <class T, class V, class Split = OrderedSplit<T, V>>
 struct PoolPlane {
     static constexpr bool kScalar = std::is_same_v<V, T>;
     static constexpr int kLanes = static_cast<int>(sizeof(V) / sizeof(T));
@@ -72,22 +92,14 @@ struct PoolPlane {
         return c > bv ? c : bv;
     }
 
-    /// Columns 2*i + Odd (i < lanes) of the 2 * lanes words a, b: the even
-    /// (Odd = 0) or the odd (Odd = 1) columns.
-    template <int Odd, std::size_t... I>
-    static V columns(V a, V b, std::index_sequence<I...>) {
-        return __builtin_shufflevector(a, b, (2 * I + Odd)...);
-    }
-
     /// Outputs [ow, ow + lanes) of the row pair r0 (x00, x01), r1 (x10, x11).
     static V windows(const T* r0, const T* r1, int ow) {
-        constexpr auto lanes = std::make_index_sequence<kLanes>{};
         const V a0 = load(r0 + 2 * ow), a1 = load(r0 + 2 * ow + kLanes);
         const V b0 = load(r1 + 2 * ow), b1 = load(r1 + 2 * ow + kLanes);
-        V bv = columns<0>(a0, a1, lanes);
-        bv = take(bv, columns<1>(a0, a1, lanes));
-        bv = take(bv, columns<0>(b0, b1, lanes));
-        return take(bv, columns<1>(b0, b1, lanes));
+        V bv = Split::even(a0, a1);
+        bv = take(bv, Split::odd(a0, a1));
+        bv = take(bv, Split::even(b0, b1));
+        return Split::restore(take(bv, Split::odd(b0, b1)));
     }
 
     template <class Fin>
@@ -136,9 +148,9 @@ void maxpool2x2_f32(const float* x, int H, int W, EpilogueAct act, float slope, 
 }
 
 /// int32 or int16 words, V being a vector of the word itself.
-template <class V, class S>
+template <class V, class S, class Split = OrderedSplit<S, V>>
 void maxpool2x2_int(const S* x, int H, int W, S* y) {
-    PoolPlane<S, V>::run(x, H, W, y, [](V v) { return v; });
+    PoolPlane<S, V, Split>::run(x, H, W, y, [](V v) { return v; });
 }
 
 }  // namespace sky::core::detail

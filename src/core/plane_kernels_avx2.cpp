@@ -7,7 +7,9 @@
 //
 // The max pool runs 8 fp32 or int32 lanes and 16 int16 lanes per vector;
 // each split into even and odd columns is a vpermd pair and a blend, or
-// over int16 words a vpand / vpsrld, a vpackusdw and a vpermq.
+// over int16 words a vpand / vpsrld pair and a vpackusdw, whose 128-bit
+// lane order one vpermq per 16 outputs undoes after the three vpmaxsw
+// (Int16LaneSplit).
 //
 // The depthwise kernel runs 8 lanes.  Its fp32 flavour multiplies and adds
 // in separate vmulps / vaddps, so each element keeps the sequential
@@ -45,6 +47,31 @@ struct Int16Words {
     }
 };
 
+/// The int16 pool's column split.  vpackusdw packs within 128-bit lanes,
+/// so each split leaves its outputs in the order [a.lo, b.lo, a.hi, b.hi]
+/// of the two source vectors' halves: the same order for all four splits
+/// of a window, which the lane-wise max keeps.  Each even (vpand) or odd
+/// (vpsrld) word is zero-extended into its int32 lane, so the unsigned
+/// saturating pack returns its bits unchanged.
+struct Int16LaneSplit {
+    static vs16 even(vs16 a, vs16 b) {
+        const __m256i low = _mm256_set1_epi32(0xFFFF);
+        return reinterpret_cast<vs16>(
+            _mm256_packus_epi32(_mm256_and_si256(reinterpret_cast<__m256i>(a), low),
+                                _mm256_and_si256(reinterpret_cast<__m256i>(b), low)));
+    }
+    static vs16 odd(vs16 a, vs16 b) {
+        return reinterpret_cast<vs16>(
+            _mm256_packus_epi32(_mm256_srli_epi32(reinterpret_cast<__m256i>(a), 16),
+                                _mm256_srli_epi32(reinterpret_cast<__m256i>(b), 16)));
+    }
+    /// 64-bit quarters [0, 2, 1, 3]: back to output order.
+    static vs16 restore(vs16 v) {
+        return reinterpret_cast<vs16>(
+            _mm256_permute4x64_epi64(reinterpret_cast<__m256i>(v), 0xD8));
+    }
+};
+
 }  // namespace
 
 const PlaneKernels& plane_kernels_avx2() {
@@ -53,7 +80,7 @@ const PlaneKernels& plane_kernels_avx2() {
                                       &dwconv3x3_int<vi8, std::int16_t, Int16Words>,
                                       &maxpool2x2_f32<vf8>,
                                       &maxpool2x2_int<vi8, std::int32_t>,
-                                      &maxpool2x2_int<vs16, std::int16_t>};
+                                      &maxpool2x2_int<vs16, std::int16_t, Int16LaneSplit>};
     return kernels;
 }
 

@@ -149,10 +149,11 @@ bool requant_fits_int32(const std::int64_t* rowabs, const QEpilogue& rq, std::in
     return true;
 }
 
-/// The tile walk shared by both qgemm_packed modes and both C words; `rq`
-/// null accumulates (int32 C only).
+/// The tile walk shared by both qgemm_packed modes and both C words, over C
+/// rows `ldc` words apart; `rq` null accumulates (int32 C only).
 template <class CT>
-void run_tiles(const QPackedA& A, const QPackedB& B, CT* C, const QEpilogue* rq) {
+void run_tiles(const QPackedA& A, const QPackedB& B, CT* C, std::int64_t ldc,
+               const QEpilogue* rq) {
     const detail::QGemmKernel kern = active_kernel();
     const int M = A.M, N = B.N, K = A.K;
     // K = 0 still stores the requantized bias; only the accumulate has
@@ -184,11 +185,11 @@ void run_tiles(const QPackedA& A, const QPackedB& B, CT* C, const QEpilogue* rq)
             if (tile_rq.bias != nullptr) tile_rq.bias += p * mr;
             rq32 = requant_fits_int32(rowabs, *rq, p * mr, mv);
         }
-        CT* c = C + p * mr * static_cast<std::int64_t>(N) + q * nr;
+        CT* c = C + p * mr * ldc + q * nr;
         if constexpr (std::is_same_v<CT, std::int16_t>)
-            kern.store16(k2, ap + p * apanel, bp + q * bpanel, c, N, mv, nv, &tile_rq, rq32);
+            kern.store16(k2, ap + p * apanel, bp + q * bpanel, c, ldc, mv, nv, &tile_rq, rq32);
         else
-            kern.fn(k2, ap + p * apanel, bp + q * bpanel, c, N, mv, nv,
+            kern.fn(k2, ap + p * apanel, bp + q * bpanel, c, ldc, mv, nv,
                     rq != nullptr ? &tile_rq : nullptr, rq32);
     };
     // Same disjoint-tile split as sgemm_packed: one register tile per kernel
@@ -210,22 +211,82 @@ void run_tiles(const QPackedA& A, const QPackedB& B, CT* C, const QEpilogue* rq)
 }  // namespace
 
 void qgemm_packed(const QPackedA& A, const QPackedB& B, std::int32_t* C) {
-    run_tiles(A, B, C, nullptr);
+    run_tiles(A, B, C, B.N, nullptr);
 }
 
 void qgemm_packed(const QPackedA& A, const QPackedB& B, std::int32_t* C,
                   const QEpilogue& rq) {
-    run_tiles(A, B, C, &rq);
+    qgemm_packed(A, B, C, B.N, rq);
 }
 
 void qgemm_packed(const QPackedA& A, const QPackedB& B, std::int16_t* C,
                   const QEpilogue& rq) {
+    qgemm_packed(A, B, C, B.N, rq);
+}
+
+void qgemm_packed(const QPackedA& A, const QPackedB& B, std::int32_t* C, std::int64_t ldc,
+                  const QEpilogue& rq) {
+    run_tiles(A, B, C, ldc, &rq);
+}
+
+void qgemm_packed(const QPackedA& A, const QPackedB& B, std::int16_t* C, std::int64_t ldc,
+                  const QEpilogue& rq) {
     if (rq.lo < -32768 || rq.hi > 32767)
         throw std::invalid_argument("qgemm_packed: int16 store with a clamp outside int16");
-    run_tiles(A, B, C, &rq);
+    run_tiles(A, B, C, ldc, &rq);
 }
 
 namespace {
+
+/// The pointwise lowering: N columns of C rows `ld` words apart.  The
+/// column matrix IS the rows, so each k-pair writes its two contiguous byte
+/// lanes per column with no tap bookkeeping, and each chunk writes disjoint
+/// row pairs.
+template <class Word>
+void qpointwise_impl(const Word* img, int C, int N, std::int64_t ld, std::int32_t lo,
+                     QPackedB& out) {
+    const int nr = active_kernel().nr;
+    out.K = C;
+    out.N = N;
+    out.nr = nr;
+    if (C <= 0 || N <= 0) {
+        out.data.clear();
+        return;
+    }
+    const std::int64_t rows = C, ocols = N;
+    const std::int64_t np = ceil_div(ocols, nr);
+    const std::int64_t kp = padded_k(C);
+    // Every lane is written below, the padding included, so resize() zeroes
+    // only what the buffer grows by.
+    out.data.resize(static_cast<std::size_t>(np * nr * kp));
+    std::uint8_t* data = out.data.data();
+    const std::int64_t panel_stride = static_cast<std::int64_t>(nr) * kp;
+    parallel_for(0, (rows + 1) / 2, 1, [=](std::int64_t h0, std::int64_t h1) {
+        for (std::int64_t h = h0; h < h1; ++h) {
+            const std::int64_t r = 2 * h;
+            const Word* p0 = img + r * ld;
+            const Word* p1 = r + 1 < rows ? img + (r + 1) * ld : nullptr;
+            std::uint8_t* dst = data + h * nr * 2;
+            std::int64_t jc = 0;
+            for (std::int64_t q = 0; q < np; ++q, dst += panel_stride) {
+                const int cols = static_cast<int>(std::min<std::int64_t>(nr, ocols - jc));
+                if (p1) {
+                    for (int j = 0; j < cols; ++j) {
+                        dst[j * 2] = static_cast<std::uint8_t>(p0[jc + j] - lo);
+                        dst[j * 2 + 1] = static_cast<std::uint8_t>(p1[jc + j] - lo);
+                    }
+                } else {  // odd C: the phantom lane is zero
+                    for (int j = 0; j < cols; ++j) {
+                        dst[j * 2] = static_cast<std::uint8_t>(p0[jc + j] - lo);
+                        dst[j * 2 + 1] = 0;
+                    }
+                }
+                std::fill(dst + cols * 2, dst + nr * 2, std::uint8_t{0});
+                jc += cols;
+            }
+        }
+    });
+}
 
 template <class Word>
 void qim2col_impl(const Word* img, int C, int H, int W, int k, int stride, int pad, int OH,
@@ -242,7 +303,7 @@ void qim2col_impl(const Word* img, int C, int H, int W, int k, int stride, int p
     }
     const std::int64_t np = ceil_div(ocols, nr);
     const std::int64_t kp = padded_k(static_cast<int>(rows));
-    // Both paths below write every lane: the real (row, column) lanes, and
+    // The loop below writes every lane: the real (row, column) lanes, and
     // zeros into the only padding there is, the odd-K phantom lane and the
     // last panel's columns past N.  So resize() zeroes only what the buffer
     // grows by, and no stale byte of an earlier, larger pack survives.
@@ -250,42 +311,6 @@ void qim2col_impl(const Word* img, int C, int H, int W, int k, int stride, int p
     std::uint8_t* data = out.data.data();
     const std::int64_t panel_stride = static_cast<std::int64_t>(nr) * kp;
     const std::uint8_t zero_u = static_cast<std::uint8_t>(-lo);  // x = 0 offset
-    if (k == 1 && stride == 1 && pad == 0) {
-        // Pointwise fast path (every 1x1 conv in SkyNet): the column matrix
-        // IS the image — row r is channel plane r — so each k-pair writes its
-        // two contiguous byte lanes per column with no tap bookkeeping.
-        // Identical lane layout and disjoint row-pair writes, so the output
-        // is byte-for-byte what the generic path below produces.
-        parallel_for(0, (rows + 1) / 2, 1, [=](std::int64_t h0, std::int64_t h1) {
-            for (std::int64_t h = h0; h < h1; ++h) {
-                const std::int64_t r = 2 * h;
-                const Word* p0 = img + r * H * W;
-                const Word* p1 =
-                    r + 1 < rows ? img + (r + 1) * H * W : nullptr;
-                std::uint8_t* dst = data + h * nr * 2;
-                std::int64_t jc = 0;
-                for (std::int64_t q = 0; q < np; ++q, dst += panel_stride) {
-                    const int cols =
-                        static_cast<int>(std::min<std::int64_t>(nr, ocols - jc));
-                    if (p1) {
-                        for (int j = 0; j < cols; ++j) {
-                            dst[j * 2] = static_cast<std::uint8_t>(p0[jc + j] - lo);
-                            dst[j * 2 + 1] =
-                                static_cast<std::uint8_t>(p1[jc + j] - lo);
-                        }
-                    } else {  // odd C: the phantom lane is zero
-                        for (int j = 0; j < cols; ++j) {
-                            dst[j * 2] = static_cast<std::uint8_t>(p0[jc + j] - lo);
-                            dst[j * 2 + 1] = 0;
-                        }
-                    }
-                    std::fill(dst + cols * 2, dst + nr * 2, std::uint8_t{0});
-                    jc += cols;
-                }
-            }
-        });
-        return;
-    }
     // Row r of the column matrix maps to the fixed byte lane
     // (r/2)*nr*2 + (r&1) of every panel — rows are written by exactly one
     // chunk, same disjointness (thread-count invariance) as im2col_packed.
@@ -340,6 +365,16 @@ void qim2col_packed(const std::int32_t* img, int C, int H, int W, int k, int str
 void qim2col_packed(const std::int16_t* img, int C, int H, int W, int k, int stride,
                     int pad, int OH, int OW, std::int32_t lo, QPackedB& out) {
     qim2col_impl(img, C, H, W, k, stride, pad, OH, OW, lo, out);
+}
+
+void qim2col_packed(const std::int32_t* img, int C, int N, std::int64_t ld, std::int32_t lo,
+                    QPackedB& out) {
+    qpointwise_impl(img, C, N, ld, lo, out);
+}
+
+void qim2col_packed(const std::int16_t* img, int C, int N, std::int64_t ld, std::int32_t lo,
+                    QPackedB& out) {
+    qpointwise_impl(img, C, N, ld, lo, out);
 }
 
 }  // namespace sky::core

@@ -140,6 +140,13 @@ void qgemm_packed(const QPackedA& A, const QPackedB& B, std::int32_t* C,
 void qgemm_packed(const QPackedA& A, const QPackedB& B, std::int16_t* C,
                   const QEpilogue& rq);
 
+/// Either store into C rows that lie `ldc` words apart (ldc >= N): a band
+/// of a wider output, as core::sgemm_packed's strided store.
+void qgemm_packed(const QPackedA& A, const QPackedB& B, std::int32_t* C, std::int64_t ldc,
+                  const QEpilogue& rq);
+void qgemm_packed(const QPackedA& A, const QPackedB& B, std::int16_t* C, std::int64_t ldc,
+                  const QEpilogue& rq);
+
 /// im2col of one CHW image of fixed-point grid values straight into the u8
 /// panel layout, storing u = x - lo per tap.  Caller guarantees every pixel
 /// (and 0, whenever pad > 0) lies in [lo, lo + 255].  Equivalent to im2col()
@@ -148,5 +155,14 @@ void qim2col_packed(const std::int32_t* img, int C, int H, int W, int k, int str
                     int pad, int OH, int OW, std::int32_t lo, QPackedB& out);
 void qim2col_packed(const std::int16_t* img, int C, int H, int W, int k, int stride,
                     int pad, int OH, int OW, std::int32_t lo, QPackedB& out);
+
+/// The pointwise lowering (k = 1, stride 1, no pad) of a column window: N
+/// columns of C channel rows that lie `ld` words apart, stored as u = x - lo
+/// (a pointwise conv's band of its planes, ld = H * W).  The same panels as
+/// qim2col_packed above with k = 1 over those columns.
+void qim2col_packed(const std::int32_t* img, int C, int N, std::int64_t ld, std::int32_t lo,
+                    QPackedB& out);
+void qim2col_packed(const std::int16_t* img, int C, int N, std::int64_t ld, std::int32_t lo,
+                    QPackedB& out);
 
 }  // namespace sky::core

@@ -73,12 +73,20 @@ void ThreadPool::run_chunks(Job& job) {
     // job sees an exhausted cursor and returns without calling the body.  The
     // body reference is safe for the whole call: parallel_for cannot return
     // (and the caller's function object cannot die) until `completed` covers
-    // the range, and `completed` is only advanced after a body call finishes.
+    // the range, and `completed` is only advanced after a body call finishes,
+    // whether it returned or threw.
     for (;;) {
         const std::int64_t b = job.cursor.fetch_add(job.chunk, std::memory_order_relaxed);
         if (b >= job.end) return;
         const std::int64_t e = std::min(job.end, b + job.chunk);
-        (*job.body)(b, e);
+        if (!job.failed.load()) {
+            try {
+                (*job.body)(b, e);
+            } catch (...) {
+                if (!job.failed.exchange(true))
+                    job.error = std::current_exception();
+            }
+        }
         if (job.completed.fetch_add(e - b, std::memory_order_acq_rel) + (e - b) ==
             job.total) {
             MutexLock lk(mu_);
@@ -121,6 +129,7 @@ void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end, std::int64_t
         return job->completed.load(std::memory_order_acquire) == range;
     });
     if (job_ == job) job_.reset();  // drop the pool's reference promptly
+    if (job->error) std::rethrow_exception(job->error);
 }
 
 ThreadPool& ThreadPool::global() {

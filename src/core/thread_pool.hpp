@@ -17,6 +17,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -41,7 +42,9 @@ public:
     /// Run body(b, e) over disjoint sub-ranges covering [begin, end).  `grain`
     /// is the minimum number of indices per chunk; ranges at or below it run
     /// inline.  Nested calls from inside a pool body also run inline, so
-    /// kernels may compose without deadlock.
+    /// kernels may compose without deadlock.  If a body call throws, the
+    /// chunks not yet started are skipped, and once no thread is inside the
+    /// body any more the first exception is rethrown to the caller.
     void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
                       const std::function<void(std::int64_t, std::int64_t)>& body)
         SKY_EXCLUDES(submit_mu_, mu_);
@@ -66,6 +69,10 @@ private:
         std::int64_t total = 0;                   // indices in [begin, end)
         std::atomic<std::int64_t> cursor{0};      // next index to hand out
         std::atomic<std::int64_t> completed{0};   // indices finished
+        std::atomic<bool> failed{false};          // a body call has thrown
+        // Written once, by the chunk that set `failed`, before it advances
+        // `completed`; read by the caller after `completed` covers the range.
+        std::exception_ptr error;
     };
 
     void worker_loop();

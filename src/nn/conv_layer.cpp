@@ -10,7 +10,7 @@ namespace {
 // Weight panels of a forward that finds no valid pack.  Per thread, because
 // forward() must be reentrant across threads on one layer
 // (tests/tsan_smoke.cpp hammers exactly this).
-thread_local core::PackedA tls_weights;
+thread_local std::vector<core::PackedA> tls_weights;
 
 }  // namespace
 
@@ -48,19 +48,21 @@ void ConvLayer::set_training(bool training) {
         return;
     }
     if (spec_.depthwise() || pack_valid()) return;
-    const int rows = spec_.out_ch / spec_.groups;
-    const int K = static_cast<int>(weight_.shape().per_item());
-    wpack_.assign(static_cast<std::size_t>(spec_.groups), core::PackedA{});
-    for (int g = 0; g < spec_.groups; ++g)
-        core::pack_a(rows, K, weight_.plane(g * rows, 0), /*trans=*/false,
-                     wpack_[static_cast<std::size_t>(g)]);
+    pack_groups(wpack_);
 }
 
-const core::PackedA& ConvLayer::packed_weights(int g) const {
-    if (pack_valid()) return wpack_[static_cast<std::size_t>(g)];
+void ConvLayer::pack_groups(std::vector<core::PackedA>& out) const {
     const int rows = spec_.out_ch / spec_.groups;
-    core::pack_a(rows, static_cast<int>(weight_.shape().per_item()),
-                 weight_.plane(g * rows, 0), /*trans=*/false, tls_weights);
+    const int K = static_cast<int>(weight_.shape().per_item());
+    out.resize(static_cast<std::size_t>(spec_.groups));
+    for (int g = 0; g < spec_.groups; ++g)
+        core::pack_a(rows, K, weight_.plane(g * rows, 0), /*trans=*/false,
+                     out[static_cast<std::size_t>(g)]);
+}
+
+const std::vector<core::PackedA>& ConvLayer::packed_weights() const {
+    if (pack_valid()) return wpack_;
+    pack_groups(tls_weights);
     return tls_weights;
 }
 

@@ -84,10 +84,11 @@ protected:
     void check_input(const Tensor& x) const;
     /// Throws std::logic_error unless a training forward cached input_.
     void check_cached_input() const;
-    /// Group g's weights (out_ch / groups rows) packed for the active
-    /// micro-kernel: the weight pack when it is valid, else a copy packed
-    /// into this thread's scratch, which the thread's next call overwrites.
-    [[nodiscard]] const core::PackedA& packed_weights(int g) const;
+    /// Every group's weights (out_ch / groups rows each, one PackedA per
+    /// group) packed for the active micro-kernel: the weight pack when it is
+    /// valid, else copies packed into this thread's scratch, which the
+    /// thread's next call overwrites.
+    [[nodiscard]] const std::vector<core::PackedA>& packed_weights() const;
     /// grad_bias_[c] += the sum of each image's plane c of `grad_out`, one
     /// double accumulation per (image, channel).  No-op without a bias.
     void accumulate_bias_grad(const Tensor& grad_out);
@@ -100,6 +101,8 @@ protected:
 
 private:
     [[nodiscard]] bool pack_valid() const;
+    /// One weight pack per group, for the active micro-kernel.
+    void pack_groups(std::vector<core::PackedA>& out) const;
 
     ConvSpec spec_;
     bool has_bias_;

@@ -1,6 +1,6 @@
 // Fused eval epilogues: the elementwise activation y = act(x) that an
 // Activation (or, empty, a folded-BN Identity) applies to its producer's
-// output.
+// output, and the 2x2 max pool a MaxPool2 applies after it.
 //
 // In eval mode nn::Graph folds such nodes into the module that produces
 // their input, and that module applies the Epilogue where it writes its
@@ -9,7 +9,9 @@
 // core/gemm.hpp and core/dwconv.hpp), eval MaxPool2 in the max-pool
 // kernel's store (core/maxpool.hpp), SpaceToDepth per plane inside its
 // parallel chunks, eval BatchNorm2d in its own loop, and any other module
-// (Linear among them) in place afterwards.
+// (Linear among them) in place afterwards.  Only a module whose
+// Module::accepts_pool() says so (PWConv1) is handed a pool: it pools each
+// band of act(output) from scratch as it writes (docs/KERNELS.md).
 // The formulas below are the only scalar copy; core/gemm_ukernel.hpp
 // carries their vector twin.
 // Every fused value is the same expression, in the same operand order, as
@@ -26,12 +28,14 @@ namespace sky::nn {
 
 using core::EpilogueAct;
 
-/// y = act(x); an empty Epilogue (an Identity) changes nothing.  A conv
-/// applies it as core::Epilogue{its own bias, act, slope}.
+/// y = act(x), then with `pool` the 2x2 max pool (stride 2) of that; an
+/// empty Epilogue (an Identity) changes nothing.  A conv applies the
+/// activation as core::Epilogue{its own bias, act, slope}.
 struct Epilogue {
     EpilogueAct act = EpilogueAct::kNone;
     float slope = 0.0f;  ///< kLeaky's negative-side slope
-    [[nodiscard]] bool empty() const { return act == EpilogueAct::kNone; }
+    bool pool = false;   ///< a folded MaxPool2: the output shrinks to H/2 x W/2
+    [[nodiscard]] bool empty() const { return act == EpilogueAct::kNone && !pool; }
 };
 
 /// The activation formulas (ReLU, ReLU6, LeakyReLU, Sigmoid) — written once.

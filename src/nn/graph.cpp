@@ -44,10 +44,10 @@ Graph::FusionPlan Graph::plan(bool fuse) const {
     const auto sole_reader = [&](std::size_t i) {
         return readers[i] == 1 && static_cast<int>(i) != output_;
     };
-    // producer[c]: a module that is not itself an epilogue, so it can carry
-    // one.  open[c]: every node whose value c's tensor holds is read only by
-    // the next node of its chain and is not the output, so an epilogue may
-    // still overwrite that value.
+    // producer[c]: a module that is not itself an epilogue, or a pool that
+    // did not fold, so it can carry one.  open[c]: every node whose value
+    // c's tensor holds is read only by the next node of its chain and is not
+    // the output, so an epilogue may still overwrite that value.
     std::vector<char> producer(n, 0), open(n, 0);
     for (std::size_t i = 1; i < n; ++i) {
         const Node& node = nodes_[i];
@@ -64,11 +64,26 @@ Graph::FusionPlan Graph::plan(bool fuse) const {
             open[c] = open[c] && sole_reader(i);
             continue;
         }
-        if (!producer[c] || !open[c] || !plan.epilogue[c].empty()) continue;
+        // An activation folds into a producer that carries nothing yet; a
+        // pool into one that accepts pools, after its activation.  Nothing
+        // folds after a pool: the producer applies its activation first.
+        Epilogue& held = plan.epilogue[c];
+        const bool folds = producer[c] && open[c] && !held.pool &&
+                           (e->pool ? nodes_[c].module->accepts_pool() : held.empty());
+        if (!folds) {
+            if (e->pool) {  // the pool runs and writes its own value
+                producer[i] = 1;
+                open[i] = sole_reader(i);
+            }
+            continue;
+        }
         for (std::size_t k = c; k < i; ++k)
             if (carrier[k] == static_cast<int>(c) && plan.overwritten[k] < 0)
                 plan.overwritten[k] = static_cast<int>(i);
-        plan.epilogue[c] = *e;
+        if (e->pool)
+            held.pool = true;
+        else
+            held = *e;
         carrier[i] = static_cast<int>(c);
         open[c] = sole_reader(i);
     }
@@ -250,8 +265,9 @@ const Tensor& Graph::node_output(int node) const {
     const int over = plan_.overwritten[static_cast<std::size_t>(node)];
     if (over >= 0)
         throw std::logic_error("Graph::node_output: node " + std::to_string(node) +
-                               " was not kept: epilogue node " + std::to_string(over) +
-                               " fused into it");
+                               " was not kept: epilogue node " + std::to_string(over) + " (" +
+                               nodes_[static_cast<std::size_t>(over)].module->name() +
+                               ") fused into it");
     const auto carrier = static_cast<std::size_t>(plan_.carrier[static_cast<std::size_t>(node)]);
     if (carrier >= computed_)
         throw std::logic_error("Graph::node_output: node " + std::to_string(node) +

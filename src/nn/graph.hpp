@@ -13,7 +13,10 @@
 // fusion rule (quant::lower only vetoes).  An Identity node aliases its
 // input; an Activation node whose input is a producer module's value read
 // by that node alone folds into the producer, which applies it as it writes
-// its output.  At most one activation folds into a producer, and a producer
+// its output.  A MaxPool2 folds the same way into a producer that
+// accepts_pool() (PWConv1), after the producer's activation; the producer
+// then writes only the pooled map, and nothing folds after the pool.  At
+// most one activation and one pool fold into a producer, and a producer
 // that is the graph output keeps its value.  Training forwards run every
 // node.
 #pragma once
@@ -75,8 +78,9 @@ public:
     /// trackers that read intermediate features).  An aliased or fused node
     /// reads its carrier's tensor, which holds its value, so SkyNet's
     /// feature_node still reads post-activation features.  A producer whose
-    /// value an epilogue overwrote throws std::logic_error naming that node,
-    /// and so does a node a throwing forward never reached.
+    /// value an epilogue (an activation or a folded pool) overwrote throws
+    /// std::logic_error naming that node, and so does a node a throwing
+    /// forward never reached.
     [[nodiscard]] const Tensor& node_output(int node) const;
     /// The node whose tensor held `node`'s value in the last forward(): the
     /// node itself when it ran, else the producer it was aliased or fused
@@ -108,6 +112,7 @@ public:
         std::vector<int> carrier;        ///< node whose tensor holds the value
         std::vector<int> overwritten;    ///< epilogue node fused over it, or -1
         std::vector<Epilogue> epilogue;  ///< what a running node applies on write
+                                         ///< (with `pool` it writes the pooled map)
     };
     [[nodiscard]] FusionPlan fusion_plan() const { return plan(/*fuse=*/true); }
     /// Swap a module node's implementation (shapes must stay compatible);

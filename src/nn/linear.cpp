@@ -36,7 +36,7 @@ Tensor Linear::forward(const Tensor& x) {
         // Eval: Y^T (out x n) = W (out x in) * X^T through the packed SIMD
         // GEMM.  X is stored n x in, so pack_b reads it transposed; the
         // out x n product lands in scratch and transposes into y with bias.
-        const core::PackedA& w = packed_weights(0);
+        const core::PackedA& w = packed_weights()[0];
         core::pack_b(in, n, flat.data(), /*trans=*/true, tls_cols);
         const std::size_t tmp_sz =
             static_cast<std::size_t>(out) * static_cast<std::size_t>(n);

@@ -59,12 +59,18 @@ public:
     /// MaxPool2 and SpaceToDepth write into y and apply ep as they write.
     virtual void forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y);
 
-    /// This module as an elementwise epilogue, or nullopt when it is
-    /// anything else.  Activation and Identity (an empty Epilogue) override
-    /// it; their forward() computes exactly the Epilogue.
+    /// This module as an epilogue, or nullopt when it is anything else.
+    /// Activation and Identity (an empty Epilogue) override it with an
+    /// elementwise one, MaxPool2 with a pool; their forward() computes
+    /// exactly the Epilogue.
     [[nodiscard]] virtual std::optional<Epilogue> as_epilogue() const {
         return std::nullopt;
     }
+
+    /// Whether forward_fused takes an Epilogue with `pool` set, writing the
+    /// 2x2 max pool of act(output) and never the output itself (nn::Graph
+    /// folds a MaxPool2 only into such a module).  PWConv1 does.
+    [[nodiscard]] virtual bool accepts_pool() const { return false; }
 
     /// Append this module's learnable parameters to `out`.  The pointers
     /// are mutable, so a conv layer drops its weight pack here.

@@ -19,6 +19,11 @@ public:
     /// forward runs the vector kernel core::maxpool2x2; only training runs
     /// the scalar scan that records the argmax backward() needs.
     void forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) override;
+    /// A pool epilogue: nn::Graph folds it into a producer that
+    /// accepts_pool(), and otherwise runs it as a producer of its own.
+    [[nodiscard]] std::optional<Epilogue> as_epilogue() const override {
+        return Epilogue{.pool = true};
+    }
     /// Throws std::logic_error without a training forward, or when grad_out's
     /// shape is not that forward's output shape.
     Tensor backward(const Tensor& grad_out) override;

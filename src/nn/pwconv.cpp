@@ -1,8 +1,10 @@
 #include "nn/pwconv.hpp"
 
 #include <stdexcept>
+#include <vector>
 
 #include "core/gemm.hpp"
+#include "core/maxpool.hpp"
 
 namespace sky::nn {
 namespace {
@@ -14,9 +16,11 @@ ConvSpec pw_spec(int in_ch, int out_ch, int groups) {
     return {.in_ch = in_ch, .out_ch = out_ch, .groups = groups};
 }
 
-// Per-thread packing scratch so concurrent forwards on one module never
-// share buffers (see nn/conv.cpp).
+// Per-thread scratch, so concurrent forwards on one module and the chunks
+// of one forward never share a buffer: a band's B panels, and its pre-pool
+// outputs when a pool is folded in.
 thread_local core::PackedB tls_cols;
+thread_local std::vector<float> tls_band;
 
 }  // namespace
 
@@ -35,21 +39,41 @@ void PWConv1::forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) {
     if (training_) input_ = x;
     const ConvSpec& sp = spec();
     const Shape s = x.shape();
-    y.resize(out_shape(s));  // the store below writes every element
+    const Shape os = out_shape(s);
+    // The walk below writes every element, of the pooled map when a pool is
+    // folded in.
+    y.resize(ep.pool ? Shape{os.n, os.c, os.h / 2, os.w / 2} : os);
     const std::int64_t plane = static_cast<std::int64_t>(s.h) * s.w;
-    const int ipg = sp.in_ch / sp.groups;   // input channels per group
-    const int opg = sp.out_ch / sp.groups;  // output channels per group
-    // A 1x1 conv is one GEMM per (image, group): Y_g = act(b_g + W_g X_g)
-    // with W_g opg x ipg and X_g ipg x H*W, stored straight from the tile.
-    core::Epilogue store{nullptr, ep.act, ep.slope};
-    for (int n = 0; n < s.n; ++n) {
-        for (int g = 0; g < sp.groups; ++g) {
-            core::pack_b(ipg, static_cast<int>(plane), x.plane(n, g * ipg),
-                         /*trans=*/false, tls_cols);
-            store.bias = has_bias() ? bias_.data() + g * opg : nullptr;
-            core::sgemm_packed(packed_weights(g), tls_cols, y.plane(n, g * opg), store);
-        }
-    }
+    const int groups = sp.groups;
+    const int ipg = sp.in_ch / groups;  // input channels per group
+    const int opg = sp.out_ch / groups;  // output channels per group
+    const std::vector<core::PackedA>& w = packed_weights();
+    const float* bias = has_bias() ? bias_.data() : nullptr;
+    // Y_g = act(b_g + W_g X_g) for W_g opg x ipg and X_g ipg x H*W, one band
+    // of X_g's columns per call.  Every output element is one k-loop of one
+    // register tile in one chunk, so any band split and thread count give
+    // the same bits; the pack and the GEMM run inline in the chunk.
+    core::for_each_band(
+        s.h, s.w, ep.pool, static_cast<std::int64_t>(s.n) * groups, [&](const core::Band& b) {
+            const int n = static_cast<int>(b.plane / groups);
+            const int g = static_cast<int>(b.plane % groups);
+            core::pack_b(ipg, b.cols, x.plane(n, g * ipg) + b.c0, plane, /*trans=*/false,
+                         tls_cols);
+            const core::Epilogue store{bias != nullptr ? bias + g * opg : nullptr, ep.act,
+                                       ep.slope};
+            const core::PackedA& wg = w[static_cast<std::size_t>(g)];
+            if (!ep.pool) {
+                core::sgemm_packed(wg, tls_cols, y.plane(n, g * opg) + b.c0, plane, store);
+                return;
+            }
+            const std::size_t need = static_cast<std::size_t>(opg) * b.cols;
+            if (tls_band.size() < need) tls_band.resize(need);
+            core::sgemm_packed(wg, tls_cols, tls_band.data(), b.cols, store);
+            for (int oc = 0; oc < opg; ++oc)
+                core::maxpool2x2(tls_band.data() + static_cast<std::int64_t>(oc) * b.cols,
+                                 b.rows, s.w, core::EpilogueAct::kNone, 0.0f,
+                                 y.plane(n, g * opg + oc) + b.out0);
+        });
 }
 
 Tensor PWConv1::backward(const Tensor& grad_out) {

@@ -1,7 +1,6 @@
 #include "obs/profiler.hpp"
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -47,19 +46,12 @@ public:
         prof_->out = y.shape();
         prof_->macs = inner_->macs(x.shape());
         prof_->threads = core::ThreadPool::global().size();
-        double sum = 0.0, absmax = 0.0;
-        const float* p = y.data();
-        for (std::int64_t i = 0, n = y.size(); i < n; ++i) {
-            sum += p[i];
-            absmax = std::max(absmax, static_cast<double>(std::fabs(p[i])));
-        }
-        prof_->out_mean = y.size() ? sum / static_cast<double>(y.size()) : 0.0;
-        prof_->out_absmax = absmax;
     }
 
     [[nodiscard]] std::optional<nn::Epilogue> as_epilogue() const override {
         return inner_->as_epilogue();
     }
+    [[nodiscard]] bool accepts_pool() const override { return inner_->accepts_pool(); }
 
     Tensor backward(const Tensor& grad_out) override {
         const auto t0 = Clock::now();
@@ -143,8 +135,6 @@ void GraphProfiler::reset() {
         slot->bwd_calls = 0;
         slot->fwd_ms = 0.0;
         slot->bwd_ms = 0.0;
-        slot->out_mean = 0.0;
-        slot->out_absmax = 0.0;
     }
 }
 
@@ -172,14 +162,12 @@ std::string GraphProfiler::to_json() const {
     os << "{\n  \"layers\": [";
     for (std::size_t i = 0; i < slots_.size(); ++i) {
         const LayerProfile p = read(*slots_[i]);
-        char buf[256];
+        char buf[192];
         std::snprintf(buf, sizeof buf,
                       "\"fwd_calls\": %d, \"bwd_calls\": %d, \"fwd_ms\": %.6f, "
-                      "\"bwd_ms\": %.6f, \"out_mean\": %.6g, \"out_absmax\": %.6g, "
-                      "\"threads\": %d, \"gflops\": %.4f, \"fused_into\": %d",
-                      p.fwd_calls, p.bwd_calls, p.fwd_ms, p.bwd_ms,
-                      std::isfinite(p.out_mean) ? p.out_mean : 0.0,
-                      std::isfinite(p.out_absmax) ? p.out_absmax : 0.0, p.threads,
+                      "\"bwd_ms\": %.6f, \"threads\": %d, \"gflops\": %.4f, "
+                      "\"fused_into\": %d",
+                      p.fwd_calls, p.bwd_calls, p.fwd_ms, p.bwd_ms, p.threads,
                       p.fwd_gflops(), p.fused_into);
         os << (i ? "," : "") << "\n    {\"node\": " << p.node << ", \"name\": \""
            << core::json_escape(p.name) << "\", \"kind\": \"" << core::json_escape(p.kind)

@@ -1,13 +1,14 @@
 // Per-layer profiler for Graph networks.
 //
 // GraphProfiler wraps every module node of a Graph in a timing shim (via
-// Graph::replace_module) that records forward/backward wall time, the MAC
-// count at the observed input shape, and output-tensor statistics — the
-// per-layer cost data behind the paper's Bundle latency models and roofline
-// analyses, measured instead of estimated.  In an eval forward a fused
-// epilogue node (nn/graph.hpp) does not run: its shim records no call, its
-// time is part of its producer's, and LayerProfile::fused_into names that
-// producer.  While a trace session is
+// Graph::replace_module) that records forward/backward wall time and the
+// MAC count at the observed input shape — the per-layer cost data behind
+// the paper's Bundle latency models and roofline analyses, measured instead
+// of estimated.  The shim reads no output value, so a profiled layer costs
+// what an unprofiled one does.  In an eval forward a fused epilogue node
+// (nn/graph.hpp) does not run: its shim records no call, its time is part
+// of its producer's, and LayerProfile::fused_into names that producer (a
+// folded MaxPool2's time is in its PWConv1's).  While a trace session is
 // installed each layer forward also emits a span, so a profiled inference
 // shows up in chrome://tracing as a per-layer timeline.  The shims delegate
 // everything else (params, state, training mode, shapes, enumerate), so a
@@ -40,8 +41,6 @@ struct LayerProfile {
     int bwd_calls = 0;
     double fwd_ms = 0.0;  ///< accumulated
     double bwd_ms = 0.0;
-    double out_mean = 0.0;    ///< over the last forward's output
-    double out_absmax = 0.0;
     int threads = 0;  ///< kernel-engine thread count during the last forward
     /// The producer node this node was aliased or fused into in the last
     /// forward (its time is in that node's), or -1 when it ran.

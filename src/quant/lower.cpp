@@ -158,13 +158,14 @@ bool well_formed(const Program& p) {
     return p.output >= 0 && static_cast<std::size_t>(p.output) < p.ops.size();
 }
 
-/// The execution decisions (Op::alias, fused_act): the graph's
+/// The execution decisions (Op::alias, fused_act, fused_pool): the graph's
 /// fusion plan minus the folds the integer datapath cannot make exactly.
 /// Identities (folded BN leaves one behind every conv) are pure plumbing.
 /// A folded ReLU/ReLU6 becomes a requantization clamp:
 /// clamp(round_shift(acc)) equals act(saturate(round_shift(acc))) because
-/// the activation bounds lie inside the grid.  kReference keeps every
-/// other op so the oracle executes the graph as written.
+/// the activation bounds lie inside the grid.  A folded MaxPool2 pools the
+/// clamped words, which an integer max does exactly.  kReference keeps
+/// every other op so the oracle executes the graph as written.
 void schedule(Program& p) {
     if (!well_formed(p)) return;  // plan_activations refuses the program
     const bool fuse = p.execution != QExecution::kReference && p.valid_scheme();
@@ -183,6 +184,11 @@ void schedule(Program& p) {
             op.alias = in;
         } else if (holds && (op.kind == OpKind::kRelu || op.kind == OpKind::kRelu6)) {
             prod.fused_act = static_cast<int>(i);
+            op.alias = c;
+        } else if (holds && op.kind == OpKind::kMaxPool && prod.kind == OpKind::kConv) {
+            // The fp32 plan folds a pool only into a PWConv1, and an integer
+            // one is an ungrouped pointwise kConv.
+            prod.fused_pool = static_cast<int>(i);
             op.alias = c;
         }
     }
@@ -239,7 +245,9 @@ deploy::MemoryPlan plan_activations(const Program& p, const Shape& input) {
         }
         if (!op.executes()) continue;  // no buffer: its carrier holds the value
         for (const int in : op.inputs) tensors[i].inputs.push_back(p.carrier(in));
-        tensors[i].bytes = s.count() * activation_word_bytes(p.cfg.fm_bits);
+        const Shape& stored =
+            op.fused_pool >= 0 ? shapes[static_cast<std::size_t>(op.fused_pool)] : s;
+        tensors[i].bytes = stored.count() * activation_word_bytes(p.cfg.fm_bits);
     }
     return deploy::plan_tensors(tensors, p.carrier(p.output));
 }

@@ -22,9 +22,11 @@
 // runs nn::Graph::fusion_plan(), the fp32 forward's plan, and only vetoes:
 // an identity never executes; outside QExecution::kReference and with a
 // valid scheme, a folded ReLU/ReLU6 stays in the clamp of an integer conv or
-// dwconv holding its input; every other op executes.  QEngine runs exactly the executing ops, and
-// plan_activations() sizes exactly their buffers — for the engine and for
-// verify::analyze alike.
+// dwconv holding its input, and a folded MaxPool2 stays in the integer
+// pointwise conv holding its input (Op::fused_pool: the conv writes the
+// pooled map); every other op executes.  QEngine runs exactly the executing
+// ops, and plan_activations() sizes exactly their buffers — for the engine
+// and for verify::analyze alike.
 //
 // propagate() is the one forward-dataflow pass the abstract domains run on:
 // the grid ranges (quant/ranges.hpp), the fp32 intervals
@@ -104,6 +106,9 @@ struct Op {
     /// executing op) holds its value in its own buffer.
     int alias = -1;
     int fused_act = -1;  ///< kConv/kDwConv: the ReLU/ReLU6 op in its clamp
+    /// kConv (pointwise): the MaxPool2 op folded in after the clamp; the
+    /// conv's buffer then holds the pool's value, at the pooled shape.
+    int fused_pool = -1;
 
     [[nodiscard]] bool executes() const { return alias < 0; }
 };
@@ -135,7 +140,8 @@ struct Program {
 /// The activation memory plan of `p`'s executing ops for inputs of `input`
 /// shape, in FM grid words of activation_word_bytes(p.cfg.fm_bits): int16
 /// up to 16-bit FMs, int32 above (deploy::plan_tensors over the shapes
-/// nn::Graph::infer_shapes gives).  QEngine runs out of exactly this plan.
+/// nn::Graph::infer_shapes gives, a conv with a fused pool at the pool's).
+/// QEngine runs out of exactly this plan.
 /// Throws std::invalid_argument, before anything runs, on a malformed edge
 /// or output, a degenerate shape, a concat / add of mismatched shapes, or
 /// an integer conv / dwconv whose input channel count is not its in_ch.

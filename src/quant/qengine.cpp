@@ -5,8 +5,10 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/dwconv.hpp"
+#include "core/gemm.hpp"
 #include "core/maxpool.hpp"
 #include "core/thread_pool.hpp"
 #include "quant/intervals.hpp"
@@ -14,6 +16,27 @@
 #include "quant/ranges.hpp"
 
 namespace sky::quant {
+namespace {
+
+// Per-thread scratch of the conv executors, so the chunks of one pass never
+// share a buffer: a band's (or an image's) u8 panels, and the words of a
+// band or plane a fused pool reads.
+thread_local core::QPackedB tls_panels;
+
+template <class Word>
+std::vector<Word>& tls_words(std::size_t n) {
+    thread_local std::vector<Word> words;
+    if (words.size() < n) words.resize(n);
+    return words;
+}
+
+/// A qgemm conv's integer taps packed for the active micro-kernel tile.
+void pack_weights(const Op& op, core::QPackedA& out) {
+    core::qpack_a_wide(op.conv.out_ch, op.conv.in_ch * op.conv.k * op.conv.k,
+                       op.qweights.data(), out);
+}
+
+}  // namespace
 
 QEngine::QEngine(nn::Graph& graph, const QuantConfig& cfg) : QEngine(lower(graph, cfg)) {}
 
@@ -56,6 +79,8 @@ QEngine::QEngine(Program program)
                          ? spec.six
                          : spec.grid_hi;
         if (fused) notes[static_cast<std::size_t>(op.fused_act)] = "fused into " + op.name;
+        if (op.fused_pool >= 0)
+            notes[static_cast<std::size_t>(op.fused_pool)] = "fused into " + op.name;
         if (op.verdict == Verdict::kFp32) {
             l.impl = QImpl::kFp32;
             continue;
@@ -89,7 +114,7 @@ QEngine::QEngine(Program program)
             notes[i] = proof.reason;
             continue;
         }
-        core::qpack_a_wide(op.conv.out_ch, K, op.qweights.data(), l.apack);
+        pack_weights(op, l.apack);
         l.zero_point = proof.zero_point;
         l.bias_corr.resize(static_cast<std::size_t>(op.conv.out_ch));
         for (int oc = 0; oc < op.conv.out_ch; ++oc) {
@@ -273,7 +298,10 @@ void QEngine::execute_conv(const Op& op, const QLayer& l, const QView<Word>& x,
     const auto [in_ch, out_ch, k, stride, pad, groups, flatten] = op.conv;
     const Shape xs = flatten ? Shape{x.shape.n, in_ch, 1, 1} : x.shape;
     const int H = xs.h, W = xs.w;
-    const int OH = y.shape.h, OW = y.shape.w;
+    // A fused pool (pointwise convs only) leaves y at the pooled shape; the
+    // conv itself computes H x W planes.
+    const bool pool = op.fused_pool >= 0;
+    const int OH = pool ? H : y.shape.h, OW = pool ? W : y.shape.w;
     const int shift = op.wfmt.frac_bits;
     const std::int32_t clamp_lo = l.clamp_lo, clamp_hi = l.clamp_hi;
     const Word* xd = x.data;
@@ -299,26 +327,51 @@ void QEngine::execute_conv(const Op& op, const QLayer& l, const QView<Word>& x,
             });
         return;
     }
+    const std::int64_t in_image = static_cast<std::int64_t>(in_ch) * H * W;
     if (l.impl == QImpl::kQGemm && allow_qgemm) {
-        // Each image lowers into the u8 panels and one store-mode GEMM writes
-        // clamp(round_shift(bias' + acc, shift)) straight from its register
-        // tiles as Words: saturation and any fused activation in the same
-        // step.
+        // The store-mode GEMM writes clamp(round_shift(bias' + acc, shift))
+        // straight from its register tiles as Words: saturation and any
+        // fused activation in the same step.
         const core::QEpilogue rq{l.bias_corr.data(), shift, clamp_lo, clamp_hi};
-        const std::int64_t in_image = static_cast<std::int64_t>(in_ch) * H * W;
+        const core::QPackedA* a = &l.apack;
+        const std::int32_t zp = l.zero_point;
+        if (k == 1 && stride == 1 && pad == 0) {
+            // Pointwise: the fp32 PWConv1's band walk (core::for_each_band),
+            // each band lowered in place and a fused pool read from scratch.
+            const std::int64_t plane = static_cast<std::int64_t>(H) * W;
+            const std::int64_t pooled = static_cast<std::int64_t>(H / 2) * (W / 2);
+            core::for_each_band(H, W, pool, x.shape.n, [=](const core::Band& b) {
+                const std::int64_t n = b.plane;
+                core::qim2col_packed(xd + n * in_image + b.c0, in_ch, b.cols, plane, zp,
+                                     tls_panels);
+                if (!pool) {
+                    core::qgemm_packed(*a, tls_panels, yd + n * out_ch * plane + b.c0, plane, rq);
+                    return;
+                }
+                Word* band = tls_words<Word>(static_cast<std::size_t>(out_ch) * b.cols).data();
+                core::qgemm_packed(*a, tls_panels, band, b.cols, rq);
+                for (int oc = 0; oc < out_ch; ++oc)
+                    core::maxpool2x2(band + static_cast<std::int64_t>(oc) * b.cols, b.rows, W,
+                                     yd + (n * out_ch + oc) * pooled + b.out0);
+            });
+            return;
+        }
+        // Any other conv lowers each image into the u8 panels for one GEMM.
         const std::int64_t out_image = static_cast<std::int64_t>(out_ch) * OH * OW;
         for (int n = 0; n < x.shape.n; ++n) {
-            core::qim2col_packed(x.data + n * in_image, in_ch, H, W, k, stride, pad, OH, OW,
-                                 l.zero_point, bpanel_);
-            core::qgemm_packed(l.apack, bpanel_, y.data + n * out_image, rq);
+            core::qim2col_packed(xd + n * in_image, in_ch, H, W, k, stride, pad, OH, OW, zp,
+                                 tls_panels);
+            core::qgemm_packed(*a, tls_panels, yd + n * out_image, rq);
         }
         return;
     }
     // Reference path: direct integer convolution over each output channel's
     // group (a dwconv's holds one input channel).  Bit-true for any input
-    // (no range assumptions).
+    // (no range assumptions).  A fused pool pools each plane from scratch.
     const int xc = xs.c;
     const int ipg = in_ch / groups, opg = out_ch / groups;
+    const std::int64_t oplane = static_cast<std::int64_t>(OH) * OW;
+    const std::int64_t yplane = static_cast<std::int64_t>(y.shape.h) * y.shape.w;
     core::parallel_for(
         0, static_cast<std::int64_t>(x.shape.n) * out_ch, 1,
         [=](std::int64_t i0, std::int64_t i1) {
@@ -326,7 +379,8 @@ void QEngine::execute_conv(const Op& op, const QLayer& l, const QView<Word>& x,
                 const std::int64_t n = idx / out_ch;
                 const int oc = static_cast<int>(idx % out_ch);
                 const int ic0 = oc / opg * ipg;
-                Word* yp = yd + idx * static_cast<std::int64_t>(OH) * OW;
+                Word* yp = pool ? tls_words<Word>(static_cast<std::size_t>(oplane)).data()
+                                : yd + idx * yplane;
                 const std::int32_t* wbase = wd + static_cast<std::int64_t>(oc) * ipg * k * k;
                 const std::int64_t b = bd ? bd[oc] : 0;
                 for (int yy = 0; yy < OH; ++yy)
@@ -351,6 +405,7 @@ void QEngine::execute_conv(const Op& op, const QLayer& l, const QView<Word>& x,
                             static_cast<Word>(std::clamp<std::int64_t>(
                                 round_shift(acc, shift), clamp_lo, clamp_hi));
                     }
+                if (pool) core::maxpool2x2(yp, OH, OW, yd + idx * yplane);
             }
         });
 }
@@ -359,6 +414,10 @@ void QEngine::ensure_plan(const Shape& input) {
     if (has_plan_ && plan_shape_ == input) return;
     deploy::MemoryPlan plan = quant::plan_activations(program_, input);
     std::vector<Shape> shapes = program_.graph->infer_shapes(input);
+    // A conv with a fused pool holds the pool's value, at the pool's shape.
+    for (std::size_t i = 0; i < shapes.size(); ++i)
+        if (const int pool = program_.ops[i].fused_pool; pool >= 0)
+            shapes[i] = shapes[static_cast<std::size_t>(pool)];
     // Every slot at a cache-line offset of the one arena, which grows only
     // when this plan needs more than it holds.
     std::vector<std::int64_t> slot_offset(plan.slots.size());
@@ -402,6 +461,15 @@ const deploy::MemoryPlan& QEngine::plan_activations(const Shape& input) {
 
 Tensor QEngine::run(const Tensor& input) {
     ensure_plan(input.shape());
+    // The qgemm weights were packed for the micro-kernel tile active at
+    // construction.  After a core::set_simd_level to another tile they are
+    // packed again, from the same taps, so every level runs the same
+    // integers.
+    for (std::size_t i = 0; i < layers_.size(); ++i) {
+        QLayer& l = layers_[i];
+        if (l.impl == QImpl::kQGemm && l.apack.mr != core::qgemm_mr())
+            pack_weights(program_.ops[i], l.apack);
+    }
     return word_bytes_ == 2 ? run_words<std::int16_t>(input) : run_words<std::int32_t>(input);
 }
 

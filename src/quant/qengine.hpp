@@ -16,7 +16,9 @@
 // packed u8 x s16 GEMM engine (core/qgemm.hpp) with the zero-point
 // correction folded into its bias — weights up to 15 bits are native s16
 // taps, one GEMM pass whose store requantizes each register tile onto the
-// grid.  Everything else runs the scalar reference
+// grid; a pointwise one runs band-major, and a MaxPool2 the lowering folded
+// into it (Op::fused_pool) pools each band from scratch, as the fp32
+// PWConv1 does.  Everything else runs the scalar reference
 // interpreter, which is also the correctness oracle: both paths compute the
 // SAME integers (the int8 path is an exact refactoring of the reference
 // accumulation, pinned by tests/test_qgemm.cpp), and a run whose input
@@ -78,6 +80,8 @@ public:
 
     /// Quantise `input` to the FM grid, run the integer pass, return the
     /// output dequantised to float (every value lies on the FM grid).
+    /// Weights packed for another micro-kernel tile (a core::set_simd_level
+    /// since the last run) are packed again first.
     [[nodiscard]] Tensor run(const Tensor& input);
 
     [[nodiscard]] const FixedPointFormat& fm_format() const { return program_.spec.fm; }
@@ -155,8 +159,6 @@ private:
     int word_bytes_ = 4;  // activation_word_bytes(cfg.fm_bits)
     std::vector<QLayer> layers_;  // one per op
     QuantReport report_;
-    // Per-run scratch, reused across layers and batch items.
-    core::QPackedB bpanel_;
     // Arena execution state: one allocation holds every slot of the plan,
     // never value-initialized (every executor writes its whole output
     // before anything reads it).  A node's view points at its slot's

@@ -5,6 +5,11 @@
 // node_output's view of fused nodes, the training exception and the
 // refusal of collapsing inputs.
 //
+// PoolFold: an eval forward also folds a MaxPool2 into the PWConv1 whose
+// value it alone reads, and the pwconv pools each band of its output from
+// scratch.  Pinned bitwise against the unfused evaluation over batch sizes
+// 4 -> 1 -> 3, odd maps and grouped pwconvs, with what must not fold.
+//
 // ActivationReuse: every node that runs writes into the buffer it wrote on
 // the previous forward (Module::forward_fused).  Buffers stay put across
 // forwards and batch sizes, stale contents never reach a result, and eval
@@ -27,6 +32,7 @@
 #include "backbones/registry.hpp"
 #include "core/simd.hpp"
 #include "core/thread_pool.hpp"
+#include "deploy/fold_bn.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv.hpp"
@@ -162,12 +168,16 @@ TEST(FusedForward, SigmoidAndConvBiasActivationGraphs) {
     d = g.add(std::make_unique<nn::MaxPool2>(), d);
     g.set_output(g.add_concat({b, c, d}));
     expect_fused_equals_unfused(g, random_input({2, 3, 10, 14}, 22), "mixed");
-    // Every epilogue node fused: the two sigmoids and the other acts.
+    // Every activation node fused: the two sigmoids and the other acts.
     for (std::size_t i = 0; i < g.node_count(); ++i) {
-        if (g.node_module(i) != nullptr && g.node_module(i)->as_epilogue()) {
+        if (g.node_module(i) != nullptr && g.node_module(i)->kind() == "act") {
             EXPECT_NE(g.node_carrier(static_cast<int>(i)), static_cast<int>(i)) << i;
         }
     }
+    // Only the pwconv takes its pool; the conv's and the BN's run.
+    EXPECT_EQ(g.node_carrier(c), c - 2);
+    EXPECT_EQ(g.node_carrier(b), b);
+    EXPECT_EQ(g.node_carrier(d), d);
 }
 
 TEST(FusedForward, BackboneZooBitwiseEqualsUnfused) {
@@ -282,6 +292,217 @@ TEST(FusedForward, CollapsingInputIsRefusedBeforeAnyLayerRuns) {
     }
     det.net().set_training(true);
     EXPECT_THROW((void)det.net().forward(tiny), std::invalid_argument);
+}
+
+// ------------------------------------------------------------ pool fold
+
+/// Top-level pools of `g` that the last forward folded into a producer.
+int folded_pools(const nn::Graph& g) {
+    int n = 0;
+    for (std::size_t i = 0; i < g.node_count(); ++i) {
+        const nn::Module* m = g.node_module(i);
+        if (m != nullptr && m->kind() == "pool" &&
+            g.node_carrier(static_cast<int>(i)) != static_cast<int>(i))
+            ++n;
+    }
+    return n;
+}
+
+/// Eval forwards of `m` over `xs` in turn, each into the buffers the one
+/// before wrote, against the unfused reference at every SIMD level and
+/// 1/2/4 threads.
+void expect_sequence_equals_unfused(nn::Module& m, const std::vector<Tensor>& xs,
+                                    const std::string& what) {
+    Restore restore;
+    m.set_training(false);
+    for (core::SimdLevel lvl : levels()) {
+        core::set_simd_level(lvl);
+        core::ThreadPool::set_global_threads(1);
+        std::vector<Tensor> refs;
+        for (const Tensor& x : xs) refs.push_back(testing::unfused_forward(m, x));
+        for (int threads : {1, 2, 4}) {
+            core::ThreadPool::set_global_threads(threads);
+            for (std::size_t k = 0; k < xs.size(); ++k)
+                expect_bitwise(m.forward(xs[k]), refs[k],
+                               what + " @" + core::simd_level_name(lvl) + "/" +
+                                   std::to_string(threads) + "t " + xs[k].shape().str());
+        }
+    }
+}
+
+/// Batches of 4, 1 and 3 images of c x h x w in [0, 1].
+std::vector<Tensor> batches(int c, int h, int w, std::uint64_t seed) {
+    return {random_input({4, c, h, w}, seed, 0.0f, 1.0f),
+            random_input({1, c, h, w}, seed + 1, 0.0f, 1.0f),
+            random_input({3, c, h, w}, seed + 2, 0.0f, 1.0f)};
+}
+
+TEST(PoolFold, SkyNetBundlePoolsFoldBitwise) {
+    for (SkyNetVariant v : {SkyNetVariant::kA, SkyNetVariant::kB, SkyNetVariant::kC})
+        for (nn::Act act : {nn::Act::kReLU6, nn::Act::kReLU, nn::Act::kLeaky})
+            for (bool folded : {false, true}) {
+                Rng rng(81);
+                Detector det({v, act, 2, 0.25f}, rng);
+                if (folded) (void)det.fold_bn();
+                const std::string what = std::string(variant_name(v)) + "/" +
+                                         nn::act_name(act) + (folded ? "/folded" : "");
+                expect_sequence_equals_unfused(det.net(), batches(3, 32, 64, 82), what);
+                // Folded, Bundles 1-3 end in pwconv -> act -> pool, but B's
+                // and C's Bundle-3 output also feeds the bypass.  Unfolded, a
+                // BatchNorm sits between each pwconv and its pool.
+                const int want = !folded ? 0 : v == SkyNetVariant::kA ? 3 : 2;
+                EXPECT_EQ(folded_pools(det.net()), want) << what;
+            }
+}
+
+TEST(PoolFold, ZooAndSiamRpnEmbedBitwise) {
+    // BN-folded: MobileNet's two pools fold into its pwconvs, and no other
+    // zoo pool follows a pwconv's sole reader (FusedForward runs the
+    // unfolded zoo).
+    for (const std::string& name : backbones::backbone_names()) {
+        Rng rng(83);
+        backbones::Backbone b = backbones::build_by_name(name, 0.25f, rng);
+        deploy::fold_graph_bn(*b.net);
+        expect_sequence_equals_unfused(*b.net, batches(3, 32, 32, 84), name);
+        EXPECT_EQ(folded_pools(*b.net), name == "mobilenet" ? 2 : 0) << name;
+    }
+    for (bool folded : {false, true}) {
+        Rng rng(85);
+        SkyNetModel bb = build_skynet_backbone(0.25f, nn::Act::kReLU6, rng);
+        if (folded) deploy::fold_graph_bn(*bb.net);
+        const int channels = bb.feature_channels();
+        const nn::Graph& backbone = *bb.net;
+        tracking::SiameseEmbed embed(std::move(bb.net), channels, 16, rng);
+        expect_sequence_equals_unfused(embed.net(), batches(3, 32, 32, 86),
+                                       folded ? "embed/folded" : "embed");
+        // As the tracker runs it, with its BatchNorms, no pool folds;
+        // folded, all three do (the backbone has no bypass).
+        EXPECT_EQ(folded_pools(backbone), folded ? 3 : 0);
+    }
+}
+
+TEST(PoolFold, OddMapsGroupedPwconvsAndStaleBuffers) {
+    Rng rng(87);
+    nn::Graph g;
+    auto pw = std::make_unique<nn::PWConv1>(3, 8, true, rng);
+    for (int k = 0; k < 8; ++k)
+        pw->bias()[k] = k == 3 ? -0.0f : 0.3f * static_cast<float>(k) - 1.0f;
+    int n = g.add(std::move(pw), g.input());
+    n = g.add(std::make_unique<nn::Activation>(nn::Act::kReLU6), n);
+    const int p1 = g.add(std::make_unique<nn::MaxPool2>(), n);
+    n = g.add(std::make_unique<nn::PWConv1>(8, 12, true, rng, /*groups=*/4), p1);
+    n = g.add(std::make_unique<nn::Activation>(nn::Act::kLeaky, 0.1f), n);
+    const int p2 = g.add(std::make_unique<nn::MaxPool2>(), n);
+    g.set_output(p2);
+    // Odd H and W drop a last row and column; 45 x 75 splits into several
+    // row bands; NaNs pin the activation before the pool.
+    Tensor nans = random_input({2, 3, 9, 11}, 88);
+    for (std::int64_t i = 0; i < nans.size(); i += 7)
+        nans[i] = std::numeric_limits<float>::quiet_NaN();
+    expect_sequence_equals_unfused(
+        g,
+        {random_input({4, 3, 45, 75}, 89), random_input({1, 3, 11, 13}, 90),
+         random_input({3, 3, 13, 6}, 91), nans},
+        "odd maps");
+    EXPECT_EQ(folded_pools(g), 2);
+
+    // Straight into a stale buffer of another shape: the pwconv writes every
+    // pooled element, and only those.
+    Restore restore;
+    nn::PWConv1 single(5, 7, true, rng);
+    single.set_training(false);
+    nn::Activation relu(nn::Act::kReLU);
+    nn::MaxPool2 pool;
+    pool.set_training(false);
+    for (const Shape s : {Shape{2, 5, 9, 11}, Shape{1, 5, 40, 70}, Shape{3, 5, 2, 3}}) {
+        const Tensor x = random_input(s, 92);
+        const Tensor want = pool.forward(relu.forward(single.forward(x)));
+        for (int threads : {1, 2, 4}) {
+            core::ThreadPool::set_global_threads(threads);
+            Tensor stale({3, 7, 21, 20}, std::numeric_limits<float>::quiet_NaN());
+            single.forward_fused(x, nn::Epilogue{nn::EpilogueAct::kReLU, 0.0f, true}, stale);
+            expect_bitwise(stale, want,
+                           "stale " + s.str() + " " + std::to_string(threads) + "t");
+        }
+    }
+}
+
+TEST(PoolFold, WhatMustNotFoldRuns) {
+    Rng rng(93);
+    nn::Graph g;
+    // A second reader: the activation also feeds a dwconv, whose pool runs
+    // too (a dwconv takes no pool).
+    const int a = g.add(std::make_unique<nn::PWConv1>(3, 4, true, rng), g.input());
+    const int a_act = g.add(std::make_unique<nn::Activation>(nn::Act::kReLU), a);
+    const int a_pool = g.add(std::make_unique<nn::MaxPool2>(), a_act);
+    const int a_dw = g.add(std::make_unique<nn::DWConv3>(4, rng), a_act);
+    const int dw_pool = g.add(std::make_unique<nn::MaxPool2>(), a_dw);
+    // A pool after a Conv2d, and after a pwconv's unfolded BatchNorm.
+    const int conv = g.add(std::make_unique<nn::Conv2d>(3, 4, 3, 1, 1, true, rng), g.input());
+    const int conv_pool = g.add(std::make_unique<nn::MaxPool2>(), conv);
+    const int b = g.add(std::make_unique<nn::PWConv1>(3, 4, false, rng), g.input());
+    const int bn = g.add(std::make_unique<nn::BatchNorm2d>(4), b);
+    const int bn_pool = g.add(std::make_unique<nn::MaxPool2>(), bn);
+    // A folded pool takes nothing after it: the pwconv applies its
+    // activation before it pools, so a later ReLU and pool both run.
+    const int c = g.add(std::make_unique<nn::PWConv1>(3, 4, true, rng), g.input());
+    const int c_pool = g.add(std::make_unique<nn::MaxPool2>(), c);
+    const int c_act = g.add(std::make_unique<nn::Activation>(nn::Act::kReLU), c_pool);
+    const int c_pool2 = g.add(std::make_unique<nn::MaxPool2>(), c_act);
+    const int d = g.add(std::make_unique<nn::PWConv1>(3, 4, true, rng), g.input());
+    const int d_pool = g.add(std::make_unique<nn::MaxPool2>(), d);
+    const int d_pool2 = g.add(std::make_unique<nn::MaxPool2>(), d_pool);
+    const int cat = g.add_concat({a_pool, dw_pool, conv_pool, bn_pool, c_act});
+    g.set_output(g.add_concat({g.add(std::make_unique<nn::MaxPool2>(), cat), c_pool2, d_pool2}));
+    Tensor x = random_input({2, 3, 12, 16}, 94);
+    for (std::int64_t i = 0; i < x.size(); i += 5) x[i] = std::numeric_limits<float>::quiet_NaN();
+    expect_sequence_equals_unfused(g, {x, random_input({1, 3, 8, 20}, 95)}, "must not fold");
+    for (int unfolded : {a_pool, dw_pool, conv_pool, bn_pool, c_act, c_pool2, d_pool2})
+        EXPECT_EQ(g.node_carrier(unfolded), unfolded) << "node " << unfolded;
+    EXPECT_EQ(g.node_carrier(c_pool), c);
+    EXPECT_EQ(g.node_carrier(d_pool), d);
+
+    // A pwconv that is the graph output keeps its value.
+    nn::Graph h;
+    const int out = h.add(std::make_unique<nn::PWConv1>(3, 4, true, rng), h.input());
+    const int dangling = h.add(std::make_unique<nn::MaxPool2>(), out);
+    h.set_output(out);
+    expect_sequence_equals_unfused(h, {random_input({2, 3, 6, 6}, 96)}, "output pwconv");
+    EXPECT_EQ(h.node_carrier(dangling), dangling);
+}
+
+TEST(PoolFold, NodeOutputOfAFoldedOverNodeNamesThePool) {
+    Rng rng(97);
+    Detector det({SkyNetVariant::kC, nn::Act::kReLU6, 2, 0.25f}, rng);
+    (void)det.fold_bn();
+    nn::Graph& g = det.net();
+    g.set_training(false);
+    const Tensor x = random_input({2, 3, 32, 64}, 98, 0.0f, 1.0f);
+    const std::vector<Tensor> ref = testing::unfused_node_values(g, x);
+    (void)g.forward(x);
+    const std::vector<int> overwritten = g.fusion_plan().overwritten;
+    int checked = 0;
+    for (int i = 0; i < static_cast<int>(g.node_count()); ++i) {
+        const nn::Module* m = g.node_module(static_cast<std::size_t>(i));
+        const int c = g.node_carrier(i);
+        if (m == nullptr || m->kind() != "pool" || c == i) continue;
+        EXPECT_EQ(g.node_module(static_cast<std::size_t>(c))->kind(), "pwconv");
+        expect_bitwise(g.node_output(i), ref[static_cast<std::size_t>(i)],
+                       "pool " + std::to_string(i));
+        // The pool overwrote the value its pwconv's activation left.
+        for (int k = c; k < i; ++k) {
+            if (overwritten[static_cast<std::size_t>(k)] != i) continue;
+            try {
+                (void)g.node_output(k);
+                ADD_FAILURE() << "node " << k << " under pool " << i << " was readable";
+            } catch (const std::logic_error& e) {
+                const std::string named = "node " + std::to_string(i) + " (MaxPool2x2)";
+                EXPECT_NE(std::string(e.what()).find(named), std::string::npos) << e.what();
+                ++checked;
+            }
+        }
+    }
+    EXPECT_EQ(checked, 2);  // the ReLU6 of Bundles 1 and 2
 }
 
 // ------------------------------------------------- activation reuse

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <initializer_list>
 #include <limits>
@@ -84,6 +85,43 @@ TEST(ThreadPool, NestedCallsRunInline) {
             });
     });
     EXPECT_EQ(total.load(), 160);
+}
+
+TEST(ThreadPool, AThrowingChunkFailsTheCallOnceEveryChunkIsOut) {
+    // A body that throws, on a worker, on the calling thread or inside a
+    // nested call, fails parallel_for with that exception, and only once no
+    // thread is inside the body any more; the pool then runs the next call.
+    ThreadGuard guard;
+    for (int threads : {1, 2, 4}) {
+        core::ThreadPool::set_global_threads(threads);
+        for (std::int64_t bad : {0, 31, 63}) {
+            std::atomic<int> inside{0};
+            struct Leave {
+                std::atomic<int>& n;
+                ~Leave() { n.fetch_sub(1); }
+            };
+            try {
+                core::parallel_for(0, 64, 1, [&](std::int64_t b, std::int64_t e) {
+                    inside.fetch_add(1);
+                    const Leave leave{inside};
+                    std::this_thread::sleep_for(std::chrono::microseconds(200));
+                    for (std::int64_t i = b; i < e; ++i)
+                        core::parallel_for(0, 2, 1, [&](std::int64_t, std::int64_t) {
+                            if (i == bad) throw std::runtime_error("chunk " + std::to_string(i));
+                        });
+                });
+                ADD_FAILURE() << threads << " threads: chunk " << bad << " threw nothing";
+            } catch (const std::runtime_error& err) {
+                EXPECT_EQ(std::string(err.what()), "chunk " + std::to_string(bad));
+            }
+            EXPECT_EQ(inside.load(), 0) << threads << " threads, chunk " << bad;
+        }
+        std::atomic<std::int64_t> count{0};
+        core::parallel_for(0, 100, 1, [&](std::int64_t b, std::int64_t e) {
+            count.fetch_add(e - b);
+        });
+        EXPECT_EQ(count.load(), 100) << threads << " threads";
+    }
 }
 
 TEST(ThreadPool, EnvThreadsIsPositive) {

@@ -497,22 +497,36 @@ TEST(GraphProfiler, ShowsFusedEpiloguesAndKeepsTheForwardBitwise) {
     EXPECT_EQ(node_buffers(), first);
     for (std::int64_t i = 0; i < plain.size(); ++i)
         ASSERT_EQ(again[i], plain[i]) << "second profiled forward diverged at " << i;
-    int fused = 0;
+    int fused = 0, pools = 0;
     for (const LayerProfile& p : profiler.profiles()) {
         const bool epilogue = p.kind == "act" || p.kind == "identity";
         EXPECT_EQ(p.fwd_calls == 0, p.fused_into >= 0) << p.node << " " << p.name;
-        EXPECT_EQ(p.fused_into >= 0, epilogue) << p.node << " " << p.name;
+        // The pools of Bundles 1 and 2 fold into their pwconvs; Bundle 3's
+        // output also feeds the bypass, so its pool runs.
+        if (p.kind == "pool") {
+            pools += p.fused_into >= 0 ? 1 : 0;
+        } else {
+            EXPECT_EQ(p.fused_into >= 0, epilogue) << p.node << " " << p.name;
+        }
         if (p.fused_into >= 0) {
             ++fused;
             // The carrier is the producer that ran and applied the epilogue.
             EXPECT_EQ(p.fused_into, g.node_carrier(p.node));
-            EXPECT_FALSE(g.node_module(static_cast<std::size_t>(p.fused_into))->as_epilogue());
+            const nn::Module* carrier = g.node_module(static_cast<std::size_t>(p.fused_into));
+            EXPECT_FALSE(carrier->as_epilogue());
+            if (p.kind == "pool") {
+                EXPECT_EQ(carrier->kind(), "pwconv") << p.node;
+            }
         }
     }
     EXPECT_GT(fused, 0);
+    EXPECT_EQ(pools, 2);
     const std::string json = profiler.to_json();
     EXPECT_NE(json.find("\"fused_into\": -1"), std::string::npos);
     EXPECT_NE(json.find("\"fused_into\": 1}"), std::string::npos);  // identity -> dwconv 1
+    // The shim reads no output value: no output statistics are reported.
+    EXPECT_EQ(json.find("out_mean"), std::string::npos);
+    EXPECT_EQ(json.find("out_absmax"), std::string::npos);
     EXPECT_TRUE(json_valid(json));
 }
 

@@ -397,13 +397,65 @@ TEST(QGemm, Im2colPackedMatchesManualLowering) {
     EXPECT_EQ(got16.data, want.data);
 }
 
+TEST(QGemm, WindowLoweringAndStridedStoresEqualTheirDenseCopies) {
+    // The int8 band of a pointwise conv: N columns at offset c0 of C channel
+    // rows `ld` words apart, lowered in place and stored into the same
+    // columns of M output rows, in int16 and int32 words, against the
+    // generic k = 1 lowering of a dense copy of those columns.
+    SimdGuard guard;
+    const int M = 9, C = 5, ld = 203;
+    const std::int32_t lo = -20;
+    std::vector<std::int32_t> img(static_cast<std::size_t>(C) * ld);
+    for (std::size_t i = 0; i < img.size(); ++i)
+        img[i] = lo + static_cast<std::int32_t>((i * 37 + 11) % 256);
+    const std::vector<std::int16_t> img16(img.begin(), img.end());
+    std::vector<std::int32_t> w(static_cast<std::size_t>(M) * C);
+    for (std::size_t i = 0; i < w.size(); ++i) w[i] = static_cast<std::int32_t>(i % 23) - 11;
+    const std::vector<std::int64_t> bias(M, 300);
+    const core::QEpilogue rq{bias.data(), 4, -200, 900};
+    for (core::SimdLevel lvl : available_levels()) {
+        ASSERT_EQ(core::set_simd_level(lvl), lvl);
+        core::QPackedA pa;
+        core::qpack_a_wide(M, C, w.data(), pa);
+        for (const auto& [c0, N] : {std::pair{0, 200}, std::pair{100, 45}, std::pair{7, 1}}) {
+            SCOPED_TRACE(std::string(core::simd_level_name(lvl)) + " c0 " + std::to_string(c0));
+            std::vector<std::int32_t> copy(static_cast<std::size_t>(C) * N);
+            for (int c = 0; c < C; ++c)
+                std::copy_n(img.data() + static_cast<std::size_t>(c) * ld + c0, N,
+                            copy.data() + static_cast<std::size_t>(c) * N);
+            core::QPackedB dense, window, window16;
+            core::qim2col_packed(copy.data(), C, 1, N, 1, 1, 0, 1, N, lo, dense);
+            core::qim2col_packed(img.data() + c0, C, N, ld, lo, window);
+            core::qim2col_packed(img16.data() + c0, C, N, ld, lo, window16);
+            EXPECT_EQ(window.data, dense.data);
+            EXPECT_EQ(window16.data, dense.data);
+            std::vector<std::int32_t> want(static_cast<std::size_t>(M) * N);
+            core::qgemm_packed(pa, dense, want.data(), rq);
+            std::vector<std::int32_t> got(static_cast<std::size_t>(M) * ld, -7);
+            std::vector<std::int16_t> got16(static_cast<std::size_t>(M) * ld, -7);
+            core::qgemm_packed(pa, window, got.data() + c0, ld, rq);
+            core::qgemm_packed(pa, window, got16.data() + c0, ld, rq);
+            for (int m = 0; m < M; ++m)
+                for (int n = 0; n < ld; ++n) {
+                    const std::size_t i = static_cast<std::size_t>(m) * ld + n;
+                    const std::int32_t v = n < c0 || n >= c0 + N
+                                               ? -7
+                                               : want[static_cast<std::size_t>(m) * N + n - c0];
+                    ASSERT_EQ(got[i], v) << m << ", " << n;
+                    ASSERT_EQ(got16[i], v) << m << ", " << n;
+                }
+        }
+    }
+}
+
 TEST(QGemm, Im2colPackedOverALargerStalePackEqualsQPackB) {
     // qim2col_packed writes every byte of its panels, zeros included only in
     // the padding (the odd-K phantom lane, the last panel's columns past N),
     // so a QPackedB a larger conv filled last, then poisoned, must come back
     // byte for byte qpack_b's.  Odd K and an N no level's nr divides, through
-    // the pointwise fast path and the generic path, over both words, at
-    // every level and 1/2/4 threads.
+    // the generic lowering and, for the 1x1 cases, the pointwise window
+    // lowering over the whole plane, over both words, at every level and
+    // 1/2/4 threads.
     SimdGuard simd;
     ThreadGuard threads_guard;
     struct Case {
@@ -453,6 +505,16 @@ TEST(QGemm, Im2colPackedOverALargerStalePackEqualsQPackB) {
                 core::qim2col_packed(img16.data(), c.C, c.H, c.W, c.k, c.stride, c.pad, OH, OW,
                                      lo, got);
                 EXPECT_EQ(got.data, want.data) << "int16 words " << at;
+                if (c.k != 1) continue;
+                const int plane = c.H * c.W;
+                core::qim2col_packed(big.data(), BC, BH * BW, BH * BW, lo, got);
+                std::fill(got.data.begin(), got.data.end(), std::uint8_t{0xA5});
+                core::qim2col_packed(img.data(), c.C, plane, plane, lo, got);
+                EXPECT_EQ(got.data, want.data) << "int32 window " << at;
+                core::qim2col_packed(big16.data(), BC, BH * BW, BH * BW, lo, got);
+                std::fill(got.data.begin(), got.data.end(), std::uint8_t{0xA5});
+                core::qim2col_packed(img16.data(), c.C, plane, plane, lo, got);
+                EXPECT_EQ(got.data, want.data) << "int16 window " << at;
             }
         }
     }
@@ -871,7 +933,12 @@ TEST(QEngineOracle, EveryActivationWordRunsBitTrueInItsPlan) {
             const deploy::MemoryPlan plan = quant::plan_activations(p, in);
             std::int64_t total = 0;
             for (std::size_t i = 0; i < p.ops.size(); ++i) {
-                const std::int64_t bytes = p.ops[i].executes() ? shapes[i].count() * word : 0;
+                // A conv with a fused pool holds the pool's value.
+                const int held = p.ops[i].fused_pool >= 0 ? p.ops[i].fused_pool
+                                                          : static_cast<int>(i);
+                const std::int64_t bytes =
+                    p.ops[i].executes() ? shapes[static_cast<std::size_t>(held)].count() * word
+                                        : 0;
                 EXPECT_EQ(plan.tensors[i].bytes, bytes) << "node " << i;
                 total += bytes;
             }
@@ -910,6 +977,12 @@ TEST(QEngine, StaleArenaContentsNeverLeak) {
         for (const quant::QExecution e :
              {quant::QExecution::kAuto, quant::QExecution::kReference}) {
             SCOPED_TRACE(std::string(variant_name(v)) + " " + quant::qexecution_name(e));
+            // kAuto folds the Bundle pools, so their pwconvs write pooled
+            // views.
+            const quant::Program p = quant::lower(*m.net, scheme(9, 11, e));
+            EXPECT_EQ(std::any_of(p.ops.begin(), p.ops.end(),
+                                  [](const quant::Op& op) { return op.fused_pool >= 0; }),
+                      e == quant::QExecution::kAuto);
             std::vector<Tensor> alone;
             for (const Tensor& x : images) {
                 quant::QEngine fresh(*m.net, scheme(9, 11, e));
@@ -931,6 +1004,108 @@ TEST(QEngine, StaleArenaContentsNeverLeak) {
             }
             EXPECT_EQ(engine.alloc_events(), 0);
         }
+    }
+}
+
+TEST(QPoolFold, FoldsWhatFp32FoldsAndRunsBitTrueInItsPlan) {
+    // Outside kReference the program folds each pool the fp32 plan folds
+    // into its pointwise conv, which writes only the pooled map:
+    // kAuto stays bitwise kReference, which runs every pool, in int16 (FM9)
+    // and int32 (FM20) words, over batch sizes 4 -> 1 -> 3 and thread
+    // counts, and the measured peak stays the plan's.
+    ThreadGuard threads;
+    for (const SkyNetVariant v : {SkyNetVariant::kA, SkyNetVariant::kB, SkyNetVariant::kC}) {
+        SkyNetModel m = folded_model(v, 131, 0.25f);
+        const std::vector<int> fp32 = m.net->fusion_plan().carrier;
+        for (const auto& [fm, w] : {std::pair{9, 11}, std::pair{20, 12}}) {
+            SCOPED_TRACE(std::string(variant_name(v)) + " fm" + std::to_string(fm));
+            const quant::QuantConfig cfg = scheme(fm, w, quant::QExecution::kAuto);
+            const quant::Program p = quant::lower(*m.net, cfg);
+            int pools = 0;
+            for (std::size_t i = 0; i < p.ops.size(); ++i) {
+                const int pool = p.ops[i].fused_pool;
+                if (pool < 0) continue;
+                ++pools;
+                EXPECT_EQ(p.ops[static_cast<std::size_t>(pool)].kind, quant::OpKind::kMaxPool);
+                EXPECT_EQ(p.carrier(pool), static_cast<int>(i));
+                EXPECT_EQ(fp32[static_cast<std::size_t>(pool)], static_cast<int>(i));
+                EXPECT_EQ(p.ops[i].conv.k, 1);
+            }
+            EXPECT_EQ(pools, v == SkyNetVariant::kA ? 3 : 2);
+            const quant::Program ref =
+                quant::lower(*m.net, cfg.with_execution(quant::QExecution::kReference));
+            for (const quant::Op& op : ref.ops) EXPECT_EQ(op.fused_pool, -1);
+
+            quant::QEngine fast(*m.net, cfg);
+            quant::QEngine oracle(*m.net, cfg.with_execution(quant::QExecution::kReference));
+            // FM9 runs the band walk; FM20's maps span too many grid values
+            // for the u8 operand, so its convs pool each reference plane.
+            EXPECT_EQ(fast.report().qgemm_layers > 0, fm == 9);
+            for (const int t : {1, 2, 4}) {
+                core::ThreadPool::set_global_threads(t);
+                for (const int n : {4, 1, 3}) {
+                    Tensor x({n, 3, 32, 64});
+                    Rng xr(static_cast<std::uint64_t>(132 + n));
+                    x.rand_uniform(xr, 0.0f, 1.0f);
+                    expect_bitwise_equal(fast.run(x), oracle.run(x), "folded pools");
+                    EXPECT_EQ(fast.measured_peak_bytes(),
+                              fast.plan_activations(x.shape()).peak_bytes);
+                }
+            }
+            // Pixels outside the declared range: the whole pass falls back
+            // to the reference convs, which pool each plane they compute.
+            Tensor wild({2, 3, 32, 64});
+            Rng wr(139);
+            wild.rand_uniform(wr, -2.0f, 2.0f);
+            const std::int64_t fallbacks = fast.reference_fallbacks();
+            expect_bitwise_equal(fast.run(wild), oracle.run(wild), "fallback");
+            EXPECT_EQ(fast.reference_fallbacks(), fallbacks + (fm == 9 ? 1 : 0));
+        }
+    }
+}
+
+TEST(QPoolFold, OddMapsDropTheLastRowAndColumn) {
+    Rng rng(141);
+    nn::Graph g;
+    int n = g.add(std::make_unique<nn::PWConv1>(3, 8, true, rng), g.input());
+    n = g.add(std::make_unique<nn::Activation>(nn::Act::kReLU6), n);
+    const int pool = g.add(std::make_unique<nn::MaxPool2>(), n);
+    n = g.add(std::make_unique<nn::PWConv1>(8, 6, true, rng), pool);
+    const int pool2 = g.add(std::make_unique<nn::MaxPool2>(), n);
+    g.set_output(pool2);
+    g.set_training(false);
+    const quant::QuantConfig s9 = scheme(9, 11, quant::QExecution::kAuto);
+    const quant::Program p = quant::lower(g, s9);
+    EXPECT_EQ(p.carrier(pool), 1);
+    EXPECT_EQ(p.carrier(pool2), 4);
+    for (const Shape in : {Shape{2, 3, 45, 75}, Shape{1, 3, 11, 13}, Shape{3, 3, 13, 6}})
+        for (const int fm : {9, 20})
+            expect_auto_runs_its_plan(g, in, scheme(fm, 11, quant::QExecution::kAuto),
+                                      "odd maps");
+}
+
+TEST(QEngine, RunsBitTrueAfterEverySimdLevelSwitch) {
+    // The engine packs its qgemm weights for the tile of the level it was
+    // built at, and packs them again after a switch: int8 is exact at
+    // every level, so each switch leaves the output unchanged.
+    SimdGuard guard;
+    core::set_simd_level(core::best_simd_level());
+    Rng rng(151);
+    Detector det({SkyNetVariant::kC, nn::Act::kReLU6, 2, 0.25f}, rng);
+    (void)det.quantize(quant::QuantConfig{});
+    ASSERT_GT(det.qengine()->report().qgemm_layers, 0);
+    Tensor x({2, 3, 32, 64});
+    Rng xr(152);
+    x.rand_uniform(xr, 0.0f, 1.0f);
+    const Tensor before = det.forward(x);
+    quant::QEngine oracle(det.net(),
+                          quant::QuantConfig{}.with_execution(quant::QExecution::kReference));
+    expect_bitwise_equal(before, oracle.run(x), "reference");
+    for (const core::SimdLevel lvl : available_levels()) {
+        SCOPED_TRACE(core::simd_level_name(lvl));
+        ASSERT_EQ(core::set_simd_level(lvl), lvl);
+        expect_bitwise_equal(det.forward(x), before, "after the switch");
+        expect_bitwise_equal(det.forward(x), before, "the next forward");
     }
 }
 
@@ -1072,8 +1247,10 @@ TEST(Lower, SkippedOpsSitWhereTheFp32PlanHoldsThem) {
         }
         EXPECT_EQ(skipped, skips) << what;
     };
+    // Each count includes the pools folded into pwconvs: A's three, and
+    // B's and C's first two (their Bundle-3 output also feeds the bypass).
     const std::map<SkyNetVariant, int> skipped{
-        {SkyNetVariant::kA, 20}, {SkyNetVariant::kB, 24}, {SkyNetVariant::kC, 24}};
+        {SkyNetVariant::kA, 23}, {SkyNetVariant::kB, 26}, {SkyNetVariant::kC, 26}};
     for (const auto& [v, count] : skipped)
         for (const nn::Act act : {nn::Act::kReLU6, nn::Act::kLeaky}) {
             Rng rng(7);

@@ -550,6 +550,54 @@ TEST(PackB, EqualsASequentialPackByteForByteAtEveryLevel) {
     }
 }
 
+TEST(PackB, ColumnWindowsAndStridedStoresEqualTheirDenseCopies) {
+    // A band of a pointwise conv: N columns at offset c0 of K rows `ld`
+    // floats apart, packed in place and stored into the same columns of M
+    // output rows, must equal the dense pack and store of a copy, and the
+    // store must leave every other column of the output untouched.
+    SimdGuard guard;
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const int M = 13, K = 7, ld = 301;
+    const std::vector<float> A = randv(static_cast<std::size_t>(M) * K, 111);
+    const std::vector<float> B = randv(static_cast<std::size_t>(K) * ld, 112);
+    const std::vector<float> bias = randv(M, 113);
+    for (core::SimdLevel lvl : available_levels()) {
+        core::set_simd_level(lvl);
+        core::PackedA pa;
+        core::pack_a(M, K, A.data(), /*trans=*/false, pa);
+        for (const auto& [c0, N] : {std::pair{0, 256}, std::pair{256, 45}, std::pair{17, 1}}) {
+            const std::string at = std::string(core::simd_level_name(lvl)) + " c0 " +
+                                   std::to_string(c0) + " N " + std::to_string(N);
+            std::vector<float> copy(static_cast<std::size_t>(K) * N);
+            for (int k = 0; k < K; ++k)
+                std::copy_n(B.data() + static_cast<std::size_t>(k) * ld + c0, N,
+                            copy.data() + static_cast<std::size_t>(k) * N);
+            core::PackedB window, dense;
+            core::pack_b(K, N, B.data() + c0, ld, /*trans=*/false, window);
+            core::pack_b(K, N, copy.data(), /*trans=*/false, dense);
+            ASSERT_EQ(window.data.size(), dense.data.size()) << at;
+            EXPECT_EQ(std::memcmp(window.data.data(), dense.data.data(),
+                                  dense.data.size() * sizeof(float)),
+                      0)
+                << at;
+            const core::Epilogue ep{bias.data(), core::EpilogueAct::kReLU6, 0.0f};
+            std::vector<float> want(static_cast<std::size_t>(M) * N);
+            core::sgemm_packed(pa, dense, want.data(), ep);
+            std::vector<float> got(static_cast<std::size_t>(M) * ld, nan);
+            core::sgemm_packed(pa, window, got.data() + c0, ld, ep);
+            for (int m = 0; m < M; ++m)
+                for (int n = 0; n < ld; ++n) {
+                    const float v = got[static_cast<std::size_t>(m) * ld + n];
+                    if (n < c0 || n >= c0 + N)
+                        ASSERT_TRUE(std::isnan(v)) << at << " wrote (" << m << ", " << n << ")";
+                    else
+                        ASSERT_EQ(v, want[static_cast<std::size_t>(m) * N + n - c0])
+                            << at << " (" << m << ", " << n << ")";
+                }
+        }
+    }
+}
+
 TEST(PackB, PWConv1AndLinearEvalForwardsBitwiseAcrossThreadCounts) {
     SimdGuard guard;
     Rng rng(91);

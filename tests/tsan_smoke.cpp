@@ -5,11 +5,12 @@
 // is processed exactly once.  Part 2 drives the sky::serve engine — bounded
 // queue, dynamic batcher, staged workers — from several submitter threads
 // through repeated start/drain-shutdown cycles.  Exits non-zero on any lost
-// or duplicated work.
+// or duplicated work, or on a throwing chunk that does not fail its call.
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <future>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -158,12 +159,27 @@ int main() {
         if (count.load() != 1000) ++mismatches;
     }
 
-    // 4. Concurrent eval forwards on one module instance (member-scratch
+    // 4. A throwing chunk fails the call, with the exception carried from
+    //    whichever thread threw, and the pool keeps working.
+    for (int round = 0; round < 20; ++round) {
+        std::atomic<std::int64_t> count{0};
+        try {
+            sky::core::parallel_for(0, 256, 1, [&](std::int64_t b, std::int64_t e) {
+                count.fetch_add(e - b, std::memory_order_relaxed);
+                if (b <= 97 + round && 97 + round < e) throw std::runtime_error("chunk");
+            });
+            ++mismatches;
+        } catch (const std::runtime_error&) {
+        }
+        if (count.load() == 0) ++mismatches;
+    }
+
+    // 5. Concurrent eval forwards on one module instance (member-scratch
     //    races would show up here and under TSan).
     ThreadPool::set_global_threads(2);
     mismatches += concurrent_forward_smoke();
 
-    // 5. The serving engine under multi-threaded submission and racing
+    // 6. The serving engine under multi-threaded submission and racing
     //    shutdowns.
     mismatches += serve_engine_smoke();
 

@@ -35,6 +35,12 @@ const detail::GemmKernel& active_kernel() {
 #else
             return generic_kernel();
 #endif
+        case SimdLevel::kAvx512:
+#if defined(SKYNET_SIMD_AVX512)
+            return detail::avx512_kernel();
+#else
+            return generic_kernel();
+#endif
     }
     return generic_kernel();
 }
@@ -116,6 +122,7 @@ auto panel_fill(int nr) {
         case 4: return &pack_b_panels<4>;
         case 8: return &pack_b_panels<8>;
         case 16: return &pack_b_panels<16>;
+        case 32: return &pack_b_panels<32>;
         default: throw std::logic_error("pack_b: no panel fill for this tile width");
     }
 }
@@ -230,10 +237,13 @@ void for_each_band(int H, int W, bool pool, std::int64_t planes,
         end = rows * W;
         width = band_rows * W;
     } else {
-        // Whole 16-column panels (every kernel's tile width divides 16), so
-        // only the last band ends in a partial tile.
+        // Whole panels of the active tile width, so only the last band ends
+        // in a partial tile.  The integer kernel's tile is as wide as the
+        // fp32 one at every level (QGemm.TilesAsWideAsTheFp32KernelsAtEveryLevel),
+        // and kBandCols is a multiple of every width.
+        const std::int64_t nr = active_kernel().nr;
         end = static_cast<std::int64_t>(H) * W;
-        width = std::min(kBandCols, ceil_div(ceil_div(end, want), 16) * 16);
+        width = std::min(kBandCols, ceil_div(ceil_div(end, want), nr) * nr);
     }
     const std::int64_t count = ceil_div(end, width);  // bands per plane
     parallel_for(0, planes * count, 1, [&](std::int64_t t0, std::int64_t t1) {

@@ -39,7 +39,7 @@ namespace sky::core {
 /// Register-tile geometry of the active micro-kernel (core/simd.hpp level).
 [[nodiscard]] int gemm_mr();
 [[nodiscard]] int gemm_nr();
-/// Name of the active micro-kernel ("scalar" / "generic" / "avx2").
+/// Name of the active micro-kernel ("scalar" / "generic" / "avx2" / "avx512").
 [[nodiscard]] const char* gemm_kernel_name();
 
 /// Activation an Epilogue applies.  The formulas are nn::Activation's

@@ -24,7 +24,8 @@
 //
 // Each translation unit instantiates only the widths its build flags can
 // execute: core/gemm.cpp the scalar + baseline-ISA widths, core/gemm_avx2.cpp
-// the 8-wide AVX2+FMA width (compiled with -mavx2 -mfma).
+// the 8-wide AVX2+FMA width (compiled with -mavx2 -mfma) and
+// core/gemm_avx512.cpp the 16-wide AVX-512 width (-mavx512f -mfma).
 #pragma once
 
 #include <cmath>
@@ -108,37 +109,39 @@ void ukernel(int K, const float* a, const float* b, float* c, std::int64_t ldc,
     constexpr int NR = kLanes<VF> * NV;
     // Every tile loop is unrolled, so the accumulators can live in registers.
     // Rolled, GCC 12 -O2 kept acc[MR][NV] on the stack at every vector level:
-    // each multiply-add read and wrote memory.  Unrolling keeps the order of
-    // every sum, so the result is bitwise the rolled kernel's.
+    // each multiply-add read and wrote memory.  The unroll count must cover
+    // MR: a 14-row tile under `unroll 8` kept accumulators on the stack too.
+    // Unrolling keeps the order of every sum, so the result is bitwise the
+    // rolled kernel's.
     VF acc[MR][NV] = {};
     for (int k = 0; k < K; ++k, a += MR, b += NR) {
         VF bv[NV];
-#pragma GCC unroll 8
+#pragma GCC unroll 16
         for (int v = 0; v < NV; ++v) bv[v] = vload<VF>(b + v * kLanes<VF>);
-#pragma GCC unroll 8
+#pragma GCC unroll 16
         for (int m = 0; m < MR; ++m) {
             const VF av = vsplat<VF>(a[m]);
-#pragma GCC unroll 8
+#pragma GCC unroll 16
             for (int v = 0; v < NV; ++v) acc[m][v] += av * bv[v];
         }
     }
     if (ep != nullptr) {
         // Store mode: the tile's final values, still in registers.  Padding
         // rows (m >= mr) take bias 0 so the bias is never read past row mr.
-#pragma GCC unroll 8
+#pragma GCC unroll 16
         for (int m = 0; m < MR; ++m) {
             const VF bias = vsplat<VF>(ep->bias != nullptr && m < mr ? ep->bias[m] : 0.0f);
-#pragma GCC unroll 8
+#pragma GCC unroll 16
             for (int v = 0; v < NV; ++v)
                 acc[m][v] = epilogue_act<VF>(K > 0 ? bias + acc[m][v] : bias, ep->act,
                                              ep->slope);
         }
     }
     if (mr == MR && nr == NR) {
-#pragma GCC unroll 8
+#pragma GCC unroll 16
         for (int m = 0; m < MR; ++m) {
             float* row = c + m * ldc;
-#pragma GCC unroll 8
+#pragma GCC unroll 16
             for (int v = 0; v < NV; ++v) {
                 float* p = row + v * kLanes<VF>;
                 vstore<VF>(p, ep != nullptr ? acc[m][v] : vload<VF>(p) + acc[m][v]);
@@ -148,9 +151,9 @@ void ukernel(int K, const float* a, const float* b, float* c, std::int64_t ldc,
         // Partial tile: spill the (zero-padded) accumulators and write only
         // the valid corner, so edge tiles never read or write beyond C.
         float tmp[MR * NR];
-#pragma GCC unroll 8
+#pragma GCC unroll 16
         for (int m = 0; m < MR; ++m)
-#pragma GCC unroll 8
+#pragma GCC unroll 16
             for (int v = 0; v < NV; ++v)
                 vstore<VF>(tmp + m * NR + v * kLanes<VF>, acc[m][v]);
         for (int m = 0; m < mr; ++m)
@@ -163,5 +166,8 @@ void ukernel(int K, const float* a, const float* b, float* c, std::int64_t ldc,
 /// AVX2+FMA kernel descriptor, defined in core/gemm_avx2.cpp when that TU is
 /// part of the build (SKYNET_SIMD CMake option, x86-64 GCC/Clang only).
 const GemmKernel& avx2_kernel();
+/// AVX-512F+FMA kernel descriptor, defined in core/gemm_avx512.cpp (built
+/// with the AVX2 units).
+const GemmKernel& avx512_kernel();
 
 }  // namespace sky::core::detail

@@ -40,6 +40,7 @@ const detail::PlaneKernels& active_kernels() {
         case SimdLevel::kScalar: return scalar_kernels();
         case SimdLevel::kGeneric: return generic_kernels();
         case SimdLevel::kAvx2:
+        case SimdLevel::kAvx512:  // no third copy: the AVX2 entry (docs/KERNELS.md)
 #if defined(SKYNET_SIMD_AVX2)
             return detail::plane_kernels_avx2();
 #else

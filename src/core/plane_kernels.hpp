@@ -10,7 +10,8 @@
 //                                the baseline ISA), plus the dispatch on
 //                                active_simd_level()
 //   core/plane_kernels_avx2.cpp  kAvx2 (32-byte vectors), compiled with
-//                                -mavx2 and without -mfma
+//                                -mavx2 and without -mfma; kAvx512 runs
+//                                this entry too
 #pragma once
 
 #include <cstdint>

@@ -42,6 +42,12 @@ const detail::QGemmKernel& active_kernel() {
 #else
             return generic_kernel();
 #endif
+        case SimdLevel::kAvx512:
+#if defined(SKYNET_SIMD_AVX512)
+            return detail::qgemm_avx512_kernel();
+#else
+            return generic_kernel();
+#endif
     }
     return generic_kernel();
 }

@@ -46,7 +46,8 @@ namespace sky::core {
 /// Register-tile geometry of the active integer micro-kernel.
 [[nodiscard]] int qgemm_mr();
 [[nodiscard]] int qgemm_nr();
-/// Name of the active integer micro-kernel ("scalar" / "generic" / "avx2").
+/// Name of the active integer micro-kernel ("scalar" / "generic" / "avx2" /
+/// "avx512").
 [[nodiscard]] const char* qgemm_kernel_name();
 /// Largest contraction length qgemm_packed accepts (int32 accumulation is
 /// provably overflow-free up to this K for s8-range A operands; wide packs
@@ -135,7 +136,8 @@ void qgemm_packed(const QPackedA& A, const QPackedB& B, std::int32_t* C,
 
 /// Store mode into int16 words: the same values as the int32 store, each
 /// narrowed from the register tile (on AVX2 one vpackssdw + vpermq per
-/// tile row after the clamp).  Throws std::invalid_argument when
+/// tile row after the clamp; on AVX-512 a word permute of the row's two
+/// vectors).  Throws std::invalid_argument when
 /// [rq.lo, rq.hi] is not inside [-32768, 32767], so no value can wrap.
 void qgemm_packed(const QPackedA& A, const QPackedB& B, std::int16_t* C,
                   const QEpilogue& rq);

@@ -10,11 +10,12 @@
 //   a[k2*MR*2 + m*2 + t]   (s16 weights,    t in {0,1})
 //   b[k2*NR*2 + n*2 + t]   (u8 activations, t in {0,1})
 //
-// — so the AVX2 instantiation can feed vpmaddwd: the u8 taps widen to s16,
-// each adjacent s16 A pair IS a ready packed madd operand, and the pairwise
-// s16*s16 product sum (<= 2*32767*255) is exact in int32 — the FBGEMM qconv
-// idiom without its vpmaddubsw saturation hazard, and wide enough that
-// 9..15-bit weights run in ONE pass instead of two s8 limbs.  A zero-padded
+// — so the x86 instantiations (core/qgemm_x86.hpp) can feed vpmaddwd (AVX2)
+// or vpdpwssd (AVX-512 VNNI): the u8 taps widen to s16, each adjacent s16 A
+// pair IS a ready packed operand, and the pairwise s16*s16 product sum
+// (<= 2*32767*255) is exact in int32 — the FBGEMM qconv idiom without its
+// vpmaddubsw saturation hazard, and wide enough that 9..15-bit weights run
+// in ONE pass instead of two s8 limbs.  A zero-padded
 // phantom tap (odd K) carries a = 0, which annihilates whatever the B panel
 // holds, so padding never changes a result.
 //
@@ -32,7 +33,7 @@
 // a template over the C word CT: int32, or int16 for the store mode alone,
 // where each clamped value is narrowed as it is stored.
 //
-// All instantiations (scalar / generic / avx2) return BITWISE IDENTICAL
+// All instantiations (scalar / generic / avx2 / avx512) return BITWISE IDENTICAL
 // results in both modes, a stronger contract than the fp32 engine's
 // per-level tolerance (docs/KERNELS.md, docs/QUANTIZATION.md).
 #pragma once
@@ -209,5 +210,8 @@ void qgemm_ukernel_vec(int K2, const std::int16_t* a, const std::uint8_t* b, CT*
 /// AVX2 kernel descriptor (vpmaddwd datapath), defined in core/qgemm_avx2.cpp
 /// when that TU is part of the build (SKYNET_SIMD CMake option).
 const QGemmKernel& qgemm_avx2_kernel();
+/// AVX-512 kernel descriptor (vpdpwssd datapath), defined in
+/// core/qgemm_avx512.cpp (built with the AVX2 units).
+const QGemmKernel& qgemm_avx512_kernel();
 
 }  // namespace sky::core::detail

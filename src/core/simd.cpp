@@ -30,10 +30,19 @@ std::atomic<SimdLevel>& level_slot() {
 
 SimdLevel best_simd_level() {
 #if defined(SKYNET_SIMD_AVX2)
-    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
-        return SimdLevel::kAvx2;
+    if (!__builtin_cpu_supports("avx2") || !__builtin_cpu_supports("fma"))
+        return SimdLevel::kGeneric;
+#if defined(SKYNET_SIMD_AVX512)
+    // Keyed on AVX-512 VNNI (vpdpwssd), not on AVX-VNNI: GCC 12's
+    // __builtin_cpu_supports("avxvnni") reads 0 on CPUs that have it.
+    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
+        __builtin_cpu_supports("avx512vnni"))
+        return SimdLevel::kAvx512;
 #endif
+    return SimdLevel::kAvx2;
+#else
     return SimdLevel::kGeneric;
+#endif
 }
 
 SimdLevel active_simd_level() {
@@ -51,6 +60,7 @@ const char* simd_level_name(SimdLevel level) {
         case SimdLevel::kScalar: return "scalar";
         case SimdLevel::kGeneric: return "generic";
         case SimdLevel::kAvx2: return "avx2";
+        case SimdLevel::kAvx512: return "avx512";
     }
     return "?";
 }

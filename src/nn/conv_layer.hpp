@@ -62,6 +62,12 @@ public:
     [[nodiscard]] bool has_bias() const { return has_bias_; }
     /// Deployment passes (BN folding) may need to materialise a bias.
     void enable_bias() { has_bias_ = true; }
+    /// Whether the layer holds a weight pack (set_training(false) made one).
+    [[nodiscard]] bool has_weight_pack() const { return !wpack_.empty(); }
+    /// Drops the weight pack of a layer whose fp32 forward no longer runs:
+    /// the convs a quantized Detector runs in integer.  A forward then packs
+    /// per call, and the next set_training(false) packs again.
+    void drop_weight_pack() { wpack_.clear(); }
 
     /// y = forward_fused(x) with an empty epilogue.  Linear overrides this
     /// instead and keeps Module's forward_fused.

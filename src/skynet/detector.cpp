@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "deploy/fold_bn.hpp"
 #include "quant/lower.hpp"
@@ -60,6 +61,13 @@ quant::QuantReport Detector::quantize(const quant::QuantConfig& qcfg) {
     // compiles the same program (and takes its integer weights).
     quant::Program program = quant::lower(*model_.net, qcfg);
     verify::enforce(verify::check_qmodel(program));
+    // The engine runs these convs on the program's own taps, so their fp32
+    // weight packs are never read again.  fp32 islands (kFp32 ops, kBlock
+    // bodies) run their modules and keep their packs.
+    std::vector<nn::ConvLayer*> integer_convs;
+    for (const quant::Op& op : program.ops)
+        if (op.verdict == quant::Verdict::kInt && op.kind == quant::OpKind::kConv)
+            if (auto* conv = dynamic_cast<nn::ConvLayer*>(op.module)) integer_convs.push_back(conv);
     qengine_ = std::make_unique<quant::QEngine>(std::move(program));
     // Certified error budget, strict mode: reject the scheme before it can
     // serve a single image (the report carries the same verdict either way).
@@ -85,6 +93,7 @@ quant::QuantReport Detector::quantize(const quant::QuantConfig& qcfg) {
     // run() replans only if fed a different shape.
     qengine_->plan_activations(verify::default_input_shape());
     stage_ = DetectorStage::kQuantized;
+    for (nn::ConvLayer* conv : integer_convs) conv->drop_weight_pack();
     return qengine_->report();
 }
 

@@ -27,6 +27,7 @@
 #include "core/thread_pool.hpp"
 #include "nn/dwconv.hpp"
 #include "nn/epilogue.hpp"
+#include "simd_levels.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/tensor.hpp"
 
@@ -41,13 +42,6 @@ struct SimdGuard {
         core::ThreadPool::set_global_threads(0);
     }
 };
-
-std::vector<core::SimdLevel> available_levels() {
-    std::vector<core::SimdLevel> out{core::SimdLevel::kScalar, core::SimdLevel::kGeneric};
-    if (core::best_simd_level() == core::SimdLevel::kAvx2)
-        out.push_back(core::SimdLevel::kAvx2);
-    return out;
-}
 
 constexpr int kWidths[] = {1, 2, 3, 8, 9, 10, 16, 17, 40};
 constexpr int kHeights[] = {1, 2, 3, 5};
@@ -133,7 +127,7 @@ void expect_f32_matches(const std::vector<float>& x, const std::vector<float>& w
                         want.data() + p * plane);
     }
     const float stale = -std::numeric_limits<float>::quiet_NaN();
-    for (core::SimdLevel lvl : available_levels()) {
+    for (core::SimdLevel lvl : testing::runnable_simd_levels()) {
         core::set_simd_level(lvl);
         for (int threads : {1, 2, 4}) {
             core::ThreadPool::set_global_threads(threads);
@@ -223,7 +217,7 @@ TEST(DwConv, LayerForwardFusedEqualsTheSequentialLoopPlusEpilogue) {
         for (int c = 0; c < 5; ++c)
             reference_plane(x.plane(n, c), layer.weight().plane(c, 0), 7, 19,
                             core::Epilogue{bias.data() + c, ep.act, ep.slope}, want.plane(n, c));
-    for (core::SimdLevel lvl : available_levels()) {
+    for (core::SimdLevel lvl : testing::runnable_simd_levels()) {
         core::set_simd_level(lvl);
         for (int threads : {1, 2, 4}) {
             core::ThreadPool::set_global_threads(threads);
@@ -282,7 +276,7 @@ void expect_int_matches(const std::vector<Word>& x, const std::vector<std::int32
                         want.data() + p * plane);
     }
     const auto stale = static_cast<Word>(0x5A5A5A5A);
-    for (core::SimdLevel lvl : available_levels()) {
+    for (core::SimdLevel lvl : testing::runnable_simd_levels()) {
         core::set_simd_level(lvl);
         for (int threads : {1, 2, 4}) {
             core::ThreadPool::set_global_threads(threads);

@@ -40,6 +40,7 @@
 #include "nn/pooling.hpp"
 #include "nn/pwconv.hpp"
 #include "nn/space_to_depth.hpp"
+#include "simd_levels.hpp"
 #include "skynet/detector.hpp"
 #include "skynet/skynet_model.hpp"
 #include "tracking/siamese.hpp"
@@ -55,13 +56,6 @@ struct Restore {
         core::ThreadPool::set_global_threads(0);
     }
 };
-
-std::vector<core::SimdLevel> levels() {
-    std::vector<core::SimdLevel> out{core::SimdLevel::kScalar, core::SimdLevel::kGeneric};
-    if (core::best_simd_level() == core::SimdLevel::kAvx2)
-        out.push_back(core::SimdLevel::kAvx2);
-    return out;
-}
 
 Tensor random_input(Shape s, std::uint64_t seed, float lo = -1.0f, float hi = 1.0f) {
     Rng rng(seed);
@@ -89,7 +83,7 @@ void expect_bitwise(const Tensor& got, const Tensor& want, const std::string& wh
 void expect_fused_equals_unfused(nn::Module& m, const Tensor& x, const std::string& what) {
     Restore restore;
     m.set_training(false);
-    for (core::SimdLevel lvl : levels()) {
+    for (core::SimdLevel lvl : testing::runnable_simd_levels()) {
         core::set_simd_level(lvl);
         core::ThreadPool::set_global_threads(1);
         const Tensor ref = testing::unfused_forward(m, x);
@@ -315,7 +309,7 @@ void expect_sequence_equals_unfused(nn::Module& m, const std::vector<Tensor>& xs
                                     const std::string& what) {
     Restore restore;
     m.set_training(false);
-    for (core::SimdLevel lvl : levels()) {
+    for (core::SimdLevel lvl : testing::runnable_simd_levels()) {
         core::set_simd_level(lvl);
         core::ThreadPool::set_global_threads(1);
         std::vector<Tensor> refs;
@@ -703,7 +697,7 @@ TEST(ActivationReuse, EvalMaxPoolEqualsTrainingMaxPoolBitwise) {
     for (int k = 0; k < 8; ++k)
         EXPECT_EQ(bits(scanned[k]), bits(want[k])) << "window " << k << ": " << scanned[k];
     pool.set_training(false);
-    for (core::SimdLevel lvl : levels()) {
+    for (core::SimdLevel lvl : testing::runnable_simd_levels()) {
         core::set_simd_level(lvl);
         expect_bitwise(pool.forward(x), scanned,
                        std::string("hand-made windows @") + core::simd_level_name(lvl));
@@ -724,7 +718,7 @@ TEST(ActivationReuse, EvalMaxPoolEqualsTrainingMaxPoolBitwise) {
     pool.set_training(true);
     const Tensor train = pool.forward(r);
     pool.set_training(false);
-    for (core::SimdLevel lvl : levels()) {
+    for (core::SimdLevel lvl : testing::runnable_simd_levels()) {
         core::set_simd_level(lvl);
         for (int threads : {1, 4}) {
             core::ThreadPool::set_global_threads(threads);

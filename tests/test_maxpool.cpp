@@ -23,6 +23,7 @@
 #include "core/simd.hpp"
 #include "core/thread_pool.hpp"
 #include "nn/epilogue.hpp"
+#include "simd_levels.hpp"
 #include "tensor/rng.hpp"
 
 namespace sky {
@@ -36,13 +37,6 @@ struct SimdGuard {
         core::ThreadPool::set_global_threads(0);
     }
 };
-
-std::vector<core::SimdLevel> available_levels() {
-    std::vector<core::SimdLevel> out{core::SimdLevel::kScalar, core::SimdLevel::kGeneric};
-    if (core::best_simd_level() == core::SimdLevel::kAvx2)
-        out.push_back(core::SimdLevel::kAvx2);
-    return out;
-}
 
 constexpr int kMaxOutWidth = 2 * 16 + 3;  // 16: the widest vector, AVX2 int16
 constexpr int kHeights[] = {2, 3, 5};
@@ -77,7 +71,7 @@ void run_everywhere(const std::vector<T>& x, int H, int W, T stale, const Pool& 
                     const Check& check) {
     const std::int64_t iplane = static_cast<std::int64_t>(H) * W;
     const std::int64_t oplane = static_cast<std::int64_t>(H / 2) * (W / 2);
-    for (core::SimdLevel lvl : available_levels()) {
+    for (core::SimdLevel lvl : testing::runnable_simd_levels()) {
         core::set_simd_level(lvl);
         for (int threads : {1, 2, 4}) {
             core::ThreadPool::set_global_threads(threads);
@@ -228,7 +222,7 @@ TEST(MaxPoolKernel, PlanesUnderTwoRowsOrColumnsWriteNothing) {
     const std::vector<std::int32_t> x32(64, 7);
     const std::vector<std::int16_t> x16(64, 7);
     const int shapes[][2] = {{0, 8}, {1, 8}, {1, 40}, {8, 0}, {8, 1}, {1, 1}, {0, 0}};
-    for (core::SimdLevel lvl : available_levels()) {
+    for (core::SimdLevel lvl : testing::runnable_simd_levels()) {
         core::set_simd_level(lvl);
         for (const auto& hw : shapes) {
             float yf = -1.0f;

@@ -18,6 +18,7 @@
 
 #include "backbones/backbone.hpp"
 #include "backbones/registry.hpp"
+#include "core/gemm.hpp"
 #include "core/qgemm.hpp"
 #include "core/simd.hpp"
 #include "core/thread_pool.hpp"
@@ -32,6 +33,7 @@
 #include "nn/shuffle.hpp"
 #include "quant/lower.hpp"
 #include "quant/qengine.hpp"
+#include "simd_levels.hpp"
 #include "skynet/detector.hpp"
 #include "skynet/skynet_model.hpp"
 
@@ -46,14 +48,6 @@ struct SimdGuard {
 struct ThreadGuard {
     ~ThreadGuard() { core::ThreadPool::set_global_threads(0); }
 };
-
-std::vector<core::SimdLevel> available_levels() {
-    std::vector<core::SimdLevel> out{core::SimdLevel::kScalar,
-                                     core::SimdLevel::kGeneric};
-    if (core::best_simd_level() == core::SimdLevel::kAvx2)
-        out.push_back(core::SimdLevel::kAvx2);
-    return out;
-}
 
 /// Deterministic "random" s8 / u8 operands (no libc rand in tests).
 std::vector<std::int8_t> make_a(int M, int K, std::uint32_t seed) {
@@ -105,10 +99,14 @@ std::vector<std::int32_t> packed_gemm(int M, int K, int N,
 // ------------------------------------------------------------ micro-kernel --
 
 TEST(QGemm, PackedParityVsInt64Reference) {
-    // Odd/even K, sub-tile and multi-tile M/N, including exact tile multiples.
+    // Odd/even K, sub-tile and multi-tile M/N, including exact tile multiples
+    // and one row and column either side of the tile (for the 10 x 32 tile
+    // at every level: M = 9/11, N = 31/33).
     const int mr = core::qgemm_mr(), nr = core::qgemm_nr();
-    const int shapes[][3] = {{1, 1, 1},        {3, 5, 7},   {mr, 2, nr},
-                             {2 * mr, 8, 3 * nr}, {13, 33, 29}, {17, 64, 40}};
+    const int shapes[][3] = {{1, 1, 1},          {3, 5, 7},         {mr, 2, nr},
+                             {2 * mr, 8, 3 * nr}, {13, 33, 29},      {17, 64, 40},
+                             {mr - 1, 9, nr - 1}, {mr + 1, 10, nr + 1}, {9, 13, 31},
+                             {11, 6, 33}};
     for (const auto& s : shapes) {
         const int M = s[0], K = s[1], N = s[2];
         const auto a = make_a(M, K, static_cast<std::uint32_t>(M * 131 + K));
@@ -153,12 +151,14 @@ TEST(QGemm, StoreModeRequantizeIsAccumulateThenRequantize) {
     // A 9-bit grid at 5 fractional bits: saturation, a fused ReLU, a fused ReLU6.
     const Clamp clamps[] = {{-256, 255}, {0, 255}, {0, 192}};
     std::int64_t negative = 0, negative_ties = 0, positive_ties = 0, wide = 0;
-    for (core::SimdLevel lvl : available_levels()) {
+    for (core::SimdLevel lvl : testing::runnable_simd_levels()) {
         ASSERT_EQ(core::set_simd_level(lvl), lvl);
         const int mr = core::qgemm_mr(), nr = core::qgemm_nr();
         // PackedParityVsInt64Reference's shapes, plus K = 0.
-        const int shapes[][3] = {{1, 1, 1},        {3, 5, 7},    {mr, 2, nr},  {2 * mr, 8, 3 * nr},
-                                 {13, 33, 29},     {17, 64, 40}, {5, 0, 3}};
+        const int shapes[][3] = {{1, 1, 1},          {3, 5, 7},           {mr, 2, nr},
+                                 {2 * mr, 8, 3 * nr}, {13, 33, 29},        {17, 64, 40},
+                                 {mr - 1, 9, nr - 1}, {mr + 1, 10, nr + 1}, {9, 13, 31},
+                                 {11, 6, 33},         {5, 0, 3}};
         for (int threads : {1, 2, 4}) {
             core::ThreadPool::set_global_threads(threads);
             for (const auto& s : shapes) {
@@ -235,12 +235,13 @@ TEST(QGemm, Int16StoreEqualsTheInt32StoreBitwise) {
     constexpr int kGuard = 16;
     constexpr std::int16_t kStale = 0x5A5A;
     std::int64_t word_lo = 0, word_hi = 0;
-    for (core::SimdLevel lvl : available_levels()) {
+    for (core::SimdLevel lvl : testing::runnable_simd_levels()) {
         ASSERT_EQ(core::set_simd_level(lvl), lvl);
         const int mr = core::qgemm_mr(), nr = core::qgemm_nr();
-        const int shapes[][3] = {{1, 1, 1},         {3, 5, 7},    {mr, 2, nr},
-                                 {2 * mr, 8, 3 * nr}, {13, 33, 29}, {17, 64, 40},
-                                 {mr + 1, 31, nr + 3}, {5, 0, 3}};
+        const int shapes[][3] = {{1, 1, 1},          {3, 5, 7},            {mr, 2, nr},
+                                 {2 * mr, 8, 3 * nr}, {13, 33, 29},         {17, 64, 40},
+                                 {mr + 1, 31, nr + 3}, {mr - 1, 9, nr - 1}, {9, 13, 31},
+                                 {11, 6, 33},         {5, 0, 3}};
         for (int threads : {1, 2, 4}) {
             core::ThreadPool::set_global_threads(threads);
             for (const auto& s : shapes) {
@@ -318,17 +319,34 @@ TEST(QGemm, RowsumRecordsRealTaps) {
 
 TEST(QGemm, BitwiseInvariantAcrossSimdLevels) {
     SimdGuard guard;
-    const int M = 19, K = 31, N = 37;
-    const auto a = make_a(M, K, 5);
-    const auto b = make_b(K, N, 6);
-    std::vector<std::int32_t> baseline;
-    for (core::SimdLevel lvl : available_levels()) {
+    // Partial and whole tiles of every geometry (4x4, 4x8, 6x16, 10x32).
+    const int shapes[][3] = {{19, 31, 37}, {21, 16, 33}, {9, 7, 31}, {11, 8, 32}};
+    for (const auto& s : shapes) {
+        const int M = s[0], K = s[1], N = s[2];
+        const auto a = make_a(M, K, static_cast<std::uint32_t>(5 + M));
+        const auto b = make_b(K, N, static_cast<std::uint32_t>(6 + N));
+        std::vector<std::int32_t> baseline;
+        for (core::SimdLevel lvl : testing::runnable_simd_levels()) {
+            ASSERT_EQ(core::set_simd_level(lvl), lvl);
+            const auto c = packed_gemm(M, K, N, a, b);  // re-packs per geometry
+            if (baseline.empty())
+                baseline = c;
+            else
+                EXPECT_EQ(c, baseline) << core::simd_level_name(lvl) << " " << M << "x" << K
+                                       << "x" << N;
+        }
+    }
+}
+
+TEST(QGemm, TilesAsWideAsTheFp32KernelsAtEveryLevel) {
+    // core::for_each_band rounds a pointwise conv's bands to the fp32 tile
+    // width, so both datapaths' bands end in whole panels only if the
+    // integer tile is as wide at every level.
+    SimdGuard guard;
+    for (core::SimdLevel lvl : testing::runnable_simd_levels()) {
         ASSERT_EQ(core::set_simd_level(lvl), lvl);
-        const auto c = packed_gemm(M, K, N, a, b);  // re-packs per geometry
-        if (baseline.empty())
-            baseline = c;
-        else
-            EXPECT_EQ(c, baseline) << core::simd_level_name(lvl);
+        EXPECT_EQ(core::qgemm_nr(), core::gemm_nr()) << core::simd_level_name(lvl);
+        EXPECT_STREQ(core::qgemm_kernel_name(), core::simd_level_name(lvl));
     }
 }
 
@@ -413,7 +431,7 @@ TEST(QGemm, WindowLoweringAndStridedStoresEqualTheirDenseCopies) {
     for (std::size_t i = 0; i < w.size(); ++i) w[i] = static_cast<std::int32_t>(i % 23) - 11;
     const std::vector<std::int64_t> bias(M, 300);
     const core::QEpilogue rq{bias.data(), 4, -200, 900};
-    for (core::SimdLevel lvl : available_levels()) {
+    for (core::SimdLevel lvl : testing::runnable_simd_levels()) {
         ASSERT_EQ(core::set_simd_level(lvl), lvl);
         core::QPackedA pa;
         core::qpack_a_wide(M, C, w.data(), pa);
@@ -466,7 +484,7 @@ TEST(QGemm, Im2colPackedOverALargerStalePackEqualsQPackB) {
                           {3, 5, 7, 3, 1, 1},   // generic: K 27, N 35
                           {3, 6, 5, 3, 2, 1}};  // generic, stride 2: N 9
     const std::int32_t lo = -3;
-    for (core::SimdLevel lvl : available_levels()) {
+    for (core::SimdLevel lvl : testing::runnable_simd_levels()) {
         core::set_simd_level(lvl);
         for (int threads : {1, 2, 4}) {
             core::ThreadPool::set_global_threads(threads);
@@ -749,7 +767,7 @@ TEST(QEngineOracle, EngineIsBitwiseInvariantToThreadsAndSimd) {
     x.rand_uniform(xr, 0.0f, 1.0f);
     Tensor baseline;
     bool have_baseline = false;
-    for (core::SimdLevel lvl : available_levels()) {
+    for (core::SimdLevel lvl : testing::runnable_simd_levels()) {
         ASSERT_EQ(core::set_simd_level(lvl), lvl);
         // Engine weights prepack against the level active at construction.
         quant::QEngine engine(*m.net, scheme(9, 11, quant::QExecution::kAuto));
@@ -1084,6 +1102,51 @@ TEST(QPoolFold, OddMapsDropTheLastRowAndColumn) {
                                       "odd maps");
 }
 
+TEST(QEngine, AQuantizedDetectorKeepsFp32PacksOnlyInItsIslands) {
+    // The integer convs run on the program's own taps, so quantize() drops
+    // their fp32 weight packs.  A grouped pointwise conv, which the engine
+    // runs as an fp32 island, keeps its pack.  The output stays bit-true to
+    // the reference interpreter's.
+    const auto build = [] {
+        Rng rng(29);
+        auto det = std::make_unique<Detector>(
+            SkyNetConfig{SkyNetVariant::kC, nn::Act::kReLU6, 2, 0.25f}, rng);
+        nn::Graph& g = det->net();
+        for (std::size_t i = 0; i < g.node_count(); ++i) {
+            const auto* pw = dynamic_cast<const nn::PWConv1*>(g.node_module(i));
+            if (pw == nullptr || pw->spec().in_ch % 2 != 0 || pw->spec().out_ch % 2 != 0)
+                continue;
+            const int in_ch = pw->spec().in_ch, out_ch = pw->spec().out_ch;
+            const bool bias = pw->has_bias();
+            Rng wr(31);
+            (void)g.replace_module(i, std::make_unique<nn::PWConv1>(in_ch, out_ch, bias, wr, 2));
+            break;
+        }
+        return det;
+    };
+    const quant::QuantConfig cfg = quant::QuantConfig{}.with_fp32_fallback();
+    auto det = build();
+    (void)det->quantize(cfg);
+    const std::vector<quant::QLayerReport>& layers = det->qengine()->report().layers;
+    const nn::Graph& g = det->net();
+    int islands = 0, integer = 0;
+    for (std::size_t i = 0; i < g.node_count(); ++i) {
+        const auto* conv = dynamic_cast<const nn::ConvLayer*>(g.node_module(i));
+        if (conv == nullptr || conv->spec().depthwise()) continue;
+        const bool island = layers[i].impl == quant::QImpl::kFp32;
+        EXPECT_EQ(conv->has_weight_pack(), island) << conv->name();
+        (island ? islands : integer) += 1;
+    }
+    EXPECT_EQ(islands, 1);
+    EXPECT_GT(integer, 0);
+    auto ref = build();
+    (void)ref->quantize(cfg.with_execution(quant::QExecution::kReference));
+    Rng xr(3);
+    Tensor x({2, 3, 64, 128});
+    x.rand_uniform(xr, 0.0f, 1.0f);
+    expect_bitwise_equal(det->forward(x), ref->forward(x), "dropped packs vs reference");
+}
+
 TEST(QEngine, RunsBitTrueAfterEverySimdLevelSwitch) {
     // The engine packs its qgemm weights for the tile of the level it was
     // built at, and packs them again after a switch: int8 is exact at
@@ -1101,7 +1164,7 @@ TEST(QEngine, RunsBitTrueAfterEverySimdLevelSwitch) {
     quant::QEngine oracle(det.net(),
                           quant::QuantConfig{}.with_execution(quant::QExecution::kReference));
     expect_bitwise_equal(before, oracle.run(x), "reference");
-    for (const core::SimdLevel lvl : available_levels()) {
+    for (const core::SimdLevel lvl : testing::runnable_simd_levels()) {
         SCOPED_TRACE(core::simd_level_name(lvl));
         ASSERT_EQ(core::set_simd_level(lvl), lvl);
         expect_bitwise_equal(det.forward(x), before, "after the switch");

@@ -23,6 +23,7 @@
 #include "nn/conv.hpp"
 #include "nn/linear.hpp"
 #include "nn/pwconv.hpp"
+#include "simd_levels.hpp"
 #include "tensor/tensor.hpp"
 
 namespace sky {
@@ -36,15 +37,6 @@ struct SimdGuard {
         core::ThreadPool::set_global_threads(0);
     }
 };
-
-/// Every level this build + CPU can actually execute.
-std::vector<core::SimdLevel> available_levels() {
-    std::vector<core::SimdLevel> out{core::SimdLevel::kScalar,
-                                     core::SimdLevel::kGeneric};
-    if (core::best_simd_level() == core::SimdLevel::kAvx2)
-        out.push_back(core::SimdLevel::kAvx2);
-    return out;
-}
 
 std::vector<float> randv(std::size_t n, std::uint64_t seed) {
     Rng rng(seed);
@@ -95,15 +87,16 @@ Tensor randn_tensor(Shape s, std::uint64_t seed) {
 
 TEST(Simd, DispatchLevelsReportConsistentGeometry) {
     SimdGuard guard;
-    for (core::SimdLevel lvl : available_levels()) {
+    for (core::SimdLevel lvl : testing::runnable_simd_levels()) {
         ASSERT_EQ(core::set_simd_level(lvl), lvl);
         EXPECT_EQ(core::active_simd_level(), lvl);
         EXPECT_GE(core::gemm_mr(), 1);
         EXPECT_GE(core::gemm_nr(), 1);
         EXPECT_STREQ(core::gemm_kernel_name(), core::simd_level_name(lvl));
     }
-    // Requests above the best available level clamp instead of failing.
-    const core::SimdLevel eff = core::set_simd_level(core::SimdLevel::kAvx2);
+    // A request for the top level clamps to the best available one instead
+    // of failing.
+    const core::SimdLevel eff = core::set_simd_level(core::SimdLevel::kAvx512);
     EXPECT_EQ(eff, core::best_simd_level());
 }
 
@@ -114,14 +107,16 @@ TEST(Simd, GemmMatchesReferenceAllLevelsAndShapes) {
     struct Case {
         int M, N, K;
     };
-    // Odd shapes around every tile geometry in the build (4x4, 6x8, 6x16),
-    // plus the degenerate edges: K=0 (no-op accumulate), N=1 (single GEMV
-    // column), M<4 and M % 4 != 0 (partial row panels at chunk boundaries —
-    // the old sgemm_tn block structure went wrong exactly here).
-    const Case cases[] = {{1, 1, 1},  {3, 1, 4},   {5, 7, 0},  {4, 1, 3},
-                          {2, 3, 9},  {5, 9, 13},  {6, 16, 8}, {7, 17, 31},
-                          {13, 29, 17}, {23, 31, 11}, {48, 40, 27}};
-    for (core::SimdLevel lvl : available_levels()) {
+    // Odd shapes around every tile geometry in the build (4x4, 6x8, 6x16,
+    // 14x32: M = 13/14/15 and 29, N = 31/32/33 and 64), plus the degenerate
+    // edges: K=0 (no-op accumulate), N=1 (single GEMV column), M<4 and
+    // M % 4 != 0 (partial row panels at chunk boundaries — the old sgemm_tn
+    // block structure went wrong exactly here).
+    const Case cases[] = {{1, 1, 1},    {3, 1, 4},    {5, 7, 0},    {4, 1, 3},
+                          {2, 3, 9},    {5, 9, 13},   {6, 16, 8},   {7, 17, 31},
+                          {13, 29, 17}, {23, 31, 11}, {48, 40, 27}, {13, 31, 7},
+                          {14, 32, 16}, {15, 33, 29}, {29, 64, 9}};
+    for (core::SimdLevel lvl : testing::runnable_simd_levels()) {
         core::set_simd_level(lvl);
         int seed = 100;
         for (const Case& tc : cases) {
@@ -167,7 +162,7 @@ TEST(Simd, VectorLevelsMatchScalarWithinTolerance) {
     core::set_simd_level(core::SimdLevel::kScalar);
     std::vector<float> ref(static_cast<std::size_t>(M) * N, 0.0f);
     packed_nn(M, N, K, A.data(), B.data(), ref.data());
-    for (core::SimdLevel lvl : available_levels()) {
+    for (core::SimdLevel lvl : testing::runnable_simd_levels()) {
         if (lvl == core::SimdLevel::kScalar) continue;
         core::set_simd_level(lvl);
         std::vector<float> c(ref.size(), 0.0f);
@@ -215,7 +210,7 @@ TEST(Simd, StoreModeGemmEqualsPrefillAccumulateAndActivation) {
                           {12, 32, 5}, {7, 17, 31}, {13, 29, 17}, {4, 4, 3}, {1, 40, 0}};
     const nn::Act acts[] = {nn::Act::kReLU, nn::Act::kReLU6, nn::Act::kLeaky,
                             nn::Act::kSigmoid};
-    for (core::SimdLevel lvl : available_levels()) {
+    for (core::SimdLevel lvl : testing::runnable_simd_levels()) {
         core::set_simd_level(lvl);
         int seed = 700;
         for (const Case& tc : cases) {
@@ -270,7 +265,7 @@ TEST(Simd, StoreModeNegativeZeroProductsGivePositiveZero) {
     const int M = 7, N = 19, K = 3;
     std::vector<float> A(static_cast<std::size_t>(M) * K, -1.5f);
     std::vector<float> B(static_cast<std::size_t>(K) * N, 0.0f);
-    for (core::SimdLevel lvl : available_levels()) {
+    for (core::SimdLevel lvl : testing::runnable_simd_levels()) {
         core::set_simd_level(lvl);
         core::PackedA pa;
         core::PackedB pb;
@@ -289,7 +284,7 @@ TEST(Simd, StoreModeNegativeZeroProductsGivePositiveZero) {
 
 TEST(Simd, PackedInterfaceBitwiseEqualsWrapper) {
     SimdGuard guard;
-    for (core::SimdLevel lvl : available_levels()) {
+    for (core::SimdLevel lvl : testing::runnable_simd_levels()) {
         core::set_simd_level(lvl);
         core::ThreadPool::set_global_threads(2);
         const int M = 11, N = 21, K = 9;
@@ -319,7 +314,7 @@ TEST(Simd, Im2colPackedEqualsIm2colThenPackB) {
     };
     const Case cases[] = {
         {3, 7, 6, 3, 1, 1}, {2, 8, 9, 3, 2, 1}, {4, 5, 5, 1, 1, 0}, {1, 9, 7, 5, 2, 2}};
-    for (core::SimdLevel lvl : available_levels()) {
+    for (core::SimdLevel lvl : testing::runnable_simd_levels()) {
         core::set_simd_level(lvl);
         int seed = 300;
         for (const Case& tc : cases) {
@@ -373,7 +368,7 @@ TEST(Simd, GemmBitwiseThreadInvariantAtEveryLevel) {
     const int M = 33, N = 47, K = 25;
     const auto A = randv(static_cast<std::size_t>(M) * K, 41);
     const auto B = randv(static_cast<std::size_t>(K) * N, 42);
-    for (core::SimdLevel lvl : available_levels()) {
+    for (core::SimdLevel lvl : testing::runnable_simd_levels()) {
         core::set_simd_level(lvl);
         core::ThreadPool::set_global_threads(1);
         std::vector<float> ref(static_cast<std::size_t>(M) * N, 0.0f);
@@ -391,7 +386,7 @@ TEST(Simd, GemmBitwiseThreadInvariantAtEveryLevel) {
 
 TEST(Simd, ConvForwardBitwiseThreadInvariantAtEveryLevel) {
     SimdGuard guard;
-    for (core::SimdLevel lvl : available_levels()) {
+    for (core::SimdLevel lvl : testing::runnable_simd_levels()) {
         core::set_simd_level(lvl);
         Rng rng(51);
         nn::Conv2d conv(3, 10, 3, 1, 1, true, rng);
@@ -514,7 +509,7 @@ TEST(PackB, EqualsASequentialPackByteForByteAtEveryLevel) {
     const int shapes[][2] = {{1, 1}, {3, 5}, {7, 17}, {16, 33}, {5, 1000}, {64, 1021},
                              {300, 37}, {1280, 45}};
     const float nan = std::numeric_limits<float>::quiet_NaN();
-    for (core::SimdLevel lvl : available_levels()) {
+    for (core::SimdLevel lvl : testing::runnable_simd_levels()) {
         core::set_simd_level(lvl);
         const int nr = core::gemm_nr();
         for (int threads : {1, 2, 4}) {
@@ -561,7 +556,7 @@ TEST(PackB, ColumnWindowsAndStridedStoresEqualTheirDenseCopies) {
     const std::vector<float> A = randv(static_cast<std::size_t>(M) * K, 111);
     const std::vector<float> B = randv(static_cast<std::size_t>(K) * ld, 112);
     const std::vector<float> bias = randv(M, 113);
-    for (core::SimdLevel lvl : available_levels()) {
+    for (core::SimdLevel lvl : testing::runnable_simd_levels()) {
         core::set_simd_level(lvl);
         core::PackedA pa;
         core::pack_a(M, K, A.data(), /*trans=*/false, pa);
@@ -605,7 +600,7 @@ TEST(PackB, PWConv1AndLinearEvalForwardsBitwiseAcrossThreadCounts) {
     nn::Linear fc(300, 7, rng);
     const Tensor x = randn_tensor({2, 12, 33, 37}, 92);   // 1221 columns per pack
     const Tensor fx = randn_tensor({37, 300, 1, 1}, 93);  // 37 columns of K = 300
-    for (core::SimdLevel lvl : available_levels()) {
+    for (core::SimdLevel lvl : testing::runnable_simd_levels()) {
         core::set_simd_level(lvl);
         pw.set_training(false);  // packs the weights at this level's geometry
         fc.set_training(false);

@@ -9,8 +9,8 @@
 
 // Build metadata injected by src/CMakeLists.txt on this translation unit
 // only, so a new commit rebuilds one file, not the library.
-#ifndef SKYNET_GIT_SHA_DEFAULT
-#define SKYNET_GIT_SHA_DEFAULT "unknown"
+#ifndef SKYNET_GIT_SHA
+#define SKYNET_GIT_SHA "unknown"
 #endif
 #ifndef SKYNET_CXX_FLAGS
 #define SKYNET_CXX_FLAGS ""
@@ -36,11 +36,7 @@ std::string compiler_id() {
 
 Fingerprint local_fingerprint() {
     Fingerprint fp;
-    // The env var wins over the configure-time default: CI exports the exact
-    // sha it checked out, while a local incremental build may be several
-    // commits past the last cmake run.
-    const char* sha = std::getenv("SKYNET_GIT_SHA");
-    fp.git_sha = (sha != nullptr && *sha != '\0') ? sha : SKYNET_GIT_SHA_DEFAULT;
+    fp.git_sha = SKYNET_GIT_SHA;
     fp.compiler = compiler_id();
     fp.flags = SKYNET_CXX_FLAGS;
     fp.build_type = SKYNET_BUILD_TYPE;

@@ -4,9 +4,8 @@
 // it: the same binary at SKYNET_THREADS=1 vs =8, or -O0 vs -O2, differs by an
 // order of magnitude.  Every BENCH document therefore embeds a fingerprint
 // block — git revision, compiler and flags, build type, resolved thread
-// count, bench scale, and host core count — and benchdiff prints the fields
-// that differ between baseline and candidate so a "regression" caused by
-// comparing across configurations is visible as exactly that.
+// count, bench scale, and host core count — so a reader comparing two
+// documents can see when they describe different configurations.
 #pragma once
 
 #include <string>
@@ -14,7 +13,7 @@
 namespace sky::bench {
 
 struct Fingerprint {
-    std::string git_sha;     ///< SKYNET_GIT_SHA env, else the configure-time sha
+    std::string git_sha;     ///< the sha at configure time
     std::string compiler;    ///< compiler id + version string
     std::string flags;       ///< CMAKE_CXX_FLAGS + per-config flags at build time
     std::string build_type;  ///< CMAKE_BUILD_TYPE

@@ -13,8 +13,7 @@
 //
 // run() performs a calibrated warmup (repeats until two consecutive timings
 // agree, so the first measured sample is not a cold-cache outlier), then N
-// timed repeats summarised as median/MAD/min — the repeat statistics
-// benchdiff's noise-aware regression gate is built on.  finish() writes the
+// timed repeats summarised as median/MAD/min.  finish() writes the
 // versioned BENCH document (schema, environment fingerprint, per-metric
 // units and repeat stats; see bench/report.hpp) when the binary is invoked
 // with `--json <path>`.
@@ -41,7 +40,8 @@ void rule(char c = '-', int n = 72);
 [[nodiscard]] Report& report();
 
 /// Record one result.  `unit` names the measurement unit ("ms", "fps",
-/// "iou", ...); `direction` tells benchdiff which way regressions point.
+/// "iou", ...); `direction` tells a reader of the document which way is
+/// better.
 void record(const std::string& name, double value, const std::string& unit,
             Direction direction = Direction::kInfo);
 /// Record a fully repeat-measured result.

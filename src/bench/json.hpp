@@ -1,11 +1,11 @@
 // Minimal JSON reader/writer helpers for the bench subsystem.
 //
-// The harness *emits* BENCH documents and benchdiff *reads* them back, so the
-// repo needs one (small) JSON implementation it fully controls: a
-// recursive-descent parser into an ordered DOM plus the two formatting
-// helpers every exporter in this codebase otherwise re-implements (number
-// formatting that round-trips doubles and emits `null` for non-finite
-// values, and string escaping).  It parses the full JSON grammar — objects,
+// The harness *emits* BENCH documents and `bench_e2e --summarize` *reads*
+// them back, so the repo needs one (small) JSON implementation it fully
+// controls: a recursive-descent parser into an ordered DOM plus the two
+// formatting helpers every exporter in this codebase otherwise re-implements
+// (number formatting that round-trips doubles and emits `null` for
+// non-finite values, and string escaping).  It parses the full JSON grammar — objects,
 // arrays, strings with escapes, numbers, literals — but is tuned for
 // machine-written documents: no comments, no trailing commas, UTF-8 passed
 // through verbatim.  Like RFC 8259 §7 it refuses a raw control character

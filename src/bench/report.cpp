@@ -16,12 +16,6 @@ const char* to_string(Direction d) {
     return "info";
 }
 
-Direction direction_from_string(const std::string& s) {
-    if (s == "lower_is_better") return Direction::kLowerIsBetter;
-    if (s == "higher_is_better") return Direction::kHigherIsBetter;
-    return Direction::kInfo;
-}
-
 void Report::record(const std::string& name, RepeatStats stats, std::string unit,
                     Direction direction) {
     metrics_[name] = MetricRecord{std::move(unit), direction, std::move(stats)};

@@ -4,7 +4,7 @@
 //
 //   {
 //     "schema": "sky.bench.v1",
-//     "bench": "bench_kernels",
+//     "bench": "bench_table7_quant",
 //     "fingerprint": { git_sha, compiler, flags, build_type,
 //                      skynet_threads, bench_scale, cpu_cores },
 //     "metrics": {
@@ -19,11 +19,11 @@
 //   }
 //
 // Every metric carries its unit and its improvement direction, so a reader
-// (benchdiff, a dashboard) needs no out-of-band table to know that
-// `fwd_ms` going up is bad and `gflops` going up is good.  The "registry"
-// section holds folded obs::Registry content — serve-engine latency
-// histograms, per-layer GraphProfiler gauges — as supporting detail:
-// benchdiff reports on "metrics" only.
+// (`bench_e2e --summarize`, a dashboard) needs no out-of-band table to know
+// that `fwd_ms` going up is bad and `gflops` going up is good.  The
+// "registry" section holds folded obs::Registry content — serve-engine
+// latency histograms, per-layer GraphProfiler gauges — as supporting detail
+// beside "metrics".
 #pragma once
 
 #include <map>
@@ -39,13 +39,11 @@ namespace sky::bench {
 /// The schema identifier emitted in (and required of) BENCH documents.
 inline constexpr const char* kSchema = "sky.bench.v1";
 
-/// Which way "better" points for a metric.  kInfo metrics are recorded and
-/// diffed for display but never gate a regression check.
+/// Which way "better" points for a metric.  kInfo metrics are recorded for
+/// display and have no better direction.
 enum class Direction { kInfo, kLowerIsBetter, kHigherIsBetter };
 
 [[nodiscard]] const char* to_string(Direction d);
-/// Parses the schema's direction strings; unknown strings map to kInfo.
-[[nodiscard]] Direction direction_from_string(const std::string& s);
 
 struct MetricRecord {
     std::string unit;  ///< "ms", "fps", "GFLOP/s", "x", "iou", ...

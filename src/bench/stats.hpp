@@ -5,8 +5,7 @@
 // measured region N times and summarises the samples with order statistics —
 // median as the representative value, MAD (median absolute deviation from the
 // median) as the noise scale — which a single outlier run cannot drag the way
-// it drags a mean.  benchdiff later scales its regression threshold by the
-// MAD, so a noisy metric gets a proportionally wider gate than a quiet one.
+// it drags a mean.
 #pragma once
 
 #include <vector>

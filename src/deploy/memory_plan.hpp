@@ -17,7 +17,8 @@
 //
 // quant::plan_activations hands this pass the lowered program's executing
 // ops; quant::QEngine executes its integer pass out of exactly that plan
-// (allocation-free at steady state — bench_serve gauges it), verify::analyze
+// (allocation-free at steady state, pinned through serve::Engine by
+// Engine.QuantizedReplicaServesFromItsPlannedArena), verify::analyze
 // and tools/skyanalyze report the same plan, quant::QuantReport carries it,
 // and serve::Engine exports its arena as the `serve.activation_plan_bytes`
 // capacity-planning gauge.

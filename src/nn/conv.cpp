@@ -1,16 +1,19 @@
 #include "nn/conv.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "core/gemm.hpp"
-#include "core/scratch.hpp"
 
 namespace sky::nn {
 namespace {
 
 // Per-thread lowering scratch: forward() must be reentrant across threads on
-// the same module (tests/tsan_smoke.cpp hammers exactly this).
+// the same module (tests/tsan_smoke.cpp hammers exactly this).  The backward
+// keeps its im2col(input) and W^T * grad_out columns beside it.
 thread_local core::PackedB tls_cols;
+thread_local std::vector<float> tls_col;
+thread_local std::vector<float> tls_gcol;
 
 }  // namespace
 
@@ -51,22 +54,22 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     const std::int64_t ocols = static_cast<std::int64_t>(os.h) * os.w;
     const std::size_t cols_sz =
         static_cast<std::size_t>(K) * static_cast<std::size_t>(ocols);
-    std::vector<float>& col = core::tls_scratch(core::ScratchSlot::kIm2col, cols_sz);
-    std::vector<float>& gcol = core::tls_scratch(core::ScratchSlot::kCol2im, cols_sz);
+    if (tls_col.size() < cols_sz) tls_col.resize(cols_sz);
+    if (tls_gcol.size() < cols_sz) tls_gcol.resize(cols_sz);
     accumulate_bias_grad(grad_out);
     for (int n = 0; n < in.n; ++n) {
         const float* gp = grad_out.plane(n, 0);
         // grad_weight += grad_out * im2col(input)^T
         core::im2col(input_.plane(n, 0), in.c, in.h, in.w, s.k, s.stride, s.pad, os.h,
-                     os.w, col.data());
-        core::sgemm_nt(s.out_ch, K, static_cast<int>(ocols), gp, col.data(),
+                     os.w, tls_col.data());
+        core::sgemm_nt(s.out_ch, K, static_cast<int>(ocols), gp, tls_col.data(),
                        grad_weight_.data());
         // grad_in = col2im(W^T * grad_out)
-        std::fill(gcol.begin(), gcol.begin() + static_cast<std::ptrdiff_t>(cols_sz),
+        std::fill(tls_gcol.begin(), tls_gcol.begin() + static_cast<std::ptrdiff_t>(cols_sz),
                   0.0f);
         core::sgemm_tn(K, static_cast<int>(ocols), s.out_ch, weight_.data(), gp,
-                       gcol.data());
-        core::col2im(gcol.data(), in.c, in.h, in.w, s.k, s.stride, s.pad, os.h, os.w,
+                       tls_gcol.data());
+        core::col2im(tls_gcol.data(), in.c, in.h, in.w, s.k, s.stride, s.pad, os.h, os.w,
                      grad_in.plane(n, 0));
     }
     return grad_in;

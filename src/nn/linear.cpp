@@ -1,14 +1,17 @@
 #include "nn/linear.hpp"
 
 #include <algorithm>
+#include <vector>
 
-#include "core/scratch.hpp"
 #include "core/thread_pool.hpp"
 
 namespace sky::nn {
 namespace {
 
+// Per-thread eval scratch, so concurrent forwards on one module never share
+// a buffer: X's B panels and the out x n product before its transpose.
 thread_local core::PackedB tls_cols;
+thread_local std::vector<float> tls_tmp;
 
 }  // namespace
 
@@ -40,13 +43,13 @@ Tensor Linear::forward(const Tensor& x) {
         core::pack_b(in, n, flat.data(), /*trans=*/true, tls_cols);
         const std::size_t tmp_sz =
             static_cast<std::size_t>(out) * static_cast<std::size_t>(n);
-        std::vector<float>& tmp = core::tls_scratch(core::ScratchSlot::kLayerTmp, tmp_sz);
-        std::fill(tmp.begin(), tmp.begin() + static_cast<std::ptrdiff_t>(tmp_sz), 0.0f);
-        core::sgemm_packed(w, tls_cols, tmp.data());
+        if (tls_tmp.size() < tmp_sz) tls_tmp.resize(tmp_sz);
+        std::fill(tls_tmp.begin(), tls_tmp.begin() + static_cast<std::ptrdiff_t>(tmp_sz), 0.0f);
+        core::sgemm_packed(w, tls_cols, tls_tmp.data());
         for (int b = 0; b < n; ++b) {
             float* yp = y.plane(b, 0);
             for (int o = 0; o < out; ++o)
-                yp[o] = bias_[o] + tmp[static_cast<std::size_t>(o) * n + b];
+                yp[o] = bias_[o] + tls_tmp[static_cast<std::size_t>(o) * n + b];
         }
         return y;
     }

@@ -104,7 +104,7 @@ public:
     /// Times the arena had to grow: a plan (a new input shape) that needed
     /// more bytes than the arena held.  The first allocation is provisioning,
     /// not growth, so a fixed input shape reads 0 from the first run on —
-    /// the allocation-free steady state bench_serve gauges.
+    /// the allocation-free steady state a serving replica reaches.
     [[nodiscard]] std::int64_t alloc_events() const { return alloc_events_; }
     /// Peak live activation bytes, in words of activation_word_bytes(),
     /// during the last run() — equals plan_activations(shape).peak_bytes

@@ -135,7 +135,10 @@ public:
     /// every accepted future is resolved.
     void shutdown(bool drain = true) SKY_EXCLUDES(lifecycle_mu_);
 
-    /// After shutdown(), submitted() == completed() + failed() + discarded().
+    /// Once shutdown() has returned and no submit() call is in flight,
+    /// submitted() == completed() + failed() + discarded().  (submit() counts
+    /// a request after its push, so a racing shutdown(false) can discard it
+    /// first.)
     [[nodiscard]] std::uint64_t submitted() const { return submitted_.load(); }
     [[nodiscard]] std::uint64_t completed() const { return completed_.load(); }
     /// Accepted requests that ended in InferenceError.

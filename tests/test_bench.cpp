@@ -1,9 +1,7 @@
-// The sky::bench measurement harness and the benchdiff regression gate:
-// robust repeat statistics (median/MAD), the scaled step budget, the BENCH
-// document schema (fingerprint, units, repeat stats) round-tripped through
-// the subsystem's own JSON parser, finish()'s --json contract, and the
-// noise-aware threshold logic benchdiff applies (identical documents pass, a
-// synthetic 2x latency regression fails, improvements never fail).
+// The sky::bench measurement harness: robust repeat statistics (median/MAD),
+// the scaled step budget, the BENCH document schema (fingerprint, units,
+// repeat stats) round-tripped through the subsystem's own JSON parser, and
+// finish()'s --json contract.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/diff.hpp"
 #include "bench/fingerprint.hpp"
 #include "bench/harness.hpp"
 #include "bench/json.hpp"
@@ -202,9 +199,6 @@ TEST(Json, EveryEmitterRoundTripsControlCharacters) {
     Fingerprint fp = test_fingerprint();
     fp.compiler = name;
     docs.emplace_back("report", rep.to_json(fp));
-    DiffReport diff;
-    diff.notes.push_back(name);
-    docs.emplace_back("benchdiff", render_json(diff));
 
     for (const auto& [emitter, text] : docs) {
         json::Value v;
@@ -308,198 +302,6 @@ TEST(Harness, FinishWritesAParseableDocumentNamedAfterTheBinary) {
     EXPECT_NE(doc.get("metrics")->get("t.v"), nullptr);
     std::remove(path.c_str());
     report().clear();
-}
-
-// --- benchdiff threshold logic ---------------------------------------------
-
-/// A one-metric document built through the real Report serialiser.
-json::Value doc_with(const std::string& name, std::vector<double> samples,
-                     const std::string& unit, Direction dir) {
-    Report rep;
-    rep.set_name("bench_t");
-    rep.record(name, RepeatStats::from_samples(std::move(samples)), unit, dir);
-    json::Value doc;
-    std::string err;
-    EXPECT_TRUE(json::parse(rep.to_json(test_fingerprint()), doc, err)) << err;
-    return doc;
-}
-
-TEST(BenchDiff, IdenticalDocumentsPass) {
-    const json::Value doc =
-        doc_with("k.fwd_ms", {10.0, 10.2, 9.8}, "ms", Direction::kLowerIsBetter);
-    const DiffReport d = diff_documents(doc, doc);
-    EXPECT_FALSE(d.fail);
-    EXPECT_EQ(d.compared, 1);
-    EXPECT_EQ(d.regressions, 0);
-}
-
-TEST(BenchDiff, TwoTimesLatencyRegressionFails) {
-    const json::Value base =
-        doc_with("k.fwd_ms", {10.0, 10.2, 9.8}, "ms", Direction::kLowerIsBetter);
-    const json::Value slow =
-        doc_with("k.fwd_ms", {20.0, 20.4, 19.6}, "ms", Direction::kLowerIsBetter);
-    const DiffReport d = diff_documents(base, slow);
-    EXPECT_TRUE(d.fail);
-    EXPECT_EQ(d.regressions, 1);
-    ASSERT_EQ(d.deltas.size(), 1u);
-    EXPECT_EQ(d.deltas[0].kind, DeltaKind::kRegressed);
-}
-
-TEST(BenchDiff, ImprovementNeverFails) {
-    const json::Value base =
-        doc_with("k.fwd_ms", {10.0, 10.2, 9.8}, "ms", Direction::kLowerIsBetter);
-    const json::Value fast =
-        doc_with("k.fwd_ms", {1.0, 1.1, 0.9}, "ms", Direction::kLowerIsBetter);
-    const DiffReport faster = diff_documents(base, fast);
-    EXPECT_FALSE(faster.fail);
-    EXPECT_EQ(faster.improvements, 1);
-
-    // Same for a higher-is-better metric moving up 10x.
-    const json::Value fps = doc_with("s.fps", {30.0}, "fps", Direction::kHigherIsBetter);
-    const json::Value fps10 =
-        doc_with("s.fps", {300.0}, "fps", Direction::kHigherIsBetter);
-    EXPECT_FALSE(diff_documents(fps, fps10).fail);
-    // ... and the reverse drop fails.
-    EXPECT_TRUE(diff_documents(fps10, fps).fail);
-}
-
-TEST(BenchDiff, InfoMetricsNeverGate) {
-    const json::Value base = doc_with("k.threads", {2.0}, "count", Direction::kInfo);
-    const json::Value changed = doc_with("k.threads", {64.0}, "count", Direction::kInfo);
-    EXPECT_FALSE(diff_documents(base, changed).fail);
-}
-
-TEST(BenchDiff, NoisyMetricGetsAWiderGate) {
-    // Baseline median 100 with MAD 10: the 4-sigma noise gate (~59) dominates
-    // the 10% relative gate, so a +50% move is still within tolerance...
-    const json::Value noisy = doc_with("k.ms", {90.0, 100.0, 110.0, 85.0, 115.0}, "ms",
-                                       Direction::kLowerIsBetter);
-    const json::Value candidate = doc_with("k.ms", {150.0, 150.0, 150.0}, "ms",
-                                           Direction::kLowerIsBetter);
-    EXPECT_FALSE(diff_documents(noisy, candidate).fail);
-    // ...while a quiet baseline fails the same +50% move.
-    const json::Value quiet = doc_with("k.ms", {100.0, 100.0, 100.0}, "ms",
-                                       Direction::kLowerIsBetter);
-    EXPECT_TRUE(diff_documents(quiet, candidate).fail);
-}
-
-TEST(BenchDiff, MissingGatedMetricFailsUnlessAllowed) {
-    const json::Value base =
-        doc_with("k.fwd_ms", {10.0}, "ms", Direction::kLowerIsBetter);
-    const json::Value other = doc_with("k.other", {1.0}, "ms", Direction::kLowerIsBetter);
-    EXPECT_TRUE(diff_documents(base, other).fail);
-    DiffOptions allow;
-    allow.allow_missing = true;
-    EXPECT_FALSE(diff_documents(base, other, allow).fail);
-    // A missing info metric never fails.
-    const json::Value info = doc_with("k.threads", {2.0}, "count", Direction::kInfo);
-    EXPECT_FALSE(diff_documents(info, other).fail);
-}
-
-TEST(BenchDiff, UnitDriftIsIncomparableAndFails) {
-    const json::Value ms = doc_with("k.t", {10.0}, "ms", Direction::kLowerIsBetter);
-    const json::Value us = doc_with("k.t", {10.0}, "us", Direction::kLowerIsBetter);
-    const DiffReport d = diff_documents(ms, us);
-    EXPECT_TRUE(d.fail);
-    ASSERT_EQ(d.deltas.size(), 1u);
-    EXPECT_EQ(d.deltas[0].kind, DeltaKind::kIncomparable);
-}
-
-TEST(BenchDiff, CandidateOnlyMetricIsANoticeNotAFailure) {
-    const json::Value base =
-        doc_with("k.fwd_ms", {10.0}, "ms", Direction::kLowerIsBetter);
-    Report rep;
-    rep.set_name("bench_t");
-    rep.record("k.fwd_ms", RepeatStats::from_samples({10.0}), "ms",
-               Direction::kLowerIsBetter);
-    rep.record("k.fresh_ms", RepeatStats::from_samples({3.0}), "ms",
-               Direction::kLowerIsBetter);
-    json::Value cand;
-    std::string err;
-    ASSERT_TRUE(json::parse(rep.to_json(test_fingerprint()), cand, err)) << err;
-
-    const DiffReport d = diff_documents(base, cand);
-    EXPECT_FALSE(d.fail);  // new metrics inform, they do not gate by default
-    bool saw_new = false;
-    for (const MetricDelta& m : d.deltas)
-        if (m.kind == DeltaKind::kNew && m.name == "k.fresh_ms") saw_new = true;
-    EXPECT_TRUE(saw_new);
-
-    // The text report calls the drift out in its own NOTICE block.
-    const std::string text = render_text(d);
-    EXPECT_NE(text.find("NOTICE: 1 metric(s) absent from baseline"),
-              std::string::npos);
-    EXPECT_NE(text.find("k.fresh_ms"), std::string::npos);
-
-    // --strict-schema promotes the same drift to a failure.
-    DiffOptions strict;
-    strict.strict_schema = true;
-    EXPECT_TRUE(diff_documents(base, cand, strict).fail);
-}
-
-TEST(BenchDiff, StrictSchemaFailsOnSchemaFieldDrift) {
-    const json::Value doc =
-        doc_with("k.fwd_ms", {10.0}, "ms", Direction::kLowerIsBetter);
-    json::Value stale;
-    std::string err;
-    ASSERT_TRUE(json::parse("{\"schema\": \"sky.bench.v0\", \"metrics\": {}}",
-                            stale, err))
-        << err;
-    // Lenient: the mismatch is a note and the comparison proceeds.
-    const DiffReport lenient = diff_documents(stale, doc);
-    EXPECT_FALSE(lenient.fail);
-    ASSERT_FALSE(lenient.notes.empty());
-    EXPECT_NE(lenient.notes[0].find("baseline schema"), std::string::npos);
-    // Strict: the same mismatch gates.
-    DiffOptions strict;
-    strict.strict_schema = true;
-    EXPECT_TRUE(diff_documents(stale, doc, strict).fail);
-}
-
-TEST(BenchDiff, FingerprintDriftSurfacesAsNotes) {
-    Report a, b;
-    a.set_name("x");
-    b.set_name("x");
-    Fingerprint fa = test_fingerprint();
-    Fingerprint fb = test_fingerprint();
-    fb.threads = 8;
-    fb.flags = "-O0";
-    json::Value da, db;
-    std::string err;
-    ASSERT_TRUE(json::parse(a.to_json(fa), da, err));
-    ASSERT_TRUE(json::parse(b.to_json(fb), db, err));
-    const DiffReport d = diff_documents(da, db);
-    EXPECT_FALSE(d.fail);  // drift warns, it does not gate
-    bool saw_flags = false, saw_threads = false;
-    for (const std::string& n : d.notes) {
-        if (n.find("flags") != std::string::npos) saw_flags = true;
-        if (n.find("skynet_threads") != std::string::npos) saw_threads = true;
-    }
-    EXPECT_TRUE(saw_flags);
-    EXPECT_TRUE(saw_threads);
-}
-
-TEST(BenchDiff, RendersTextJsonAndGithubFormats) {
-    const json::Value base =
-        doc_with("k.fwd_ms", {10.0, 10.1, 9.9}, "ms", Direction::kLowerIsBetter);
-    const json::Value slow =
-        doc_with("k.fwd_ms", {20.0, 20.1, 19.9}, "ms", Direction::kLowerIsBetter);
-    const DiffReport d = diff_documents(base, slow);
-
-    const std::string text = render_text(d);
-    EXPECT_NE(text.find("REGRESSION"), std::string::npos);
-    EXPECT_NE(text.find("FAIL"), std::string::npos);
-
-    json::Value parsed;
-    std::string err;
-    ASSERT_TRUE(json::parse(render_json(d), parsed, err)) << err;
-    EXPECT_TRUE(parsed.get("fail")->boolean);
-    EXPECT_DOUBLE_EQ(parsed.num_or("regressions", 0), 1.0);
-
-    // One problem-matcher line per regression: `path:1: [benchdiff] ...`.
-    const std::string gh = render_github(d, "BENCH_kernels.json");
-    EXPECT_NE(gh.find("BENCH_kernels.json:1: [benchdiff] regression"),
-              std::string::npos);
 }
 
 }  // namespace

@@ -366,6 +366,66 @@ TEST(Engine, StartedNonDrainingShutdownAccountsForEveryRequest) {
     EXPECT_EQ(reg.counter("serve.completed"), static_cast<double>(completed));
 }
 
+TEST(Engine, NonDrainingShutdownRacingBlockedSubmitsLosesNothing) {
+    // Four submitters block on a request queue of two while the engine
+    // serves; shutdown(false) lands after a different number of results each
+    // round.  Each submit() throws RejectedError or returns a future that is
+    // ready once shutdown() has returned, and once no submit() is in flight
+    // the counters account for every attempt.
+    constexpr int kSubmitters = 4;
+    constexpr int kPerSubmitter = 5;
+    constexpr std::uint64_t kAttempts = kSubmitters * kPerSubmitter;
+    Detector det = small_detector();
+    for (const std::uint64_t shutdown_after : {0, 1, 3, 7, 12, 20}) {
+        ServeConfig cfg;
+        cfg.max_batch = 2;
+        cfg.queue_capacity = 2;
+        Engine engine(det, cfg);
+        engine.start();
+        std::vector<std::vector<std::future<DetectResult>>> futures(kSubmitters);
+        std::vector<std::uint64_t> refused(kSubmitters, 0);
+        std::vector<std::thread> submitters;
+        for (int t = 0; t < kSubmitters; ++t)
+            submitters.emplace_back([&, t] {
+                for (int i = 0; i < kPerSubmitter; ++i) {
+                    try {
+                        futures[t].push_back(
+                            engine.submit(random_image(300 + t * kPerSubmitter + i)));
+                    } catch (const RejectedError&) {
+                        ++refused[t];
+                    }
+                }
+            });
+        while (engine.completed() + engine.failed() < shutdown_after) std::this_thread::yield();
+        engine.shutdown(/*drain=*/false);
+        for (std::thread& t : submitters) t.join();
+
+        std::uint64_t handed_out = 0, completed = 0, discarded = 0, rejected = 0;
+        for (int t = 0; t < kSubmitters; ++t) {
+            rejected += refused[t];
+            for (std::future<DetectResult>& f : futures[t]) {
+                ++handed_out;
+                ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready)
+                    << "shutdown after " << shutdown_after;
+                try {
+                    EXPECT_GE(f.get().box.w, 0.0f);
+                    ++completed;
+                } catch (const RejectedError&) {
+                    ++discarded;
+                }
+            }
+        }
+        EXPECT_EQ(handed_out + rejected, kAttempts) << "shutdown after " << shutdown_after;
+        EXPECT_EQ(engine.submitted(), handed_out);
+        EXPECT_EQ(engine.rejected(), rejected);
+        EXPECT_EQ(engine.completed(), completed);
+        EXPECT_EQ(engine.discarded(), discarded);
+        EXPECT_EQ(engine.failed(), 0u);
+        EXPECT_EQ(engine.submitted(), engine.completed() + engine.failed() + engine.discarded());
+        EXPECT_GE(completed, shutdown_after);
+    }
+}
+
 TEST(Engine, BatchedResultsBitwiseEqualSingleDetectAtAnyThreadCount) {
     ThreadGuard guard;
     constexpr int kImages = 6;
@@ -654,6 +714,40 @@ TEST(Engine, ReferenceFallbackGaugeCountsOutOfRangeInt8Passes) {
     (void)engine.submit(wild).get();
     EXPECT_EQ(reg.gauge("quant.reference_fallbacks"), 1.0);
     engine.shutdown();
+}
+
+TEST(Engine, QuantizedReplicaServesFromItsPlannedArena) {
+    // An int8 replica runs out of QEngine's planned arena.  quantize() plans
+    // one 160x320 image; batches of three and four 96x192 frames need more,
+    // so the first pass grows the arena and the second, at the same batch
+    // sizes, must not.  Every run's measured activation peak is its plan's.
+    // max_batch equals the frames sent at once, so each batch closes full
+    // instead of on the delay.
+    Detector det = small_detector(19);
+    (void)det.quantize(quant::QuantConfig{});
+    const quant::QEngine* q = det.qengine();
+    ASSERT_NE(q, nullptr);
+    std::int64_t first_pass_allocs = 0;
+    for (int pass = 0; pass < 2; ++pass) {
+        for (const int batch : {1, 3, 2, 4}) {
+            ServeConfig cfg;
+            cfg.max_batch = batch;
+            cfg.max_delay_ms = 1000.0;
+            Engine engine(det, cfg);
+            engine.start();
+            std::vector<std::future<DetectResult>> futures;
+            for (int i = 0; i < batch; ++i)
+                futures.push_back(engine.submit(random_image(400 + i, 96, 192)));
+            for (std::future<DetectResult>& f : futures) EXPECT_EQ(f.get().batch_size, batch);
+            engine.shutdown();
+            EXPECT_GT(q->measured_peak_bytes(), 0);
+            EXPECT_EQ(q->measured_peak_bytes(), q->report().activation_plan.peak_bytes)
+                << "pass " << pass << ", batch " << batch;
+        }
+        if (pass == 0) first_pass_allocs = q->alloc_events();
+    }
+    EXPECT_GT(first_pass_allocs, 0);
+    EXPECT_EQ(q->alloc_events(), first_pass_allocs);
 }
 
 TEST(Detector, RejectsMalformedInputs) {

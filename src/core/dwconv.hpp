@@ -1,8 +1,10 @@
 // The 3x3 depthwise convolution kernel (stride 1, pad 1) behind SkyNet's
 // DW-Conv3, for both datapaths:
 //
-//   dwconv3x3(float)    y = act(conv3x3(x, w) + b), the fp32 DWConv3 forward
-//                       with its fused epilogue applied at the store
+//   dwconv3x3(float)    y = act(conv3x3(x, w) + b), or with an affine
+//                       act(scale * (conv3x3(x, w) + b) + shift): the fp32
+//                       DWConv3 forward with its fused epilogue applied at
+//                       the store
 //   dwconv3x3(int)      y = clamp(round_shift(conv3x3(x, w) + b, shift), lo,
 //                       hi), the int8 engine's dwconv with its bias and
 //                       requantization — the qgemm store's QEpilogue — over
@@ -23,7 +25,8 @@
 //     (w0*l + w1*m) + w2*r; the left edge column adds its two taps
 //     separately, the right edge adds w0*l + w1*m — and no level contracts
 //     a multiply-add into an FMA.  The epilogue is nn::activate's formula
-//     on `acc + b` (or `acc` without a bias), as a separate pass computed.
+//     on `acc + b` (or `acc` without a bias), with nn::affine's before it
+//     when the epilogue has an affine, as separate passes computed.
 //   * int sums are exact under the caller's proof (below), so their
 //     order is free; rounding is round_shift's ties-away-from-zero.
 #pragma once
@@ -35,9 +38,10 @@
 
 namespace sky::core {
 
-/// fp32 depthwise 3x3 over one plane: y = act(conv3x3(x, w) + b).  `ep.bias`
-/// points at THIS plane's bias (one value) or is null.  Writes all H x W
-/// outputs without reading y; y must not overlap x.
+/// fp32 depthwise 3x3 over one plane: y = act(conv3x3(x, w) + b), or
+/// act(scale * (conv3x3(x, w) + b) + shift).  `ep.bias`, `ep.scale` and
+/// `ep.shift` point at THIS plane's value (one each) or are null.  Writes
+/// all H x W outputs without reading y; y must not overlap x.
 void dwconv3x3(const float* x, const float* w, int H, int W, const Epilogue& ep, float* y);
 
 /// Integer depthwise 3x3 over one plane: y = clamp(round_shift(conv3x3(x,

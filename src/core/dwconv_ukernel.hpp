@@ -23,7 +23,8 @@
 // That is the sequential DWConv3 loop's order for every element, so fp32
 // outputs are bitwise that loop's as long as no multiply-add contracts into
 // an FMA.  `fin` maps each finished accumulator to its output (the fp32
-// epilogue or the int32 requantization) in registers, before the one store;
+// epilogue, a folded eval BatchNorm's affine included, or the int32
+// requantization) in registers, before the one store;
 // the edge columns go through lane 0 of a V.
 //
 // Every helper is a template over V, so the AVX2 translation unit shares no
@@ -182,22 +183,27 @@ struct DwPlane {
     }
 };
 
-/// fp32 finish: nn/epilogue.hpp's act(acc + b), or act(acc) without a bias.
-template <class VF>
+/// fp32 finish: nn/epilogue.hpp's act(acc + b), or act(acc) without a bias;
+/// with Affine, act(scale * (acc + b) + shift).
+template <class VF, bool Affine>
 struct DwEpilogue {
     bool has_bias;
-    VF bias;
+    VF bias, scale, shift;
     EpilogueAct act;
     float slope;
 
     explicit DwEpilogue(const Epilogue& ep)
         : has_bias(ep.bias != nullptr),
           bias(DwPlane<float, VF>::splat(has_bias ? *ep.bias : 0.0f)),
+          scale(DwPlane<float, VF>::splat(Affine ? *ep.scale : 1.0f)),
+          shift(DwPlane<float, VF>::splat(Affine ? *ep.shift : 0.0f)),
           act(ep.act),
           slope(ep.slope) {}
 
     VF operator()(VF acc) const {
-        return epilogue_act<VF>(has_bias ? acc + bias : acc, act, slope);
+        VF v = has_bias ? acc + bias : acc;
+        if constexpr (Affine) v = epilogue_affine<VF>(v, scale, shift);
+        return epilogue_act<VF>(v, act, slope);
     }
 };
 
@@ -225,10 +231,15 @@ struct DwQEpilogue {
     }
 };
 
+/// One instantiation per finish, so a plane without an affine pays nothing
+/// for it.
 template <class VF>
 void dwconv3x3_f32(const float* x, const float* w, int H, int W, const Epilogue& ep,
                    float* y) {
-    DwPlane<float, VF>::run(x, w, H, W, y, DwEpilogue<VF>(ep));
+    if (ep.scale != nullptr)
+        DwPlane<float, VF>::run(x, w, H, W, y, DwEpilogue<VF, true>(ep));
+    else
+        DwPlane<float, VF>::run(x, w, H, W, y, DwEpilogue<VF, false>(ep));
 }
 
 /// The integer flavour over either stored word S; `Io` loads S words into

@@ -184,6 +184,10 @@ void run_tiles(const PackedA& A, const PackedB& B, float* C, std::int64_t ldc,
         if (ep != nullptr) {
             tile_ep = *ep;
             if (tile_ep.bias != nullptr) tile_ep.bias += p * mr;
+            if (tile_ep.scale != nullptr) {
+                tile_ep.scale += p * mr;
+                tile_ep.shift += p * mr;
+            }
         }
         kern.fn(K, ap + p * apanel, bp + q * bpanel, C + p * mr * ldc + q * nr, ldc, mv, nv,
                 ep != nullptr ? &tile_ep : nullptr);

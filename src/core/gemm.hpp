@@ -46,17 +46,22 @@ namespace sky::core {
 /// (nn/epilogue.hpp); the micro-kernel carries their vector twin.
 enum class EpilogueAct : std::uint8_t { kNone, kReLU, kReLU6, kLeaky, kSigmoid };
 
-/// Elementwise per-row epilogue y = act(bias[row] + x).  A store-mode
-/// sgemm_packed applies it to each C row as it leaves the register tile;
-/// an nn conv builds it from its own bias and the fused activation
-/// (nn/epilogue.hpp).  `bias` is borrowed: one value per row, or nullptr
-/// for none.
+/// Elementwise per-row epilogue y = act(bias[row] + x), or with an affine
+/// y = act(scale[row] * (bias[row] + x) + shift[row]), the product and the
+/// sum rounded separately (no FMA), as an eval BatchNorm2d computes them.
+/// A store-mode sgemm_packed applies it to each C row as it leaves the
+/// register tile; an nn conv builds it from its own bias, the affine of a
+/// folded eval BatchNorm and the fused activation (nn/epilogue.hpp).  The
+/// arrays are borrowed, one value per row: `bias` or nullptr for none,
+/// `scale` and `shift` both set or both nullptr.
 struct Epilogue {
     const float* bias = nullptr;
     EpilogueAct act = EpilogueAct::kNone;
-    float slope = 0.0f;  ///< kLeaky's negative-side slope
+    float slope = 0.0f;             ///< kLeaky's negative-side slope
+    const float* scale = nullptr;   ///< affine multiplier per row, or nullptr
+    const float* shift = nullptr;   ///< affine addend per row (with scale)
     [[nodiscard]] bool empty() const {
-        return bias == nullptr && act == EpilogueAct::kNone;
+        return bias == nullptr && act == EpilogueAct::kNone && scale == nullptr;
     }
 };
 
@@ -104,10 +109,12 @@ void pack_b(int K, int N, const float* B, std::int64_t ld, bool trans, PackedB& 
 void sgemm_packed(const PackedA& A, const PackedB& B, float* C);
 
 /// Store mode: C(M x N) = act(b + op(A) * op(B)) with b = ep.bias[m], or
-/// +0.0 when ep.bias is null.  C is written once from the register tile and
+/// +0.0 when ep.bias is null; with an affine, act(ep.scale[m] * (b + op(A) *
+/// op(B)) + ep.shift[m]).  C is written once from the register tile and
 /// never read.  This is bitwise what filling C with b (or zeros), the
-/// accumulating sgemm_packed and a separate activation pass give, at every
-/// level and thread count; K = 0 writes act(b).
+/// accumulating sgemm_packed, a separate BatchNorm pass and a separate
+/// activation pass give, at every level and thread count; K = 0 writes
+/// act(b), or act(scale * b + shift).
 void sgemm_packed(const PackedA& A, const PackedB& B, float* C, const Epilogue& ep);
 
 /// Store mode into C rows that lie `ldc` floats apart (ldc >= N): a band of

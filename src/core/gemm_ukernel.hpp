@@ -2,7 +2,8 @@
 // extensions and instantiated per SIMD level (core/simd.hpp):
 //
 //   ukernel<VF, MR, NV>  —  C_tile(mr x nr) += Apanel * Bpanel, or in store
-//                           mode C_tile = act(bias + Apanel * Bpanel)
+//                           mode C_tile = act(bias + Apanel * Bpanel), with an
+//                           affine act(scale * (bias + Apanel * Bpanel) + shift)
 //
 // VF is a GNU vector-extension float type (or plain `float` for the scalar
 // reference instantiation), MR the register-tile row count and NV the number
@@ -18,9 +19,11 @@
 //
 // Store mode applies the Epilogue to the accumulator registers and writes C
 // without reading it.  `bias + acc` is what the bias- or zero-filled C plus
-// the accumulate computed, and epilogue_act() is the vector twin of
-// nn/epilogue.hpp's formulas, so both modes agree bitwise with the unfused
-// layers at the same level.
+// the accumulate computed, and epilogue_affine() and epilogue_act() are the
+// vector twins of nn/epilogue.hpp's formulas, so both modes agree bitwise
+// with the unfused layers (conv, eval BatchNorm, activation) at the same
+// level.  The tile branches once on whether the Epilogue has an affine, so
+// a store without one pays nothing for it.
 //
 // Each translation unit instantiates only the widths its build flags can
 // execute: core/gemm.cpp the scalar + baseline-ISA widths, core/gemm_avx2.cpp
@@ -40,7 +43,8 @@ namespace sky::core::detail {
 /// One selectable micro-kernel: tile geometry plus the tile function.
 /// `fn(K, a_panel, b_panel, c, ldc, mr, nr, ep)` accumulates the mr x nr
 /// valid corner of the tile into C (row stride ldc), or with a non-null `ep`
-/// stores act(bias + acc) there; ep->bias then points at the tile's row 0.
+/// stores its epilogue of acc there; ep's row arrays then point at the
+/// tile's row 0.
 struct GemmKernel {
     int mr = 0;
     int nr = 0;
@@ -103,6 +107,43 @@ inline VF epilogue_act(VF v, EpilogueAct act, float slope) {
     return v;
 }
 
+/// nn/epilogue.hpp's affine, scale * v + shift, on every lane, the product
+/// rounded before the sum.  The empty asm hides the product from the
+/// optimiser: the AVX2 and AVX-512 GEMM units compile with
+/// -ffp-contract=fast, which would otherwise fuse the two into one FMA and
+/// round once (bitwise equal only while shift is 0).  Those x86-64 units
+/// are the only ones built with contraction on.
+template <class VF>
+inline VF epilogue_affine(VF v, VF scale, VF shift) {
+    VF p = scale * v;
+#if defined(__GNUC__) && defined(__x86_64__)
+    __asm__("" : "+v"(p));
+#endif
+    return p + shift;
+}
+
+/// Store mode's finish of a tile in registers: bias + acc (the bias alone
+/// when K = 0), with Affine scale * that + shift, then the activation.
+/// Padding rows (m >= mr) take bias 0, scale 1 and shift 0, so no row array
+/// is read past row mr.
+template <bool Affine, class VF, int MR, int NV>
+[[gnu::always_inline]] inline void finish_tile(VF (&acc)[MR][NV], int K, int mr,
+                                               const Epilogue& ep) {
+#pragma GCC unroll 16
+    for (int m = 0; m < MR; ++m) {
+        const bool row = m < mr;
+        const VF bias = vsplat<VF>(ep.bias != nullptr && row ? ep.bias[m] : 0.0f);
+        [[maybe_unused]] const VF scale = vsplat<VF>(Affine && row ? ep.scale[m] : 1.0f);
+        [[maybe_unused]] const VF shift = vsplat<VF>(Affine && row ? ep.shift[m] : 0.0f);
+#pragma GCC unroll 16
+        for (int v = 0; v < NV; ++v) {
+            VF x = K > 0 ? bias + acc[m][v] : bias;
+            if constexpr (Affine) x = epilogue_affine<VF>(x, scale, shift);
+            acc[m][v] = epilogue_act<VF>(x, ep.act, ep.slope);
+        }
+    }
+}
+
 template <class VF, int MR, int NV>
 void ukernel(int K, const float* a, const float* b, float* c, std::int64_t ldc,
              int mr, int nr, const Epilogue* ep) {
@@ -126,16 +167,11 @@ void ukernel(int K, const float* a, const float* b, float* c, std::int64_t ldc,
         }
     }
     if (ep != nullptr) {
-        // Store mode: the tile's final values, still in registers.  Padding
-        // rows (m >= mr) take bias 0 so the bias is never read past row mr.
-#pragma GCC unroll 16
-        for (int m = 0; m < MR; ++m) {
-            const VF bias = vsplat<VF>(ep->bias != nullptr && m < mr ? ep->bias[m] : 0.0f);
-#pragma GCC unroll 16
-            for (int v = 0; v < NV; ++v)
-                acc[m][v] = epilogue_act<VF>(K > 0 ? bias + acc[m][v] : bias, ep->act,
-                                             ep->slope);
-        }
+        // Store mode: the tile's final values, still in registers.
+        if (ep->scale != nullptr)
+            finish_tile<true>(acc, K, mr, *ep);
+        else
+            finish_tile<false>(acc, K, mr, *ep);
     }
     if (mr == MR && nr == NR) {
 #pragma GCC unroll 16

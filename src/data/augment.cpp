@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace sky::data {
 namespace {
@@ -96,35 +97,62 @@ Tensor crop_resize(const Tensor& img, float x1, float y1, float x2, float y2, in
                    int out_w) {
     const Shape s = img.shape();
     Tensor out({s.n, s.c, out_h, out_w});
+    // Output row or column o samples source indices i0 and i0 + 1 with
+    // weights 1 - w and w, and only when its coordinate passes the frame
+    // test (`inside`); a source index outside the frame samples 0.  Each tap
+    // is computed once per call, not once per pixel and plane, by the same
+    // float operations in the same order, so every output is bitwise the
+    // per-pixel loop's.
+    struct Tap {
+        bool inside = false;
+        int i0 = 0;
+        float w0 = 0.0f, w = 0.0f;      ///< 1 - w, w
+        bool ok0 = false, ok1 = false;  ///< i0, i0 + 1 inside the frame
+    };
+    const auto taps = [](int count, float lo, float hi, int size) {
+        std::vector<Tap> t(static_cast<std::size_t>(count));
+        for (int o = 0; o < count; ++o) {
+            const float u = lo + (hi - lo) * (static_cast<float>(o) + 0.5f) /
+                                     static_cast<float>(count);
+            const float f = u * static_cast<float>(size) - 0.5f;
+            Tap& tap = t[static_cast<std::size_t>(o)];
+            tap.inside = f >= -1.0f && f <= static_cast<float>(size);
+            if (!tap.inside) continue;
+            tap.i0 = static_cast<int>(std::floor(f));
+            tap.w = f - static_cast<float>(tap.i0);
+            tap.w0 = 1 - tap.w;
+            tap.ok0 = tap.i0 >= 0 && tap.i0 < size;
+            tap.ok1 = tap.i0 + 1 < size;  // i0 >= -1
+        }
+        return t;
+    };
+    const std::vector<Tap> rows = taps(out_h, y1, y2, s.h);
+    const std::vector<Tap> cols = taps(out_w, x1, x2, s.w);
     for (int n = 0; n < s.n; ++n) {
         for (int c = 0; c < s.c; ++c) {
             const float* src = img.plane(n, c);
-            float* dst = out.plane(n, c);
             for (int y = 0; y < out_h; ++y) {
-                const float v = y1 + (y2 - y1) * (static_cast<float>(y) + 0.5f) /
-                                         static_cast<float>(out_h);
-                const float fy = v * static_cast<float>(s.h) - 0.5f;
+                const Tap& ty = rows[static_cast<std::size_t>(y)];
+                float* drow = out.plane(n, c) + static_cast<std::int64_t>(y) * out_w;
+                if (!ty.inside) {
+                    std::fill_n(drow, out_w, 0.0f);
+                    continue;
+                }
+                const float* r0 = ty.ok0 ? src + static_cast<std::int64_t>(ty.i0) * s.w : nullptr;
+                const float* r1 =
+                    ty.ok1 ? src + static_cast<std::int64_t>(ty.i0 + 1) * s.w : nullptr;
                 for (int x = 0; x < out_w; ++x) {
-                    const float u = x1 + (x2 - x1) * (static_cast<float>(x) + 0.5f) /
-                                             static_cast<float>(out_w);
-                    const float fx = u * static_cast<float>(s.w) - 0.5f;
-                    float val = 0.0f;
-                    if (fy >= -1.0f && fy <= static_cast<float>(s.h) && fx >= -1.0f &&
-                        fx <= static_cast<float>(s.w)) {
-                        const int iy0 = static_cast<int>(std::floor(fy));
-                        const int ix0 = static_cast<int>(std::floor(fx));
-                        const float wy = fy - static_cast<float>(iy0);
-                        const float wx = fx - static_cast<float>(ix0);
-                        auto sample = [&](int yy, int xx) -> float {
-                            if (yy < 0 || yy >= s.h || xx < 0 || xx >= s.w) return 0.0f;
-                            return src[static_cast<std::int64_t>(yy) * s.w + xx];
-                        };
-                        val = (1 - wy) * ((1 - wx) * sample(iy0, ix0) +
-                                          wx * sample(iy0, ix0 + 1)) +
-                              wy * ((1 - wx) * sample(iy0 + 1, ix0) +
-                                    wx * sample(iy0 + 1, ix0 + 1));
+                    const Tap& tx = cols[static_cast<std::size_t>(x)];
+                    if (!tx.inside) {
+                        drow[x] = 0.0f;
+                        continue;
                     }
-                    dst[static_cast<std::int64_t>(y) * out_w + x] = val;
+                    const auto sample = [&tx](const float* row, int k) {
+                        return row != nullptr && (k == 0 ? tx.ok0 : tx.ok1) ? row[tx.i0 + k]
+                                                                            : 0.0f;
+                    };
+                    drow[x] = ty.w0 * (tx.w0 * sample(r0, 0) + tx.w * sample(r0, 1)) +
+                              ty.w * (tx.w0 * sample(r1, 0) + tx.w * sample(r1, 1));
                 }
             }
         }

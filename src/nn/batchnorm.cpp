@@ -72,18 +72,17 @@ void BatchNorm2d::forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) 
         }
         });
     } else {
+        // The cached affine, or without a cache the same formula computed
+        // for this call: a forward never writes the cache.
+        const bool cached = has_affine();
+        std::vector<float> local_scale, local_shift;
+        if (!cached) fused_affine(local_scale, local_shift);
+        const float* scale = (cached ? scale_ : local_scale).data();
+        const float* shift = (cached ? shift_ : local_shift).data();
         core::parallel_for(0, channels_, 1, [&](std::int64_t c0, std::int64_t c1) {
-        for (int c = static_cast<int>(c0); c < static_cast<int>(c1); ++c) {
-            const float inv_std = 1.0f / std::sqrt(running_var_[c] + eps_);
-            const float g = gamma_[c] * inv_std;
-            const float b = beta_[c] - gamma_[c] * running_mean_[c] * inv_std;
-            for (int n = 0; n < s.n; ++n) {
-                const float* xp = x.plane(n, c);
-                float* yp = y.plane(n, c);
-                for (std::int64_t i = 0; i < plane; ++i) yp[i] = g * xp[i] + b;
-                apply_epilogue(ep, yp, plane);
-            }
-        }
+        for (int c = static_cast<int>(c0); c < static_cast<int>(c1); ++c)
+            for (int n = 0; n < s.n; ++n)
+                apply_epilogue(ep, scale[c], shift[c], x.plane(n, c), y.plane(n, c), plane);
         });
     }
 }
@@ -122,14 +121,29 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
     return grad_in;
 }
 
+std::optional<Epilogue> BatchNorm2d::as_epilogue() const {
+    if (!has_affine()) return std::nullopt;
+    return Epilogue{.scale = scale_.data(), .shift = shift_.data()};
+}
+
 void BatchNorm2d::collect_params(std::vector<ParamRef>& out) {
+    drop_affine();
     out.push_back({&gamma_, &grad_gamma_});
     out.push_back({&beta_, &grad_beta_});
 }
 
 void BatchNorm2d::collect_state(std::vector<Tensor*>& out) {
+    drop_affine();
     out.push_back(&running_mean_);
     out.push_back(&running_var_);
+}
+
+void BatchNorm2d::set_training(bool training) {
+    Module::set_training(training);
+    if (training)
+        drop_affine();
+    else if (!has_affine())
+        fused_affine(scale_, shift_);
 }
 
 void BatchNorm2d::fused_affine(std::vector<float>& scale, std::vector<float>& shift) const {

@@ -36,7 +36,7 @@ void Conv2d::forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) {
     const Shape os = out_shape(in);
     y.resize(os);  // the store-mode GEMM writes every element
     const core::PackedA& w = packed_weights()[0];
-    const core::Epilogue store{has_bias() ? bias_.data() : nullptr, ep.act, ep.slope};
+    const core::Epilogue store = ep.store(has_bias() ? bias_.data() : nullptr, 0);
     for (int n = 0; n < in.n; ++n) {
         core::im2col_packed(x.plane(n, 0), in.c, in.h, in.w, s.k, s.stride, s.pad, os.h,
                             os.w, tls_cols);

@@ -17,9 +17,11 @@ public:
     /// kernel k x k, `stride`, zero padding `pad`; bias optional.
     Conv2d(int in_ch, int out_ch, int k, int stride, int pad, bool bias, Rng& rng);
 
-    /// The GEMM store writes act(bias + acc) per output channel.
+    /// The GEMM store writes act(bias + acc) per output channel, with a
+    /// folded BatchNorm's affine act(scale * (bias + acc) + shift).
     void forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) override;
     Tensor backward(const Tensor& grad_out) override;
+    [[nodiscard]] bool accepts_affine() const override { return true; }
 
     [[nodiscard]] std::string name() const override;
     [[nodiscard]] std::string kind() const override { return "conv"; }

@@ -21,8 +21,8 @@ void DWConv3::forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) {
     y.resize(s);
     // Each (n, c) plane is an independent 3x3 convolution; parallelise over
     // the flattened plane index (disjoint outputs, thread-count invariant).
-    // The kernel writes every element of a plane with its bias and `ep`
-    // applied.
+    // The kernel writes every element of a plane with its bias and `ep`'s
+    // affine and activation applied.
     const float* bias = has_bias() ? bias_.data() : nullptr;
     core::parallel_for(
         0, static_cast<std::int64_t>(s.n) * s.c, 1,
@@ -30,8 +30,7 @@ void DWConv3::forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) {
         for (std::int64_t p = p0; p < p1; ++p) {
             const int n = static_cast<int>(p / s.c);
             const int c = static_cast<int>(p % s.c);
-            const core::Epilogue plane_ep{bias ? bias + c : nullptr, ep.act, ep.slope};
-            core::dwconv3x3(x.plane(n, c), weight_.plane(c, 0), s.h, s.w, plane_ep,
+            core::dwconv3x3(x.plane(n, c), weight_.plane(c, 0), s.h, s.w, ep.store(bias, c),
                             y.plane(n, c));
         }
         });

@@ -15,10 +15,12 @@ class DWConv3 : public ConvLayer {
 public:
     DWConv3(int channels, Rng& rng);
 
-    /// core::dwconv3x3 writes act(conv + bias) to every element of each
+    /// core::dwconv3x3 writes act(conv + bias), with a folded BatchNorm's
+    /// affine act(scale * (conv + bias) + shift), to every element of each
     /// plane of `y`.
     void forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) override;
     Tensor backward(const Tensor& grad_out) override;
+    [[nodiscard]] bool accepts_affine() const override { return true; }
 
     [[nodiscard]] std::string name() const override;
     [[nodiscard]] std::string kind() const override { return "dwconv"; }

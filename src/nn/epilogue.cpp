@@ -11,6 +11,12 @@ void apply_plane(float slope, float* p, std::int64_t n) {
     for (std::int64_t i = 0; i < n; ++i) p[i] = activate<A>(p[i], slope);
 }
 
+template <EpilogueAct A>
+void affine_plane(float slope, float scale, float shift, const float* x, float* y,
+                  std::int64_t n) {
+    for (std::int64_t i = 0; i < n; ++i) y[i] = activate<A>(affine(x[i], scale, shift), slope);
+}
+
 }  // namespace
 
 void apply_epilogue(const Epilogue& ep, float* p, std::int64_t n) {
@@ -20,6 +26,19 @@ void apply_epilogue(const Epilogue& ep, float* p, std::int64_t n) {
         case EpilogueAct::kReLU6: apply_plane<EpilogueAct::kReLU6>(ep.slope, p, n); break;
         case EpilogueAct::kLeaky: apply_plane<EpilogueAct::kLeaky>(ep.slope, p, n); break;
         case EpilogueAct::kSigmoid: apply_plane<EpilogueAct::kSigmoid>(ep.slope, p, n); break;
+    }
+}
+
+void apply_epilogue(const Epilogue& ep, float scale, float shift, const float* x, float* y,
+                    std::int64_t n) {
+    using A = EpilogueAct;
+    const float s = ep.slope;
+    switch (ep.act) {
+        case A::kNone: affine_plane<A::kNone>(s, scale, shift, x, y, n); break;
+        case A::kReLU: affine_plane<A::kReLU>(s, scale, shift, x, y, n); break;
+        case A::kReLU6: affine_plane<A::kReLU6>(s, scale, shift, x, y, n); break;
+        case A::kLeaky: affine_plane<A::kLeaky>(s, scale, shift, x, y, n); break;
+        case A::kSigmoid: affine_plane<A::kSigmoid>(s, scale, shift, x, y, n); break;
     }
 }
 

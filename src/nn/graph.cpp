@@ -44,10 +44,11 @@ Graph::FusionPlan Graph::plan(bool fuse) const {
     const auto sole_reader = [&](std::size_t i) {
         return readers[i] == 1 && static_cast<int>(i) != output_;
     };
-    // producer[c]: a module that is not itself an epilogue, or a pool that
-    // did not fold, so it can carry one.  open[c]: every node whose value
-    // c's tensor holds is read only by the next node of its chain and is not
-    // the output, so an epilogue may still overwrite that value.
+    // producer[c]: a module that is not itself an epilogue, or an affine or
+    // a pool that did not fold, so it can carry one.  open[c]: every node
+    // whose value c's tensor holds is read only by the next node of its
+    // chain and is not the output, so an epilogue may still overwrite that
+    // value.
     std::vector<char> producer(n, 0), open(n, 0);
     for (std::size_t i = 1; i < n; ++i) {
         const Node& node = nodes_[i];
@@ -64,14 +65,25 @@ Graph::FusionPlan Graph::plan(bool fuse) const {
             open[c] = open[c] && sole_reader(i);
             continue;
         }
-        // An activation folds into a producer that carries nothing yet; a
-        // pool into one that accepts pools, after its activation.  Nothing
-        // folds after a pool: the producer applies its activation first.
+        // A producer applies affine, activation and pool in that order, at
+        // most one of each.  An affine folds into a producer that
+        // accepts_affine() and carries nothing yet; an activation into one
+        // that carries no activation or pool yet; a pool into one that
+        // accepts pools, after its affine and activation.  Nothing folds
+        // after a pool.
         Epilogue& held = plan.epilogue[c];
-        const bool folds = producer[c] && open[c] && !held.pool &&
-                           (e->pool ? nodes_[c].module->accepts_pool() : held.empty());
+        bool folds = producer[c] && open[c] && !held.pool;
+        if (folds) {
+            const Module& prod = *nodes_[c].module;
+            if (e->affine())
+                folds = held.empty() && prod.accepts_affine();
+            else if (e->pool)
+                folds = prod.accepts_pool();
+            else
+                folds = held.act == EpilogueAct::kNone;
+        }
         if (!folds) {
-            if (e->pool) {  // the pool runs and writes its own value
+            if (e->affine() || e->pool) {  // it runs and writes its own value
                 producer[i] = 1;
                 open[i] = sole_reader(i);
             }
@@ -80,10 +92,15 @@ Graph::FusionPlan Graph::plan(bool fuse) const {
         for (std::size_t k = c; k < i; ++k)
             if (carrier[k] == static_cast<int>(c) && plan.overwritten[k] < 0)
                 plan.overwritten[k] = static_cast<int>(i);
-        if (e->pool)
+        if (e->affine()) {
+            held.scale = e->scale;
+            held.shift = e->shift;
+        } else if (e->pool) {
             held.pool = true;
-        else
-            held = *e;
+        } else {
+            held.act = e->act;
+            held.slope = e->slope;
+        }
         carrier[i] = static_cast<int>(c);
         open[c] = sole_reader(i);
     }

@@ -13,12 +13,14 @@
 // fusion rule (quant::lower only vetoes).  An Identity node aliases its
 // input; an Activation node whose input is a producer module's value read
 // by that node alone folds into the producer, which applies it as it writes
-// its output.  A MaxPool2 folds the same way into a producer that
-// accepts_pool() (PWConv1), after the producer's activation; the producer
-// then writes only the pooled map, and nothing folds after the pool.  At
-// most one activation and one pool fold into a producer, and a producer
-// that is the graph output keeps its value.  Training forwards run every
-// node.
+// its output.  An eval BatchNorm2d that holds its cached affine folds the
+// same way, before the activation, into a producer that accepts_affine()
+// (the convs), and a MaxPool2 into one that accepts_pool() (PWConv1), after
+// the activation; the producer then writes only the pooled map, and nothing
+// folds after the pool.  At most one affine, one activation and one pool
+// fold into a producer; a BatchNorm2d or pool that does not fold runs as a
+// producer of its own; and a producer that is the graph output keeps its
+// value.  Training forwards run every node.
 #pragma once
 
 #include <utility>
@@ -106,8 +108,12 @@ public:
     /// verify::check_model).  Trusts the edges — verify::check_graph
     /// diagnoses a malformed graph.
     [[nodiscard]] std::vector<Shape> infer_shapes(const Shape& in) const;
-    /// The plan every eval forward runs, per node.  It reads the nodes and
-    /// edges only (no input shape, not the training flag) and trusts them.
+    /// The plan every eval forward runs, per node.  It reads the nodes, the
+    /// edges and what each module says of itself (as_epilogue(),
+    /// accepts_affine(), accepts_pool(): a BatchNorm2d is an epilogue only
+    /// in eval mode with its affine cached), not the input shape or the
+    /// graph's own training flag, and trusts them.  An epilogue's affine
+    /// arrays are borrowed from the BatchNorm2d until its cache drops.
     struct FusionPlan {
         std::vector<int> carrier;        ///< node whose tensor holds the value
         std::vector<int> overwritten;    ///< epilogue node fused over it, or -1

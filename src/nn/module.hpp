@@ -51,21 +51,30 @@ public:
     virtual Tensor backward(const Tensor& grad_out) = 0;
 
     /// y = forward(x) with `ep` applied to the output (nn/epilogue.hpp) —
-    /// bitwise what forward(x) followed by ep's Activation module gives.  nn::Graph calls it with each executing node's own
-    /// output tensor, so `y` arrives holding that node's previous output:
-    /// any shape, stale values.  An override sizes it with Tensor::resize,
-    /// which keeps the buffer, and writes every element.  Default: y =
-    /// forward(x), then ep in place, in parallel; the convs, BatchNorm2d,
-    /// MaxPool2 and SpaceToDepth write into y and apply ep as they write.
+    /// bitwise what forward(x) followed by ep's BatchNorm2d, Activation and
+    /// MaxPool2 modules gives.  nn::Graph calls it with each executing
+    /// node's own output tensor, so `y` arrives holding that node's previous
+    /// output: any shape, stale values.  An override sizes it with
+    /// Tensor::resize, which keeps the buffer, and writes every element.
+    /// Default: y = forward(x), then ep's activation in place, in parallel;
+    /// the convs, BatchNorm2d, MaxPool2 and SpaceToDepth write into y and
+    /// apply ep as they write.
     virtual void forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y);
 
     /// This module as an epilogue, or nullopt when it is anything else.
     /// Activation and Identity (an empty Epilogue) override it with an
-    /// elementwise one, MaxPool2 with a pool; their forward() computes
+    /// elementwise one, MaxPool2 with a pool, and an eval BatchNorm2d that
+    /// holds its cached affine with that affine; their forward() computes
     /// exactly the Epilogue.
     [[nodiscard]] virtual std::optional<Epilogue> as_epilogue() const {
         return std::nullopt;
     }
+
+    /// Whether forward_fused takes an Epilogue with an affine, applying it
+    /// per output channel before the activation (nn::Graph folds an eval
+    /// BatchNorm2d only into such a module).  Conv2d, PWConv1 and DWConv3
+    /// do.
+    [[nodiscard]] virtual bool accepts_affine() const { return false; }
 
     /// Whether forward_fused takes an Epilogue with `pool` set, writing the
     /// 2x2 max pool of act(output) and never the output itself (nn::Graph
@@ -78,11 +87,13 @@ public:
 
     /// Append non-trainable state tensors (e.g. BN running statistics) —
     /// everything beyond collect_params() that a checkpoint must carry.
+    /// The pointers are mutable, so a BatchNorm2d drops its cached affine.
     virtual void collect_state(std::vector<Tensor*>& out) { (void)out; }
 
     /// Containers recurse.  A conv layer (nn/conv_layer.hpp) packs its
     /// weights for eval forwards on set_training(false), even when already
-    /// in eval mode, and drops the pack on set_training(true).
+    /// in eval mode, and drops the pack on set_training(true); a
+    /// BatchNorm2d caches and drops its eval affine the same way.
     virtual void set_training(bool training) { training_ = training; }
     [[nodiscard]] bool training() const { return training_; }
 

@@ -49,18 +49,18 @@ void PWConv1::forward_fused(const Tensor& x, const Epilogue& ep, Tensor& y) {
     const int opg = sp.out_ch / groups;  // output channels per group
     const std::vector<core::PackedA>& w = packed_weights();
     const float* bias = has_bias() ? bias_.data() : nullptr;
-    // Y_g = act(b_g + W_g X_g) for W_g opg x ipg and X_g ipg x H*W, one band
-    // of X_g's columns per call.  Every output element is one k-loop of one
-    // register tile in one chunk, so any band split and thread count give
-    // the same bits; the pack and the GEMM run inline in the chunk.
+    // Y_g = act(b_g + W_g X_g), with an affine act(s_g * (b_g + W_g X_g) +
+    // t_g), for W_g opg x ipg and X_g ipg x H*W, one band of X_g's columns
+    // per call.  Every output element is one k-loop of one register tile in
+    // one chunk, so any band split and thread count give the same bits; the
+    // pack and the GEMM run inline in the chunk.
     core::for_each_band(
         s.h, s.w, ep.pool, static_cast<std::int64_t>(s.n) * groups, [&](const core::Band& b) {
             const int n = static_cast<int>(b.plane / groups);
             const int g = static_cast<int>(b.plane % groups);
             core::pack_b(ipg, b.cols, x.plane(n, g * ipg) + b.c0, plane, /*trans=*/false,
                          tls_cols);
-            const core::Epilogue store{bias != nullptr ? bias + g * opg : nullptr, ep.act,
-                                       ep.slope};
+            const core::Epilogue store = ep.store(bias, g * opg);
             const core::PackedA& wg = w[static_cast<std::size_t>(g)];
             if (!ep.pool) {
                 core::sgemm_packed(wg, tls_cols, y.plane(n, g * opg) + b.c0, plane, store);

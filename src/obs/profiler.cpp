@@ -51,6 +51,7 @@ public:
     [[nodiscard]] std::optional<nn::Epilogue> as_epilogue() const override {
         return inner_->as_epilogue();
     }
+    [[nodiscard]] bool accepts_affine() const override { return inner_->accepts_affine(); }
     [[nodiscard]] bool accepts_pool() const override { return inner_->accepts_pool(); }
 
     Tensor backward(const Tensor& grad_out) override {

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
+#include <vector>
 
 #include "data/augment.hpp"
 #include "data/synth_classification.hpp"
@@ -159,6 +162,86 @@ TEST(Augment, CropResizeIdentityWindow) {
     img.randn(rng);
     Tensor out = crop_resize(img, 0.0f, 0.0f, 1.0f, 1.0f, 6, 6);
     for (std::int64_t i = 0; i < img.size(); ++i) EXPECT_NEAR(out[i], img[i], 1e-4f);
+}
+
+/// crop_resize as it was written before its taps were hoisted out of the
+/// pixel loop: the per-pixel reference it must equal bit for bit.
+Tensor crop_resize_per_pixel(const Tensor& img, float x1, float y1, float x2, float y2,
+                             int out_h, int out_w) {
+    const Shape s = img.shape();
+    Tensor out({s.n, s.c, out_h, out_w});
+    for (int n = 0; n < s.n; ++n) {
+        for (int c = 0; c < s.c; ++c) {
+            const float* src = img.plane(n, c);
+            float* dst = out.plane(n, c);
+            for (int y = 0; y < out_h; ++y) {
+                const float v = y1 + (y2 - y1) * (static_cast<float>(y) + 0.5f) /
+                                         static_cast<float>(out_h);
+                const float fy = v * static_cast<float>(s.h) - 0.5f;
+                for (int x = 0; x < out_w; ++x) {
+                    const float u = x1 + (x2 - x1) * (static_cast<float>(x) + 0.5f) /
+                                             static_cast<float>(out_w);
+                    const float fx = u * static_cast<float>(s.w) - 0.5f;
+                    float val = 0.0f;
+                    if (fy >= -1.0f && fy <= static_cast<float>(s.h) && fx >= -1.0f &&
+                        fx <= static_cast<float>(s.w)) {
+                        const int iy0 = static_cast<int>(std::floor(fy));
+                        const int ix0 = static_cast<int>(std::floor(fx));
+                        const float wy = fy - static_cast<float>(iy0);
+                        const float wx = fx - static_cast<float>(ix0);
+                        auto sample = [&](int yy, int xx) -> float {
+                            if (yy < 0 || yy >= s.h || xx < 0 || xx >= s.w) return 0.0f;
+                            return src[static_cast<std::int64_t>(yy) * s.w + xx];
+                        };
+                        val = (1 - wy) * ((1 - wx) * sample(iy0, ix0) +
+                                          wx * sample(iy0, ix0 + 1)) +
+                              wy * ((1 - wx) * sample(iy0 + 1, ix0) +
+                                    wx * sample(iy0 + 1, ix0 + 1));
+                    }
+                    dst[static_cast<std::int64_t>(y) * out_w + x] = val;
+                }
+            }
+        }
+    }
+    return out;
+}
+
+TEST(Augment, CropResizeEqualsThePerPixelLoopBitwise) {
+    Rng rng(9);
+    Tensor img({2, 3, 23, 31});
+    img.randn(rng);
+    struct Window {
+        float x1, y1, x2, y2;
+        int out_h, out_w;
+    };
+    std::vector<Window> windows = {
+        {0.2f, 0.3f, 0.7f, 0.9f, 17, 13},     // inside, upscaled
+        {0.0f, 0.0f, 1.0f, 1.0f, 5, 7},       // the whole frame, downscaled
+        {-0.4f, 0.6f, 0.5f, 1.7f, 12, 12},    // partly outside
+        {1.2f, -0.9f, 1.9f, -0.1f, 6, 9},     // wholly outside
+        {-3.0f, -3.0f, 4.0f, 4.0f, 11, 8},    // the frame inside a far larger window
+        {0.4f, 0.1f, 0.4f, 0.8f, 9, 4},       // x1 == x2
+        {0.5f, 0.5f, 0.5f, 0.5f, 3, 3},       // a point
+        {0.3f, 0.2f, 0.6f, 0.9f, 1, 1},       // 1x1 output
+        {0.9f, 0.9f, 0.1f, 0.1f, 7, 5},       // reversed corners
+    };
+    for (int k = 0; k < 40; ++k) {
+        const auto coord = [&] { return static_cast<float>(rng.uniform(-0.6, 1.6)); };
+        windows.push_back({coord(), coord(), coord(), coord(), rng.uniform_int(1, 40),
+                           rng.uniform_int(1, 40)});
+    }
+    for (const Window& w : windows) {
+        const Tensor got = crop_resize(img, w.x1, w.y1, w.x2, w.y2, w.out_h, w.out_w);
+        const Tensor want = crop_resize_per_pixel(img, w.x1, w.y1, w.x2, w.y2, w.out_h, w.out_w);
+        ASSERT_EQ(got.shape(), want.shape());
+        for (std::int64_t i = 0; i < got.size(); ++i) {
+            std::uint32_t a = 0, b = 0;
+            std::memcpy(&a, &got.data()[i], sizeof a);
+            std::memcpy(&b, &want.data()[i], sizeof b);
+            ASSERT_EQ(a, b) << "[" << w.x1 << ", " << w.y1 << ", " << w.x2 << ", " << w.y2
+                            << "] -> " << w.out_h << "x" << w.out_w << " idx " << i;
+        }
+    }
 }
 
 TEST(Augment, JitterCropKeepsBoxInside) {

@@ -93,12 +93,15 @@ void reference_plane(const float* xp, const float* w, int H, int W, const core::
     const std::int64_t n = static_cast<std::int64_t>(H) * W;
     if (ep.bias != nullptr)
         for (std::int64_t i = 0; i < n; ++i) yp[i] = yp[i] + *ep.bias;
+    if (ep.scale != nullptr)  // an eval BatchNorm's pass
+        for (std::int64_t i = 0; i < n; ++i) yp[i] = *ep.scale * yp[i] + *ep.shift;
     nn::apply_epilogue(nn::Epilogue{ep.act, ep.slope}, yp, n);
 }
 
-/// `ep` with its per-channel bias array narrowed to channel c's value.
+/// `ep` with its per-channel arrays narrowed to channel c's values.
 core::Epilogue plane_epilogue(const core::Epilogue& ep, int c) {
-    return {ep.bias != nullptr ? ep.bias + c : nullptr, ep.act, ep.slope};
+    const auto at = [c](const float* a) { return a != nullptr ? a + c : nullptr; };
+    return {at(ep.bias), ep.act, ep.slope, at(ep.scale), at(ep.shift)};
 }
 
 /// Uniform values in [-2, 2]; with `specials`, about one in eight is NaN,
@@ -160,10 +163,13 @@ const nn::EpilogueAct kActs[] = {nn::EpilogueAct::kNone, nn::EpilogueAct::kReLU,
                                  nn::EpilogueAct::kSigmoid};
 
 TEST(DwConv, Fp32EqualsTheSequentialLoopPlusEpilogueBitwise) {
+    // With and without a folded eval BatchNorm's affine (non-zero shifts).
     SimdGuard guard;
     Rng rng(11);
     std::vector<float> bias = floats(kChannels, rng, false);
     bias[1] = -0.0f;
+    const std::vector<float> scale = floats(kChannels, rng, false);
+    const std::vector<float> shift = floats(kChannels, rng, false);
     const float* const biases[] = {nullptr, bias.data()};
     for (int H : kHeights)
         for (int W : kWidths) {
@@ -172,8 +178,12 @@ TEST(DwConv, Fp32EqualsTheSequentialLoopPlusEpilogueBitwise) {
             const std::vector<float> w = floats(9 * kChannels, rng, false);
             for (nn::EpilogueAct act : kActs)
                 for (const float* b : biases)
-                    expect_f32_matches(x, w, H, W, core::Epilogue{b, act, 0.1f},
-                                       b != nullptr ? "bias" : "no bias");
+                    for (const bool bn : {false, true})
+                        expect_f32_matches(
+                            x, w, H, W,
+                            core::Epilogue{b, act, 0.1f, bn ? scale.data() : nullptr,
+                                           bn ? shift.data() : nullptr},
+                            std::string(b != nullptr ? "bias" : "no bias") + (bn ? ", bn" : ""));
         }
 }
 
@@ -182,6 +192,8 @@ TEST(DwConv, Fp32KeepsNaNInfAndSignedZeroLikeTheSequentialLoop) {
     Rng rng(12);
     std::vector<float> bias = floats(kChannels, rng, true);
     bias[0] = -0.0f;
+    const std::vector<float> scale = floats(kChannels, rng, true);
+    const std::vector<float> shift = floats(kChannels, rng, true);
     const float* const biases[] = {nullptr, bias.data()};
     for (int H : kHeights)
         for (int W : kWidths) {
@@ -194,14 +206,19 @@ TEST(DwConv, Fp32KeepsNaNInfAndSignedZeroLikeTheSequentialLoop) {
             for (int k = 0; k < 9; ++k) w[static_cast<std::size_t>(18 + k)] = -1.0f - k;
             for (nn::EpilogueAct act : kActs)
                 for (const float* b : biases)
-                    expect_f32_matches(x, w, H, W, core::Epilogue{b, act, 0.1f},
-                                       b != nullptr ? "specials, bias" : "specials");
+                    for (const bool bn : {false, true})
+                        expect_f32_matches(
+                            x, w, H, W,
+                            core::Epilogue{b, act, 0.1f, bn ? scale.data() : nullptr,
+                                           bn ? shift.data() : nullptr},
+                            std::string(b != nullptr ? "specials, bias" : "specials") +
+                                (bn ? ", bn" : ""));
         }
 }
 
 TEST(DwConv, LayerForwardFusedEqualsTheSequentialLoopPlusEpilogue) {
     // nn::DWConv3 hands the kernel each plane's input, weights and its own
-    // bias, with the fused activation.
+    // bias, with a folded BatchNorm's affine and the fused activation.
     SimdGuard guard;
     Rng rng(13);
     nn::DWConv3 layer(5, rng);
@@ -211,12 +228,16 @@ TEST(DwConv, LayerForwardFusedEqualsTheSequentialLoopPlusEpilogue) {
     x.rand_uniform(rng, -1.0f, 1.0f);
     const std::vector<float> bias = floats(5, rng, false);
     std::copy(bias.begin(), bias.end(), layer.bias().data());
-    const nn::Epilogue ep{nn::EpilogueAct::kReLU6, 0.0f};
+    const std::vector<float> scale = floats(5, rng, false);
+    const std::vector<float> shift = floats(5, rng, false);
+    const nn::Epilogue ep{nn::EpilogueAct::kReLU6, 0.0f, false, scale.data(), shift.data()};
     Tensor want(x.shape());
     for (int n = 0; n < 3; ++n)
         for (int c = 0; c < 5; ++c)
             reference_plane(x.plane(n, c), layer.weight().plane(c, 0), 7, 19,
-                            core::Epilogue{bias.data() + c, ep.act, ep.slope}, want.plane(n, c));
+                            core::Epilogue{bias.data() + c, ep.act, ep.slope, scale.data() + c,
+                                           shift.data() + c},
+                            want.plane(n, c));
     for (core::SimdLevel lvl : testing::runnable_simd_levels()) {
         core::set_simd_level(lvl);
         for (int threads : {1, 2, 4}) {

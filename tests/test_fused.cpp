@@ -1,7 +1,9 @@
 // Fused eval epilogues (nn/epilogue.hpp, nn::Graph::forward): an eval
-// forward folds Identity / Activation nodes into their producers and must
-// stay bitwise equal to a node-by-node unfused evaluation at every SIMD
-// level and thread count.  Also pins which patterns must not fuse,
+// forward folds Identity / Activation nodes, and eval BatchNorm2d nodes as
+// a per-channel affine, into their producers and must stay bitwise equal to
+// a node-by-node unfused evaluation at every SIMD level and thread count.
+// Every unfolded network's BatchNorms get random statistics first
+// (testing::randomize_bn).  Also pins which patterns must not fuse,
 // node_output's view of fused nodes, the training exception and the
 // refusal of collapsing inputs.
 //
@@ -37,6 +39,7 @@
 #include "nn/batchnorm.hpp"
 #include "nn/conv.hpp"
 #include "nn/dwconv.hpp"
+#include "nn/linear.hpp"
 #include "nn/pooling.hpp"
 #include "nn/pwconv.hpp"
 #include "nn/space_to_depth.hpp"
@@ -103,6 +106,20 @@ int fused_count(const nn::Graph& g) {
     return n;
 }
 
+/// BatchNorm nodes of `g` (nested graphs included) that the last forward
+/// ran as modules of their own.
+int running_bns(const nn::Graph& g) {
+    int n = 0;
+    for (std::size_t i = 0; i < g.node_count(); ++i) {
+        const nn::Module* m = g.node_module(i);
+        if (const auto* sub = dynamic_cast<const nn::Graph*>(m)) n += running_bns(*sub);
+        if (m != nullptr && m->kind() == "bn" &&
+            g.node_carrier(static_cast<int>(i)) == static_cast<int>(i))
+            ++n;
+    }
+    return n;
+}
+
 // ------------------------------------------------------------ bitwise
 
 TEST(FusedForward, SkyNetBitwiseEqualsUnfusedFoldedAndUnfolded) {
@@ -111,13 +128,16 @@ TEST(FusedForward, SkyNetBitwiseEqualsUnfusedFoldedAndUnfolded) {
             for (bool folded : {false, true}) {
                 Rng rng(11);
                 Detector det({v, act, 2, 0.25f}, rng);
+                ASSERT_GT(testing::randomize_bn(det.net(), 14), 0);
                 if (folded) (void)det.fold_bn();
                 const Tensor x = random_input({2, 3, 32, 64}, 12, 0.0f, 1.0f);
                 const std::string what = std::string(variant_name(v)) + "/" +
                                          nn::act_name(act) + (folded ? "/folded" : "");
                 expect_fused_equals_unfused(det.net(), x, what);
-                // Every Bundle activation fused (unfolded: into its BN;
-                // folded: through the Identity into the conv).
+                // No BatchNorm runs, and every Bundle activation fused into
+                // its conv (unfolded: after the BN's affine; folded: through
+                // the Identity).
+                EXPECT_EQ(running_bns(det.net()), 0) << what;
                 int acts = 0;
                 for (std::size_t i = 0; i < det.net().node_count(); ++i)
                     if (det.net().node_module(i) != nullptr &&
@@ -178,6 +198,7 @@ TEST(FusedForward, BackboneZooBitwiseEqualsUnfused) {
     for (const std::string& name : backbones::backbone_names()) {
         Rng rng(31);
         backbones::Backbone b = backbones::build_by_name(name, 0.25f, rng);
+        testing::randomize_bn(*b.net, 33);
         expect_fused_equals_unfused(*b.net, random_input({1, 3, 32, 32}, 32, 0.0f, 1.0f),
                                     name);
     }
@@ -189,12 +210,85 @@ TEST(FusedForward, SiamRpnEmbedBitwiseEqualsUnfused) {
     const int channels = bb.feature_channels();
     const nn::Graph& backbone = *bb.net;
     tracking::SiameseEmbed embed(std::move(bb.net), channels, 16, rng);
+    ASSERT_GT(testing::randomize_bn(embed.net(), 43), 0);
     expect_fused_equals_unfused(embed.net(), random_input({2, 3, 64, 64}, 42, 0.0f, 1.0f),
                                 "embed");
     // The backbone is the embed chain's node 1, a nested graph: its BN ->
-    // ReLU6 pairs fused.
+    // ReLU6 pairs fused into their convs, and so did the neck's BN, the
+    // embed's output.
     ASSERT_EQ(embed.net().node_module(1), &backbone);
     EXPECT_GT(fused_count(backbone), 0);
+    EXPECT_EQ(running_bns(embed.net()), 0);
+    EXPECT_EQ(embed.net().node_carrier(embed.net().output_node()), 2);
+}
+
+TEST(FusedForward, EvalBatchNormFoldsIntoItsConvAsAnAffine) {
+    Rng rng(45);
+    nn::Graph g;
+    const auto bn = [&](int node, int ch) {
+        return g.add(std::make_unique<nn::BatchNorm2d>(ch), node);
+    };
+    const auto act = [&](int node, nn::Act a) {
+        return g.add(std::make_unique<nn::Activation>(a, 0.2f), node);
+    };
+    // Each conv takes its BN and then its activation.
+    const int conv = g.add(std::make_unique<nn::Conv2d>(3, 6, 3, 1, 1, true, rng), g.input());
+    const int conv_bn = bn(conv, 6);
+    const int conv_act = act(conv_bn, nn::Act::kLeaky);
+    const int pw = g.add(std::make_unique<nn::PWConv1>(6, 6, false, rng), conv_act);
+    const int pw_bn = bn(pw, 6);
+    const int pw_act = act(pw_bn, nn::Act::kReLU6);
+    const int dw = g.add(std::make_unique<nn::DWConv3>(6, rng), pw_act);
+    const int dw_bn = bn(dw, 6);
+    // A BN that cannot fold runs as a producer and takes the activation
+    // after it: after the input, after an activation, after a BN, after a
+    // conv with a second reader, and after a Linear.
+    const int in_bn = bn(g.input(), 3);
+    const int in_act = act(in_bn, nn::Act::kReLU);
+    const int pw2 = g.add(std::make_unique<nn::PWConv1>(3, 6, true, rng), in_act);
+    const int pw2_act = act(pw2, nn::Act::kReLU);
+    const int late_bn = bn(pw2_act, 6);
+    const int late_act = act(late_bn, nn::Act::kSigmoid);
+    const int second_bn = bn(dw_bn, 6);
+    const int shared = g.add(std::make_unique<nn::DWConv3>(6, rng), late_act);
+    const int shared_bn = bn(shared, 6);
+    const int cat = g.add_concat({second_bn, shared_bn, shared});
+    const int fc = g.add(std::make_unique<nn::Linear>(18 * 8 * 10, 5, rng), cat);
+    const int fc_bn = bn(fc, 5);
+    g.set_output(act(fc_bn, nn::Act::kReLU));
+    ASSERT_EQ(testing::randomize_bn(g, 46), 8);
+    const Tensor x = random_input({2, 3, 8, 10}, 47);
+    expect_fused_equals_unfused(g, x, "bn graph");
+    EXPECT_EQ(g.node_carrier(conv_bn), conv);
+    EXPECT_EQ(g.node_carrier(conv_act), conv);
+    EXPECT_EQ(g.node_carrier(pw_bn), pw);
+    EXPECT_EQ(g.node_carrier(pw_act), pw);
+    EXPECT_EQ(g.node_carrier(dw_bn), dw);
+    for (int runs : {in_bn, late_bn, second_bn, shared_bn, fc_bn})
+        EXPECT_EQ(g.node_carrier(runs), runs) << "node " << runs;
+    EXPECT_EQ(g.node_carrier(in_act), in_bn);
+    EXPECT_EQ(g.node_carrier(pw2_act), pw2);
+    EXPECT_EQ(g.node_carrier(late_act), late_bn);
+    EXPECT_EQ(g.node_carrier(g.output_node()), fc_bn);
+
+    // Without its cached affine (a mutable gamma() dropped it) a BN is no
+    // epilogue: it runs as a module, from its current statistics.
+    auto* pw_norm =
+        dynamic_cast<nn::BatchNorm2d*>(g.node_module(static_cast<std::size_t>(pw_bn)));
+    ASSERT_NE(pw_norm, nullptr);
+    ASSERT_TRUE(pw_norm->has_affine());
+    pw_norm->gamma()[0] = -2.0f;
+    EXPECT_FALSE(pw_norm->has_affine());
+    EXPECT_FALSE(pw_norm->as_epilogue());
+    Restore restore;
+    core::ThreadPool::set_global_threads(2);
+    expect_bitwise(g.forward(x), testing::unfused_forward(g, x), "uncached BN");
+    EXPECT_EQ(g.node_carrier(pw_bn), pw_bn);
+    EXPECT_EQ(g.node_carrier(pw_act), pw_bn);
+    g.set_training(false);  // caches it again
+    EXPECT_TRUE(pw_norm->has_affine());
+    expect_bitwise(g.forward(x), testing::unfused_forward(g, x), "recached BN");
+    EXPECT_EQ(g.node_carrier(pw_bn), pw);
 }
 
 // ------------------------------------------------------ fusion rule
@@ -337,15 +431,17 @@ TEST(PoolFold, SkyNetBundlePoolsFoldBitwise) {
             for (bool folded : {false, true}) {
                 Rng rng(81);
                 Detector det({v, act, 2, 0.25f}, rng);
+                ASSERT_GT(testing::randomize_bn(det.net(), 80), 0);
                 if (folded) (void)det.fold_bn();
                 const std::string what = std::string(variant_name(v)) + "/" +
                                          nn::act_name(act) + (folded ? "/folded" : "");
                 expect_sequence_equals_unfused(det.net(), batches(3, 32, 64, 82), what);
-                // Folded, Bundles 1-3 end in pwconv -> act -> pool, but B's
-                // and C's Bundle-3 output also feeds the bypass.  Unfolded, a
-                // BatchNorm sits between each pwconv and its pool.
-                const int want = !folded ? 0 : v == SkyNetVariant::kA ? 3 : 2;
+                // Bundles 1-3 end in pwconv -> act -> pool (unfolded, the
+                // pwconv's BatchNorm folds into it first), but B's and C's
+                // Bundle-3 output also feeds the bypass.
+                const int want = v == SkyNetVariant::kA ? 3 : 2;
                 EXPECT_EQ(folded_pools(det.net()), want) << what;
+                EXPECT_EQ(running_bns(det.net()), 0) << what;
             }
 }
 
@@ -356,6 +452,7 @@ TEST(PoolFold, ZooAndSiamRpnEmbedBitwise) {
     for (const std::string& name : backbones::backbone_names()) {
         Rng rng(83);
         backbones::Backbone b = backbones::build_by_name(name, 0.25f, rng);
+        testing::randomize_bn(*b.net, 84);
         deploy::fold_graph_bn(*b.net);
         expect_sequence_equals_unfused(*b.net, batches(3, 32, 32, 84), name);
         EXPECT_EQ(folded_pools(*b.net), name == "mobilenet" ? 2 : 0) << name;
@@ -363,15 +460,18 @@ TEST(PoolFold, ZooAndSiamRpnEmbedBitwise) {
     for (bool folded : {false, true}) {
         Rng rng(85);
         SkyNetModel bb = build_skynet_backbone(0.25f, nn::Act::kReLU6, rng);
+        ASSERT_GT(testing::randomize_bn(*bb.net, 86), 0);
         if (folded) deploy::fold_graph_bn(*bb.net);
         const int channels = bb.feature_channels();
         const nn::Graph& backbone = *bb.net;
         tracking::SiameseEmbed embed(std::move(bb.net), channels, 16, rng);
+        testing::randomize_bn(embed.net(), 87);  // the neck's BN; and unfolded, the backbone's
         expect_sequence_equals_unfused(embed.net(), batches(3, 32, 32, 86),
                                        folded ? "embed/folded" : "embed");
-        // As the tracker runs it, with its BatchNorms, no pool folds;
-        // folded, all three do (the backbone has no bypass).
-        EXPECT_EQ(folded_pools(backbone), folded ? 3 : 0);
+        // All three pools fold (the backbone has no bypass), as the tracker
+        // runs it with its BatchNorms as in the folded graph.
+        EXPECT_EQ(folded_pools(backbone), 3);
+        EXPECT_EQ(running_bns(embed.net()), 0);
     }
 }
 
@@ -431,12 +531,16 @@ TEST(PoolFold, WhatMustNotFoldRuns) {
     const int a_pool = g.add(std::make_unique<nn::MaxPool2>(), a_act);
     const int a_dw = g.add(std::make_unique<nn::DWConv3>(4, rng), a_act);
     const int dw_pool = g.add(std::make_unique<nn::MaxPool2>(), a_dw);
-    // A pool after a Conv2d, and after a pwconv's unfolded BatchNorm.
+    // A pool after a Conv2d, and after a BatchNorm that runs (after the
+    // input).  After a pwconv's eval BatchNorm, which folds into the pwconv
+    // as its affine, the pool folds too.
     const int conv = g.add(std::make_unique<nn::Conv2d>(3, 4, 3, 1, 1, true, rng), g.input());
     const int conv_pool = g.add(std::make_unique<nn::MaxPool2>(), conv);
     const int b = g.add(std::make_unique<nn::PWConv1>(3, 4, false, rng), g.input());
     const int bn = g.add(std::make_unique<nn::BatchNorm2d>(4), b);
     const int bn_pool = g.add(std::make_unique<nn::MaxPool2>(), bn);
+    const int in_bn = g.add(std::make_unique<nn::BatchNorm2d>(3), g.input());
+    const int in_bn_pool = g.add(std::make_unique<nn::MaxPool2>(), in_bn);
     // A folded pool takes nothing after it: the pwconv applies its
     // activation before it pools, so a later ReLU and pool both run.
     const int c = g.add(std::make_unique<nn::PWConv1>(3, 4, true, rng), g.input());
@@ -446,15 +550,18 @@ TEST(PoolFold, WhatMustNotFoldRuns) {
     const int d = g.add(std::make_unique<nn::PWConv1>(3, 4, true, rng), g.input());
     const int d_pool = g.add(std::make_unique<nn::MaxPool2>(), d);
     const int d_pool2 = g.add(std::make_unique<nn::MaxPool2>(), d_pool);
-    const int cat = g.add_concat({a_pool, dw_pool, conv_pool, bn_pool, c_act});
+    const int cat = g.add_concat({a_pool, dw_pool, conv_pool, bn_pool, in_bn_pool, c_act});
     g.set_output(g.add_concat({g.add(std::make_unique<nn::MaxPool2>(), cat), c_pool2, d_pool2}));
+    ASSERT_EQ(testing::randomize_bn(g, 99), 2);
     Tensor x = random_input({2, 3, 12, 16}, 94);
     for (std::int64_t i = 0; i < x.size(); i += 5) x[i] = std::numeric_limits<float>::quiet_NaN();
     expect_sequence_equals_unfused(g, {x, random_input({1, 3, 8, 20}, 95)}, "must not fold");
-    for (int unfolded : {a_pool, dw_pool, conv_pool, bn_pool, c_act, c_pool2, d_pool2})
+    for (int unfolded : {a_pool, dw_pool, conv_pool, in_bn, in_bn_pool, c_act, c_pool2, d_pool2})
         EXPECT_EQ(g.node_carrier(unfolded), unfolded) << "node " << unfolded;
     EXPECT_EQ(g.node_carrier(c_pool), c);
     EXPECT_EQ(g.node_carrier(d_pool), d);
+    EXPECT_EQ(g.node_carrier(bn), b);
+    EXPECT_EQ(g.node_carrier(bn_pool), b);
 
     // A pwconv that is the graph output keeps its value.
     nn::Graph h;

@@ -16,6 +16,7 @@
 #include "io/serialize.hpp"
 #include "nn/batchnorm.hpp"
 #include "skynet/skynet_model.hpp"
+#include "unfused_reference.hpp"
 
 namespace sky::io {
 namespace {
@@ -125,12 +126,16 @@ TEST(Serialize, LoadedModelProducesIdenticalOutput) {
 }
 
 TEST(Serialize, LoadIntoAnEvalModelRunsTheLoadedWeights) {
-    // An eval model that has run a forward holds weight packs.  A load
-    // writes the weights through collect_params, which drops them, so the
-    // next forward is bitwise the saved model's, and so is the one after the
-    // repack of set_training(false).
+    // An eval model that has run a forward holds weight packs and cached BN
+    // affines.  A load writes the weights, the BN gammas and betas and the
+    // running statistics through collect_params and collect_state, which
+    // drop both, so the next forward is bitwise the saved model's, and so is
+    // the one after the repack of set_training(false).  The saved model's BN
+    // statistics and gammas/betas differ from the loading model's, so an
+    // affine cached before the load would show right after it.
     const Tensor x = probe_input();
     SkyNetModel a = quarter_c(1);
+    ASSERT_GT(testing::randomize_bn(*a.net, 5), 0);
     a.net->set_training(false);
     const Tensor ya = a.net->forward(x);
     const std::string path = temp_path("evalload");

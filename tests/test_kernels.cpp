@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <initializer_list>
 #include <limits>
 #include <memory>
@@ -21,13 +22,16 @@
 #include "core/gemm.hpp"
 #include "core/thread_pool.hpp"
 #include "data/synth_detection.hpp"
+#include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv.hpp"
 #include "nn/dwconv.hpp"
+#include "nn/graph.hpp"
 #include "nn/linear.hpp"
 #include "nn/pooling.hpp"
 #include "nn/pwconv.hpp"
 #include "nn/space_to_depth.hpp"
+#include "unfused_reference.hpp"
 
 namespace sky {
 namespace {
@@ -564,32 +568,63 @@ TEST(BackwardGuard, EvalForwardBeforeBackwardKeepsTheTrainingShape) {
 }
 
 TEST(ConcurrentEval, PoolAndReorderModulesServeTwoThreadsAtOnce) {
-    // An eval forward writes no member of SpaceToDepth, GlobalAvgPool or
-    // MaxPool2, so two threads may share one module; each must get exactly
-    // the outputs it gets alone.
+    // An eval forward writes no member of SpaceToDepth, GlobalAvgPool,
+    // MaxPool2 or BatchNorm2d (whose cached affine only set_training(false)
+    // writes), so two threads may share one module; each must get exactly
+    // the outputs it gets alone.  The same holds for the pwconv of an
+    // unfolded PW -> BN -> ReLU6 -> pool graph, run as the graph's eval
+    // plan runs it: the BN's cached affine, the ReLU6 and the pool folded
+    // into its store.  (A Graph itself keeps its node outputs, so it serves
+    // one forward at a time.)
     ThreadGuard guard;
     core::ThreadPool::set_global_threads(2);
     nn::SpaceToDepth s2d(2);
     nn::GlobalAvgPool gap;
     nn::MaxPool2 pool;
+    nn::BatchNorm2d bn(3);
+    Rng rng(72);
+    nn::Graph bundle;
+    bundle.emplace<nn::PWConv1>(3, 5, false, rng);
+    bundle.emplace<nn::BatchNorm2d>(5);
+    bundle.emplace<nn::Activation>(nn::Act::kReLU6);
+    bundle.emplace<nn::MaxPool2>();
+    ASSERT_EQ(testing::randomize_bn(bn, 73) + testing::randomize_bn(bundle, 74), 2);
+    bundle.set_training(false);
+    const nn::Graph::FusionPlan plan = bundle.fusion_plan();
+    for (int node : {2, 3, 4}) ASSERT_EQ(plan.carrier[static_cast<std::size_t>(node)], 1);
     const Tensor xs[2] = {randn_tensor({1, 3, 8, 10}, 70), randn_tensor({3, 3, 6, 4}, 71)};
-    for (nn::Module* m : std::initializer_list<nn::Module*>{&s2d, &gap, &pool}) {
+    std::vector<std::pair<std::string, std::function<Tensor(const Tensor&)>>> cases;
+    for (nn::Module* m : std::initializer_list<nn::Module*>{&s2d, &gap, &pool, &bn}) {
         m->set_training(false);
-        const Tensor want[2] = {m->forward(xs[0]), m->forward(xs[1])};
+        cases.emplace_back(m->name(), [m](const Tensor& x) { return m->forward(x); });
+    }
+    cases.emplace_back("PW -> BN -> ReLU6 -> pool", [&](const Tensor& x) {
+        Tensor y;
+        bundle.node_module(1)->forward_fused(x, plan.epilogue[1], y);
+        return y;
+    });
+    for (const auto& [name, run] : cases) {
+        const Tensor want[2] = {run(xs[0]), run(xs[1])};
         int mismatches[2] = {0, 0};
         std::vector<std::thread> workers;
         for (int t = 0; t < 2; ++t)
             workers.emplace_back([&, t] {
                 for (int rep = 0; rep < 20; ++rep) {
-                    const Tensor y = m->forward(xs[t]);
+                    const Tensor y = run(xs[t]);
                     if (!(y.shape() == want[t].shape()) ||
                         !std::equal(y.data(), y.data() + y.size(), want[t].data()))
                         ++mismatches[t];
                 }
             });
         for (std::thread& w : workers) w.join();
-        EXPECT_EQ(mismatches[0], 0) << m->name();
-        EXPECT_EQ(mismatches[1], 0) << m->name();
+        EXPECT_EQ(mismatches[0], 0) << name;
+        EXPECT_EQ(mismatches[1], 0) << name;
+    }
+    // What the fused pwconv wrote alone is the unfused graph's value.
+    for (const Tensor& x : xs) {
+        const Tensor fused = cases.back().second(x), ref = testing::unfused_forward(bundle, x);
+        ASSERT_EQ(fused.shape(), ref.shape());
+        EXPECT_TRUE(std::equal(fused.data(), fused.data() + fused.size(), ref.data()));
     }
 }
 

@@ -23,6 +23,7 @@
 #include "search/flow.hpp"
 #include "skynet/detector.hpp"
 #include "skynet/skynet_model.hpp"
+#include "tracking/siamese.hpp"
 #include "train/trainer.hpp"
 
 namespace sky::obs {
@@ -528,6 +529,68 @@ TEST(GraphProfiler, ShowsFusedEpiloguesAndKeepsTheForwardBitwise) {
     EXPECT_EQ(json.find("out_mean"), std::string::npos);
     EXPECT_EQ(json.find("out_absmax"), std::string::npos);
     EXPECT_TRUE(json_valid(json));
+}
+
+/// node_carrier of every node of `g` after its last forward.
+std::vector<int> carriers(const nn::Graph& g) {
+    std::vector<int> out;
+    for (std::size_t i = 0; i < g.node_count(); ++i)
+        out.push_back(g.node_carrier(static_cast<int>(i)));
+    return out;
+}
+
+TEST(GraphProfiler, AttachingLeavesTheFusionPlanAsItWas) {
+    // The shim forwards as_epilogue(), accepts_affine() and accepts_pool(),
+    // so nn::Graph's plan sees through it: every node has the same carrier
+    // with a profiler attached as without, and each eval BatchNorm of an
+    // unfolded model reports fused_into the conv that ran it.
+    Rng dr(14);
+    Tensor x({1, 3, 32, 64});
+    x.rand_uniform(dr, 0.0f, 1.0f);
+    const auto check_bns = [](const GraphProfiler& profiler, const nn::Graph& g,
+                              const std::string& what) -> int {
+        int bns = 0;
+        for (const LayerProfile& p : profiler.profiles()) {
+            if (p.kind != "bn") continue;
+            ++bns;
+            EXPECT_EQ(p.fwd_calls, 0) << what << " node " << p.node;
+            EXPECT_GE(p.fused_into, 0) << what << " node " << p.node;
+            if (p.fused_into < 0) continue;
+            const std::string conv =
+                g.node_module(static_cast<std::size_t>(p.fused_into))->kind();
+            EXPECT_TRUE(conv == "dwconv" || conv == "pwconv") << what << " " << conv;
+        }
+        return bns;
+    };
+    for (SkyNetVariant v : {SkyNetVariant::kA, SkyNetVariant::kB, SkyNetVariant::kC})
+        for (bool folded : {false, true}) {
+            Rng rng(15);
+            Detector det({v, nn::Act::kReLU6, 2, 0.25f}, rng);
+            if (folded) (void)det.fold_bn();
+            const std::string what = std::string(variant_name(v)) + (folded ? "/folded" : "");
+            (void)det.forward(x);
+            const std::vector<int> plain = carriers(det.net());
+            GraphProfiler profiler(det.net());
+            (void)det.forward(x);
+            EXPECT_EQ(carriers(det.net()), plain) << what;
+            const int bns = folded ? 0 : v == SkyNetVariant::kA ? 10 : 12;
+            EXPECT_EQ(check_bns(profiler, det.net(), what), bns) << what;
+        }
+    Rng rng(16);
+    SkyNetModel bb = build_skynet_backbone(0.25f, nn::Act::kReLU6, rng);
+    const int channels = bb.feature_channels();
+    const nn::Graph& backbone = *bb.net;
+    tracking::SiameseEmbed embed(std::move(bb.net), channels, 16, rng);
+    embed.set_training(false);
+    Tensor crop({1, 3, 32, 32});
+    crop.rand_uniform(dr, 0.0f, 1.0f);
+    (void)embed.forward(crop);
+    const std::vector<int> plain = carriers(embed.net()), plain_bb = carriers(backbone);
+    GraphProfiler profiler(embed.net());
+    (void)embed.forward(crop);
+    EXPECT_EQ(carriers(embed.net()), plain);
+    EXPECT_EQ(carriers(backbone), plain_bb);
+    EXPECT_EQ(check_bns(profiler, embed.net(), "embed"), 1);  // the neck's
 }
 
 TEST(GraphProfiler, ResetZeroesAccumulators) {

@@ -20,6 +20,7 @@
 #include "core/simd.hpp"
 #include "core/thread_pool.hpp"
 #include "nn/activations.hpp"
+#include "nn/batchnorm.hpp"
 #include "nn/conv.hpp"
 #include "nn/linear.hpp"
 #include "nn/pwconv.hpp"
@@ -182,24 +183,43 @@ std::uint32_t bits(float v) {
 }
 
 /// The unfused reference of a store-mode GEMM: C filled with the bias (or
-/// zeros), the accumulating sgemm_packed, then nn::Activation's own pass.
+/// zeros), the accumulating sgemm_packed, then an eval nn::BatchNorm2d's and
+/// nn::Activation's own passes (each when given).
 std::vector<float> prefill_accumulate_activate(const core::PackedA& pa,
                                                const core::PackedB& pb,
                                                const std::vector<float>* bias,
-                                               nn::Activation* act) {
+                                               nn::Activation* act,
+                                               nn::BatchNorm2d* bn = nullptr) {
     const int M = pa.M, N = pb.N;
     std::vector<float> c(static_cast<std::size_t>(M) * N, 0.0f);
     if (bias != nullptr)
         for (int m = 0; m < M; ++m)
             std::fill_n(c.begin() + static_cast<std::ptrdiff_t>(m) * N, N, (*bias)[m]);
     core::sgemm_packed(pa, pb, c.data());
-    if (act == nullptr) return c;
     Tensor t({1, M, 1, N}, c);
-    const Tensor y = act->forward(t);
-    return {y.data(), y.data() + y.size()};
+    if (bn != nullptr) t = bn->forward(t);
+    if (act != nullptr) t = act->forward(t);
+    return {t.data(), t.data() + t.size()};
+}
+
+/// An eval BatchNorm2d over `channels` with random statistics: its affine
+/// has non-zero shifts, so an FMA-contracted store would round differently.
+nn::BatchNorm2d random_eval_bn(int channels, std::uint64_t seed) {
+    Rng rng(seed);
+    nn::BatchNorm2d bn(channels);
+    bn.gamma().rand_uniform(rng, -2.0f, 2.0f);
+    bn.beta().rand_uniform(rng, -1.0f, 1.0f);
+    std::vector<Tensor*> stats;
+    bn.collect_state(stats);
+    stats[0]->rand_uniform(rng, -1.0f, 1.0f);
+    stats[1]->rand_uniform(rng, 0.25f, 4.0f);
+    bn.set_training(false);
+    return bn;
 }
 
 TEST(Simd, StoreModeGemmEqualsPrefillAccumulateAndActivation) {
+    // With and without a folded eval BatchNorm's affine, whose random
+    // statistics give non-zero shifts.
     SimdGuard guard;
     struct Case {
         int M, N, K;
@@ -226,6 +246,8 @@ TEST(Simd, StoreModeGemmEqualsPrefillAccumulateAndActivation) {
             core::PackedB pb;
             core::pack_a(tc.M, tc.K, A.data(), false, pa);
             core::pack_b(tc.K, tc.N, B.data(), false, pb);
+            nn::BatchNorm2d bn = random_eval_bn(tc.M, static_cast<std::uint64_t>(seed++));
+            const nn::Epilogue affine = *bn.as_epilogue();
             for (int a = -1; a < 4; ++a) {
                 nn::Activation act(a < 0 ? nn::Act::kReLU : acts[a], 0.13f);
                 act.set_training(false);
@@ -235,11 +257,14 @@ TEST(Simd, StoreModeGemmEqualsPrefillAccumulateAndActivation) {
                     ep.act = act.as_epilogue()->act;
                     ep.slope = act.as_epilogue()->slope;
                 }
+                for (const bool with_bn : {false, true})
                 for (const bool with_bias : {false, true}) {
                     ep.bias = with_bias ? bias.data() : nullptr;
+                    ep.scale = with_bn ? affine.scale : nullptr;
+                    ep.shift = with_bn ? affine.shift : nullptr;
                     core::ThreadPool::set_global_threads(1);
                     const std::vector<float> want = prefill_accumulate_activate(
-                        pa, pb, with_bias ? &bias : nullptr, pass);
+                        pa, pb, with_bias ? &bias : nullptr, pass, with_bn ? &bn : nullptr);
                     for (int threads : {1, 2, 4}) {
                         core::ThreadPool::set_global_threads(threads);
                         // NaN-filled: store mode must never read C.
@@ -250,7 +275,8 @@ TEST(Simd, StoreModeGemmEqualsPrefillAccumulateAndActivation) {
                             ASSERT_EQ(bits(got[i]), bits(want[i]))
                                 << core::simd_level_name(lvl) << " " << tc.M << "x"
                                 << tc.N << "x" << tc.K << " act " << a << " bias "
-                                << with_bias << " @" << threads << "t idx " << i;
+                                << with_bias << " bn " << with_bn << " @" << threads
+                                << "t idx " << i;
                     }
                 }
             }
